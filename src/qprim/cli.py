@@ -507,6 +507,7 @@ def _handle_search(args) -> tuple[dict, dict, None]:
         "best_g": best.g,
         "best_c": best.c,
         "failing_prime": best.failing_prime,
+        "certified": best.certified,
         "config_hash": best.config_hash,
     }
     return {k: v for k, v in vars(args).items() if k not in ("func", "format")}, out, None

@@ -1,21 +1,25 @@
 """Record-search machinery: build candidate quadratics from a non-residue-rich
 number d, list the admissible bases, and sweep k over k^2 * g_base with
-checkpointing and a deterministic parallel merge.
+checkpointing and a deterministic parallel merge.  base_streaks is the one
+k-sweep engine; streaks.empirical_max_streak runs on it too.
 """
 
 from __future__ import annotations
 
+import concurrent.futures
 import hashlib
 import json
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass
+from typing import Iterator
 
 from .arith import squarefree_decomposition
-from .charsums import admissible_discriminants, is_valid_base
+from .charsums import admissible_discriminants, is_valid_base, require_valid_base
 from .densities import DensityReport, pr_density
-from .poly import QuadraticPoly, is_perfect_square
+from .poly import AnyPoly, QuadraticPoly, is_perfect_square
 from .streaks import PrimeValueStream, streak
+
+CHECKPOINT_SECONDS = 30.0  # longest wait for a checkpoint line while bases complete
 
 
 class CheckpointError(RuntimeError):
@@ -48,10 +52,6 @@ class SearchConfig:
     def d2(self) -> int:
         return self.d // self.d1
 
-    @property
-    def k_range(self) -> tuple[int, int]:
-        return (self.k_lo, self.k_hi)
-
     def validate(self) -> None:
         if self.d <= 0 or self.d1 <= 0 or self.d % self.d1 != 0:
             raise ValueError("d1 must be a positive divisor of d")
@@ -75,6 +75,7 @@ class SearchRecord:
     c: int
     failing_prime: int | None
     timestamp: float
+    certified: bool
 
 
 def config_hash(cfg: SearchConfig) -> str:
@@ -115,29 +116,80 @@ def quality(f: QuadraticPoly, cutoff: int = 10_000, accelerate: bool = True) -> 
     return report.value
 
 
-def _sweep_chunk(args: tuple) -> list[tuple[int, int, int | None]]:
-    cfg, k_lo, k_hi = args
-    f = candidate_poly(cfg)
+def _streaks_serial(
+    f: AnyPoly, g_base: int, k_lo: int, k_hi: int, n_cap: int
+) -> Iterator[tuple[int, int, int | None]]:
     stream = PrimeValueStream(f)
-    out = []
     for k in range(k_lo, k_hi + 1):
-        g = k * k * cfg.g_base
-        if not is_valid_base(g) or g == 0:
-            continue
-        res = streak(f, g, cfg.n_cap, stream=stream)
-        out.append((k, res.count, res.failing_prime))
-    return out
+        res = streak(f, k * k * g_base, n_cap, stream=stream)
+        yield k, res.count, res.failing_prime
 
 
-def _read_checkpoint(path: str, expected_hash: str) -> tuple[int, SearchRecord | None]:
-    """Last completed k and the best record so far from a checkpoint file."""
+def _streaks_chunk(args: tuple) -> list[tuple[int, int, int | None]]:
+    return list(_streaks_serial(*args))
+
+
+def base_streaks(
+    f: AnyPoly, g_base: int, k_lo: int, k_hi: int, n_cap: int, workers: int = 1
+) -> Iterator[tuple[int, int, int | None]]:
+    """Yield (k, count, failing_prime) for the bases k^2 * g_base, k = k_lo..k_hi,
+    in ascending k whatever the worker count; failing_prime is None when the
+    streak reached n_cap unfinished.  g_base must be a valid base (then so is
+    every k^2 * g_base).  Serially one prime stream serves every base; pooled,
+    each worker streams one contiguous k-chunk."""
+    if workers <= 1 or k_hi - k_lo < 8:
+        yield from _streaks_serial(f, g_base, k_lo, k_hi, n_cap)
+        return
+    chunk = max(1, (k_hi - k_lo + workers) // workers)
+    jobs = [
+        (f, g_base, lo, min(lo + chunk - 1, k_hi), n_cap)
+        for lo in range(k_lo, k_hi + 1, chunk)
+    ]
+    with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
+        for part in pool.map(_streaks_chunk, jobs):
+            yield from part
+
+
+@dataclass
+class BestStreak:
+    """Fold over base_streaks output in ascending k: the longest streak (ties
+    to the smallest k) and the longest unfinished one (None: unknown).
+
+    The best is certified when every unfinished streak is shorter, itself
+    included, so it ended in a failing prime; otherwise a larger n_cap could
+    change it."""
+
+    k: int = 0
+    c: int = -1
+    failing_prime: int | None = None
+    max_unfinished: int | None = -1
+
+    def add(self, k: int, c: int, failing_prime: int | None) -> bool:
+        """Fold in one result; True when it becomes the new best."""
+        if failing_prime is None and self.max_unfinished is not None:
+            self.max_unfinished = max(self.max_unfinished, c)
+        if c <= self.c:
+            return False
+        self.k, self.c, self.failing_prime = k, c, failing_prime
+        return True
+
+    @property
+    def certified(self) -> bool:
+        return self.max_unfinished is not None and self.max_unfinished < self.c
+
+
+def _read_checkpoint(path: str, expected_hash: str) -> tuple[int, BestStreak, float]:
+    """Last completed k, the fold state and its timestamp from a checkpoint
+    file.  A final line without its newline is a write cut short by a crash:
+    if it does not parse it counts as not written and is cut off the file."""
+    best, found_at = BestStreak(), 0.0
     try:
-        with open(path, "r", encoding="utf-8") as fh:
-            lines = fh.read().splitlines()
+        with open(path, "rb") as fh:
+            data = fh.read()
     except FileNotFoundError:
-        return 0, None
+        return 0, best, found_at
+    lines = data.split(b"\n")  # the last piece lacks a newline: b"" unless torn
     last_k = 0
-    best: SearchRecord | None = None
     for idx, line in enumerate(lines, start=1):
         if not line.strip():
             continue
@@ -148,26 +200,29 @@ def _read_checkpoint(path: str, expected_hash: str) -> tuple[int, SearchRecord |
             best_c = int(rec["best_c"])
             h = rec["config_hash"]
         except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
-            raise CheckpointError(
-                f"{path}:{idx}: unreadable checkpoint line ({exc}); "
-                f"recover by truncating the file to the last valid line"
-            ) from None
+            if idx < len(lines):
+                raise CheckpointError(
+                    f"{path}:{idx}: unreadable checkpoint line ({exc}); "
+                    f"recover by truncating the file to the last valid line"
+                ) from None
+            with open(path, "r+b") as fh:
+                fh.truncate(len(data) - len(line))
+            break
         if h != expected_hash:
             raise CheckpointError(
                 f"{path}:{idx}: checkpoint belongs to a different configuration "
                 f"({h} != {expected_hash}); use a fresh checkpoint path"
             )
+        if idx == len(lines):  # a complete record that lost its newline
+            with open(path, "ab") as fh:
+                fh.write(b"\n")
         last_k = k
-        if best_c >= 0:
-            best = SearchRecord(
-                config_hash=h,
-                k=best_k,
-                g=rec.get("best_g", 0),
-                c=best_c,
-                failing_prime=rec.get("best_failing_prime"),
-                timestamp=rec.get("timestamp", 0.0),
-            )
-    return last_k, best
+        # lines written before max_unfinished existed leave it unknown
+        best = BestStreak(
+            best_k, best_c, rec.get("best_failing_prime"), rec.get("max_unfinished")
+        )
+        found_at = rec.get("timestamp", 0.0)
+    return last_k, best, found_at
 
 
 def sweep(
@@ -175,94 +230,62 @@ def sweep(
     checkpoint_path: str | None = None,
     workers: int = 1,
     checkpoint_every: int = 16,
-    checkpoint_seconds: float = 30.0,
     resume: bool = True,
 ) -> SearchRecord:
     """Run the k-sweep, maintaining the best record (max streak, ties to the
     smallest k), appending a checkpoint line every `checkpoint_every`
-    completed k values or every `checkpoint_seconds`, whichever comes first.
-    Results are merged in ascending k regardless of worker count, so any
-    worker count produces the identical best record.  With `resume`, an
-    existing checkpoint for the same configuration is continued.
+    completed k values or every CHECKPOINT_SECONDS, whichever comes first,
+    and after k_hi.  Any worker count produces the identical record.  With
+    `resume`, an existing checkpoint for the same configuration is continued.
+    An uncertified best (see BestStreak) is returned with certified=False.
     """
     cfg.validate()
+    require_valid_base(cfg.g_base)
     h = config_hash(cfg)
     start_k = cfg.k_lo
-    best: SearchRecord | None = None
+    best, found_at = BestStreak(), 0.0
     if checkpoint_path and resume:
-        last_k, best = _read_checkpoint(checkpoint_path, h)
+        last_k, best, found_at = _read_checkpoint(checkpoint_path, h)
         if last_k >= cfg.k_lo:
             start_k = last_k + 1
-
-    def results_in_order():
-        # sequential: one shared prime stream, results interleave with writes;
-        # pooled: ascending chunks, consumed lazily in submission order
-        if start_k > cfg.k_hi:
-            return
-        if workers <= 1 or cfg.k_hi - start_k < 8:
-            f = candidate_poly(cfg)
-            stream = PrimeValueStream(f)
-            for k in range(start_k, cfg.k_hi + 1):
-                g = k * k * cfg.g_base
-                if not is_valid_base(g) or g == 0:
-                    continue
-                res = streak(f, g, cfg.n_cap, stream=stream)
-                yield k, res.count, res.failing_prime
-        else:
-            chunk = max(1, (cfg.k_hi - start_k + workers) // workers)
-            jobs = [
-                (cfg, lo, min(lo + chunk - 1, cfg.k_hi))
-                for lo in range(start_k, cfg.k_hi + 1, chunk)
-            ]
-            with ProcessPoolExecutor(max_workers=workers) as pool:
-                for part in pool.map(_sweep_chunk, jobs):
-                    yield from part
-
+    results = base_streaks(
+        candidate_poly(cfg), cfg.g_base, start_k, cfg.k_hi, cfg.n_cap, workers
+    )
     fh = open(checkpoint_path, "a", encoding="utf-8") if checkpoint_path else None
-    since_write = 0
-    last_write = time.monotonic()
-    last_result: tuple[int, int, int | None] | None = None
-
-    def write_line(k, c):
-        nonlocal since_write, last_write
-        line = {
-            "k": k,
-            "c": c,
-            "best_k": best.k,
-            "best_c": best.c,
-            "best_g": best.g,
-            "best_failing_prime": best.failing_prime,
-            "config_hash": h,
-            "timestamp": time.time(),
-        }
-        fh.write(json.dumps(line) + "\n")
-        fh.flush()
-        since_write = 0
-        last_write = time.monotonic()
-
+    since_write, last_write = 0, time.monotonic()
     try:
-        for k, c, failing in results_in_order():
-            if best is None or c > best.c:
-                best = SearchRecord(
-                    config_hash=h,
-                    k=k,
-                    g=k * k * cfg.g_base,
-                    c=c,
-                    failing_prime=failing,
-                    timestamp=time.time(),
-                )
-            last_result = (k, c, failing)
+        for k, c, failing in results:
+            if best.add(k, c, failing):
+                found_at = time.time()
             since_write += 1
             if fh and (
                 since_write >= checkpoint_every
-                or time.monotonic() - last_write >= checkpoint_seconds
+                or k == cfg.k_hi
+                or time.monotonic() - last_write >= CHECKPOINT_SECONDS
             ):
-                write_line(k, c)
-        if fh and since_write and last_result is not None:
-            write_line(last_result[0], last_result[1])
+                line = {
+                    "k": k,
+                    "c": c,
+                    "best_k": best.k,
+                    "best_c": best.c,
+                    "best_g": best.k * best.k * cfg.g_base,
+                    "best_failing_prime": best.failing_prime,
+                    "max_unfinished": best.max_unfinished,
+                    "config_hash": h,
+                    "timestamp": time.time(),
+                }
+                fh.write(json.dumps(line) + "\n")
+                fh.flush()
+                since_write, last_write = 0, time.monotonic()
     finally:
         if fh:
             fh.close()
-    if best is None:
-        raise ValueError("sweep produced no records (empty k range?)")
-    return best
+    return SearchRecord(
+        config_hash=h,
+        k=best.k,
+        g=best.k * best.k * cfg.g_base,
+        c=best.c,
+        failing_prime=best.failing_prime,
+        timestamp=found_at,
+        certified=best.certified,
+    )

@@ -10,8 +10,7 @@ polynomial cheap.
 
 from __future__ import annotations
 
-from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterator
 
 from .arith import (
@@ -137,19 +136,22 @@ class PrimeValueStream:
                     roots.append((q, rs))
         self._roots = roots
 
-    def _extend_block(self) -> None:
+    def _block_primes(self, lo: int, size: int) -> list[tuple[int, int]]:
+        """(n, f(n)) for the n in [lo, lo + size) with f(n) prime, ascending.
+        Below _direct_upto a sieve kill may be f(n) equal to a sieve prime,
+        so those n are tested directly."""
         self._build_roots()
-        lo = self._next_n
-        hi = lo + _BLOCK
-        alive = bytearray([1]) * _BLOCK
+        alive = bytearray([1]) * size
         for q, rs in self._roots:
             for r in rs:
                 start = (r - lo) % q
-                alive[start::q] = bytearray(len(range(start, _BLOCK, q)))
+                if start < size:
+                    alive[start::q] = bytearray(len(range(start, size, q)))
         poly = self.poly
         direct = self._direct_upto
         limit = self.sieve_limit
-        for i in range(_BLOCK):
+        out = []
+        for i in range(size):
             n = lo + i
             if not alive[i]:
                 if n >= direct:
@@ -161,11 +163,15 @@ class PrimeValueStream:
                 v = poly.eval(n)
                 if v < 2 or not is_prime(v):
                     continue
-            if v in self._seen:
-                continue
-            self._seen.add(v)
-            self._entries.append((n, v))
-        self._next_n = hi
+            out.append((n, v))
+        return out
+
+    def _extend_block(self) -> None:
+        for n, v in self._block_primes(self._next_n, _BLOCK):
+            if v not in self._seen:
+                self._seen.add(v)
+                self._entries.append((n, v))
+        self._next_n += _BLOCK
 
     def entries_upto(self, n_cap: int) -> Iterator[tuple[int, int]]:
         """Yield (n, p) pairs with n <= n_cap in ascending n."""
@@ -274,34 +280,10 @@ def prime_count(f: AnyPoly, x: int) -> int:
     if poly.leading() < 0:
         raise ValueError("prime scans need a positive leading coefficient")
     stream = PrimeValueStream(poly)
-    stream._build_roots()
-    count = 0
-    lo = 0
-    direct = stream._direct_upto
-    limit = stream.sieve_limit
-    while lo <= x:
-        hi = min(lo + _BLOCK - 1, x)
-        size = hi - lo + 1
-        alive = bytearray([1]) * size
-        for q, rs in stream._roots:
-            for r in rs:
-                start = (r - lo) % q
-                if start < size:
-                    alive[start::q] = bytearray(len(range(start, size, q)))
-        for i in range(size):
-            n = lo + i
-            if not alive[i]:
-                if n >= direct:
-                    continue
-                v = poly.eval(n)
-                if 2 <= v <= limit and is_prime(v):
-                    count += 1
-                continue
-            v = poly.eval(n)
-            if v >= 2 and is_prime(v):
-                count += 1
-        lo = hi + 1
-    return count
+    return sum(
+        len(stream._block_primes(lo, min(_BLOCK, x + 1 - lo)))
+        for lo in range(0, x + 1, _BLOCK)
+    )
 
 
 def pr_stats(
@@ -310,6 +292,8 @@ def pr_stats(
     """Histogram of residual indices of g over the distinct primes f(n) with
     n <= n_cap and p not dividing g."""
     require_valid_base(g)
+    if n_cap < 0:
+        raise ValueError("n_cap must be >= 0")
     if stream is None:
         stream = PrimeValueStream(f)
     hist: dict[int, int] = {}
@@ -328,22 +312,6 @@ def pr_stats(
     )
 
 
-def _max_streak_chunk(args: tuple) -> tuple[int, int, int]:
-    f, g_base, k_lo, k_hi, n_cap = args
-    stream = PrimeValueStream(f)
-    best_c, best_k = -1, -1
-    max_unfinished = -1
-    for k in range(k_lo, k_hi + 1):
-        if k == 0:
-            continue
-        res = streak(f, k * k * g_base, n_cap, stream=stream)
-        if res.n_at_failure is None:
-            max_unfinished = max(max_unfinished, res.count)
-        elif res.count > best_c:
-            best_c, best_k = res.count, k
-    return best_c, best_k, max_unfinished
-
-
 def empirical_max_streak(
     g_base: int,
     f: AnyPoly,
@@ -357,25 +325,17 @@ def empirical_max_streak(
     Raises RuntimeError if some streak reaches n_cap unfinished while at least
     as long as the reported best (the maximum would then be uncertified).
     """
+    # search builds on this module, so its sweep engine is imported on use
+    from .search import BestStreak, base_streaks
+
     require_valid_base(g_base)
     if k_max < 1:
         raise ValueError("k_max must be >= 1")
-    if workers <= 1 or k_max < 8:
-        best_c, best_k, max_unfinished = _max_streak_chunk((f, g_base, 1, k_max, n_cap))
-    else:
-        chunk = max(1, (k_max + workers - 1) // workers)
-        jobs = [
-            (f, g_base, lo, min(lo + chunk - 1, k_max), n_cap)
-            for lo in range(1, k_max + 1, chunk)
-        ]
-        best_c, best_k, max_unfinished = -1, -1, -1
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            for c, k, unfin in pool.map(_max_streak_chunk, jobs):
-                max_unfinished = max(max_unfinished, unfin)
-                if c > best_c or (c == best_c and 0 <= k < best_k):
-                    best_c, best_k = c, k
-    if max_unfinished >= best_c:
+    best = BestStreak()
+    for k, c, failing in base_streaks(f, g_base, 1, k_max, n_cap, workers):
+        best.add(k, c, failing)
+    if not best.certified:
         raise RuntimeError(
             f"n_cap={n_cap} too small: an unfinished streak ties or beats the best"
         )
-    return best_k, best_c
+    return best.k, best.c

@@ -225,3 +225,23 @@ def test_maxstreak_long_run_gate(capsys):
     )
     assert code == 1
     assert "long-run" in err
+
+
+def test_search_cli_reports_certified(capsys, tmp_path):
+    args = ("--d", "163", "--d1", "163", "--alpha", "1", "--g-base", "326",
+            "--workers", "1", "--format", "json")
+    code, out, _ = run_cli(capsys, "search", *args, "--k-hi", "4", "--n-cap", "3000")
+    assert code == 0
+    assert json.loads(out)["outputs"]["certified"] is True
+    # a truncated best is still reported, flagged as a lower bound
+    code, out, _ = run_cli(capsys, "search", *args, "--k-hi", "24", "--n-cap", "300")
+    assert code == 0
+    doc = json.loads(out)["outputs"]
+    assert (doc["best_k"], doc["best_c"], doc["certified"]) == (1, 40, False)
+    # maxstreak errors on the same input
+    code, _, err = run_cli(
+        capsys, "maxstreak", "--poly", "326,0,3", "--g-base", "326", "--k-max", "24",
+        "--n-cap", "300", "--workers", "1",
+    )
+    assert code == 1
+    assert "n_cap=300 too small" in err

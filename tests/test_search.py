@@ -142,3 +142,88 @@ def test_sweep_foreign_checkpoint(tmp_path):
     # --fresh semantics: ignore it
     best = sweep(LEHMER_CFG, checkpoint_path=str(path), resume=False)
     assert best.c == 206
+
+
+README_CFG = SearchConfig(d=163, d1=163, alpha=1, g_base=326, k_hi=40, n_cap=6000)
+TRUNCATED_CFG = SearchConfig(d=163, d1=163, alpha=1, g_base=326, k_hi=24, n_cap=300)
+
+
+def test_sweep_readme_config_certified():
+    best = sweep(README_CFG)
+    assert (best.k, best.c, best.certified) == (15, 423, True)
+    assert best.failing_prime == 8582654489
+
+
+def test_sweep_truncated_best_uncertified():
+    # k=1 reaches n_cap unfinished with the longest count: a lower bound only
+    best = sweep(TRUNCATED_CFG)
+    assert (best.k, best.c, best.certified) == (1, 40, False)
+    assert best.failing_prime is None
+
+
+def test_sweep_certified_agrees_across_workers():
+    for cfg in (README_CFG, TRUNCATED_CFG):
+        b1 = sweep(cfg, workers=1)
+        b2 = sweep(cfg, workers=2)
+        assert (b1.k, b1.c, b1.failing_prime, b1.certified) == (
+            b2.k, b2.c, b2.failing_prime, b2.certified
+        )
+
+
+def test_sweep_resume_keeps_certified(tmp_path):
+    for cfg in (README_CFG, TRUNCATED_CFG):
+        path = tmp_path / f"{config_hash(cfg)}.jsonl"
+        full = sweep(cfg, checkpoint_path=str(path), checkpoint_every=4)
+        lines = path.read_text().splitlines()
+        path.write_text("\n".join(lines[:3]) + "\n")  # crash after k = 12
+        resumed = sweep(cfg, checkpoint_path=str(path), checkpoint_every=4)
+        again = sweep(cfg, checkpoint_path=str(path))  # nothing left to sweep
+        for rec in (resumed, again):
+            assert (rec.k, rec.c, rec.certified) == (full.k, full.c, full.certified)
+
+
+def test_sweep_resume_legacy_line_uncertified(tmp_path):
+    # a line without max_unfinished cannot vouch for the earlier k
+    path = tmp_path / "ck.jsonl"
+    sweep(README_CFG, checkpoint_path=str(path))
+    rec = json.loads(path.read_text().splitlines()[-1])
+    del rec["max_unfinished"]
+    path.write_text(json.dumps(rec) + "\n")
+    best = sweep(README_CFG, checkpoint_path=str(path))
+    assert (best.k, best.c, best.certified) == (15, 423, False)
+
+
+@pytest.mark.parametrize("g_base", [4, -1, 0])
+def test_sweep_rejects_invalid_g_base(tmp_path, g_base):
+    cfg = SearchConfig(d=163, d1=163, alpha=1, g_base=g_base, k_hi=3, n_cap=500)
+    path = tmp_path / "ck.jsonl"
+    with pytest.raises(ValueError, match="invalid base"):
+        sweep(cfg, checkpoint_path=str(path))
+    assert not path.exists()
+
+
+def test_sweep_torn_final_line(tmp_path):
+    path = tmp_path / "ck.jsonl"
+    full = sweep(README_CFG, checkpoint_path=str(path), checkpoint_every=4)
+    text = path.read_text()
+    last = text.splitlines()[-1]
+    path.write_text(text[: len(text) - len(last) // 2 - 1])  # crash mid-write
+    resumed = sweep(README_CFG, checkpoint_path=str(path), checkpoint_every=4)
+    assert (resumed.k, resumed.c, resumed.failing_prime, resumed.certified) == (
+        full.k, full.c, full.failing_prime, full.certified
+    )
+    text = path.read_text()
+    assert text.endswith("\n")
+    ks = [json.loads(line)["k"] for line in text.splitlines()]
+    assert ks == sorted(ks) and ks[-1] == README_CFG.k_hi
+
+
+def test_sweep_unterminated_complete_line_is_kept(tmp_path):
+    path = tmp_path / "ck.jsonl"
+    sweep(README_CFG, checkpoint_path=str(path), checkpoint_every=4)
+    lines = path.read_text().splitlines()
+    path.write_text("\n".join(lines[:3]))  # last record intact, newline lost
+    best = sweep(README_CFG, checkpoint_path=str(path), checkpoint_every=4)
+    assert (best.k, best.c, best.certified) == (15, 423, True)
+    ks = [json.loads(line)["k"] for line in path.read_text().splitlines()]
+    assert ks[:3] == [4, 8, 12] and ks[3] == 16

@@ -176,3 +176,8 @@ def test_verify_prefix():
     with pytest.raises(RuntimeError):
         # no failure below n = 1000, but nowhere near 10000 primes either
         verify_primitive_root_prefix(L, 326, 10_000, 1000)
+
+
+def test_pr_stats_rejects_negative_n_cap():
+    with pytest.raises(ValueError, match="n_cap must be >= 0"):
+        pr_stats(L, 326, -5)
