@@ -1,9 +1,11 @@
 """Exact integer and modular primitives: symbols, primality, factorization, orders.
 
 Everything here is deterministic and exact in its supported range.  Primality
-uses fixed Miller-Rabin witness tiers proven complete below 3.317e24;
-factorization is trial division to 1e5 followed by Brent's cycle-finding rho
-with an iteration budget that fails loudly instead of hanging.
+uses fixed Miller-Rabin witness tiers proven complete below 3.317e24.
+Factorization trial-divides by the primes up to 2000 (up to 1e5 while the
+cofactor is still beyond that primality range), then splits what is left with
+Brent's cycle-finding rho under an iteration budget that fails loudly instead
+of hanging.
 """
 
 from __future__ import annotations
@@ -39,7 +41,8 @@ DETERMINISTIC_PRIMALITY_LIMIT = _MR_TIERS[-1][0]
 
 _TINY_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59, 61)
 
-_TRIAL_LIMIT = 100_000
+_SHORT_TRIAL = 2_000  # factor's trial bound; rho finds the factors above it
+_TRIAL_LIMIT = 100_000  # iter_primes' base primes; factor's bound for huge cofactors
 _small_primes: list[int] | None = None
 
 
@@ -156,7 +159,7 @@ def _brent_rho(n: int, budget: int) -> int | None:
                 m = min(128, r - k)
                 for _ in range(m):
                     y = (y * y + c) % n
-                    q = q * abs(x - y) % n
+                    q = q * (x - y) % n  # the sign of x - y leaves every gcd as is
                 g = math.gcd(q, n)
                 k += m
                 spent += m
@@ -167,7 +170,7 @@ def _brent_rho(n: int, budget: int) -> int | None:
             g = 1
             while g == 1:
                 ys = (ys * ys + c) % n
-                g = math.gcd(abs(x - ys), n)
+                g = math.gcd(x - ys, n)
                 spent += 1
                 if spent > budget:
                     return None
@@ -177,16 +180,24 @@ def _brent_rho(n: int, budget: int) -> int | None:
 
 
 def factor(n: int, rho_budget: int = 4_000_000) -> Factorization:
-    """Factor n >= 1. Trial division to 1e5, then Brent rho on the cofactor.
+    """Factor n >= 1. Trial division to 2000, then Brent rho on the cofactor.
 
-    Raises FactorizationError when the rho budget is exhausted (the honest
-    signal that n is outside the intended magnitude range).
+    A cofactor still at or above DETERMINISTIC_PRIMALITY_LIMIT after 2000 is
+    trial-divided on to 1e5 first, so only cofactors that no primality test
+    here can certify raise ValueError.  Raises FactorizationError when the
+    rho budget is exhausted (the honest signal that n is outside the
+    intended magnitude range).
     """
     if n < 1:
         raise ValueError("factor() requires n >= 1")
     fmap: dict[int, int] = {}
     work = n
+    bound = _SHORT_TRIAL
     for p in _trial_primes():
+        if p > bound:
+            if work < DETERMINISTIC_PRIMALITY_LIMIT:
+                break
+            bound = _TRIAL_LIMIT
         if p * p > work:
             break
         if work % p == 0:
@@ -196,8 +207,8 @@ def factor(n: int, rho_budget: int = 4_000_000) -> Factorization:
                 e += 1
             fmap[p] = e
     if work > 1:
-        if work < _TRIAL_LIMIT * _TRIAL_LIMIT or is_prime(work):
-            # below the trial square with no small factor -> prime
+        if work < bound * bound or is_prime(work):
+            # no factor up to the bound and below its square -> prime
             fmap[work] = fmap.get(work, 0) + 1
         else:
             stack = [work]
@@ -256,12 +267,14 @@ def kronecker(a: int, n: int) -> int:
 def sqrt_mod(a: int, p: int) -> int | None:
     """Smallest square root of a modulo prime p, or None if a is a non-residue.
 
-    Tonelli-Shanks, with the p % 4 == 3 shortcut.
+    Tonelli-Shanks, with the p % 4 == 3 shortcut; residues are told apart by
+    Euler's criterion.
     """
     a %= p
     if p == 2 or a == 0:
         return a
-    if kronecker(a, p) != 1:
+    half = (p - 1) >> 1
+    if pow(a, half, p) != 1:
         return None
     if p % 4 == 3:
         r = pow(a, (p + 1) // 4, p)
@@ -271,7 +284,7 @@ def sqrt_mod(a: int, p: int) -> int | None:
             q //= 2
             s += 1
         z = 2
-        while kronecker(z, p) != -1:
+        while pow(z, half, p) != p - 1:
             z += 1
         c = pow(z, q, p)
         r = pow(a, (q + 1) // 2, p)

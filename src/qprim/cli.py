@@ -314,7 +314,7 @@ def _default_workers(args) -> int:
 
 def _require_long_run(args, what: str) -> None:
     if not args.long_run:
-        raise ValueError(f"{what} needs --long-run (this is an hours-scale computation)")
+        raise ValueError(f"{what} needs --long-run (a minutes-scale computation)")
 
 
 def _handle_streak(args) -> tuple[dict, dict, None]:
@@ -397,8 +397,7 @@ def _handle_density(args) -> tuple[dict, dict, None]:
         rep = bateman_horn_constant(f, cutoff=args.cutoff or 100_000)
         return inputs, {"kind": "bateman_horn", **_report_dict(rep)}, None
     if args.simple:
-        a_str, b_str = args.simple.split(",")
-        rep = pr_density_simple(int(a_str), int(b_str))
+        rep = pr_density_simple(*args.simple)
         return inputs, {"kind": "simplified_quality", **_report_dict(rep)}, None
     if not args.poly:
         raise ValueError("density needs --poly or one of the named product modes")
@@ -598,6 +597,15 @@ def _handle_verify(args) -> tuple[dict, dict, None]:
 # parser
 # ---------------------------------------------------------------------------
 
+def _int_pair(text: str) -> tuple[int, int]:
+    """argparse type for A,B: two comma-separated integers."""
+    try:
+        a, b = map(int, text.split(","))
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected A,B (two integers), got {text!r}") from None
+    return a, b
+
+
 _POLY_HELP = (
     "polynomial: three comma-separated integers are quadratic a,b,c "
     "(leading first); any other count is constant-first c0,c1,...,ck"
@@ -609,7 +617,7 @@ def _build_parser() -> argparse.ArgumentParser:
     top.add_argument("--version", action="version", version=f"qprim {__version__}")
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--format", choices=("text", "json", "csv"), default="text")
-    common.add_argument("--long-run", action="store_true", help="allow hours-scale computations")
+    common.add_argument("--long-run", action="store_true", help="allow minutes-scale computations")
     sub = top.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("streak", parents=[common], help="primitive-root streak of a base over the primes f(n)")
@@ -641,7 +649,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--poly", help=_POLY_HELP)
     p.add_argument("--cutoff", type=int, default=0)
     p.add_argument("--no-accelerate", action="store_true")
-    p.add_argument("--simple", metavar="A,B", help="simplified quality of A*X^2+B")
+    p.add_argument("--simple", metavar="A,B", type=_int_pair, help="simplified quality of A*X^2+B")
     p.add_argument("--lehmer-naive", action="store_true")
     p.add_argument("--lehmer-corrected", action="store_true")
     p.add_argument("--totient-constant", action="store_true")
@@ -696,7 +704,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--k-hi", type=int, required=True)
     p.add_argument("--n-cap", type=int, default=100_000)
     p.add_argument("--checkpoint", help="append-only JSON-lines checkpoint; resumable")
-    p.add_argument("--fresh", action="store_true", help="ignore an existing checkpoint")
+    p.add_argument("--fresh", action="store_true", help="replace an existing checkpoint")
     p.add_argument("--workers", type=int, default=0, help="0: QPRIM_THREADS or cpu count")
     p.set_defaults(func=_handle_search)
 

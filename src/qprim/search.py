@@ -236,7 +236,8 @@ def sweep(
     smallest k), appending a checkpoint line every `checkpoint_every`
     completed k values or every CHECKPOINT_SECONDS, whichever comes first,
     and after k_hi.  Any worker count produces the identical record.  With
-    `resume`, an existing checkpoint for the same configuration is continued.
+    `resume`, an existing checkpoint for the same configuration is continued;
+    without it, an existing checkpoint file is replaced.
     An uncertified best (see BestStreak) is returned with certified=False.
     """
     cfg.validate()
@@ -251,7 +252,9 @@ def sweep(
     results = base_streaks(
         candidate_poly(cfg), cfg.g_base, start_k, cfg.k_hi, cfg.n_cap, workers
     )
-    fh = open(checkpoint_path, "a", encoding="utf-8") if checkpoint_path else None
+    # a fresh sweep replaces the file: its lines alone must make it resumable
+    mode = "a" if resume else "w"
+    fh = open(checkpoint_path, mode, encoding="utf-8") if checkpoint_path else None
     since_write, last_write = 0, time.monotonic()
     try:
         for k, c, failing in results:

@@ -2,30 +2,38 @@
 
 The workhorse is PrimeValueStream: a lazily extended, deduplicated list of
 (n, f(n)) pairs with f(n) prime, backed by a block sieve (quadratic roots mod
-each sieve prime via Tonelli-Shanks) so that only survivors reach the
-deterministic Miller-Rabin test.  The stream also caches the factorization of
-p-1 per prime, which is what makes sweeping thousands of bases over the same
-polynomial cheap.
+each sieve prime via Tonelli-Shanks).  A survivor f(n) of the sieve has no
+prime factor up to the sieve limit, so it is prime outright when
+2 <= f(n) <= limit^2; only larger survivors reach the deterministic
+Miller-Rabin test, and prime_count sieves far enough that none do.  The
+stream also caches, per prime p, the factorization of p-1 and the exponents
+(p-1)/q of its odd prime factors q, and, per squarefree part g1 of a base,
+whether g1 is a quadratic non-residue mod p.  A base g = s^2 * g1 with p not
+dividing g has (g/p) = (g1/p), so sweeping the bases k^2 * g_base over one
+polynomial pays the Euler-criterion test once per prime, not once per base.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import compress
+from math import isqrt
 from typing import Iterator
 
 from .arith import (
     Factorization,
     factor,
     is_prime,
-    is_primitive_root,
     multiplicative_order,
     primes_up_to,
     sqrt_mod,
+    squarefree_decomposition,
 )
 from .charsums import require_valid_base
 from .poly import AnyPoly, PolyZ, as_polyz
 
 _BLOCK = 8192
+_COUNT_SIEVE_CAP = 1_000_000  # prime_count's largest sieve limit (memory bound)
 
 
 @dataclass(frozen=True)
@@ -64,23 +72,32 @@ def _positive_tail_start(poly: PolyZ, value_floor: int) -> int:
     f(N) > value_floor (leading coefficient must be positive).
 
     Beyond N a sieve kill is trustworthy: the value exceeds every sieve prime.
-    Uses the Cauchy bound on the roots of f and f'.
+    A quadratic increases from its vertex on; other degrees use the Cauchy
+    bound on the roots of f and f'.
     """
     lead = poly.leading()
     if lead <= 0:
         raise ValueError("prime scans need a positive leading coefficient")
-    bound = 1 + max(abs(c) for c in poly.coeffs) // lead + 1
+    if poly.degree() == 2:
+        c, b, a = poly.coeffs
+        bound = max(0, (-a - b) // (2 * a) + 1)  # f(n + 1) > f(n) from here on
+    else:
+        bound = 1 + max(abs(c) for c in poly.coeffs) // lead + 1
     n = max(1, bound)
     while poly.eval(n) <= value_floor:
         n *= 2
-    lo, hi = 1, n
+    lo, hi = bound, n
     while lo < hi:  # f increasing past `bound`; binary search the crossing
         mid = (lo + hi) // 2
-        if mid >= bound and poly.eval(mid) > value_floor:
+        if poly.eval(mid) > value_floor:
             hi = mid
         else:
             lo = mid + 1
     return lo
+
+
+def _default_sieve_limit(poly: PolyZ) -> int:
+    return 30_000 if poly.degree() == 2 else 2_000
 
 
 def _quadratic_roots_mod(poly: PolyZ, q: int) -> tuple[int, ...]:
@@ -101,14 +118,14 @@ def _quadratic_roots_mod(poly: PolyZ, q: int) -> tuple[int, ...]:
 
 class PrimeValueStream:
     """Ordered, deduplicated primes among f(0), f(1), ... with cached p-1
-    factorizations."""
+    factorizations and quadratic characters."""
 
     def __init__(self, f: AnyPoly, sieve_limit: int | None = None):
         poly = as_polyz(f)
         if poly.degree() < 1:
             raise ValueError("constant polynomials have no prime-value stream")
         if sieve_limit is None:
-            sieve_limit = 30_000 if poly.degree() == 2 else 2_000
+            sieve_limit = _default_sieve_limit(poly)
         self.poly = poly
         self.sieve_limit = sieve_limit
         self._sieve_primes = primes_up_to(sieve_limit)
@@ -118,6 +135,8 @@ class PrimeValueStream:
         self._seen: set[int] = set()
         self._next_n = 0
         self._pm1: dict[int, Factorization] = {}
+        self._odd_exponents: dict[int, tuple[int, ...]] = {}  # p -> (p-1)/q, q odd
+        self._nonresidue: dict[int, dict[int, bool]] = {}  # g1 -> p -> (g1/p) == -1
 
     def _build_roots(self) -> None:
         if self._roots is not None:
@@ -130,14 +149,17 @@ class PrimeValueStream:
                 if rs:
                     roots.append((q, rs))
         else:
+            # a q dividing every value stays: survivors must be free of it
             for q in self._sieve_primes:
                 rs = tuple(n for n in range(q) if self.poly.eval_mod(n, q) == 0)
-                if rs and len(rs) < q:
+                if rs:
                     roots.append((q, rs))
         self._roots = roots
 
-    def _block_primes(self, lo: int, size: int) -> list[tuple[int, int]]:
-        """(n, f(n)) for the n in [lo, lo + size) with f(n) prime, ascending.
+    def _block_primes(self, lo: int, size: int) -> Iterator[tuple[int, int]]:
+        """Yield (n, f(n)) for the n in [lo, lo + size) with f(n) prime, ascending.
+        A survivor f(n) >= 2 has no prime factor up to sieve_limit, so it is
+        prime if f(n) <= sieve_limit^2; only larger ones reach Miller-Rabin.
         Below _direct_upto a sieve kill may be f(n) equal to a sieve prime,
         so those n are tested directly."""
         self._build_roots()
@@ -148,23 +170,22 @@ class PrimeValueStream:
                 if start < size:
                     alive[start::q] = bytearray(len(range(start, size, q)))
         poly = self.poly
-        direct = self._direct_upto
         limit = self.sieve_limit
-        out = []
-        for i in range(size):
+        exact = limit * limit
+        split = min(max(self._direct_upto - lo, 0), size)
+        for i in range(split):
             n = lo + i
-            if not alive[i]:
-                if n >= direct:
-                    continue
-                v = poly.eval(n)
-                if v < 2 or v > limit or not is_prime(v):
-                    continue
+            v = poly.eval(n)
+            if alive[i]:
+                prime = v <= exact or is_prime(v)
             else:
-                v = poly.eval(n)
-                if v < 2 or not is_prime(v):
-                    continue
-            out.append((n, v))
-        return out
+                prime = v <= limit and is_prime(v)
+            if v >= 2 and prime:
+                yield n, v
+        for n in compress(range(lo + split, lo + size), memoryview(alive)[split:]):
+            v = poly.eval(n)
+            if v >= 2 and (v <= exact or is_prime(v)):
+                yield n, v
 
     def _extend_block(self) -> None:
         for n, v in self._block_primes(self._next_n, _BLOCK):
@@ -194,8 +215,35 @@ class PrimeValueStream:
             self._pm1[p] = fact
         return fact
 
-    def is_primitive_root(self, g: int, p: int) -> bool:
-        return is_primitive_root(g, p, self.pm1_factorization(p))
+    def primitive_root_walk(self, g: int, n_cap: int) -> Iterator[tuple[int, int, bool | None]]:
+        """Yield (n, p, verdict) for the entries with n <= n_cap: verdict is
+        None when p divides g, else whether g is a primitive root mod p.
+
+        The q = 2 test is Euler's criterion on the squarefree part g1 of g,
+        cached per (g1, p); the odd q test g^((p-1)/q) != 1 with cached
+        exponents.  Agrees with arith.is_primitive_root."""
+        _, g1 = squarefree_decomposition(g)
+        nonresidue = self._nonresidue.setdefault(g1, {})
+        odd_exponents = self._odd_exponents
+        for n, p in self.entries_upto(n_cap):
+            r = g % p
+            if r == 0:
+                yield n, p, None
+                continue
+            ok = nonresidue.get(p)
+            if ok is None:
+                ok = nonresidue[p] = p == 2 or pow(g1 % p, p >> 1, p) == p - 1
+            if ok:
+                exps = odd_exponents.get(p)
+                if exps is None:
+                    exps = odd_exponents[p] = tuple(
+                        (p - 1) // q for q in self.pm1_factorization(p).prime_factors() if q != 2
+                    )
+                for e in exps:
+                    if pow(r, e, p) == 1:
+                        ok = False
+                        break
+            yield n, p, ok
 
     def residual_index(self, g: int, p: int) -> int:
         return (p - 1) // multiplicative_order(g, p, self.pm1_factorization(p))
@@ -214,13 +262,11 @@ def streak(
         stream = PrimeValueStream(f)
     count = 0
     primes_seen = 0
-    for n, p in stream.entries_upto(n_cap):
+    for n, p, ok in stream.primitive_root_walk(g, n_cap):
         primes_seen += 1
-        if g % p == 0:
-            continue
-        if stream.is_primitive_root(g, p):
+        if ok:
             count += 1
-        else:
+        elif ok is False:
             return StreakResult(
                 poly=f,
                 g=g,
@@ -259,10 +305,10 @@ def verify_primitive_root_prefix(
     if stream is None:
         stream = PrimeValueStream(f)
     checked = 0
-    for _, p in stream.entries_upto(n_cap):
-        if g % p == 0:
+    for _, _, ok in stream.primitive_root_walk(g, n_cap):
+        if ok is None:
             continue
-        if not stream.is_primitive_root(g, p):
+        if not ok:
             return False
         checked += 1
         if checked >= prefix:
@@ -279,10 +325,18 @@ def prime_count(f: AnyPoly, x: int) -> int:
         return (x + 1) if poly.coeffs[0] >= 2 and is_prime(poly.coeffs[0]) else 0
     if poly.leading() < 0:
         raise ValueError("prime scans need a positive leading coefficient")
-    stream = PrimeValueStream(poly)
+    limit = _default_sieve_limit(poly)
+    if poly.degree() == 2:
+        # roots mod q have a closed form, so sieve to sqrt(max f): then every
+        # survivor is prime without a test
+        top = max(poly.eval(0), poly.eval(x), 0)
+        limit = max(limit, min(isqrt(top), _COUNT_SIEVE_CAP))
+    stream = PrimeValueStream(poly, sieve_limit=limit)
+    block = max(_BLOCK, limit // 8)  # a block pays one pass over every root
     return sum(
-        len(stream._block_primes(lo, min(_BLOCK, x + 1 - lo)))
-        for lo in range(0, x + 1, _BLOCK)
+        1
+        for lo in range(0, x + 1, block)
+        for _ in stream._block_primes(lo, min(block, x + 1 - lo))
     )
 
 

@@ -2,10 +2,12 @@
 
 import math
 import random
+from itertools import islice
 
 import pytest
 
 from qprim.arith import (
+    DETERMINISTIC_PRIMALITY_LIMIT,
     FactorizationError,
     euler_phi,
     factor,
@@ -146,6 +148,62 @@ def test_factor_known_values():
         assert all(p % d for d in range(2, math.isqrt(p) + 1))
     assert factor(1).factors == ()
     assert factor(40).factors == ((2, 3), (5, 1))
+
+
+def test_factor_short_trial_against_sympy():
+    # factor trial-divides to 2000 and leaves larger factors to rho
+    sympy = pytest.importorskip("sympy")
+    cases = [
+        2003**2,
+        2003**5,
+        2 * 2003**3 * 99991,
+        99991**2,
+        99991**3 * 2,
+        1999 * 2003,
+        2003 * 2011 * 99989 * 99991,
+        3 * 99991 * 1000000007,
+        2**7 * 3**4 * 2003 * 99991**2 * 999999937,
+    ]
+    for n in cases:
+        assert dict(factor(n).factors) == sympy.factorint(n), n
+
+
+def test_factor_huge_cofactor_keeps_long_trial():
+    # after the primes to 2000 the cofactor is still >= 3.317e24, so trial
+    # division goes on to 1e5 and leaves a cofactor in the primality range
+    sympy = pytest.importorskip("sympy")
+    big = 3001 * 5003 * 7001 * 99991
+    for tail in (1000000007 * 999999937, sympy.nextprime(10**15)):
+        n = 2**3 * big * tail
+        assert n // 8 >= DETERMINISTIC_PRIMALITY_LIMIT
+        assert dict(factor(n).factors) == sympy.factorint(n), n
+
+
+def test_factor_beyond_primality_range_still_raises():
+    # a cofactor at or above 3.317e24 with no factor up to 1e5 cannot be
+    # certified, with or without small factors in front of it
+    sympy = pytest.importorskip("sympy")
+    big_prime = sympy.nextprime(4 * 10**24)
+    semiprime = sympy.nextprime(10**13) * sympy.nextprime(10**13 + 10**6)
+    for n in (big_prime, 2003 * big_prime, 6 * 99991 * big_prime, semiprime):
+        with pytest.raises(ValueError, match="deterministic primality range"):
+            factor(n)
+
+
+@pytest.mark.parametrize(
+    "preset_name",
+    ["example1", "example2", "example2-g24", "example3", "example3-f1", "example3-f2"],
+)
+def test_factor_record_pm1_against_sympy(preset_name):
+    sympy = pytest.importorskip("sympy")
+    from qprim.cli import preset_registry
+    from qprim.streaks import PrimeValueStream
+
+    stream = PrimeValueStream(preset_registry()[preset_name].poly)
+    primes = [p for _, p in islice(stream.entries_upto(10**6), 200)]
+    assert len(primes) == 200
+    for p in primes:
+        assert dict(factor(p - 1).factors) == sympy.factorint(p - 1), p
 
 
 def test_factor_divisors():

@@ -219,6 +219,17 @@ def test_missing_argument_combinations(capsys):
         assert "error:" in err, argv
 
 
+def test_density_simple_needs_two_integers(capsys):
+    for bad in ("3", "1,2,3", "3,x"):
+        with pytest.raises(SystemExit) as exc:
+            main(["density", "--simple", bad])
+        assert exc.value.code == 2
+        assert "expected A,B" in capsys.readouterr().err
+    code, out, _ = run_cli(capsys, "density", "--simple", "326,3", "--format", "json")
+    assert code == 0
+    assert json.loads(out)["outputs"]["kind"] == "simplified_quality"
+
+
 def test_maxstreak_long_run_gate(capsys):
     code, _, err = run_cli(
         capsys, "maxstreak", "--poly", "326,0,3", "--g-base", "326", "--k-max", "25000"

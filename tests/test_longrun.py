@@ -1,4 +1,4 @@
-"""Hours-scale reproductions, excluded from default CI.
+"""Minutes-scale reproductions, excluded from default CI.
 
 Enable with QPRIM_LONG_RUN=1, e.g.
 

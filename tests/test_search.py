@@ -227,3 +227,23 @@ def test_sweep_unterminated_complete_line_is_kept(tmp_path):
     assert (best.k, best.c, best.certified) == (15, 423, True)
     ks = [json.loads(line)["k"] for line in path.read_text().splitlines()]
     assert ks[:3] == [4, 8, 12] and ks[3] == 16
+
+
+def test_sweep_fresh_replaces_foreign_checkpoint(tmp_path):
+    path = tmp_path / "ck.jsonl"
+    sweep(LEHMER_CFG, checkpoint_path=str(path))
+    fresh = sweep(README_CFG, checkpoint_path=str(path), checkpoint_every=4, resume=False)
+    hashes = {json.loads(line)["config_hash"] for line in path.read_text().splitlines()}
+    assert hashes == {config_hash(README_CFG)}
+    resumed = sweep(README_CFG, checkpoint_path=str(path))
+    assert (resumed.k, resumed.c, resumed.failing_prime, resumed.certified) == (
+        fresh.k, fresh.c, fresh.failing_prime, fresh.certified
+    )
+
+
+def test_sweep_fresh_over_torn_file(tmp_path):
+    path = tmp_path / "ck.jsonl"
+    path.write_text('{"k": 1, "c": 2, "best_k"')  # a torn foreign line
+    sweep(LEHMER_CFG, checkpoint_path=str(path), resume=False)
+    lines = path.read_text().splitlines()
+    assert len(lines) == 1 and json.loads(lines[0])["config_hash"] == config_hash(LEHMER_CFG)

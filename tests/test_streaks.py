@@ -1,8 +1,10 @@
 """Tests for the streak statistic, prime counts, and residual-index stats."""
 
+from functools import cache
+
 import pytest
 
-from qprim.arith import is_prime, is_primitive_root
+from qprim.arith import factor, is_prime, is_primitive_root
 from qprim.poly import PolyZ, QuadraticPoly
 from qprim.streaks import (
     PrimeValueStream,
@@ -181,3 +183,65 @@ def test_verify_prefix():
 def test_pr_stats_rejects_negative_n_cap():
     with pytest.raises(ValueError, match="n_cap must be >= 0"):
         pr_stats(L, 326, -5)
+
+
+def sympy_count(f, x):
+    sympy = pytest.importorskip("sympy")
+    return sum(1 for n in range(x + 1) if sympy.isprime(f.eval(n)))
+
+
+@pytest.mark.parametrize(
+    "f",
+    [
+        QuadraticPoly(1, 1, 41),
+        QuadraticPoly(1, 1, 27941),
+        QuadraticPoly(1, 0, 10**12 + 39),  # large c: values beyond the default sieve
+        # (X - 200)^2 + 3: small primes near the vertex are sieve kills, so
+        # they must be tested directly although f(0) is above the sieve limit
+        QuadraticPoly(1, -400, 40003),
+    ],
+)
+def test_prime_count_sieve_exact_against_sympy(f):
+    # every survivor of the sieve is counted as prime without a test
+    assert prime_count(f, 3000) == sympy_count(f, 3000)
+
+
+def test_prime_count_cubic_with_fixed_prime_divisor():
+    # X^3 - X + 3: every value is divisible by 3, so only f(n) = 3 is prime
+    f = PolyZ((3, -1, 0, 1))
+    assert prime_count(f, 3000) == sympy_count(f, 3000) == 2
+    assert list(PrimeValueStream(f).entries_upto(3000)) == [(0, 3)]
+
+
+@cache
+def pm1_factorization(p):
+    return factor(p - 1)
+
+
+def reference_streak(entries, g):
+    """(count, failing prime) from arith.is_primitive_root on every prime."""
+    count = 0
+    for _, p in entries:
+        if g % p == 0:
+            continue
+        if not is_primitive_root(g, p, pm1_factorization(p)):
+            return count, p
+        count += 1
+    return count, None
+
+
+def test_streak_matches_reference_loop():
+    entries = {f: list(PrimeValueStream(f).entries_upto(3000)) for f in (L, GRIFFIN)}
+    stream = PrimeValueStream(L)
+    # negative bases; bases whose square factor shares a prime with some f(n)
+    # (L(0) = 3 divides 9*326, GRIFFIN(0) = 7 divides 49*10)
+    cases = [(L, g) for g in (-326, -163, -3, 9 * 326, 4 * 3 * 326, -25 * 326)]
+    cases += [(GRIFFIN, g) for g in (-10, 49 * 10, -49 * 10, 4 * 10)]
+    for f, g in cases:
+        res = streak(f, g, 3000, stream=stream if f is L else None)
+        assert (res.count, res.failing_prime) == reference_streak(entries[f], g), g
+    # one stream serves every base k^2 * 326; the quadratic character is
+    # cached per (squarefree part, prime)
+    for k in range(1, 51):
+        res = streak(L, k * k * 326, 3000, stream=stream)
+        assert (res.count, res.failing_prime) == reference_streak(entries[L], k * k * 326), k
