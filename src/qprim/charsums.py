@@ -11,7 +11,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .arith import Factorization, factor, kronecker, squarefree_decomposition
+from .arith import Factorization, factor, kronecker, iter_primes, squarefree_decomposition
 from .poly import (
     AnyPoly,
     Mod8Profile,
@@ -224,12 +224,26 @@ def inert_proportion(f: AnyPoly, D: FundamentalDiscriminant | int) -> Fraction:
 def admissible_discriminants(f: QuadraticPoly, bound: int) -> list[FundamentalDiscriminant]:
     """All fundamental discriminants D with |D| <= bound and inert proportion
     exactly 1 for f.  Complete: such D must divide 24*a*d, so only divisors
-    of that product are scanned."""
+    of that product are scanned.  A divisor up to `bound` has no prime factor
+    above `bound`, so only the bound-smooth part of 24*a*d is factored (by
+    trial division): the rest of it, however large, never needs a primality
+    test."""
     if not in_conjecture_f_family(f):
         raise ValueError("polynomial is outside the quadratic search family")
     base = 24 * f.a * abs(f.d)
+    rest = base
+    smooth = []
+    for p in iter_primes(2, bound):
+        if rest == 1:
+            break
+        e = 0
+        while rest % p == 0:
+            rest //= p
+            e += 1
+        if e:
+            smooth.append((p, e))
     out = []
-    for t in factor(base).divisors(limit=bound):
+    for t in Factorization(base // rest, tuple(smooth)).divisors(limit=bound):
         for D in (t, -t):
             if not is_fundamental_discriminant(D):
                 continue

@@ -11,6 +11,19 @@ for s = 1 (the pole cancels against a non-principal character) and trigamma
 for s = 2, both by recurrence plus an Euler-Maclaurin tail whose first
 omitted Bernoulli term bounds the remainder.  Naive Dirichlet-series
 truncation could never reach 1e-9 at s = 1 for |D| ~ 1e5.
+
+The character layer is numpy over chunks of _CHUNK entries.  The odd primes
+come from one cached numpy sieve; `_legendre` reduces a Python int modulo a
+chunk of primes by 20-bit limbs and applies Euler's criterion by vectorised
+square-and-multiply in int64, so every prime must stay below 2^31 (checked);
+`_kronecker_chunk` evaluates chi_D on a chunk of integers from the
+prime-discriminant components of D; `_euler_product` folds each chunk's
+local factors into the product.  Each local factor is computed by the same
+IEEE operations as the scalar formula and multiplied in with math.prod in
+the same order, and the L-value sums are exact (math.fsum), so every value
+returned is bit-identical to a plain loop over arith.kronecker; the tests
+hold scalar-loop oracles to ==.  Whole-length arrays would be no faster and
+would raise peak memory, so nothing here builds one.
 """
 
 from __future__ import annotations
@@ -18,13 +31,15 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Sequence
+from functools import lru_cache
+from itertools import chain, islice
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
-from .arith import euler_phi, factor, is_prime, iter_primes, kronecker, primes_up_to
+from .arith import euler_phi, factor, is_prime, iter_primes, kronecker
 from .charsums import FundamentalDiscriminant
-from .poly import AnyPoly, as_polyz, count_residue_class, is_perfect_square
+from .poly import AnyPoly, PolyZ, as_polyz, count_residue_class, is_perfect_square
 
 
 @dataclass(frozen=True)
@@ -49,7 +64,9 @@ class LValue:
 
 # ---------------------------------------------------------------------------
 # special functions (Euler-Maclaurin with the first omitted term < 1e-21
-# at the recurrence threshold 24; double precision dominates the error)
+# at the recurrence threshold 24; double precision dominates the error).
+# Elementwise on float64 arrays; math.log per element, as np.log may differ
+# from it by an ulp.
 # ---------------------------------------------------------------------------
 
 _BERNOULLI = (
@@ -64,53 +81,187 @@ _BERNOULLI = (
 )
 
 
-def _digamma(x: float) -> float:
-    acc = 0.0
-    while x < 24.0:
-        acc -= 1.0 / x
-        x += 1.0
+def _digamma(x: np.ndarray) -> np.ndarray:
+    acc = np.zeros_like(x)
+    small = x < 24.0
+    while small.any():
+        acc = np.where(small, acc - 1.0 / x, acc)
+        x = np.where(small, x + 1.0, x)
+        small = x < 24.0
     inv = 1.0 / x
     inv2 = inv * inv
-    val = math.log(x) - 0.5 * inv
+    val = np.fromiter(map(math.log, x.tolist()), dtype=np.float64, count=len(x)) - 0.5 * inv
     t = inv2
     for k, b in enumerate(_BERNOULLI, start=1):
-        val -= b * t / (2 * k)
-        t *= inv2
+        val = val - b * t / (2 * k)
+        t = t * inv2
     return val + acc
 
 
-def _trigamma(x: float) -> float:
-    acc = 0.0
-    while x < 24.0:
-        acc += 1.0 / (x * x)
-        x += 1.0
+def _trigamma(x: np.ndarray) -> np.ndarray:
+    acc = np.zeros_like(x)
+    small = x < 24.0
+    while small.any():
+        acc = np.where(small, acc + 1.0 / (x * x), acc)
+        x = np.where(small, x + 1.0, x)
+        small = x < 24.0
     inv = 1.0 / x
     inv2 = inv * inv
     val = inv + 0.5 * inv2
     t = inv * inv2
     for b in _BERNOULLI:
-        val += b * t
-        t *= inv2
+        val = val + b * t
+        t = t * inv2
     return val + acc
 
 
-_prime_cache: list[int] = []
-_prime_cache_limit = 0
+# ---------------------------------------------------------------------------
+# the chunked character kernel
+# ---------------------------------------------------------------------------
+
+_CHUNK = 8192
+_LIMB_BITS = 20
+_INT64_PRIME_BOUND = 2**31  # keeps (p-1)^2 and r * 2^20 + limb inside int64
 _PRIME_CACHE_CAP = 2_000_000
+_prime_cache = np.zeros(0, dtype=np.int64)
+_prime_cache_limit = 0
 
 
-def _primes_to(limit: int) -> Iterable[int]:
+def _sieve(limit: int) -> np.ndarray:
+    """All primes <= limit, ascending, int64 (an odd-only sieve: entry i
+    stands for 2i + 3)."""
+    if limit < 2:
+        return np.zeros(0, dtype=np.int64)
+    odd = np.ones((limit - 1) // 2, dtype=bool)
+    for i in range((math.isqrt(limit) - 1) // 2):
+        if odd[i]:
+            p = 2 * i + 3
+            odd[(p * p - 3) // 2 :: p] = False
+    return np.concatenate(([2], 2 * np.flatnonzero(odd) + 3)).astype(np.int64)
+
+
+def _primes_to(limit: int) -> np.ndarray:
+    """The primes <= min(limit, _PRIME_CACHE_CAP): a view of the cached sieve,
+    which is rebuilt (to at least 1e5) when a larger limit is asked for."""
     global _prime_cache, _prime_cache_limit
-    if limit <= _PRIME_CACHE_CAP:
-        if limit > _prime_cache_limit:
-            _prime_cache = primes_up_to(max(limit, 100_000))
-            _prime_cache_limit = max(limit, 100_000)
-        for p in _prime_cache:
-            if p > limit:
-                return
-            yield p
-        return
-    yield from iter_primes(2, limit)
+    limit = min(limit, _PRIME_CACHE_CAP)
+    if limit > _prime_cache_limit:
+        _prime_cache_limit = max(limit, 100_000)
+        _prime_cache = _sieve(_prime_cache_limit)
+        _prime_cache.flags.writeable = False
+    return _prime_cache[: np.searchsorted(_prime_cache, limit, side="right")]
+
+
+def _odd_prime_chunks(limit: int) -> Iterator[np.ndarray]:
+    """The odd primes <= limit in ascending int64 chunks of at most _CHUNK."""
+    primes = _primes_to(limit)
+    for i in range(1, len(primes), _CHUNK):
+        yield primes[i : i + _CHUNK]
+    if limit > _PRIME_CACHE_CAP:
+        rest = iter_primes(_PRIME_CACHE_CAP + 1, limit)
+        while len(chunk := np.fromiter(islice(rest, _CHUNK), dtype=np.int64)):
+            yield chunk
+
+
+def _mod(a: int, P: np.ndarray) -> np.ndarray:
+    """a mod each entry of the ascending int64 array P, exact for any Python
+    int a: Horner's rule over the 20-bit limbs of |a| keeps every
+    intermediate below 2^51."""
+    if len(P) and P[-1] >= _INT64_PRIME_BOUND:
+        raise ValueError(f"moduli must stay below 2^31 for int64 arithmetic, got {P[-1]}")
+    m = abs(a)
+    limbs = []
+    while m:
+        limbs.append(m & ((1 << _LIMB_BITS) - 1))
+        m >>= _LIMB_BITS
+    r = np.zeros_like(P)
+    for limb in reversed(limbs):
+        r = ((r << _LIMB_BITS) + limb) % P
+    return (-r) % P if a < 0 else r
+
+
+def _legendre(a: int, P: np.ndarray) -> np.ndarray:
+    """(a/p) for each odd prime p of the ascending int64 array P, as int8:
+    Euler's criterion a^((p-1)/2) mod p by square-and-multiply (p < 2^31,
+    so every product stays below 2^62)."""
+    base = _mod(a, P)
+    half = P >> 1
+    r = np.ones_like(P)
+    for k in range(int(P[-1]).bit_length() - 1 if len(P) else 0):
+        r = np.where((half >> k) & 1 == 1, r * base % P, r)
+        base = base * base % P
+    return (r == 1).astype(np.int8) - (r == P - 1).astype(np.int8)
+
+
+_TWO_PART_TABLES = {  # chi_-4, chi_8, chi_-8 on the residues mod 8
+    -4: np.array([0, 1, 0, -1, 0, 1, 0, -1], dtype=np.int8),
+    8: np.array([0, 1, 0, -1, 0, -1, 0, 1], dtype=np.int8),
+    -8: np.array([0, 1, 0, 1, 0, -1, 0, -1], dtype=np.int8),
+}
+
+
+@lru_cache(maxsize=16)
+def _character_tables(D: int) -> tuple[tuple[int, np.ndarray], ...]:
+    """chi_D for a fundamental discriminant D as (modulus, table) pairs, one
+    per prime-discriminant component: the Legendre table mod each odd p | D
+    (chi_{p*}(a) = (a/p) with p* = +-p = 1 mod 4) and, for the 2-part
+    D / prod p*, the chi_-4, chi_8 or chi_-8 table mod 8."""
+    parts = []
+    odd_part = 1
+    for p, _ in factor(abs(D)).factors:
+        if p == 2:
+            continue
+        odd_part *= p if p % 4 == 1 else -p
+        table = np.full(p, -1, dtype=np.int8)
+        table[0] = 0
+        half = (p + 1) // 2
+        for lo in range(1, half, _CHUNK):
+            r = np.arange(lo, min(lo + _CHUNK, half), dtype=np.int64)
+            table[r * r % p] = 1
+        table.flags.writeable = False  # shared by every caller through the cache
+        parts.append((p, table))
+    if D != odd_part:
+        parts.append((8, _TWO_PART_TABLES[D // odd_part]))
+    return tuple(parts)
+
+
+def _kronecker_chunk(D: int, a: np.ndarray) -> np.ndarray:
+    """The Kronecker symbol (D/a) on the non-negative int64 array a, as int8,
+    for a fundamental discriminant D."""
+    chi = np.ones(len(a), dtype=np.int8)
+    for m, table in _character_tables(D):
+        chi *= table[a % m]
+    return chi
+
+
+def _ratio(num: np.ndarray, den: np.ndarray) -> np.ndarray:
+    """num / den for integer arrays, rounded once as Python's int / int is.
+    numpy converts both to float64 first, which is exact below 2^53."""
+    if len(den) == 0 or den.max() < 2**53:
+        return num / den
+    return np.array([n / d for n, d in zip(num.tolist(), den.tolist())])
+
+
+def _euler_product(
+    limit: int,
+    local_factor: Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]],
+    value: float = 1.0,
+) -> tuple[float, int | None]:
+    """Fold the local factors of the odd primes <= limit into value.
+
+    local_factor maps an ascending chunk of odd primes to (kept, factors):
+    the primes that enter the product and their float64 local factors.
+    math.prod multiplies each chunk in left to right, as the scalar loop
+    `value *= factor` does, so the result is bit-identical to it.  Returns
+    the product and the largest kept prime (None if none was kept).
+    """
+    last = None
+    for P in _odd_prime_chunks(limit):
+        kept, factors = local_factor(P)
+        if len(kept):
+            value = math.prod(factors.tolist(), start=value)
+            last = int(kept[-1])
+    return value, last
 
 
 def _coerce_discriminant(D) -> FundamentalDiscriminant:
@@ -147,19 +298,17 @@ def dirichlet_l(s: int, D, tol: float = 1e-9) -> LValue:
         raise ValueError(
             f"precision-exceeded: tol={tol} is below the working precision {_L_ERROR_FLOOR}"
         )
-    terms = []
-    if s == 1:
-        for a in range(1, q):
-            ch = kronecker(fd.D, a)
-            if ch:
-                terms.append(ch * _digamma(a / q))
-        value = -math.fsum(terms) / q
-    else:
-        for a in range(1, q):
-            ch = kronecker(fd.D, a)
-            if ch:
-                terms.append(ch * _trigamma(a / q))
-        value = math.fsum(terms) / (q * q)
+    psi = _digamma if s == 1 else _trigamma
+
+    def terms() -> Iterator[list[float]]:
+        for lo in range(1, q, _CHUNK):
+            a = np.arange(lo, min(lo + _CHUNK, q), dtype=np.int64)
+            chi = _kronecker_chunk(fd.D, a)
+            units = chi != 0
+            yield (chi[units] * psi(a[units] / q)).tolist()
+
+    total = math.fsum(chain.from_iterable(terms()))  # exact, so order-free
+    value = -total / q if s == 1 else total / (q * q)
     return LValue(s=s, D=fd, value=value, abs_error=_L_ERROR_FLOOR)
 
 
@@ -188,74 +337,14 @@ def hardy_littlewood_constant(D: int, tol: float = 1e-8) -> DensityReport:
     for p, _ in factor(abs(fd.D)).factors:
         value *= 1.0 - 1.0 / float(p) ** 4
     cutoff = _split_cutoff(tol, power=2)
-    for q in _primes_to(cutoff):
-        if q > 2 and kronecker(fd.D, q) == 1:
-            value *= 1.0 - 2.0 / (q * (q - 1.0) ** 2)
+
+    def split(P: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        q = P[_legendre(fd.D, P) == 1]
+        return q, 1.0 - 2.0 / (q * (q - 1.0) ** 2)
+
+    value, _ = _euler_product(cutoff, split, value)
     tail = value * 1.0 / (float(cutoff) ** 2 * math.log(cutoff)) + 1e-10
     return DensityReport(value=value, cutoff=cutoff, tail_bound=tail, method="accelerated")
-
-
-def hl_constant_direct(D: int, cutoff: int = 100_000) -> DensityReport:
-    """Defining slow product prod_{q >= 3}(1 - (D/q)/(q-1)), truncated.
-
-    The tail estimate is heuristic (oscillating character sum over primes,
-    random-sign model): 3 * value / sqrt(cutoff * ln cutoff).
-    """
-    value = 1.0
-    for q in _primes_to(cutoff):
-        if q > 2:
-            ch = kronecker(D, q)
-            if ch:
-                value *= 1.0 - ch / (q - 1.0)
-    tail = 3.0 * value / math.sqrt(cutoff * math.log(cutoff))
-    return DensityReport(value=value, cutoff=cutoff, tail_bound=tail, method="direct")
-
-
-def character_euler_product(s: int, D, tol: float = 1e-6) -> DensityReport:
-    """prod_{q >= 3}(1 - chi_D(q)/(q^s - 1)) via the L-value identity
-
-        eps(s) * zeta(2s)/L(s,chi) * prod_{q | D}(1 - q^-2s)
-               * prod_{split q >= 3}(1 - 2/(q^s (q^s - 1))),
-
-    with eps(s) = 1 + 2^-s (D/2).  The q | D product runs over all prime
-    divisors of D including 2.
-    """
-    fd = _coerce_discriminant(D)
-    if s not in (1, 2):
-        raise ValueError("only s = 1 and s = 2 are supported")
-    eps = 1.0 + kronecker(fd.D, 2) * 2.0 ** -s
-    zeta_2s = math.pi ** 2 / 6.0 if s == 1 else math.pi ** 4 / 90.0
-    Ls = dirichlet_l(s, fd, tol=1e-10)
-    value = eps * zeta_2s / Ls.value
-    for p, _ in factor(abs(fd.D)).factors:
-        value *= 1.0 - 1.0 / float(p) ** (2 * s)
-    cutoff = _split_cutoff(tol, power=s)
-    for q in _primes_to(cutoff):
-        if q > 2 and kronecker(fd.D, q) == 1:
-            qs = float(q) ** s
-            value *= 1.0 - 2.0 / (qs * (qs - 1.0))
-    tail = value * 2.0 / (float(cutoff) ** s * math.log(cutoff)) + 1e-10
-    return DensityReport(value=value, cutoff=cutoff, tail_bound=tail, method="accelerated")
-
-
-def character_euler_product_direct(s: int, D, cutoff: int = 100_000) -> DensityReport:
-    """Direct truncation of prod_{q >= 3}(1 - chi_D(q)/(q^s - 1)).
-
-    At s = 2 the log-tail is absolutely summable (< 2/(cutoff^2 ln cutoff));
-    at s = 1 it is a conditionally convergent character sum over primes, so
-    the reported bound is the random-sign model 3/sqrt(cutoff ln cutoff)."""
-    fd = _coerce_discriminant(D)
-    value = 1.0
-    for q in _primes_to(cutoff):
-        if q > 2:
-            ch = kronecker(fd.D, q)
-            if ch:
-                value *= 1.0 - ch / (float(q) ** s - 1.0)
-    if s == 1:
-        tail = 3.0 * abs(value) / math.sqrt(cutoff * math.log(cutoff))
-    else:
-        tail = 2.0 * abs(value) / (float(cutoff) ** s * math.log(cutoff))
-    return DensityReport(value=value, cutoff=cutoff, tail_bound=tail, method="direct")
 
 
 # ---------------------------------------------------------------------------
@@ -286,6 +375,37 @@ def residue_counts_mod_prime(f: AnyPoly, q: int) -> tuple[int, int]:
     return count_target(0), count_target(1)
 
 
+def _residue_counts(poly: PolyZ, P: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """residue_counts_mod_prime for each odd prime of the chunk P, as int64
+    arrays: by Legendre symbols of the discriminants of f and f - 1 for
+    degree <= 2 where q does not divide the leading coefficient, by the
+    scalar routine for the other q and for degree > 2."""
+    deg = poly.degree()
+    n_roots = np.ones(len(P), dtype=np.int64)
+    n_ones = np.ones(len(P), dtype=np.int64)
+    if deg == 2:
+        c, b, a = poly.coeffs
+        n_roots += _legendre(b * b - 4 * a * c, P)
+        n_ones += _legendre(b * b - 4 * a * (c - 1), P)
+    scalar = _mod(poly.leading(), P) == 0 if deg <= 2 else np.ones(len(P), dtype=bool)
+    for i in np.flatnonzero(scalar):
+        n_roots[i], n_ones[i] = residue_counts_mod_prime(poly, int(P[i]))
+    return n_roots, n_ones
+
+
+def _require_irreducible_if_quadratic(poly: PolyZ) -> None:
+    if poly.degree() == 2:
+        c, b, a = poly.coeffs
+        if is_perfect_square(b * b - 4 * a * c):
+            raise ValueError("reducible quadratic: discriminant is a perfect square")
+
+
+def _require_no_fixed_divisor(P: np.ndarray, n_roots: np.ndarray) -> None:
+    fixed = P[n_roots == P]
+    if len(fixed):
+        raise ValueError(f"degenerate polynomial: every value is divisible by {fixed[0]}")
+
+
 def pr_density(
     f: AnyPoly,
     cutoff: int = 10_000,
@@ -302,30 +422,33 @@ def pr_density(
     `extension`, shrinking the tail to 2/(extension ln extension); for degree
     > 2 the counts need enumeration, so the extension is capped at 20000.
 
-    Raises ValueError if some odd prime divides every value of f (the product
-    collapses to 0: f can represent at most finitely many primes).
+    Raises ValueError for a quadratic with a square discriminant (reducible:
+    its values are products), when every value is even, and when some odd
+    prime divides every value (the product collapses to 0): such an f
+    represents at most finitely many primes.
     """
     poly = as_polyz(f)
-    if poly.degree() < 1:
+    deg = poly.degree()
+    if deg < 1:
         raise ValueError("density needs a non-constant polynomial")
+    _require_irreducible_if_quadratic(poly)
+    if poly.eval(0) % 2 == 0 and poly.eval(1) % 2 == 0:
+        raise ValueError("degenerate polynomial: every value is even")
     limit = cutoff
     if accelerate:
-        limit = max(cutoff, extension if poly.degree() <= 2 else 20_000)
-    value = 1.0
-    last = 3
-    for q in _primes_to(limit):
-        if q == 2:
-            continue
-        n_roots, n_ones = residue_counts_mod_prime(poly, q)
-        if n_roots == q:
-            raise ValueError(f"degenerate polynomial: every value is divisible by {q}")
-        if n_ones:
-            value *= 1.0 - n_ones / (q * (q - n_roots))
-        last = q
+        limit = max(cutoff, extension if deg <= 2 else 20_000)
+
+    def local(P: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        n_roots, n_ones = _residue_counts(poly, P)
+        _require_no_fixed_divisor(P, n_roots)
+        # a factor with no solution of f = 1 is exactly 1.0: no-op in the product
+        return P, 1.0 - _ratio(n_ones, P * (P - n_roots))
+
+    value, last = _euler_product(limit, local)
     tail = 2.0 / (limit * math.log(limit))
     return DensityReport(
         value=value,
-        cutoff=last,
+        cutoff=last or 3,
         tail_bound=tail,
         method="accelerated" if accelerate else "direct",
     )
@@ -344,27 +467,27 @@ def pr_density_simple(A: int, B: int, cutoff: int = 1_000_000) -> DensityReport:
         if q > 2:
             value *= 1.0 - 1.0 / q
     M = -A * (B - 1)
-    last = 3
-    for q in _primes_to(cutoff):
-        if q == 2 or A % q == 0:
-            continue
-        value *= 1.0 - (1 + kronecker(M, q)) / (q * q)
-        last = q
+
+    def local(P: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        q = P[_mod(A, P) != 0]
+        return q, 1.0 - _ratio(1 + _legendre(M, q).astype(np.int64), q * q)
+
+    value, last = _euler_product(cutoff, local, value)
     tail = 2.0 / (cutoff * math.log(cutoff))
-    return DensityReport(value=value, cutoff=last, tail_bound=tail, method="direct")
+    return DensityReport(value=value, cutoff=last or 3, tail_bound=tail, method="direct")
 
 
 def lehmer_naive_density(disc: int = -163, cutoff: int = 1_000_000) -> DensityReport:
     """prod over primes q with (disc/q) = 1 of (1 - 2/q^2).  Tail bound
     1/(cutoff ln cutoff) (split primes have density 1/2)."""
-    value = 1.0
-    last = 3
-    for q in _primes_to(cutoff):
-        if q > 2 and kronecker(disc, q) == 1:
-            value *= 1.0 - 2.0 / (q * q)
-            last = q
+
+    def split(P: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        q = P[_legendre(disc, P) == 1]
+        return q, 1.0 - 2.0 / (q * q)
+
+    value, last = _euler_product(cutoff, split)
     tail = 1.0 / (cutoff * math.log(cutoff))
-    return DensityReport(value=value, cutoff=last, tail_bound=tail, method="direct")
+    return DensityReport(value=value, cutoff=last or 3, tail_bound=tail, method="direct")
 
 
 def lehmer_corrected_density(
@@ -372,14 +495,14 @@ def lehmer_corrected_density(
 ) -> DensityReport:
     """prod over primes q with (disc/q) = 1 of (1 - 2/(q (q-1-(twist/q)))):
     the allowable-class-corrected success probability."""
-    value = 1.0
-    last = 3
-    for q in _primes_to(cutoff):
-        if q > 2 and kronecker(disc, q) == 1:
-            value *= 1.0 - 2.0 / (q * (q - 1 - kronecker(twist, q)))
-            last = q
+
+    def split(P: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        q = P[_legendre(disc, P) == 1]
+        return q, 1.0 - 2.0 / (q * (q - 1 - _legendre(twist, q)))
+
+    value, last = _euler_product(cutoff, split)
     tail = 1.0 / (cutoff * math.log(cutoff))
-    return DensityReport(value=value, cutoff=last, tail_bound=tail, method="direct")
+    return DensityReport(value=value, cutoff=last or 3, tail_bound=tail, method="direct")
 
 
 def totient_ratio_constant(cutoff: int = 10_000_000) -> DensityReport:
@@ -423,30 +546,30 @@ def bateman_horn_constant(
     deg = poly.degree()
     if deg < 1:
         raise ValueError("constant polynomials are not supported")
-    if deg == 2:
-        c, b, a = poly.coeffs
-        if is_perfect_square(b * b - 4 * a * c):
-            raise ValueError("reducible quadratic: discriminant is a perfect square")
-    elif deg > 2:
+    _require_irreducible_if_quadratic(poly)
+    if deg > 2:
         if not assume_irreducible:
             raise ValueError("degree > 2 needs assume_irreducible=True")
         cutoff = min(cutoff, 20_000)
     content = math.gcd(*poly.coeffs)
     if content != 1:
         raise ValueError("polynomial must have content 1")
-    value = 1.0
-    last = 2
-    for p in _primes_to(cutoff):
-        if deg == 2 and p > 2:
-            n_roots, _ = residue_counts_mod_prime(poly, p)
+    n_two = count_residue_class(poly, 2, 0)
+    if n_two == 2:
+        raise ValueError("degenerate polynomial: every value divisible by 2")
+    value = (1.0 - n_two / 2) / (1.0 - 1.0 / 2)
+
+    def local(P: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        if deg <= 2:
+            n_roots, _ = _residue_counts(poly, P)
         else:
-            n_roots = count_residue_class(poly, p, 0)
-        if n_roots == p:
-            raise ValueError(f"degenerate polynomial: every value divisible by {p}")
-        value *= (1.0 - n_roots / p) / (1.0 - 1.0 / p)
-        last = p
+            n_roots = np.array([count_residue_class(poly, p, 0) for p in P.tolist()])
+        _require_no_fixed_divisor(P, n_roots)
+        return P, (1.0 - n_roots / P) / (1.0 - 1.0 / P)
+
+    value, last = _euler_product(cutoff, local, value)
     tail = 3.0 * value / math.sqrt(cutoff * math.log(cutoff))
-    return DensityReport(value=value, cutoff=last, tail_bound=tail, method="direct")
+    return DensityReport(value=value, cutoff=last or 2, tail_bound=tail, method="direct")
 
 
 # ---------------------------------------------------------------------------
@@ -494,7 +617,8 @@ def harmonic_max_estimate(p1: float, s: int) -> float:
     """(sum_{r<=s} 1/r) / ln(1/p1) - 1/2: the Gumbel-style approximation."""
     if not 0.0 < p1 < 1.0:
         raise ValueError("success probability must lie strictly between 0 and 1")
-    harmonic = _digamma(s + 1.0) - _digamma(1.0)
+    psi = _digamma(np.array([s + 1.0, 1.0]))
+    harmonic = float(psi[0] - psi[1])
     return harmonic / math.log(1.0 / p1) - 0.5
 
 

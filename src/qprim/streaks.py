@@ -2,10 +2,11 @@
 
 The workhorse is PrimeValueStream: a lazily extended, deduplicated list of
 (n, f(n)) pairs with f(n) prime, backed by a block sieve (quadratic roots mod
-each sieve prime via Tonelli-Shanks).  A survivor f(n) of the sieve has no
-prime factor up to the sieve limit, so it is prime outright when
-2 <= f(n) <= limit^2; only larger survivors reach the deterministic
-Miller-Rabin test, and prime_count sieves far enough that none do.  The
+each sieve prime via Tonelli-Shanks, linear ones as -c/b).  A survivor f(n)
+of the sieve has no prime factor up to the sieve limit, so it is prime
+outright when 2 <= f(n) <= limit^2; only larger survivors reach the
+deterministic Miller-Rabin test, and prime_count sieves linear and quadratic
+f far enough that none do.  The
 stream also caches, per prime p, the factorization of p-1 and the exponents
 (p-1)/q of its odd prime factors q, and, per squarefree part g1 of a base,
 whether g1 is a quadratic non-residue mod p.  A base g = s^2 * g1 with p not
@@ -72,8 +73,8 @@ def _positive_tail_start(poly: PolyZ, value_floor: int) -> int:
     f(N) > value_floor (leading coefficient must be positive).
 
     Beyond N a sieve kill is trustworthy: the value exceeds every sieve prime.
-    A quadratic increases from its vertex on; other degrees use the Cauchy
-    bound on the roots of f and f'.
+    A quadratic increases from its vertex on and a linear f everywhere;
+    higher degrees use the Cauchy bound on the roots of f and f'.
     """
     lead = poly.leading()
     if lead <= 0:
@@ -81,6 +82,8 @@ def _positive_tail_start(poly: PolyZ, value_floor: int) -> int:
     if poly.degree() == 2:
         c, b, a = poly.coeffs
         bound = max(0, (-a - b) // (2 * a) + 1)  # f(n + 1) > f(n) from here on
+    elif poly.degree() == 1:
+        bound = 0
     else:
         bound = 1 + max(abs(c) for c in poly.coeffs) // lead + 1
     n = max(1, bound)
@@ -101,10 +104,16 @@ def _default_sieve_limit(poly: PolyZ) -> int:
 
 
 def _quadratic_roots_mod(poly: PolyZ, q: int) -> tuple[int, ...]:
-    """Roots of a degree-<=2 polynomial mod prime q (closed form for q > 64)."""
+    """Roots of a degree-<=2 polynomial mod prime q: closed form when f is
+    linear mod q (-c/b, or every residue or none when q | b) and for a
+    quadratic mod q > 64."""
     coeffs = poly.coeffs + (0,) * (3 - len(poly.coeffs))
     c, b, a = int(coeffs[0]), int(coeffs[1]), int(coeffs[2])
-    if q <= 64 or a % q == 0:
+    if a % q == 0:
+        if b % q:
+            return (-c * pow(b, -1, q) % q,)
+        return tuple(range(q)) if c % q == 0 else ()
+    if q <= 64:
         return tuple(n for n in range(q) if poly.eval_mod(n, q) == 0)
     disc = (b * b - 4 * a * c) % q
     s = sqrt_mod(disc, q)
@@ -326,7 +335,7 @@ def prime_count(f: AnyPoly, x: int) -> int:
     if poly.leading() < 0:
         raise ValueError("prime scans need a positive leading coefficient")
     limit = _default_sieve_limit(poly)
-    if poly.degree() == 2:
+    if poly.degree() <= 2:
         # roots mod q have a closed form, so sieve to sqrt(max f): then every
         # survivor is prime without a test
         top = max(poly.eval(0), poly.eval(x), 0)

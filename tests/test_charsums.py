@@ -207,6 +207,30 @@ def test_admissible_discriminants():
         admissible_discriminants(QuadraticPoly(2, 2, 2), 100)
 
 
+@pytest.mark.parametrize(
+    "d, d1, alpha, sign",
+    [
+        # 24*a*|disc| has a cofactor beyond the primality range: these raised
+        # before only the 2000-smooth part was factored
+        (4472988326827347533, 252017, 4, 1),
+        (9828323860172600203, 181498473900253, 4, -1),
+    ],
+)
+def test_admissible_discriminants_against_brute_force(d, d1, alpha, sign):
+    from qprim.search import SearchConfig, candidate_poly
+
+    f = candidate_poly(SearchConfig(d=d, d1=d1, alpha=alpha, sign=sign, shift=0))
+    brute = []
+    for t in range(1, 2001):
+        for D in (t, -t):
+            if is_fundamental_discriminant(D):
+                fd = FundamentalDiscriminant.from_integer(D)
+                if fd.odd_part > 1 and inert_proportion(f, fd) == 1:
+                    brute.append(D)
+    assert [fd.D for fd in admissible_discriminants(f, 2000)] == sorted(brute)
+    assert brute
+
+
 def test_prop5_bounds_and_divisibility():
     fund = []
     for t in range(2, 201):

@@ -219,6 +219,13 @@ def test_missing_argument_combinations(capsys):
         assert "error:" in err, argv
 
 
+def test_density_rejects_even_valued_and_reducible(capsys):
+    for poly, why in (("2,2,2", "even"), ("1,0,0", "reducible")):
+        code, _, err = run_cli(capsys, "density", "--poly", poly)
+        assert code == 1, poly
+        assert why in err, poly
+
+
 def test_density_simple_needs_two_integers(capsys):
     for bad in ("3", "1,2,3", "3,x"):
         with pytest.raises(SystemExit) as exc:

@@ -3,18 +3,23 @@
 import math
 import random
 
+import numpy as np
 import pytest
 
+from qprim.arith import factor, iter_primes, kronecker, primes_up_to
+from qprim.charsums import FundamentalDiscriminant, is_fundamental_discriminant
 from qprim.densities import (
+    _kronecker_chunk,
+    _legendre,
+    _odd_prime_chunks,
+    _ratio,
+    _split_cutoff,
     asymptotic_max_estimate,
     bateman_horn_constant,
-    character_euler_product,
-    character_euler_product_direct,
     dirichlet_l,
     expected_max_streak,
     harmonic_max_estimate,
     hardy_littlewood_constant,
-    hl_constant_direct,
     lehmer_corrected_density,
     lehmer_naive_density,
     pr_density,
@@ -37,6 +42,142 @@ EXAMPLE1 = candidate_poly(
 EXAMPLE3_F2 = candidate_poly(
     SearchConfig(d=9828323860172600203, d1=54151, alpha=0, sign=1, shift=1484224)
 )
+
+
+# ---------------------------------------------------------------------------
+# scalar oracles: plain loops over arith.kronecker, one prime or residue at a
+# time, for the chunked numpy kernel of qprim.densities
+# ---------------------------------------------------------------------------
+
+
+def odd_primes(limit):
+    return [q for q in primes_up_to(limit) if q > 2]
+
+
+def hl_constant_direct(D, cutoff=100_000):
+    """Defining slow product prod_{q >= 3}(1 - (D/q)/(q-1)), truncated, with
+    the random-sign tail estimate 3 * value / sqrt(cutoff * ln cutoff)."""
+    value = 1.0
+    for q in odd_primes(cutoff):
+        ch = kronecker(D, q)
+        if ch:
+            value *= 1.0 - ch / (q - 1.0)
+    return value, 3.0 * value / math.sqrt(cutoff * math.log(cutoff))
+
+
+def character_euler_product(s, D, tol=1e-6):
+    """prod_{q >= 3}(1 - chi_D(q)/(q^s - 1)) via the L-value identity
+    eps(s) * zeta(2s)/L(s,chi) * prod_{q | D}(1 - q^-2s)
+    * prod_{split q >= 3}(1 - 2/(q^s (q^s - 1))), eps(s) = 1 + 2^-s (D/2)."""
+    eps = 1.0 + kronecker(D, 2) * 2.0 ** -s
+    zeta_2s = math.pi ** 2 / 6.0 if s == 1 else math.pi ** 4 / 90.0
+    value = eps * zeta_2s / dirichlet_l(s, D, tol=1e-10).value
+    for p, _ in factor(abs(D)).factors:
+        value *= 1.0 - 1.0 / float(p) ** (2 * s)
+    for q in odd_primes(_split_cutoff(tol, power=s)):
+        if kronecker(D, q) == 1:
+            qs = float(q) ** s
+            value *= 1.0 - 2.0 / (qs * (qs - 1.0))
+    return value
+
+
+def character_euler_product_direct(s, D, cutoff=100_000):
+    """Direct truncation of prod_{q >= 3}(1 - chi_D(q)/(q^s - 1)), with the
+    tail bound 2/(cutoff^2 ln cutoff) at s = 2 and the random-sign model
+    3/sqrt(cutoff ln cutoff) at s = 1."""
+    value = 1.0
+    for q in odd_primes(cutoff):
+        ch = kronecker(D, q)
+        if ch:
+            value *= 1.0 - ch / (float(q) ** s - 1.0)
+    if s == 1:
+        return value, 3.0 * abs(value) / math.sqrt(cutoff * math.log(cutoff))
+    return value, 2.0 * abs(value) / (float(cutoff) ** s * math.log(cutoff))
+
+
+_BERNOULLI = (1.0 / 6, -1.0 / 30, 1.0 / 42, -1.0 / 30, 5.0 / 66, -691.0 / 2730, 7.0 / 6, -3617.0 / 510)
+
+
+def digamma_scalar(x):
+    acc = 0.0
+    while x < 24.0:
+        acc -= 1.0 / x
+        x += 1.0
+    inv = 1.0 / x
+    inv2 = inv * inv
+    val = math.log(x) - 0.5 * inv
+    t = inv2
+    for k, b in enumerate(_BERNOULLI, start=1):
+        val -= b * t / (2 * k)
+        t *= inv2
+    return val + acc
+
+
+def trigamma_scalar(x):
+    acc = 0.0
+    while x < 24.0:
+        acc += 1.0 / (x * x)
+        x += 1.0
+    inv = 1.0 / x
+    inv2 = inv * inv
+    val = inv + 0.5 * inv2
+    t = inv * inv2
+    for b in _BERNOULLI:
+        val += b * t
+        t *= inv2
+    return val + acc
+
+
+def dirichlet_l_scalar(s, D):
+    q = abs(D)
+    psi = digamma_scalar if s == 1 else trigamma_scalar
+    terms = []
+    for a in range(1, q):
+        ch = kronecker(D, a)
+        if ch:
+            terms.append(ch * psi(a / q))
+    return -math.fsum(terms) / q if s == 1 else math.fsum(terms) / (q * q)
+
+
+def hl_constant_scalar(D, tol=1e-8):
+    value = (math.pi ** 4 / 90.0) / (2.0 * dirichlet_l_scalar(1, D) * dirichlet_l_scalar(2, D))
+    for p, _ in factor(abs(D)).factors:
+        value *= 1.0 - 1.0 / float(p) ** 4
+    for q in odd_primes(_split_cutoff(tol, power=2)):
+        if kronecker(D, q) == 1:
+            value *= 1.0 - 2.0 / (q * (q - 1.0) ** 2)
+    return value
+
+
+def pr_density_scalar(f, limit):
+    value = 1.0
+    for q in odd_primes(limit):
+        n_roots, n_ones = residue_counts_mod_prime(f, q)
+        if n_ones:
+            value *= 1.0 - n_ones / (q * (q - n_roots))
+    return value
+
+
+def pr_density_simple_scalar(A, B, cutoff=1_000_000):
+    value = 1.0
+    for q, _ in factor(math.gcd(A, B - 1)).factors:
+        if q > 2:
+            value *= 1.0 - 1.0 / q
+    for q in odd_primes(cutoff):
+        if A % q:
+            value *= 1.0 - (1 + kronecker(-A * (B - 1), q)) / (q * q)
+    return value
+
+
+def lehmer_scalar(disc, twist=None, cutoff=1_000_000):
+    value = 1.0
+    for q in odd_primes(cutoff):
+        if kronecker(disc, q) == 1:
+            if twist is None:
+                value *= 1.0 - 2.0 / (q * q)
+            else:
+                value *= 1.0 - 2.0 / (q * (q - 1 - kronecker(twist, q)))
+    return value
 
 
 def test_dirichlet_l_closed_form_oracles():
@@ -86,8 +227,8 @@ def test_hardy_littlewood_cutoff_stability():
 
 def test_hardy_littlewood_direct_cross_check():
     eq = hardy_littlewood_constant(-163)
-    direct = hl_constant_direct(-163, cutoff=100_000)
-    assert abs(direct.value - eq.value) <= direct.tail_bound
+    direct, tail = hl_constant_direct(-163, cutoff=100_000)
+    assert abs(direct - eq.value) <= tail
 
 
 def test_hardy_littlewood_guards():
@@ -103,22 +244,22 @@ def test_character_euler_product_identity():
     # L-value form vs direct truncation at 1e5, s = 2
     for D in (-163, -3912, 5, 12):
         lform = character_euler_product(2, D, tol=1e-9)
-        direct = character_euler_product_direct(2, D, cutoff=100_000)
-        assert abs(lform.value - direct.value) < 1e-8, D
+        direct, _ = character_euler_product_direct(2, D, cutoff=100_000)
+        assert abs(lform - direct) < 1e-8, D
 
 
 def test_character_euler_product_s1_is_prime_density_constant():
     # at s = 1 the product is the defining slow product of the HL constant
     ep = character_euler_product(1, -163, tol=1e-7)
     hl = hardy_littlewood_constant(-163)
-    assert abs(ep.value - hl.value) < 1e-6
+    assert abs(ep - hl.value) < 1e-6
 
 
 def test_character_euler_product_s1_direct_within_its_tail():
     for D in (5, 12, -163):
         lform = character_euler_product(1, D, tol=1e-7)
-        direct = character_euler_product_direct(1, D, cutoff=100_000)
-        assert abs(lform.value - direct.value) <= direct.tail_bound, D
+        direct, tail = character_euler_product_direct(1, D, cutoff=100_000)
+        assert abs(lform - direct) <= tail, D
 
 
 def test_character_euler_product_eps():
@@ -300,3 +441,117 @@ def test_small_base_bounds():
     assert small_base_bound_definition(3) == 10.0
     assert small_base_bound_heuristic(2) == pytest.approx(10.0 ** 0.9)
     assert small_base_bound_definition(206) < small_base_bound_heuristic(206)
+
+
+# ---------------------------------------------------------------------------
+# the chunked character kernel against independent oracles
+# ---------------------------------------------------------------------------
+
+
+def class_number(D):
+    """h(D) for D < -4 by counting the reduced forms (a, b, c), b^2 - 4ac = D:
+    |b| <= a <= c, and b >= 0 when |b| = a or a = c."""
+    h = 0
+    a = 1
+    while 3 * a * a <= -D:
+        for b in range(-a + 1, a + 1):
+            if (b * b - D) % (4 * a):
+                continue
+            c = (b * b - D) // (4 * a)
+            if c < a or (c == a and b < 0):
+                continue
+            h += 1
+        a += 1
+    return h
+
+
+def test_dirichlet_l_class_number_formula():
+    h = class_number(-111763)
+    assert h == 24
+    # L(1, chi_D) = pi h / sqrt|D| for D < -4
+    assert abs(dirichlet_l(1, -111763).value - math.pi * h / math.sqrt(111763)) < 2e-16
+    assert class_number(-163) == 1
+
+
+def test_dirichlet_l_s2_against_mpmath():
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(30):
+        for D in (-163, -84, 1001):
+            chi = [kronecker(D, a) for a in range(abs(D))]
+            want = mpmath.dirichlet(2, chi)
+            assert abs(dirichlet_l(2, D).value - float(want)) < 1e-15, D
+
+
+def test_kronecker_chunk_matches_kronecker():
+    checked = 0
+    for t in range(3, 201):
+        for D in (t, -t):
+            if not is_fundamental_discriminant(D):
+                continue
+            a = np.arange(3 * t, dtype=np.int64)
+            assert _kronecker_chunk(D, a).tolist() == [kronecker(D, int(x)) for x in a], D
+            checked += 1
+    assert checked > 100
+
+
+def test_legendre_matches_kronecker_and_guards_int64():
+    P = np.array(odd_primes(5000), dtype=np.int64)
+    for a in (-163, 0, 1, -1, 2**150 + 12345, -(3**90), 4 * 10**40 + 7):
+        assert _legendre(a, P).tolist() == [kronecker(a, int(q)) for q in P], a
+    with pytest.raises(ValueError, match="2\\^31"):
+        _legendre(3, np.array([2**31 + 11], dtype=np.int64))
+
+
+def test_odd_prime_chunks_beyond_the_cache():
+    got = np.concatenate(list(_odd_prime_chunks(2_100_000))).tolist()
+    assert got == list(iter_primes(3, 2_100_000))
+
+
+def test_ratio_rounds_once_like_python():
+    den = 1822851097 * 1822851096  # q (q - 1) above 2^53, as for q > 9.5e7
+    assert 1 / den != 1.0 / float(den)  # converting first rounds twice
+    assert _ratio(np.array([1, 1]), np.array([6, den])).tolist() == [1 / 6, 1 / den]
+
+
+def test_l_values_bit_identical_to_scalar_loop():
+    for D in (-3, -4, 5, 8, -8, 12, -84, -163, 1001, -3912, -111763):
+        for s in (1, 2):
+            assert dirichlet_l(s, D).value == dirichlet_l_scalar(s, D), (s, D)
+    psi = [digamma_scalar(s + 1.0) - digamma_scalar(1.0) for s in (1, 350, 145700)]
+    assert [harmonic_max_estimate(0.5, s) for s in (1, 350, 145700)] == [
+        h / math.log(2.0) - 0.5 for h in psi
+    ]
+
+
+def test_hardy_littlewood_bit_identical_to_scalar_loop():
+    for D in (-163, -111763):
+        assert hardy_littlewood_constant(D).value == hl_constant_scalar(D), D
+
+
+def test_pr_density_bit_identical_to_scalar_loop():
+    lead_factors = QuadraticPoly(2 * 3 * 7919 * 999983, 3 * 7919, 7)  # 3, 7919 | a and b
+    for f in (EXAMPLE1, EXAMPLE3_F2, PolyZ((1, 6)), lead_factors):
+        rep = pr_density(f)
+        assert rep.value == pr_density_scalar(f, 1_000_000), f
+        assert rep.cutoff == 999983
+    direct = pr_density(QuadraticPoly(326, 0, 3), cutoff=10_000, accelerate=False)
+    assert direct.value == pr_density_scalar(QuadraticPoly(326, 0, 3), 10_000)
+    assert direct.cutoff == 9973
+
+
+def test_split_products_bit_identical_to_scalar_loop():
+    assert lehmer_naive_density().value == lehmer_scalar(-163)
+    assert lehmer_corrected_density().value == lehmer_scalar(-163, twist=-978)
+    for A, B in ((10, 7), (326, 3), (2 * 3 * 7 * 999983, 22)):
+        assert pr_density_simple(A, B).value == pr_density_simple_scalar(A, B), (A, B)
+
+
+def test_pr_density_rejects_even_and_reducible():
+    with pytest.raises(ValueError, match="even"):
+        pr_density(QuadraticPoly(2, 2, 2))
+    with pytest.raises(ValueError, match="even"):
+        pr_density(QuadraticPoly(1, 1, 2))  # X^2 + X + 2: irreducible, always even
+    with pytest.raises(ValueError, match="reducible"):
+        pr_density(QuadraticPoly(1, 0, 0))
+    with pytest.raises(ValueError, match="reducible"):
+        pr_density(QuadraticPoly(1, 0, -4))

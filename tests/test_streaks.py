@@ -4,10 +4,11 @@ from functools import cache
 
 import pytest
 
-from qprim.arith import factor, is_prime, is_primitive_root
+from qprim.arith import factor, is_prime, is_primitive_root, primes_up_to
 from qprim.poly import PolyZ, QuadraticPoly
 from qprim.streaks import (
     PrimeValueStream,
+    _quadratic_roots_mod,
     empirical_max_streak,
     pr_stats,
     prime_count,
@@ -204,6 +205,28 @@ def sympy_count(f, x):
 def test_prime_count_sieve_exact_against_sympy(f):
     # every survivor of the sieve is counted as prime without a test
     assert prime_count(f, 3000) == sympy_count(f, 3000)
+
+
+@pytest.mark.parametrize(
+    "f",
+    [
+        PolyZ((1, 2)),  # 2X + 1
+        PolyZ((-1, 6)),  # 6X - 1
+        PolyZ((10**12 + 39, 2)),  # sieved to 1e6, far past the default 2000
+    ],
+)
+def test_prime_count_linear_exact_against_sympy(f):
+    assert prime_count(f, 3000) == sympy_count(f, 3000)
+
+
+def test_linear_roots_closed_form_against_enumeration():
+    # linear f, and quadratics that are linear or constant mod q | a
+    polys = [PolyZ((1, 2)), PolyZ((-1, 6)), PolyZ((7, 30)), PolyZ((0, 1)), PolyZ((7, 3, 15)), PolyZ((4, 1, 1001))]
+    for q in primes_up_to(2000):
+        for f in polys:
+            want = [n for n in range(q) if f.eval_mod(n, q) == 0]
+            assert sorted(_quadratic_roots_mod(f, q)) == want, (f, q)
+    assert _quadratic_roots_mod(PolyZ((6, 3, 15)), 3) == (0, 1, 2)  # 3 | every value
 
 
 def test_prime_count_cubic_with_fixed_prime_divisor():
