@@ -6,14 +6,22 @@ Factorization trial-divides by the primes up to 2000 (up to 1e5 while the
 cofactor is still beyond that primality range), then splits what is left with
 Brent's cycle-finding rho under an iteration budget that fails loudly instead
 of hanging.
+
+This is also the package's one prime sieve.  An odd-only numpy sieve fills a
+cached table of the primes up to 2e6; prime_chunks hands out read-only int64
+slices of it and, past it, sieves numpy segments by the table's primes.
+primes_up_to, iter_primes, factor's trial primes and the Euler products of
+densities all read from prime_chunks.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import reduce
+from functools import cache, reduce
 from typing import Iterator
+
+import numpy as np
 
 
 class FactorizationError(RuntimeError):
@@ -42,28 +50,70 @@ DETERMINISTIC_PRIMALITY_LIMIT = _MR_TIERS[-1][0]
 _TINY_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59, 61)
 
 _SHORT_TRIAL = 2_000  # factor's trial bound; rho finds the factors above it
-_TRIAL_LIMIT = 100_000  # iter_primes' base primes; factor's bound for huge cofactors
-_small_primes: list[int] | None = None
+_TRIAL_LIMIT = 100_000  # factor's bound for huge cofactors; the least table size
+_PRIME_CHUNK = 8192
+_SEGMENT = 1 << 17
+_PRIME_CACHE_CAP = 2_000_000
+_prime_cache = np.zeros(0, dtype=np.int64)
+_prime_cache_limit = 0
+
+
+def _sieve(limit: int) -> np.ndarray:
+    """All primes <= limit, ascending, int64 (an odd-only sieve: entry i
+    stands for 2i + 3)."""
+    if limit < 2:
+        return np.zeros(0, dtype=np.int64)
+    odd = np.ones((limit - 1) // 2, dtype=bool)
+    for i in range((math.isqrt(limit) - 1) // 2):
+        if odd[i]:
+            p = 2 * i + 3
+            odd[(p * p - 3) // 2 :: p] = False
+    return np.concatenate(([2], 2 * np.flatnonzero(odd) + 3)).astype(np.int64)
+
+
+def _primes_to(limit: int) -> np.ndarray:
+    """The primes <= min(limit, _PRIME_CACHE_CAP): a read-only view of the
+    cached table, which is rebuilt (to at least 1e5) when a larger limit is
+    asked for."""
+    global _prime_cache, _prime_cache_limit
+    limit = min(limit, _PRIME_CACHE_CAP)
+    if limit > _prime_cache_limit:
+        _prime_cache_limit = max(limit, _TRIAL_LIMIT)
+        _prime_cache = _sieve(_prime_cache_limit)
+        _prime_cache.flags.writeable = False
+    return _prime_cache[: np.searchsorted(_prime_cache, limit, side="right")]
+
+
+def prime_chunks(start: int, stop: int) -> Iterator[np.ndarray]:
+    """The primes p with start <= p <= stop, ascending, in read-only int64
+    arrays: slices of at most 8192 primes of the cached table, then, past its
+    cap, the primes of one numpy-sieved segment of 2^17 integers at a time.
+    stop <= 1e10."""
+    if stop > 10**10:
+        raise ValueError("primes are listed only up to stop <= 1e10")
+    table = _primes_to(stop)
+    for i in range(np.searchsorted(table, start), len(table), _PRIME_CHUNK):
+        yield table[i : i + _PRIME_CHUNK]
+    lo = max(start, _PRIME_CACHE_CAP + 1)
+    while lo <= stop:
+        hi = min(lo + _SEGMENT - 1, stop)
+        flags = np.ones(hi - lo + 1, dtype=bool)
+        for p in _primes_to(math.isqrt(hi)).tolist():  # every p < lo
+            flags[-lo % p :: p] = False
+        segment = lo + np.flatnonzero(flags)
+        segment.flags.writeable = False
+        yield segment
+        lo = hi + 1
 
 
 def primes_up_to(n: int) -> list[int]:
-    """All primes <= n (sieve of Eratosthenes)."""
-    if n < 2:
-        return []
-    sieve = bytearray([1]) * (n + 1)
-    sieve[0:2] = b"\x00\x00"
-    for p in range(2, math.isqrt(n) + 1):
-        if sieve[p]:
-            start = p * p
-            sieve[start :: p] = bytearray(len(range(start, n + 1, p)))
-    return [i for i, flag in enumerate(sieve) if flag]
+    """All primes <= n."""
+    return list(iter_primes(2, n))
 
 
+@cache
 def _trial_primes() -> list[int]:
-    global _small_primes
-    if _small_primes is None:
-        _small_primes = primes_up_to(_TRIAL_LIMIT)
-    return _small_primes
+    return primes_up_to(_TRIAL_LIMIT)
 
 
 def _mr_composite_witness(n: int, d: int, s: int, a: int) -> bool:
@@ -364,31 +414,6 @@ def squarefree_decomposition(n: int) -> tuple[int, int]:
 
 
 def iter_primes(start: int, stop: int) -> Iterator[int]:
-    """Primes p with start <= p <= stop, sieved in blocks. stop <= 1e10."""
-    if stop > _TRIAL_LIMIT * _TRIAL_LIMIT:
-        raise ValueError("iter_primes() supports stop <= 1e10")
-    lo = max(start, 2)
-    if stop <= _TRIAL_LIMIT:
-        for p in primes_up_to(stop):
-            if p >= lo:
-                yield p
-        return
-    base = _trial_primes()
-    if lo <= _TRIAL_LIMIT:
-        for p in base:
-            if p >= lo:
-                yield p
-        lo = _TRIAL_LIMIT + 1
-    block = 1 << 18
-    while lo <= stop:
-        hi = min(lo + block - 1, stop)
-        sieve = bytearray([1]) * (hi - lo + 1)
-        for p in base:
-            if p * p > hi:
-                break
-            start_idx = (-lo) % p
-            sieve[start_idx :: p] = bytearray(len(range(lo + start_idx, hi + 1, p)))
-        for i, flag in enumerate(sieve):
-            if flag:
-                yield lo + i
-        lo = hi + 1
+    """Primes p with start <= p <= stop, ascending. stop <= 1e10."""
+    for chunk in prime_chunks(start, stop):
+        yield from chunk.tolist()

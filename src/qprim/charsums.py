@@ -7,7 +7,6 @@ no floating point.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -147,39 +146,6 @@ def char_average(f: QuadraticPoly, d: int) -> Fraction:
         if out == 0:
             break
     return out
-
-
-def char_average_gcd_form(f: QuadraticPoly, d: int) -> Fraction:
-    """Closed form of the average mod d via gcd bookkeeping:
-    (c/(d,a,e)) * (a/(d/(d,a))) * prod_{q|d, q coprime to a*e} -1/(q-1-(e/q)),
-    and 0 when (d,a) does not divide e  (e = discriminant)."""
-    fact = _require_odd_squarefree(d)
-    a, c, e = f.a, f.c, f.d
-    da = math.gcd(d, a)
-    if e % da != 0:
-        return Fraction(0)
-    dae = math.gcd(da, abs(e)) if e != 0 else da
-    out = Fraction(kronecker(c, dae) * kronecker(a, d // da))
-    for q, _ in fact.factors:
-        if a % q != 0 and e % q != 0:
-            out *= Fraction(-1, q - 1 - kronecker(e, q))
-    return out
-
-
-def char_average_enumeration(f: AnyPoly, d: int) -> Fraction:
-    """Defining enumeration of the average over a full period mod d."""
-    _require_odd_squarefree(d)
-    poly = as_polyz(f)
-    total = 0
-    units = 0
-    for r in range(d):
-        v = poly.eval_mod(r, d)
-        if math.gcd(v, d) == 1:
-            units += 1
-            total += kronecker(v, d)
-    if units == 0:
-        raise ValueError(f"no residue class mod {d} is coprime to f")
-    return Fraction(total, units)
 
 
 def _odd_part_average(f: AnyPoly, odd_part: int) -> Fraction:

@@ -17,6 +17,7 @@ import csv
 import io
 import json
 import os
+import re
 import sys
 import time
 from dataclasses import asdict, dataclass, is_dataclass
@@ -24,6 +25,7 @@ from fractions import Fraction
 from typing import Any
 
 from . import __version__
+from .arith import primes_up_to
 from .charsums import (
     FundamentalDiscriminant,
     admissible_discriminants,
@@ -57,7 +59,7 @@ from .densities import (
     totient_ratio_product,
 )
 from .poly import QuadraticPoly, as_polyz, parse_poly
-from .search import SearchConfig, sweep
+from .search import SearchConfig, candidate_poly, sweep
 from .streaks import (
     empirical_max_streak,
     pr_stats,
@@ -96,13 +98,6 @@ class Preset:
 
 _D_A = 4472988326827347533  # non-residue-rich: (d/p) = -1 for p = 3..283
 _D_B = 9828323860172600203  # (-d/p) = -1 for p = 3..277
-
-
-def _construction(d: int, d1: int, alpha: int, sign: int, shift: int) -> QuadraticPoly:
-    cfg = SearchConfig(d=d, d1=d1, alpha=alpha, sign=sign, shift=shift)
-    from .search import candidate_poly
-
-    return candidate_poly(cfg)
 
 
 def preset_registry() -> dict[str, Preset]:
@@ -158,7 +153,7 @@ def preset_registry() -> dict[str, Preset]:
         ),
         Preset(
             name="example1",
-            poly=_construction(_D_A, 252017, alpha=2, sign=-1, shift=8393),
+            poly=candidate_poly(SearchConfig(d=_D_A, d1=252017, alpha=2, sign=-1, shift=8393)),
             g=170363492,
             expected_count=22779,
             expected_failing_prime=432050978399143373,
@@ -170,7 +165,7 @@ def preset_registry() -> dict[str, Preset]:
         ),
         Preset(
             name="example2",
-            poly=_construction(_D_A, 230849, alpha=6, sign=-1, shift=728069),
+            poly=candidate_poly(SearchConfig(d=_D_A, d1=230849, alpha=6, sign=-1, shift=728069)),
             g=66715361,
             expected_count=25581,
             expected_failing_prime=None,
@@ -182,7 +177,7 @@ def preset_registry() -> dict[str, Preset]:
         ),
         Preset(
             name="example2-g24",
-            poly=_construction(_D_A, 230849, alpha=6, sign=-1, shift=56943),
+            poly=candidate_poly(SearchConfig(d=_D_A, d1=230849, alpha=6, sign=-1, shift=56943)),
             g=24,
             expected_count=21690,
             expected_failing_prime=None,
@@ -194,7 +189,7 @@ def preset_registry() -> dict[str, Preset]:
         ),
         Preset(
             name="example3",
-            poly=_construction(_D_B, 54151, alpha=4, sign=1, shift=0),
+            poly=candidate_poly(SearchConfig(d=_D_B, d1=54151, alpha=4, sign=1, shift=0)),
             g=23731350844,
             expected_count=18176,
             expected_failing_prime=None,
@@ -206,7 +201,7 @@ def preset_registry() -> dict[str, Preset]:
         ),
         Preset(
             name="example3-f1",
-            poly=_construction(_D_B, 54151, alpha=4, sign=1, shift=599206),
+            poly=candidate_poly(SearchConfig(d=_D_B, d1=54151, alpha=4, sign=1, shift=599206)),
             g=72922,
             expected_count=29083,
             expected_failing_prime=None,
@@ -218,7 +213,7 @@ def preset_registry() -> dict[str, Preset]:
         ),
         Preset(
             name="example3-f2",
-            poly=_construction(_D_B, 54151, alpha=0, sign=1, shift=1484224),
+            poly=candidate_poly(SearchConfig(d=_D_B, d1=54151, alpha=0, sign=1, shift=1484224)),
             g=17431902,
             expected_count=31082,
             expected_failing_prime=None,
@@ -237,61 +232,54 @@ def preset_registry() -> dict[str, Preset]:
 # ---------------------------------------------------------------------------
 
 
-def _plain(value: Any) -> Any:
+def _plain(value: Any, text: bool) -> Any:
+    """value as nested dicts, lists and scalars: the one serialization walk.
+    A Fraction becomes "n/d" in text output and {num, den} in json and csv."""
     if isinstance(value, Fraction):
+        if text:
+            return f"{value.numerator}/{value.denominator}"
         return {"num": value.numerator, "den": value.denominator}
     if isinstance(value, FundamentalDiscriminant):
         return value.D
     if isinstance(value, QuadraticPoly):
         return {"a": value.a, "b": value.b, "c": value.c}
     if is_dataclass(value) and not isinstance(value, type):
-        return {k: _plain(v) for k, v in asdict(value).items()}
+        return {k: _plain(v, text) for k, v in asdict(value).items()}
     if isinstance(value, dict):
-        return {str(k): _plain(v) for k, v in value.items()}
+        return {str(k): _plain(v, text) for k, v in value.items()}
     if isinstance(value, (list, tuple)):
-        return [_plain(v) for v in value]
+        return [_plain(v, text) for v in value]
     return value
 
 
 def _flatten(prefix: str, value: Any, rows: list[tuple[str, str]]) -> None:
-    if isinstance(value, Fraction):
-        rows.append((prefix, f"{value.numerator}/{value.denominator}"))
-    elif isinstance(value, dict):
+    """Rows of dotted key and value for the output of _plain."""
+    if isinstance(value, dict):
         for k, v in value.items():
-            _flatten(f"{prefix}.{k}" if prefix else str(k), v, rows)
-    elif isinstance(value, (list, tuple)):
-        if any(isinstance(v, (dict, list, tuple)) for v in value):
+            _flatten(f"{prefix}.{k}" if prefix else k, v, rows)
+    elif isinstance(value, list):
+        if any(isinstance(v, (dict, list)) for v in value):
             for i, v in enumerate(value):
                 _flatten(f"{prefix}.{i}" if prefix else str(i), v, rows)
         else:
-            rows.append((prefix, " ".join(str(_text_scalar(v)) for v in value)))
+            rows.append((prefix, " ".join(map(str, value))))
     else:
-        rows.append((prefix, str(_text_scalar(value))))
-
-
-def _text_scalar(v: Any) -> Any:
-    if isinstance(v, Fraction):
-        return f"{v.numerator}/{v.denominator}"
-    if isinstance(v, FundamentalDiscriminant):
-        return v.D
-    return v
+        rows.append((prefix, str(value)))
 
 
 def _emit(report: RunReport, fmt: str) -> None:
     if fmt == "json":
-        print(json.dumps(_plain(report)))
+        print(json.dumps(_plain(report, text=False)))
         return
+    rows: list[tuple[str, str]] = []
+    _flatten("", _plain(report.outputs, text=fmt == "text"), rows)
     if fmt == "csv":
-        rows: list[tuple[str, str]] = []
-        _flatten("", _plain(report.outputs), rows)
         buf = io.StringIO()
         writer = csv.writer(buf)
         writer.writerow(["key", "value"])
         writer.writerows(rows)
         sys.stdout.write(buf.getvalue())
         return
-    rows = []
-    _flatten("", report.outputs, rows)
     width = max((len(k) for k, _ in rows), default=0)
     for k, v in rows:
         print(f"{k.ljust(width)}  {v}")
@@ -369,46 +357,37 @@ def _handle_maxstreak(args) -> tuple[dict, dict, None]:
     return {"poly": args.poly, "g_base": args.g_base, "k_max": args.k_max}, out, None
 
 
-def _report_dict(rep) -> dict:
-    return {
-        "value": rep.value,
-        "cutoff": rep.cutoff,
-        "tail_bound": rep.tail_bound,
-        "method": rep.method,
-    }
-
-
 def _handle_density(args) -> tuple[dict, dict, None]:
     inputs = {k: v for k, v in vars(args).items() if k not in ("func", "format")}
     if args.lehmer_naive:
         rep = lehmer_naive_density()
-        return inputs, {"kind": "lehmer_naive", **_report_dict(rep)}, None
+        return inputs, {"kind": "lehmer_naive", **asdict(rep)}, None
     if args.lehmer_corrected:
         rep = lehmer_corrected_density()
-        return inputs, {"kind": "lehmer_corrected", **_report_dict(rep)}, None
+        return inputs, {"kind": "lehmer_corrected", **asdict(rep)}, None
     if args.totient_constant:
         rep = totient_ratio_constant(args.cutoff or 10_000_000)
-        return inputs, {"kind": "totient_ratio_constant", **_report_dict(rep)}, None
+        return inputs, {"kind": "totient_ratio_constant", **asdict(rep)}, None
     if args.q_product:
         primes = [int(p) for p in args.q_product.split(",")]
         return inputs, {"kind": "totient_ratio_product", "value": totient_ratio_product(primes)}, None
     if args.bateman_horn:
         f = parse_poly(args.bateman_horn)
         rep = bateman_horn_constant(f, cutoff=args.cutoff or 100_000)
-        return inputs, {"kind": "bateman_horn", **_report_dict(rep)}, None
+        return inputs, {"kind": "bateman_horn", **asdict(rep)}, None
     if args.simple:
         rep = pr_density_simple(*args.simple)
-        return inputs, {"kind": "simplified_quality", **_report_dict(rep)}, None
+        return inputs, {"kind": "simplified_quality", **asdict(rep)}, None
     if not args.poly:
         raise ValueError("density needs --poly or one of the named product modes")
     f = parse_poly(args.poly)
     rep = pr_density(f, cutoff=args.cutoff or 10_000, accelerate=not args.no_accelerate)
-    return inputs, {"kind": "quality", "poly": str(as_polyz(f)), **_report_dict(rep)}, None
+    return inputs, {"kind": "quality", "poly": str(as_polyz(f)), **asdict(rep)}, None
 
 
 def _handle_hlconst(args) -> tuple[dict, dict, None]:
     rep = hardy_littlewood_constant(args.disc, tol=args.tol)
-    return {"disc": args.disc, "tol": args.tol}, _report_dict(rep), None
+    return {"disc": args.disc, "tol": args.tol}, asdict(rep), None
 
 
 def _handle_lvalue(args) -> tuple[dict, dict, None]:
@@ -498,8 +477,6 @@ def _handle_search(args) -> tuple[dict, dict, None]:
         workers=_default_workers(args),
         resume=not args.fresh,
     )
-    from .search import candidate_poly
-
     out = {
         "poly": str(candidate_poly(cfg).as_poly()),
         "best_k": best.k,
@@ -514,26 +491,16 @@ def _handle_search(args) -> tuple[dict, dict, None]:
 
 def _handle_criteria(args) -> tuple[dict, dict, None]:
     inputs = {k: v for k, v in vars(args).items() if k not in ("func", "format")}
-    from .arith import primes_up_to
-
-    if args.mode == "classic":
-        applicable = 0
-        for p1 in primes_up_to(args.max):
-            if chebyshev_criterion(p1):
-                applicable += 1
-        return inputs, {"mode": "classic", "max": args.max, "applicable": applicable, "violations": 0}, None
-    if args.mode == "extended":
-        applicable = 0
-        for p1 in primes_up_to(args.max):
-            if extended_chebyshev(args.g, p1):
-                applicable += 1
-        return inputs, {"mode": "extended", "g": args.g, "max": args.max, "applicable": applicable, "violations": 0}, None
-    if args.mode == "fueter":
-        applicable = 0
-        for p in primes_up_to(args.max):
-            if p > 2 and fueter_criterion(p):
-                applicable += 1
-        return inputs, {"mode": "fueter", "max": args.max, "applicable": applicable, "disagreements": 0}, None
+    scans = {
+        "classic": chebyshev_criterion,
+        "extended": lambda p: extended_chebyshev(args.g, p),
+        "fueter": fueter_criterion,
+    }
+    if args.mode in scans:
+        applicable = sum(map(scans[args.mode], primes_up_to(args.max)))
+        head = {"mode": args.mode, "g": args.g} if args.mode == "extended" else {"mode": args.mode}
+        tally = "disagreements" if args.mode == "fueter" else "violations"
+        return inputs, {**head, "max": args.max, "applicable": applicable, tally: 0}, None
     if args.mode == "prop2":
         ok = lehmer_index_coprimality(args.k, args.n_cap)
         out = {"mode": "prop2", "k": args.k, "n_cap": args.n_cap, "all_coprime": ok}
@@ -612,8 +579,20 @@ _POLY_HELP = (
 )
 
 
+class _Parser(argparse.ArgumentParser):
+    """argparse takes "-1,0,1" for an unknown option: only plain numbers such
+    as -5 may start with a dash as values.  No qprim option starts with a dash
+    and a digit, so every such token is a value here, for instance a negative
+    coefficient list after --poly or --bateman-horn.  Subparsers inherit the
+    class."""
+
+    def __init__(self, *args, **kwargs) -> None:
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = re.compile(r"-\d")
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    top = argparse.ArgumentParser(prog="qprim", description=__doc__)
+    top = _Parser(prog="qprim", description=__doc__)
     top.add_argument("--version", action="version", version=f"qprim {__version__}")
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--format", choices=("text", "json", "csv"), default="text")

@@ -11,9 +11,15 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
-
-from .arith import factor, is_prime, is_primitive_root, kronecker, squarefree_decomposition
+from .arith import (
+    factor,
+    is_prime,
+    is_primitive_root,
+    kronecker,
+    multiplicative_order,
+    primes_up_to,
+    squarefree_decomposition,
+)
 from .charsums import require_valid_base
 from .poly import QuadraticPoly
 from .streaks import PrimeValueStream
@@ -50,8 +56,6 @@ def excluded_index_primes(alpha: int, d1: int, d2: int, q_max: int) -> list[int]
         raise ValueError("d1 and d2 must be positive")
     if alpha < 0:
         raise ValueError("alpha must be >= 0")
-    from .arith import primes_up_to
-
     out = []
     for q in primes_up_to(q_max):
         if q == 2 or d2 % q == 0:
@@ -75,16 +79,10 @@ def lehmer_index_coprimality(k: int, n_cap: int) -> bool:
         for b in (-163, -3, 6, 326):
             if (k * b) % p == 0:
                 continue
-            r = (p - 1) // _order(k * k * b, p, stream)
+            r = (p - 1) // multiplicative_order(k * k * b, p, stream.pm1_factorization(p))
             if math.gcd(r, _PRIMORIAL_37) != 1:
                 return False
     return True
-
-
-def _order(g: int, p: int, stream: PrimeValueStream) -> int:
-    from .arith import multiplicative_order
-
-    return multiplicative_order(g, p, stream.pm1_factorization(p))
 
 
 def chebyshev_criterion(p1: int) -> bool:
@@ -180,23 +178,4 @@ def fueter_criterion(p: int) -> bool:
         raise CriterionViolationError(
             f"q={q}: primitive-root status and 4q = n^2+243m^2 disagree"
         )
-    return True
-
-
-def verify_construction(a1: int, c1: int, n_count: int, bases: int | Sequence[int]) -> bool:
-    """Check that a1*n^2 + c1 is prime for n = 1..n_count and that every given
-    base is a primitive root modulo each of those primes."""
-    if n_count < 1:
-        raise ValueError("n_count must be >= 1")
-    base_list = [bases] if isinstance(bases, int) else list(bases)
-    for g in base_list:
-        require_valid_base(g)
-    for n in range(1, n_count + 1):
-        v = a1 * n * n + c1
-        if v < 2 or not is_prime(v):
-            return False
-        fact = factor(v - 1)
-        for g in base_list:
-            if g % v == 0 or not is_primitive_root(g, v, fact):
-                return False
     return True

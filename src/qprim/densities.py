@@ -12,13 +12,14 @@ for s = 2, both by recurrence plus an Euler-Maclaurin tail whose first
 omitted Bernoulli term bounds the remainder.  Naive Dirichlet-series
 truncation could never reach 1e-9 at s = 1 for |D| ~ 1e5.
 
-The character layer is numpy over chunks of _CHUNK entries.  The odd primes
-come from one cached numpy sieve; `_legendre` reduces a Python int modulo a
+The character layer is numpy over chunks.  The odd primes arrive as chunks
+from arith.prime_chunks, the package's one sieve, and residues in chunks of
+_CHUNK entries; `_legendre` reduces a Python int modulo a
 chunk of primes by 20-bit limbs and applies Euler's criterion by vectorised
 square-and-multiply in int64, so every prime must stay below 2^31 (checked);
 `_kronecker_chunk` evaluates chi_D on a chunk of integers from the
 prime-discriminant components of D; `_euler_product` folds each chunk's
-local factors into the product.  Each local factor is computed by the same
+local factors into the product, for every Euler product here.  Each local factor is computed by the same
 IEEE operations as the scalar formula and multiplied in with math.prod in
 the same order, and the L-value sums are exact (math.fsum), so every value
 returned is bit-identical to a plain loop over arith.kronecker; the tests
@@ -32,12 +33,12 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import chain, islice
+from itertools import chain
 from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
-from .arith import euler_phi, factor, is_prime, iter_primes, kronecker
+from .arith import euler_phi, factor, is_prime, kronecker, prime_chunks
 from .charsums import FundamentalDiscriminant
 from .poly import AnyPoly, PolyZ, as_polyz, count_residue_class, is_perfect_square
 
@@ -122,47 +123,6 @@ def _trigamma(x: np.ndarray) -> np.ndarray:
 _CHUNK = 8192
 _LIMB_BITS = 20
 _INT64_PRIME_BOUND = 2**31  # keeps (p-1)^2 and r * 2^20 + limb inside int64
-_PRIME_CACHE_CAP = 2_000_000
-_prime_cache = np.zeros(0, dtype=np.int64)
-_prime_cache_limit = 0
-
-
-def _sieve(limit: int) -> np.ndarray:
-    """All primes <= limit, ascending, int64 (an odd-only sieve: entry i
-    stands for 2i + 3)."""
-    if limit < 2:
-        return np.zeros(0, dtype=np.int64)
-    odd = np.ones((limit - 1) // 2, dtype=bool)
-    for i in range((math.isqrt(limit) - 1) // 2):
-        if odd[i]:
-            p = 2 * i + 3
-            odd[(p * p - 3) // 2 :: p] = False
-    return np.concatenate(([2], 2 * np.flatnonzero(odd) + 3)).astype(np.int64)
-
-
-def _primes_to(limit: int) -> np.ndarray:
-    """The primes <= min(limit, _PRIME_CACHE_CAP): a view of the cached sieve,
-    which is rebuilt (to at least 1e5) when a larger limit is asked for."""
-    global _prime_cache, _prime_cache_limit
-    limit = min(limit, _PRIME_CACHE_CAP)
-    if limit > _prime_cache_limit:
-        _prime_cache_limit = max(limit, 100_000)
-        _prime_cache = _sieve(_prime_cache_limit)
-        _prime_cache.flags.writeable = False
-    return _prime_cache[: np.searchsorted(_prime_cache, limit, side="right")]
-
-
-def _odd_prime_chunks(limit: int) -> Iterator[np.ndarray]:
-    """The odd primes <= limit in ascending int64 chunks of at most _CHUNK."""
-    primes = _primes_to(limit)
-    for i in range(1, len(primes), _CHUNK):
-        yield primes[i : i + _CHUNK]
-    if limit > _PRIME_CACHE_CAP:
-        rest = iter_primes(_PRIME_CACHE_CAP + 1, limit)
-        while len(chunk := np.fromiter(islice(rest, _CHUNK), dtype=np.int64)):
-            yield chunk
-
-
 def _mod(a: int, P: np.ndarray) -> np.ndarray:
     """a mod each entry of the ascending int64 array P, exact for any Python
     int a: Horner's rule over the 20-bit limbs of |a| keeps every
@@ -256,7 +216,7 @@ def _euler_product(
     the product and the largest kept prime (None if none was kept).
     """
     last = None
-    for P in _odd_prime_chunks(limit):
+    for P in prime_chunks(3, limit):
         kept, factors = local_factor(P)
         if len(kept):
             value = math.prod(factors.tolist(), start=value)
@@ -511,13 +471,13 @@ def totient_ratio_constant(cutoff: int = 10_000_000) -> DensityReport:
     error below 1e-6 from cutoff 1e7 on."""
     if cutoff < 2:
         raise ValueError("cutoff must be at least 2")
-    value = 1.0
-    last = 2
-    for q in iter_primes(2, cutoff):
-        value *= 1.0 + 1.0 / (q - 1.0) ** 2
-        last = q
+
+    def local(P: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        return P, 1.0 + 1.0 / (P - 1.0) ** 2
+
+    value, last = _euler_product(cutoff, local, 2.0)  # 2.0: the factor of q = 2
     tail = 1.3 * value / (cutoff * math.log(max(cutoff, 3)))
-    return DensityReport(value=value, cutoff=last, tail_bound=tail, method="direct")
+    return DensityReport(value=value, cutoff=last or 2, tail_bound=tail, method="direct")
 
 
 def totient_ratio_product(primes: Sequence[int]) -> float:
@@ -650,19 +610,3 @@ def simulate_max_streak(
     mean = float(maxima.mean())
     stderr = float(maxima.std(ddof=1) / math.sqrt(trials))
     return mean, stderr
-
-
-# ---------------------------------------------------------------------------
-# how small must a base be for a streak to be surprising
-# ---------------------------------------------------------------------------
-
-
-def small_base_bound_definition(streak: int) -> float:
-    """10^(streak/3): the defining smallness threshold for a base."""
-    return 10.0 ** (streak / 3.0)
-
-
-def small_base_bound_heuristic(streak: int) -> float:
-    """10^(0.45*streak): the threshold the residue-class counting argument
-    suggests.  Disagrees with the defining one; both are exposed."""
-    return 10.0 ** (0.45 * streak)

@@ -1,6 +1,5 @@
 """Record-search machinery: build candidate quadratics from a non-residue-rich
-number d, list the admissible bases, and sweep k over k^2 * g_base with
-checkpointing and a deterministic parallel merge.  base_streaks is the one
+number d and sweep k over k^2 * g_base with checkpointing and a deterministic parallel merge.  base_streaks is the one
 k-sweep engine; streaks.empirical_max_streak runs on it too.
 """
 
@@ -13,9 +12,7 @@ import time
 from dataclasses import asdict, dataclass
 from typing import Iterator
 
-from .arith import squarefree_decomposition
-from .charsums import admissible_discriminants, is_valid_base, require_valid_base
-from .densities import DensityReport, pr_density
+from .charsums import require_valid_base
 from .poly import AnyPoly, QuadraticPoly, is_perfect_square
 from .streaks import PrimeValueStream, streak
 
@@ -92,28 +89,6 @@ def candidate_poly(cfg: SearchConfig) -> QuadraticPoly:
     b = 2 * scale * cfg.shift
     c = scale * cfg.shift * cfg.shift + const
     return QuadraticPoly(a=a, b=b, c=c)
-
-
-def admissible_bases(f: QuadraticPoly, g_bound: int) -> list[int]:
-    """All valid bases g with |g| <= g_bound whose quadratic field has inert
-    proportion exactly 1 for the primes of f.  If g qualifies so does k^2*g;
-    membership only depends on the squarefree part."""
-    good = {fd.D for fd in admissible_discriminants(f, bound=4 * g_bound)}
-    out = []
-    for g in range(-g_bound, g_bound + 1):
-        if not is_valid_base(g) or g == 0:
-            continue
-        _, g1 = squarefree_decomposition(g)
-        D = g1 if g1 % 4 == 1 else 4 * g1
-        if D in good:
-            out.append(g)
-    return out
-
-
-def quality(f: QuadraticPoly, cutoff: int = 10_000, accelerate: bool = True) -> float:
-    """The density value used to rank candidate polynomials before sweeping."""
-    report: DensityReport = pr_density(f, cutoff=cutoff, accelerate=accelerate)
-    return report.value
 
 
 def _streaks_serial(

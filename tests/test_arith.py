@@ -4,8 +4,10 @@ import math
 import random
 from itertools import islice
 
+import numpy as np
 import pytest
 
+from qprim import arith
 from qprim.arith import (
     DETERMINISTIC_PRIMALITY_LIMIT,
     FactorizationError,
@@ -16,6 +18,7 @@ from qprim.arith import (
     iter_primes,
     kronecker,
     multiplicative_order,
+    prime_chunks,
     primes_up_to,
     residual_index,
     sqrt_mod,
@@ -305,3 +308,43 @@ def test_iter_primes_blocks():
     big = list(iter_primes(99_990, 100_050))
     flags = sieve_oracle(100_050)
     assert big == [n for n in range(99_990, 100_051) if flags[n]]
+
+
+CAP = arith._PRIME_CACHE_CAP
+PAST_CAP = CAP + 1 + arith._SEGMENT  # where the second segment past the table starts
+
+
+def sympy_primes(start, stop):
+    return list(pytest.importorskip("sympy").primerange(start, stop + 1))
+
+
+@pytest.mark.parametrize("n", [0, 1, 2, 3, CAP - 1, CAP, CAP + 1])
+def test_primes_up_to_against_sympy(n):
+    assert primes_up_to(n) == sympy_primes(0, n)
+
+
+@pytest.mark.parametrize(
+    "start, stop",
+    [
+        (0, 0),
+        (0, 1),
+        (0, 2),
+        (3, 3),
+        (CAP - 1, CAP + 1),
+        (CAP - 100, CAP + 100),
+        (CAP + 1, PAST_CAP + 100),
+        (PAST_CAP, PAST_CAP + 1000),
+    ],
+)
+def test_prime_chunks_and_iter_primes_against_sympy(start, stop):
+    want = sympy_primes(start, stop)
+    chunks = list(prime_chunks(start, stop))
+    assert all(c.dtype == np.int64 and not c.flags.writeable for c in chunks)
+    assert [p for c in chunks for p in c.tolist()] == want
+    assert list(iter_primes(start, stop)) == want
+
+
+def test_prime_listing_stops_at_1e10():
+    assert list(iter_primes(10**10 - 100, 10**10)) == sympy_primes(10**10 - 100, 10**10)
+    with pytest.raises(ValueError, match="1e10"):
+        next(iter_primes(2, 10**10 + 1))

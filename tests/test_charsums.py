@@ -6,14 +6,12 @@ from fractions import Fraction
 
 import pytest
 
-from qprim.arith import kronecker, primes_up_to
+from qprim.arith import factor, kronecker, primes_up_to
 from qprim.charsums import (
     FundamentalDiscriminant,
     admissible_discriminants,
     brute_char_average,
     char_average,
-    char_average_enumeration,
-    char_average_gcd_form,
     complete_char_sum,
     fundamental_discriminant,
     inert_proportion,
@@ -21,11 +19,44 @@ from qprim.charsums import (
     jacobsthal_sum,
     local_char_average,
 )
-from qprim.poly import PolyZ, QuadraticPoly, in_conjecture_f_family
+from qprim.poly import PolyZ, QuadraticPoly, as_polyz, in_conjecture_f_family
 from qprim.streaks import PrimeValueStream
 
 ODD_PRIMES_199 = [p for p in primes_up_to(199) if p > 2]
 L = QuadraticPoly(326, 0, 3)
+
+
+def char_average_gcd_form(f, d):
+    """Oracle: the closed form of the average mod an odd squarefree d via gcd
+    bookkeeping:
+    (c/(d,a,e)) * (a/(d/(d,a))) * prod_{q|d, q coprime to a*e} -1/(q-1-(e/q)),
+    and 0 when (d,a) does not divide e  (e = discriminant)."""
+    a, c, e = f.a, f.c, f.d
+    da = math.gcd(d, a)
+    if e % da != 0:
+        return Fraction(0)
+    dae = math.gcd(da, abs(e)) if e != 0 else da
+    out = Fraction(kronecker(c, dae) * kronecker(a, d // da))
+    for q, _ in factor(d).factors:
+        if a % q != 0 and e % q != 0:
+            out *= Fraction(-1, q - 1 - kronecker(e, q))
+    return out
+
+
+def char_average_enumeration(f, d):
+    """Oracle: the defining enumeration of the average over a full period mod
+    an odd squarefree d."""
+    poly = as_polyz(f)
+    total = 0
+    units = 0
+    for r in range(d):
+        v = poly.eval_mod(r, d)
+        if math.gcd(v, d) == 1:
+            units += 1
+            total += kronecker(v, d)
+    if units == 0:
+        raise ValueError(f"no residue class mod {d} is coprime to f")
+    return Fraction(total, units)
 
 
 def random_quadratics(seed, count, coeff=60):

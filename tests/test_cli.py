@@ -237,6 +237,18 @@ def test_density_simple_needs_two_integers(capsys):
     assert json.loads(out)["outputs"]["kind"] == "simplified_quality"
 
 
+def test_negative_coefficients_parse_in_both_spellings(capsys):
+    for poly in (["--poly", "-1,2"], ["--poly=-1,2"]):
+        code, out, _ = run_cli(capsys, "pi", *poly, "--x", "10", "--format", "json")
+        assert code == 0, poly
+        assert json.loads(out)["outputs"]["count"] == 7, poly
+    for option in ("--poly", "--bateman-horn"):
+        for argv in ([option, "-1,0,1"], [f"{option}=-1,0,1"]):
+            code, _, err = run_cli(capsys, "density", *argv)
+            assert code == 1, argv
+            assert "requires a > 0" in err, argv
+
+
 def test_maxstreak_long_run_gate(capsys):
     code, _, err = run_cli(
         capsys, "maxstreak", "--poly", "326,0,3", "--g-base", "326", "--k-max", "25000"

@@ -4,7 +4,8 @@ import math
 
 import pytest
 
-from qprim.arith import primes_up_to, residual_index
+from qprim.arith import factor, is_prime, is_primitive_root, primes_up_to, residual_index
+from qprim.charsums import require_valid_base
 from qprim.criteria import (
     BaseDecomposition,
     chebyshev_criterion,
@@ -14,7 +15,6 @@ from qprim.criteria import (
     extended_chebyshev,
     fueter_criterion,
     lehmer_index_coprimality,
-    verify_construction,
 )
 from qprim.poly import QuadraticPoly
 from qprim.streaks import PrimeValueStream
@@ -131,6 +131,25 @@ def test_fueter_scan():
         if p > 2 and fueter_criterion(p):  # raises on any disagreement
             applicable += 1
     assert applicable > 100
+
+
+def verify_construction(a1, c1, n_count, bases):
+    """Oracle: a1*n^2 + c1 is prime for n = 1..n_count and every given base
+    is a primitive root modulo each of those primes."""
+    if n_count < 1:
+        raise ValueError("n_count must be >= 1")
+    base_list = [bases] if isinstance(bases, int) else list(bases)
+    for g in base_list:
+        require_valid_base(g)
+    for n in range(1, n_count + 1):
+        v = a1 * n * n + c1
+        if v < 2 or not is_prime(v):
+            return False
+        fact = factor(v - 1)
+        for g in base_list:
+            if g % v == 0 or not is_primitive_root(g, v, fact):
+                return False
+    return True
 
 
 def test_verify_construction():

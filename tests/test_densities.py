@@ -6,12 +6,11 @@ import random
 import numpy as np
 import pytest
 
-from qprim.arith import factor, iter_primes, kronecker, primes_up_to
+from qprim.arith import factor, iter_primes, kronecker, prime_chunks, primes_up_to
 from qprim.charsums import FundamentalDiscriminant, is_fundamental_discriminant
 from qprim.densities import (
     _kronecker_chunk,
     _legendre,
-    _odd_prime_chunks,
     _ratio,
     _split_cutoff,
     asymptotic_max_estimate,
@@ -26,8 +25,6 @@ from qprim.densities import (
     pr_density_simple,
     residue_counts_mod_prime,
     simulate_max_streak,
-    small_base_bound_definition,
-    small_base_bound_heuristic,
     totient_ratio_constant,
     totient_ratio_product,
 )
@@ -178,6 +175,14 @@ def lehmer_scalar(disc, twist=None, cutoff=1_000_000):
             else:
                 value *= 1.0 - 2.0 / (q * (q - 1 - kronecker(twist, q)))
     return value
+
+
+def totient_ratio_scalar(cutoff):
+    value, last = 1.0, 2
+    for q in iter_primes(2, cutoff):
+        value *= 1.0 + 1.0 / (q - 1.0) ** 2
+        last = q
+    return value, last
 
 
 def test_dirichlet_l_closed_form_oracles():
@@ -437,6 +442,17 @@ def test_simulate_max_streak():
         simulate_max_streak(0.5, 10, trials=10, seed=1)
 
 
+def small_base_bound_definition(streak):
+    """10^(streak/3): the defining smallness threshold for a base."""
+    return 10.0 ** (streak / 3.0)
+
+
+def small_base_bound_heuristic(streak):
+    """10^(0.45*streak): the threshold the residue-class counting argument
+    suggests.  Disagrees with the defining one."""
+    return 10.0 ** (0.45 * streak)
+
+
 def test_small_base_bounds():
     assert small_base_bound_definition(3) == 10.0
     assert small_base_bound_heuristic(2) == pytest.approx(10.0 ** 0.9)
@@ -503,7 +519,7 @@ def test_legendre_matches_kronecker_and_guards_int64():
 
 
 def test_odd_prime_chunks_beyond_the_cache():
-    got = np.concatenate(list(_odd_prime_chunks(2_100_000))).tolist()
+    got = np.concatenate(list(prime_chunks(3, 2_100_000))).tolist()
     assert got == list(iter_primes(3, 2_100_000))
 
 
@@ -544,6 +560,12 @@ def test_split_products_bit_identical_to_scalar_loop():
     assert lehmer_corrected_density().value == lehmer_scalar(-163, twist=-978)
     for A, B in ((10, 7), (326, 3), (2 * 3 * 7 * 999983, 22)):
         assert pr_density_simple(A, B).value == pr_density_simple_scalar(A, B), (A, B)
+
+
+def test_totient_ratio_constant_bit_identical_to_scalar_loop():
+    for cutoff in (2, 3, 1000, 2_100_000):  # the last runs past the prime table
+        rep = totient_ratio_constant(cutoff)
+        assert (rep.value, rep.cutoff) == totient_ratio_scalar(cutoff), cutoff
 
 
 def test_pr_density_rejects_even_and_reducible():

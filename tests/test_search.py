@@ -5,14 +5,14 @@ import os
 
 import pytest
 
+from qprim.arith import squarefree_decomposition
+from qprim.charsums import admissible_discriminants, is_valid_base
 from qprim.poly import QuadraticPoly
 from qprim.search import (
     CheckpointError,
     SearchConfig,
-    admissible_bases,
     candidate_poly,
     config_hash,
-    quality,
     sweep,
 )
 from qprim.streaks import streak
@@ -59,6 +59,22 @@ def test_candidate_poly_validation():
     assert candidate_poly(cfg).a == 10
 
 
+def admissible_bases(f, g_bound):
+    """All valid bases g with |g| <= g_bound whose quadratic field has inert
+    proportion exactly 1 for the primes of f.  If g qualifies so does k^2*g;
+    membership only depends on the squarefree part."""
+    good = {fd.D for fd in admissible_discriminants(f, bound=4 * g_bound)}
+    out = []
+    for g in range(-g_bound, g_bound + 1):
+        if not is_valid_base(g) or g == 0:
+            continue
+        _, g1 = squarefree_decomposition(g)
+        D = g1 if g1 % 4 == 1 else 4 * g1
+        if D in good:
+            out.append(g)
+    return out
+
+
 def test_admissible_bases_lehmer():
     bases = admissible_bases(QuadraticPoly(326, 0, 3), 400)
     assert {-163, -3, 6, 326} <= set(bases)
@@ -69,13 +85,6 @@ def test_admissible_bases_lehmer():
 
 def test_admissible_bases_empty_for_euler_poly():
     assert admissible_bases(QuadraticPoly(1, 1, 41), 400) == []
-
-
-def test_quality_is_density_value():
-    from qprim.densities import pr_density
-
-    f = QuadraticPoly(326, 0, 3)
-    assert quality(f) == pr_density(f).value
 
 
 def test_sweep_single_k_reduces_to_streak():
