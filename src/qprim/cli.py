@@ -6,8 +6,10 @@ json emits a single RunReport document, --format csv a flat key,value table.
 Exit codes: 0 success, 1 computation error or failed verification, 2 usage
 error.
 
-Long-running reproductions (full record streaks, the 5e6 scan, k sweeps past
-2000) are gated behind --long-run.
+Five commands take --long-run.  pi past x = 2e6, prstats past n_cap = 1e6,
+and maxstreak and search over more than 2000 k values exit 1 without it;
+verify walks the full record streaks, not a fast prefix, only with it.
+streak has no gate: it walks to whatever --n-cap it is given.
 """
 
 from __future__ import annotations
@@ -168,7 +170,7 @@ def preset_registry() -> dict[str, Preset]:
             poly=candidate_poly(SearchConfig(d=_D_A, d1=230849, alpha=6, sign=-1, shift=728069)),
             g=66715361,
             expected_count=25581,
-            expected_failing_prime=None,
+            expected_failing_prime=20224247350881408449,
             pi_checks=(),
             default_prefix=300,
             n_cap=100_000,
@@ -180,7 +182,7 @@ def preset_registry() -> dict[str, Preset]:
             poly=candidate_poly(SearchConfig(d=_D_A, d1=230849, alpha=6, sign=-1, shift=56943)),
             g=24,
             expected_count=21690,
-            expected_failing_prime=None,
+            expected_failing_prime=2364119521193107649,
             pi_checks=(),
             default_prefix=300,
             n_cap=100_000,
@@ -192,7 +194,7 @@ def preset_registry() -> dict[str, Preset]:
             poly=candidate_poly(SearchConfig(d=_D_B, d1=54151, alpha=4, sign=1, shift=0)),
             g=23731350844,
             expected_count=18176,
-            expected_failing_prime=None,
+            expected_failing_prime=656972232441600833,
             pi_checks=(),
             default_prefix=300,
             n_cap=100_000,
@@ -204,7 +206,7 @@ def preset_registry() -> dict[str, Preset]:
             poly=candidate_poly(SearchConfig(d=_D_B, d1=54151, alpha=4, sign=1, shift=599206)),
             g=72922,
             expected_count=29083,
-            expected_failing_prime=None,
+            expected_failing_prime=3836199196047168449,
             pi_checks=(),
             default_prefix=300,
             n_cap=100_000,
@@ -216,7 +218,7 @@ def preset_registry() -> dict[str, Preset]:
             poly=candidate_poly(SearchConfig(d=_D_B, d1=54151, alpha=0, sign=1, shift=1484224)),
             g=17431902,
             expected_count=31082,
-            expected_failing_prime=None,
+            expected_failing_prime=1196918237285051573,
             pi_checks=(),
             default_prefix=200,
             n_cap=100_000,
@@ -287,12 +289,12 @@ def _emit(report: RunReport, fmt: str) -> None:
 
 
 # ---------------------------------------------------------------------------
-# handlers: each returns (inputs, outputs, seed)
+# handlers: each returns the outputs of its command
 # ---------------------------------------------------------------------------
 
 
 def _default_workers(args) -> int:
-    if getattr(args, "workers", None):
+    if args.workers:
         return args.workers
     env = os.environ.get("QPRIM_THREADS")
     if env:
@@ -305,119 +307,95 @@ def _require_long_run(args, what: str) -> None:
         raise ValueError(f"{what} needs --long-run (a minutes-scale computation)")
 
 
-def _handle_streak(args) -> tuple[dict, dict, None]:
+def _handle_streak(args) -> dict:
     f = parse_poly(args.poly)
     res = streak(f, args.g, args.n_cap)
-    out = {
-        "poly": str(as_polyz(f)),
-        "g": res.g,
-        "count": res.count,
-        "n_at_failure": res.n_at_failure,
-        "failing_prime": res.failing_prime,
-        "residual_index_at_failure": res.residual_index_at_failure,
-        "n_scanned": res.n_scanned,
-        "primes_seen": res.primes_seen,
-        "complete": res.n_at_failure is not None,
-    }
-    return {"poly": args.poly, "g": args.g, "n_cap": args.n_cap}, out, None
+    return {**asdict(res), "poly": str(as_polyz(f)), "complete": res.n_at_failure is not None}
 
 
-def _handle_pi(args) -> tuple[dict, dict, None]:
+def _handle_pi(args) -> dict:
     f = parse_poly(args.poly)
     if args.x > 2_000_000:
         _require_long_run(args, f"pi up to {args.x}")
-    count = prime_count(f, args.x)
-    return {"poly": args.poly, "x": args.x}, {"poly": str(as_polyz(f)), "x": args.x, "count": count}, None
+    return {"poly": str(as_polyz(f)), "x": args.x, "count": prime_count(f, args.x)}
 
 
-def _handle_prstats(args) -> tuple[dict, dict, None]:
+def _handle_prstats(args) -> dict:
     f = parse_poly(args.poly)
     if args.n_cap > LONG_RUN_NCAP:
         _require_long_run(args, f"prstats to n_cap={args.n_cap}")
     st = pr_stats(f, args.g, args.n_cap)
     fr = st.primes_with_g_pr / st.primes_total if st.primes_total else None
-    out = {
+    return {
         "primes_total": st.primes_total,
         "primes_with_g_pr": st.primes_with_g_pr,
         "fraction": fr,
         "histogram": st.histogram,
         "n_cap": st.n_cap,
     }
-    return {"poly": args.poly, "g": args.g, "n_cap": args.n_cap}, out, None
 
 
-def _handle_maxstreak(args) -> tuple[dict, dict, None]:
+def _handle_maxstreak(args) -> dict:
     f = parse_poly(args.poly)
     if args.k_max > LONG_RUN_KMAX:
         _require_long_run(args, f"maxstreak to k_max={args.k_max}")
     k_best, c_best = empirical_max_streak(
         args.g_base, f, args.k_max, n_cap=args.n_cap, workers=_default_workers(args)
     )
-    out = {"k_best": k_best, "g_best": k_best * k_best * args.g_base, "c_best": c_best}
-    return {"poly": args.poly, "g_base": args.g_base, "k_max": args.k_max}, out, None
+    return {"k_best": k_best, "g_best": k_best * k_best * args.g_base, "c_best": c_best}
 
 
-def _handle_density(args) -> tuple[dict, dict, None]:
-    inputs = {k: v for k, v in vars(args).items() if k not in ("func", "format")}
+def _handle_density(args) -> dict:
     if args.lehmer_naive:
-        rep = lehmer_naive_density()
-        return inputs, {"kind": "lehmer_naive", **asdict(rep)}, None
+        return {"kind": "lehmer_naive", **asdict(lehmer_naive_density())}
     if args.lehmer_corrected:
-        rep = lehmer_corrected_density()
-        return inputs, {"kind": "lehmer_corrected", **asdict(rep)}, None
+        return {"kind": "lehmer_corrected", **asdict(lehmer_corrected_density())}
     if args.totient_constant:
         rep = totient_ratio_constant(args.cutoff or 10_000_000)
-        return inputs, {"kind": "totient_ratio_constant", **asdict(rep)}, None
+        return {"kind": "totient_ratio_constant", **asdict(rep)}
     if args.q_product:
         primes = [int(p) for p in args.q_product.split(",")]
-        return inputs, {"kind": "totient_ratio_product", "value": totient_ratio_product(primes)}, None
+        return {"kind": "totient_ratio_product", "value": totient_ratio_product(primes)}
     if args.bateman_horn:
-        f = parse_poly(args.bateman_horn)
-        rep = bateman_horn_constant(f, cutoff=args.cutoff or 100_000)
-        return inputs, {"kind": "bateman_horn", **asdict(rep)}, None
+        rep = bateman_horn_constant(parse_poly(args.bateman_horn), cutoff=args.cutoff or 100_000)
+        return {"kind": "bateman_horn", **asdict(rep)}
     if args.simple:
-        rep = pr_density_simple(*args.simple)
-        return inputs, {"kind": "simplified_quality", **asdict(rep)}, None
+        return {"kind": "simplified_quality", **asdict(pr_density_simple(*args.simple))}
     if not args.poly:
         raise ValueError("density needs --poly or one of the named product modes")
     f = parse_poly(args.poly)
     rep = pr_density(f, cutoff=args.cutoff or 10_000, accelerate=not args.no_accelerate)
-    return inputs, {"kind": "quality", "poly": str(as_polyz(f)), **asdict(rep)}, None
+    return {"kind": "quality", "poly": str(as_polyz(f)), **asdict(rep)}
 
 
-def _handle_hlconst(args) -> tuple[dict, dict, None]:
-    rep = hardy_littlewood_constant(args.disc, tol=args.tol)
-    return {"disc": args.disc, "tol": args.tol}, asdict(rep), None
+def _handle_hlconst(args) -> dict:
+    return asdict(hardy_littlewood_constant(args.disc, tol=args.tol))
 
 
-def _handle_lvalue(args) -> tuple[dict, dict, None]:
+def _handle_lvalue(args) -> dict:
     lv = dirichlet_l(args.s, args.disc, tol=args.tol)
-    out = {"s": lv.s, "disc": lv.D.D, "value": lv.value, "abs_error": lv.abs_error}
-    return {"s": args.s, "disc": args.disc, "tol": args.tol}, out, None
+    return {"s": lv.s, "disc": lv.D.D, "value": lv.value, "abs_error": lv.abs_error}
 
 
-def _handle_mstat(args) -> tuple[dict, dict, int | None]:
+def _handle_mstat(args) -> dict:
     out: dict[str, Any] = {
         "expected_max": expected_max_streak(args.p1, args.s),
         "harmonic_estimate": harmonic_max_estimate(args.p1, args.s),
         "asymptotic_estimate": asymptotic_max_estimate(args.p1, args.s),
     }
-    seed = None
     if args.simulate:
-        seed = args.seed
-        mean, stderr = simulate_max_streak(args.p1, args.s, args.trials, seed)
+        mean, stderr = simulate_max_streak(args.p1, args.s, args.trials, args.seed)
         out["simulated_mean"] = mean
         out["simulated_stderr"] = stderr
         out["trials"] = args.trials
-    return {"p1": args.p1, "s": args.s}, out, seed
+    return out
 
 
-def _handle_charsum(args) -> tuple[dict, dict, None]:
-    inputs = {"poly": args.poly, "p": args.p, "mode": args.mode}
+def _handle_charsum(args) -> dict:
     if args.mode == "jacobsthal":
         if args.a is None or args.p is None:
             raise ValueError("--mode jacobsthal needs --a and --p")
-        return inputs, {"value": jacobsthal_sum(args.a, args.p), "a": args.a, "p": args.p}, None
+        return {"value": jacobsthal_sum(args.a, args.p), "a": args.a, "p": args.p}
     if not args.poly:
         raise ValueError(f"--mode {args.mode} needs --poly")
     f = parse_poly(args.poly)
@@ -426,36 +404,34 @@ def _handle_charsum(args) -> tuple[dict, dict, None]:
     if args.mode == "complete":
         if not isinstance(f, QuadraticPoly):
             raise ValueError("the complete sum closed form needs a quadratic (a,b,c)")
-        return inputs, {"value": complete_char_sum(f, args.p), "p": args.p}, None
+        return {"value": complete_char_sum(f, args.p), "p": args.p}
     if args.mode == "local":
         if isinstance(f, QuadraticPoly):
             val = local_char_average(f, args.p)
         else:
             val = brute_char_average(f, args.p)
-        return inputs, {"value": val, "p": args.p}, None
+        return {"value": val, "p": args.p}
     # mode == "average": composite odd squarefree modulus
     if args.d is None:
         raise ValueError("--mode average needs --d")
     if not isinstance(f, QuadraticPoly):
         raise ValueError("the multiplicative average needs a quadratic (a,b,c)")
-    return inputs, {"value": char_average(f, args.d), "d": args.d}, None
+    return {"value": char_average(f, args.d), "d": args.d}
 
 
-def _handle_tau(args) -> tuple[dict, dict, None]:
+def _handle_tau(args) -> dict:
     f = parse_poly(args.poly)
     if args.admissible:
         if not isinstance(f, QuadraticPoly):
             raise ValueError("admissible-discriminant scans need a quadratic (a,b,c)")
         discs = admissible_discriminants(f, bound=args.bound)
-        out = {"admissible_discriminants": [fd.D for fd in discs], "bound": args.bound}
-        return {"poly": args.poly, "bound": args.bound}, out, None
+        return {"admissible_discriminants": [fd.D for fd in discs], "bound": args.bound}
     if args.disc is None:
         raise ValueError("tau needs --disc (or --admissible)")
-    tau = inert_proportion(f, args.disc)
-    return {"poly": args.poly, "disc": args.disc}, {"value": tau, "disc": args.disc}, None
+    return {"value": inert_proportion(f, args.disc), "disc": args.disc}
 
 
-def _handle_search(args) -> tuple[dict, dict, None]:
+def _handle_search(args) -> dict:
     cfg = SearchConfig(
         d=args.d,
         d1=args.d1,
@@ -477,7 +453,7 @@ def _handle_search(args) -> tuple[dict, dict, None]:
         workers=_default_workers(args),
         resume=not args.fresh,
     )
-    out = {
+    return {
         "poly": str(candidate_poly(cfg).as_poly()),
         "best_k": best.k,
         "best_g": best.g,
@@ -486,11 +462,9 @@ def _handle_search(args) -> tuple[dict, dict, None]:
         "certified": best.certified,
         "config_hash": best.config_hash,
     }
-    return {k: v for k, v in vars(args).items() if k not in ("func", "format")}, out, None
 
 
-def _handle_criteria(args) -> tuple[dict, dict, None]:
-    inputs = {k: v for k, v in vars(args).items() if k not in ("func", "format")}
+def _handle_criteria(args) -> dict:
     scans = {
         "classic": chebyshev_criterion,
         "extended": lambda p: extended_chebyshev(args.g, p),
@@ -500,29 +474,24 @@ def _handle_criteria(args) -> tuple[dict, dict, None]:
         applicable = sum(map(scans[args.mode], primes_up_to(args.max)))
         head = {"mode": args.mode, "g": args.g} if args.mode == "extended" else {"mode": args.mode}
         tally = "disagreements" if args.mode == "fueter" else "violations"
-        return inputs, {**head, "max": args.max, "applicable": applicable, tally: 0}, None
+        return {**head, "max": args.max, "applicable": applicable, tally: 0}
     if args.mode == "prop2":
         ok = lehmer_index_coprimality(args.k, args.n_cap)
-        out = {"mode": "prop2", "k": args.k, "n_cap": args.n_cap, "all_coprime": ok}
-        return inputs, out, None
+        return {"mode": "prop2", "k": args.k, "n_cap": args.n_cap, "all_coprime": ok}
     excluded = excluded_index_primes(args.alpha, args.d1, args.d2, args.q_max)
-    return inputs, {"mode": "lemma1", "excluded_primes": excluded}, None
+    return {"mode": "lemma1", "excluded_primes": excluded}
 
 
-def _handle_verify(args) -> tuple[dict, dict, None]:
+def _handle_verify(args) -> dict:
     registry = preset_registry()
     if args.preset not in registry:
         raise ValueError(f"unknown preset {args.preset!r}; known: {sorted(registry)}")
     preset = registry[args.preset]
     checks: list[dict] = []
-    ok_all = True
     if preset.g is not None:
         if args.long_run or preset.default_prefix is None:
             n_cap = args.n_cap or (preset.long_run_n_cap if args.long_run else preset.n_cap)
             res = streak(preset.poly, preset.g, n_cap)
-            ok = res.count == preset.expected_count
-            if preset.expected_failing_prime is not None:
-                ok = ok and res.failing_prime == preset.expected_failing_prime
             checks.append(
                 {
                     "check": "streak",
@@ -530,10 +499,10 @@ def _handle_verify(args) -> tuple[dict, dict, None]:
                     "expected_count": preset.expected_count,
                     "failing_prime": res.failing_prime,
                     "expected_failing_prime": preset.expected_failing_prime,
-                    "ok": ok,
+                    "ok": res.count == preset.expected_count
+                    and res.failing_prime == preset.expected_failing_prime,
                 }
             )
-            ok_all = ok_all and ok
         else:
             prefix = args.prefix or preset.default_prefix
             n_cap = args.n_cap or preset.n_cap
@@ -541,23 +510,17 @@ def _handle_verify(args) -> tuple[dict, dict, None]:
             checks.append(
                 {"check": "prefix", "prefix": prefix, "expected_count": preset.expected_count, "ok": ok}
             )
-            ok_all = ok_all and ok
     for x, expected in preset.pi_checks:
-        if x > 10_000 and not args.long_run and args.quick:
-            continue
         count = prime_count(preset.poly, x)
-        ok = count == expected
-        checks.append({"check": "pi", "x": x, "count": count, "expected": expected, "ok": ok})
-        ok_all = ok_all and ok
-    out = {
+        checks.append({"check": "pi", "x": x, "count": count, "expected": expected, "ok": count == expected})
+    return {
         "preset": preset.name,
         "poly": str(preset.poly.as_poly()),
         "g": preset.g,
         "note": preset.note,
         "checks": checks,
-        "ok": ok_all,
+        "ok": all(c["ok"] for c in checks),
     }
-    return {"preset": args.preset, "long_run": args.long_run}, out, None
 
 
 # ---------------------------------------------------------------------------
@@ -596,28 +559,27 @@ def _build_parser() -> argparse.ArgumentParser:
     top.add_argument("--version", action="version", version=f"qprim {__version__}")
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--format", choices=("text", "json", "csv"), default="text")
-    common.add_argument("--long-run", action="store_true", help="allow minutes-scale computations")
+    gated = argparse.ArgumentParser(add_help=False)
+    gated.add_argument("--long-run", action="store_true", help="allow minutes-scale computations")
+    poly = argparse.ArgumentParser(add_help=False)
+    poly.add_argument("--poly", required=True, help=_POLY_HELP)
     sub = top.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("streak", parents=[common], help="primitive-root streak of a base over the primes f(n)")
-    p.add_argument("--poly", required=True, help=_POLY_HELP)
+    p = sub.add_parser("streak", parents=[common, poly], help="primitive-root streak of a base over the primes f(n)")
     p.add_argument("--g", type=int, required=True)
     p.add_argument("--n-cap", type=int, default=100_000)
     p.set_defaults(func=_handle_streak)
 
-    p = sub.add_parser("pi", parents=[common], help="count n <= x with f(n) prime")
-    p.add_argument("--poly", required=True, help=_POLY_HELP)
+    p = sub.add_parser("pi", parents=[common, gated, poly], help="count n <= x with f(n) prime")
     p.add_argument("--x", type=int, required=True)
     p.set_defaults(func=_handle_pi)
 
-    p = sub.add_parser("prstats", parents=[common], help="residual-index histogram over the primes f(n)")
-    p.add_argument("--poly", required=True, help=_POLY_HELP)
+    p = sub.add_parser("prstats", parents=[common, gated, poly], help="residual-index histogram over the primes f(n)")
     p.add_argument("--g", type=int, required=True)
     p.add_argument("--n-cap", type=int, default=100_000)
     p.set_defaults(func=_handle_prstats)
 
-    p = sub.add_parser("maxstreak", parents=[common], help="max streak of k^2*g over k <= k_max")
-    p.add_argument("--poly", required=True, help=_POLY_HELP)
+    p = sub.add_parser("maxstreak", parents=[common, gated, poly], help="max streak of k^2*g over k <= k_max")
     p.add_argument("--g-base", type=int, required=True)
     p.add_argument("--k-max", type=int, required=True)
     p.add_argument("--n-cap", type=int, default=200_000)
@@ -625,15 +587,16 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_handle_maxstreak)
 
     p = sub.add_parser("density", parents=[common], help="quality densities and named Euler products")
-    p.add_argument("--poly", help=_POLY_HELP)
     p.add_argument("--cutoff", type=int, default=0)
     p.add_argument("--no-accelerate", action="store_true")
-    p.add_argument("--simple", metavar="A,B", type=_int_pair, help="simplified quality of A*X^2+B")
-    p.add_argument("--lehmer-naive", action="store_true")
-    p.add_argument("--lehmer-corrected", action="store_true")
-    p.add_argument("--totient-constant", action="store_true")
-    p.add_argument("--q-product", metavar="P1,P2,...", help="prod (p-1)/phi(p-1)")
-    p.add_argument("--bateman-horn", metavar="POLY")
+    mode = p.add_mutually_exclusive_group()
+    mode.add_argument("--poly", help=_POLY_HELP)
+    mode.add_argument("--simple", metavar="A,B", type=_int_pair, help="simplified quality of A*X^2+B")
+    mode.add_argument("--lehmer-naive", action="store_true")
+    mode.add_argument("--lehmer-corrected", action="store_true")
+    mode.add_argument("--totient-constant", action="store_true")
+    mode.add_argument("--q-product", metavar="P1,P2,...", help="prod (p-1)/phi(p-1)")
+    mode.add_argument("--bateman-horn", metavar="POLY")
     p.set_defaults(func=_handle_density)
 
     p = sub.add_parser("hlconst", parents=[common], help="prime-density constant for a negative fundamental discriminant")
@@ -663,14 +626,13 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--a", type=int, help="shift for --mode jacobsthal")
     p.set_defaults(func=_handle_charsum)
 
-    p = sub.add_parser("tau", parents=[common], help="inert proportion of the primes f(n) in a quadratic field")
-    p.add_argument("--poly", required=True, help=_POLY_HELP)
+    p = sub.add_parser("tau", parents=[common, poly], help="inert proportion of the primes f(n) in a quadratic field")
     p.add_argument("--disc", type=int, help="fundamental discriminant")
     p.add_argument("--admissible", action="store_true", help="list discriminants with proportion exactly 1")
     p.add_argument("--bound", type=int, default=2000)
     p.set_defaults(func=_handle_tau)
 
-    p = sub.add_parser("search", parents=[common], help="checkpointed k-sweep for record streaks")
+    p = sub.add_parser("search", parents=[common, gated], help="checkpointed k-sweep for record streaks")
     p.add_argument("--d", type=int, required=True)
     p.add_argument("--d1", type=int, required=True)
     p.add_argument("--alpha", type=int, default=0)
@@ -699,38 +661,36 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--q-max", type=int, default=40)
     p.set_defaults(func=_handle_criteria)
 
-    p = sub.add_parser("verify", parents=[common], help="run a named reproduction preset")
+    p = sub.add_parser("verify", parents=[common, gated], help="run a named reproduction preset")
     p.add_argument("--preset", required=True)
     p.add_argument("--prefix", type=int, default=0, help="override the default prefix depth")
     p.add_argument("--n-cap", type=int, default=0)
-    p.add_argument("--quick", action="store_true", help="skip the slower count checks")
     p.set_defaults(func=_handle_verify)
 
     return top
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    """Run one command and emit its RunReport.  The report echoes every parsed
+    option as its inputs, so any report can be rerun from its JSON."""
+    args = _build_parser().parse_args(argv)
     start = time.perf_counter()
     try:
-        inputs, outputs, seed = args.func(args)
+        outputs = args.func(args)
     except (ValueError, RuntimeError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    elapsed = (time.perf_counter() - start) * 1000.0
+    drop = ("command", "func", "format")
     report = RunReport(
         command=args.command,
-        inputs={k: v for k, v in inputs.items() if v is not None},
+        inputs={k: v for k, v in vars(args).items() if k not in drop and v is not None},
         outputs=outputs,
-        elapsed_ms=elapsed,
+        elapsed_ms=(time.perf_counter() - start) * 1000.0,
         version=__version__,
-        seed=seed,
+        seed=args.seed if getattr(args, "simulate", False) else None,
     )
     _emit(report, args.format)
-    if args.command == "verify" and not outputs.get("ok", True):
-        return 1
-    return 0
+    return 0 if outputs.get("ok", True) else 1
 
 
 if __name__ == "__main__":

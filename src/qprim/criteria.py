@@ -16,7 +16,6 @@ from .arith import (
     is_prime,
     is_primitive_root,
     kronecker,
-    multiplicative_order,
     primes_up_to,
     squarefree_decomposition,
 )
@@ -79,7 +78,7 @@ def lehmer_index_coprimality(k: int, n_cap: int) -> bool:
         for b in (-163, -3, 6, 326):
             if (k * b) % p == 0:
                 continue
-            r = (p - 1) // multiplicative_order(k * k * b, p, stream.pm1_factorization(p))
+            r = stream.residual_index(k * k * b, p)
             if math.gcd(r, _PRIMORIAL_37) != 1:
                 return False
     return True

@@ -21,11 +21,11 @@ from itertools import compress
 from math import isqrt
 from typing import Iterator
 
+from . import arith
 from .arith import (
     Factorization,
     factor,
     is_prime,
-    multiplicative_order,
     primes_up_to,
     sqrt_mod,
     squarefree_decomposition,
@@ -255,7 +255,7 @@ class PrimeValueStream:
             yield n, p, ok
 
     def residual_index(self, g: int, p: int) -> int:
-        return (p - 1) // multiplicative_order(g, p, self.pm1_factorization(p))
+        return arith.residual_index(g, p, self.pm1_factorization(p))
 
 
 def streak(

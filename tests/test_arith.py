@@ -334,6 +334,7 @@ def test_primes_up_to_against_sympy(n):
         (CAP - 100, CAP + 100),
         (CAP + 1, PAST_CAP + 100),
         (PAST_CAP, PAST_CAP + 1000),
+        (3, 2_100_000),
     ],
 )
 def test_prime_chunks_and_iter_primes_against_sympy(start, stop):

@@ -275,3 +275,108 @@ def test_search_cli_reports_certified(capsys, tmp_path):
     )
     assert code == 1
     assert "n_cap=300 too small" in err
+
+
+# (preset, n, failing prime f(n), residual index (p-1)/ord_p(g)) where each
+# record streak ends
+RECORD_ENDS = [
+    ("example1", 646331, 432050978399143373, 521),
+    ("example2", 441957, 20224247350881408449, 659),
+    ("example2-g24", 343181, 2364119521193107649, 397),
+    ("example3", 868857, 656972232441600833, 1669),
+    ("example3-f1", 1504199, 3836199196047168449, 521),
+    ("example3-f2", 3216839, 1196918237285051573, 421),
+]
+
+
+@pytest.mark.parametrize("name, n, p, index", RECORD_ENDS)
+def test_record_failing_primes_pinned(name, n, p, index):
+    sympy = pytest.importorskip("sympy")
+    preset = preset_registry()[name]
+    assert preset.expected_failing_prime == p
+    assert preset.poly.eval(n) == p
+    assert n <= preset.long_run_n_cap
+    assert sympy.isprime(p)
+    assert (p - 1) // sympy.n_order(preset.g, p) == index
+    assert index > 1  # g is not a primitive root mod p: the streak ends here
+
+
+@pytest.mark.parametrize("n_cap, count", [(100, 16), (2374, 206)])
+def test_verify_streak_failure_exits_1_and_echoes_its_options(capsys, n_cap, count):
+    # at n_cap = 2374 the count is right but the walk stops one n short of
+    # the failing prime: a cut-off streak is not the record
+    code, out, _ = run_cli(capsys, "verify", "--preset", "lehmer", "--n-cap", str(n_cap), "--format", "json")
+    assert code == 1
+    doc = json.loads(out)
+    assert doc["outputs"]["checks"][0]["count"] == count
+    assert doc["outputs"]["ok"] is False
+    assert doc["inputs"]["n_cap"] == n_cap
+
+
+def test_inputs_echo_options_that_change_the_result(capsys):
+    code, out, _ = run_cli(
+        capsys, "maxstreak", "--poly", "10,0,7", "--g-base", "10", "--k-max", "3",
+        "--n-cap", "300", "--workers", "1", "--format", "json",
+    )
+    assert code == 0
+    inputs = json.loads(out)["inputs"]
+    assert (inputs["n_cap"], inputs["workers"]) == (300, 1)
+    code, out, _ = run_cli(
+        capsys, "mstat", "--p1", "0.9", "--s", "100", "--simulate", "--trials", "500",
+        "--seed", "42", "--format", "json",
+    )
+    assert code == 0
+    inputs = json.loads(out)["inputs"]
+    assert (inputs["trials"], inputs["seed"]) == (500, 42)
+    code, out, _ = run_cli(
+        capsys, "charsum", "--mode", "average", "--poly", "1,0,1", "--d", "15", "--format", "json"
+    )
+    assert json.loads(out)["inputs"]["d"] == 15
+
+
+def _argv_from_inputs(command, inputs):
+    argv = [command]
+    for key, value in inputs.items():
+        option = "--" + key.replace("_", "-")
+        if value is True:
+            argv.append(option)
+        elif value is not False:
+            text = ",".join(map(str, value)) if isinstance(value, list) else str(value)
+            argv.append(f"{option}={text}")
+    return argv
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["verify", "--preset", "lehmer", "--n-cap", "100"],
+        ["density", "--simple", "326,3"],
+        ["density", "--poly", "1,1,41", "--no-accelerate", "--cutoff", "2000"],
+        ["mstat", "--p1", "0.9", "--s", "100", "--simulate", "--trials", "200", "--seed", "7"],
+        ["pi", "--poly", "-1,2", "--x", "10"],
+        ["criteria", "--mode", "prop2", "--k", "2", "--n-cap", "50"],
+    ],
+)
+def test_report_reruns_from_its_inputs(capsys, argv):
+    code, out, _ = run_cli(capsys, *argv, "--format", "json")
+    doc = json.loads(out)
+    code2, out2, _ = run_cli(capsys, *_argv_from_inputs(doc["command"], doc["inputs"]), "--format", "json")
+    doc2 = json.loads(out2)
+    assert code2 == code
+    assert (doc2["inputs"], doc2["outputs"], doc2["seed"]) == (doc["inputs"], doc["outputs"], doc["seed"])
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["density", "--lehmer-naive", "--poly", "326,0,3"],
+        ["density", "--simple", "326,3", "--q-product", "3,5"],
+        ["lvalue", "--s", "1", "--disc", "-4", "--long-run"],
+        ["streak", "--poly", "326,0,3", "--g", "326", "--long-run"],
+        ["verify", "--preset", "euler41", "--quick"],
+    ],
+)
+def test_conflicting_or_ignored_options_are_usage_errors(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2

@@ -6,7 +6,7 @@ import random
 import numpy as np
 import pytest
 
-from qprim.arith import factor, iter_primes, kronecker, prime_chunks, primes_up_to
+from qprim.arith import factor, iter_primes, kronecker, primes_up_to
 from qprim.charsums import FundamentalDiscriminant, is_fundamental_discriminant
 from qprim.densities import (
     _kronecker_chunk,
@@ -516,11 +516,6 @@ def test_legendre_matches_kronecker_and_guards_int64():
         assert _legendre(a, P).tolist() == [kronecker(a, int(q)) for q in P], a
     with pytest.raises(ValueError, match="2\\^31"):
         _legendre(3, np.array([2**31 + 11], dtype=np.int64))
-
-
-def test_odd_prime_chunks_beyond_the_cache():
-    got = np.concatenate(list(prime_chunks(3, 2_100_000))).tolist()
-    assert got == list(iter_primes(3, 2_100_000))
 
 
 def test_ratio_rounds_once_like_python():
