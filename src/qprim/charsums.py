@@ -15,10 +15,10 @@ from .poly import (
     AnyPoly,
     Mod8Profile,
     QuadraticPoly,
-    as_polyz,
     in_conjecture_f_family,
     is_perfect_square,
     mod8_profile,
+    values_mod,
 )
 
 
@@ -114,17 +114,11 @@ def brute_char_average(f: AnyPoly, p: int) -> Fraction:
     """Enumeration form of the local average, valid for any degree:
     sum_r (f(r)/p) / #{r mod p : gcd(f(r), p) = 1}."""
     _require_odd_prime(p)
-    poly = as_polyz(f)
-    total = 0
-    units = 0
-    for r in range(p):
-        v = poly.eval_mod(r, p)
-        if v != 0:
-            units += 1
-            total += kronecker(v, p)
-    if units == 0:
+    values = values_mod(f, p)
+    units = values[values != 0].tolist()
+    if not units:
         raise ValueError(f"all values of f are divisible by {p}: average undefined")
-    return Fraction(total, units)
+    return Fraction(sum(kronecker(v, p) for v in units), len(units))
 
 
 def _require_odd_squarefree(d: int) -> Factorization:

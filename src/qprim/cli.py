@@ -93,7 +93,6 @@ class Preset:
     expected_failing_prime: int | None
     pi_checks: tuple[tuple[int, int], ...]
     default_prefix: int | None  # None: verify the full streak by default
-    n_cap: int
     long_run_n_cap: int
     note: str
 
@@ -113,7 +112,6 @@ def preset_registry() -> dict[str, Preset]:
             expected_failing_prime=1838843753,
             pi_checks=(),
             default_prefix=None,
-            n_cap=4_000,
             long_run_n_cap=4_000,
             note="base 326; streak ends at n=2375 with residual index 83",
         ),
@@ -125,7 +123,6 @@ def preset_registry() -> dict[str, Preset]:
             expected_failing_prime=7297,
             pi_checks=(),
             default_prefix=None,
-            n_cap=2_000,
             long_run_n_cap=2_000,
             note="decimal periods of 1/p for p = 10n^2+7",
         ),
@@ -137,7 +134,6 @@ def preset_registry() -> dict[str, Preset]:
             expected_failing_prime=None,
             pi_checks=((39, 40), (10**6, 261081)),
             default_prefix=None,
-            n_cap=39,
             long_run_n_cap=10**6,
             note="prime-producing quadratic; the published 1e6 count (261080) drops the n=0 term",
         ),
@@ -149,7 +145,6 @@ def preset_registry() -> dict[str, Preset]:
             expected_failing_prime=None,
             pi_checks=((39, 30), (10**6, 286129)),
             default_prefix=None,
-            n_cap=39,
             long_run_n_cap=10**6,
             note="denser prime producer than euler41 in the long run; published 1e6 count (286128) drops n=0",
         ),
@@ -161,7 +156,6 @@ def preset_registry() -> dict[str, Preset]:
             expected_failing_prime=432050978399143373,
             pi_checks=(),
             default_prefix=500,
-            n_cap=100_000,
             long_run_n_cap=800_000,
             note="positive-discriminant record family, quality ~0.999453",
         ),
@@ -173,7 +167,6 @@ def preset_registry() -> dict[str, Preset]:
             expected_failing_prime=20224247350881408449,
             pi_checks=(),
             default_prefix=300,
-            n_cap=100_000,
             long_run_n_cap=4_000_000,
             note="largest known streak for positive discriminant",
         ),
@@ -185,7 +178,6 @@ def preset_registry() -> dict[str, Preset]:
             expected_failing_prime=2364119521193107649,
             pi_checks=(),
             default_prefix=300,
-            n_cap=100_000,
             long_run_n_cap=4_000_000,
             note="record streak for a base below 100",
         ),
@@ -197,7 +189,6 @@ def preset_registry() -> dict[str, Preset]:
             expected_failing_prime=656972232441600833,
             pi_checks=(),
             default_prefix=300,
-            n_cap=100_000,
             long_run_n_cap=2_000_000,
             note="negative-discriminant family, unshifted",
         ),
@@ -209,7 +200,6 @@ def preset_registry() -> dict[str, Preset]:
             expected_failing_prime=3836199196047168449,
             pi_checks=(),
             default_prefix=300,
-            n_cap=100_000,
             long_run_n_cap=2_000_000,
             note="shifted variant of example3",
         ),
@@ -221,7 +211,6 @@ def preset_registry() -> dict[str, Preset]:
             expected_failing_prime=1196918237285051573,
             pi_checks=(),
             default_prefix=200,
-            n_cap=100_000,
             long_run_n_cap=5_000_000,
             note="largest known streak overall, quality ~0.999535",
         ),
@@ -487,11 +476,12 @@ def _handle_verify(args) -> dict:
     if args.preset not in registry:
         raise ValueError(f"unknown preset {args.preset!r}; known: {sorted(registry)}")
     preset = registry[args.preset]
+    if preset.g is None and args.n_cap:
+        raise ValueError(f"preset {preset.name!r} only counts primes; --n-cap applies to streak presets")
     checks: list[dict] = []
     if preset.g is not None:
         if args.long_run or preset.default_prefix is None:
-            n_cap = args.n_cap or (preset.long_run_n_cap if args.long_run else preset.n_cap)
-            res = streak(preset.poly, preset.g, n_cap)
+            res = streak(preset.poly, preset.g, args.n_cap or preset.long_run_n_cap)
             checks.append(
                 {
                     "check": "streak",
@@ -504,9 +494,9 @@ def _handle_verify(args) -> dict:
                 }
             )
         else:
-            prefix = args.prefix or preset.default_prefix
-            n_cap = args.n_cap or preset.n_cap
-            ok = verify_primitive_root_prefix(preset.poly, preset.g, prefix, n_cap)
+            prefix = preset.default_prefix
+            cap = {"n_cap": args.n_cap} if args.n_cap else {}  # else the walk's own cap
+            ok = verify_primitive_root_prefix(preset.poly, preset.g, prefix, **cap)
             checks.append(
                 {"check": "prefix", "prefix": prefix, "expected_count": preset.expected_count, "ok": ok}
             )
@@ -663,8 +653,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", parents=[common, gated], help="run a named reproduction preset")
     p.add_argument("--preset", required=True)
-    p.add_argument("--prefix", type=int, default=0, help="override the default prefix depth")
-    p.add_argument("--n-cap", type=int, default=0)
+    p.add_argument("--n-cap", type=int, default=0, help="walk a streak preset's primes to this n")
     p.set_defaults(func=_handle_verify)
 
     return top

@@ -38,9 +38,9 @@ from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
-from .arith import euler_phi, factor, is_prime, kronecker, prime_chunks
+from .arith import euler_phi, factor, is_prime, prime_chunks
 from .charsums import FundamentalDiscriminant
-from .poly import AnyPoly, PolyZ, as_polyz, count_residue_class, is_perfect_square
+from .poly import AnyPoly, PolyZ, as_polyz, is_perfect_square, roots_mod
 
 
 @dataclass(frozen=True)
@@ -313,26 +313,9 @@ def hardy_littlewood_constant(D: int, tol: float = 1e-8) -> DensityReport:
 
 
 def residue_counts_mod_prime(f: AnyPoly, q: int) -> tuple[int, int]:
-    """(#roots of f, #solutions of f = 1) mod the odd prime q, in closed form
-    for degree <= 2 (quadratic root counting via the Kronecker symbol of the
-    discriminant), by enumeration otherwise.  Agrees with count_roots_mod /
-    count_residue_class; that equality is property-tested."""
-    poly = as_polyz(f)
-    deg = poly.degree()
-    if deg > 2 or deg < 0:
-        return count_residue_class(poly, q, 0), count_residue_class(poly, q, 1)
-    coeffs = poly.coeffs + (0,) * (3 - len(poly.coeffs))
-    c, b, a = coeffs[0], coeffs[1], coeffs[2]
-
-    def count_target(t: int) -> int:
-        if a % q != 0:
-            disc = (b * b - 4 * a * (c - t)) % q
-            return 1 + kronecker(disc, q)
-        if b % q != 0:
-            return 1
-        return q if (c - t) % q == 0 else 0
-
-    return count_target(0), count_target(1)
+    """(#roots of f, #solutions of f = 1) mod the odd prime q, both from
+    poly.roots_mod: in closed form for degree <= 2, by enumeration otherwise."""
+    return len(roots_mod(f, q)), len(roots_mod(f, q, 1))
 
 
 def _residue_counts(poly: PolyZ, P: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -514,7 +497,7 @@ def bateman_horn_constant(
     content = math.gcd(*poly.coeffs)
     if content != 1:
         raise ValueError("polynomial must have content 1")
-    n_two = count_residue_class(poly, 2, 0)
+    n_two = len(roots_mod(poly, 2))
     if n_two == 2:
         raise ValueError("degenerate polynomial: every value divisible by 2")
     value = (1.0 - n_two / 2) / (1.0 - 1.0 / 2)
@@ -523,7 +506,7 @@ def bateman_horn_constant(
         if deg <= 2:
             n_roots, _ = _residue_counts(poly, P)
         else:
-            n_roots = np.array([count_residue_class(poly, p, 0) for p in P.tolist()])
+            n_roots = np.array([len(roots_mod(poly, p)) for p in P.tolist()])
         _require_no_fixed_divisor(P, n_roots)
         return P, (1.0 - n_roots / P) / (1.0 - 1.0 / P)
 

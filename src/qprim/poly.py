@@ -1,10 +1,12 @@
 """Integer polynomials and their local residue statistics.
 
 PolyZ is a general integer polynomial (constant term first); QuadraticPoly is
-the aX^2+bX+c workhorse with its discriminant cached.  Residue counting here
-is always by direct enumeration over a full period; callers that need speed
-at scale use the closed forms in `densities`, which are property-tested
-against these counts.
+the aX^2+bX+c workhorse with its discriminant cached.  Every question "for
+which s is f(s) = t (mod q)?" goes through roots_mod: closed form for degree
+<= 2 and odd prime q, else a scan of values_mod, the one numpy enumeration of
+f(0..m-1) mod m, which also backs the residue counts and the mod-8 profile.
+`densities` keeps a vectorised Legendre kernel for root counts over whole
+chunks of primes; it is property-tested against these.
 """
 
 from __future__ import annotations
@@ -15,6 +17,8 @@ from fractions import Fraction
 from typing import Union
 
 import numpy as np
+
+from .arith import sqrt_mod
 
 
 @dataclass(frozen=True)
@@ -145,19 +149,43 @@ def in_conjecture_f_family(f: AnyPoly) -> bool:
     return True
 
 
+def values_mod(f: AnyPoly, m: int) -> np.ndarray:
+    """f(0), f(1), ..., f(m-1) mod m as an int64 array, by Horner's rule.
+    Products stay below m^2, so m must be below 3e9."""
+    s = np.arange(m, dtype=np.int64)
+    acc = np.zeros(m, dtype=np.int64)
+    for c in reversed(as_polyz(f).coeffs):
+        acc = (acc * s + c % m) % m
+    return acc
+
+
+def roots_mod(f: AnyPoly, q: int, t: int = 0) -> tuple[int, ...]:
+    """The s mod the prime q with f(s) = t (mod q), ascending.  Closed form
+    for degree <= 2 and odd q: -c/b when f - t is linear mod q (every
+    residue or none when q also divides b), else Tonelli-Shanks on the
+    discriminant; a scan of values_mod for q = 2 and degree > 2."""
+    poly = as_polyz(f)
+    if q == 2 or poly.degree() > 2:
+        return tuple(np.flatnonzero(values_mod(poly, q) == t % q).tolist())
+    c, b, a = (poly.coeffs + (0, 0))[:3]
+    c -= t
+    if a % q == 0:
+        if b % q:
+            return (-c * pow(b, -1, q) % q,)
+        return tuple(range(q)) if c % q == 0 else ()
+    s = sqrt_mod(b * b - 4 * a * c, q)
+    if s is None:
+        return ()
+    inv2a = pow(2 * a, -1, q)
+    r1, r2 = sorted(((-b + s) * inv2a % q, (-b - s) * inv2a % q))
+    return (r1,) if r1 == r2 else (r1, r2)
+
+
 def count_residue_class(f: AnyPoly, m: int, t: int) -> int:
     """#{s mod m : f(s) = t (mod m)} by direct enumeration."""
     if m < 2:
         raise ValueError("modulus must be >= 2")
-    poly = as_polyz(f)
-    t %= m
-    if m <= 128:
-        return sum(1 for s in range(m) if poly.eval_mod(s, m) == t)
-    s = np.arange(m, dtype=np.int64)
-    acc = np.zeros(m, dtype=np.int64)
-    for c in reversed(poly.coeffs):
-        acc = (acc * s + c % m) % m
-    return int(np.count_nonzero(acc == t))
+    return int(np.count_nonzero(values_mod(f, m) == t % m))
 
 
 def count_roots_mod(f: AnyPoly, m: int) -> int:
@@ -179,23 +207,13 @@ class Mod8Profile:
 
 
 def mod8_profile(f: AnyPoly) -> Mod8Profile:
-    """alpha_j = #{s mod 8 : f(s) = j mod 8} / (4 * #{s mod 2 : f(s) odd})."""
-    poly = as_polyz(f)
-    odd2 = sum(1 for s in range(2) if poly.eval_mod(s, 2) == 1)
-    if odd2 == 0:
+    """alpha_j = #{s mod 8 : f(s) = j mod 8} / (4 * #{s mod 2 : f(s) odd});
+    the denominator is #{s mod 8 : f(s) odd}, as f(s) mod 2 has period 2."""
+    counts = np.bincount(values_mod(f, 8), minlength=8).tolist()
+    odd = sum(counts[1::2])
+    if odd == 0:
         raise ValueError("polynomial takes no odd values")
-    counts = {1: 0, 3: 0, 5: 0, 7: 0}
-    for s in range(8):
-        v = poly.eval_mod(s, 8)
-        if v % 2 == 1:
-            counts[v] += 1
-    den = 4 * odd2
-    return Mod8Profile(
-        alpha1=Fraction(counts[1], den),
-        alpha3=Fraction(counts[3], den),
-        alpha5=Fraction(counts[5], den),
-        alpha7=Fraction(counts[7], den),
-    )
+    return Mod8Profile(*(Fraction(n, odd) for n in counts[1::2]))
 
 
 def parse_poly(text: str) -> AnyPoly:

@@ -1,8 +1,8 @@
 """Primes represented by a polynomial, primitive-root streaks, and counts.
 
 The workhorse is PrimeValueStream: a lazily extended, deduplicated list of
-(n, f(n)) pairs with f(n) prime, backed by a block sieve (quadratic roots mod
-each sieve prime via Tonelli-Shanks, linear ones as -c/b).  A survivor f(n)
+(n, f(n)) pairs with f(n) prime, backed by a block sieve on the roots of f
+mod each sieve prime, from poly.roots_mod.  A survivor f(n)
 of the sieve has no prime factor up to the sieve limit, so it is prime
 outright when 2 <= f(n) <= limit^2; only larger survivors reach the
 deterministic Miller-Rabin test, and prime_count sieves linear and quadratic
@@ -27,11 +27,10 @@ from .arith import (
     factor,
     is_prime,
     primes_up_to,
-    sqrt_mod,
     squarefree_decomposition,
 )
 from .charsums import require_valid_base
-from .poly import AnyPoly, PolyZ, as_polyz
+from .poly import AnyPoly, PolyZ, as_polyz, roots_mod
 
 _BLOCK = 8192
 _COUNT_SIEVE_CAP = 1_000_000  # prime_count's largest sieve limit (memory bound)
@@ -103,28 +102,6 @@ def _default_sieve_limit(poly: PolyZ) -> int:
     return 30_000 if poly.degree() == 2 else 2_000
 
 
-def _quadratic_roots_mod(poly: PolyZ, q: int) -> tuple[int, ...]:
-    """Roots of a degree-<=2 polynomial mod prime q: closed form when f is
-    linear mod q (-c/b, or every residue or none when q | b) and for a
-    quadratic mod q > 64."""
-    coeffs = poly.coeffs + (0,) * (3 - len(poly.coeffs))
-    c, b, a = int(coeffs[0]), int(coeffs[1]), int(coeffs[2])
-    if a % q == 0:
-        if b % q:
-            return (-c * pow(b, -1, q) % q,)
-        return tuple(range(q)) if c % q == 0 else ()
-    if q <= 64:
-        return tuple(n for n in range(q) if poly.eval_mod(n, q) == 0)
-    disc = (b * b - 4 * a * c) % q
-    s = sqrt_mod(disc, q)
-    if s is None:
-        return ()
-    inv2a = pow(2 * a, -1, q)
-    r1 = (-b + s) * inv2a % q
-    r2 = (-b - s) * inv2a % q
-    return (r1,) if r1 == r2 else (r1, r2)
-
-
 class PrimeValueStream:
     """Ordered, deduplicated primes among f(0), f(1), ... with cached p-1
     factorizations and quadratic characters."""
@@ -151,19 +128,8 @@ class PrimeValueStream:
         if self._roots is not None:
             return
         self._direct_upto = _positive_tail_start(self.poly, self.sieve_limit)
-        roots = []
-        if self.poly.degree() <= 2:
-            for q in self._sieve_primes:
-                rs = _quadratic_roots_mod(self.poly, q)
-                if rs:
-                    roots.append((q, rs))
-        else:
-            # a q dividing every value stays: survivors must be free of it
-            for q in self._sieve_primes:
-                rs = tuple(n for n in range(q) if self.poly.eval_mod(n, q) == 0)
-                if rs:
-                    roots.append((q, rs))
-        self._roots = roots
+        # a q dividing every value stays: survivors must be free of it
+        self._roots = [(q, rs) for q in self._sieve_primes if (rs := roots_mod(self.poly, q))]
 
     def _block_primes(self, lo: int, size: int) -> Iterator[tuple[int, int]]:
         """Yield (n, f(n)) for the n in [lo, lo + size) with f(n) prime, ascending.

@@ -313,6 +313,21 @@ def test_verify_streak_failure_exits_1_and_echoes_its_options(capsys, n_cap, cou
     assert doc["inputs"]["n_cap"] == n_cap
 
 
+@pytest.mark.parametrize("preset", ["euler41", "beeger27941"])
+def test_verify_n_cap_on_a_count_preset_exits_1(capsys, preset):
+    code, out, err = run_cli(capsys, "verify", "--preset", preset, "--n-cap", "5")
+    assert code == 1
+    assert out == ""
+    assert preset in err and "--n-cap" in err
+
+
+def test_verify_has_no_prefix_option(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "--preset", "lehmer", "--prefix", "5"])
+    assert exc.value.code == 2
+    assert "--prefix" in capsys.readouterr().err
+
+
 def test_inputs_echo_options_that_change_the_result(capsys):
     code, out, _ = run_cli(
         capsys, "maxstreak", "--poly", "10,0,7", "--g-base", "10", "--k-max", "3",

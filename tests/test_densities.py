@@ -292,8 +292,8 @@ def test_residue_counts_closed_form_matches_enumeration():
         n_roots, n_ones = residue_counts_mod_prime(f, q)
         assert n_roots == count_roots_mod(f, q)
         assert n_ones == count_residue_class(f, q, 1)
-    # linear and constant degrees
-    for coeffs in ((5, 3), (1, 0, 0), (7,)):
+    # linear, constant, cubic and quartic degrees
+    for coeffs in ((5, 3), (1, 0, 0), (7,), (1, 1, 0, 1), (-5, 3, 0, 2), (1, 0, 0, 0, 1), (2, -7, 0, 3, 6)):
         f = PolyZ(coeffs)
         for q in (3, 5, 7):
             n_roots, n_ones = residue_counts_mod_prime(f, q)

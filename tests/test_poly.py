@@ -4,9 +4,10 @@ import math
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
-from qprim.arith import is_prime
+from qprim.arith import is_prime, primes_up_to
 from qprim.poly import (
     PolyZ,
     QuadraticPoly,
@@ -15,6 +16,8 @@ from qprim.poly import (
     in_conjecture_f_family,
     mod8_profile,
     parse_poly,
+    roots_mod,
+    values_mod,
 )
 
 L = QuadraticPoly(a=326, b=0, c=3)
@@ -98,6 +101,75 @@ def test_count_roots_crt():
         if math.gcd(m1, m2) != 1:
             continue
         assert count_roots_mod(f, m1 * m2) == count_roots_mod(f, m1) * count_roots_mod(f, m2)
+
+
+def _solver_polys():
+    """Degrees -1 to 4 with negative coefficients and coefficients above
+    2^63, among them example2 shifted to its failing prime (constant term
+    20224247350881408449)."""
+    rng = random.Random(29)
+    big = 2**63
+    polys = [
+        PolyZ((0,)),
+        PolyZ((5,)),
+        PolyZ((-3, 7)),
+        PolyZ((1, 0, 1)),
+        PolyZ((7, 3, 15)),
+        PolyZ((1, 1, 0, 1)),
+        PolyZ((1, 0, 0, 0, 1)),
+        PolyZ((-2, 0, -3, 0, 5)),
+        PolyZ((big + 1, -(big + 3), 3 * big + 5)),
+        PolyZ((-(big + 7), big - 1, 0, -(5 * big + 1))),
+        QuadraticPoly(14774336, 21513472074368, 7830405969748235009).shift(441957).as_poly(),
+    ]
+    for degree in range(5):
+        coeffs = [rng.randint(-10**12, 10**12) for _ in range(degree + 1)]
+        coeffs[-1] = coeffs[-1] or 1
+        polys.append(PolyZ(tuple(coeffs)))
+    return polys
+
+
+def test_roots_mod_against_enumeration():
+    rng = random.Random(31)
+    polys = _solver_polys()
+    assert sorted({f.degree() for f in polys}) == [-1, 0, 1, 2, 3, 4]
+    assert max(abs(c) for f in polys for c in f.coeffs) > 2**64
+    for q in primes_up_to(500):
+        u = [rng.randint(-999, 999) for _ in range(3)]
+        special = [
+            PolyZ((u[0], u[1], q * (u[2] or 1))),  # q | a: linear mod q
+            PolyZ((u[0], q * u[1], u[2] or 1)),  # q | b
+            PolyZ((1 + 3 * q, q, q)),  # q | a, b but not c: no root
+            PolyZ((q, -q, 2 * q)),  # q divides every value
+            PolyZ((u[0], 0, 0, q * u[1], 1)),
+        ]
+        for f in polys + special:
+            values = [f.eval_mod(s, q) for s in range(q)]
+            for t in (0, 1):
+                want = tuple(s for s in range(q) if values[s] == t % q)
+                got = roots_mod(f, q, t)
+                assert got == want, (f, q, t)
+                assert all(type(r) is int for r in got)
+
+
+def test_values_mod_against_eval_mod():
+    for m in (1, 2, 3, 4, 8, 9, 12, 15, 30, 97, 100, 210, 256, 1001):  # composite m too
+        for f in _solver_polys():
+            values = values_mod(f, m)
+            assert values.dtype == np.int64
+            assert values.tolist() == [f.eval_mod(s, m) for s in range(m)], (f, m)
+
+
+def test_mod8_profile_higher_degree_against_enumeration():
+    for f in _solver_polys():
+        values = [f.eval_mod(s, 8) for s in range(8)]
+        odd = [v for v in values if v % 2]
+        if not odd:
+            with pytest.raises(ValueError):
+                mod8_profile(f)
+            continue
+        want = tuple(Fraction(values.count(j), len(odd)) for j in (1, 3, 5, 7))
+        assert mod8_profile(f).as_tuple() == want, f
 
 
 def test_mod8_profiles():

@@ -5,10 +5,9 @@ from functools import cache
 import pytest
 
 from qprim.arith import factor, is_prime, is_primitive_root, primes_up_to
-from qprim.poly import PolyZ, QuadraticPoly
+from qprim.poly import PolyZ, QuadraticPoly, roots_mod as _quadratic_roots_mod
 from qprim.streaks import (
     PrimeValueStream,
-    _quadratic_roots_mod,
     empirical_max_streak,
     pr_stats,
     prime_count,
@@ -200,6 +199,9 @@ def sympy_count(f, x):
         # (X - 200)^2 + 3: small primes near the vertex are sieve kills, so
         # they must be tested directly although f(0) is above the sieve limit
         QuadraticPoly(1, -400, 40003),
+        # degree > 2: sieve roots from the values_mod enumeration
+        PolyZ((1, 1, 0, 1)),
+        PolyZ((1, 0, 0, 0, 1)),
     ],
 )
 def test_prime_count_sieve_exact_against_sympy(f):
