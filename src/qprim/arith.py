@@ -40,7 +40,7 @@ _MR_TIERS: tuple[tuple[int, tuple[int, ...]], ...] = (
     (2_152_302_898_747, (2, 3, 5, 7, 11)),
     (3_474_749_660_383, (2, 3, 5, 7, 11, 13)),
     (341_550_071_728_321, (2, 3, 5, 7, 11, 13, 17)),
-    (3_825_123_056_546_413_051, (2, 3, 5, 7, 11, 13, 17, 19, 23)),
+    (1 << 64, (2, 325, 9375, 28178, 450775, 9780504, 1795265022)),  # Sinclair 2011
     (318_665_857_834_031_151_167_461, (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)),
     (3_317_044_064_679_887_385_961_981, (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)),
 )

@@ -181,18 +181,6 @@ def roots_mod(f: AnyPoly, q: int, t: int = 0) -> tuple[int, ...]:
     return (r1,) if r1 == r2 else (r1, r2)
 
 
-def count_residue_class(f: AnyPoly, m: int, t: int) -> int:
-    """#{s mod m : f(s) = t (mod m)} by direct enumeration."""
-    if m < 2:
-        raise ValueError("modulus must be >= 2")
-    return int(np.count_nonzero(values_mod(f, m) == t % m))
-
-
-def count_roots_mod(f: AnyPoly, m: int) -> int:
-    """#{s mod m : f(s) = 0 (mod m)} by direct enumeration."""
-    return count_residue_class(f, m, 0)
-
-
 @dataclass(frozen=True)
 class Mod8Profile:
     """Distribution of the odd values of f over the classes 1,3,5,7 mod 8."""

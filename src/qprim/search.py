@@ -1,6 +1,7 @@
 """Record-search machinery: build candidate quadratics from a non-residue-rich
-number d and sweep k over k^2 * g_base with checkpointing and a deterministic parallel merge.  base_streaks is the one
-k-sweep engine; streaks.empirical_max_streak runs on it too.
+number d and sweep k over k^2 * g_base with checkpointing and a deterministic
+parallel merge.  base_streaks, the one k-sweep engine (streaks.empirical_max_streak
+runs on it too), walks the prime values of f once for all the live bases.
 """
 
 from __future__ import annotations
@@ -10,11 +11,16 @@ import hashlib
 import json
 import time
 from dataclasses import asdict, dataclass
+from math import isqrt
 from typing import Iterator
 
+from .arith import primes_up_to
 from .charsums import require_valid_base
 from .poly import AnyPoly, QuadraticPoly, is_perfect_square
-from .streaks import PrimeValueStream, streak
+
+# unused here: perfbench's resume check patches search.streak by name, so the
+# binding stays until that check patches PrimeValueStream instead
+from .streaks import PrimeValueStream, streak  # noqa: F401
 
 CHECKPOINT_SECONDS = 30.0  # longest wait for a checkpoint line while bases complete
 
@@ -91,13 +97,75 @@ def candidate_poly(cfg: SearchConfig) -> QuadraticPoly:
     return QuadraticPoly(a=a, b=b, c=c)
 
 
+def _power_plan(live: list[int], spf: dict[int, int], small: list[int]) -> list[tuple[int, int, int]]:
+    """(k, l, k // l), ascending, for each k that the powers k^e of the live k
+    are built from, l being the least prime factor of k (memoized in spf, by
+    trial division by `small`): k -> k^e is completely multiplicative, so k^e
+    is a pow for prime k (k // l = 1) and l^e * (k // l)^e otherwise."""
+    need: set[int] = set()
+    todo = set(live)
+    while todo:
+        need |= todo
+        for k in todo - spf.keys():
+            spf[k] = next((q for q in small if k % q == 0), k)
+        todo = {m for k in todo for m in (spf[k], k // spf[k])} - need - {1}
+    return [(k, spf[k], k // spf[k]) for k in sorted(need)]
+
+
 def _streaks_serial(
     f: AnyPoly, g_base: int, k_lo: int, k_hi: int, n_cap: int
 ) -> Iterator[tuple[int, int, int | None]]:
+    """The prime-major walk.  At each prime p of the stream not dividing
+    g_base, the live k with p | k skip p and the others are tested together:
+    (k^2 g_base / p) = (g_base / p) decides q = 2 for all of them, and for an
+    odd q | p-1 with e = (p-1)/q and t = g_base^e, (k^2 g_base)^e = 1 iff
+    k^e = z with z = t^((q-1)/2), the one element of the q-th roots of unity
+    with z^2 t = 1.  A k's count is the primes passed before it failed, less
+    those dividing it."""
+    if k_lo > k_hi:
+        return
+    small, spf = primes_up_to(isqrt(k_hi)), {}
+    live = list(range(k_lo, k_hi + 1))
+    plan, planned = _power_plan(live, spf, small), len(live)
+    power = {1: 1}  # k^e mod p for the k in plan, per (p, q)
+    passed, passed_small = 0, []  # primes so far not dividing g_base; those <= k_hi
+    done: dict[int, tuple[int, int | None]] = {}
+
+    def count(k: int) -> int:
+        return passed - sum(1 for p in passed_small if k % p == 0)
+
+    next_k = k_lo
     stream = PrimeValueStream(f)
-    for k in range(k_lo, k_hi + 1):
-        res = streak(f, k * k * g_base, n_cap, stream=stream)
-        yield k, res.count, res.failing_prime
+    for _, p in stream.entries_upto(n_cap):
+        r = g_base % p
+        if r == 0:
+            continue
+        tested = live if p > k_hi else [k for k in live if k % p]
+        failed = []
+        if p > 2 and pow(r, p >> 1, p) == 1:
+            failed = tested
+        elif p > 2:
+            for q in stream.pm1_factorization(p).prime_factors()[1:]:
+                e = (p - 1) // q
+                z = pow(pow(r, e, p), (q - 1) // 2, p)
+                for k, ell, m in plan:
+                    power[k] = pow(k, e, p) if m == 1 else power[ell] * power[m] % p
+                failed += [k for k in tested if power[k] == z]
+        if failed:
+            done |= {k: (count(k), p) for k in failed}
+            live = [k for k in live if k not in done]
+            if 2 * len(live) <= planned:  # till then, dead k in the plan cost less
+                plan, planned = _power_plan(live, spf, small), len(live)
+            while next_k in done:
+                yield (next_k, *done.pop(next_k))
+                next_k += 1
+            if not live:
+                return
+        passed += 1
+        if p <= k_hi:
+            passed_small.append(p)
+    for k in range(next_k, k_hi + 1):
+        yield (k, *done.pop(k, (count(k), None)))
 
 
 def _streaks_chunk(args: tuple) -> list[tuple[int, int, int | None]]:
@@ -110,8 +178,10 @@ def base_streaks(
     """Yield (k, count, failing_prime) for the bases k^2 * g_base, k = k_lo..k_hi,
     in ascending k whatever the worker count; failing_prime is None when the
     streak reached n_cap unfinished.  g_base must be a valid base (then so is
-    every k^2 * g_base).  Serially one prime stream serves every base; pooled,
-    each worker streams one contiguous k-chunk."""
+    every k^2 * g_base).  One walk of the prime stream, in prime order, serves
+    every base (pooled: each worker walks its own contiguous k-chunk); a k is
+    yielded once it and every smaller k have finished.  An empty range yields
+    nothing and builds no stream."""
     if workers <= 1 or k_hi - k_lo < 8:
         yield from _streaks_serial(f, g_base, k_lo, k_hi, n_cap)
         return

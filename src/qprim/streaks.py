@@ -2,16 +2,14 @@
 
 The workhorse is PrimeValueStream: a lazily extended, deduplicated list of
 (n, f(n)) pairs with f(n) prime, backed by a block sieve on the roots of f
-mod each sieve prime, from poly.roots_mod.  A survivor f(n)
-of the sieve has no prime factor up to the sieve limit, so it is prime
-outright when 2 <= f(n) <= limit^2; only larger survivors reach the
-deterministic Miller-Rabin test, and prime_count sieves linear and quadratic
-f far enough that none do.  The
-stream also caches, per prime p, the factorization of p-1 and the exponents
-(p-1)/q of its odd prime factors q, and, per squarefree part g1 of a base,
-whether g1 is a quadratic non-residue mod p.  A base g = s^2 * g1 with p not
-dividing g has (g/p) = (g1/p), so sweeping the bases k^2 * g_base over one
-polynomial pays the Euler-criterion test once per prime, not once per base.
+mod each sieve prime, from poly.roots_mod.  A survivor f(n) of the sieve has
+no prime factor up to the depth sieved, so it is prime outright when
+2 <= f(n) <= depth^2; only larger survivors reach the deterministic
+Miller-Rabin test.  The stream sieves only the n asked for, each block to
+depth max(2000, block end) within the sieve limit: a prime above the range
+scanned strikes at most deg f of its n, and its roots cost more than the
+tests they save.  prime_count sieves to the full limit.  The stream caches
+the factorization of p-1 per prime p.
 """
 
 from __future__ import annotations
@@ -22,17 +20,12 @@ from math import isqrt
 from typing import Iterator
 
 from . import arith
-from .arith import (
-    Factorization,
-    factor,
-    is_prime,
-    primes_up_to,
-    squarefree_decomposition,
-)
+from .arith import Factorization, factor, is_prime, primes_up_to
 from .charsums import require_valid_base
 from .poly import AnyPoly, PolyZ, as_polyz, roots_mod
 
 _BLOCK = 8192
+_MIN_DEPTH = 2_000  # a stream block is sieved to max(this, its end n)
 _COUNT_SIEVE_CAP = 1_000_000  # prime_count's largest sieve limit (memory bound)
 
 
@@ -104,7 +97,7 @@ def _default_sieve_limit(poly: PolyZ) -> int:
 
 class PrimeValueStream:
     """Ordered, deduplicated primes among f(0), f(1), ... with cached p-1
-    factorizations and quadratic characters."""
+    factorizations."""
 
     def __init__(self, f: AnyPoly, sieve_limit: int | None = None):
         poly = as_polyz(f)
@@ -115,29 +108,27 @@ class PrimeValueStream:
         self.poly = poly
         self.sieve_limit = sieve_limit
         self._sieve_primes = primes_up_to(sieve_limit)
-        self._roots: list[tuple[int, tuple[int, ...]]] | None = None
-        self._direct_upto = 0  # below this n, sieve kills are double-checked
+        self._roots: list[tuple[int, tuple[int, ...]]] = []
+        self._depth = 0  # _roots covers the sieve primes up to this
+        # below this n, sieve kills are double-checked
+        self._direct_upto = _positive_tail_start(poly, sieve_limit)
         self._entries: list[tuple[int, int]] = []  # (n, p), n ascending
         self._seen: set[int] = set()
         self._next_n = 0
         self._pm1: dict[int, Factorization] = {}
-        self._odd_exponents: dict[int, tuple[int, ...]] = {}  # p -> (p-1)/q, q odd
-        self._nonresidue: dict[int, dict[int, bool]] = {}  # g1 -> p -> (g1/p) == -1
 
-    def _build_roots(self) -> None:
-        if self._roots is not None:
-            return
-        self._direct_upto = _positive_tail_start(self.poly, self.sieve_limit)
+    def _block_primes(self, lo: int, size: int, depth: int) -> Iterator[tuple[int, int]]:
+        """Yield (n, f(n)) for the n in [lo, lo + size) with f(n) prime, ascending,
+        sieving by the primes up to the largest depth asked for so far, within
+        sieve_limit; the roots table grows to it.  A survivor f(n) >= 2 has no
+        prime factor up to that depth, so it is prime if f(n) <= depth^2; only
+        larger ones reach Miller-Rabin.  Below _direct_upto a sieve kill may be
+        f(n) equal to a sieve prime, so those n are tested directly."""
+        depth = min(depth, self.sieve_limit)
+        new = [q for q in self._sieve_primes if self._depth < q <= depth]
         # a q dividing every value stays: survivors must be free of it
-        self._roots = [(q, rs) for q in self._sieve_primes if (rs := roots_mod(self.poly, q))]
-
-    def _block_primes(self, lo: int, size: int) -> Iterator[tuple[int, int]]:
-        """Yield (n, f(n)) for the n in [lo, lo + size) with f(n) prime, ascending.
-        A survivor f(n) >= 2 has no prime factor up to sieve_limit, so it is
-        prime if f(n) <= sieve_limit^2; only larger ones reach Miller-Rabin.
-        Below _direct_upto a sieve kill may be f(n) equal to a sieve prime,
-        so those n are tested directly."""
-        self._build_roots()
+        self._roots += [(q, rs) for q in new if (rs := roots_mod(self.poly, q))]
+        self._depth = max(self._depth, depth)
         alive = bytearray([1]) * size
         for q, rs in self._roots:
             for r in rs:
@@ -145,7 +136,7 @@ class PrimeValueStream:
                 if start < size:
                     alive[start::q] = bytearray(len(range(start, size, q)))
         poly = self.poly
-        limit = self.sieve_limit
+        limit = self._depth
         exact = limit * limit
         split = min(max(self._direct_upto - lo, 0), size)
         for i in range(split):
@@ -162,19 +153,21 @@ class PrimeValueStream:
             if v >= 2 and (v <= exact or is_prime(v)):
                 yield n, v
 
-    def _extend_block(self) -> None:
-        for n, v in self._block_primes(self._next_n, _BLOCK):
+    def _extend_block(self, n_cap: int) -> None:
+        lo = self._next_n
+        hi = min(lo + _BLOCK, n_cap + 1)
+        for n, v in self._block_primes(lo, hi - lo, max(_MIN_DEPTH, hi)):
             if v not in self._seen:
                 self._seen.add(v)
                 self._entries.append((n, v))
-        self._next_n += _BLOCK
+        self._next_n = hi
 
     def entries_upto(self, n_cap: int) -> Iterator[tuple[int, int]]:
         """Yield (n, p) pairs with n <= n_cap in ascending n."""
         i = 0
         while True:
             while i >= len(self._entries) and self._next_n <= n_cap:
-                self._extend_block()
+                self._extend_block(n_cap)
             if i >= len(self._entries):
                 return
             n, p = self._entries[i]
@@ -192,33 +185,12 @@ class PrimeValueStream:
 
     def primitive_root_walk(self, g: int, n_cap: int) -> Iterator[tuple[int, int, bool | None]]:
         """Yield (n, p, verdict) for the entries with n <= n_cap: verdict is
-        None when p divides g, else whether g is a primitive root mod p.
-
-        The q = 2 test is Euler's criterion on the squarefree part g1 of g,
-        cached per (g1, p); the odd q test g^((p-1)/q) != 1 with cached
-        exponents.  Agrees with arith.is_primitive_root."""
-        _, g1 = squarefree_decomposition(g)
-        nonresidue = self._nonresidue.setdefault(g1, {})
-        odd_exponents = self._odd_exponents
+        None when p divides g, else whether g is a primitive root mod p."""
         for n, p in self.entries_upto(n_cap):
-            r = g % p
-            if r == 0:
+            if g % p == 0:
                 yield n, p, None
-                continue
-            ok = nonresidue.get(p)
-            if ok is None:
-                ok = nonresidue[p] = p == 2 or pow(g1 % p, p >> 1, p) == p - 1
-            if ok:
-                exps = odd_exponents.get(p)
-                if exps is None:
-                    exps = odd_exponents[p] = tuple(
-                        (p - 1) // q for q in self.pm1_factorization(p).prime_factors() if q != 2
-                    )
-                for e in exps:
-                    if pow(r, e, p) == 1:
-                        ok = False
-                        break
-            yield n, p, ok
+            else:
+                yield n, p, arith.is_primitive_root(g, p, self.pm1_factorization(p))
 
     def residual_index(self, g: int, p: int) -> int:
         return arith.residual_index(g, p, self.pm1_factorization(p))
@@ -311,7 +283,7 @@ def prime_count(f: AnyPoly, x: int) -> int:
     return sum(
         1
         for lo in range(0, x + 1, block)
-        for _ in stream._block_primes(lo, min(block, x + 1 - lo))
+        for _ in stream._block_primes(lo, min(block, x + 1 - lo), limit)
     )
 
 

@@ -63,6 +63,40 @@ def test_is_prime_rejects_out_of_range():
         is_prime(n)
 
 
+def test_witness_tiers_ascend_to_seven_bases_below_2_64():
+    bounds = [bound for bound, _ in arith._MR_TIERS]
+    assert bounds == sorted(set(bounds))
+    tier = next(w for bound, w in arith._MR_TIERS if 341_550_071_728_321 < bound)
+    assert tier == (2, 325, 9375, 28178, 450775, 9780504, 1795265022)
+    assert next(bound for bound, _ in arith._MR_TIERS if 341_550_071_728_321 < bound) == 2**64
+
+
+def test_seven_witnesses_below_2_64_against_sympy():
+    sympy = pytest.importorskip("sympy")
+    lo, hi = 341_550_071_728_321, 2**64
+    rng = random.Random(64)
+    sample = [rng.randrange(lo, hi) | 1 for _ in range(3000)]
+    sample += [
+        18446744073709551557,  # the largest prime below 2^64
+        3825123056546413051,  # a strong pseudoprime to the bases 2..23
+    ]
+    # products of two ~32-bit primes
+    for _ in range(300):
+        sample.append(sympy.nextprime(rng.randrange(2**31, 2**32)) * sympy.nextprime(rng.randrange(2**31, 2**32)))
+    # Chernick numbers (6k+1)(12k+1)(18k+1): Carmichael when all three are prime
+    chernick = []
+    for k in range(64_000, 240_000):
+        n = (6 * k + 1) * (12 * k + 1) * (18 * k + 1)
+        if lo <= n < hi and is_prime(6 * k + 1) and is_prime(12 * k + 1) and is_prime(18 * k + 1):
+            chernick.append(n)
+    assert len(chernick) > 20
+    sample += chernick
+    assert all(lo <= n < hi for n in sample)
+    for n in sample:
+        assert is_prime(n) == sympy.isprime(n), n
+    assert not any(is_prime(n) for n in chernick)
+
+
 def test_kronecker_euler_criterion():
     # (a/p) = a^((p-1)/2) mod p for all odd primes p <= 1000 and 0 <= a < p
     for p in ODD_PRIMES_1000:

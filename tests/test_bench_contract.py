@@ -52,3 +52,12 @@ def test_every_workload_builds(perfbench, tmp_path):
     assert workloads.WORKLOADS
     for name, cls in workloads.WORKLOADS.items():
         assert cls(1, tmp_path).name == name
+
+
+def test_module_names_perfbench_reads_exist():
+    # BaseSweep.resume_check patches search.streak; make_reference and the
+    # workloads read the discriminants and the preset registry from cli
+    from qprim import cli, search
+
+    for module, name in ((search, "streak"), (cli, "_D_A"), (cli, "_D_B"), (cli, "preset_registry")):
+        assert hasattr(module, name), f"{module.__name__}.{name}"

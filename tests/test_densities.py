@@ -28,7 +28,7 @@ from qprim.densities import (
     totient_ratio_constant,
     totient_ratio_product,
 )
-from qprim.poly import PolyZ, QuadraticPoly, count_residue_class, count_roots_mod, in_conjecture_f_family
+from qprim.poly import PolyZ, QuadraticPoly, in_conjecture_f_family
 from qprim.search import SearchConfig, candidate_poly
 
 ARTIN = 0.3739558136192022880547280543464164151116292083214186298
@@ -49,6 +49,15 @@ EXAMPLE3_F2 = candidate_poly(
 
 def odd_primes(limit):
     return [q for q in primes_up_to(limit) if q > 2]
+
+
+def count_residue_class(f, m, t):
+    """#{s mod m : f(s) = t (mod m)}, one PolyZ.eval_mod at a time."""
+    return sum(1 for s in range(m) if f.eval_mod(s, m) == t % m)
+
+
+def count_roots_mod(f, m):
+    return count_residue_class(f, m, 0)
 
 
 def hl_constant_direct(D, cutoff=100_000):

@@ -11,8 +11,6 @@ from qprim.arith import is_prime, primes_up_to
 from qprim.poly import (
     PolyZ,
     QuadraticPoly,
-    count_residue_class,
-    count_roots_mod,
     in_conjecture_f_family,
     mod8_profile,
     parse_poly,
@@ -21,6 +19,15 @@ from qprim.poly import (
 )
 
 L = QuadraticPoly(a=326, b=0, c=3)
+
+
+def count_residue_class(f, m, t):
+    """#{s mod m : f(s) = t (mod m)} from the values_mod enumeration."""
+    return int(np.count_nonzero(values_mod(f, m) == t % m))
+
+
+def count_roots_mod(f, m):
+    return count_residue_class(f, m, 0)
 
 
 def test_eval():

@@ -256,3 +256,75 @@ def test_sweep_fresh_over_torn_file(tmp_path):
     sweep(LEHMER_CFG, checkpoint_path=str(path), resume=False)
     lines = path.read_text().splitlines()
     assert len(lines) == 1 and json.loads(lines[0])["config_hash"] == config_hash(LEHMER_CFG)
+
+
+def test_resumed_finished_sweep_builds_no_stream(tmp_path, monkeypatch):
+    from qprim import search
+
+    cfg = SearchConfig(d=163, d1=163, alpha=1, g_base=326, k_lo=1, k_hi=20, n_cap=3000)
+    path = str(tmp_path / "ck.jsonl")
+    first = sweep(cfg, checkpoint_path=path)
+
+    def no_stream(*args, **kwargs):
+        raise AssertionError("resuming a finished sweep built a prime stream")
+
+    monkeypatch.setattr(search, "PrimeValueStream", no_stream)
+    again = sweep(cfg, checkpoint_path=path)
+    assert (again.k, again.c, again.failing_prime, again.certified) == (
+        first.k, first.c, first.failing_prime, first.certified
+    )
+    assert list(search.base_streaks(candidate_poly(cfg), 326, 21, 20, 3000)) == []
+
+
+def per_base_streaks(f, g_base, k_lo, k_hi, n_cap):
+    """(k, count, failing_prime) from streaks.streak, one base at a time."""
+    from qprim.streaks import PrimeValueStream
+
+    stream = PrimeValueStream(f)
+    out = []
+    for k in range(k_lo, k_hi + 1):
+        res = streak(f, k * k * g_base, n_cap, stream=stream)
+        out.append((k, res.count, res.failing_prime))
+    return out
+
+
+LEHMER = QuadraticPoly(326, 0, 3)
+
+
+@pytest.mark.parametrize(
+    "f, g_base, k_lo, k_hi, n_cap",
+    [
+        (LEHMER, 326, 1, 300, 4000),
+        (LEHMER, 326, 57, 140, 4000),  # a range that does not start at 1
+        (LEHMER, 9 * 326, 1, 60, 3000),  # a square factor; f(0) = 3 divides it
+        # small prime values 41, 43, 47, ... divide some k
+        (QuadraticPoly(1, 1, 41), -163, 1, 200, 2000),
+        # 3 is a square mod 37 = 6^2 + 1: the q = 2 test fails there
+        (QuadraticPoly(1, 0, 1), 3, 1, 100, 2000),
+        (LEHMER, 326, 1, 200, 30),  # most streaks unfinished at n_cap
+    ],
+)
+def test_base_streaks_equals_per_base_streak(f, g_base, k_lo, k_hi, n_cap):
+    from qprim.search import base_streaks
+
+    got = list(base_streaks(f, g_base, k_lo, k_hi, n_cap))
+    assert got == per_base_streaks(f, g_base, k_lo, k_hi, n_cap)
+
+
+def test_base_streaks_covers_skips_q2_failures_and_unfinished():
+    # the cases above exercise what they claim
+    from qprim.search import base_streaks
+
+    divides_k = [(k, p) for k, _, p in base_streaks(QuadraticPoly(1, 1, 41), -163, 1, 200, 2000) if p and k % 41 == 0]
+    assert divides_k  # some k divisible by 41 = f(0) outlived it
+    q2 = [p for _, _, p in base_streaks(QuadraticPoly(1, 0, 1), 3, 1, 100, 2000) if p]
+    assert any(pow(3, (p - 1) // 2, p) == 1 for p in q2)
+    unfinished = [k for k, _, p in base_streaks(LEHMER, 326, 1, 200, 30) if p is None]
+    assert 0 < len(unfinished) < 200
+
+
+def test_base_streaks_pooled_equals_serial():
+    from qprim.search import base_streaks
+
+    serial = list(base_streaks(LEHMER, 326, 3, 90, 3000, workers=1))
+    assert list(base_streaks(LEHMER, 326, 3, 90, 3000, workers=2)) == serial

@@ -270,3 +270,47 @@ def test_streak_matches_reference_loop():
     for k in range(1, 51):
         res = streak(L, k * k * 326, 3000, stream=stream)
         assert (res.count, res.failing_prime) == reference_streak(entries[L], k * k * 326), k
+
+
+def test_entries_upto_tests_no_value_past_n_cap(monkeypatch):
+    from qprim import streaks
+
+    tested = []
+    real = streaks.is_prime
+    monkeypatch.setattr(streaks, "is_prime", lambda v: tested.append(v) or real(v))
+    n_cap = 5000  # inside the first block
+    entries = list(PrimeValueStream(L).entries_upto(n_cap))
+    assert entries[-1][0] <= n_cap
+    assert tested  # survivors above depth^2 reach Miller-Rabin
+    assert max(tested) <= L.eval(n_cap)  # L increases on n >= 0
+
+
+@pytest.mark.parametrize("f", [L, QuadraticPoly(1, -400, 40003)])  # the second repeats values
+def test_extended_stream_equals_fresh_stream(f):
+    n_cap = 3000
+    stream = PrimeValueStream(f)
+    first = list(stream.entries_upto(n_cap))
+    extended = list(stream.entries_upto(3 * n_cap))
+    fresh = list(PrimeValueStream(f).entries_upto(3 * n_cap))
+    assert extended == fresh
+    assert first == [(n, p) for n, p in fresh if n <= n_cap]
+
+
+@pytest.mark.parametrize(
+    "name",
+    ["lehmer", "griffin", "example1", "example2", "example2-g24", "example3", "example3-f1", "example3-f2"],
+)
+def test_preset_entries_match_sympy_enumeration(name):
+    # to n = 12000: past the 8192-n block boundary, and sieved to the ramped
+    # depth max(2000, block end) below the 30000 sieve limit
+    sympy = pytest.importorskip("sympy")
+    from qprim.cli import preset_registry
+
+    f = preset_registry()[name].poly
+    want, seen = [], set()
+    for n in range(12_001):
+        v = f.eval(n)
+        if v not in seen and sympy.isprime(v):
+            seen.add(v)
+            want.append((n, v))
+    assert list(PrimeValueStream(f).entries_upto(12_000)) == want
