@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cache, reduce
+from functools import cache
 from typing import Iterator
 
 import numpy as np
@@ -169,9 +169,6 @@ class Factorization:
 
     def prime_factors(self) -> tuple[int, ...]:
         return tuple(p for p, _ in self.factors)
-
-    def expand(self) -> int:
-        return reduce(lambda acc, pe: acc * pe[0] ** pe[1], self.factors, 1)
 
     def is_squarefree(self) -> bool:
         return all(e == 1 for _, e in self.factors)

@@ -373,11 +373,16 @@ def _handle_mstat(args) -> dict:
         "asymptotic_estimate": asymptotic_max_estimate(args.p1, args.s),
     }
     if args.simulate:
-        mean, stderr = simulate_max_streak(args.p1, args.s, args.trials, args.seed)
+        trials = 2000 if args.trials is None else args.trials
+        mean, stderr = simulate_max_streak(args.p1, args.s, trials, _simulation_seed(args))
         out["simulated_mean"] = mean
         out["simulated_stderr"] = stderr
-        out["trials"] = args.trials
+        out["trials"] = trials
     return out
+
+
+def _simulation_seed(args) -> int:
+    return 20260810 if args.seed is None else args.seed
 
 
 def _handle_charsum(args) -> dict:
@@ -577,8 +582,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_handle_maxstreak)
 
     p = sub.add_parser("density", parents=[common], help="quality densities and named Euler products")
-    p.add_argument("--cutoff", type=int, default=0)
-    p.add_argument("--no-accelerate", action="store_true")
+    p.add_argument("--cutoff", type=int, help="read by --poly, --totient-constant and --bateman-horn")
+    p.add_argument("--no-accelerate", action="store_true", default=None, help="read by --poly")
     mode = p.add_mutually_exclusive_group()
     mode.add_argument("--poly", help=_POLY_HELP)
     mode.add_argument("--simple", metavar="A,B", type=_int_pair, help="simplified quality of A*X^2+B")
@@ -604,8 +609,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--p1", type=float, required=True)
     p.add_argument("--s", type=int, required=True)
     p.add_argument("--simulate", action="store_true")
-    p.add_argument("--trials", type=int, default=2000)
-    p.add_argument("--seed", type=int, default=20260810)
+    p.add_argument("--trials", type=int, help="read by --simulate (default 2000)")
+    p.add_argument("--seed", type=int, help="read by --simulate (default 20260810)")
     p.set_defaults(func=_handle_mstat)
 
     p = sub.add_parser("charsum", parents=[common], help="complete character sums and averages (exact rationals)")
@@ -659,10 +664,28 @@ def _build_parser() -> argparse.ArgumentParser:
     return top
 
 
+# (command, option, the modes that read it): any other mode refuses the option
+_MODE_OPTIONS = (
+    ("density", "cutoff", ("poly", "totient_constant", "bateman_horn")),
+    ("density", "no_accelerate", ("poly",)),
+    ("mstat", "trials", ("simulate",)),
+    ("mstat", "seed", ("simulate",)),
+)
+
+
+def _flag(dest: str) -> str:
+    return "--" + dest.replace("_", "-")
+
+
 def main(argv: list[str] | None = None) -> int:
     """Run one command and emit its RunReport.  The report echoes every parsed
     option as its inputs, so any report can be rerun from its JSON."""
-    args = _build_parser().parse_args(argv)
+    parser = _build_parser()
+    args = parser.parse_args(argv)
+    for command, option, modes in _MODE_OPTIONS:
+        given = args.command == command and getattr(args, option) is not None
+        if given and not any(getattr(args, m) for m in modes):
+            parser.error(f"{command} {_flag(option)} applies only with {', '.join(map(_flag, modes))}")
     start = time.perf_counter()
     try:
         outputs = args.func(args)
@@ -676,7 +699,7 @@ def main(argv: list[str] | None = None) -> int:
         outputs=outputs,
         elapsed_ms=(time.perf_counter() - start) * 1000.0,
         version=__version__,
-        seed=args.seed if getattr(args, "simulate", False) else None,
+        seed=_simulation_seed(args) if getattr(args, "simulate", False) else None,
     )
     _emit(report, args.format)
     return 0 if outputs.get("ok", True) else 1

@@ -17,6 +17,7 @@ from .arith import (
     is_primitive_root,
     kronecker,
     primes_up_to,
+    residual_index,
     squarefree_decomposition,
 )
 from .charsums import require_valid_base
@@ -75,10 +76,11 @@ def lehmer_index_coprimality(k: int, n_cap: int) -> bool:
         raise ValueError("k must be nonzero")
     stream = PrimeValueStream(QuadraticPoly(a=326, b=0, c=3))
     for _, p in stream.entries_upto(n_cap):
+        pm1 = stream.pm1_factorization(p)
         for b in (-163, -3, 6, 326):
             if (k * b) % p == 0:
                 continue
-            r = stream.residual_index(k * k * b, p)
+            r = residual_index(k * k * b, p, pm1)
             if math.gcd(r, _PRIMORIAL_37) != 1:
                 return False
     return True

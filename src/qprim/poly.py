@@ -49,12 +49,6 @@ class PolyZ:
 
     __call__ = eval
 
-    def eval_mod(self, n: int, m: int) -> int:
-        acc = 0
-        for c in reversed(self.coeffs):
-            acc = (acc * n + c) % m
-        return acc
-
     def shift(self, t: int) -> "PolyZ":
         """Coefficients of f(X + t) (Taylor shift by synthetic division)."""
         work = list(self.coeffs)

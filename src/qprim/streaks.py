@@ -1,15 +1,16 @@
 """Primes represented by a polynomial, primitive-root streaks, and counts.
 
-The workhorse is PrimeValueStream: a lazily extended, deduplicated list of
-(n, f(n)) pairs with f(n) prime, backed by a block sieve on the roots of f
-mod each sieve prime, from poly.roots_mod.  A survivor f(n) of the sieve has
-no prime factor up to the depth sieved, so it is prime outright when
-2 <= f(n) <= depth^2; only larger survivors reach the deterministic
+The workhorse is PrimeValueStream: a forward pass over blocks of n that
+yields the distinct primes f(n) in ascending n, from a block sieve on the
+roots of f mod each sieve prime, from poly.roots_mod.  A survivor f(n) of the
+sieve has no prime factor up to the depth sieved, so it is prime outright
+when 2 <= f(n) <= depth^2; only larger survivors reach the deterministic
 Miller-Rabin test.  The stream sieves only the n asked for, each block to
 depth max(2000, block end) within the sieve limit: a prime above the range
 scanned strikes at most deg f of its n, and its roots cost more than the
-tests they save.  prime_count sieves to the full limit.  The stream caches
-the factorization of p-1 per prime p.
+tests they save.  prime_count sieves to the full limit.  The stream keeps
+only its sieve roots between walks; streak, verify_primitive_root_prefix and
+pr_stats read the residual index of g at each prime from one walk.
 """
 
 from __future__ import annotations
@@ -96,8 +97,8 @@ def _default_sieve_limit(poly: PolyZ) -> int:
 
 
 class PrimeValueStream:
-    """Ordered, deduplicated primes among f(0), f(1), ... with cached p-1
-    factorizations."""
+    """Ordered, deduplicated primes among f(0), f(1), ...; the roots table
+    is all it keeps between walks."""
 
     def __init__(self, f: AnyPoly, sieve_limit: int | None = None):
         poly = as_polyz(f)
@@ -112,10 +113,6 @@ class PrimeValueStream:
         self._depth = 0  # _roots covers the sieve primes up to this
         # below this n, sieve kills are double-checked
         self._direct_upto = _positive_tail_start(poly, sieve_limit)
-        self._entries: list[tuple[int, int]] = []  # (n, p), n ascending
-        self._seen: set[int] = set()
-        self._next_n = 0
-        self._pm1: dict[int, Factorization] = {}
 
     def _block_primes(self, lo: int, size: int, depth: int) -> Iterator[tuple[int, int]]:
         """Yield (n, f(n)) for the n in [lo, lo + size) with f(n) prime, ascending,
@@ -153,47 +150,38 @@ class PrimeValueStream:
             if v >= 2 and (v <= exact or is_prime(v)):
                 yield n, v
 
-    def _extend_block(self, n_cap: int) -> None:
-        lo = self._next_n
-        hi = min(lo + _BLOCK, n_cap + 1)
-        for n, v in self._block_primes(lo, hi - lo, max(_MIN_DEPTH, hi)):
-            if v not in self._seen:
-                self._seen.add(v)
-                self._entries.append((n, v))
-        self._next_n = hi
-
     def entries_upto(self, n_cap: int) -> Iterator[tuple[int, int]]:
-        """Yield (n, p) pairs with n <= n_cap in ascending n."""
-        i = 0
-        while True:
-            while i >= len(self._entries) and self._next_n <= n_cap:
-                self._extend_block(n_cap)
-            if i >= len(self._entries):
-                return
-            n, p = self._entries[i]
-            if n > n_cap:
-                return
-            yield n, p
-            i += 1
+        """Yield (n, p) pairs with n <= n_cap in ascending n, sieving blocks of
+        n from 0.  f strictly increases from _direct_upto on, so only values
+        first met below it can recur; they are all this call remembers."""
+        head: set[int] = set()
+        for lo in range(0, n_cap + 1, _BLOCK):
+            hi = min(lo + _BLOCK, n_cap + 1)
+            for n, v in self._block_primes(lo, hi - lo, max(_MIN_DEPTH, hi)):
+                if v not in head:
+                    if n < self._direct_upto:
+                        head.add(v)
+                    yield n, v
 
     def pm1_factorization(self, p: int) -> Factorization:
-        fact = self._pm1.get(p)
-        if fact is None:
-            fact = factor(p - 1)
-            self._pm1[p] = fact
-        return fact
+        return factor(p - 1)
 
-    def primitive_root_walk(self, g: int, n_cap: int) -> Iterator[tuple[int, int, bool | None]]:
-        """Yield (n, p, verdict) for the entries with n <= n_cap: verdict is
-        None when p divides g, else whether g is a primitive root mod p."""
-        for n, p in self.entries_upto(n_cap):
-            if g % p == 0:
-                yield n, p, None
-            else:
-                yield n, p, arith.is_primitive_root(g, p, self.pm1_factorization(p))
 
-    def residual_index(self, g: int, p: int) -> int:
-        return arith.residual_index(g, p, self.pm1_factorization(p))
+def _residual_indices(
+    f: AnyPoly, g: int, n_cap: int, stream: PrimeValueStream | None = None
+) -> Iterator[tuple[int, int, int | None]]:
+    """Yield (n, p, index) over the distinct primes p = f(n), n <= n_cap, in
+    order: index is (p-1)/ord_p(g), 1 exactly when g is a primitive root mod
+    p, or None when p divides g.  Arguments are checked before the walk."""
+    require_valid_base(g)
+    if n_cap < 0:
+        raise ValueError("n_cap must be >= 0")
+    if stream is None:
+        stream = PrimeValueStream(f)
+    return (
+        (n, p, None if g % p == 0 else arith.residual_index(g, p, stream.pm1_factorization(p)))
+        for n, p in stream.entries_upto(n_cap)
+    )
 
 
 def streak(
@@ -201,26 +189,21 @@ def streak(
 ) -> StreakResult:
     """Walk the distinct primes f(n), n = 0..n_cap in order, skipping primes
     dividing g, and count how many consecutive ones have g as a primitive
-    root before the first failure."""
-    require_valid_base(g)
-    if n_cap < 0:
-        raise ValueError("n_cap must be >= 0")
-    if stream is None:
-        stream = PrimeValueStream(f)
+    root before the first failure.  A stream passed in lends its sieve roots."""
     count = 0
     primes_seen = 0
-    for n, p, ok in stream.primitive_root_walk(g, n_cap):
+    for n, p, index in _residual_indices(f, g, n_cap, stream):
         primes_seen += 1
-        if ok:
+        if index == 1:
             count += 1
-        elif ok is False:
+        elif index is not None:
             return StreakResult(
                 poly=f,
                 g=g,
                 count=count,
                 n_at_failure=n,
                 failing_prime=p,
-                residual_index_at_failure=stream.residual_index(g, p),
+                residual_index_at_failure=index,
                 n_scanned=n + 1,
                 primes_seen=primes_seen,
             )
@@ -236,26 +219,18 @@ def streak(
     )
 
 
-def verify_primitive_root_prefix(
-    f: AnyPoly,
-    g: int,
-    prefix: int,
-    n_cap: int = 10_000_000,
-    stream: PrimeValueStream | None = None,
-) -> bool:
+def verify_primitive_root_prefix(f: AnyPoly, g: int, prefix: int, n_cap: int = 10_000_000) -> bool:
     """True iff the first `prefix` distinct primes f(n) (those not dividing g)
     all have g as a primitive root.  Stops as soon as the answer is known;
     raises RuntimeError if fewer than `prefix` primes exist up to n_cap."""
-    require_valid_base(g)
+    walk = _residual_indices(f, g, n_cap)
     if prefix < 1:
         raise ValueError("prefix must be >= 1")
-    if stream is None:
-        stream = PrimeValueStream(f)
     checked = 0
-    for _, _, ok in stream.primitive_root_walk(g, n_cap):
-        if ok is None:
+    for _, _, index in walk:
+        if index is None:
             continue
-        if not ok:
+        if index > 1:
             return False
         checked += 1
         if checked >= prefix:
@@ -287,26 +262,15 @@ def prime_count(f: AnyPoly, x: int) -> int:
     )
 
 
-def pr_stats(
-    f: AnyPoly, g: int, n_cap: int, stream: PrimeValueStream | None = None
-) -> PrStats:
+def pr_stats(f: AnyPoly, g: int, n_cap: int) -> PrStats:
     """Histogram of residual indices of g over the distinct primes f(n) with
     n <= n_cap and p not dividing g."""
-    require_valid_base(g)
-    if n_cap < 0:
-        raise ValueError("n_cap must be >= 0")
-    if stream is None:
-        stream = PrimeValueStream(f)
     hist: dict[int, int] = {}
-    total = 0
-    for _, p in stream.entries_upto(n_cap):
-        if g % p == 0:
-            continue
-        total += 1
-        r = stream.residual_index(g, p)
-        hist[r] = hist.get(r, 0) + 1
+    for _, _, index in _residual_indices(f, g, n_cap):
+        if index is not None:
+            hist[index] = hist.get(index, 0) + 1
     return PrStats(
-        primes_total=total,
+        primes_total=sum(hist.values()),
         primes_with_g_pr=hist.get(1, 0),
         histogram=dict(sorted(hist.items())),
         n_cap=n_cap,

@@ -4,9 +4,10 @@ perfbench/ wraps qprim functions by name (arith.factor, is_prime,
 is_primitive_root, multiplicative_order, kronecker, PolyZ.eval,
 PrimeValueStream.entries_upto and pm1_factorization,
 densities.residue_counts_mod_prime, ...) and its workloads read names such
-as cli._D_A.  Installing the tracer and building every workload here makes a
-change that deletes or renames one of them fail the tests rather than the
-benchmark.  perfbench/ is only read.
+as cli._D_A.  Installing the tracer, building every workload and running the
+benchmarked workloads' calls against their reference answers here makes a
+change that deletes or renames one of them, or changes an answer, fail the
+tests rather than the benchmark.  perfbench/ is only read.
 """
 
 import sys
@@ -52,6 +53,21 @@ def test_every_workload_builds(perfbench, tmp_path):
     assert workloads.WORKLOADS
     for name, cls in workloads.WORKLOADS.items():
         assert cls(1, tmp_path).name == name
+
+
+@pytest.mark.parametrize("name", ["paper_instances", "candidate_rank"])
+def test_benchmark_calls_give_the_reference_answers(perfbench, tmp_path, name):
+    # the benchmark's own serial calls (streaks.streak with a positional
+    # stream among them), checked against perfbench/reference.json
+    _, _, workloads = perfbench
+    workload = workloads.WORKLOADS[name](1, tmp_path)
+    outcome = workloads.Outcome()
+    answers = workload.serial()
+    workload.check(answers, outcome, "serial")
+    if hasattr(workload, "resume_check"):
+        workload.resume_check(answers, outcome)
+    assert outcome.attempted > 0
+    assert (outcome.failed, outcome.mismatches) == (0, [])
 
 
 def test_module_names_perfbench_reads_exist():

@@ -50,7 +50,7 @@ def char_average_enumeration(f, d):
     total = 0
     units = 0
     for r in range(d):
-        v = poly.eval_mod(r, d)
+        v = poly.eval(r) % d
         if math.gcd(v, d) == 1:
             units += 1
             total += kronecker(v, d)

@@ -389,9 +389,33 @@ def test_report_reruns_from_its_inputs(capsys, argv):
         ["lvalue", "--s", "1", "--disc", "-4", "--long-run"],
         ["streak", "--poly", "326,0,3", "--g", "326", "--long-run"],
         ["verify", "--preset", "euler41", "--quick"],
+        # options that only some modes read
+        ["density", "--lehmer-naive", "--cutoff", "5"],
+        ["density", "--lehmer-naive", "--no-accelerate"],
+        ["density", "--simple", "326,3", "--cutoff", "0"],
+        ["density", "--q-product", "3,5", "--cutoff", "100"],
+        ["density", "--totient-constant", "--no-accelerate"],
+        ["density", "--bateman-horn", "1,1,41", "--no-accelerate"],
+        ["mstat", "--p1", "0.9", "--s", "100", "--trials", "500"],
+        ["mstat", "--p1", "0.9", "--s", "100", "--seed", "42"],
     ],
 )
 def test_conflicting_or_ignored_options_are_usage_errors(capsys, argv):
     with pytest.raises(SystemExit) as exc:
         main(argv)
     assert exc.value.code == 2
+
+
+@pytest.mark.parametrize(
+    "argv, option",
+    [
+        (["density", "--lehmer-corrected", "--cutoff", "5"], "--cutoff"),
+        (["density", "--simple", "326,3", "--no-accelerate"], "--no-accelerate"),
+        (["mstat", "--p1", "0.9", "--s", "100", "--trials", "500"], "--trials"),
+        (["mstat", "--p1", "0.9", "--s", "100", "--seed", "42"], "--seed"),
+    ],
+)
+def test_ignored_option_error_names_the_option(capsys, argv, option):
+    with pytest.raises(SystemExit):
+        main(argv)
+    assert option in capsys.readouterr().err.splitlines()[-1]

@@ -52,8 +52,8 @@ def odd_primes(limit):
 
 
 def count_residue_class(f, m, t):
-    """#{s mod m : f(s) = t (mod m)}, one PolyZ.eval_mod at a time."""
-    return sum(1 for s in range(m) if f.eval_mod(s, m) == t % m)
+    """#{s mod m : f(s) = t (mod m)}, one value f(s) at a time."""
+    return sum(1 for s in range(m) if f.eval(s) % m == t % m)
 
 
 def count_roots_mod(f, m):

@@ -151,7 +151,7 @@ def test_roots_mod_against_enumeration():
             PolyZ((u[0], 0, 0, q * u[1], 1)),
         ]
         for f in polys + special:
-            values = [f.eval_mod(s, q) for s in range(q)]
+            values = [f.eval(s) % q for s in range(q)]
             for t in (0, 1):
                 want = tuple(s for s in range(q) if values[s] == t % q)
                 got = roots_mod(f, q, t)
@@ -164,12 +164,12 @@ def test_values_mod_against_eval_mod():
         for f in _solver_polys():
             values = values_mod(f, m)
             assert values.dtype == np.int64
-            assert values.tolist() == [f.eval_mod(s, m) for s in range(m)], (f, m)
+            assert values.tolist() == [f.eval(s) % m for s in range(m)], (f, m)
 
 
 def test_mod8_profile_higher_degree_against_enumeration():
     for f in _solver_polys():
-        values = [f.eval_mod(s, 8) for s in range(8)]
+        values = [f.eval(s) % 8 for s in range(8)]
         odd = [v for v in values if v % 2]
         if not odd:
             with pytest.raises(ValueError):

@@ -226,7 +226,7 @@ def test_linear_roots_closed_form_against_enumeration():
     polys = [PolyZ((1, 2)), PolyZ((-1, 6)), PolyZ((7, 30)), PolyZ((0, 1)), PolyZ((7, 3, 15)), PolyZ((4, 1, 1001))]
     for q in primes_up_to(2000):
         for f in polys:
-            want = [n for n in range(q) if f.eval_mod(n, q) == 0]
+            want = [n for n in range(q) if f.eval(n) % q == 0]
             assert sorted(_quadratic_roots_mod(f, q)) == want, (f, q)
     assert _quadratic_roots_mod(PolyZ((6, 3, 15)), 3) == (0, 1, 2)  # 3 | every value
 
@@ -255,18 +255,19 @@ def reference_streak(entries, g):
     return count, None
 
 
+# negative bases; bases whose square factor shares a prime with some f(n)
+# (L(0) = 3 divides 9*326, GRIFFIN(0) = 7 divides 49*10)
+SIGNED_AND_SQUARE_BASES = [(L, g) for g in (-326, -163, -3, 9 * 326, 4 * 3 * 326, -25 * 326)]
+SIGNED_AND_SQUARE_BASES += [(GRIFFIN, g) for g in (-10, 49 * 10, -49 * 10, 4 * 10)]
+
+
 def test_streak_matches_reference_loop():
     entries = {f: list(PrimeValueStream(f).entries_upto(3000)) for f in (L, GRIFFIN)}
     stream = PrimeValueStream(L)
-    # negative bases; bases whose square factor shares a prime with some f(n)
-    # (L(0) = 3 divides 9*326, GRIFFIN(0) = 7 divides 49*10)
-    cases = [(L, g) for g in (-326, -163, -3, 9 * 326, 4 * 3 * 326, -25 * 326)]
-    cases += [(GRIFFIN, g) for g in (-10, 49 * 10, -49 * 10, 4 * 10)]
-    for f, g in cases:
+    for f, g in SIGNED_AND_SQUARE_BASES:
         res = streak(f, g, 3000, stream=stream if f is L else None)
         assert (res.count, res.failing_prime) == reference_streak(entries[f], g), g
-    # one stream serves every base k^2 * 326; the quadratic character is
-    # cached per (squarefree part, prime)
+    # one stream's sieve roots serve every base k^2 * 326
     for k in range(1, 51):
         res = streak(L, k * k * 326, 3000, stream=stream)
         assert (res.count, res.failing_prime) == reference_streak(entries[L], k * k * 326), k
@@ -296,21 +297,68 @@ def test_extended_stream_equals_fresh_stream(f):
     assert first == [(n, p) for n, p in fresh if n <= n_cap]
 
 
-@pytest.mark.parametrize(
-    "name",
-    ["lehmer", "griffin", "example1", "example2", "example2-g24", "example3", "example3-f1", "example3-f2"],
-)
-def test_preset_entries_match_sympy_enumeration(name):
-    # to n = 12000: past the 8192-n block boundary, and sieved to the ramped
-    # depth max(2000, block end) below the 30000 sieve limit
+def sympy_entries(f, n_cap):
+    """(n, f(n)) for the first n at which each prime value occurs, n <= n_cap,
+    from sympy.isprime alone."""
     sympy = pytest.importorskip("sympy")
-    from qprim.cli import preset_registry
-
-    f = preset_registry()[name].poly
     want, seen = [], set()
-    for n in range(12_001):
+    for n in range(n_cap + 1):
         v = f.eval(n)
         if v not in seen and sympy.isprime(v):
             seen.add(v)
             want.append((n, v))
-    assert list(PrimeValueStream(f).entries_upto(12_000)) == want
+    return want
+
+
+def sympy_streak(entries, g):
+    """(count, n_at_failure, failing_prime, residual index) from
+    sympy.n_order on each prime not dividing g."""
+    sympy = pytest.importorskip("sympy")
+    count = 0
+    for n, p in entries:
+        if g % p == 0:
+            continue
+        index = (p - 1) // sympy.n_order(g % p, p)
+        if index > 1:
+            return count, n, p, index
+        count += 1
+    return count, None, None, None
+
+
+def test_streak_matches_sympy_order():
+    # independent of qprim's stream, factoring and order code
+    entries = {f: sympy_entries(f, 3000) for f in (L, GRIFFIN)}
+    stream = PrimeValueStream(L)
+    cases = SIGNED_AND_SQUARE_BASES + [(L, k * k * 326) for k in range(1, 51)]
+    for f, g in cases:
+        res = streak(f, g, 3000, stream if f is L else None)
+        got = (res.count, res.n_at_failure, res.failing_prime, res.residual_index_at_failure)
+        assert got == sympy_streak(entries[f], g), (f, g)
+
+
+def test_pr_stats_histogram_matches_sympy_order():
+    sympy = pytest.importorskip("sympy")
+    want: dict[int, int] = {}
+    for _, p in sympy_entries(L, 2000):
+        if 326 % p:
+            index = (p - 1) // sympy.n_order(326 % p, p)
+            want[index] = want.get(index, 0) + 1
+    assert pr_stats(L, 326, 2000).histogram == dict(sorted(want.items()))
+
+
+@pytest.mark.parametrize(
+    "f",
+    [
+        "lehmer", "griffin", "example1", "example2", "example2-g24", "example3", "example3-f1", "example3-f2",
+        # 31687 = f(22) = f(378), across the tail start n = 374
+        pytest.param(QuadraticPoly(1, -400, 40003), id="X^2-400X+40003"),
+    ],
+)
+def test_preset_entries_match_sympy_enumeration(f):
+    # to n = 12000: past the 8192-n block boundary, and sieved to the ramped
+    # depth max(2000, block end) below the 30000 sieve limit
+    if isinstance(f, str):
+        from qprim.cli import preset_registry
+
+        f = preset_registry()[f].poly
+    assert list(PrimeValueStream(f).entries_upto(12_000)) == sympy_entries(f, 12_000)
