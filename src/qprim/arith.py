@@ -1,11 +1,13 @@
 """Exact integer and modular primitives: symbols, primality, factorization, orders.
 
 Everything here is deterministic and exact in its supported range.  Primality
-uses fixed Miller-Rabin witness tiers proven complete below 3.317e24.
-Factorization trial-divides by the primes up to 2000 (up to 1e5 while the
-cofactor is still beyond that primality range), then splits what is left with
-Brent's cycle-finding rho under an iteration budget that fails loudly instead
-of hanging.
+uses fixed Miller-Rabin witness tiers proven complete below 3.317e24; the
+walks pre-filter by the base-2 test alone and prove primes by Lucas
+(lucas_certifies).  Factorization runs in batches (factor_many): the primes
+up to 2000 come from one gcd with their cached primorial (up to 1e5 while the
+cofactor is still beyond the primality range), and Brent's cycle-finding rho
+splits the composite cofactors left together, in lockstep on products of
+several, under an iteration budget that fails loudly instead of hanging.
 
 This is also the package's one prime sieve.  An odd-only numpy sieve fills a
 cached table of the primes up to 2e6; prime_chunks hands out read-only int64
@@ -51,6 +53,9 @@ _TINY_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59, 
 
 _SHORT_TRIAL = 2_000  # factor's trial bound; rho finds the factors above it
 _TRIAL_LIMIT = 100_000  # factor's bound for huge cofactors; the least table size
+_RHO_CS = (1, 3, 5, 7, 11, 13, 17)  # rho's increments c, tried in turn
+_RHO_BLOCK = 128  # rho steps between gcds
+_RHO_WIDTH = 256  # bits: rho lanes are packed into products at least this wide
 _PRIME_CHUNK = 8192
 _SEGMENT = 1 << 17
 _PRIME_CACHE_CAP = 2_000_000
@@ -111,24 +116,27 @@ def primes_up_to(n: int) -> list[int]:
     return list(iter_primes(2, n))
 
 
-@cache
-def _trial_primes() -> list[int]:
-    return primes_up_to(_TRIAL_LIMIT)
-
-
-def _mr_composite_witness(n: int, d: int, s: int, a: int) -> bool:
-    # True if a proves n composite; d * 2^s == n - 1 with d odd.
-    a %= n
-    if a == 0:
-        return False
-    x = pow(a, d, n)
-    if x == 1 or x == n - 1:
-        return False
-    for _ in range(s - 1):
-        x = x * x % n
-        if x == n - 1:
+def _strong_test(n: int, witnesses: tuple[int, ...]) -> bool:
+    """True when odd n > 2 passes the strong (Miller-Rabin) test to each base."""
+    d = n - 1
+    s = (d & -d).bit_length() - 1
+    for a in witnesses:
+        x = pow(a, d >> s, n) if a % n else 1  # a multiple of n proves nothing
+        if x == 1:
+            continue
+        for _ in range(s):
+            if x == n - 1:
+                break
+            x = x * x % n
+        else:
             return False
     return True
+
+
+def is_strong_probable_prime(n: int) -> bool:
+    """The strong test of odd n > 2 to base 2: every prime passes, and so do
+    rare composites (2047 the least), so True proves nothing."""
+    return _strong_test(n, (2,))
 
 
 def is_prime(n: int) -> bool:
@@ -148,16 +156,10 @@ def is_prime(n: int) -> bool:
         return True
     if n >= DETERMINISTIC_PRIMALITY_LIMIT:
         raise ValueError(f"{n} exceeds the deterministic primality range (< 3.317e24)")
-    d = n - 1
-    s = (d & -d).bit_length() - 1
-    d >>= s
     for bound, witnesses in _MR_TIERS:
         if n < bound:
             break
-    for a in witnesses:
-        if _mr_composite_witness(n, d, s, a):
-            return False
-    return True
+    return _strong_test(n, witnesses)
 
 
 @dataclass(frozen=True)
@@ -189,87 +191,160 @@ class Factorization:
         return sorted(divs)
 
 
-def _brent_rho(n: int, budget: int) -> int | None:
-    """One nontrivial factor of odd composite n, or None if the budget runs out."""
-    spent = 0
-    for c in (1, 3, 5, 7, 11, 13, 17):
-        y, r, q = 2, 1, 1
-        g = 1
-        x = ys = y
-        while g == 1:
-            x = y
-            for _ in range(r):
-                y = (y * y + c) % n
-            k = 0
-            while k < r and g == 1:
-                ys = y
-                m = min(128, r - k)
-                for _ in range(m):
-                    y = (y * y + c) % n
-                    q = q * (x - y) % n  # the sign of x - y leaves every gcd as is
-                g = math.gcd(q, n)
-                k += m
-                spent += m
-                if spent > budget:
-                    return None
-            r <<= 1
-        if g == n:
-            g = 1
-            while g == 1:
-                ys = (ys * ys + c) % n
-                g = math.gcd(x - ys, n)
-                spent += 1
-                if spent > budget:
-                    return None
-        if g != n:
-            return g
-    return None
+def _pack(lanes: list, ys: list[int], found: list) -> list[list]:
+    """The rho lanes at their values ys, in order, in products [lanes, n, y]
+    at least _RHO_WIDTH bits wide: n is the product of the lanes' moduli and
+    y the CRT of their values (Garner).  A lane sharing a proper factor with
+    the product being filled is split by it; one dividing it starts the next."""
+    out: list[list] = []
+    for lane, y in zip(lanes, ys):
+        m = lane[1]
+        g = math.gcd(m, out[-1][1]) if out and out[-1][1].bit_length() < _RHO_WIDTH else m
+        if g == m:
+            out.append([[lane], m, y])
+        elif g != 1:
+            found[lane[0]] = g
+        else:
+            prod = out[-1]
+            prod[0].append(lane)
+            prod[2] += prod[1] * ((y - prod[2]) * pow(prod[1], -1, m) % m)
+            prod[1] *= m
+    return out
+
+
+def _rho_round(prod: list, r: int, c: int, steps: int, budget: int, found: list, retry: list) -> None:
+    """One doubling round of Brent's rho on all lanes of prod = [lanes, n, y]
+    at once.  A gcd with n every _RHO_BLOCK steps shows which lanes closed
+    their cycle; they leave, as do lanes past the budget.  A lane whose gcd is
+    all of it backtracks alone, and is retried if that still takes all of it."""
+    lanes, n, y = prod
+    slack = budget - steps - max(spent for *_, spent in lanes)  # stays a lower bound
+    x = y
+    for _ in range(r):
+        y = (y * y + c) % n
+    k, q = 0, 1
+    while k < r and lanes:
+        ys, block = y, min(_RHO_BLOCK, r - k)
+        for _ in range(block):
+            y = (y * y + c) % n
+            q = q * (x - y) % n  # the sign of x - y leaves every gcd as is
+        k += block
+        common = math.gcd(q, n)
+        if common == 1 and k <= slack:
+            continue
+        keep = []
+        for lane in lanes:
+            i, m, spent = lane
+            g = math.gcd(common, m)
+            if g == m:
+                z = ys % m
+                for _ in range(block):
+                    z = (z * z + c) % m
+                    if (g := math.gcd(x - z, m)) != 1:
+                        break
+            if 1 < g < m:
+                found[i] = g
+            elif g == m:
+                retry.append((i, m, spent + steps + k))
+            elif spent + steps + k <= budget:
+                keep.append(lane)
+        if len(keep) < len(lanes):
+            lanes, n = keep, math.prod(m for _, m, _ in keep)
+            x, y, q = x % n, y % n, q % n
+    prod[:] = lanes, n, y
+
+
+def _brent_rho(ms: list[int], budget: int) -> list[int | None]:
+    """A nontrivial factor of each odd composite in ms, or None where budget
+    steps run out or every c fails: Brent's rho (1980), one attempt per c, on
+    all lanes in lockstep through the doubling rounds.  Between rounds the
+    lanes of products that have narrowed are repacked."""
+    found: list[int | None] = [None] * len(ms)
+    lanes = [(i, m, 0) for i, m in enumerate(ms)]  # (index, modulus, steps spent)
+    for c in _RHO_CS:
+        retry: list = []
+        products, r, steps = _pack(lanes, [2] * len(lanes), found), 1, 0
+        while products:
+            for prod in products:
+                _rho_round(prod, r, c, steps, budget, found, retry)
+            steps, r = steps + r, 2 * r
+            products = [p for p in products if p[0]]
+            narrow = [p for p in products if p[1].bit_length() < _RHO_WIDTH]
+            if len(narrow) > 1:
+                products = [p for p in products if p[1].bit_length() >= _RHO_WIDTH]
+                lanes = [lane for p in narrow for lane in p[0]]
+                products += _pack(lanes, [p[2] % lane[1] for p in narrow for lane in p[0]], found)
+        lanes = retry
+    return found
+
+
+@cache
+def _trial_primes(bound: int) -> tuple[list[int], int]:
+    """The primes up to bound, and their product."""
+    primes = primes_up_to(bound)
+    return primes, math.prod(primes)
+
+
+def _divide_out(work: int, bound: int, fmap: dict[int, int]) -> int:
+    """work with its primes up to bound divided out, each recorded in fmap
+    with its exponent: one gcd with their primorial finds them all."""
+    primes, primorial = _trial_primes(bound)
+    g = math.gcd(work, primorial)
+    while g > 1:
+        p = next(p for p in primes if g % p == 0)
+        g //= p
+        fmap[p] = 0
+        while work % p == 0:
+            work //= p
+            fmap[p] += 1
+    return work
+
+
+def factor_many(values: list[int], rho_budget: int = 4_000_000) -> list[Factorization | Exception]:
+    """factor(n) for each n in values, as one batch: its Factorization, or
+    the ValueError or FactorizationError that factor(n) raises.  The small
+    primes come from gcds with primorials, and the composite cofactors left
+    are split together by _brent_rho."""
+    fmaps: list[dict[int, int]] = [{} for _ in values]
+    out: list = [None] * len(values)
+    parts = []  # (index, cofactor free of small primes, is it prime)
+    for i, n in enumerate(values):
+        try:
+            if n < 1:
+                raise ValueError("factor() requires n >= 1")
+            work, bound = _divide_out(n, _SHORT_TRIAL, fmaps[i]), _SHORT_TRIAL
+            if work >= DETERMINISTIC_PRIMALITY_LIMIT:
+                work, bound = _divide_out(work, _TRIAL_LIMIT, fmaps[i]), _TRIAL_LIMIT
+            if work > 1:  # no factor up to the bound and below its square -> prime
+                parts.append((i, work, work < bound * bound or is_prime(work)))
+        except ValueError as exc:
+            out[i] = exc
+    while parts:
+        todo = [(i, m) for i, m, prime in parts if not prime and out[i] is None]
+        for i, m, prime in parts:
+            if prime:
+                fmaps[i][m] = fmaps[i].get(m, 0) + 1
+        parts = []
+        for (i, m), d in zip(todo, _brent_rho([m for _, m in todo], rho_budget)):
+            if d is None:
+                out[i] = FactorizationError(f"cannot factor {m} within budget")
+            else:
+                parts += [(i, d, is_prime(d)), (i, m // d, is_prime(m // d))]
+    return [
+        err if err is not None else Factorization(value=n, factors=tuple(sorted(fmap.items())))
+        for n, err, fmap in zip(values, out, fmaps)
+    ]
 
 
 def factor(n: int, rho_budget: int = 4_000_000) -> Factorization:
-    """Factor n >= 1. Trial division to 2000, then Brent rho on the cofactor.
-
-    A cofactor still at or above DETERMINISTIC_PRIMALITY_LIMIT after 2000 is
-    trial-divided on to 1e5 first, so only cofactors that no primality test
-    here can certify raise ValueError.  Raises FactorizationError when the
-    rho budget is exhausted (the honest signal that n is outside the
-    intended magnitude range).
-    """
-    if n < 1:
-        raise ValueError("factor() requires n >= 1")
-    fmap: dict[int, int] = {}
-    work = n
-    bound = _SHORT_TRIAL
-    for p in _trial_primes():
-        if p > bound:
-            if work < DETERMINISTIC_PRIMALITY_LIMIT:
-                break
-            bound = _TRIAL_LIMIT
-        if p * p > work:
-            break
-        if work % p == 0:
-            e = 0
-            while work % p == 0:
-                work //= p
-                e += 1
-            fmap[p] = e
-    if work > 1:
-        if work < bound * bound or is_prime(work):
-            # no factor up to the bound and below its square -> prime
-            fmap[work] = fmap.get(work, 0) + 1
-        else:
-            stack = [work]
-            while stack:
-                m = stack.pop()
-                if is_prime(m):
-                    fmap[m] = fmap.get(m, 0) + 1
-                    continue
-                g = _brent_rho(m, rho_budget)
-                if g is None or g in (1, m):
-                    raise FactorizationError(f"cannot factor {m} within budget")
-                stack.append(g)
-                stack.append(m // g)
-    return Factorization(value=n, factors=tuple(sorted(fmap.items())))
+    """Factor n >= 1 (factor_many on a batch of one).  Only a cofactor that no
+    primality test here can certify, at or above DETERMINISTIC_PRIMALITY_LIMIT
+    with no prime factor up to 1e5, raises ValueError; FactorizationError when
+    the rho budget is exhausted (n is outside the intended magnitude range)."""
+    result = factor_many([n], rho_budget)[0]
+    if isinstance(result, Exception):
+        raise result
+    return result
 
 
 def euler_phi(n: int) -> int:
@@ -395,6 +470,19 @@ def is_primitive_root(g: int, p: int, pm1: Factorization | None = None) -> bool:
         if pow(r, pm // q, p) == 1:
             return False
     return True
+
+
+def lucas_certifies(g: int, p: int, pm1: Factorization) -> bool:
+    """True when g proves p prime by the converse of Fermat's theorem in
+    D. H. Lehmer's form (1927): with pm1 the factorization of p - 1,
+    g^((p-1)/2) = -1 and g^((p-1)/q) != 1 (mod p) for every odd prime q | p-1.
+    g is then a primitive root mod p.  False proves nothing about p."""
+    if p < 3 or p % 2 == 0:
+        return False
+    r = g % p
+    if pow(r, p >> 1, p) != p - 1:  # -1, not merely != 1: that gives g^(p-1) = 1
+        return False
+    return all(pow(r, (p - 1) // q, p) != 1 for q in pm1.prime_factors()[1:])
 
 
 def squarefree_decomposition(n: int) -> tuple[int, int]:

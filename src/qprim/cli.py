@@ -587,9 +587,9 @@ def _build_parser() -> argparse.ArgumentParser:
     mode = p.add_mutually_exclusive_group()
     mode.add_argument("--poly", help=_POLY_HELP)
     mode.add_argument("--simple", metavar="A,B", type=_int_pair, help="simplified quality of A*X^2+B")
-    mode.add_argument("--lehmer-naive", action="store_true")
-    mode.add_argument("--lehmer-corrected", action="store_true")
-    mode.add_argument("--totient-constant", action="store_true")
+    mode.add_argument("--lehmer-naive", action="store_true", default=None)
+    mode.add_argument("--lehmer-corrected", action="store_true", default=None)
+    mode.add_argument("--totient-constant", action="store_true", default=None)
     mode.add_argument("--q-product", metavar="P1,P2,...", help="prod (p-1)/phi(p-1)")
     mode.add_argument("--bateman-horn", metavar="POLY")
     p.set_defaults(func=_handle_density)
@@ -608,7 +608,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("mstat", parents=[common], help="expected maximum of s geometric streaks")
     p.add_argument("--p1", type=float, required=True)
     p.add_argument("--s", type=int, required=True)
-    p.add_argument("--simulate", action="store_true")
+    p.add_argument("--simulate", action="store_true", default=None)
     p.add_argument("--trials", type=int, help="read by --simulate (default 2000)")
     p.add_argument("--seed", type=int, help="read by --simulate (default 20260810)")
     p.set_defaults(func=_handle_mstat)

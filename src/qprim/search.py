@@ -14,7 +14,7 @@ from dataclasses import asdict, dataclass
 from math import isqrt
 from typing import Iterator
 
-from .arith import primes_up_to
+from .arith import is_prime, primes_up_to
 from .charsums import require_valid_base
 from .poly import AnyPoly, QuadraticPoly, is_perfect_square
 
@@ -23,6 +23,7 @@ from .poly import AnyPoly, QuadraticPoly, is_perfect_square
 from .streaks import PrimeValueStream, streak  # noqa: F401
 
 CHECKPOINT_SECONDS = 30.0  # longest wait for a checkpoint line while bases complete
+_CHUNKS_PER_WORKER = 4  # pooled sweeps: k-chunks per worker
 
 
 class CheckpointError(RuntimeError):
@@ -116,7 +117,8 @@ def _streaks_serial(
     f: AnyPoly, g_base: int, k_lo: int, k_hi: int, n_cap: int
 ) -> Iterator[tuple[int, int, int | None]]:
     """The prime-major walk.  At each prime p of the stream not dividing
-    g_base, the live k with p | k skip p and the others are tested together:
+    g_base (a candidate, proven by Lucas with g_base as witness or else by
+    is_prime), the live k with p | k skip p and the others are tested together:
     (k^2 g_base / p) = (g_base / p) decides q = 2 for all of them, and for an
     odd q | p-1 with e = (p-1)/q and t = g_base^e, (k^2 g_base)^e = 1 iff
     k^e = z with z = t^((q-1)/2), the one element of the q-th roots of unity
@@ -135,22 +137,27 @@ def _streaks_serial(
         return passed - sum(1 for p in passed_small if k % p == 0)
 
     next_k = k_lo
-    stream = PrimeValueStream(f)
-    for _, p in stream.entries_upto(n_cap):
+    for _, p, pm1 in PrimeValueStream(f)._factored(n_cap):
         r = g_base % p
         if r == 0:
             continue
         tested = live if p > k_hi else [k for k in live if k % p]
-        failed = []
-        if p > 2 and pow(r, p >> 1, p) == 1:
+        failed, proven = [], False
+        half = pow(r, p >> 1, p) if p > 2 else 0
+        if half == 1:
             failed = tested
-        elif p > 2:
-            for q in stream.pm1_factorization(p).prime_factors()[1:]:
+        elif half == p - 1:  # g_base is the Lucas witness: p is proven if no t is 1
+            proven = True
+            for q in pm1.prime_factors()[1:]:
                 e = (p - 1) // q
-                z = pow(pow(r, e, p), (q - 1) // 2, p)
+                t = pow(r, e, p)
+                proven &= t != 1
+                z = pow(t, (q - 1) // 2, p)
                 for k, ell, m in plan:
                     power[k] = pow(k, e, p) if m == 1 else power[ell] * power[m] % p
                 failed += [k for k in tested if power[k] == z]
+        if not proven and not is_prime(p):
+            continue
         if failed:
             done |= {k: (count(k), p) for k in failed}
             live = [k for k in live if k not in done]
@@ -179,13 +186,15 @@ def base_streaks(
     in ascending k whatever the worker count; failing_prime is None when the
     streak reached n_cap unfinished.  g_base must be a valid base (then so is
     every k^2 * g_base).  One walk of the prime stream, in prime order, serves
-    every base (pooled: each worker walks its own contiguous k-chunk); a k is
-    yielded once it and every smaller k have finished.  An empty range yields
-    nothing and builds no stream."""
+    every base (pooled: each chunk of contiguous k walks it apart, and each
+    worker gets _CHUNKS_PER_WORKER of them in k order, so results keep
+    arriving while later chunks run); a k is yielded once it and every
+    smaller k have finished.  An empty range yields nothing and builds no
+    stream."""
     if workers <= 1 or k_hi - k_lo < 8:
         yield from _streaks_serial(f, g_base, k_lo, k_hi, n_cap)
         return
-    chunk = max(1, (k_hi - k_lo + workers) // workers)
+    chunk = -(-(k_hi - k_lo + 1) // (_CHUNKS_PER_WORKER * workers))
     jobs = [
         (f, g_base, lo, min(lo + chunk - 1, k_hi), n_cap)
         for lo in range(k_lo, k_hi + 1, chunk)

@@ -11,12 +11,17 @@ scanned strikes at most deg f of its n, and its roots cost more than the
 tests they save.  prime_count sieves to the full limit.  The stream keeps
 only its sieve roots between walks; streak, verify_primitive_root_prefix and
 pr_stats read the residual index of g at each prime from one walk.
+
+The walks (that one and search's k-sweep) take the larger survivors on the
+base-2 strong test alone, factor their p - 1 in groups of _GROUP, and let the
+powers of the primitive-root test prove p prime by Lucas; is_prime proves a
+candidate its witness does not.  entries_upto yields proven primes only.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import compress
+from itertools import compress, islice
 from math import isqrt
 from typing import Iterator
 
@@ -26,6 +31,7 @@ from .charsums import require_valid_base
 from .poly import AnyPoly, PolyZ, as_polyz, roots_mod
 
 _BLOCK = 8192
+_GROUP = 64  # walks factor the p - 1 of this many candidates in one batch
 _MIN_DEPTH = 2_000  # a stream block is sieved to max(this, its end n)
 _COUNT_SIEVE_CAP = 1_000_000  # prime_count's largest sieve limit (memory bound)
 
@@ -114,13 +120,14 @@ class PrimeValueStream:
         # below this n, sieve kills are double-checked
         self._direct_upto = _positive_tail_start(poly, sieve_limit)
 
-    def _block_primes(self, lo: int, size: int, depth: int) -> Iterator[tuple[int, int]]:
+    def _block_primes(self, lo: int, size: int, depth: int, test) -> Iterator[tuple[int, int]]:
         """Yield (n, f(n)) for the n in [lo, lo + size) with f(n) prime, ascending,
         sieving by the primes up to the largest depth asked for so far, within
         sieve_limit; the roots table grows to it.  A survivor f(n) >= 2 has no
         prime factor up to that depth, so it is prime if f(n) <= depth^2; only
-        larger ones reach Miller-Rabin.  Below _direct_upto a sieve kill may be
-        f(n) equal to a sieve prime, so those n are tested directly."""
+        larger ones reach `test`, is_prime or a weaker pre-filter.  Below
+        _direct_upto a sieve kill may be f(n) equal to a sieve prime, so those
+        n are tested directly."""
         depth = min(depth, self.sieve_limit)
         new = [q for q in self._sieve_primes if self._depth < q <= depth]
         # a q dividing every value stays: survivors must be free of it
@@ -147,17 +154,20 @@ class PrimeValueStream:
                 yield n, v
         for n in compress(range(lo + split, lo + size), memoryview(alive)[split:]):
             v = poly.eval(n)
-            if v >= 2 and (v <= exact or is_prime(v)):
+            if v >= 2 and (v <= exact or test(v)):
                 yield n, v
 
     def entries_upto(self, n_cap: int) -> Iterator[tuple[int, int]]:
         """Yield (n, p) pairs with n <= n_cap in ascending n, sieving blocks of
         n from 0.  f strictly increases from _direct_upto on, so only values
         first met below it can recur; they are all this call remembers."""
+        return self._entries(n_cap, is_prime)
+
+    def _entries(self, n_cap: int, test) -> Iterator[tuple[int, int]]:
         head: set[int] = set()
         for lo in range(0, n_cap + 1, _BLOCK):
             hi = min(lo + _BLOCK, n_cap + 1)
-            for n, v in self._block_primes(lo, hi - lo, max(_MIN_DEPTH, hi)):
+            for n, v in self._block_primes(lo, hi - lo, max(_MIN_DEPTH, hi), test):
                 if v not in head:
                     if n < self._direct_upto:
                         head.add(v)
@@ -166,22 +176,42 @@ class PrimeValueStream:
     def pm1_factorization(self, p: int) -> Factorization:
         return factor(p - 1)
 
+    def _factored(self, n_cap: int) -> Iterator[tuple[int, int, Factorization]]:
+        """(n, p, factorization of p - 1) for the candidates p = f(n), n <= n_cap,
+        which passed only the base-2 test: the caller proves each p it uses.
+        Each _GROUP of p - 1 is one factor_many batch.  A p whose p - 1 failed
+        to factor raises that error here if it is prime, and is dropped if not."""
+        candidates = self._entries(n_cap, arith.is_strong_probable_prime)
+        while group := list(islice(candidates, _GROUP)):
+            for (n, p), pm1 in zip(group, arith.factor_many([p - 1 for _, p in group])):
+                if not isinstance(pm1, Exception):
+                    yield n, p, pm1
+                elif is_prime(p):
+                    raise pm1
+
 
 def _residual_indices(
     f: AnyPoly, g: int, n_cap: int, stream: PrimeValueStream | None = None
 ) -> Iterator[tuple[int, int, int | None]]:
     """Yield (n, p, index) over the distinct primes p = f(n), n <= n_cap, in
     order: index is (p-1)/ord_p(g), 1 exactly when g is a primitive root mod
-    p, or None when p divides g.  Arguments are checked before the walk."""
+    p, or None when p divides g.  Arguments are checked before the walk.  g is
+    the Lucas witness; a candidate it does not certify (a failing prime, an
+    index above 1, p | g) counts only once is_prime proves it."""
     require_valid_base(g)
     if n_cap < 0:
         raise ValueError("n_cap must be >= 0")
     if stream is None:
         stream = PrimeValueStream(f)
-    return (
-        (n, p, None if g % p == 0 else arith.residual_index(g, p, stream.pm1_factorization(p)))
-        for n, p in stream.entries_upto(n_cap)
-    )
+
+    def walk() -> Iterator[tuple[int, int, int | None]]:
+        for n, p, pm1 in stream._factored(n_cap):
+            if arith.lucas_certifies(g, p, pm1):
+                yield n, p, 1
+            elif is_prime(p):
+                yield n, p, None if g % p == 0 else arith.residual_index(g, p, pm1)
+
+    return walk()
 
 
 def streak(
@@ -258,7 +288,7 @@ def prime_count(f: AnyPoly, x: int) -> int:
     return sum(
         1
         for lo in range(0, x + 1, block)
-        for _ in stream._block_primes(lo, min(block, x + 1 - lo), limit)
+        for _ in stream._block_primes(lo, min(block, x + 1 - lo), limit, is_prime)
     )
 
 

@@ -13,6 +13,7 @@ import math
 import random
 import time
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -351,7 +352,7 @@ def test_criterion_10_property_suites():
         full = sweep(cfg, checkpoint_path=full_path, checkpoint_every=4)
         kept = [
             line
-            for line in open(full_path, encoding="utf-8").read().splitlines()
+            for line in Path(full_path).read_text(encoding="utf-8").splitlines()
             if _json.loads(line)["k"] <= 12
         ]
         part_path = f"{tmp}/part.jsonl"

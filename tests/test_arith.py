@@ -248,6 +248,97 @@ def test_factor_record_pm1_against_sympy(preset_name):
         assert dict(factor(p - 1).factors) == sympy.factorint(p - 1), p
 
 
+def _sympy_factorizations(values):
+    sympy = pytest.importorskip("sympy")
+    return [sympy.factorint(n) for n in values]
+
+
+def test_factor_many_against_sympy_below_and_above_2_64():
+    rng = random.Random(2024)
+    values = [rng.getrandbits(rng.randrange(2, 65)) | 1 for _ in range(150)]
+    values += [rng.randrange(1 << 64, 1 << 80) for _ in range(40)]
+    want = _sympy_factorizations(values)
+    assert [dict(f.factors) for f in arith.factor_many(values)] == want
+    assert [dict(factor(n).factors) for n in values] == want
+
+
+def test_factor_prime_powers_and_products_just_above_2000():
+    sympy = pytest.importorskip("sympy")
+    above = list(sympy.primerange(2000, 2200))
+    values = [p**e for p in (2003, 2011, 99991, 1000003) for e in range(1, 5)]
+    values += [p * q for p, q in zip(above, above[1:])] + [2 * 3 * p * p * q for p, q in zip(above, above[2:])]
+    assert [dict(f.factors) for f in arith.factor_many(values)] == _sympy_factorizations(values)
+
+
+def test_factor_many_batch_with_duplicates_and_shared_primes():
+    # equal cofactors, and cofactors with a common prime above 2000, in one
+    # batch whose rho lanes must be packed pairwise coprime
+    shared = [2003 * 3001, 2003 * 4001, 2 * 2003 * 5003, 3001 * 4001 * 7, 1000003 * 2003]
+    values = shared + shared[:3] + [2 * 1000003 * 1000033, 2 * 1000033 * 999983, 1000003 * 999983]
+    assert [dict(f.factors) for f in arith.factor_many(values)] == _sympy_factorizations(values)
+    assert [f.value for f in arith.factor_many(values)] == values
+
+
+def _closes_mod_both(n, c):
+    """Brent's rho with increment c from y = 2, told as one scalar loop:
+    True when its first nontrivial gcd is n itself, that is, its cycle
+    closes modulo every prime of n at the same step."""
+    y, r, q, g = 2, 1, 1, 1
+    while g == 1:
+        x = y
+        for _ in range(r):
+            y = (y * y + c) % n
+        k = 0
+        while k < r and g == 1:
+            ys = y
+            for _ in range(min(128, r - k)):
+                y = (y * y + c) % n
+                q = q * (x - y) % n
+            g = math.gcd(q, n)
+            k += 128
+        r <<= 1
+    if g == n:
+        g = 1
+        while g == 1:
+            ys = (ys * ys + c) % n
+            g = math.gcd(x - ys, n)
+    return g == n
+
+
+def test_factor_rho_lane_closing_mod_both_primes_retries():
+    lanes = [2003 * 2251, 2029 * 2137, 2053 * 2081]
+    assert all(_closes_mod_both(m, 1) for m in lanes)  # c = 1 cannot split them
+    values = [2 * lanes[0], 2003 * 2011] + lanes[1:] + [6 * 2011 * 2017]
+    assert [dict(f.factors) for f in arith.factor_many(values)] == _sympy_factorizations(values)
+
+
+def test_factor_many_reports_errors_per_value():
+    sympy = pytest.importorskip("sympy")
+    semiprime = 1000000007 * 999999937
+    big_prime = sympy.nextprime(4 * 10**24)  # above the primality range
+    out = arith.factor_many([semiprime, 12, 0, 2003 * 2011 * 7, 6 * 99991 * big_prime], rho_budget=500)
+    assert isinstance(out[0], FactorizationError)
+    assert (out[1].factors, out[3].factors) == (((2, 2), (3, 1)), ((7, 1), (2003, 1), (2011, 1)))
+    assert isinstance(out[2], ValueError) and "n >= 1" in str(out[2])
+    assert isinstance(out[4], ValueError) and "deterministic primality range" in str(out[4])
+
+
+def test_lucas_certifies_proves_primes_and_no_base_of_3511_squared():
+    # 3511^2 = 12327121 is a strong pseudoprime to base 2 (3511 is a
+    # Wieferich prime).  Testing the q = 2 power only for != 1 would let
+    # 390 of these bases "prove" it prime, the first being g = 3.
+    n = 3511**2
+    assert arith.is_strong_probable_prime(n) and not is_prime(n)
+    pm1 = factor(n - 1)
+    assert [g for g in range(2, 400) if arith.lucas_certifies(g, n, pm1)] == []
+    for p in (5, 7, 1838843753, 18465947):
+        pm1 = factor(p - 1)
+        bases = [g for g in range(-60, 60) if g % p]
+        roots = [g for g in bases if is_primitive_root(g, p, pm1)]
+        assert [g for g in bases if arith.lucas_certifies(g, p, pm1)] == roots
+    assert not arith.lucas_certifies(3, 2, factor(1))
+
+
 def test_factor_divisors():
     assert factor(12).divisors() == [1, 2, 3, 4, 6, 12]
     assert factor(12).divisors(limit=4) == [1, 2, 3, 4]

@@ -349,6 +349,15 @@ def test_inputs_echo_options_that_change_the_result(capsys):
     assert json.loads(out)["inputs"]["d"] == 15
 
 
+def test_inputs_echo_no_flag_that_was_not_given(capsys):
+    code, out, _ = run_cli(capsys, "density", "--simple", "326,3", "--format", "json")
+    assert code == 0
+    assert json.loads(out)["inputs"] == {"simple": [326, 3]}
+    code, out, _ = run_cli(capsys, "mstat", "--p1", "0.9", "--s", "100", "--format", "json")
+    assert code == 0
+    assert "simulate" not in json.loads(out)["inputs"]
+
+
 def _argv_from_inputs(command, inputs):
     argv = [command]
     for key, value in inputs.items():

@@ -6,12 +6,13 @@ Enable with QPRIM_LONG_RUN=1, e.g.
 """
 
 import os
+import random
 
 import pytest
 
 from qprim.cli import preset_registry
 from qprim.poly import QuadraticPoly
-from qprim.streaks import empirical_max_streak, pr_stats, streak
+from qprim.streaks import _residual_indices, empirical_max_streak, pr_stats, streak
 
 pytestmark = pytest.mark.skipif(
     os.environ.get("QPRIM_LONG_RUN") != "1",
@@ -42,3 +43,24 @@ def test_full_records(preset_name):
     assert res.count == preset.expected_count, preset_name
     if preset.expected_failing_prime is not None:
         assert res.failing_prime == preset.expected_failing_prime
+
+
+@pytest.mark.parametrize(
+    "preset_name",
+    ["example1", "example2", "example2-g24", "example3", "example3-f1", "example3-f2"],
+)
+def test_record_streak_primes_against_sympy(preset_name):
+    # the walk proves each streak prime by Lucas with g as the witness;
+    # sympy checks a seeded sample of them without that proof
+    sympy = pytest.importorskip("sympy")
+    preset = preset_registry()[preset_name]
+    proven = []
+    for _, p, index in _residual_indices(preset.poly, preset.g, preset.long_run_n_cap):
+        if index == 1:
+            proven.append(p)
+        elif index is not None:
+            break
+    assert len(proven) == preset.expected_count
+    for p in random.Random(2004).sample(proven, 200):
+        assert sympy.isprime(p), p
+        assert sympy.n_order(preset.g % p, p) == p - 1, p

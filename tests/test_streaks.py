@@ -1,6 +1,7 @@
 """Tests for the streak statistic, prime counts, and residual-index stats."""
 
 from functools import cache
+from itertools import islice
 
 import pytest
 
@@ -362,3 +363,65 @@ def test_preset_entries_match_sympy_enumeration(f):
 
         f = preset_registry()[f].poly
     assert list(PrimeValueStream(f).entries_upto(12_000)) == sympy_entries(f, 12_000)
+
+
+RECORD_PRESETS = ["example1", "example2", "example2-g24", "example3", "example3-f1", "example3-f2"]
+
+
+@pytest.mark.parametrize("name", RECORD_PRESETS + ["lehmer"])
+def test_stream_pm1_factorizations_against_sympy(name):
+    # the walks' p - 1, factored 64 candidates at a time: 300 candidates
+    # cross four group boundaries
+    sympy = pytest.importorskip("sympy")
+    from qprim.cli import preset_registry
+
+    stream = PrimeValueStream(preset_registry()[name].poly)
+    factored = list(islice(stream._factored(10**6), 300))
+    assert len(factored) == 300
+    for _, p, pm1 in factored:
+        assert pm1.value == p - 1
+        assert dict(pm1.factors) == sympy.factorint(p - 1), p
+
+
+def test_walks_skip_a_base2_pseudoprime_with_no_small_factor():
+    # f(1) = 3511^2 passes the base-2 strong test and has no prime factor up
+    # to the linear sieve depth of 2000, so it reaches the walks as a
+    # candidate; no Lucas witness may pass it off as prime
+    from qprim.search import base_streaks
+    from qprim.streaks import _residual_indices
+
+    f = PolyZ((1, 3511**2 - 1))
+    n_cap = 1500
+    assert (1, 3511**2) in [(n, p) for n, p, _ in PrimeValueStream(f)._factored(n_cap)]
+    entries = sympy_entries(f, n_cap)
+    for g in (3, 5, 6, 7, 10, 11, -3):
+        assert [(n, p) for n, p, _ in _residual_indices(f, g, n_cap)] == entries
+        res = streak(f, g, n_cap)
+        assert (res.count, res.n_at_failure, res.failing_prime, res.residual_index_at_failure) == (
+            sympy_streak(entries, g)
+        ), g
+    for g_base in (3, 5, 7):
+        got = [(c, p) for _, c, p in base_streaks(f, g_base, 1, 12, n_cap)]
+        want = [sympy_streak(entries, k * k * g_base) for k in range(1, 13)]
+        assert got == [(c, p) for c, _, p, _ in want], g_base
+
+
+def test_tiny_rho_budget_raises_only_where_the_walk_reaches_that_prime(monkeypatch):
+    from functools import partial
+
+    from qprim import arith
+
+    def needs_rho(p):
+        try:
+            factor(p - 1, rho_budget=1)
+        except arith.FactorizationError:
+            return True
+        return False
+
+    primes = [p for _, p in PrimeValueStream(L).entries_upto(3000)]
+    first = next(j for j, p in enumerate(primes) if needs_rho(p))
+    assert 0 < first < 64  # inside the walk's first group of candidates
+    monkeypatch.setattr(arith, "factor_many", partial(arith.factor_many, rho_budget=1))
+    assert verify_primitive_root_prefix(L, 326, first)
+    with pytest.raises(arith.FactorizationError):
+        verify_primitive_root_prefix(L, 326, first + 1)
