@@ -458,18 +458,11 @@ def residual_index(g: int, p: int, pm1: Factorization | None = None) -> int:
 def is_primitive_root(g: int, p: int, pm1: Factorization | None = None) -> bool:
     """True iff g generates the multiplicative group mod the prime p.
 
-    Checks g^((p-1)/q) != 1 for every prime q | p-1. Negative g is reduced
-    into [0, p) first. For p = 2 every odd g qualifies.
+    For odd prime p this is exactly lucas_certifies: g^((p-1)/q) != 1 for
+    every prime q | p-1, with -1 at q = 2. For p = 2 every odd g qualifies.
     """
-    r = _require_unit(g, p)
-    if p == 2:
-        return True
-    fact = pm1 if pm1 is not None else factor(p - 1)
-    pm = p - 1
-    for q, _ in fact.factors:
-        if pow(r, pm // q, p) == 1:
-            return False
-    return True
+    _require_unit(g, p)
+    return p == 2 or lucas_certifies(g, p, pm1 or factor(p - 1))
 
 
 def lucas_certifies(g: int, p: int, pm1: Factorization) -> bool:

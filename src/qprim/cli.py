@@ -22,7 +22,7 @@ import os
 import re
 import sys
 import time
-from dataclasses import asdict, dataclass, is_dataclass
+from dataclasses import asdict, dataclass, fields, is_dataclass
 from fractions import Fraction
 from typing import Any
 
@@ -291,6 +291,14 @@ def _default_workers(args) -> int:
     return os.cpu_count() or 1
 
 
+def _filled(args, **defaults) -> argparse.Namespace:
+    """args with each option left at None set to its default.  Options that
+    only some modes read default to None, so a report echoes only those given
+    and reruns from its inputs."""
+    unset = {k: v for k, v in defaults.items() if getattr(args, k) is None}
+    return argparse.Namespace(**{**vars(args), **unset})
+
+
 def _require_long_run(args, what: str) -> None:
     if not args.long_run:
         raise ValueError(f"{what} needs --long-run (a minutes-scale computation)")
@@ -415,6 +423,7 @@ def _handle_charsum(args) -> dict:
 
 def _handle_tau(args) -> dict:
     f = parse_poly(args.poly)
+    args = _filled(args, bound=2000)
     if args.admissible:
         if not isinstance(f, QuadraticPoly):
             raise ValueError("admissible-discriminant scans need a quadratic (a,b,c)")
@@ -426,19 +435,7 @@ def _handle_tau(args) -> dict:
 
 
 def _handle_search(args) -> dict:
-    cfg = SearchConfig(
-        d=args.d,
-        d1=args.d1,
-        alpha=args.alpha,
-        sign=args.sign,
-        shift=args.shift,
-        r1=args.r1,
-        r2=args.r2,
-        g_base=args.g_base,
-        k_lo=args.k_lo,
-        k_hi=args.k_hi,
-        n_cap=args.n_cap,
-    )
+    cfg = SearchConfig(**{f.name: getattr(args, f.name) for f in fields(SearchConfig)})
     if args.k_hi - args.k_lo + 1 > LONG_RUN_KMAX:
         _require_long_run(args, f"sweep over {args.k_hi - args.k_lo + 1} k values")
     best = sweep(
@@ -459,6 +456,7 @@ def _handle_search(args) -> dict:
 
 
 def _handle_criteria(args) -> dict:
+    args = _filled(args, max=10_000, g=3, k=1, n_cap=2000, alpha=1, d1=163, d2=1, q_max=40)
     scans = {
         "classic": chebyshev_criterion,
         "extended": lambda p: extended_chebyshev(args.g, p),
@@ -622,9 +620,10 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_handle_charsum)
 
     p = sub.add_parser("tau", parents=[common, poly], help="inert proportion of the primes f(n) in a quadratic field")
-    p.add_argument("--disc", type=int, help="fundamental discriminant")
-    p.add_argument("--admissible", action="store_true", help="list discriminants with proportion exactly 1")
-    p.add_argument("--bound", type=int, default=2000)
+    mode = p.add_mutually_exclusive_group()
+    mode.add_argument("--disc", type=int, help="fundamental discriminant")
+    mode.add_argument("--admissible", action="store_true", default=None, help="list discriminants with tau = 1")
+    p.add_argument("--bound", type=int, help="read by --admissible (default 2000)")
     p.set_defaults(func=_handle_tau)
 
     p = sub.add_parser("search", parents=[common, gated], help="checkpointed k-sweep for record streaks")
@@ -646,14 +645,14 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("criteria", parents=[common], help="primitive-root criteria scans")
     p.add_argument("--mode", choices=("classic", "extended", "fueter", "prop2", "lemma1"), required=True)
-    p.add_argument("--max", type=int, default=10_000, help="scan bound for classic/extended/fueter")
-    p.add_argument("--g", type=int, default=3, help="base for --mode extended")
-    p.add_argument("--k", type=int, default=1, help="multiplier for --mode prop2")
-    p.add_argument("--n-cap", type=int, default=2000, help="scan bound for --mode prop2")
-    p.add_argument("--alpha", type=int, default=1)
-    p.add_argument("--d1", type=int, default=163)
-    p.add_argument("--d2", type=int, default=1)
-    p.add_argument("--q-max", type=int, default=40)
+    p.add_argument("--max", type=int, help="scan bound for classic/extended/fueter (default 10000)")
+    p.add_argument("--g", type=int, help="base for --mode extended (default 3)")
+    p.add_argument("--k", type=int, help="multiplier for --mode prop2 (default 1)")
+    p.add_argument("--n-cap", type=int, help="scan bound for --mode prop2 (default 2000)")
+    p.add_argument("--alpha", type=int, help="for --mode lemma1 (default 1)")
+    p.add_argument("--d1", type=int, help="for --mode lemma1 (default 163)")
+    p.add_argument("--d2", type=int, help="for --mode lemma1 (default 1)")
+    p.add_argument("--q-max", type=int, help="for --mode lemma1 (default 40)")
     p.set_defaults(func=_handle_criteria)
 
     p = sub.add_parser("verify", parents=[common, gated], help="run a named reproduction preset")
@@ -664,12 +663,23 @@ def _build_parser() -> argparse.ArgumentParser:
     return top
 
 
-# (command, option, the modes that read it): any other mode refuses the option
+# (command, option, the modes that read it): any other mode refuses the option.
+# A mode is a flag of its command (density, mstat, tau) or a value of --mode.
 _MODE_OPTIONS = (
     ("density", "cutoff", ("poly", "totient_constant", "bateman_horn")),
     ("density", "no_accelerate", ("poly",)),
     ("mstat", "trials", ("simulate",)),
     ("mstat", "seed", ("simulate",)),
+    ("criteria", "max", ("classic", "extended", "fueter")),
+    ("criteria", "g", ("extended",)),
+    ("criteria", "k", ("prop2",)),
+    ("criteria", "n_cap", ("prop2",)),
+    *(("criteria", option, ("lemma1",)) for option in ("alpha", "d1", "d2", "q_max")),
+    ("charsum", "a", ("jacobsthal",)),
+    ("charsum", "d", ("average",)),
+    ("charsum", "poly", ("complete", "local", "average")),
+    ("charsum", "p", ("complete", "local", "jacobsthal")),
+    ("tau", "bound", ("admissible",)),
 )
 
 
@@ -684,8 +694,9 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     for command, option, modes in _MODE_OPTIONS:
         given = args.command == command and getattr(args, option) is not None
-        if given and not any(getattr(args, m) for m in modes):
-            parser.error(f"{command} {_flag(option)} applies only with {', '.join(map(_flag, modes))}")
+        if given and not any(getattr(args, m, None) or getattr(args, "mode", None) == m for m in modes):
+            named = ", ".join(_flag(m) if hasattr(args, m) else f"--mode {m}" for m in modes)
+            parser.error(f"{command} {_flag(option)} applies only with {named}")
     start = time.perf_counter()
     try:
         outputs = args.func(args)

@@ -5,6 +5,9 @@ Each predicate here is a verifiable statement: given hypotheses on a prime
 helpers return False for inapplicable inputs and raise CriterionViolationError
 if hypotheses hold but the conclusion fails, which no input should ever
 trigger; the exhaustive property tests assert exactly that.
+lehmer_index_coprimality (the CLI's prop2 mode) walks the primes 326n^2 + 3
+through streaks._residual_indices, which proves each one and factors its
+p - 1.
 """
 
 from __future__ import annotations
@@ -22,7 +25,7 @@ from .arith import (
 )
 from .charsums import require_valid_base
 from .poly import QuadraticPoly
-from .streaks import PrimeValueStream
+from .streaks import _residual_indices
 
 
 class CriterionViolationError(RuntimeError):
@@ -74,9 +77,7 @@ def lehmer_index_coprimality(k: int, n_cap: int) -> bool:
     index of k^2*b mod p is coprime to 2*3*...*37."""
     if k == 0:
         raise ValueError("k must be nonzero")
-    stream = PrimeValueStream(QuadraticPoly(a=326, b=0, c=3))
-    for _, p in stream.entries_upto(n_cap):
-        pm1 = stream.pm1_factorization(p)
+    for _, p, pm1, _ in _residual_indices(QuadraticPoly(a=326, b=0, c=3), k * k * 326, n_cap):
         for b in (-163, -3, 6, 326):
             if (k * b) % p == 0:
                 continue

@@ -42,6 +42,11 @@ from .arith import euler_phi, factor, is_prime, prime_chunks
 from .charsums import FundamentalDiscriminant
 from .poly import AnyPoly, PolyZ, as_polyz, is_perfect_square, roots_mod
 
+_EXTENSION = 1_000_000  # accelerated pr_density's last prime for degree <= 2
+_LEHMER_DISC = -163  # Lehmer's products run over the primes split here
+_LEHMER_TWIST = -978  # the corrected product's twist, -6 * 163
+_LEHMER_CUTOFF = 1_000_000
+
 
 @dataclass(frozen=True)
 class DensityReport:
@@ -349,12 +354,7 @@ def _require_no_fixed_divisor(P: np.ndarray, n_roots: np.ndarray) -> None:
         raise ValueError(f"degenerate polynomial: every value is divisible by {fixed[0]}")
 
 
-def pr_density(
-    f: AnyPoly,
-    cutoff: int = 10_000,
-    accelerate: bool = True,
-    extension: int = 1_000_000,
-) -> DensityReport:
+def pr_density(f: AnyPoly, cutoff: int = 10_000, accelerate: bool = True) -> DensityReport:
     """Truncated product over odd primes q of
     (1 - #{f=1 mod q} / (q * (q - #{f=0 mod q}))): the heuristic density with
     which an admissible base is a primitive root modulo primes f(n).
@@ -362,7 +362,7 @@ def pr_density(
     Direct mode stops at `cutoff` (tail estimate 2/(cutoff ln cutoff), the
     generic factors being 1 - (1 + chi)/q^2 in the mean).  Accelerated mode
     extends the same product with O(1) closed-form residue counts out to
-    `extension`, shrinking the tail to 2/(extension ln extension); for degree
+    _EXTENSION, shrinking the tail to 2/(_EXTENSION ln _EXTENSION); for degree
     > 2 the counts need enumeration, so the extension is capped at 20000.
 
     Raises ValueError for a quadratic with a square discriminant (reducible:
@@ -379,7 +379,7 @@ def pr_density(
         raise ValueError("degenerate polynomial: every value is even")
     limit = cutoff
     if accelerate:
-        limit = max(cutoff, extension if deg <= 2 else 20_000)
+        limit = max(cutoff, _EXTENSION if deg <= 2 else 20_000)
 
     def local(P: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         n_roots, n_ones = _residue_counts(poly, P)
@@ -420,32 +420,29 @@ def pr_density_simple(A: int, B: int, cutoff: int = 1_000_000) -> DensityReport:
     return DensityReport(value=value, cutoff=last or 3, tail_bound=tail, method="direct")
 
 
-def lehmer_naive_density(disc: int = -163, cutoff: int = 1_000_000) -> DensityReport:
-    """prod over primes q with (disc/q) = 1 of (1 - 2/q^2).  Tail bound
+def _lehmer_product(local: Callable[[np.ndarray], np.ndarray]) -> DensityReport:
+    """prod of local(q) over the primes q <= _LEHMER_CUTOFF split in
+    Q(sqrt(_LEHMER_DISC)), those with (_LEHMER_DISC/q) = 1.  Tail bound
     1/(cutoff ln cutoff) (split primes have density 1/2)."""
 
     def split(P: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        q = P[_legendre(disc, P) == 1]
-        return q, 1.0 - 2.0 / (q * q)
+        q = P[_legendre(_LEHMER_DISC, P) == 1]
+        return q, local(q)
 
-    value, last = _euler_product(cutoff, split)
-    tail = 1.0 / (cutoff * math.log(cutoff))
+    value, last = _euler_product(_LEHMER_CUTOFF, split)
+    tail = 1.0 / (_LEHMER_CUTOFF * math.log(_LEHMER_CUTOFF))
     return DensityReport(value=value, cutoff=last or 3, tail_bound=tail, method="direct")
 
 
-def lehmer_corrected_density(
-    disc: int = -163, twist: int = -978, cutoff: int = 1_000_000
-) -> DensityReport:
-    """prod over primes q with (disc/q) = 1 of (1 - 2/(q (q-1-(twist/q)))):
+def lehmer_naive_density() -> DensityReport:
+    """prod over primes q with (-163/q) = 1 of (1 - 2/q^2)."""
+    return _lehmer_product(lambda q: 1.0 - 2.0 / (q * q))
+
+
+def lehmer_corrected_density() -> DensityReport:
+    """prod over primes q with (-163/q) = 1 of (1 - 2/(q (q-1-(-978/q)))):
     the allowable-class-corrected success probability."""
-
-    def split(P: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        q = P[_legendre(disc, P) == 1]
-        return q, 1.0 - 2.0 / (q * (q - 1 - _legendre(twist, q)))
-
-    value, last = _euler_product(cutoff, split)
-    tail = 1.0 / (cutoff * math.log(cutoff))
-    return DensityReport(value=value, cutoff=last or 3, tail_bound=tail, method="direct")
+    return _lehmer_product(lambda q: 1.0 - 2.0 / (q * (q - 1 - _legendre(_LEHMER_TWIST, q))))
 
 
 def totient_ratio_constant(cutoff: int = 10_000_000) -> DensityReport:

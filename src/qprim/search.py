@@ -1,7 +1,10 @@
 """Record-search machinery: build candidate quadratics from a non-residue-rich
 number d and sweep k over k^2 * g_base with checkpointing and a deterministic
 parallel merge.  base_streaks, the one k-sweep engine (streaks.empirical_max_streak
-runs on it too), walks the prime values of f once for all the live bases.
+runs on it too), walks the prime values of f once for all the live bases: it
+reads streaks._residual_indices with g_base as witness, the walk that proves
+each prime, and tests every live k at each prime from the index of g_base and
+the factorization of p - 1 that the walk yields.
 """
 
 from __future__ import annotations
@@ -14,13 +17,13 @@ from dataclasses import asdict, dataclass
 from math import isqrt
 from typing import Iterator
 
-from .arith import is_prime, primes_up_to
+from .arith import primes_up_to
 from .charsums import require_valid_base
 from .poly import AnyPoly, QuadraticPoly, is_perfect_square
 
-# unused here: perfbench's resume check patches search.streak by name, so the
-# binding stays until that check patches PrimeValueStream instead
-from .streaks import PrimeValueStream, streak  # noqa: F401
+# streak is unused here: perfbench's resume check patches search.streak by
+# name, so the binding stays
+from .streaks import _residual_indices, streak  # noqa: F401
 
 CHECKPOINT_SECONDS = 30.0  # longest wait for a checkpoint line while bases complete
 _CHUNKS_PER_WORKER = 4  # pooled sweeps: k-chunks per worker
@@ -116,14 +119,14 @@ def _power_plan(live: list[int], spf: dict[int, int], small: list[int]) -> list[
 def _streaks_serial(
     f: AnyPoly, g_base: int, k_lo: int, k_hi: int, n_cap: int
 ) -> Iterator[tuple[int, int, int | None]]:
-    """The prime-major walk.  At each prime p of the stream not dividing
-    g_base (a candidate, proven by Lucas with g_base as witness or else by
-    is_prime), the live k with p | k skip p and the others are tested together:
-    (k^2 g_base / p) = (g_base / p) decides q = 2 for all of them, and for an
-    odd q | p-1 with e = (p-1)/q and t = g_base^e, (k^2 g_base)^e = 1 iff
-    k^e = z with z = t^((q-1)/2), the one element of the q-th roots of unity
-    with z^2 t = 1.  A k's count is the primes passed before it failed, less
-    those dividing it."""
+    """The prime-major walk.  At each prime p of the walk not dividing
+    g_base, the live k with p | k skip p and the others are tested together:
+    (k^2 g_base / p) = (g_base / p) decides q = 2 for all of them, so an even
+    index of g_base fails every one; at an odd index, for each odd q | p-1
+    with e = (p-1)/q, (k^2 g_base)^e = 1 iff k^e = z with
+    z = g_base^(e(q-1)/2), the one element of the q-th roots of unity with
+    z^2 g_base^e = 1.  A k's count is the primes passed before it failed,
+    less those dividing it."""
     if k_lo > k_hi:
         return
     small, spf = primes_up_to(isqrt(k_hi)), {}
@@ -137,27 +140,17 @@ def _streaks_serial(
         return passed - sum(1 for p in passed_small if k % p == 0)
 
     next_k = k_lo
-    for _, p, pm1 in PrimeValueStream(f)._factored(n_cap):
-        r = g_base % p
-        if r == 0:
+    for _, p, pm1, index in _residual_indices(f, g_base, n_cap):
+        if index is None:
             continue
         tested = live if p > k_hi else [k for k in live if k % p]
-        failed, proven = [], False
-        half = pow(r, p >> 1, p) if p > 2 else 0
-        if half == 1:
-            failed = tested
-        elif half == p - 1:  # g_base is the Lucas witness: p is proven if no t is 1
-            proven = True
-            for q in pm1.prime_factors()[1:]:
-                e = (p - 1) // q
-                t = pow(r, e, p)
-                proven &= t != 1
-                z = pow(t, (q - 1) // 2, p)
-                for k, ell, m in plan:
-                    power[k] = pow(k, e, p) if m == 1 else power[ell] * power[m] % p
-                failed += [k for k in tested if power[k] == z]
-        if not proven and not is_prime(p):
-            continue
+        failed = [] if index % 2 else tested  # an even index: g_base is a square mod p
+        for q in pm1.prime_factors()[1:] if index % 2 else ():
+            e = (p - 1) // q
+            z = pow(g_base, e * (q - 1) // 2, p)
+            for k, ell, m in plan:
+                power[k] = pow(k, e, p) if m == 1 else power[ell] * power[m] % p
+            failed += [k for k in tested if power[k] == z]
         if failed:
             done |= {k: (count(k), p) for k in failed}
             live = [k for k in live if k not in done]

@@ -12,10 +12,13 @@ tests they save.  prime_count sieves to the full limit.  The stream keeps
 only its sieve roots between walks; streak, verify_primitive_root_prefix and
 pr_stats read the residual index of g at each prime from one walk.
 
-The walks (that one and search's k-sweep) take the larger survivors on the
-base-2 strong test alone, factor their p - 1 in groups of _GROUP, and let the
-powers of the primitive-root test prove p prime by Lucas; is_prime proves a
-candidate its witness does not.  entries_upto yields proven primes only.
+That walk, _residual_indices, is the only reader of the stream's base-2
+candidates: it takes the larger survivors on the base-2 strong test alone,
+factors their p - 1 in groups of _GROUP, and lets the powers of the
+primitive-root test prove p prime by Lucas; is_prime proves a candidate its
+witness does not.  search's k-sweep and criteria.lehmer_index_coprimality
+read the same walk, with its p - 1 factorizations.  entries_upto yields proven
+primes only.
 """
 
 from __future__ import annotations
@@ -174,13 +177,16 @@ class PrimeValueStream:
                     yield n, v
 
     def pm1_factorization(self, p: int) -> Factorization:
+        """factor(p - 1).  No walk calls it (they factor in groups); it stays
+        because perfbench wraps it by name for its streaks.pm1 counters."""
         return factor(p - 1)
 
     def _factored(self, n_cap: int) -> Iterator[tuple[int, int, Factorization]]:
         """(n, p, factorization of p - 1) for the candidates p = f(n), n <= n_cap,
-        which passed only the base-2 test: the caller proves each p it uses.
-        Each _GROUP of p - 1 is one factor_many batch.  A p whose p - 1 failed
-        to factor raises that error here if it is prime, and is dropped if not."""
+        which passed only the base-2 test: its one caller, _residual_indices,
+        proves each p.  Each _GROUP of p - 1 is one factor_many batch.  A p
+        whose p - 1 failed to factor raises that error here if it is prime,
+        and is dropped if not."""
         candidates = self._entries(n_cap, arith.is_strong_probable_prime)
         while group := list(islice(candidates, _GROUP)):
             for (n, p), pm1 in zip(group, arith.factor_many([p - 1 for _, p in group])):
@@ -192,24 +198,25 @@ class PrimeValueStream:
 
 def _residual_indices(
     f: AnyPoly, g: int, n_cap: int, stream: PrimeValueStream | None = None
-) -> Iterator[tuple[int, int, int | None]]:
-    """Yield (n, p, index) over the distinct primes p = f(n), n <= n_cap, in
-    order: index is (p-1)/ord_p(g), 1 exactly when g is a primitive root mod
-    p, or None when p divides g.  Arguments are checked before the walk.  g is
-    the Lucas witness; a candidate it does not certify (a failing prime, an
-    index above 1, p | g) counts only once is_prime proves it."""
+) -> Iterator[tuple[int, int, Factorization, int | None]]:
+    """Yield (n, p, pm1, index) over the distinct primes p = f(n), n <= n_cap,
+    in order: pm1 factors p - 1, and index is (p-1)/ord_p(g), 1 exactly when g
+    is a primitive root mod p, or None when p divides g.  Arguments are
+    checked before the walk.  g is the Lucas witness; a candidate it does not
+    certify (a failing prime, an index above 1, p | g) counts only once
+    is_prime proves it.  Every walk over proven primes reads this one."""
     require_valid_base(g)
     if n_cap < 0:
         raise ValueError("n_cap must be >= 0")
     if stream is None:
         stream = PrimeValueStream(f)
 
-    def walk() -> Iterator[tuple[int, int, int | None]]:
+    def walk() -> Iterator[tuple[int, int, Factorization, int | None]]:
         for n, p, pm1 in stream._factored(n_cap):
             if arith.lucas_certifies(g, p, pm1):
-                yield n, p, 1
+                yield n, p, pm1, 1
             elif is_prime(p):
-                yield n, p, None if g % p == 0 else arith.residual_index(g, p, pm1)
+                yield n, p, pm1, None if g % p == 0 else arith.residual_index(g, p, pm1)
 
     return walk()
 
@@ -220,33 +227,16 @@ def streak(
     """Walk the distinct primes f(n), n = 0..n_cap in order, skipping primes
     dividing g, and count how many consecutive ones have g as a primitive
     root before the first failure.  A stream passed in lends its sieve roots."""
-    count = 0
-    primes_seen = 0
-    for n, p, index in _residual_indices(f, g, n_cap, stream):
+    count = primes_seen = 0
+    failure, n_scanned = (None, None, None), n_cap + 1
+    for n, p, _, index in _residual_indices(f, g, n_cap, stream):
         primes_seen += 1
         if index == 1:
             count += 1
         elif index is not None:
-            return StreakResult(
-                poly=f,
-                g=g,
-                count=count,
-                n_at_failure=n,
-                failing_prime=p,
-                residual_index_at_failure=index,
-                n_scanned=n + 1,
-                primes_seen=primes_seen,
-            )
-    return StreakResult(
-        poly=f,
-        g=g,
-        count=count,
-        n_at_failure=None,
-        failing_prime=None,
-        residual_index_at_failure=None,
-        n_scanned=n_cap + 1,
-        primes_seen=primes_seen,
-    )
+            failure, n_scanned = (n, p, index), n + 1
+            break
+    return StreakResult(f, g, count, *failure, n_scanned, primes_seen)
 
 
 def verify_primitive_root_prefix(f: AnyPoly, g: int, prefix: int, n_cap: int = 10_000_000) -> bool:
@@ -257,7 +247,7 @@ def verify_primitive_root_prefix(f: AnyPoly, g: int, prefix: int, n_cap: int = 1
     if prefix < 1:
         raise ValueError("prefix must be >= 1")
     checked = 0
-    for _, _, index in walk:
+    for *_, index in walk:
         if index is None:
             continue
         if index > 1:
@@ -296,7 +286,7 @@ def pr_stats(f: AnyPoly, g: int, n_cap: int) -> PrStats:
     """Histogram of residual indices of g over the distinct primes f(n) with
     n <= n_cap and p not dividing g."""
     hist: dict[int, int] = {}
-    for _, _, index in _residual_indices(f, g, n_cap):
+    for *_, index in _residual_indices(f, g, n_cap):
         if index is not None:
             hist[index] = hist.get(index, 0) + 1
     return PrStats(

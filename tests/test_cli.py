@@ -407,6 +407,13 @@ def test_report_reruns_from_its_inputs(capsys, argv):
         ["density", "--bateman-horn", "1,1,41", "--no-accelerate"],
         ["mstat", "--p1", "0.9", "--s", "100", "--trials", "500"],
         ["mstat", "--p1", "0.9", "--s", "100", "--seed", "42"],
+        ["criteria", "--mode", "classic", "--max", "100", "--k", "7", "--d1", "5"],
+        ["criteria", "--mode", "lemma1", "--max", "100"],
+        ["criteria", "--mode", "fueter", "--g", "5"],
+        ["tau", "--poly", "3,0,7", "--disc", "5", "--bound", "10"],
+        ["tau", "--poly", "326,0,3", "--admissible", "--disc", "5"],
+        ["charsum", "--mode", "jacobsthal", "--a", "1", "--p", "5", "--poly", "1,0,1", "--d", "15"],
+        ["charsum", "--mode", "average", "--poly", "1,0,1", "--d", "15", "--p", "5"],
     ],
 )
 def test_conflicting_or_ignored_options_are_usage_errors(capsys, argv):
@@ -422,6 +429,11 @@ def test_conflicting_or_ignored_options_are_usage_errors(capsys, argv):
         (["density", "--simple", "326,3", "--no-accelerate"], "--no-accelerate"),
         (["mstat", "--p1", "0.9", "--s", "100", "--trials", "500"], "--trials"),
         (["mstat", "--p1", "0.9", "--s", "100", "--seed", "42"], "--seed"),
+        (["criteria", "--mode", "classic", "--max", "100", "--k", "7"], "--mode prop2"),
+        (["criteria", "--mode", "prop2", "--d1", "5"], "--d1"),
+        (["tau", "--poly", "3,0,7", "--disc", "5", "--bound", "10"], "--bound"),
+        (["charsum", "--mode", "jacobsthal", "--a", "1", "--p", "5", "--poly", "1,0,1"], "--poly"),
+        (["charsum", "--mode", "complete", "--poly", "1,0,1", "--p", "5", "--a", "1"], "--mode jacobsthal"),
     ],
 )
 def test_ignored_option_error_names_the_option(capsys, argv, option):

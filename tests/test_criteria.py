@@ -64,6 +64,27 @@ def test_lehmer_index_coprimality():
     assert math.gcd(83, 2 * 3 * 5 * 7 * 11 * 13 * 17 * 19 * 23 * 29 * 31 * 37) == 1
 
 
+def test_lehmer_index_coprimality_finds_a_shared_factor(monkeypatch):
+    # with 83 in place of the primorial the check must fail at n = 2375,
+    # p = 1838843753, where base 326 has residual index 83, and not before
+    sympy = pytest.importorskip("sympy")
+    from qprim import criteria
+
+    monkeypatch.setattr(criteria, "_PRIMORIAL_37", 83)
+
+    def oracle(n_cap):
+        for n in range(n_cap + 1):
+            p = 326 * n * n + 3
+            if sympy.isprime(p):
+                for b in (-163, -3, 6, 326):
+                    if b % p and ((p - 1) // sympy.n_order(b % p, p)) % 83 == 0:
+                        return False
+        return True
+
+    assert lehmer_index_coprimality(1, 2374) is oracle(2374) is True
+    assert lehmer_index_coprimality(1, 2375) is oracle(2375) is False
+
+
 def test_chebyshev_classic_spots():
     assert chebyshev_criterion(5)  # p2 = 11
     assert not chebyshev_criterion(13)  # 27 composite

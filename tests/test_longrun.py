@@ -55,7 +55,7 @@ def test_record_streak_primes_against_sympy(preset_name):
     sympy = pytest.importorskip("sympy")
     preset = preset_registry()[preset_name]
     proven = []
-    for _, p, index in _residual_indices(preset.poly, preset.g, preset.long_run_n_cap):
+    for _, p, _, index in _residual_indices(preset.poly, preset.g, preset.long_run_n_cap):
         if index == 1:
             proven.append(p)
         elif index is not None:

@@ -259,7 +259,7 @@ def test_sweep_fresh_over_torn_file(tmp_path):
 
 
 def test_resumed_finished_sweep_builds_no_stream(tmp_path, monkeypatch):
-    from qprim import search
+    from qprim import search, streaks
 
     cfg = SearchConfig(d=163, d1=163, alpha=1, g_base=326, k_lo=1, k_hi=20, n_cap=3000)
     path = str(tmp_path / "ck.jsonl")
@@ -268,7 +268,7 @@ def test_resumed_finished_sweep_builds_no_stream(tmp_path, monkeypatch):
     def no_stream(*args, **kwargs):
         raise AssertionError("resuming a finished sweep built a prime stream")
 
-    monkeypatch.setattr(search, "PrimeValueStream", no_stream)
+    monkeypatch.setattr(streaks, "PrimeValueStream", no_stream)
     again = sweep(cfg, checkpoint_path=path)
     assert (again.k, again.c, again.failing_prime, again.certified) == (
         first.k, first.c, first.failing_prime, first.certified

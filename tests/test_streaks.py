@@ -395,7 +395,7 @@ def test_walks_skip_a_base2_pseudoprime_with_no_small_factor():
     assert (1, 3511**2) in [(n, p) for n, p, _ in PrimeValueStream(f)._factored(n_cap)]
     entries = sympy_entries(f, n_cap)
     for g in (3, 5, 6, 7, 10, 11, -3):
-        assert [(n, p) for n, p, _ in _residual_indices(f, g, n_cap)] == entries
+        assert [(n, p) for n, p, _, _ in _residual_indices(f, g, n_cap)] == entries
         res = streak(f, g, n_cap)
         assert (res.count, res.n_at_failure, res.failing_prime, res.residual_index_at_failure) == (
             sympy_streak(entries, g)
