@@ -348,20 +348,20 @@ def _handle_density(args) -> dict:
     if args.lehmer_corrected:
         return {"kind": "lehmer_corrected", **asdict(lehmer_corrected_density())}
     if args.totient_constant:
-        rep = totient_ratio_constant(args.cutoff or 10_000_000)
+        rep = totient_ratio_constant(_filled(args, cutoff=10_000_000).cutoff)
         return {"kind": "totient_ratio_constant", **asdict(rep)}
     if args.q_product:
         primes = [int(p) for p in args.q_product.split(",")]
         return {"kind": "totient_ratio_product", "value": totient_ratio_product(primes)}
     if args.bateman_horn:
-        rep = bateman_horn_constant(parse_poly(args.bateman_horn), cutoff=args.cutoff or 100_000)
+        rep = bateman_horn_constant(parse_poly(args.bateman_horn), _filled(args, cutoff=100_000).cutoff)
         return {"kind": "bateman_horn", **asdict(rep)}
     if args.simple:
         return {"kind": "simplified_quality", **asdict(pr_density_simple(*args.simple))}
     if not args.poly:
         raise ValueError("density needs --poly or one of the named product modes")
     f = parse_poly(args.poly)
-    rep = pr_density(f, cutoff=args.cutoff or 10_000, accelerate=not args.no_accelerate)
+    rep = pr_density(f, _filled(args, cutoff=10_000).cutoff, accelerate=not args.no_accelerate)
     return {"kind": "quality", "poly": str(as_polyz(f)), **asdict(rep)}
 
 

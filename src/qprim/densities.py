@@ -218,8 +218,11 @@ def _euler_product(
     the primes that enter the product and their float64 local factors.
     math.prod multiplies each chunk in left to right, as the scalar loop
     `value *= factor` does, so the result is bit-identical to it.  Returns
-    the product and the largest kept prime (None if none was kept).
+    the product and the largest kept prime (None if none was kept).  Every
+    caller passes its cutoff as limit, and one below 2 is an error.
     """
+    if limit < 2:
+        raise ValueError("cutoff must be at least 2")
     last = None
     for P in prime_chunks(3, limit):
         kept, factors = local_factor(P)
@@ -370,6 +373,8 @@ def pr_density(f: AnyPoly, cutoff: int = 10_000, accelerate: bool = True) -> Den
     prime divides every value (the product collapses to 0): such an f
     represents at most finitely many primes.
     """
+    if cutoff < 2:
+        raise ValueError("cutoff must be at least 2")
     poly = as_polyz(f)
     deg = poly.degree()
     if deg < 1:
@@ -449,8 +454,6 @@ def totient_ratio_constant(cutoff: int = 10_000_000) -> DensityReport:
     """prod over primes q <= cutoff of (1 + 1/(q-1)^2): the mean of
     (p-1)/phi(p-1) over primes.  Tail < 1.3/(cutoff ln cutoff); absolute
     error below 1e-6 from cutoff 1e7 on."""
-    if cutoff < 2:
-        raise ValueError("cutoff must be at least 2")
 
     def local(P: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         return P, 1.0 + 1.0 / (P - 1.0) ** 2

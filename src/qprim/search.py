@@ -3,8 +3,8 @@ number d and sweep k over k^2 * g_base with checkpointing and a deterministic
 parallel merge.  base_streaks, the one k-sweep engine (streaks.empirical_max_streak
 runs on it too), walks the prime values of f once for all the live bases: it
 reads streaks._residual_indices with g_base as witness, the walk that proves
-each prime, and tests every live k at each prime from the index of g_base and
-the factorization of p - 1 that the walk yields.
+each prime, and tests every live k against a group of primes in one matrix
+pass, from the index of g_base and the factorization of p - 1 it yields.
 """
 
 from __future__ import annotations
@@ -17,16 +17,20 @@ from dataclasses import asdict, dataclass
 from math import isqrt
 from typing import Iterator
 
+import numpy as np
+
 from .arith import primes_up_to
 from .charsums import require_valid_base
 from .poly import AnyPoly, QuadraticPoly, is_perfect_square
 
 # streak is unused here: perfbench's resume check patches search.streak by
 # name, so the binding stays
-from .streaks import _residual_indices, streak  # noqa: F401
+from .streaks import _GROUP, _residual_indices, streak  # noqa: F401
 
 CHECKPOINT_SECONDS = 30.0  # longest wait for a checkpoint line while bases complete
 _CHUNKS_PER_WORKER = 4  # pooled sweeps: k-chunks per worker
+_EXACT_BITS = 48  # a group whose p are all below 2^48 runs on uint64 arrays
+_MATRIX_ELEMENTS = 1 << 14  # plan rows x (p, q) pairs per matrix pass: bounds its memory
 
 
 class CheckpointError(RuntimeError):
@@ -95,77 +99,110 @@ def candidate_poly(cfg: SearchConfig) -> QuadraticPoly:
     cfg.validate()
     scale = (1 << cfg.alpha) * cfg.d1 * cfg.r1
     const = cfg.sign * (1 << cfg.alpha) * cfg.d2 * cfg.r2 + 1
-    a = scale
-    b = 2 * scale * cfg.shift
-    c = scale * cfg.shift * cfg.shift + const
-    return QuadraticPoly(a=a, b=b, c=c)
+    return QuadraticPoly(a=scale, b=2 * scale * cfg.shift, c=scale * cfg.shift * cfg.shift + const)
 
 
-def _power_plan(live: list[int], spf: dict[int, int], small: list[int]) -> list[tuple[int, int, int]]:
-    """(k, l, k // l), ascending, for each k that the powers k^e of the live k
-    are built from, l being the least prime factor of k (memoized in spf, by
-    trial division by `small`): k -> k^e is completely multiplicative, so k^e
-    is a pow for prime k (k // l = 1) and l^e * (k // l)^e otherwise."""
-    need: set[int] = set()
-    todo = set(live)
+def _power_plan(live: list[int]) -> tuple:
+    """(ks, level ends, the rows of l and k // l per composite row, the row of
+    each live k), ks being the k that the powers k^e of the live k are built
+    from, l the least prime factor of k: a pow for prime k (and k = 1), the
+    first level, else l^e * (k // l)^e, at the level of k's bit length."""
+    small, spf, need, todo = primes_up_to(isqrt(max(live))), {}, set(), set(live)
     while todo:
         need |= todo
-        for k in todo - spf.keys():
-            spf[k] = next((q for q in small if k % q == 0), k)
+        spf |= {k: next((q for q in small if k % q == 0), k) for k in todo}
         todo = {m for k in todo for m in (spf[k], k // spf[k])} - need - {1}
-    return [(k, spf[k], k // spf[k]) for k in sorted(need)]
+    level = {k: spf[k] != k and k.bit_length() for k in need}
+    ks = sorted(need, key=lambda k: (level[k], k))
+    row = {k: i for i, k in enumerate(ks)}
+    ends = [i for i in range(1, len(ks) + 1) if i == len(ks) or level[ks[i]] > level[ks[i - 1]]]
+    factors = np.array([(row[spf[k]], row[k // spf[k]]) for k in ks[ends[0] :]], np.intp)
+    return ks, ends, factors.reshape(-1, 2), np.array([row[k] for k in live], np.intp)
+
+
+def _mulmod(a: np.ndarray, b: np.ndarray, p: np.ndarray) -> np.ndarray:
+    """a * b mod p elementwise for a < p, on Python ints or exactly on uint64 for p < 2^_EXACT_BITS:
+    b is taken w = 63 - bits(max p) bits at a time, so (r << w) + a * chunk < 2^64."""
+    if p.dtype == object:
+        return a * b % p
+    r, w = 0, 63 - int(p.max()).bit_length()
+    for shift in range((int(b.max()).bit_length() - 1) // w * w, -1, -w):
+        r = ((r << w) + a * ((b >> shift) & ((1 << w) - 1))) % p
+    return r
+
+
+def _powmod(base: np.ndarray, e: np.ndarray, p: np.ndarray) -> np.ndarray:
+    """base^e mod p elementwise: pow on Python ints, square-and-multiply by _mulmod on uint64."""
+    if p.dtype == object:
+        return np.frompyfunc(pow, 3, 1)(base, e, p)
+    r = np.ones(np.broadcast_shapes(base.shape, e.shape), np.uint64)
+    for bit in reversed(range(int(e.max()).bit_length())):
+        r = _mulmod(r, r, p)
+        r = np.where((e >> bit) & 1 == 1, _mulmod(r, base, p), r)
+    return r
 
 
 def _streaks_serial(
     f: AnyPoly, g_base: int, k_lo: int, k_hi: int, n_cap: int
 ) -> Iterator[tuple[int, int, int | None]]:
-    """The prime-major walk.  At each prime p of the walk not dividing
-    g_base, the live k with p | k skip p and the others are tested together:
-    (k^2 g_base / p) = (g_base / p) decides q = 2 for all of them, so an even
-    index of g_base fails every one; at an odd index, for each odd q | p-1
-    with e = (p-1)/q, (k^2 g_base)^e = 1 iff k^e = z with
-    z = g_base^(e(q-1)/2), the one element of the q-th roots of unity with
-    z^2 g_base^e = 1.  A k's count is the primes passed before it failed,
-    less those dividing it."""
+    """The prime-major walk, a group of at most _GROUP primes at a time, fewer
+    once their (p, q) pairs times the plan's rows reach _MATRIX_ELEMENTS.  At
+    p not dividing g_base, a live k fails if k^e = z at one of p's pairs
+    (e, z); one pass computes k^e mod p for every plan row and pair, on uint64
+    if every p < 2^_EXACT_BITS (p | k: k^e = 0, a skip).  (k^2 g_base / p) =
+    (g_base / p), so an even index of g_base gives the pair (p - 1, 1); an odd
+    one gives e = (p-1)/q, z = g_base^(e(q-1)/2) per odd q | p-1, as
+    (k^2 g_base)^e = 1 iff k^e = z, or else (0, 0), which fails no k.  A k's
+    count is the primes passed before it failed, less those dividing it."""
     if k_lo > k_hi:
         return
-    small, spf = primes_up_to(isqrt(k_hi)), {}
-    live = list(range(k_lo, k_hi + 1))
-    plan, planned = _power_plan(live, spf, small), len(live)
-    power = {1: 1}  # k^e mod p for the k in plan, per (p, q)
-    passed, passed_small = 0, []  # primes so far not dividing g_base; those <= k_hi
+    live = np.arange(k_lo, k_hi + 1)
+    (ks, ends, factors, live_rows), planned = _power_plan(live.tolist()), len(live)
+    passed, passed_small = 0, []  # primes so far not dividing g_base; (position, p) of those <= k_hi
     done: dict[int, tuple[int, int | None]] = {}
 
-    def count(k: int) -> int:
-        return passed - sum(1 for p in passed_small if k % p == 0)
+    def count(k: int, n: int) -> int:  # k's count at the n-th prime
+        return n - sum(1 for i, p in passed_small if i < n and k % p == 0)
 
-    next_k = k_lo
-    for _, p, pm1, index in _residual_indices(f, g_base, n_cap):
-        if index is None:
-            continue
-        tested = live if p > k_hi else [k for k in live if k % p]
-        failed = [] if index % 2 else tested  # an even index: g_base is a square mod p
-        for q in pm1.prime_factors()[1:] if index % 2 else ():
-            e = (p - 1) // q
-            z = pow(g_base, e * (q - 1) // 2, p)
-            for k, ell, m in plan:
-                power[k] = pow(k, e, p) if m == 1 else power[ell] * power[m] % p
-            failed += [k for k in tested if power[k] == z]
-        if failed:
-            done |= {k: (count(k), p) for k in failed}
-            live = [k for k in live if k not in done]
-            if 2 * len(live) <= planned:  # till then, dead k in the plan cost less
-                plan, planned = _power_plan(live, spf, small), len(live)
-            while next_k in done:
-                yield (next_k, *done.pop(next_k))
-                next_k += 1
-            if not live:
-                return
-        passed += 1
-        if p <= k_hi:
-            passed_small.append(p)
+    walk = (item for item in _residual_indices(f, g_base, n_cap) if item[3] is not None)
+    next_k, error = k_lo, None
+    while len(live):
+        items, starts, pairs = [], [], []
+        try:
+            for _, p, pm1, index in walk:
+                es = [(p - 1) // q for q in pm1.prime_factors()[1:]] if index % 2 else [p - 1]
+                items.append(p)
+                starts.append(len(pairs))
+                pairs += [(p, e, pow(g_base, (p - 1 - e) // 2, p)) for e in es] or [(p, 0, 0)]  # e(q-1) = p-1-e
+                if len(items) == _GROUP or len(pairs) * len(ks) >= _MATRIX_ELEMENTS:
+                    break
+        except Exception as exc:  # the walk raises in prime order: re-raised if a k is live there
+            error = exc
+        if not items:
+            break
+        dtype = np.uint64 if max(items) >> _EXACT_BITS == 0 else object
+        P, E, Z = (np.array(v, dtype)[None, :] for v in zip(*pairs))
+        V = np.empty((len(ks), len(pairs)), dtype)
+        V[: ends[0]] = _powmod(np.array(ks[: ends[0]], dtype)[:, None], E, P)
+        for lo, hi in zip(ends, ends[1:]):
+            ell, m = factors[lo - ends[0] : hi - ends[0]].T
+            V[lo:hi] = _mulmod(V[ell], V[m], P)
+        fails = np.logical_or.reduceat(V[live_rows] == Z, starts, axis=1)
+        failed, first = fails.any(axis=1), fails.argmax(axis=1)
+        passed_small += [(passed + j, p) for j, p in enumerate(items) if p <= k_hi]
+        dead = zip(live[failed].tolist(), first[failed].tolist())  # (k, the item it failed at)
+        done |= {k: (count(k, passed + j), items[j]) for k, j in dead}
+        passed += len(items)
+        live, live_rows = live[~failed], live_rows[~failed]
+        while next_k in done:
+            yield (next_k, *done.pop(next_k))
+            next_k += 1
+        if 0 < 2 * len(live) <= planned:  # till then, dead k in the plan cost less
+            (ks, ends, factors, live_rows), planned = _power_plan(live.tolist()), len(live)
+    if error is not None and len(live):
+        raise error
     for k in range(next_k, k_hi + 1):
-        yield (k, *done.pop(k, (count(k), None)))
+        yield (k, *done.pop(k, (count(k, passed), None)))
 
 
 def _streaks_chunk(args: tuple) -> list[tuple[int, int, int | None]]:

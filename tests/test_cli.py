@@ -226,6 +226,16 @@ def test_density_rejects_even_valued_and_reducible(capsys):
         assert why in err, poly
 
 
+@pytest.mark.parametrize("cutoff", ["0", "1"])
+@pytest.mark.parametrize(
+    "mode", [["--poly", "1,1,41", "--no-accelerate"], ["--poly", "1,1,41"], ["--totient-constant"], ["--bateman-horn", "1,1,41"]]
+)
+def test_density_cutoff_below_two_is_an_error(capsys, mode, cutoff):
+    code, _, err = run_cli(capsys, "density", *mode, "--cutoff", cutoff)
+    assert code == 1
+    assert "cutoff must be at least 2" in err
+
+
 def test_density_simple_needs_two_integers(capsys):
     for bad in ("3", "1,2,3", "3,x"):
         with pytest.raises(SystemExit) as exc:

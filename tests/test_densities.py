@@ -381,6 +381,21 @@ def test_totient_ratio_constant():
     assert values == sorted(values)
 
 
+@pytest.mark.parametrize("cutoff", [0, 1])
+def test_every_euler_product_needs_a_cutoff_of_two(cutoff):
+    # cutoff 1 divided by log(1) = 0 in each tail bound
+    calls = [
+        lambda: pr_density(QuadraticPoly(1, 1, 41), cutoff=cutoff),
+        lambda: pr_density(QuadraticPoly(1, 1, 41), cutoff=cutoff, accelerate=False),
+        lambda: pr_density_simple(326, 3, cutoff=cutoff),
+        lambda: totient_ratio_constant(cutoff),
+        lambda: bateman_horn_constant(QuadraticPoly(1, 1, 41), cutoff=cutoff),
+    ]
+    for call in calls:
+        with pytest.raises(ValueError, match="cutoff must be at least 2"):
+            call()
+
+
 def test_totient_ratio_product():
     assert totient_ratio_product([3]) == 2.0
     assert totient_ratio_product([3, 5]) == 4.0

@@ -2,13 +2,18 @@
 
 import json
 import os
+import random
+from math import isqrt
 
+import numpy as np
 import pytest
+import sympy
 
-from qprim.arith import squarefree_decomposition
+from qprim.arith import DETERMINISTIC_PRIMALITY_LIMIT, squarefree_decomposition
 from qprim.charsums import admissible_discriminants, is_valid_base
 from qprim.poly import QuadraticPoly
 from qprim.search import (
+    _EXACT_BITS,
     CheckpointError,
     SearchConfig,
     candidate_poly,
@@ -289,6 +294,10 @@ def per_base_streaks(f, g_base, k_lo, k_hi, n_cap):
 
 
 LEHMER = QuadraticPoly(326, 0, 3)
+# the example2-g24 record family: every value lies above 2^_EXACT_BITS
+RECORD_G24 = candidate_poly(SearchConfig(d=D_A, d1=230849, alpha=6, sign=-1, shift=56943))
+# 326 (X + shift)^2 + 3, whose values reach 2^_EXACT_BITS near n = 700
+CROSSING = candidate_poly(SearchConfig(d=163, d1=163, alpha=1, shift=isqrt((1 << _EXACT_BITS) // 326) - 700))
 
 
 @pytest.mark.parametrize(
@@ -302,6 +311,8 @@ LEHMER = QuadraticPoly(326, 0, 3)
         # 3 is a square mod 37 = 6^2 + 1: the q = 2 test fails there
         (QuadraticPoly(1, 0, 1), 3, 1, 100, 2000),
         (LEHMER, 326, 1, 200, 30),  # most streaks unfinished at n_cap
+        (RECORD_G24, 3, 1, 25, 1000),  # Python-int groups alone
+        (CROSSING, 326, 10**6, 10**6 + 60, 1300),  # uint64 groups, then Python-int ones
     ],
 )
 def test_base_streaks_equals_per_base_streak(f, g_base, k_lo, k_hi, n_cap):
@@ -321,6 +332,79 @@ def test_base_streaks_covers_skips_q2_failures_and_unfinished():
     assert any(pow(3, (p - 1) // 2, p) == 1 for p in q2)
     unfinished = [k for k, _, p in base_streaks(LEHMER, 326, 1, 200, 30) if p is None]
     assert 0 < len(unfinished) < 200
+
+
+def test_base_streaks_covers_both_element_types(monkeypatch):
+    # the record family and the crossing above exercise what they claim
+    from qprim import search
+
+    exact = []
+    powmod = search._powmod
+
+    def spy(base, e, p):
+        exact.append(p.dtype != object)
+        return powmod(base, e, p)
+
+    monkeypatch.setattr(search, "_powmod", spy)
+    assert any(p for *_, p in search.base_streaks(RECORD_G24, 3, 1, 25, 1000)) and not any(exact)
+    exact.clear()
+    failing = [p for *_, p in search.base_streaks(CROSSING, 326, 10**6, 10**6 + 60, 1300) if p]
+    assert True in exact and False in exact
+    assert min(failing) < 1 << _EXACT_BITS <= max(failing)
+
+
+# 326 (X + shift)^2 + 3, whose values pass DETERMINISTIC_PRIMALITY_LIMIT
+# near n = 20; is_prime raises on an uncertified prime above it
+PAST_PROVABLE = candidate_poly(
+    SearchConfig(d=163, d1=163, alpha=1, shift=isqrt(DETERMINISTIC_PRIMALITY_LIMIT // 326) - 20)
+)
+
+
+def test_sweep_reads_the_walk_no_further_than_its_last_live_k():
+    # 3 fails every k at the first prime, below the limit; the walk raises
+    # later, at a prime no k reaches.  31 keeps every k live up to there, so
+    # the sweep raises as each streak does.
+    from qprim.search import base_streaks
+    from qprim.streaks import _residual_indices
+
+    with pytest.raises(ValueError, match="deterministic primality range"):
+        list(_residual_indices(PAST_PROVABLE, 3, 60))
+    res = streak(PAST_PROVABLE, 3, 60)
+    assert res.failing_prime < DETERMINISTIC_PRIMALITY_LIMIT
+    assert list(base_streaks(PAST_PROVABLE, 3, 1, 1, 60)) == [(1, res.count, res.failing_prime)]
+    assert list(base_streaks(PAST_PROVABLE, 3, 1, 9, 60)) == per_base_streaks(PAST_PROVABLE, 3, 1, 9, 60)
+    with pytest.raises(ValueError, match="deterministic primality range"):
+        streak(PAST_PROVABLE, 31, 60)
+    with pytest.raises(ValueError, match="deterministic primality range"):
+        list(base_streaks(PAST_PROVABLE, 31, 1, 5, 60))
+
+
+@pytest.mark.parametrize(
+    "ps", [[sympy.prevprime(1 << _EXACT_BITS)], [1021], [3, 1021, 65521, sympy.prevprime(1 << _EXACT_BITS)]]
+)
+def test_uint64_kernels_are_exact_at_their_bounds(ps):
+    # operands p - 1 and exponents with the top bit set, then a seeded sample,
+    # against Python's a * b % p and pow; the widest p sets the chunk width
+    from qprim.search import _mulmod, _powmod
+
+    rng = random.Random(len(ps))
+    cols = [(p, x) for p in ps for x in [p - 1, p - 2, 0, 1] + [rng.randrange(p) for _ in range(40)]]
+    P = np.array([[p for p, _ in cols]], np.uint64)
+    a = [[p - 1, p - 2, 1, 0][i] if i < 4 else rng.randrange(p) for i in range(30) for p, _ in cols]
+    A = np.array(a, np.uint64).reshape(30, len(cols))
+    B = np.array([[x for _, x in cols]], np.uint64)
+    assert _mulmod(A, B, P).tolist() == [[u * x % p for u, (p, x) in zip(row, cols)] for row in A.tolist()]
+
+    top = [(p, 1 << (p.bit_length() - 1)) for p in ps]
+    exps = [(p, e) for p, t in top for e in (p - 1, p - 2, t, t | 1, t | rng.randrange(t))]
+    exps += [(p, rng.randrange(1, p)) for p in ps for _ in range(20)]
+    bases = [1, 2, 3, 25_000, max(ps) - 1, *(rng.randrange(1, 1 << 20) for _ in range(20))]
+    got = _powmod(
+        np.array(bases, np.uint64)[:, None],
+        np.array([[e for _, e in exps]], np.uint64),
+        np.array([[p for p, _ in exps]], np.uint64),
+    )
+    assert got.tolist() == [[pow(b, e, p) for p, e in exps] for b in bases]
 
 
 def test_base_streaks_pooled_equals_serial():
