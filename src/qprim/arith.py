@@ -287,16 +287,19 @@ def _trial_primes(bound: int) -> tuple[list[int], int]:
 
 def _divide_out(work: int, bound: int, fmap: dict[int, int]) -> int:
     """work with its primes up to bound divided out, each recorded in fmap
-    with its exponent: one gcd with their primorial finds them all."""
+    with its exponent: one gcd with their primorial finds them all, and one
+    pass over the primes, ending when that gcd is used up, takes them out."""
     primes, primorial = _trial_primes(bound)
     g = math.gcd(work, primorial)
-    while g > 1:
-        p = next(p for p in primes if g % p == 0)
-        g //= p
-        fmap[p] = 0
-        while work % p == 0:
-            work //= p
-            fmap[p] += 1
+    for p in primes:
+        if g == 1:
+            break
+        if g % p == 0:
+            g //= p
+            fmap[p] = 0
+            while work % p == 0:
+                work //= p
+                fmap[p] += 1
     return work
 
 

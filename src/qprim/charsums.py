@@ -130,24 +130,15 @@ def _require_odd_squarefree(d: int) -> Factorization:
     return fact
 
 
-def char_average(f: QuadraticPoly, d: int) -> Fraction:
+def char_average(f: AnyPoly, d: int) -> Fraction:
     """Multiplicative extension prod_{p | d} of the local average, for odd
-    squarefree d > 1."""
+    squarefree d > 1: the closed form for quadratic f, enumeration for any
+    other."""
     fact = _require_odd_squarefree(d)
+    local = local_char_average if isinstance(f, QuadraticPoly) else brute_char_average
     out = Fraction(1)
     for p, _ in fact.factors:
-        out *= local_char_average(f, p)
-        if out == 0:
-            break
-    return out
-
-
-def _odd_part_average(f: AnyPoly, odd_part: int) -> Fraction:
-    if isinstance(f, QuadraticPoly):
-        return char_average(f, odd_part)
-    out = Fraction(1)
-    for p, _ in factor(odd_part).factors:
-        out *= brute_char_average(f, p)
+        out *= local(f, p)
         if out == 0:
             break
     return out
@@ -164,7 +155,7 @@ def inert_proportion(f: AnyPoly, D: FundamentalDiscriminant | int) -> Fraction:
         D = FundamentalDiscriminant.from_integer(D)
     if D.odd_part == 1:
         raise ValueError(f"discriminant {D.D} has no odd prime divisor")
-    a_odd = _odd_part_average(f, D.odd_part)
+    a_odd = char_average(f, D.odd_part)
     if D.D % 2 != 0:
         return (1 - a_odd) / 2
     prof: Mod8Profile = mod8_profile(f)

@@ -4,12 +4,13 @@ Subcommands: streak, pi, prstats, maxstreak, density, hlconst, lvalue, mstat,
 charsum, tau, search, criteria, verify.  Default output is text; --format
 json emits a single RunReport document, --format csv a flat key,value table.
 Exit codes: 0 success, 1 computation error or failed verification, 2 usage
-error.
+error.  An option that only some modes read names them in its --help, with
+each one's default, and any other mode refuses it.
 
 Five commands take --long-run.  pi past x = 2e6, prstats past n_cap = 1e6,
 and maxstreak and search over more than 2000 k values exit 1 without it;
 verify walks the full record streaks, not a fast prefix, only with it.
-streak has no gate: it walks to whatever --n-cap it is given.
+streak has no gate.  maxstreak and search sweep in one process by default.
 """
 
 from __future__ import annotations
@@ -18,7 +19,6 @@ import argparse
 import csv
 import io
 import json
-import os
 import re
 import sys
 import time
@@ -29,7 +29,6 @@ from typing import Any
 from . import __version__
 from .arith import primes_up_to
 from .charsums import (
-    FundamentalDiscriminant,
     admissible_discriminants,
     brute_char_average,
     char_average,
@@ -230,10 +229,6 @@ def _plain(value: Any, text: bool) -> Any:
         if text:
             return f"{value.numerator}/{value.denominator}"
         return {"num": value.numerator, "den": value.denominator}
-    if isinstance(value, FundamentalDiscriminant):
-        return value.D
-    if isinstance(value, QuadraticPoly):
-        return {"a": value.a, "b": value.b, "c": value.c}
     if is_dataclass(value) and not isinstance(value, type):
         return {k: _plain(v, text) for k, v in asdict(value).items()}
     if isinstance(value, dict):
@@ -282,23 +277,6 @@ def _emit(report: RunReport, fmt: str) -> None:
 # ---------------------------------------------------------------------------
 
 
-def _default_workers(args) -> int:
-    if args.workers:
-        return args.workers
-    env = os.environ.get("QPRIM_THREADS")
-    if env:
-        return max(1, int(env))
-    return os.cpu_count() or 1
-
-
-def _filled(args, **defaults) -> argparse.Namespace:
-    """args with each option left at None set to its default.  Options that
-    only some modes read default to None, so a report echoes only those given
-    and reruns from its inputs."""
-    unset = {k: v for k, v in defaults.items() if getattr(args, k) is None}
-    return argparse.Namespace(**{**vars(args), **unset})
-
-
 def _require_long_run(args, what: str) -> None:
     if not args.long_run:
         raise ValueError(f"{what} needs --long-run (a minutes-scale computation)")
@@ -336,9 +314,7 @@ def _handle_maxstreak(args) -> dict:
     f = parse_poly(args.poly)
     if args.k_max > LONG_RUN_KMAX:
         _require_long_run(args, f"maxstreak to k_max={args.k_max}")
-    k_best, c_best = empirical_max_streak(
-        args.g_base, f, args.k_max, n_cap=args.n_cap, workers=_default_workers(args)
-    )
+    k_best, c_best = empirical_max_streak(args.g_base, f, args.k_max, n_cap=args.n_cap, workers=args.workers)
     return {"k_best": k_best, "g_best": k_best * k_best * args.g_base, "c_best": c_best}
 
 
@@ -348,20 +324,19 @@ def _handle_density(args) -> dict:
     if args.lehmer_corrected:
         return {"kind": "lehmer_corrected", **asdict(lehmer_corrected_density())}
     if args.totient_constant:
-        rep = totient_ratio_constant(_filled(args, cutoff=10_000_000).cutoff)
-        return {"kind": "totient_ratio_constant", **asdict(rep)}
+        return {"kind": "totient_ratio_constant", **asdict(totient_ratio_constant(args.cutoff))}
     if args.q_product:
         primes = [int(p) for p in args.q_product.split(",")]
         return {"kind": "totient_ratio_product", "value": totient_ratio_product(primes)}
     if args.bateman_horn:
-        rep = bateman_horn_constant(parse_poly(args.bateman_horn), _filled(args, cutoff=100_000).cutoff)
+        rep = bateman_horn_constant(parse_poly(args.bateman_horn), args.cutoff)
         return {"kind": "bateman_horn", **asdict(rep)}
     if args.simple:
         return {"kind": "simplified_quality", **asdict(pr_density_simple(*args.simple))}
     if not args.poly:
         raise ValueError("density needs --poly or one of the named product modes")
     f = parse_poly(args.poly)
-    rep = pr_density(f, _filled(args, cutoff=10_000).cutoff, accelerate=not args.no_accelerate)
+    rep = pr_density(f, args.cutoff, accelerate=not args.no_accelerate)
     return {"kind": "quality", "poly": str(as_polyz(f)), **asdict(rep)}
 
 
@@ -381,41 +356,23 @@ def _handle_mstat(args) -> dict:
         "asymptotic_estimate": asymptotic_max_estimate(args.p1, args.s),
     }
     if args.simulate:
-        trials = 2000 if args.trials is None else args.trials
-        mean, stderr = simulate_max_streak(args.p1, args.s, trials, _simulation_seed(args))
-        out["simulated_mean"] = mean
-        out["simulated_stderr"] = stderr
-        out["trials"] = trials
+        mean, stderr = simulate_max_streak(args.p1, args.s, args.trials, args.seed)
+        out.update(simulated_mean=mean, simulated_stderr=stderr, trials=args.trials)
     return out
-
-
-def _simulation_seed(args) -> int:
-    return 20260810 if args.seed is None else args.seed
 
 
 def _handle_charsum(args) -> dict:
     if args.mode == "jacobsthal":
-        if args.a is None or args.p is None:
-            raise ValueError("--mode jacobsthal needs --a and --p")
         return {"value": jacobsthal_sum(args.a, args.p), "a": args.a, "p": args.p}
-    if not args.poly:
-        raise ValueError(f"--mode {args.mode} needs --poly")
     f = parse_poly(args.poly)
-    if args.mode in ("complete", "local") and args.p is None:
-        raise ValueError(f"--mode {args.mode} needs --p")
     if args.mode == "complete":
         if not isinstance(f, QuadraticPoly):
             raise ValueError("the complete sum closed form needs a quadratic (a,b,c)")
         return {"value": complete_char_sum(f, args.p), "p": args.p}
     if args.mode == "local":
-        if isinstance(f, QuadraticPoly):
-            val = local_char_average(f, args.p)
-        else:
-            val = brute_char_average(f, args.p)
-        return {"value": val, "p": args.p}
+        local = local_char_average if isinstance(f, QuadraticPoly) else brute_char_average
+        return {"value": local(f, args.p), "p": args.p}
     # mode == "average": composite odd squarefree modulus
-    if args.d is None:
-        raise ValueError("--mode average needs --d")
     if not isinstance(f, QuadraticPoly):
         raise ValueError("the multiplicative average needs a quadratic (a,b,c)")
     return {"value": char_average(f, args.d), "d": args.d}
@@ -423,7 +380,6 @@ def _handle_charsum(args) -> dict:
 
 def _handle_tau(args) -> dict:
     f = parse_poly(args.poly)
-    args = _filled(args, bound=2000)
     if args.admissible:
         if not isinstance(f, QuadraticPoly):
             raise ValueError("admissible-discriminant scans need a quadratic (a,b,c)")
@@ -438,12 +394,7 @@ def _handle_search(args) -> dict:
     cfg = SearchConfig(**{f.name: getattr(args, f.name) for f in fields(SearchConfig)})
     if args.k_hi - args.k_lo + 1 > LONG_RUN_KMAX:
         _require_long_run(args, f"sweep over {args.k_hi - args.k_lo + 1} k values")
-    best = sweep(
-        cfg,
-        checkpoint_path=args.checkpoint,
-        workers=_default_workers(args),
-        resume=not args.fresh,
-    )
+    best = sweep(cfg, checkpoint_path=args.checkpoint, workers=args.workers, resume=not args.fresh)
     return {
         "poly": str(candidate_poly(cfg).as_poly()),
         "best_k": best.k,
@@ -456,7 +407,6 @@ def _handle_search(args) -> dict:
 
 
 def _handle_criteria(args) -> dict:
-    args = _filled(args, max=10_000, g=3, k=1, n_cap=2000, alpha=1, d1=163, d2=1, q_max=40)
     scans = {
         "classic": chebyshev_criterion,
         "extended": lambda p: extended_chebyshev(args.g, p),
@@ -500,9 +450,7 @@ def _handle_verify(args) -> dict:
             prefix = preset.default_prefix
             cap = {"n_cap": args.n_cap} if args.n_cap else {}  # else the walk's own cap
             ok = verify_primitive_root_prefix(preset.poly, preset.g, prefix, **cap)
-            checks.append(
-                {"check": "prefix", "prefix": prefix, "expected_count": preset.expected_count, "ok": ok}
-            )
+            checks.append({"check": "prefix", "prefix": prefix, "expected_count": preset.expected_count, "ok": ok})
     for x, expected in preset.pi_checks:
         count = prime_count(preset.poly, x)
         checks.append({"check": "pi", "x": x, "count": count, "expected": expected, "ok": count == expected})
@@ -547,6 +495,33 @@ class _Parser(argparse.ArgumentParser):
         self._negative_number_matcher = re.compile(r"-\d")
 
 
+# command -> its mode-scoped options -> each mode that reads the option, with
+# the default filled in when it is left out (None: the mode needs it).
+# Any other mode refuses the option.  A mode is a flag of its command
+# (density, mstat, tau) or a value of --mode (criteria, charsum).
+_MODE_OPTIONS = {
+    "density": {
+        "cutoff": {"poly": 10_000, "totient_constant": 10_000_000, "bateman_horn": 100_000},
+        "no_accelerate": {"poly": False},
+    },
+    "mstat": {"trials": {"simulate": 2000}, "seed": {"simulate": 20260810}},
+    "criteria": {
+        "max": dict.fromkeys(("classic", "extended", "fueter"), 10_000),
+        "g": {"extended": 3},
+        "k": {"prop2": 1},
+        "n_cap": {"prop2": 2000},
+        **{option: {"lemma1": d} for option, d in (("alpha", 1), ("d1", 163), ("d2", 1), ("q_max", 40))},
+    },
+    "charsum": {
+        "a": {"jacobsthal": None},
+        "d": {"average": None},
+        "poly": dict.fromkeys(("complete", "local", "average"), None),
+        "p": dict.fromkeys(("complete", "local", "jacobsthal"), None),
+    },
+    "tau": {"bound": {"admissible": 2000}},
+}
+
+
 def _build_parser() -> argparse.ArgumentParser:
     top = _Parser(prog="qprim", description=__doc__)
     top.add_argument("--version", action="version", version=f"qprim {__version__}")
@@ -576,18 +551,17 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--g-base", type=int, required=True)
     p.add_argument("--k-max", type=int, required=True)
     p.add_argument("--n-cap", type=int, default=200_000)
-    p.add_argument("--workers", type=int, default=0, help="0: QPRIM_THREADS or cpu count")
+    p.add_argument("--workers", type=int, default=1, help="worker processes for the k-sweep")
     p.set_defaults(func=_handle_maxstreak)
 
     p = sub.add_parser("density", parents=[common], help="quality densities and named Euler products")
-    p.add_argument("--cutoff", type=int, help="read by --poly, --totient-constant and --bateman-horn")
-    p.add_argument("--no-accelerate", action="store_true", default=None, help="read by --poly")
+    p.add_argument("--cutoff", type=int)
+    p.add_argument("--no-accelerate", action="store_true", default=None)
     mode = p.add_mutually_exclusive_group()
     mode.add_argument("--poly", help=_POLY_HELP)
     mode.add_argument("--simple", metavar="A,B", type=_int_pair, help="simplified quality of A*X^2+B")
-    mode.add_argument("--lehmer-naive", action="store_true", default=None)
-    mode.add_argument("--lehmer-corrected", action="store_true", default=None)
-    mode.add_argument("--totient-constant", action="store_true", default=None)
+    for flag in ("--lehmer-naive", "--lehmer-corrected", "--totient-constant"):
+        mode.add_argument(flag, action="store_true", default=None)
     mode.add_argument("--q-product", metavar="P1,P2,...", help="prod (p-1)/phi(p-1)")
     mode.add_argument("--bateman-horn", metavar="POLY")
     p.set_defaults(func=_handle_density)
@@ -607,23 +581,23 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--p1", type=float, required=True)
     p.add_argument("--s", type=int, required=True)
     p.add_argument("--simulate", action="store_true", default=None)
-    p.add_argument("--trials", type=int, help="read by --simulate (default 2000)")
-    p.add_argument("--seed", type=int, help="read by --simulate (default 20260810)")
+    p.add_argument("--trials", type=int)
+    p.add_argument("--seed", type=int)
     p.set_defaults(func=_handle_mstat)
 
     p = sub.add_parser("charsum", parents=[common], help="complete character sums and averages (exact rationals)")
     p.add_argument("--mode", choices=("complete", "local", "average", "jacobsthal"), default="complete")
     p.add_argument("--poly", help=_POLY_HELP)
     p.add_argument("--p", type=int, help="odd prime modulus")
-    p.add_argument("--d", type=int, help="odd squarefree modulus for --mode average")
-    p.add_argument("--a", type=int, help="shift for --mode jacobsthal")
+    p.add_argument("--d", type=int, help="odd squarefree modulus")
+    p.add_argument("--a", type=int, help="shift")
     p.set_defaults(func=_handle_charsum)
 
     p = sub.add_parser("tau", parents=[common, poly], help="inert proportion of the primes f(n) in a quadratic field")
     mode = p.add_mutually_exclusive_group()
     mode.add_argument("--disc", type=int, help="fundamental discriminant")
     mode.add_argument("--admissible", action="store_true", default=None, help="list discriminants with tau = 1")
-    p.add_argument("--bound", type=int, help="read by --admissible (default 2000)")
+    p.add_argument("--bound", type=int)
     p.set_defaults(func=_handle_tau)
 
     p = sub.add_parser("search", parents=[common, gated], help="checkpointed k-sweep for record streaks")
@@ -640,19 +614,17 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n-cap", type=int, default=100_000)
     p.add_argument("--checkpoint", help="append-only JSON-lines checkpoint; resumable")
     p.add_argument("--fresh", action="store_true", help="replace an existing checkpoint")
-    p.add_argument("--workers", type=int, default=0, help="0: QPRIM_THREADS or cpu count")
+    p.add_argument("--workers", type=int, default=1, help="worker processes for the k-sweep")
     p.set_defaults(func=_handle_search)
 
     p = sub.add_parser("criteria", parents=[common], help="primitive-root criteria scans")
     p.add_argument("--mode", choices=("classic", "extended", "fueter", "prop2", "lemma1"), required=True)
-    p.add_argument("--max", type=int, help="scan bound for classic/extended/fueter (default 10000)")
-    p.add_argument("--g", type=int, help="base for --mode extended (default 3)")
-    p.add_argument("--k", type=int, help="multiplier for --mode prop2 (default 1)")
-    p.add_argument("--n-cap", type=int, help="scan bound for --mode prop2 (default 2000)")
-    p.add_argument("--alpha", type=int, help="for --mode lemma1 (default 1)")
-    p.add_argument("--d1", type=int, help="for --mode lemma1 (default 163)")
-    p.add_argument("--d2", type=int, help="for --mode lemma1 (default 1)")
-    p.add_argument("--q-max", type=int, help="for --mode lemma1 (default 40)")
+    p.add_argument("--max", type=int, help="scan bound")
+    p.add_argument("--g", type=int, help="base")
+    p.add_argument("--k", type=int, help="multiplier")
+    p.add_argument("--n-cap", type=int, help="scan bound")
+    for option in ("--alpha", "--d1", "--d2", "--q-max"):
+        p.add_argument(option, type=int)
     p.set_defaults(func=_handle_criteria)
 
     p = sub.add_parser("verify", parents=[common, gated], help="run a named reproduction preset")
@@ -660,57 +632,68 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n-cap", type=int, default=0, help="walk a streak preset's primes to this n")
     p.set_defaults(func=_handle_verify)
 
+    for command, options in _MODE_OPTIONS.items():
+        actions = {a.dest: a for a in sub.choices[command]._actions}
+        for option, modes in options.items():
+            read = ", ".join(
+                f"{_mode_flag(actions, m)} ({'required' if d is None else f'default {d}'})"
+                for m, d in modes.items()
+            )
+            actions[option].help = "; ".join(filter(None, (actions[option].help, f"read by {read}")))
     return top
-
-
-# (command, option, the modes that read it): any other mode refuses the option.
-# A mode is a flag of its command (density, mstat, tau) or a value of --mode.
-_MODE_OPTIONS = (
-    ("density", "cutoff", ("poly", "totient_constant", "bateman_horn")),
-    ("density", "no_accelerate", ("poly",)),
-    ("mstat", "trials", ("simulate",)),
-    ("mstat", "seed", ("simulate",)),
-    ("criteria", "max", ("classic", "extended", "fueter")),
-    ("criteria", "g", ("extended",)),
-    ("criteria", "k", ("prop2",)),
-    ("criteria", "n_cap", ("prop2",)),
-    *(("criteria", option, ("lemma1",)) for option in ("alpha", "d1", "d2", "q_max")),
-    ("charsum", "a", ("jacobsthal",)),
-    ("charsum", "d", ("average",)),
-    ("charsum", "poly", ("complete", "local", "average")),
-    ("charsum", "p", ("complete", "local", "jacobsthal")),
-    ("tau", "bound", ("admissible",)),
-)
 
 
 def _flag(dest: str) -> str:
     return "--" + dest.replace("_", "-")
 
 
+def _mode_flag(dests, mode: str) -> str:
+    """A mode as it is given: a flag of its command, or a value of --mode."""
+    return _flag(mode) if mode in dests else f"--mode {mode}"
+
+
+def _fill_mode_options(parser: argparse.ArgumentParser, args: argparse.Namespace) -> None:
+    """Set each mode-scoped option that args leaves out to its mode's default
+    in _MODE_OPTIONS.  An option given under a mode that does not read it is a
+    usage error (exit 2); a required one left out is a ValueError."""
+    table = _MODE_OPTIONS.get(args.command, {})
+    mode = {
+        option: next((m for m in modes if getattr(args, m, None) or getattr(args, "mode", None) == m), None)
+        for option, modes in table.items()
+    }
+    for option, modes in table.items():
+        if mode[option] is None and getattr(args, option) is not None:
+            named = ", ".join(_mode_flag(vars(args), m) for m in modes)
+            parser.error(f"{args.command} {_flag(option)} applies only with {named}")
+    for option, m in mode.items():
+        if m is not None and getattr(args, option) is None:
+            if table[option][m] is None:
+                raise ValueError(f"{args.command} {_mode_flag(vars(args), m)} needs {_flag(option)}")
+            setattr(args, option, table[option][m])
+
+
 def main(argv: list[str] | None = None) -> int:
-    """Run one command and emit its RunReport.  The report echoes every parsed
-    option as its inputs, so any report can be rerun from its JSON."""
+    """Run one command and emit its RunReport.  The report echoes the options
+    given and those with an argparse default as its inputs, so any report can
+    be rerun from its JSON."""
     parser = _build_parser()
     args = parser.parse_args(argv)
-    for command, option, modes in _MODE_OPTIONS:
-        given = args.command == command and getattr(args, option) is not None
-        if given and not any(getattr(args, m, None) or getattr(args, "mode", None) == m for m in modes):
-            named = ", ".join(_flag(m) if hasattr(args, m) else f"--mode {m}" for m in modes)
-            parser.error(f"{command} {_flag(option)} applies only with {named}")
+    drop = ("command", "func", "format")
+    inputs = {k: v for k, v in vars(args).items() if k not in drop and v is not None}
     start = time.perf_counter()
     try:
+        _fill_mode_options(parser, args)
         outputs = args.func(args)
     except (ValueError, RuntimeError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    drop = ("command", "func", "format")
     report = RunReport(
         command=args.command,
-        inputs={k: v for k, v in vars(args).items() if k not in drop and v is not None},
+        inputs=inputs,
         outputs=outputs,
         elapsed_ms=(time.perf_counter() - start) * 1000.0,
         version=__version__,
-        seed=_simulation_seed(args) if getattr(args, "simulate", False) else None,
+        seed=getattr(args, "seed", None),  # mstat's, set only with --simulate
     )
     _emit(report, args.format)
     return 0 if outputs.get("ok", True) else 1

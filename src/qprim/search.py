@@ -220,15 +220,22 @@ def base_streaks(
     worker gets _CHUNKS_PER_WORKER of them in k order, so results keep
     arriving while later chunks run); a k is yielded once it and every
     smaller k have finished.  An empty range yields nothing and builds no
-    stream."""
-    if workers <= 1 or k_hi - k_lo < 8:
-        yield from _streaks_serial(f, g_base, k_lo, k_hi, n_cap)
-        return
+    stream.  A worker count below 1 raises ValueError at the call, before
+    anything is swept."""
+    if workers < 1:
+        raise ValueError("workers must be >= 1")
+    if workers == 1 or k_hi - k_lo < 8:
+        return _streaks_serial(f, g_base, k_lo, k_hi, n_cap)
     chunk = -(-(k_hi - k_lo + 1) // (_CHUNKS_PER_WORKER * workers))
     jobs = [
         (f, g_base, lo, min(lo + chunk - 1, k_hi), n_cap)
         for lo in range(k_lo, k_hi + 1, chunk)
     ]
+    return _pooled(jobs, workers)
+
+
+def _pooled(jobs: list[tuple], workers: int) -> Iterator[tuple[int, int, int | None]]:
+    """The chunks' streaks in job order, from a pool that lives while they are read."""
     with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
         for part in pool.map(_streaks_chunk, jobs):
             yield from part

@@ -450,3 +450,107 @@ def test_ignored_option_error_names_the_option(capsys, argv, option):
     with pytest.raises(SystemExit):
         main(argv)
     assert option in capsys.readouterr().err.splitlines()[-1]
+
+
+# each mode-scoped default, pinned: leaving the option out and giving its
+# default value must produce the same report
+@pytest.mark.parametrize(
+    "argv, defaults",
+    [
+        (["criteria", "--mode", "extended", "--max", "2000"], ["--g", "3"]),
+        (["criteria", "--mode", "classic"], ["--max", "10000"]),
+        (["criteria", "--mode", "extended"], ["--max", "10000"]),
+        (["criteria", "--mode", "fueter"], ["--max", "10000"]),
+        (["criteria", "--mode", "prop2"], ["--k", "1", "--n-cap", "2000"]),
+        (["criteria", "--mode", "lemma1"], ["--alpha", "1", "--d1", "163", "--d2", "1", "--q-max", "40"]),
+        (["tau", "--poly", "326,0,3", "--admissible"], ["--bound", "2000"]),
+        (["mstat", "--p1", "0.9", "--s", "100", "--simulate"], ["--trials", "2000", "--seed", "20260810"]),
+        (["density", "--poly", "1,1,41"], ["--cutoff", "10000"]),
+        (["density", "--totient-constant"], ["--cutoff", "10000000"]),
+        (["density", "--bateman-horn", "1,1,41"], ["--cutoff", "100000"]),
+    ],
+)
+def test_mode_default_equals_giving_it(capsys, argv, defaults):
+    code, out, _ = run_cli(capsys, *argv, "--format", "json")
+    code_given, out_given, _ = run_cli(capsys, *argv, *defaults, "--format", "json")
+    doc, doc_given = json.loads(out), json.loads(out_given)
+    assert code == code_given == 0
+    assert (doc["outputs"], doc["seed"]) == (doc_given["outputs"], doc_given["seed"])
+    assert not set(doc["inputs"]) & {d[2:].replace("-", "_") for d in defaults[::2]}
+    if argv[0] == "mstat":
+        assert doc["seed"] == 20260810
+
+
+def test_mode_option_table_names_real_options_and_modes():
+    import argparse
+
+    from qprim.cli import _MODE_OPTIONS, _build_parser
+
+    parser = _build_parser()
+    commands = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction)).choices
+    for command, options in _MODE_OPTIONS.items():
+        actions = {a.dest: a for a in commands[command]._actions}
+        mode_choices = actions["mode"].choices if "mode" in actions else ()
+        for option, modes in options.items():
+            assert option in actions, (command, option)
+            assert "read by" in actions[option].help, (command, option)
+            for mode in modes:
+                assert mode in actions or mode in mode_choices, (command, option, mode)
+
+
+@pytest.mark.parametrize(
+    "argv, option",
+    [
+        (["charsum", "--mode", "jacobsthal", "--p", "7"], "--a"),
+        (["charsum", "--mode", "jacobsthal", "--a", "1"], "--p"),
+        (["charsum", "--mode", "average", "--poly", "1,0,1"], "--d"),
+        (["charsum", "--mode", "average", "--d", "15"], "--poly"),
+        (["charsum", "--mode", "local", "--poly", "1,0,1"], "--p"),
+        (["charsum", "--mode", "complete", "--p", "5"], "--poly"),
+        (["charsum", "--p", "5"], "--poly"),
+    ],
+)
+def test_charsum_missing_required_option_names_it(capsys, argv, option):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 1
+    assert out == ""
+    assert f"needs {option}" in err
+
+
+MAXSTREAK = ["maxstreak", "--poly", "326,0,3", "--g-base", "326", "--k-max", "10", "--n-cap", "20000"]
+SEARCH = ["search", "--d", "163", "--d1", "163", "--alpha", "1", "--g-base", "326", "--k-hi", "12", "--n-cap", "3000"]
+
+
+@pytest.mark.parametrize("argv", [MAXSTREAK, SEARCH])
+def test_sweeps_default_to_one_worker_and_no_pool(capsys, monkeypatch, argv):
+    from qprim import search
+
+    def no_pool(*args, **kwargs):
+        raise RuntimeError("a process pool was started")
+
+    monkeypatch.setattr(search.concurrent.futures, "ProcessPoolExecutor", no_pool)
+    code, out, _ = run_cli(capsys, *argv, "--format", "json")
+    assert code == 0
+    assert json.loads(out)["inputs"]["workers"] == 1
+    # the patch is where a pooled sweep would start its pool
+    code, _, err = run_cli(capsys, *argv, "--workers", "2")
+    assert code == 1
+    assert "a process pool was started" in err
+
+
+@pytest.mark.parametrize("argv", [MAXSTREAK, SEARCH])
+@pytest.mark.parametrize("workers", ["0", "-1"])
+def test_sweeps_refuse_fewer_than_one_worker(capsys, argv, workers):
+    code, out, err = run_cli(capsys, *argv, "--workers", workers)
+    assert code == 1
+    assert out == ""
+    assert "workers must be >= 1" in err
+
+
+def test_search_refusing_its_workers_leaves_the_checkpoint_alone(capsys, tmp_path):
+    ck = tmp_path / "ck.jsonl"
+    ck.write_text("kept\n")
+    code, _, err = run_cli(capsys, *SEARCH, "--checkpoint", str(ck), "--fresh", "--workers", "0")
+    assert code == 1
+    assert "workers must be >= 1" in err
+    assert ck.read_text() == "kept\n"
