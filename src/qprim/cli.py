@@ -655,7 +655,7 @@ def _mode_flag(dests, mode: str) -> str:
 def _fill_mode_options(parser: argparse.ArgumentParser, args: argparse.Namespace) -> None:
     """Set each mode-scoped option that args leaves out to its mode's default
     in _MODE_OPTIONS.  An option given under a mode that does not read it is a
-    usage error (exit 2); a required one left out is a ValueError."""
+    usage error of its command (exit 2); a required one left out is a ValueError."""
     table = _MODE_OPTIONS.get(args.command, {})
     mode = {
         option: next((m for m in modes if getattr(args, m, None) or getattr(args, "mode", None) == m), None)
@@ -664,7 +664,8 @@ def _fill_mode_options(parser: argparse.ArgumentParser, args: argparse.Namespace
     for option, modes in table.items():
         if mode[option] is None and getattr(args, option) is not None:
             named = ", ".join(_mode_flag(vars(args), m) for m in modes)
-            parser.error(f"{args.command} {_flag(option)} applies only with {named}")
+            commands = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+            commands.choices[args.command].error(f"{args.command} {_flag(option)} applies only with {named}")
     for option, m in mode.items():
         if m is not None and getattr(args, option) is None:
             if table[option][m] is None:

@@ -12,19 +12,17 @@ for s = 2, both by recurrence plus an Euler-Maclaurin tail whose first
 omitted Bernoulli term bounds the remainder.  Naive Dirichlet-series
 truncation could never reach 1e-9 at s = 1 for |D| ~ 1e5.
 
-The character layer is numpy over chunks.  The odd primes arrive as chunks
-from arith.prime_chunks, the package's one sieve, and residues in chunks of
-_CHUNK entries; `_legendre` reduces a Python int modulo a
-chunk of primes by 20-bit limbs and applies Euler's criterion by vectorised
-square-and-multiply in int64, so every prime must stay below 2^31 (checked);
-`_kronecker_chunk` evaluates chi_D on a chunk of integers from the
-prime-discriminant components of D; `_euler_product` folds each chunk's
-local factors into the product, for every Euler product here.  Each local factor is computed by the same
-IEEE operations as the scalar formula and multiplied in with math.prod in
-the same order, and the L-value sums are exact (math.fsum), so every value
-returned is bit-identical to a plain loop over arith.kronecker; the tests
-hold scalar-loop oracles to ==.  Whole-length arrays would be no faster and
-would raise peak memory, so nothing here builds one.
+The character layer is numpy over chunks: odd primes from
+arith.prime_chunks, the package's one sieve, and residues in _CHUNK
+entries.  `_legendre` applies Euler's criterion by a two-bit-window power
+in int64 (primes below 2^31, checked), only on the primes whose factor
+reads it; `_kronecker_chunk` evaluates chi_D from the prime-discriminant
+components of D; `_euler_product` folds each chunk's local factors in.
+Each factor is computed by the same IEEE operations as the scalar formula
+and multiplied in with math.prod in the same order, and the L-value sums
+are exact (math.fsum), so every value is bit-identical to a plain loop over
+arith.kronecker (the tests hold scalar-loop oracles to ==).  Whole-length
+arrays would be no faster and would raise peak memory; nothing builds one.
 """
 
 from __future__ import annotations
@@ -87,13 +85,27 @@ _BERNOULLI = (
 )
 
 
-def _digamma(x: np.ndarray) -> np.ndarray:
+def _step_up(x: np.ndarray, step: Callable[[np.ndarray], np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
+    """(x, acc): each entry below 24 stepped by x -> x + 1 until it is not, acc
+    the sum of step(x) over its steps.  x + 1.0 rounds monotonically, so all
+    step, unmasked, while the largest does (24 times for each a/q < 1)."""
     acc = np.zeros_like(x)
+    top = float(x.max()) if len(x) else 24.0
+    x = x.copy()
+    while top < 24.0:
+        acc += step(x)
+        x += 1.0
+        top += 1.0
     small = x < 24.0
     while small.any():
-        acc = np.where(small, acc - 1.0 / x, acc)
+        acc = np.where(small, acc + step(x), acc)
         x = np.where(small, x + 1.0, x)
         small = x < 24.0
+    return x, acc
+
+
+def _digamma(x: np.ndarray) -> np.ndarray:
+    x, acc = _step_up(x, lambda x: -1.0 / x)
     inv = 1.0 / x
     inv2 = inv * inv
     val = np.fromiter(map(math.log, x.tolist()), dtype=np.float64, count=len(x)) - 0.5 * inv
@@ -105,12 +117,7 @@ def _digamma(x: np.ndarray) -> np.ndarray:
 
 
 def _trigamma(x: np.ndarray) -> np.ndarray:
-    acc = np.zeros_like(x)
-    small = x < 24.0
-    while small.any():
-        acc = np.where(small, acc + 1.0 / (x * x), acc)
-        x = np.where(small, x + 1.0, x)
-        small = x < 24.0
+    x, acc = _step_up(x, lambda x: 1.0 / (x * x))
     inv = 1.0 / x
     inv2 = inv * inv
     val = inv + 0.5 * inv2
@@ -126,35 +133,40 @@ def _trigamma(x: np.ndarray) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 _CHUNK = 8192
-_LIMB_BITS = 20
-_INT64_PRIME_BOUND = 2**31  # keeps (p-1)^2 and r * 2^20 + limb inside int64
+_INT64_PRIME_BOUND = 2**31  # keeps (p-1)^2 and each limb of _mod inside int64
 def _mod(a: int, P: np.ndarray) -> np.ndarray:
     """a mod each entry of the ascending int64 array P, exact for any Python
-    int a: Horner's rule over the 20-bit limbs of |a| keeps every
-    intermediate below 2^51."""
+    int a: Horner's rule over the limbs of |a|, each 62 - bits(max p) bits
+    wide, keeps every intermediate below 2^62."""
     if len(P) and P[-1] >= _INT64_PRIME_BOUND:
         raise ValueError(f"moduli must stay below 2^31 for int64 arithmetic, got {P[-1]}")
+    bits = 62 - int(P[-1]).bit_length() if len(P) else 62
     m = abs(a)
     limbs = []
     while m:
-        limbs.append(m & ((1 << _LIMB_BITS) - 1))
-        m >>= _LIMB_BITS
+        limbs.append(m & ((1 << bits) - 1))
+        m >>= bits
     r = np.zeros_like(P)
     for limb in reversed(limbs):
-        r = ((r << _LIMB_BITS) + limb) % P
+        r = ((r << bits) + limb) % P
     return (-r) % P if a < 0 else r
 
 
 def _legendre(a: int, P: np.ndarray) -> np.ndarray:
     """(a/p) for each odd prime p of the ascending int64 array P, as int8:
-    Euler's criterion a^((p-1)/2) mod p by square-and-multiply (p < 2^31,
-    so every product stays below 2^62)."""
-    base = _mod(a, P)
-    half = P >> 1
-    r = np.ones_like(P)
-    for k in range(int(P[-1]).bit_length() - 1 if len(P) else 0):
-        r = np.where((half >> k) & 1 == 1, r * base % P, r)
-        base = base * base % P
+    Euler's criterion a^((p-1)/2) mod p, left to right two exponent bits at a
+    time: two squarings, then one product with a^0..a^3 picked per entry
+    from a table (p < 2^31, so every product stays below 2^62)."""
+    b1 = _mod(a, P)
+    b2 = b1 * b1 % P
+    powers = np.stack((np.ones_like(P), b1, b2, b2 * b1 % P), axis=1).ravel()
+    rows = np.arange(0, 4 * len(P), 4)
+    k = (int(P[-1]).bit_length() - 2) // 2 * 2 if len(P) else 0  # top window of (p-1)/2
+    r = powers[rows + ((P >> k + 1) & 3)]
+    for k in range(k - 2, -1, -2):
+        r = r * r % P
+        r = r * r % P
+        r = r * powers[rows + ((P >> k + 1) & 3)] % P
     return (r == 1).astype(np.int8) - (r == P - 1).astype(np.int8)
 
 
@@ -215,11 +227,12 @@ def _euler_product(
     """Fold the local factors of the odd primes <= limit into value.
 
     local_factor maps an ascending chunk of odd primes to (kept, factors):
-    the primes that enter the product and their float64 local factors.
-    math.prod multiplies each chunk in left to right, as the scalar loop
-    `value *= factor` does, so the result is bit-identical to it.  Returns
-    the product and the largest kept prime (None if none was kept).  Every
-    caller passes its cutoff as limit, and one below 2 is an error.
+    the primes the product covers and their float64 local factors, less any
+    factor of exactly 1.0 (x * 1.0 = x).  math.prod multiplies each chunk in
+    left to right, as the scalar loop `value *= factor` does, so the result
+    is bit-identical to it.  Returns the product and the largest kept prime
+    (None if none was kept).  Every caller passes its cutoff as limit, and
+    one below 2 is an error.
     """
     if limit < 2:
         raise ValueError("cutoff must be at least 2")
@@ -326,22 +339,22 @@ def residue_counts_mod_prime(f: AnyPoly, q: int) -> tuple[int, int]:
     return len(roots_mod(f, q)), len(roots_mod(f, q, 1))
 
 
-def _residue_counts(poly: PolyZ, P: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """residue_counts_mod_prime for each odd prime of the chunk P, as int64
-    arrays: by Legendre symbols of the discriminants of f and f - 1 for
-    degree <= 2 where q does not divide the leading coefficient, by the
-    scalar routine for the other q and for degree > 2."""
-    deg = poly.degree()
-    n_roots = np.ones(len(P), dtype=np.int64)
-    n_ones = np.ones(len(P), dtype=np.int64)
-    if deg == 2:
+def _scalar_primes(poly: PolyZ, P: np.ndarray) -> np.ndarray:
+    """Mask of the primes of the chunk P that divide the leading coefficient
+    (all for degree > 2): only there can f have q roots, a fixed divisor."""
+    return (_mod(poly.leading(), P) == 0) | (poly.degree() > 2)
+
+
+def _root_counts(poly: PolyZ, P: np.ndarray, t: int, scalar: np.ndarray) -> np.ndarray:
+    """#{s mod q : f(s) = t} for each odd prime q of the chunk P, as int64: 1,
+    or 1 + (disc(f - t)/q) for degree 2; poly.roots_mod where `scalar` is set."""
+    counts = np.ones(len(P), dtype=np.int64)
+    if poly.degree() == 2:
         c, b, a = poly.coeffs
-        n_roots += _legendre(b * b - 4 * a * c, P)
-        n_ones += _legendre(b * b - 4 * a * (c - 1), P)
-    scalar = _mod(poly.leading(), P) == 0 if deg <= 2 else np.ones(len(P), dtype=bool)
+        counts += _legendre(b * b - 4 * a * (c - t), P)
     for i in np.flatnonzero(scalar):
-        n_roots[i], n_ones[i] = residue_counts_mod_prime(poly, int(P[i]))
-    return n_roots, n_ones
+        counts[i] = len(roots_mod(poly, int(P[i]), t))
+    return counts
 
 
 def _require_irreducible_if_quadratic(poly: PolyZ) -> None:
@@ -362,11 +375,10 @@ def pr_density(f: AnyPoly, cutoff: int = 10_000, accelerate: bool = True) -> Den
     (1 - #{f=1 mod q} / (q * (q - #{f=0 mod q}))): the heuristic density with
     which an admissible base is a primitive root modulo primes f(n).
 
-    Direct mode stops at `cutoff` (tail estimate 2/(cutoff ln cutoff), the
-    generic factors being 1 - (1 + chi)/q^2 in the mean).  Accelerated mode
-    extends the same product with O(1) closed-form residue counts out to
-    _EXTENSION, shrinking the tail to 2/(_EXTENSION ln _EXTENSION); for degree
-    > 2 the counts need enumeration, so the extension is capped at 20000.
+    Direct mode stops at `cutoff`; accelerated mode goes on to _EXTENSION
+    (20000 for degree > 2, whose counts need enumeration).  tail_bound,
+    2/(L ln L) at the prime bound L, is an estimate, not a proven bound: the
+    generic factor is 1 - (1 + chi)/q^2 in the mean.
 
     Raises ValueError for a quadratic with a square discriminant (reducible:
     its values are products), when every value is even, and when some odd
@@ -387,10 +399,14 @@ def pr_density(f: AnyPoly, cutoff: int = 10_000, accelerate: bool = True) -> Den
         limit = max(cutoff, _EXTENSION if deg <= 2 else 20_000)
 
     def local(P: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        n_roots, n_ones = _residue_counts(poly, P)
-        _require_no_fixed_divisor(P, n_roots)
-        # a factor with no solution of f = 1 is exactly 1.0: no-op in the product
-        return P, 1.0 - _ratio(n_ones, P * (P - n_roots))
+        # a factor with n_ones = 0 is exactly 1.0; fixed divisors hide at scalar primes
+        scalar = _scalar_primes(poly, P)
+        n_ones = _root_counts(poly, P, 1, scalar)
+        read = (n_ones != 0) | scalar
+        Q = P[read]
+        n_roots = _root_counts(poly, Q, 0, scalar[read])
+        _require_no_fixed_divisor(Q, n_roots)
+        return P, 1.0 - _ratio(n_ones[read], Q * (Q - n_roots))
 
     value, last = _euler_product(limit, local)
     tail = 2.0 / (limit * math.log(limit))
@@ -481,9 +497,9 @@ def bateman_horn_constant(
 
     Quadratic irreducibility is checked via the discriminant; higher degree
     needs assume_irreducible=True (and enumerated root counts, so the cutoff
-    is capped at 20000 there).  The tail estimate is the random-sign model
-    3 * value / sqrt(cutoff ln cutoff): the generic factor is
-    1 - chi(p)/(p-1) with a conditionally convergent character sum.
+    is capped at 20000 there).  tail_bound is an estimate, not a proven bound:
+    the random-sign model 3 * value / sqrt(cutoff ln cutoff), the generic
+    factor being 1 - chi(p)/(p-1) with a conditionally convergent sum.
     """
     poly = as_polyz(f)
     deg = poly.degree()
@@ -503,10 +519,7 @@ def bateman_horn_constant(
     value = (1.0 - n_two / 2) / (1.0 - 1.0 / 2)
 
     def local(P: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        if deg <= 2:
-            n_roots, _ = _residue_counts(poly, P)
-        else:
-            n_roots = np.array([len(roots_mod(poly, p)) for p in P.tolist()])
+        n_roots = _root_counts(poly, P, 0, _scalar_primes(poly, P))
         _require_no_fixed_divisor(P, n_roots)
         return P, (1.0 - n_roots / P) / (1.0 - 1.0 / P)
 

@@ -452,6 +452,15 @@ def test_ignored_option_error_names_the_option(capsys, argv, option):
     assert option in capsys.readouterr().err.splitlines()[-1]
 
 
+def test_refused_mode_option_prints_the_command_usage(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["charsum", "--mode", "jacobsthal", "--p", "7", "--poly", "1,0,1", "--a", "1"])
+    err = capsys.readouterr().err
+    assert exc.value.code == 2
+    assert err.startswith("usage: qprim charsum")
+    assert "qprim charsum: error: charsum --poly applies only with" in err
+
+
 # each mode-scoped default, pinned: leaving the option out and giving its
 # default value must produce the same report
 @pytest.mark.parametrize(

@@ -9,10 +9,12 @@ import pytest
 from qprim.arith import factor, iter_primes, kronecker, primes_up_to
 from qprim.charsums import FundamentalDiscriminant, is_fundamental_discriminant
 from qprim.densities import (
+    _digamma,
     _kronecker_chunk,
     _legendre,
     _ratio,
     _split_cutoff,
+    _trigamma,
     asymptotic_max_estimate,
     bateman_horn_constant,
     dirichlet_l,
@@ -161,6 +163,14 @@ def pr_density_scalar(f, limit):
         n_roots, n_ones = residue_counts_mod_prime(f, q)
         if n_ones:
             value *= 1.0 - n_ones / (q * (q - n_roots))
+    return value
+
+
+def bateman_horn_scalar(f, cutoff):
+    value = (1.0 - count_roots_mod(f, 2) / 2) / (1.0 - 1.0 / 2)
+    for q in odd_primes(cutoff):
+        n_roots, _ = residue_counts_mod_prime(f, q)
+        value *= (1.0 - n_roots / q) / (1.0 - 1.0 / q)
     return value
 
 
@@ -596,3 +606,34 @@ def test_pr_density_rejects_even_and_reducible():
         pr_density(QuadraticPoly(1, 0, 0))
     with pytest.raises(ValueError, match="reducible"):
         pr_density(QuadraticPoly(1, 0, -4))
+
+
+def test_bateman_horn_bit_identical_to_scalar_loop():
+    cases = (
+        PolyZ((3, 2)),  # linear: one root at every odd prime
+        PolyZ((1, 3 * 5 * 7 * 99991)),  # linear, 3, 5, 7 and 99991 | a
+        QuadraticPoly(326, 0, 3),  # 163 | a
+        QuadraticPoly(3 * 5 * 99991, 3 * 5, 7),  # 3, 5 | a and b, 99991 | a
+        QuadraticPoly(1, 1, 41),
+    )
+    for f in cases:
+        rep = bateman_horn_constant(f)
+        assert rep.value == bateman_horn_scalar(f, 100_000), f
+        assert rep.cutoff == 99991
+
+
+def test_fixed_divisor_without_content_raises():
+    f = PolyZ((3, -1, 0, 1))  # X^3 - X + 3: content 1, and 3 | n^3 - n for every n
+    assert math.gcd(*f.coeffs) == 1 and all(f.eval(n) % 3 == 0 for n in range(30))
+    with pytest.raises(ValueError, match="divisible by 3"):
+        pr_density(f)
+    with pytest.raises(ValueError, match="divisible by 3"):
+        bateman_horn_constant(f, assume_irreducible=True)
+
+
+def test_recurrence_on_mixed_steps_matches_scalar():
+    # 24 steps, 24, 4, 1 and none: the unmasked loop, then the masked one
+    x = np.array([1e-3, 0.5, 20.25, 23.5, 30.0])
+    assert _digamma(x).tolist() == [digamma_scalar(v) for v in x.tolist()]
+    assert _trigamma(x).tolist() == [trigamma_scalar(v) for v in x.tolist()]
+    assert x.tolist() == [1e-3, 0.5, 20.25, 23.5, 30.0]  # the input is left as it was
