@@ -65,15 +65,19 @@ _prime_cache_limit = 0
 
 def _sieve(limit: int) -> np.ndarray:
     """All primes <= limit, ascending, int64 (an odd-only sieve: entry i
-    stands for 2i + 3)."""
+    stands for 2i + 1, and entry 0, for 1, becomes 2)."""
     if limit < 2:
         return np.zeros(0, dtype=np.int64)
-    odd = np.ones((limit - 1) // 2, dtype=bool)
-    for i in range((math.isqrt(limit) - 1) // 2):
+    odd = np.ones((limit + 1) // 2, dtype=bool)
+    for i in range(1, (math.isqrt(limit) + 1) // 2):
         if odd[i]:
-            p = 2 * i + 3
-            odd[(p * p - 3) // 2 :: p] = False
-    return np.concatenate(([2], 2 * np.flatnonzero(odd) + 3)).astype(np.int64)
+            p = 2 * i + 1
+            odd[p * p // 2 :: p] = False
+    primes = np.flatnonzero(odd).astype(np.int64, copy=False)  # then scaled in place: no full-size temporaries
+    primes *= 2
+    primes += 1
+    primes[0] = 2
+    return primes
 
 
 def _primes_to(limit: int) -> np.ndarray:
@@ -288,18 +292,25 @@ def _trial_primes(bound: int) -> tuple[list[int], int]:
 def _divide_out(work: int, bound: int, fmap: dict[int, int]) -> int:
     """work with its primes up to bound divided out, each recorded in fmap
     with its exponent: one gcd with their primorial finds them all, and one
-    pass over the primes, ending when that gcd is used up, takes them out."""
+    pass over the primes takes them out, ending once what is left of that gcd
+    is 1 or one prime."""
     primes, primorial = _trial_primes(bound)
     g = math.gcd(work, primorial)
     for p in primes:
-        if g == 1:
+        if g < p * p:  # g's primes are all >= p, so g is 1 or one prime
             break
         if g % p == 0:
             g //= p
-            fmap[p] = 0
-            while work % p == 0:
-                work //= p
-                fmap[p] += 1
+            work = _strip(work, p, fmap)
+    return work if g == 1 else _strip(work, g, fmap)
+
+
+def _strip(work: int, p: int, fmap: dict[int, int]) -> int:
+    """work with every factor p divided out, their count recorded in fmap."""
+    fmap[p] = 0
+    while work % p == 0:
+        work //= p
+        fmap[p] += 1
     return work
 
 

@@ -426,6 +426,7 @@ def pr_density_simple(A: int, B: int, cutoff: int = 1_000_000) -> DensityReport:
     """
     if A <= 0:
         raise ValueError("leading coefficient must be positive")
+    _require_irreducible_if_quadratic(PolyZ((B, 0, A)))
     value = 1.0
     for q, _ in factor(math.gcd(A, B - 1)).factors:
         if q > 2:

@@ -5,12 +5,13 @@ runs on it too), walks the prime values of f once for all the live bases: it
 reads streaks._residual_indices with g_base as witness, the walk that proves
 each prime, and tests every live k against a group of primes in one matrix
 pass, from the index of g_base and the factorization of p - 1 it yields.
+config_hash, which keys the checkpoint lines, is the package's one use of
+hashlib; it imports it on call, so no other command loads OpenSSL.
 """
 
 from __future__ import annotations
 
 import concurrent.futures
-import hashlib
 import json
 import time
 from dataclasses import asdict, dataclass
@@ -90,6 +91,7 @@ class SearchRecord:
 
 
 def config_hash(cfg: SearchConfig) -> str:
+    import hashlib  # on use: it maps OpenSSL's libcrypto (3.5 MB), which only a sweep needs
     blob = json.dumps(asdict(cfg), sort_keys=True).encode()
     return hashlib.sha256(blob).hexdigest()[:16]
 

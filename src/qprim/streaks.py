@@ -274,7 +274,7 @@ def prime_count(f: AnyPoly, x: int) -> int:
         top = max(poly.eval(0), poly.eval(x), 0)
         limit = max(limit, min(isqrt(top), _COUNT_SIEVE_CAP))
     stream = PrimeValueStream(poly, sieve_limit=limit)
-    block = max(_BLOCK, limit // 8)  # a block pays one pass over every root
+    block = max(_BLOCK, limit)  # a block pays one pass over every root: at >= limit n, each root strikes it
     return sum(
         1
         for lo in range(0, x + 1, block)

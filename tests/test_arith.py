@@ -479,3 +479,11 @@ def test_prime_listing_stops_at_1e10():
     assert list(iter_primes(10**10 - 100, 10**10)) == sympy_primes(10**10 - 100, 10**10)
     with pytest.raises(ValueError, match="1e10"):
         next(iter_primes(2, 10**10 + 1))
+
+
+def test_factor_gcd_ending_in_one_prime_against_sympy():
+    # what is left of the primorial gcd is one prime near the trial bound
+    sympy = pytest.importorskip("sympy")
+    values = [2 * 1999, 1999**2, 3 * 5 * 7 * 1993, 2**10 * 1997 * 1999]
+    assert [dict(factor(n).factors) for n in values] == [sympy.factorint(n) for n in values]
+    assert [dict(f.factors) for f in arith.factor_many(values)] == [sympy.factorint(n) for n in values]

@@ -637,3 +637,10 @@ def test_recurrence_on_mixed_steps_matches_scalar():
     assert _digamma(x).tolist() == [digamma_scalar(v) for v in x.tolist()]
     assert _trigamma(x).tolist() == [trigamma_scalar(v) for v in x.tolist()]
     assert x.tolist() == [1e-3, 0.5, 20.25, 23.5, 30.0]  # the input is left as it was
+
+
+def test_pr_density_simple_refuses_reducible():
+    # X^2, (X - 1)(X + 1), (2X - 3)(2X + 3) and 3(X - 2)(X + 2): -A*B a square
+    for A, B in ((1, 0), (1, -1), (4, -9), (3, -12)):
+        with pytest.raises(ValueError, match="reducible quadratic"):
+            pr_density_simple(A, B)

@@ -425,3 +425,14 @@ def test_tiny_rho_budget_raises_only_where_the_walk_reaches_that_prime(monkeypat
     assert verify_primitive_root_prefix(L, 326, first)
     with pytest.raises(arith.FactorizationError):
         verify_primitive_root_prefix(L, 326, first + 1)
+
+
+def test_prime_count_matches_brute_at_block_edges():
+    # a block is max(8192, sieve limit) n long: x on either side of both;
+    # for X^2 + X + 41 and X^2 - 10X + 29 at x <= 30000 the limit is 30000
+    for coeffs, limit in (((41, 1, 1), 30_000), ((29, -10, 1), 30_000), ((5, 3), 2_000), ((1, 1, 0, 1), 2_000)):
+        f = PolyZ(coeffs)
+        xs = (limit - 1, limit, limit + 1, 8191, 8192)
+        prime = [f.eval(n) >= 2 and is_prime(f.eval(n)) for n in range(max(xs) + 1)]
+        for x in xs:
+            assert prime_count(f, x) == sum(prime[: x + 1]), (coeffs, x)
