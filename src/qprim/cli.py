@@ -10,7 +10,8 @@ each one's default, and any other mode refuses it.
 Five commands take --long-run.  pi past x = 2e6, prstats past n_cap = 1e6,
 and maxstreak and search over more than 2000 k values exit 1 without it;
 verify walks the full record streaks, not a fast prefix, only with it.
-streak has no gate.  maxstreak and search sweep in one process by default.
+streak has no gate.  maxstreak and search sweep in one process: --workers
+has no effect.
 """
 
 from __future__ import annotations
@@ -429,12 +430,13 @@ def _handle_verify(args) -> dict:
     if args.preset not in registry:
         raise ValueError(f"unknown preset {args.preset!r}; known: {sorted(registry)}")
     preset = registry[args.preset]
-    if preset.g is None and args.n_cap:
+    if preset.g is None and args.n_cap is not None:
         raise ValueError(f"preset {preset.name!r} only counts primes; --n-cap applies to streak presets")
     checks: list[dict] = []
     if preset.g is not None:
         if args.long_run or preset.default_prefix is None:
-            res = streak(preset.poly, preset.g, args.n_cap or preset.long_run_n_cap)
+            n_cap = preset.long_run_n_cap if args.n_cap is None else args.n_cap
+            res = streak(preset.poly, preset.g, n_cap)
             checks.append(
                 {
                     "check": "streak",
@@ -448,7 +450,7 @@ def _handle_verify(args) -> dict:
             )
         else:
             prefix = preset.default_prefix
-            cap = {"n_cap": args.n_cap} if args.n_cap else {}  # else the walk's own cap
+            cap = {} if args.n_cap is None else {"n_cap": args.n_cap}  # else the walk's own cap
             ok = verify_primitive_root_prefix(preset.poly, preset.g, prefix, **cap)
             checks.append({"check": "prefix", "prefix": prefix, "expected_count": preset.expected_count, "ok": ok})
     for x, expected in preset.pi_checks:
@@ -551,7 +553,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--g-base", type=int, required=True)
     p.add_argument("--k-max", type=int, required=True)
     p.add_argument("--n-cap", type=int, default=200_000)
-    p.add_argument("--workers", type=int, default=1, help="worker processes for the k-sweep")
+    p.add_argument("--workers", type=int, default=1, help="no effect: the k-sweep runs in one process (must be >= 1)")
     p.set_defaults(func=_handle_maxstreak)
 
     p = sub.add_parser("density", parents=[common], help="quality densities and named Euler products")
@@ -614,7 +616,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n-cap", type=int, default=100_000)
     p.add_argument("--checkpoint", help="append-only JSON-lines checkpoint; resumable")
     p.add_argument("--fresh", action="store_true", help="replace an existing checkpoint")
-    p.add_argument("--workers", type=int, default=1, help="worker processes for the k-sweep")
+    p.add_argument("--workers", type=int, default=1, help="no effect: the k-sweep runs in one process (must be >= 1)")
     p.set_defaults(func=_handle_search)
 
     p = sub.add_parser("criteria", parents=[common], help="primitive-root criteria scans")
@@ -629,7 +631,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", parents=[common, gated], help="run a named reproduction preset")
     p.add_argument("--preset", required=True)
-    p.add_argument("--n-cap", type=int, default=0, help="walk a streak preset's primes to this n")
+    p.add_argument("--n-cap", type=int, help="walk a streak preset's primes to this n")
     p.set_defaults(func=_handle_verify)
 
     for command, options in _MODE_OPTIONS.items():

@@ -1,17 +1,16 @@
 """Record-search machinery: build candidate quadratics from a non-residue-rich
-number d and sweep k over k^2 * g_base with checkpointing and a deterministic
-parallel merge.  base_streaks, the one k-sweep engine (streaks.empirical_max_streak
-runs on it too), walks the prime values of f once for all the live bases: it
-reads streaks._residual_indices with g_base as witness, the walk that proves
-each prime, and tests every live k against a group of primes in one matrix
-pass, from the index of g_base and the factorization of p - 1 it yields.
+number d and sweep k over k^2 * g_base with checkpointing.  base_streaks, the
+one k-sweep engine (streaks.empirical_max_streak runs on it too), walks the
+prime values of f once for all the live bases: it reads
+streaks._residual_indices with g_base as witness, the walk that proves each
+prime, and tests every live k against a group of primes in one matrix pass,
+from the index of g_base and the factorization of p - 1 it yields.
 config_hash, which keys the checkpoint lines, is the package's one use of
 hashlib; it imports it on call, so no other command loads OpenSSL.
 """
 
 from __future__ import annotations
 
-import concurrent.futures
 import json
 import time
 from dataclasses import asdict, dataclass
@@ -29,7 +28,6 @@ from .poly import AnyPoly, QuadraticPoly, is_perfect_square
 from .streaks import _GROUP, _residual_indices, streak  # noqa: F401
 
 CHECKPOINT_SECONDS = 30.0  # longest wait for a checkpoint line while bases complete
-_CHUNKS_PER_WORKER = 4  # pooled sweeps: k-chunks per worker
 _EXACT_BITS = 48  # a group whose p are all below 2^48 runs on uint64 arrays
 _MATRIX_ELEMENTS = 1 << 14  # plan rows x (p, q) pairs per matrix pass: bounds its memory
 
@@ -144,18 +142,25 @@ def _powmod(base: np.ndarray, e: np.ndarray, p: np.ndarray) -> np.ndarray:
     return r
 
 
-def _streaks_serial(
+def base_streaks(
     f: AnyPoly, g_base: int, k_lo: int, k_hi: int, n_cap: int
 ) -> Iterator[tuple[int, int, int | None]]:
-    """The prime-major walk, a group of at most _GROUP primes at a time, fewer
-    once their (p, q) pairs times the plan's rows reach _MATRIX_ELEMENTS.  At
-    p not dividing g_base, a live k fails if k^e = z at one of p's pairs
-    (e, z); one pass computes k^e mod p for every plan row and pair, on uint64
-    if every p < 2^_EXACT_BITS (p | k: k^e = 0, a skip).  (k^2 g_base / p) =
-    (g_base / p), so an even index of g_base gives the pair (p - 1, 1); an odd
-    one gives e = (p-1)/q, z = g_base^(e(q-1)/2) per odd q | p-1, as
-    (k^2 g_base)^e = 1 iff k^e = z, or else (0, 0), which fails no k.  A k's
-    count is the primes passed before it failed, less those dividing it."""
+    """Yield (k, count, failing_prime) for the bases k^2 * g_base, k = k_lo..k_hi,
+    in ascending k, each once it and every smaller k have finished;
+    failing_prime is None when the streak reached n_cap unfinished.  g_base
+    must be a valid base (then so is every k^2 * g_base).  An empty range
+    yields nothing and builds no stream.
+
+    One walk of the prime stream serves every base, a group of at most _GROUP
+    primes at a time, fewer once their (p, q) pairs times the plan's rows
+    reach _MATRIX_ELEMENTS.  At p not dividing g_base, a live k fails if
+    k^e = z at one of p's pairs (e, z); one pass computes k^e mod p for every
+    plan row and pair, on uint64 if every p < 2^_EXACT_BITS (p | k: k^e = 0,
+    a skip).  (k^2 g_base / p) = (g_base / p), so an even index of g_base
+    gives the pair (p - 1, 1); an odd one gives e = (p-1)/q,
+    z = g_base^(e(q-1)/2) per odd q | p-1, as (k^2 g_base)^e = 1 iff k^e = z,
+    or else (0, 0), which fails no k.  A k's count is the primes passed
+    before it failed, less those dividing it."""
     if k_lo > k_hi:
         return
     live = np.arange(k_lo, k_hi + 1)
@@ -205,42 +210,6 @@ def _streaks_serial(
         raise error
     for k in range(next_k, k_hi + 1):
         yield (k, *done.pop(k, (count(k, passed), None)))
-
-
-def _streaks_chunk(args: tuple) -> list[tuple[int, int, int | None]]:
-    return list(_streaks_serial(*args))
-
-
-def base_streaks(
-    f: AnyPoly, g_base: int, k_lo: int, k_hi: int, n_cap: int, workers: int = 1
-) -> Iterator[tuple[int, int, int | None]]:
-    """Yield (k, count, failing_prime) for the bases k^2 * g_base, k = k_lo..k_hi,
-    in ascending k whatever the worker count; failing_prime is None when the
-    streak reached n_cap unfinished.  g_base must be a valid base (then so is
-    every k^2 * g_base).  One walk of the prime stream, in prime order, serves
-    every base (pooled: each chunk of contiguous k walks it apart, and each
-    worker gets _CHUNKS_PER_WORKER of them in k order, so results keep
-    arriving while later chunks run); a k is yielded once it and every
-    smaller k have finished.  An empty range yields nothing and builds no
-    stream.  A worker count below 1 raises ValueError at the call, before
-    anything is swept."""
-    if workers < 1:
-        raise ValueError("workers must be >= 1")
-    if workers == 1 or k_hi - k_lo < 8:
-        return _streaks_serial(f, g_base, k_lo, k_hi, n_cap)
-    chunk = -(-(k_hi - k_lo + 1) // (_CHUNKS_PER_WORKER * workers))
-    jobs = [
-        (f, g_base, lo, min(lo + chunk - 1, k_hi), n_cap)
-        for lo in range(k_lo, k_hi + 1, chunk)
-    ]
-    return _pooled(jobs, workers)
-
-
-def _pooled(jobs: list[tuple], workers: int) -> Iterator[tuple[int, int, int | None]]:
-    """The chunks' streaks in job order, from a pool that lives while they are read."""
-    with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
-        for part in pool.map(_streaks_chunk, jobs):
-            yield from part
 
 
 @dataclass
@@ -328,12 +297,15 @@ def sweep(
     """Run the k-sweep, maintaining the best record (max streak, ties to the
     smallest k), appending a checkpoint line every `checkpoint_every`
     completed k values or every CHECKPOINT_SECONDS, whichever comes first,
-    and after k_hi.  Any worker count produces the identical record.  With
-    `resume`, an existing checkpoint for the same configuration is continued;
-    without it, an existing checkpoint file is replaced.
-    An uncertified best (see BestStreak) is returned with certified=False.
+    and after k_hi.  With `resume`, an existing checkpoint for the same
+    configuration is continued; without it, an existing checkpoint file is
+    replaced.  An uncertified best (see BestStreak) is returned with
+    certified=False.  `workers` below 1 raises ValueError before the
+    checkpoint is touched; any other count runs the same serial sweep.
     """
     cfg.validate()
+    if workers < 1:
+        raise ValueError("workers must be >= 1")
     require_valid_base(cfg.g_base)
     h = config_hash(cfg)
     start_k = cfg.k_lo
@@ -342,9 +314,7 @@ def sweep(
         last_k, best, found_at = _read_checkpoint(checkpoint_path, h)
         if last_k >= cfg.k_lo:
             start_k = last_k + 1
-    results = base_streaks(
-        candidate_poly(cfg), cfg.g_base, start_k, cfg.k_hi, cfg.n_cap, workers
-    )
+    results = base_streaks(candidate_poly(cfg), cfg.g_base, start_k, cfg.k_hi, cfg.n_cap)
     # a fresh sweep replaces the file: its lines alone must make it resumable
     mode = "a" if resume else "w"
     fh = open(checkpoint_path, mode, encoding="utf-8") if checkpoint_path else None

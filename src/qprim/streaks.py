@@ -210,6 +210,8 @@ def _residual_indices(
         raise ValueError("n_cap must be >= 0")
     if stream is None:
         stream = PrimeValueStream(f)
+    elif stream.poly != as_polyz(f):
+        raise ValueError(f"the stream walks {stream.poly}, not {as_polyz(f)}")
 
     def walk() -> Iterator[tuple[int, int, Factorization, int | None]]:
         for n, p, pm1 in stream._factored(n_cap):
@@ -226,7 +228,8 @@ def streak(
 ) -> StreakResult:
     """Walk the distinct primes f(n), n = 0..n_cap in order, skipping primes
     dividing g, and count how many consecutive ones have g as a primitive
-    root before the first failure.  A stream passed in lends its sieve roots."""
+    root before the first failure.  A stream passed in lends its sieve roots;
+    it must be f's own (ValueError otherwise)."""
     count = primes_seen = 0
     failure, n_scanned = (None, None, None), n_cap + 1
     for n, p, _, index in _residual_indices(f, g, n_cap, stream):
@@ -309,6 +312,8 @@ def empirical_max_streak(
 
     Raises RuntimeError if some streak reaches n_cap unfinished while at least
     as long as the reported best (the maximum would then be uncertified).
+    workers below 1 raises ValueError; any other count runs the same serial
+    sweep.
     """
     # search builds on this module, so its sweep engine is imported on use
     from .search import BestStreak, base_streaks
@@ -316,8 +321,10 @@ def empirical_max_streak(
     require_valid_base(g_base)
     if k_max < 1:
         raise ValueError("k_max must be >= 1")
+    if workers < 1:
+        raise ValueError("workers must be >= 1")
     best = BestStreak()
-    for k, c, failing in base_streaks(f, g_base, 1, k_max, n_cap, workers):
+    for k, c, failing in base_streaks(f, g_base, 1, k_max, n_cap):
         best.add(k, c, failing)
     if not best.certified:
         raise RuntimeError(

@@ -311,10 +311,11 @@ def test_record_failing_primes_pinned(name, n, p, index):
     assert index > 1  # g is not a primitive root mod p: the streak ends here
 
 
-@pytest.mark.parametrize("n_cap, count", [(100, 16), (2374, 206)])
+@pytest.mark.parametrize("n_cap, count", [(100, 16), (2374, 206), (0, 1)])
 def test_verify_streak_failure_exits_1_and_echoes_its_options(capsys, n_cap, count):
     # at n_cap = 2374 the count is right but the walk stops one n short of
-    # the failing prime: a cut-off streak is not the record
+    # the failing prime: a cut-off streak is not the record.  n_cap = 0 walks
+    # f(0) = 3 alone, not the preset's own cap
     code, out, _ = run_cli(capsys, "verify", "--preset", "lehmer", "--n-cap", str(n_cap), "--format", "json")
     assert code == 1
     doc = json.loads(out)
@@ -325,10 +326,11 @@ def test_verify_streak_failure_exits_1_and_echoes_its_options(capsys, n_cap, cou
 
 @pytest.mark.parametrize("preset", ["euler41", "beeger27941"])
 def test_verify_n_cap_on_a_count_preset_exits_1(capsys, preset):
-    code, out, err = run_cli(capsys, "verify", "--preset", preset, "--n-cap", "5")
-    assert code == 1
-    assert out == ""
-    assert preset in err and "--n-cap" in err
+    for n_cap in ("5", "0"):
+        code, out, err = run_cli(capsys, "verify", "--preset", preset, "--n-cap", n_cap)
+        assert code == 1
+        assert out == ""
+        assert preset in err and "--n-cap" in err
 
 
 def test_verify_has_no_prefix_option(capsys):
@@ -532,19 +534,20 @@ SEARCH = ["search", "--d", "163", "--d1", "163", "--alpha", "1", "--g-base", "32
 
 @pytest.mark.parametrize("argv", [MAXSTREAK, SEARCH])
 def test_sweeps_default_to_one_worker_and_no_pool(capsys, monkeypatch, argv):
-    from qprim import search
+    import multiprocessing.process
 
-    def no_pool(*args, **kwargs):
-        raise RuntimeError("a process pool was started")
+    def no_process(*args, **kwargs):
+        raise RuntimeError("a worker process was started")
 
-    monkeypatch.setattr(search.concurrent.futures, "ProcessPoolExecutor", no_pool)
+    monkeypatch.setattr(multiprocessing.process.BaseProcess, "start", no_process)
     code, out, _ = run_cli(capsys, *argv, "--format", "json")
     assert code == 0
-    assert json.loads(out)["inputs"]["workers"] == 1
-    # the patch is where a pooled sweep would start its pool
-    code, _, err = run_cli(capsys, *argv, "--workers", "2")
-    assert code == 1
-    assert "a process pool was started" in err
+    one = json.loads(out)
+    assert one["inputs"]["workers"] == 1
+    # --workers is accepted and changes nothing: the sweep stays in this process
+    code, out, _ = run_cli(capsys, *argv, "--workers", "2", "--format", "json")
+    assert code == 0
+    assert json.loads(out)["outputs"] == one["outputs"]
 
 
 @pytest.mark.parametrize("argv", [MAXSTREAK, SEARCH])

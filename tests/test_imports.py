@@ -1,5 +1,6 @@
 """The import graph: only a sweep's config hash loads hashlib (and with it
-OpenSSL's libcrypto), so every other command runs without it."""
+OpenSSL's libcrypto), so every other command runs without it, and nothing
+loads a process pool."""
 
 import json
 import os
@@ -18,6 +19,7 @@ from qprim.search import SearchConfig, config_hash
 cfg = SearchConfig(d=163, d1=163, alpha=1, sign=1, shift=0, g_base=326, k_lo=1, k_hi=1, n_cap=4000)
 print(json.dumps({
     "hash_modules": sorted(added & {"hashlib", "_hashlib"}),
+    "pool_modules": sorted(added & {"concurrent.futures", "multiprocessing"}),
     "config_hash": config_hash(cfg),
     "hashlib_after": "_hashlib" in sys.modules,
 }))
@@ -29,5 +31,6 @@ def test_only_config_hash_loads_hashlib():
     out = subprocess.run([sys.executable, "-c", PROBE], env=env, capture_output=True, text=True, check=True)
     got = json.loads(out.stdout)
     assert got["hash_modules"] == []
+    assert got["pool_modules"] == []
     assert got["config_hash"] == "bfe472d48a19d25b"  # tests/test_search.py's LEHMER_CFG: checkpoints resume
     assert got["hashlib_after"]

@@ -405,56 +405,3 @@ def test_uint64_kernels_are_exact_at_their_bounds(ps):
         np.array([[p for p, _ in exps]], np.uint64),
     )
     assert got.tolist() == [[pow(b, e, p) for p, e in exps] for b in bases]
-
-
-def test_base_streaks_pooled_equals_serial():
-    from qprim.search import base_streaks
-
-    serial = list(base_streaks(LEHMER, 326, 3, 90, 3000, workers=1))
-    assert list(base_streaks(LEHMER, 326, 3, 90, 3000, workers=2)) == serial
-
-
-class _InlineExecutor:
-    """A stand-in for ProcessPoolExecutor that runs map in this process and
-    records the jobs it was given."""
-
-    jobs: list = []
-
-    def __init__(self, max_workers):
-        self.max_workers = max_workers
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc):
-        return False
-
-    def map(self, fn, jobs):
-        jobs = list(jobs)
-        _InlineExecutor.jobs = jobs
-        return map(fn, jobs)
-
-
-def test_pooled_sweep_feeds_several_chunks_per_worker_in_k_order(monkeypatch):
-    # pool.map yields nothing until its first chunk ends; with one chunk per
-    # worker no checkpoint line is written for half the range
-    import concurrent.futures
-
-    from qprim import search
-
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _InlineExecutor)
-    got = list(search.base_streaks(LEHMER, 326, 5, 104, 3000, workers=2))
-    bounds = [(job[2], job[3]) for job in _InlineExecutor.jobs]
-    assert len(bounds) >= 4 * 2
-    assert bounds[0][0] == 5 and bounds[-1][1] == 104
-    assert all(hi + 1 == lo for (_, hi), (lo, _) in zip(bounds, bounds[1:]))
-    assert [k for k, _, _ in got] == list(range(5, 105))
-
-
-def test_base_streaks_identical_for_one_to_three_workers():
-    from qprim.search import base_streaks
-
-    serial = list(base_streaks(LEHMER, 326, 1, 150, 4000, workers=1))
-    assert [k for k, _, _ in serial] == list(range(1, 151))
-    for workers in (2, 3):
-        assert list(base_streaks(LEHMER, 326, 1, 150, 4000, workers=workers)) == serial

@@ -181,6 +181,19 @@ def test_verify_prefix():
         verify_primitive_root_prefix(L, 326, 10_000, 1000)
 
 
+def test_walks_refuse_another_polynomials_stream():
+    from qprim.streaks import _residual_indices
+
+    # a stream of GRIFFIN's primes would report its failing prime 7 as L's
+    with pytest.raises(ValueError, match="stream"):
+        streak(L, 326, 3000, stream=PrimeValueStream(GRIFFIN))
+    with pytest.raises(ValueError, match="stream"):  # the walk pr_stats reads
+        _residual_indices(L, 326, 3000, PrimeValueStream(GRIFFIN))
+    # the same polynomial given as a PolyZ is the stream's own
+    res = streak(L, 326, 3000, stream=PrimeValueStream(L.as_poly()))
+    assert (res.count, res.failing_prime) == (206, 1838843753)
+
+
 def test_pr_stats_rejects_negative_n_cap():
     with pytest.raises(ValueError, match="n_cap must be >= 0"):
         pr_stats(L, 326, -5)
