@@ -181,6 +181,8 @@ def admissible_discriminants(f: QuadraticPoly, bound: int) -> list[FundamentalDi
     test."""
     if not in_conjecture_f_family(f):
         raise ValueError("polynomial is outside the quadratic search family")
+    if bound < 1:
+        raise ValueError("bound must be >= 1")
     base = 24 * f.a * abs(f.d)
     rest = base
     smooth = []

@@ -309,6 +309,8 @@ def hardy_littlewood_constant(D: int, tol: float = 1e-8) -> DensityReport:
         zeta(4) / (2 L(1,chi) L(2,chi)) * prod_{q | D}(1 - q^-4)
                 * prod_{split q >= 3}(1 - 2/(q (q-1)^2)).
     """
+    if tol <= 0:
+        raise ValueError("tol must be positive")
     fd = _coerce_discriminant(D)
     if fd.D >= 0 or fd.D % 8 != 5:
         raise ValueError("discriminant must be negative and = 5 (mod 8)")

@@ -5,8 +5,8 @@ prime values of f once for all the live bases: it reads
 streaks._residual_indices with g_base as witness, the walk that proves each
 prime, and tests every live k against a group of primes in one matrix pass,
 from the index of g_base and the factorization of p - 1 it yields.
-config_hash, which keys the checkpoint lines, is the package's one use of
-hashlib; it imports it on call, so no other command loads OpenSSL.
+config_hash, which keys the checkpoint lines, takes SHA-256 from CPython's
+built-in module, so no command loads hashlib or maps OpenSSL's libcrypto.
 """
 
 from __future__ import annotations
@@ -89,9 +89,15 @@ class SearchRecord:
 
 
 def config_hash(cfg: SearchConfig) -> str:
-    import hashlib  # on use: it maps OpenSSL's libcrypto (3.5 MB), which only a sweep needs
-    blob = json.dumps(asdict(cfg), sort_keys=True).encode()
-    return hashlib.sha256(blob).hexdigest()[:16]
+    """The checkpoint key: the first 16 hex digits of the SHA-256 of cfg's sorted JSON."""
+    try:  # CPython's own, as random takes sha512: hashlib maps OpenSSL's libcrypto (3.5 MB)
+        from _sha256 import sha256
+    except ImportError:
+        try:
+            from _sha2 import sha256  # Python 3.12+
+        except ImportError:
+            from hashlib import sha256
+    return sha256(json.dumps(asdict(cfg), sort_keys=True).encode()).hexdigest()[:16]
 
 
 def candidate_poly(cfg: SearchConfig) -> QuadraticPoly:

@@ -9,7 +9,7 @@ Miller-Rabin test.  The stream sieves only the n asked for, each block to
 depth max(2000, block end) within the sieve limit: a prime above the range
 scanned strikes at most deg f of its n, and its roots cost more than the
 tests they save.  prime_count sieves to the full limit.  The stream keeps
-only its sieve roots between walks; streak, verify_primitive_root_prefix and
+only its roots table between walks; streak, verify_primitive_root_prefix and
 pr_stats read the residual index of g at each prime from one walk.
 
 That walk, _residual_indices, is the only reader of the stream's base-2
@@ -23,13 +23,14 @@ primes only.
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass
-from itertools import compress, islice
+from itertools import compress, islice, repeat
 from math import isqrt
 from typing import Iterator
 
 from . import arith
-from .arith import Factorization, factor, is_prime, primes_up_to
+from .arith import Factorization, factor, is_prime
 from .charsums import require_valid_base
 from .poly import AnyPoly, PolyZ, as_polyz, roots_mod
 
@@ -106,8 +107,8 @@ def _default_sieve_limit(poly: PolyZ) -> int:
 
 
 class PrimeValueStream:
-    """Ordered, deduplicated primes among f(0), f(1), ...; the roots table
-    is all it keeps between walks."""
+    """Ordered, deduplicated primes among f(0), f(1), ...; the roots table is all it
+    keeps between walks: one (q, r) per root r of f mod a sieve prime q, in two int64 arrays."""
 
     def __init__(self, f: AnyPoly, sieve_limit: int | None = None):
         poly = as_polyz(f)
@@ -117,31 +118,29 @@ class PrimeValueStream:
             sieve_limit = _default_sieve_limit(poly)
         self.poly = poly
         self.sieve_limit = sieve_limit
-        self._sieve_primes = primes_up_to(sieve_limit)
-        self._roots: list[tuple[int, tuple[int, ...]]] = []
-        self._depth = 0  # _roots covers the sieve primes up to this
+        self._moduli, self._residues = array("q"), array("q")  # q and r, ascending in q then r
+        self._depth = 0  # the roots cover the sieve primes up to this
         # below this n, sieve kills are double-checked
         self._direct_upto = _positive_tail_start(poly, sieve_limit)
 
     def _block_primes(self, lo: int, size: int, depth: int, test) -> Iterator[tuple[int, int]]:
-        """Yield (n, f(n)) for the n in [lo, lo + size) with f(n) prime, ascending,
-        sieving by the primes up to the largest depth asked for so far, within
-        sieve_limit; the roots table grows to it.  A survivor f(n) >= 2 has no
-        prime factor up to that depth, so it is prime if f(n) <= depth^2; only
-        larger ones reach `test`, is_prime or a weaker pre-filter.  Below
-        _direct_upto a sieve kill may be f(n) equal to a sieve prime, so those
-        n are tested directly."""
+        """Yield (n, f(n)) for the n in [lo, lo + size) with f(n) prime,
+        ascending, sieving by the primes up to the largest depth asked for so
+        far, within sieve_limit; the roots table grows to it from arith's cached
+        primes.  A survivor f(n) >= 2 has no prime factor up to that depth, so
+        it is prime if f(n) <= depth^2; only larger ones reach `test`, is_prime
+        or a weaker pre-filter.  Below _direct_upto a sieve kill may be f(n)
+        equal to a sieve prime, so those n are tested directly."""
         depth = min(depth, self.sieve_limit)
-        new = [q for q in self._sieve_primes if self._depth < q <= depth]
-        # a q dividing every value stays: survivors must be free of it
-        self._roots += [(q, rs) for q in new if (rs := roots_mod(self.poly, q))]
+        for q in arith.iter_primes(self._depth + 1, depth):
+            self._residues.extend(rs := roots_mod(self.poly, q))  # all q of them if q divides every value
+            self._moduli.extend(repeat(q, len(rs)))
         self._depth = max(self._depth, depth)
         alive = bytearray([1]) * size
-        for q, rs in self._roots:
-            for r in rs:
-                start = (r - lo) % q
-                if start < size:
-                    alive[start::q] = bytearray(len(range(start, size, q)))
+        for q, r in zip(self._moduli, self._residues):
+            start = (r - lo) % q
+            if start < size:
+                alive[start::q] = bytearray(len(range(start, size, q)))
         poly = self.poly
         limit = self._depth
         exact = limit * limit

@@ -236,6 +236,9 @@ def test_admissible_discriminants():
     assert -3 in [fd.D for fd in admissible_discriminants(QuadraticPoly(1, 0, 5), 10)]
     with pytest.raises(ValueError):
         admissible_discriminants(QuadraticPoly(2, 2, 2), 100)
+    for bound in (0, -5):  # no discriminant has |D| < 1: refused, not an empty list
+        with pytest.raises(ValueError, match="bound must be >= 1"):
+            admissible_discriminants(L, bound)
 
 
 @pytest.mark.parametrize(

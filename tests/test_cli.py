@@ -236,6 +236,21 @@ def test_density_cutoff_below_two_is_an_error(capsys, mode, cutoff):
     assert "cutoff must be at least 2" in err
 
 
+@pytest.mark.parametrize(
+    "argv, why",
+    [
+        (["hlconst", "--disc", "-163", "--tol", "0"], "tol must be positive"),
+        (["hlconst", "--disc", "-163", "--tol", "-1"], "tol must be positive"),
+        (["tau", "--poly", "326,0,3", "--admissible", "--bound", "-5"], "bound must be >= 1"),
+        (["tau", "--poly", "326,0,3", "--admissible", "--bound", "0"], "bound must be >= 1"),
+    ],
+)
+def test_nonpositive_tol_and_bound_exit_1(capsys, argv, why):
+    code, _, err = run_cli(capsys, *argv)
+    assert code == 1
+    assert why in err
+
+
 def test_density_simple_needs_two_integers(capsys):
     for bad in ("3", "1,2,3", "3,x"):
         with pytest.raises(SystemExit) as exc:

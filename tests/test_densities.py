@@ -262,6 +262,9 @@ def test_hardy_littlewood_guards():
         hardy_littlewood_constant(5)  # positive
     with pytest.raises(ValueError):
         hardy_littlewood_constant(-45)  # not fundamental
+    for tol in (0, -1, 0.0):  # no cutoff meets these: refused, as dirichlet_l refuses them
+        with pytest.raises(ValueError, match="tol must be positive"):
+            hardy_littlewood_constant(-163, tol=tol)
 
 
 def test_character_euler_product_identity():

@@ -1,8 +1,10 @@
 """Tests for candidate construction, admissible bases, and the k-sweep."""
 
+import hashlib
 import json
 import os
 import random
+from dataclasses import asdict
 from math import isqrt
 
 import numpy as np
@@ -90,6 +92,21 @@ def test_admissible_bases_lehmer():
 
 def test_admissible_bases_empty_for_euler_poly():
     assert admissible_bases(QuadraticPoly(1, 1, 41), 400) == []
+
+
+def test_config_hash_equals_hashlib_digest():
+    # checkpoints written when config_hash used hashlib keep resuming
+    rng = random.Random(20)
+    for _ in range(20):
+        d1 = rng.choice([1, 3, 163, 252017])
+        cfg = SearchConfig(
+            d=d1 * rng.randrange(1, 10**6), d1=d1, alpha=rng.randrange(5), sign=rng.choice([1, -1]),
+            shift=rng.randrange(10**4), r1=rng.randrange(1, 50), r2=rng.randrange(1, 50),
+            g_base=rng.randrange(-10**6, 10**6), k_lo=rng.randrange(1, 100), k_hi=rng.randrange(100, 10**5),
+            n_cap=rng.randrange(10**7),
+        )
+        blob = json.dumps(asdict(cfg), sort_keys=True).encode()
+        assert config_hash(cfg) == hashlib.sha256(blob).hexdigest()[:16], cfg
 
 
 def test_sweep_single_k_reduces_to_streak():

@@ -449,3 +449,49 @@ def test_prime_count_matches_brute_at_block_edges():
         prime = [f.eval(n) >= 2 and is_prime(f.eval(n)) for n in range(max(xs) + 1)]
         for x in xs:
             assert prime_count(f, x) == sum(prime[: x + 1]), (coeffs, x)
+
+
+# degrees 1 to 3: 3X + 5; X^2 + X + 41; (X - 200)^2 + 3, whose values repeat;
+# X^3 + X + 1; X^3 - X + 3, which 3 divides at every n, so 3 keeps all 3 roots
+DIFF_COEFFS = [(5, 3), (41, 1, 1), (40003, -400, 1), (1, 1, 0, 1), (3, -1, 0, 1)]
+DIFF_X = 60_000
+
+
+@cache
+def brute_prime_flags(coeffs):
+    """[f(n) prime for n in 0..DIFF_X], from is_prime on every value."""
+    f = PolyZ(coeffs)
+    return [f.eval(n) >= 2 and is_prime(f.eval(n)) for n in range(DIFF_X + 1)]
+
+
+@pytest.mark.parametrize("sieve_limit", [500, 2000, 30_000])
+@pytest.mark.parametrize("coeffs", DIFF_COEFFS)
+def test_reused_stream_matches_brute_scan(coeffs, sieve_limit):
+    f = PolyZ(coeffs)
+    want, seen = [], set()
+    for n, prime in enumerate(brute_prime_flags(coeffs)):
+        if prime and f.eval(n) not in seen:
+            seen.add(f.eval(n))
+            want.append((n, f.eval(n)))
+    stream = PrimeValueStream(f, sieve_limit=sieve_limit)
+    # either side of the first block edge, then past the depth ramp (blocks
+    # sieve to max(2000, block end) until sieve_limit): the roots grow each
+    # walk, the first time to the prime depth 8191, which must not come twice
+    for n_cap in (8190, 8191, 8192, 33_000):
+        assert list(stream.entries_upto(n_cap)) == [(n, p) for n, p in want if n <= n_cap], n_cap
+    assert stream._depth == sieve_limit
+    # roots of sieve primes, each once, ascending in q then r; up to 2000 (a
+    # cubic's roots cost O(q) each) exactly the table built in one go
+    roots = list(zip(stream._moduli, stream._residues))
+    assert roots == sorted(set(roots))
+    assert set(stream._moduli) <= set(primes_up_to(sieve_limit))
+    assert all(f.eval(r) % q == 0 for q, r in roots)
+    head = [(q, r) for q in primes_up_to(min(sieve_limit, 2000)) for r in _quadratic_roots_mod(f, q)]
+    assert roots[: len(head)] == head
+
+
+@pytest.mark.parametrize("coeffs", DIFF_COEFFS)
+def test_prime_count_matches_brute_scan_past_the_block_edge(coeffs):
+    prime = brute_prime_flags(coeffs)
+    for x in (8191, 8192, DIFF_X):
+        assert prime_count(PolyZ(coeffs), x) == sum(prime[: x + 1]), x
