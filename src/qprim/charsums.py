@@ -12,8 +12,8 @@ from fractions import Fraction
 
 from .arith import Factorization, factor, kronecker, iter_primes, squarefree_decomposition
 from .poly import (
-    AnyPoly,
     Mod8Profile,
+    PolyZ,
     QuadraticPoly,
     in_conjecture_f_family,
     is_perfect_square,
@@ -84,10 +84,19 @@ def _require_odd_prime(p: int) -> None:
         raise ValueError(f"{p} is not an odd prime")
 
 
-def complete_char_sum(f: QuadraticPoly, p: int) -> int:
-    """sum_{m=0}^{p-1} (f(m)/p) in closed form for odd prime p."""
+def _quadratic(f: PolyZ) -> tuple[int, int, int]:
+    """(a, c, d) of a quadratic f = aX^2 + bX + c, d = b^2 - 4ac; ValueError
+    for any other degree."""
+    if f.degree() != 2:
+        raise ValueError(f"the closed form needs a quadratic, not degree {f.degree()}")
+    c, b, a = f.coeffs
+    return a, c, b * b - 4 * a * c
+
+
+def complete_char_sum(f: PolyZ, p: int) -> int:
+    """sum_{m=0}^{p-1} (f(m)/p) in closed form for quadratic f and odd prime p."""
     _require_odd_prime(p)
-    a, c, d = f.a, f.c, f.d
+    a, c, d = _quadratic(f)
     if a % p != 0 and d % p != 0:
         return -kronecker(a, p)
     if a % p == 0 and d % p == 0:
@@ -95,11 +104,11 @@ def complete_char_sum(f: QuadraticPoly, p: int) -> int:
     return (p - 1) * kronecker(a, p)
 
 
-def local_char_average(f: QuadraticPoly, p: int) -> Fraction:
-    """Average Jacobi symbol of f over the classes mod p coprime to f, in
-    closed form (four cases by p | a, p | d)."""
+def local_char_average(f: PolyZ, p: int) -> Fraction:
+    """Average Jacobi symbol of quadratic f over the classes mod p coprime to
+    f, in closed form (four cases by p | a, p | d)."""
     _require_odd_prime(p)
-    a, c, d = f.a, f.c, f.d
+    a, c, d = _quadratic(f)
     pa, pd = a % p == 0, d % p == 0
     if not pa and not pd:
         return Fraction(-kronecker(a, p), p - 1 - kronecker(d, p))
@@ -110,7 +119,7 @@ def local_char_average(f: QuadraticPoly, p: int) -> Fraction:
     return Fraction(kronecker(c, p))
 
 
-def brute_char_average(f: AnyPoly, p: int) -> Fraction:
+def brute_char_average(f: PolyZ, p: int) -> Fraction:
     """Enumeration form of the local average, valid for any degree:
     sum_r (f(r)/p) / #{r mod p : gcd(f(r), p) = 1}."""
     _require_odd_prime(p)
@@ -130,7 +139,7 @@ def _require_odd_squarefree(d: int) -> Factorization:
     return fact
 
 
-def char_average(f: AnyPoly, d: int) -> Fraction:
+def char_average(f: PolyZ, d: int) -> Fraction:
     """Multiplicative extension prod_{p | d} of the local average, for odd
     squarefree d > 1: the closed form for quadratic f, enumeration for any
     other."""
@@ -144,7 +153,7 @@ def char_average(f: AnyPoly, d: int) -> Fraction:
     return out
 
 
-def inert_proportion(f: AnyPoly, D: FundamentalDiscriminant | int) -> Fraction:
+def inert_proportion(f: PolyZ, D: FundamentalDiscriminant | int) -> Fraction:
     """Exact proportion of primes p = f(n) that are inert in the quadratic
     field of fundamental discriminant D, per the mod-8 case table.
 
@@ -172,7 +181,7 @@ def inert_proportion(f: AnyPoly, D: FundamentalDiscriminant | int) -> Fraction:
     return (1 + beta * a_odd) / 2
 
 
-def admissible_discriminants(f: QuadraticPoly, bound: int) -> list[FundamentalDiscriminant]:
+def admissible_discriminants(f: PolyZ, bound: int) -> list[FundamentalDiscriminant]:
     """All fundamental discriminants D with |D| <= bound and inert proportion
     exactly 1 for f.  Complete: such D must divide 24*a*d, so only divisors
     of that product are scanned.  A divisor up to `bound` has no prime factor
@@ -183,8 +192,8 @@ def admissible_discriminants(f: QuadraticPoly, bound: int) -> list[FundamentalDi
         raise ValueError("polynomial is outside the quadratic search family")
     if bound < 1:
         raise ValueError("bound must be >= 1")
-    base = 24 * f.a * abs(f.d)
-    rest = base
+    a, _, d = _quadratic(f)
+    base = rest = 24 * a * abs(d)
     smooth = []
     for p in iter_primes(2, bound):
         if rest == 1:

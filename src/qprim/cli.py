@@ -60,7 +60,7 @@ from .densities import (
     totient_ratio_constant,
     totient_ratio_product,
 )
-from .poly import QuadraticPoly, as_polyz, parse_poly
+from .poly import QuadraticPoly, parse_poly
 from .search import SearchConfig, candidate_poly, sweep
 from .streaks import (
     empirical_max_streak,
@@ -286,14 +286,14 @@ def _require_long_run(args, what: str) -> None:
 def _handle_streak(args) -> dict:
     f = parse_poly(args.poly)
     res = streak(f, args.g, args.n_cap)
-    return {**asdict(res), "poly": str(as_polyz(f)), "complete": res.n_at_failure is not None}
+    return {**asdict(res), "poly": str(f), "complete": res.n_at_failure is not None}
 
 
 def _handle_pi(args) -> dict:
     f = parse_poly(args.poly)
     if args.x > 2_000_000:
         _require_long_run(args, f"pi up to {args.x}")
-    return {"poly": str(as_polyz(f)), "x": args.x, "count": prime_count(f, args.x)}
+    return {"poly": str(f), "x": args.x, "count": prime_count(f, args.x)}
 
 
 def _handle_prstats(args) -> dict:
@@ -330,7 +330,10 @@ def _handle_density(args) -> dict:
         primes = [int(p) for p in args.q_product.split(",")]
         return {"kind": "totient_ratio_product", "value": totient_ratio_product(primes)}
     if args.bateman_horn:
-        rep = bateman_horn_constant(parse_poly(args.bateman_horn), args.cutoff)
+        f = parse_poly(args.bateman_horn)
+        if f.degree() > 2:
+            raise ValueError("density --bateman-horn needs degree <= 2: irreducibility is not checked above")
+        rep = bateman_horn_constant(f, args.cutoff)
         return {"kind": "bateman_horn", **asdict(rep)}
     if args.simple:
         return {"kind": "simplified_quality", **asdict(pr_density_simple(*args.simple))}
@@ -338,7 +341,7 @@ def _handle_density(args) -> dict:
         raise ValueError("density needs --poly or one of the named product modes")
     f = parse_poly(args.poly)
     rep = pr_density(f, args.cutoff, accelerate=not args.no_accelerate)
-    return {"kind": "quality", "poly": str(as_polyz(f)), **asdict(rep)}
+    return {"kind": "quality", "poly": str(f), **asdict(rep)}
 
 
 def _handle_hlconst(args) -> dict:
@@ -397,7 +400,7 @@ def _handle_search(args) -> dict:
         _require_long_run(args, f"sweep over {args.k_hi - args.k_lo + 1} k values")
     best = sweep(cfg, checkpoint_path=args.checkpoint, workers=args.workers, resume=not args.fresh)
     return {
-        "poly": str(candidate_poly(cfg).as_poly()),
+        "poly": str(candidate_poly(cfg)),
         "best_k": best.k,
         "best_g": best.g,
         "best_c": best.c,
@@ -414,6 +417,8 @@ def _handle_criteria(args) -> dict:
         "fueter": fueter_criterion,
     }
     if args.mode in scans:
+        if args.max < 2:
+            raise ValueError("--max must be >= 2")
         applicable = sum(map(scans[args.mode], primes_up_to(args.max)))
         head = {"mode": args.mode, "g": args.g} if args.mode == "extended" else {"mode": args.mode}
         tally = "disagreements" if args.mode == "fueter" else "violations"
@@ -458,7 +463,7 @@ def _handle_verify(args) -> dict:
         checks.append({"check": "pi", "x": x, "count": count, "expected": expected, "ok": count == expected})
     return {
         "preset": preset.name,
-        "poly": str(preset.poly.as_poly()),
+        "poly": str(preset.poly),
         "g": preset.g,
         "note": preset.note,
         "checks": checks,

@@ -38,7 +38,7 @@ import numpy as np
 
 from .arith import euler_phi, factor, is_prime, prime_chunks
 from .charsums import FundamentalDiscriminant
-from .poly import AnyPoly, PolyZ, as_polyz, is_perfect_square, roots_mod
+from .poly import PolyZ, is_perfect_square, roots_mod
 
 _EXTENSION = 1_000_000  # accelerated pr_density's last prime for degree <= 2
 _LEHMER_DISC = -163  # Lehmer's products run over the primes split here
@@ -335,7 +335,7 @@ def hardy_littlewood_constant(D: int, tol: float = 1e-8) -> DensityReport:
 # ---------------------------------------------------------------------------
 
 
-def residue_counts_mod_prime(f: AnyPoly, q: int) -> tuple[int, int]:
+def residue_counts_mod_prime(f: PolyZ, q: int) -> tuple[int, int]:
     """(#roots of f, #solutions of f = 1) mod the odd prime q, both from
     poly.roots_mod: in closed form for degree <= 2, by enumeration otherwise."""
     return len(roots_mod(f, q)), len(roots_mod(f, q, 1))
@@ -372,7 +372,7 @@ def _require_no_fixed_divisor(P: np.ndarray, n_roots: np.ndarray) -> None:
         raise ValueError(f"degenerate polynomial: every value is divisible by {fixed[0]}")
 
 
-def pr_density(f: AnyPoly, cutoff: int = 10_000, accelerate: bool = True) -> DensityReport:
+def pr_density(f: PolyZ, cutoff: int = 10_000, accelerate: bool = True) -> DensityReport:
     """Truncated product over odd primes q of
     (1 - #{f=1 mod q} / (q * (q - #{f=0 mod q}))): the heuristic density with
     which an admissible base is a primitive root modulo primes f(n).
@@ -389,12 +389,11 @@ def pr_density(f: AnyPoly, cutoff: int = 10_000, accelerate: bool = True) -> Den
     """
     if cutoff < 2:
         raise ValueError("cutoff must be at least 2")
-    poly = as_polyz(f)
-    deg = poly.degree()
+    deg = f.degree()
     if deg < 1:
         raise ValueError("density needs a non-constant polynomial")
-    _require_irreducible_if_quadratic(poly)
-    if poly.eval(0) % 2 == 0 and poly.eval(1) % 2 == 0:
+    _require_irreducible_if_quadratic(f)
+    if f.eval(0) % 2 == 0 and f.eval(1) % 2 == 0:
         raise ValueError("degenerate polynomial: every value is even")
     limit = cutoff
     if accelerate:
@@ -402,11 +401,11 @@ def pr_density(f: AnyPoly, cutoff: int = 10_000, accelerate: bool = True) -> Den
 
     def local(P: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         # a factor with n_ones = 0 is exactly 1.0; fixed divisors hide at scalar primes
-        scalar = _scalar_primes(poly, P)
-        n_ones = _root_counts(poly, P, 1, scalar)
+        scalar = _scalar_primes(f, P)
+        n_ones = _root_counts(f, P, 1, scalar)
         read = (n_ones != 0) | scalar
         Q = P[read]
-        n_roots = _root_counts(poly, Q, 0, scalar[read])
+        n_roots = _root_counts(f, Q, 0, scalar[read])
         _require_no_fixed_divisor(Q, n_roots)
         return P, 1.0 - _ratio(n_ones[read], Q * (Q - n_roots))
 
@@ -493,7 +492,7 @@ def totient_ratio_product(primes: Sequence[int]) -> float:
 
 
 def bateman_horn_constant(
-    f: AnyPoly, cutoff: int = 100_000, assume_irreducible: bool = False
+    f: PolyZ, cutoff: int = 100_000, assume_irreducible: bool = False
 ) -> DensityReport:
     """prod_{p <= cutoff} (1 - N_p(f)/p) / (1 - 1/p), the density constant of
     the prime-counting heuristic for f.
@@ -504,25 +503,24 @@ def bateman_horn_constant(
     the random-sign model 3 * value / sqrt(cutoff ln cutoff), the generic
     factor being 1 - chi(p)/(p-1) with a conditionally convergent sum.
     """
-    poly = as_polyz(f)
-    deg = poly.degree()
+    deg = f.degree()
     if deg < 1:
         raise ValueError("constant polynomials are not supported")
-    _require_irreducible_if_quadratic(poly)
+    _require_irreducible_if_quadratic(f)
     if deg > 2:
         if not assume_irreducible:
             raise ValueError("degree > 2 needs assume_irreducible=True")
         cutoff = min(cutoff, 20_000)
-    content = math.gcd(*poly.coeffs)
+    content = math.gcd(*f.coeffs)
     if content != 1:
         raise ValueError("polynomial must have content 1")
-    n_two = len(roots_mod(poly, 2))
+    n_two = len(roots_mod(f, 2))
     if n_two == 2:
         raise ValueError("degenerate polynomial: every value divisible by 2")
     value = (1.0 - n_two / 2) / (1.0 - 1.0 / 2)
 
     def local(P: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        n_roots = _root_counts(poly, P, 0, _scalar_primes(poly, P))
+        n_roots = _root_counts(f, P, 0, _scalar_primes(f, P))
         _require_no_fixed_divisor(P, n_roots)
         return P, (1.0 - n_roots / P) / (1.0 - 1.0 / P)
 

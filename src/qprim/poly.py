@@ -1,7 +1,8 @@
 """Integer polynomials and their local residue statistics.
 
-PolyZ is a general integer polynomial (constant term first); QuadraticPoly is
-the aX^2+bX+c workhorse with its discriminant cached.  Every question "for
+PolyZ is the one integer polynomial type (constant term first); QuadraticPoly
+is a PolyZ of degree 2 built as aX^2+bX+c, with a, b, c and the discriminant d
+as read-only views of its coefficients.  Every question "for
 which s is f(s) = t (mod q)?" goes through roots_mod: closed form for degree
 <= 2 and odd prime q, else a scan of values_mod, the one numpy enumeration of
 f(0..m-1) mod m, which also backs the residue counts and the mod-8 profile.
@@ -12,18 +13,19 @@ chunks of primes; it is property-tested against these.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
-from typing import Union
 
 import numpy as np
 
 from .arith import sqrt_mod
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PolyZ:
-    """Integer polynomial; coeffs[i] multiplies X^i. Trailing zeros stripped."""
+    """Integer polynomial; coeffs[i] multiplies X^i. Trailing zeros stripped.
+    Equality and hash go by the coefficients alone, so a QuadraticPoly equals
+    the PolyZ with the same coefficients."""
 
     coeffs: tuple[int, ...]
 
@@ -32,6 +34,12 @@ class PolyZ:
         while len(c) > 1 and c[-1] == 0:
             c = c[:-1]
         object.__setattr__(self, "coeffs", c)
+
+    def __eq__(self, other: object) -> bool:
+        return isinstance(other, PolyZ) and self.coeffs == other.coeffs
+
+    def __hash__(self) -> int:
+        return hash(self.coeffs)
 
     def degree(self) -> int:
         if self.coeffs == (0,):
@@ -78,41 +86,19 @@ class PolyZ:
         return s[1:] if s.startswith("+") else s
 
 
-@dataclass(frozen=True)
-class QuadraticPoly:
-    """aX^2 + bX + c with a > 0; discriminant d = b^2 - 4ac cached."""
+class QuadraticPoly(PolyZ):
+    """aX^2 + bX + c with a > 0: the PolyZ((c, b, a)), adding only the views a, b,
+    c and the discriminant d = b^2 - 4ac; evaluation, str and shift are PolyZ's."""
 
-    a: int
-    b: int
-    c: int
-    d: int = field(init=False)
-
-    def __post_init__(self) -> None:
-        if self.a <= 0:
+    def __init__(self, a: int, b: int, c: int) -> None:
+        if a <= 0:
             raise ValueError("quadratic leading coefficient must be positive")
-        object.__setattr__(self, "d", self.b * self.b - 4 * self.a * self.c)
+        super().__init__((c, b, a))
 
-    def as_poly(self) -> PolyZ:
-        return PolyZ((self.c, self.b, self.a))
-
-    def eval(self, n: int) -> int:
-        return (self.a * n + self.b) * n + self.c
-
-    __call__ = eval
-
-    def shift(self, t: int) -> "QuadraticPoly":
-        p = self.as_poly().shift(t)
-        return QuadraticPoly(a=p.coeffs[2], b=p.coeffs[1], c=p.coeffs[0])
-
-    def __str__(self) -> str:
-        return str(self.as_poly())
-
-
-AnyPoly = Union[PolyZ, QuadraticPoly]
-
-
-def as_polyz(f: AnyPoly) -> PolyZ:
-    return f.as_poly() if isinstance(f, QuadraticPoly) else f
+    a = property(lambda self: self.coeffs[2])
+    b = property(lambda self: self.coeffs[1])
+    c = property(lambda self: self.coeffs[0])
+    d = property(lambda self: self.coeffs[1] ** 2 - 4 * self.coeffs[2] * self.coeffs[0])
 
 
 def is_perfect_square(n: int) -> bool:
@@ -122,16 +108,13 @@ def is_perfect_square(n: int) -> bool:
     return r * r == n
 
 
-def in_conjecture_f_family(f: AnyPoly) -> bool:
+def in_conjecture_f_family(f: PolyZ) -> bool:
     """Membership in the Hardy-Littlewood Conjecture-F family of quadratics:
     a > 0, gcd(a,b,c) = 1, discriminant not a square, a+b and c not both even.
     """
-    if isinstance(f, QuadraticPoly):
-        a, b, c = f.a, f.b, f.c
-    else:
-        if f.degree() != 2:
-            return False
-        c, b, a = f.coeffs
+    if f.degree() != 2:
+        return False
+    c, b, a = f.coeffs
     if a <= 0:
         return False
     if math.gcd(math.gcd(a, b), c) != 1:
@@ -143,25 +126,24 @@ def in_conjecture_f_family(f: AnyPoly) -> bool:
     return True
 
 
-def values_mod(f: AnyPoly, m: int) -> np.ndarray:
+def values_mod(f: PolyZ, m: int) -> np.ndarray:
     """f(0), f(1), ..., f(m-1) mod m as an int64 array, by Horner's rule.
     Products stay below m^2, so m must be below 3e9."""
     s = np.arange(m, dtype=np.int64)
     acc = np.zeros(m, dtype=np.int64)
-    for c in reversed(as_polyz(f).coeffs):
+    for c in reversed(f.coeffs):
         acc = (acc * s + c % m) % m
     return acc
 
 
-def roots_mod(f: AnyPoly, q: int, t: int = 0) -> tuple[int, ...]:
+def roots_mod(f: PolyZ, q: int, t: int = 0) -> tuple[int, ...]:
     """The s mod the prime q with f(s) = t (mod q), ascending.  Closed form
     for degree <= 2 and odd q: -c/b when f - t is linear mod q (every
     residue or none when q also divides b), else Tonelli-Shanks on the
     discriminant; a scan of values_mod for q = 2 and degree > 2."""
-    poly = as_polyz(f)
-    if q == 2 or poly.degree() > 2:
-        return tuple(np.flatnonzero(values_mod(poly, q) == t % q).tolist())
-    c, b, a = (poly.coeffs + (0, 0))[:3]
+    if q == 2 or f.degree() > 2:
+        return tuple(np.flatnonzero(values_mod(f, q) == t % q).tolist())
+    c, b, a = (f.coeffs + (0, 0))[:3]
     c -= t
     if a % q == 0:
         if b % q:
@@ -188,7 +170,7 @@ class Mod8Profile:
         return (self.alpha1, self.alpha3, self.alpha5, self.alpha7)
 
 
-def mod8_profile(f: AnyPoly) -> Mod8Profile:
+def mod8_profile(f: PolyZ) -> Mod8Profile:
     """alpha_j = #{s mod 8 : f(s) = j mod 8} / (4 * #{s mod 2 : f(s) odd});
     the denominator is #{s mod 8 : f(s) odd}, as f(s) mod 2 has period 2."""
     counts = np.bincount(values_mod(f, 8), minlength=8).tolist()
@@ -198,7 +180,7 @@ def mod8_profile(f: AnyPoly) -> Mod8Profile:
     return Mod8Profile(*(Fraction(n, odd) for n in counts[1::2]))
 
 
-def parse_poly(text: str) -> AnyPoly:
+def parse_poly(text: str) -> PolyZ:
     """Parse a CLI polynomial.
 
     Exactly three comma-separated integers are read as a quadratic "a,b,c"

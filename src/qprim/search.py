@@ -21,7 +21,7 @@ import numpy as np
 
 from .arith import primes_up_to
 from .charsums import require_valid_base
-from .poly import AnyPoly, QuadraticPoly, is_perfect_square
+from .poly import PolyZ, QuadraticPoly, is_perfect_square
 
 # streak is unused here: perfbench's resume check patches search.streak by
 # name, so the binding stays
@@ -149,7 +149,7 @@ def _powmod(base: np.ndarray, e: np.ndarray, p: np.ndarray) -> np.ndarray:
 
 
 def base_streaks(
-    f: AnyPoly, g_base: int, k_lo: int, k_hi: int, n_cap: int
+    f: PolyZ, g_base: int, k_lo: int, k_hi: int, n_cap: int
 ) -> Iterator[tuple[int, int, int | None]]:
     """Yield (k, count, failing_prime) for the bases k^2 * g_base, k = k_lo..k_hi,
     in ascending k, each once it and every smaller k have finished;

@@ -32,7 +32,7 @@ from typing import Iterator
 from . import arith
 from .arith import Factorization, factor, is_prime
 from .charsums import require_valid_base
-from .poly import AnyPoly, PolyZ, as_polyz, roots_mod
+from .poly import PolyZ, roots_mod
 
 _BLOCK = 8192
 _GROUP = 64  # walks factor the p - 1 of this many candidates in one batch
@@ -51,7 +51,7 @@ class StreakResult:
     failing prime, if any).
     """
 
-    poly: AnyPoly
+    poly: PolyZ
     g: int
     count: int
     n_at_failure: int | None
@@ -110,18 +110,17 @@ class PrimeValueStream:
     """Ordered, deduplicated primes among f(0), f(1), ...; the roots table is all it
     keeps between walks: one (q, r) per root r of f mod a sieve prime q, in two int64 arrays."""
 
-    def __init__(self, f: AnyPoly, sieve_limit: int | None = None):
-        poly = as_polyz(f)
-        if poly.degree() < 1:
+    def __init__(self, f: PolyZ, sieve_limit: int | None = None):
+        if f.degree() < 1:
             raise ValueError("constant polynomials have no prime-value stream")
         if sieve_limit is None:
-            sieve_limit = _default_sieve_limit(poly)
-        self.poly = poly
+            sieve_limit = _default_sieve_limit(f)
+        self.poly = f
         self.sieve_limit = sieve_limit
         self._moduli, self._residues = array("q"), array("q")  # q and r, ascending in q then r
         self._depth = 0  # the roots cover the sieve primes up to this
         # below this n, sieve kills are double-checked
-        self._direct_upto = _positive_tail_start(poly, sieve_limit)
+        self._direct_upto = _positive_tail_start(f, sieve_limit)
 
     def _block_primes(self, lo: int, size: int, depth: int, test) -> Iterator[tuple[int, int]]:
         """Yield (n, f(n)) for the n in [lo, lo + size) with f(n) prime,
@@ -196,7 +195,7 @@ class PrimeValueStream:
 
 
 def _residual_indices(
-    f: AnyPoly, g: int, n_cap: int, stream: PrimeValueStream | None = None
+    f: PolyZ, g: int, n_cap: int, stream: PrimeValueStream | None = None
 ) -> Iterator[tuple[int, int, Factorization, int | None]]:
     """Yield (n, p, pm1, index) over the distinct primes p = f(n), n <= n_cap,
     in order: pm1 factors p - 1, and index is (p-1)/ord_p(g), 1 exactly when g
@@ -209,8 +208,8 @@ def _residual_indices(
         raise ValueError("n_cap must be >= 0")
     if stream is None:
         stream = PrimeValueStream(f)
-    elif stream.poly != as_polyz(f):
-        raise ValueError(f"the stream walks {stream.poly}, not {as_polyz(f)}")
+    elif stream.poly != f:
+        raise ValueError(f"the stream walks {stream.poly}, not {f}")
 
     def walk() -> Iterator[tuple[int, int, Factorization, int | None]]:
         for n, p, pm1 in stream._factored(n_cap):
@@ -223,7 +222,7 @@ def _residual_indices(
 
 
 def streak(
-    f: AnyPoly, g: int, n_cap: int, stream: PrimeValueStream | None = None
+    f: PolyZ, g: int, n_cap: int, stream: PrimeValueStream | None = None
 ) -> StreakResult:
     """Walk the distinct primes f(n), n = 0..n_cap in order, skipping primes
     dividing g, and count how many consecutive ones have g as a primitive
@@ -241,7 +240,7 @@ def streak(
     return StreakResult(f, g, count, *failure, n_scanned, primes_seen)
 
 
-def verify_primitive_root_prefix(f: AnyPoly, g: int, prefix: int, n_cap: int = 10_000_000) -> bool:
+def verify_primitive_root_prefix(f: PolyZ, g: int, prefix: int, n_cap: int = 10_000_000) -> bool:
     """True iff the first `prefix` distinct primes f(n) (those not dividing g)
     all have g as a primitive root.  Stops as soon as the answer is known;
     raises RuntimeError if fewer than `prefix` primes exist up to n_cap."""
@@ -260,22 +259,21 @@ def verify_primitive_root_prefix(f: AnyPoly, g: int, prefix: int, n_cap: int = 1
     raise RuntimeError(f"only {checked} usable primes found up to n_cap={n_cap}")
 
 
-def prime_count(f: AnyPoly, x: int) -> int:
+def prime_count(f: PolyZ, x: int) -> int:
     """#{0 <= n <= x : f(n) prime}.  Counts n, not distinct primes."""
     if x < 0:
         raise ValueError("x must be >= 0")
-    poly = as_polyz(f)
-    if poly.degree() < 1:
-        return (x + 1) if poly.coeffs[0] >= 2 and is_prime(poly.coeffs[0]) else 0
-    if poly.leading() < 0:
+    if f.degree() < 1:
+        return (x + 1) if f.coeffs[0] >= 2 and is_prime(f.coeffs[0]) else 0
+    if f.leading() < 0:
         raise ValueError("prime scans need a positive leading coefficient")
-    limit = _default_sieve_limit(poly)
-    if poly.degree() <= 2:
+    limit = _default_sieve_limit(f)
+    if f.degree() <= 2:
         # roots mod q have a closed form, so sieve to sqrt(max f): then every
         # survivor is prime without a test
-        top = max(poly.eval(0), poly.eval(x), 0)
+        top = max(f.eval(0), f.eval(x), 0)
         limit = max(limit, min(isqrt(top), _COUNT_SIEVE_CAP))
-    stream = PrimeValueStream(poly, sieve_limit=limit)
+    stream = PrimeValueStream(f, sieve_limit=limit)
     block = max(_BLOCK, limit)  # a block pays one pass over every root: at >= limit n, each root strikes it
     return sum(
         1
@@ -284,7 +282,7 @@ def prime_count(f: AnyPoly, x: int) -> int:
     )
 
 
-def pr_stats(f: AnyPoly, g: int, n_cap: int) -> PrStats:
+def pr_stats(f: PolyZ, g: int, n_cap: int) -> PrStats:
     """Histogram of residual indices of g over the distinct primes f(n) with
     n <= n_cap and p not dividing g."""
     hist: dict[int, int] = {}
@@ -301,7 +299,7 @@ def pr_stats(f: AnyPoly, g: int, n_cap: int) -> PrStats:
 
 def empirical_max_streak(
     g_base: int,
-    f: AnyPoly,
+    f: PolyZ,
     k_max: int,
     n_cap: int = 200_000,
     workers: int = 1,

@@ -77,3 +77,9 @@ def test_module_names_perfbench_reads_exist():
 
     for module, name in ((search, "streak"), (cli, "_D_A"), (cli, "_D_B"), (cli, "preset_registry")):
         assert hasattr(module, name), f"{module.__name__}.{name}"
+    # candidate_rank reads a, c and eval off candidate_poly; the tracer counts
+    # evaluations at PolyZ.eval, so no subclass may define its own
+    f = search.candidate_poly(search.SearchConfig(d=163, d1=163, alpha=1, shift=5))
+    for name in ("a", "c", "eval"):
+        assert hasattr(f, name), f"candidate_poly(cfg).{name}"
+    assert "eval" not in poly.QuadraticPoly.__dict__

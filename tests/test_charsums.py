@@ -19,7 +19,7 @@ from qprim.charsums import (
     jacobsthal_sum,
     local_char_average,
 )
-from qprim.poly import PolyZ, QuadraticPoly, as_polyz, in_conjecture_f_family
+from qprim.poly import PolyZ, QuadraticPoly, in_conjecture_f_family
 from qprim.streaks import PrimeValueStream
 
 ODD_PRIMES_199 = [p for p in primes_up_to(199) if p > 2]
@@ -46,11 +46,10 @@ def char_average_gcd_form(f, d):
 def char_average_enumeration(f, d):
     """Oracle: the defining enumeration of the average over a full period mod
     an odd squarefree d."""
-    poly = as_polyz(f)
     total = 0
     units = 0
     for r in range(d):
-        v = poly.eval(r) % d
+        v = f.eval(r) % d
         if math.gcd(v, d) == 1:
             units += 1
             total += kronecker(v, d)
@@ -228,6 +227,29 @@ def test_inert_proportion_errors():
         inert_proportion(L, 8)  # odd part 1
     with pytest.raises(ValueError):
         inert_proportion(L, 48)  # not fundamental
+
+
+def test_quadratic_closed_forms_take_any_degree_2_poly():
+    rng = random.Random(41)
+    assert [fd.D for fd in admissible_discriminants(PolyZ((3, 0, 326)), 2000)] == [-163, -3, 24, 1304]
+    checked = 0
+    while checked < 25:
+        a, b, c = rng.randint(1, 40), rng.randint(-40, 40), rng.randint(-40, 40)
+        q, p = QuadraticPoly(a, b, c), PolyZ((c, b, a))
+        for prime in (3, 5, 7, 13, 163):
+            assert complete_char_sum(p, prime) == complete_char_sum(q, prime)
+            assert local_char_average(p, prime) == local_char_average(q, prime)
+        if in_conjecture_f_family(q):
+            checked += 1
+            assert admissible_discriminants(p, 300) == admissible_discriminants(q, 300)
+    cubic, linear = PolyZ((3, 0, 0, 1)), PolyZ((3, 2))
+    for f in (cubic, linear):
+        with pytest.raises(ValueError, match="quadratic"):
+            complete_char_sum(f, 5)
+        with pytest.raises(ValueError, match="quadratic"):
+            local_char_average(f, 5)
+        with pytest.raises(ValueError, match="quadratic"):
+            admissible_discriminants(f, 100)
 
 
 def test_admissible_discriminants():

@@ -186,6 +186,26 @@ def test_criteria_cli(capsys):
     assert json.loads(out)["outputs"]["excluded_primes"] == [3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37]
 
 
+@pytest.mark.parametrize("mode", [["classic"], ["extended", "--g", "2"], ["fueter"]])
+def test_criteria_scan_below_two_is_an_error(capsys, mode):
+    # a scan over no primes would print violations 0, which reads as a pass
+    for bound in ("-5", "1"):
+        code, _, err = run_cli(capsys, "criteria", "--mode", *mode, "--max", bound)
+        assert code == 1
+        assert "--max must be >= 2" in err
+    code, out, _ = run_cli(capsys, "criteria", "--mode", *mode, "--max", "2", "--format", "json")
+    assert code == 0
+    assert json.loads(out)["outputs"]["max"] == 2
+
+
+def test_bateman_horn_cli_refuses_degree_above_two(capsys):
+    for poly in ("1,0,0,1", "41,1,1,1,1"):
+        code, _, err = run_cli(capsys, "density", "--bateman-horn", poly)
+        assert code == 1
+        assert "density --bateman-horn needs degree <= 2" in err
+        assert "assume_irreducible" not in err
+
+
 def test_search_cli(capsys, tmp_path):
     code, out, _ = run_cli(
         capsys, "search", "--d", "163", "--d1", "163", "--alpha", "1",

@@ -1,6 +1,8 @@
 """Tests for polynomials and residue counting."""
 
+import copy
 import math
+import pickle
 import random
 from fractions import Fraction
 
@@ -8,6 +10,7 @@ import numpy as np
 import pytest
 
 from qprim.arith import is_prime, primes_up_to
+from qprim.densities import bateman_horn_constant, pr_density
 from qprim.poly import (
     PolyZ,
     QuadraticPoly,
@@ -17,6 +20,7 @@ from qprim.poly import (
     roots_mod,
     values_mod,
 )
+from qprim.streaks import pr_stats, prime_count, streak
 
 L = QuadraticPoly(a=326, b=0, c=3)
 
@@ -127,7 +131,7 @@ def _solver_polys():
         PolyZ((-2, 0, -3, 0, 5)),
         PolyZ((big + 1, -(big + 3), 3 * big + 5)),
         PolyZ((-(big + 7), big - 1, 0, -(5 * big + 1))),
-        QuadraticPoly(14774336, 21513472074368, 7830405969748235009).shift(441957).as_poly(),
+        QuadraticPoly(14774336, 21513472074368, 7830405969748235009).shift(441957),
     ]
     for degree in range(5):
         coeffs = [rng.randint(-10**12, 10**12) for _ in range(degree + 1)]
@@ -228,3 +232,67 @@ def test_parse_poly():
         parse_poly("0,0,0")  # a = 0 quadratic
     with pytest.raises(ValueError):
         parse_poly("1,x,3")
+
+
+def _seeded_quadratics(seed, n):
+    rng = random.Random(seed)
+    return [(rng.randint(1, 60), rng.randint(-60, 60), rng.randint(-60, 60)) for _ in range(n)]
+
+
+@pytest.mark.parametrize("a, b, c", [(326, 0, 3), (1, 1, 41), (3, -7, -5)] + _seeded_quadratics(5, 20))
+def test_quadratic_is_the_polyz_of_its_coefficients(a, b, c):
+    q, p = QuadraticPoly(a, b, c), PolyZ((c, b, a))
+    assert q == p and p == q and isinstance(q, PolyZ)
+    assert hash(q) == hash(p) and len({q, p}) == 1
+    assert (str(q), q.degree(), q.coeffs) == (str(p), p.degree(), p.coeffs)
+    assert all(q.eval(n) == p.eval(n) == q(n) for n in range(-5, 6))
+    assert (q.a, q.b, q.c, q.d) == (a, b, c, b * b - 4 * a * c)
+    assert q.shift(7) == p.shift(7)
+    assert q != QuadraticPoly(a, b, c + 1) and q != (c, b, a)
+
+
+def test_quadratic_views_are_read_only():
+    q = QuadraticPoly(326, 0, 3)
+    for name in ("a", "b", "c", "d", "coeffs"):
+        with pytest.raises(AttributeError):
+            setattr(q, name, 1)
+
+
+@pytest.mark.parametrize("clone", [lambda q: pickle.loads(pickle.dumps(q)), copy.deepcopy, copy.copy])
+def test_quadratic_survives_pickle_and_copy(clone):
+    q = QuadraticPoly(54151, 2 * 54151 * 1484224, 7)
+    r = clone(q)
+    assert type(r) is QuadraticPoly and r == q and hash(r) == hash(q)
+    assert (r.a, r.b, r.c, r.d) == (q.a, q.b, q.c, q.d)
+
+
+def test_quadratic_defines_only_its_views():
+    # everything else, evaluation above all, is PolyZ's own
+    assert {name for name in QuadraticPoly.__dict__ if not name.startswith("__")} == {"a", "b", "c", "d"}
+    assert not {"__call__", "__str__", "__eq__", "__hash__"} & set(QuadraticPoly.__dict__)
+
+
+def _outcome(fn, *args, **kwargs):
+    try:
+        return fn(*args, **kwargs)
+    except ValueError as exc:  # an f outside a function's domain: the same refusal
+        return str(exc)
+
+
+@pytest.mark.parametrize("a, b, c", [(326, 0, 3), (10, 0, 7)] + _seeded_quadratics(29, 12))
+def test_both_forms_give_identical_results(a, b, c):
+    q, p = QuadraticPoly(a, b, c), PolyZ((c, b, a))
+    g = 2 if a != 326 else 326
+    calls = [
+        (streak, g, 300),
+        (prime_count, 2000),
+        (pr_stats, g, 300),
+        (lambda f: pr_density(f, cutoff=3000, accelerate=False),),
+        (lambda f: bateman_horn_constant(f, cutoff=3000),),
+        (mod8_profile,),
+    ]
+    for fn, *args in calls:
+        assert _outcome(fn, q, *args) == _outcome(fn, p, *args), fn
+    for m in (2, 3, 7, 163, 9973):
+        for t in (0, 1, 5):
+            assert roots_mod(q, m, t) == roots_mod(p, m, t)

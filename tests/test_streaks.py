@@ -190,8 +190,17 @@ def test_walks_refuse_another_polynomials_stream():
     with pytest.raises(ValueError, match="stream"):  # the walk pr_stats reads
         _residual_indices(L, 326, 3000, PrimeValueStream(GRIFFIN))
     # the same polynomial given as a PolyZ is the stream's own
-    res = streak(L, 326, 3000, stream=PrimeValueStream(L.as_poly()))
+    res = streak(L, 326, 3000, stream=PrimeValueStream(PolyZ((3, 0, 326))))
     assert (res.count, res.failing_prime) == (206, 1838843753)
+
+
+@pytest.mark.parametrize("a, b, c, g", [(326, 0, 3, 326), (10, 0, 7, 10), (1, 1, 41, 2), (3, -7, 11, 5)])
+def test_a_stream_of_either_form_serves_the_other(a, b, c, g):
+    q, p = QuadraticPoly(a, b, c), PolyZ((c, b, a))
+    fresh = streak(q, g, 2000)
+    assert streak(q, g, 2000, stream=PrimeValueStream(p)) == fresh
+    assert streak(p, g, 2000, stream=PrimeValueStream(q)) == fresh
+    assert PrimeValueStream(q).poly is q  # the stream keeps the caller's polynomial
 
 
 def test_pr_stats_rejects_negative_n_cap():
