@@ -3,9 +3,28 @@
 Exact integer/rational machinery for streak statistics c_g(f), the
 character-sum and Euler-product densities that predict them, and a
 checkpointed search for record streaks.
+
+Importing qprim loads numpy with one OpenBLAS thread: qprim calls no BLAS
+routine, so the pool OpenBLAS would start is idle.  OPENBLAS_NUM_THREADS is
+set for that one import and removed again, so os.environ and child processes
+see the caller's environment.  A caller who wants threaded BLAS in the same
+process sets OPENBLAS_NUM_THREADS or imports numpy first.
 """
 
+import os
+import sys
+
 __version__ = "0.1.0"
+
+# OpenBLAS reads OPENBLAS_NUM_THREADS once, when numpy loads it.  Unset, it
+# starts a thread per CPU but one, which costs about 60 ms of each start-up on
+# 2 vCPUs and more on wider machines
+if "numpy" not in sys.modules and "OPENBLAS_NUM_THREADS" not in os.environ:
+    os.environ["OPENBLAS_NUM_THREADS"] = "1"
+    try:
+        import numpy  # noqa: F401
+    finally:
+        del os.environ["OPENBLAS_NUM_THREADS"]
 
 from .arith import (
     Factorization,

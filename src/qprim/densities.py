@@ -586,24 +586,34 @@ def asymptotic_max_estimate(p1: float, s: int) -> float:
     return math.log(s) / math.log(1.0 / p1)
 
 
+_SIM_DRAWS = 4_000_000  # most variates simulate_max_streak draws at once (8 bytes each)
+
+
 def simulate_max_streak(
     p1: float, s: int, trials: int, seed: int
 ) -> tuple[float, float]:
     """Monte-Carlo mean of the maximum of s geometric streak lengths
     (j successes then one failure), with its standard error.  Deterministic
-    under a fixed seed."""
+    under a fixed seed.  At most _SIM_DRAWS variates are drawn at once, whole
+    trials while they fit and else a trial in pieces with a running maximum:
+    the generator hands out the same doubles in the same order either way."""
     if trials < 100:
         raise ValueError("need at least 100 trials")
     if not 0.0 < p1 < 1.0:
         raise ValueError("success probability must lie strictly between 0 and 1")
+    if s < 1:
+        raise ValueError("need s >= 1")
     rng = np.random.default_rng(seed)
     lp = math.log(p1)
     maxima = np.empty(trials)
-    chunk = max(1, 4_000_000 // max(s, 1))
-    for i in range(0, trials, chunk):
-        t = min(chunk, trials - i)
-        u = 1.0 - rng.random((t, s))  # in (0, 1]
-        maxima[i : i + t] = np.floor(np.log(u) / lp).max(axis=1)
+    rows = max(1, _SIM_DRAWS // s)
+    for i in range(0, trials, rows):
+        t = min(rows, trials - i)
+        best = np.full(t, -np.inf)
+        for j in range(0, s, _SIM_DRAWS):
+            u = 1.0 - rng.random((t, min(_SIM_DRAWS, s - j)))  # in (0, 1]
+            np.maximum(best, np.floor(np.log(u) / lp).max(axis=1), out=best)
+        maxima[i : i + t] = best
     mean = float(maxima.mean())
     stderr = float(maxima.std(ddof=1) / math.sqrt(trials))
     return mean, stderr

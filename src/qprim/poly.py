@@ -88,7 +88,8 @@ class PolyZ:
 
 class QuadraticPoly(PolyZ):
     """aX^2 + bX + c with a > 0: the PolyZ((c, b, a)), adding only the views a, b,
-    c and the discriminant d = b^2 - 4ac; evaluation, str and shift are PolyZ's."""
+    c and the discriminant d = b^2 - 4ac, and a repr in the a, b, c form its
+    constructor takes; evaluation, str and shift are PolyZ's."""
 
     def __init__(self, a: int, b: int, c: int) -> None:
         if a <= 0:
@@ -99,6 +100,9 @@ class QuadraticPoly(PolyZ):
     b = property(lambda self: self.coeffs[1])
     c = property(lambda self: self.coeffs[0])
     d = property(lambda self: self.coeffs[1] ** 2 - 4 * self.coeffs[2] * self.coeffs[0])
+
+    def __repr__(self) -> str:
+        return f"QuadraticPoly(a={self.a}, b={self.b}, c={self.c})"
 
 
 def is_perfect_square(n: int) -> bool:

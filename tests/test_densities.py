@@ -6,6 +6,7 @@ import random
 import numpy as np
 import pytest
 
+from qprim import densities
 from qprim.arith import factor, iter_primes, kronecker, primes_up_to
 from qprim.charsums import FundamentalDiscriminant, is_fundamental_discriminant
 from qprim.densities import (
@@ -477,6 +478,30 @@ def test_simulate_max_streak():
         assert abs(mean - expected_max_streak(p1, s)) <= 3 * stderr
     with pytest.raises(ValueError):
         simulate_max_streak(0.5, 10, trials=10, seed=1)
+    for s in (0, -1):
+        with pytest.raises(ValueError, match="need s >= 1"):
+            simulate_max_streak(0.5, s, trials=100, seed=1)
+
+
+def whole_row_simulation(p1, s, trials, seed):
+    """simulate_max_streak as it drew each trial's s variates in one row."""
+    rng = np.random.default_rng(seed)
+    lp = math.log(p1)
+    maxima = np.empty(trials)
+    chunk = max(1, 4_000_000 // s)
+    for i in range(0, trials, chunk):
+        t = min(chunk, trials - i)
+        u = 1.0 - rng.random((t, s))
+        maxima[i : i + t] = np.floor(np.log(u) / lp).max(axis=1)
+    return float(maxima.mean()), float(maxima.std(ddof=1) / math.sqrt(trials))
+
+
+@pytest.mark.parametrize("s", [1, 3, 9, 10, 11, 25])
+def test_simulation_in_pieces_draws_the_whole_row_values(monkeypatch, s):
+    # 10 draws at a time: whole trials below s = 10, a trial in pieces above
+    monkeypatch.setattr(densities, "_SIM_DRAWS", 10)
+    for p1, trials, seed in ((0.5, 100, 1), (0.9, 137, 20260810)):
+        assert simulate_max_streak(p1, s, trials, seed) == whole_row_simulation(p1, s, trials, seed)
 
 
 def small_base_bound_definition(streak):

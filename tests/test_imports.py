@@ -1,7 +1,10 @@
-"""The import graph: no command loads hashlib (and with it OpenSSL's
-libcrypto), a sweep's config hash included, and nothing loads a process
-pool."""
+"""The import graph and start-up: no command loads hashlib (and with it
+OpenSSL's libcrypto), a sweep's config hash included, nothing loads a process
+pool, and `import qprim` loads numpy with one OpenBLAS thread while leaving
+the caller's environment as it found it, which holds only while the package
+calls no BLAS routine."""
 
+import ast
 import json
 import os
 import subprocess
@@ -37,9 +40,25 @@ with open("/proc/self/maps") as maps:
 """
 
 
-def run_python(code: str, *argv: str) -> str:
-    env = dict(os.environ, PYTHONPATH=str(SRC))
+# the OS threads and OPENBLAS_NUM_THREADS after the imports in argv[1]
+STARTUP = """
+import json, os, sys
+exec(sys.argv[1])
+print(json.dumps({
+    "threads": len(os.listdir("/proc/self/task")) if os.path.isdir("/proc/self/task") else None,
+    "openblas": os.environ.get("OPENBLAS_NUM_THREADS"),
+}))
+"""
+
+
+def run_python(code: str, *argv: str, env: dict[str, str] | None = None) -> str:
+    env = dict(os.environ if env is None else env, PYTHONPATH=str(SRC))
     return subprocess.run([sys.executable, "-c", code, *argv], env=env, capture_output=True, text=True, check=True).stdout
+
+
+def startup(imports: str, **env: str) -> dict:
+    base = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+    return json.loads(run_python(STARTUP, imports, env=base | env))
 
 
 def test_nothing_loads_hashlib_even_after_config_hash():
@@ -58,3 +77,54 @@ def test_search_maps_no_libcrypto(tmp_path):
     assert (tmp_path / "sweep.jsonl").read_text()  # the sweep hashed its config for a checkpoint line
     assert any("python" in line for line in got["maps"])
     assert [line for line in got["maps"] if "libcrypto" in line] == []
+
+
+def test_import_starts_one_thread_and_leaves_the_environment():
+    got = startup("import qprim")
+    if got["threads"] is None:
+        pytest.skip("needs /proc/self/task")
+    assert got["threads"] == 1  # no idle OpenBLAS pool
+    assert got["openblas"] is None
+
+
+def test_import_keeps_the_callers_openblas_setting():
+    assert startup("import qprim", OPENBLAS_NUM_THREADS="2")["openblas"] == "2"
+
+
+def test_import_after_numpy_leaves_the_environment():
+    got = startup("import numpy, qprim")
+    assert got["openblas"] is None
+    assert got["threads"] == startup("import numpy")["threads"]  # numpy's own pool, whatever its size
+
+
+BLAS_NAMES = {"dot", "matmul", "einsum", "inner", "outer", "tensordot", "vdot", "linalg"}
+
+
+def blas_calls(source: str) -> list[str]:
+    """The `@` products, the BLAS-backed attributes (np.dot, x.dot, np.linalg, ...)
+    and the imports of such names (from numpy import dot, import numpy.linalg) in source."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ast.MatMult):
+            found.append(f"line {node.lineno}: @")
+        elif isinstance(node, ast.Attribute) and node.attr in BLAS_NAMES:
+            found.append(f"line {node.lineno}: {node.attr}")
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            names = [getattr(node, "module", None) or ""] + [alias.name for alias in node.names]
+            found += [f"line {node.lineno}: {w}" for w in sorted({w for n in names for w in n.split(".")} & BLAS_NAMES)]
+    return found
+
+
+def test_blas_guard_sees_each_form():
+    source = "np.dot(a, b)\nx = a @ b\na @= b\nnp.linalg.solve(a, b)\na.T.outer(b)\nnp.add(a, b)\n"
+    source += "from numpy import add, einsum\nimport numpy.linalg\nfrom numpy.linalg import norm\nimport numpy as np\n"
+    assert sorted(blas_calls(source)) == [
+        "line 1: dot", "line 2: @", "line 3: @", "line 4: linalg", "line 5: outer",
+        "line 7: einsum", "line 8: linalg", "line 9: linalg",
+    ]
+
+
+@pytest.mark.parametrize("module", sorted(p.name for p in (SRC / "qprim").glob("*.py")))
+def test_package_calls_no_blas(module):
+    # numpy loads with one OpenBLAS thread (qprim/__init__.py): a BLAS call would run serial
+    assert blas_calls((SRC / "qprim" / module).read_text()) == []

@@ -266,6 +266,14 @@ def test_quadratic_survives_pickle_and_copy(clone):
     assert (r.a, r.b, r.c, r.d) == (q.a, q.b, q.c, q.d)
 
 
+@pytest.mark.parametrize("a, b, c", [(326, 0, 3)] + _seeded_quadratics(37, 12))
+def test_repr_evaluates_to_an_equal_poly_of_the_same_type(a, b, c):
+    for f in (QuadraticPoly(a, b, c), PolyZ((c, b, a)), PolyZ((c, b))):
+        again = eval(repr(f), {"QuadraticPoly": QuadraticPoly, "PolyZ": PolyZ})
+        assert type(again) is type(f) and again == f
+    assert repr(QuadraticPoly(a, b, c)) == f"QuadraticPoly(a={a}, b={b}, c={c})"
+
+
 def test_quadratic_defines_only_its_views():
     # everything else, evaluation above all, is PolyZ's own
     assert {name for name in QuadraticPoly.__dict__ if not name.startswith("__")} == {"a", "b", "c", "d"}
