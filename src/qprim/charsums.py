@@ -10,11 +10,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .arith import Factorization, factor, kronecker, iter_primes, squarefree_decomposition
+from .arith import Factorization, factor, is_prime, kronecker, iter_primes, squarefree_decomposition
 from .poly import (
-    Mod8Profile,
     PolyZ,
-    QuadraticPoly,
     in_conjecture_f_family,
     is_perfect_square,
     mod8_profile,
@@ -41,7 +39,10 @@ class FundamentalDiscriminant:
     odd_part: int
 
     @classmethod
-    def from_integer(cls, D: int) -> "FundamentalDiscriminant":
+    def from_integer(cls, D: int | FundamentalDiscriminant) -> FundamentalDiscriminant:
+        """The fundamental discriminant D; an instance is returned unchanged."""
+        if isinstance(D, FundamentalDiscriminant):
+            return D
         if not is_fundamental_discriminant(D):
             raise ValueError(f"{D} is not a fundamental discriminant")
         m = abs(D)
@@ -78,8 +79,6 @@ def jacobsthal_sum(a: int, p: int) -> int:
 
 
 def _require_odd_prime(p: int) -> None:
-    from .arith import is_prime
-
     if p < 3 or not is_prime(p):
         raise ValueError(f"{p} is not an odd prime")
 
@@ -141,10 +140,10 @@ def _require_odd_squarefree(d: int) -> Factorization:
 
 def char_average(f: PolyZ, d: int) -> Fraction:
     """Multiplicative extension prod_{p | d} of the local average, for odd
-    squarefree d > 1: the closed form for quadratic f, enumeration for any
-    other."""
+    squarefree d > 1: the closed form for f of degree 2, enumeration for any
+    other degree."""
     fact = _require_odd_squarefree(d)
-    local = local_char_average if isinstance(f, QuadraticPoly) else brute_char_average
+    local = local_char_average if f.degree() == 2 else brute_char_average
     out = Fraction(1)
     for p, _ in fact.factors:
         out *= local(f, p)
@@ -157,18 +156,16 @@ def inert_proportion(f: PolyZ, D: FundamentalDiscriminant | int) -> Fraction:
     """Exact proportion of primes p = f(n) that are inert in the quadratic
     field of fundamental discriminant D, per the mod-8 case table.
 
-    Quadratic f uses the closed-form local averages; general f falls back to
-    enumeration at each odd prime dividing D.
+    f of degree 2 uses the closed-form local averages; any other degree falls
+    back to enumeration at each odd prime dividing D.
     """
-    if isinstance(D, int):
-        D = FundamentalDiscriminant.from_integer(D)
+    D = FundamentalDiscriminant.from_integer(D)
     if D.odd_part == 1:
         raise ValueError(f"discriminant {D.D} has no odd prime divisor")
     a_odd = char_average(f, D.odd_part)
     if D.D % 2 != 0:
         return (1 - a_odd) / 2
-    prof: Mod8Profile = mod8_profile(f)
-    a1, a3, a5, a7 = prof.as_tuple()
+    a1, a3, a5, a7 = mod8_profile(f)
     r = D.D % 32
     if D.D % 8 == 4:
         beta = a3 + a7 - a1 - a5

@@ -86,15 +86,18 @@ class RunReport:
 
 @dataclass(frozen=True)
 class Preset:
+    """A streak preset sets g, its expected count and failing prime, and the
+    n_cap of its full walk; a count preset sets pi_checks instead."""
+
     name: str
     poly: QuadraticPoly
-    g: int | None
-    expected_count: int | None
-    expected_failing_prime: int | None
-    pi_checks: tuple[tuple[int, int], ...]
-    default_prefix: int | None  # None: verify the full streak by default
-    long_run_n_cap: int
     note: str
+    g: int | None = None
+    expected_count: int | None = None
+    expected_failing_prime: int | None = None
+    pi_checks: tuple[tuple[int, int], ...] = ()
+    default_prefix: int | None = None  # None: verify the full streak by default
+    long_run_n_cap: int = 0
 
 
 _D_A = 4472988326827347533  # non-residue-rich: (d/p) = -1 for p = 3..283
@@ -110,8 +113,6 @@ def preset_registry() -> dict[str, Preset]:
             g=326,
             expected_count=206,
             expected_failing_prime=1838843753,
-            pi_checks=(),
-            default_prefix=None,
             long_run_n_cap=4_000,
             note="base 326; streak ends at n=2375 with residual index 83",
         ),
@@ -121,31 +122,19 @@ def preset_registry() -> dict[str, Preset]:
             g=10,
             expected_count=16,
             expected_failing_prime=7297,
-            pi_checks=(),
-            default_prefix=None,
             long_run_n_cap=2_000,
             note="decimal periods of 1/p for p = 10n^2+7",
         ),
         Preset(
             name="euler41",
             poly=QuadraticPoly(a=1, b=1, c=41),
-            g=None,
-            expected_count=None,
-            expected_failing_prime=None,
             pi_checks=((39, 40), (10**6, 261081)),
-            default_prefix=None,
-            long_run_n_cap=10**6,
             note="prime-producing quadratic; the published 1e6 count (261080) drops the n=0 term",
         ),
         Preset(
             name="beeger27941",
             poly=QuadraticPoly(a=1, b=1, c=27941),
-            g=None,
-            expected_count=None,
-            expected_failing_prime=None,
             pi_checks=((39, 30), (10**6, 286129)),
-            default_prefix=None,
-            long_run_n_cap=10**6,
             note="denser prime producer than euler41 in the long run; published 1e6 count (286128) drops n=0",
         ),
         Preset(
@@ -154,7 +143,6 @@ def preset_registry() -> dict[str, Preset]:
             g=170363492,
             expected_count=22779,
             expected_failing_prime=432050978399143373,
-            pi_checks=(),
             default_prefix=500,
             long_run_n_cap=800_000,
             note="positive-discriminant record family, quality ~0.999453",
@@ -165,7 +153,6 @@ def preset_registry() -> dict[str, Preset]:
             g=66715361,
             expected_count=25581,
             expected_failing_prime=20224247350881408449,
-            pi_checks=(),
             default_prefix=300,
             long_run_n_cap=4_000_000,
             note="largest known streak for positive discriminant",
@@ -176,7 +163,6 @@ def preset_registry() -> dict[str, Preset]:
             g=24,
             expected_count=21690,
             expected_failing_prime=2364119521193107649,
-            pi_checks=(),
             default_prefix=300,
             long_run_n_cap=4_000_000,
             note="record streak for a base below 100",
@@ -187,7 +173,6 @@ def preset_registry() -> dict[str, Preset]:
             g=23731350844,
             expected_count=18176,
             expected_failing_prime=656972232441600833,
-            pi_checks=(),
             default_prefix=300,
             long_run_n_cap=2_000_000,
             note="negative-discriminant family, unshifted",
@@ -198,7 +183,6 @@ def preset_registry() -> dict[str, Preset]:
             g=72922,
             expected_count=29083,
             expected_failing_prime=3836199196047168449,
-            pi_checks=(),
             default_prefix=300,
             long_run_n_cap=2_000_000,
             note="shifted variant of example3",
@@ -209,7 +193,6 @@ def preset_registry() -> dict[str, Preset]:
             g=17431902,
             expected_count=31082,
             expected_failing_prime=1196918237285051573,
-            pi_checks=(),
             default_prefix=200,
             long_run_n_cap=5_000_000,
             note="largest known streak overall, quality ~0.999535",
@@ -370,23 +353,17 @@ def _handle_charsum(args) -> dict:
         return {"value": jacobsthal_sum(args.a, args.p), "a": args.a, "p": args.p}
     f = parse_poly(args.poly)
     if args.mode == "complete":
-        if not isinstance(f, QuadraticPoly):
-            raise ValueError("the complete sum closed form needs a quadratic (a,b,c)")
         return {"value": complete_char_sum(f, args.p), "p": args.p}
     if args.mode == "local":
-        local = local_char_average if isinstance(f, QuadraticPoly) else brute_char_average
+        local = local_char_average if f.degree() == 2 else brute_char_average
         return {"value": local(f, args.p), "p": args.p}
     # mode == "average": composite odd squarefree modulus
-    if not isinstance(f, QuadraticPoly):
-        raise ValueError("the multiplicative average needs a quadratic (a,b,c)")
     return {"value": char_average(f, args.d), "d": args.d}
 
 
 def _handle_tau(args) -> dict:
     f = parse_poly(args.poly)
     if args.admissible:
-        if not isinstance(f, QuadraticPoly):
-            raise ValueError("admissible-discriminant scans need a quadratic (a,b,c)")
         discs = admissible_discriminants(f, bound=args.bound)
         return {"admissible_discriminants": [fd.D for fd in discs], "bound": args.bound}
     if args.disc is None:

@@ -245,12 +245,6 @@ def _euler_product(
     return value, last
 
 
-def _coerce_discriminant(D) -> FundamentalDiscriminant:
-    if isinstance(D, FundamentalDiscriminant):
-        return D
-    return FundamentalDiscriminant.from_integer(int(D))
-
-
 # ---------------------------------------------------------------------------
 # Dirichlet L-values
 # ---------------------------------------------------------------------------
@@ -267,7 +261,7 @@ def dirichlet_l(s: int, D, tol: float = 1e-9) -> LValue:
     The reported abs_error is a rounding envelope; the outer 1/q keeps the
     accumulated term errors from growing with q.
     """
-    fd = _coerce_discriminant(D)
+    fd = FundamentalDiscriminant.from_integer(D)
     if s not in (1, 2):
         raise ValueError("only s = 1 and s = 2 are supported")
     q = abs(fd.D)
@@ -311,7 +305,7 @@ def hardy_littlewood_constant(D: int, tol: float = 1e-8) -> DensityReport:
     """
     if tol <= 0:
         raise ValueError("tol must be positive")
-    fd = _coerce_discriminant(D)
+    fd = FundamentalDiscriminant.from_integer(D)
     if fd.D >= 0 or fd.D % 8 != 5:
         raise ValueError("discriminant must be negative and = 5 (mod 8)")
     L1 = dirichlet_l(1, fd, tol=1e-10)

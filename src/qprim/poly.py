@@ -1,13 +1,14 @@
 """Integer polynomials and their local residue statistics.
 
-PolyZ is the one integer polynomial type (constant term first); QuadraticPoly
-is a PolyZ of degree 2 built as aX^2+bX+c, with a, b, c and the discriminant d
-as read-only views of its coefficients.  Every question "for
-which s is f(s) = t (mod q)?" goes through roots_mod: closed form for degree
-<= 2 and odd prime q, else a scan of values_mod, the one numpy enumeration of
-f(0..m-1) mod m, which also backs the residue counts and the mod-8 profile.
-`densities` keeps a vectorised Legendre kernel for root counts over whole
-chunks of primes; it is property-tested against these.
+PolyZ is the one integer polynomial type (constant term first).  A quadratic
+is any PolyZ of degree 2: QuadraticPoly only builds one as aX^2+bX+c and adds
+a, b, c and the discriminant d as read-only views, so no answer depends on
+which of the two classes spells f.  Every question "for which s is f(s) = t
+(mod q)?" goes through roots_mod: closed form for degree <= 2 and odd prime
+q, else a scan of values_mod, the one numpy enumeration of f(0..m-1) mod m,
+which also backs the residue counts and the mod-8 profile.  `densities` keeps
+a vectorised Legendre kernel for root counts over whole chunks of primes; it
+is property-tested against these.
 """
 
 from __future__ import annotations
@@ -161,27 +162,15 @@ def roots_mod(f: PolyZ, q: int, t: int = 0) -> tuple[int, ...]:
     return (r1,) if r1 == r2 else (r1, r2)
 
 
-@dataclass(frozen=True)
-class Mod8Profile:
-    """Distribution of the odd values of f over the classes 1,3,5,7 mod 8."""
-
-    alpha1: Fraction
-    alpha3: Fraction
-    alpha5: Fraction
-    alpha7: Fraction
-
-    def as_tuple(self) -> tuple[Fraction, Fraction, Fraction, Fraction]:
-        return (self.alpha1, self.alpha3, self.alpha5, self.alpha7)
-
-
-def mod8_profile(f: PolyZ) -> Mod8Profile:
-    """alpha_j = #{s mod 8 : f(s) = j mod 8} / (4 * #{s mod 2 : f(s) odd});
-    the denominator is #{s mod 8 : f(s) odd}, as f(s) mod 2 has period 2."""
+def mod8_profile(f: PolyZ) -> tuple[Fraction, Fraction, Fraction, Fraction]:
+    """(alpha_1, alpha_3, alpha_5, alpha_7): the distribution of the odd values
+    of f over the classes 1, 3, 5, 7 mod 8, alpha_j = #{s mod 8 : f(s) = j mod 8}
+    / #{s mod 8 : f(s) odd}."""
     counts = np.bincount(values_mod(f, 8), minlength=8).tolist()
     odd = sum(counts[1::2])
     if odd == 0:
         raise ValueError("polynomial takes no odd values")
-    return Mod8Profile(*(Fraction(n, odd) for n in counts[1::2]))
+    return tuple(Fraction(n, odd) for n in counts[1::2])
 
 
 def parse_poly(text: str) -> PolyZ:

@@ -265,8 +265,6 @@ def prime_count(f: PolyZ, x: int) -> int:
         raise ValueError("x must be >= 0")
     if f.degree() < 1:
         return (x + 1) if f.coeffs[0] >= 2 and is_prime(f.coeffs[0]) else 0
-    if f.leading() < 0:
-        raise ValueError("prime scans need a positive leading coefficient")
     limit = _default_sieve_limit(f)
     if f.degree() <= 2:
         # roots mod q have a closed form, so sieve to sqrt(max f): then every

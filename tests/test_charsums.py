@@ -338,3 +338,35 @@ def test_empirical_inert_fraction_for_x2_plus_1():
             break
     assert total == 2000
     assert abs(inert / total - float(predicted)) <= 0.05
+
+
+def _answer(fn, *args):
+    try:
+        return fn(*args)
+    except ValueError as exc:  # a refusal is an answer too: both spellings must give the same one
+        return f"ValueError: {exc}"
+
+
+SPELLING_MODULI = (3, 5, 7, 15, 21, 105)
+SPELLING_DISCS = (-3, -4, 5, -7, 8, -8, 12, -15, -20, 21, 24, -163, 1304)
+
+
+def test_spelling_never_changes_an_answer():
+    # every value of 5X^2 + 5 is divisible by 5, and of 3X^2 + 3X + 3 by 3: the
+    # closed form answers both, whichever class spells them
+    assert inert_proportion(PolyZ((5, 0, 5)), 5) == Fraction(1, 2)
+    assert char_average(PolyZ((3, 3, 3)), 3) == 0
+    rng = random.Random(2025)
+    seeded = [(rng.randint(1, 60), rng.randint(-60, 60), rng.randint(-60, 60)) for _ in range(24)]
+    for a, b, c in [(5, 0, 5), (3, 3, 3)] + seeded:
+        q, p = QuadraticPoly(a, b, c), PolyZ((c, b, a))
+        for d in SPELLING_MODULI:
+            assert _answer(char_average, q, d) == _answer(char_average, p, d), (a, b, c, d)
+        for D in SPELLING_DISCS:
+            assert _answer(inert_proportion, q, D) == _answer(inert_proportion, p, D), (a, b, c, D)
+
+
+def test_from_integer_returns_an_instance_unchanged():
+    fd = FundamentalDiscriminant.from_integer(-163)
+    assert FundamentalDiscriminant.from_integer(fd) is fd
+    assert inert_proportion(L, fd) == inert_proportion(L, -163)

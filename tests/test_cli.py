@@ -3,10 +3,15 @@
 import csv
 import io
 import json
+import math
+import random
+from fractions import Fraction
 
 import pytest
 
+from qprim.charsums import brute_char_average
 from qprim.cli import main, preset_registry
+from qprim.poly import parse_poly
 
 
 def run_cli(capsys, *argv):
@@ -29,6 +34,19 @@ def test_preset_registry_names():
         "example3-f1",
         "example3-f2",
     }
+
+
+def test_each_preset_sets_the_fields_its_kind_reads():
+    # Preset fields default to "not set", so a streak preset that left one out
+    # would verify against None or walk no n at all
+    for preset in preset_registry().values():
+        if preset.g is not None:
+            assert preset.expected_count is not None, preset.name
+            assert preset.expected_failing_prime is not None, preset.name
+            assert preset.long_run_n_cap > 0, preset.name
+        else:  # a count preset: verify reads pi_checks alone
+            assert preset.pi_checks, preset.name
+            assert (preset.long_run_n_cap, preset.default_prefix) == (0, None), preset.name
 
 
 def test_preset_polynomials_match_published_coefficients():
@@ -135,6 +153,46 @@ def test_charsum_jacobsthal(capsys):
     )
     assert code == 0
     assert json.loads(out)["outputs"]["value"] == -1
+
+
+def _spelling_cases():
+    """(a, b, c, p, D): 5X^2 + 5 and 3X^2 + 3X + 3, whose values p always
+    divides, then seeded quadratics."""
+    rng = random.Random(2026)
+    seeded = []
+    for _ in range(6):
+        a, b, c = rng.randint(1, 40), rng.randint(-40, 40), rng.randint(-40, 40)
+        seeded.append((a, b, c, rng.choice((3, 5, 7, 13)), rng.choice((-3, 5, -7, 12, 24, -163))))
+    return [(5, 0, 5, 5, 5), (3, 3, 3, 3, -3)] + seeded
+
+
+@pytest.mark.parametrize("a, b, c, p, D", _spelling_cases())
+def test_spelling_never_changes_the_cli_answer(capsys, a, b, c, p, D):
+    commands = [
+        ("charsum", "--mode", "local", "--p", str(p)),
+        ("charsum", "--mode", "complete", "--p", str(p)),
+        ("tau", "--disc", str(D)),
+        ("tau", "--admissible"),
+    ]
+    for argv in commands:
+        runs = []
+        for poly in (f"{a},{b},{c}", f"{c},{b},{a},0"):  # leading first; constant first
+            code, out, err = run_cli(capsys, *argv, "--poly", poly, "--format", "json")
+            runs.append((code, err, json.loads(out)["outputs"] if out else None))
+        assert runs[0] == runs[1], argv
+
+
+def test_cli_refusals_come_from_the_library(capsys):
+    code, _, err = run_cli(capsys, "charsum", "--mode", "complete", "--poly", "1,0,0,1", "--p", "5")
+    assert code == 1 and "the closed form needs a quadratic, not degree 3" in err
+    code, _, err = run_cli(capsys, "tau", "--poly", "1,0,0,1", "--admissible")
+    assert code == 1 and "outside the quadratic search family" in err
+    for poly, d in (("1,0,0,1", 15), ("1,0,1,1", 105)):  # cubics: enumerated at each prime of d
+        code, out, _ = run_cli(capsys, "charsum", "--mode", "average", "--poly", poly, "--d", str(d), "--format", "json")
+        assert code == 0
+        want = math.prod(brute_char_average(parse_poly(poly), q) for q in (3, 5, 7) if d % q == 0)
+        value = json.loads(out)["outputs"]["value"]
+        assert Fraction(value["num"], value["den"]) == want
 
 
 def test_density_cli(capsys):

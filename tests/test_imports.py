@@ -2,7 +2,8 @@
 OpenSSL's libcrypto), a sweep's config hash included, nothing loads a process
 pool, and `import qprim` loads numpy with one OpenBLAS thread while leaving
 the caller's environment as it found it, which holds only while the package
-calls no BLAS routine."""
+calls no BLAS routine.  No module routes a polynomial by its class, and no
+function body imports a qprim module but the one listed with its reason."""
 
 import ast
 import json
@@ -128,3 +129,71 @@ def test_blas_guard_sees_each_form():
 def test_package_calls_no_blas(module):
     # numpy loads with one OpenBLAS thread (qprim/__init__.py): a BLAS call would run serial
     assert blas_calls((SRC / "qprim" / module).read_text()) == []
+
+
+def class_routes(source: str) -> list[str]:
+    """The isinstance and issubclass calls in source whose class argument names
+    QuadraticPoly: a route chosen by how f was built rather than by its degree."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Call) and getattr(node.func, "id", None) in ("isinstance", "issubclass"):
+            names = {getattr(n, "id", None) or getattr(n, "attr", None) for arg in node.args[1:] for n in ast.walk(arg)}
+            if "QuadraticPoly" in names:
+                found.append(f"line {node.lineno}: {node.func.id}")
+    return found
+
+
+def test_class_route_guard_sees_each_form():
+    source = "isinstance(f, QuadraticPoly)\nisinstance(f, (PolyZ, poly.QuadraticPoly))\n"
+    source += "issubclass(type(f), QuadraticPoly)\nisinstance(f, PolyZ)\nf.degree() == 2\n"
+    assert class_routes(source) == ["line 1: isinstance", "line 2: isinstance", "line 3: issubclass"]
+
+
+@pytest.mark.parametrize("module", sorted(p.name for p in (SRC / "qprim").glob("*.py")))
+def test_no_route_by_polynomial_class(module):
+    # a quadratic is any degree-2 PolyZ: the CLI's "5,0,5" and "5,0,5,0" must get one answer
+    assert class_routes((SRC / "qprim" / module).read_text()) == []
+
+
+# (module, function, qprim module it imports) -> why the import cannot sit at the top
+LAZY_QPRIM_IMPORTS = {
+    ("streaks.py", "empirical_max_streak", "search"): (
+        "perfbench calls the function by this name in streaks, and the k-sweep engine it reads"
+        " lives in search, which imports streaks"
+    ),
+}
+
+
+def lazy_qprim_imports(source: str) -> list[tuple[str, str]]:
+    """(innermost function, qprim module) for each import of a qprim module
+    made inside a function body."""
+    found = []
+
+    def visit(node: ast.AST, function: str | None) -> None:
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                visit(child, child.name)
+                continue
+            if function and isinstance(child, ast.ImportFrom) and (child.level or (child.module or "").startswith("qprim")):
+                module = child.module or ", ".join(alias.name for alias in child.names)
+                found.append((function, module.removeprefix("qprim.")))
+            elif function and isinstance(child, ast.Import):
+                found.extend((function, a.name.removeprefix("qprim.")) for a in child.names if a.name.startswith("qprim"))
+            visit(child, function)
+
+    visit(ast.parse(source), None)
+    return found
+
+
+def test_lazy_import_guard_sees_each_form():
+    source = "from .arith import factor\nimport qprim\n"
+    source += "def f():\n    from .arith import is_prime\n    import numpy\n    def g():\n        import qprim.poly\n"
+    source += "class C:\n    def m(self):\n        from . import search\n        from qprim.streaks import streak\n"
+    assert lazy_qprim_imports(source) == [("f", "arith"), ("g", "poly"), ("m", "search"), ("m", "streaks")]
+
+
+@pytest.mark.parametrize("module", sorted(p.name for p in (SRC / "qprim").glob("*.py")))
+def test_no_function_imports_a_qprim_module(module):
+    # an import inside a function hides the import graph and is paid on first call
+    allowed = [(function, target) for (name, function, target) in LAZY_QPRIM_IMPORTS if name == module]
+    assert lazy_qprim_imports((SRC / "qprim" / module).read_text()) == allowed
