@@ -14,10 +14,10 @@ truncation could never reach 1e-9 at s = 1 for |D| ~ 1e5.
 
 The character layer is numpy over chunks: odd primes from
 arith.prime_chunks, the package's one sieve, and residues in _CHUNK
-entries.  `_legendre` applies Euler's criterion by a two-bit-window power
-in int64 (primes below 2^31, checked), only on the primes whose factor
-reads it; `_kronecker_chunk` evaluates chi_D from the prime-discriminant
-components of D; `_euler_product` folds each chunk's local factors in.
+entries.  `_legendre` applies Euler's criterion by two-bit windows, exact
+in float64 below 2^26 and int64 below 2^31 (no cutoff may reach it), where
+a factor reads it; `_kronecker_chunk` evaluates chi_D from the components
+of D, prime discriminants; `_euler_product` folds each chunk's factors in.
 Each factor is computed by the same IEEE operations as the scalar formula
 and multiplied in with math.prod in the same order, and the L-value sums
 are exact (math.fsum), so every value is bit-identical to a plain loop over
@@ -134,6 +134,9 @@ def _trigamma(x: np.ndarray) -> np.ndarray:
 
 _CHUNK = 8192
 _INT64_PRIME_BOUND = 2**31  # keeps (p-1)^2 and each limb of _mod inside int64
+_FLOAT_PRIME_BOUND = 2**26  # keeps a product of balanced residues below 2^52
+
+
 def _mod(a: int, P: np.ndarray) -> np.ndarray:
     """a mod each entry of the ascending int64 array P, exact for any Python
     int a: Horner's rule over the limbs of |a|, each 62 - bits(max p) bits
@@ -154,20 +157,36 @@ def _mod(a: int, P: np.ndarray) -> np.ndarray:
 
 def _legendre(a: int, P: np.ndarray) -> np.ndarray:
     """(a/p) for each odd prime p of the ascending int64 array P, as int8:
-    Euler's criterion a^((p-1)/2) mod p, left to right two exponent bits at a
-    time: two squarings, then one product with a^0..a^3 picked per entry
-    from a table (p < 2^31, so every product stays below 2^62)."""
+    Euler's criterion a^((p-1)/2) mod p over two-bit windows, a^0..a^3 from
+    a table.  From 2^26 (the chunk's largest prime decides) x y mod p is
+    x y % p in int64.  Below, residues are float64 in [-(p-1)/2, (p-1)/2], b1
+    too (primes below 8 read it from the table), and x y mod p is t - q p,
+    t = x y, q = rint(t * (1/p)), exactly: |t| <= p^2/4 < 2^52, so t, q p and
+    t - q p are exact; t * (1/p) is within about 2^-28 of t/p, which (p odd)
+    lies at least 1/(2p) > 2^-27 from any half-integer: q is the nearest."""
     b1 = _mod(a, P)
-    b2 = b1 * b1 % P
-    powers = np.stack((np.ones_like(P), b1, b2, b2 * b1 % P), axis=1).ravel()
+    balanced = not len(P) or P[-1] < _FLOAT_PRIME_BOUND
+    if balanced:
+        p = P.astype(np.float64)
+        inv, t = 1.0 / p, np.empty_like(p)
+        b1 = np.where(b1 > P >> 1, b1 - P, b1).astype(np.float64)
+
+    def mm(x: np.ndarray, y: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+        if not balanced:
+            return np.remainder(np.multiply(x, y, out=out), P, out=out)
+        q = np.rint(np.multiply(np.multiply(x, y, out=t), inv, out=out), out=out)
+        return np.subtract(t, np.multiply(q, p, out=q), out=q)
+
+    b2 = mm(b1, b1)
+    powers = np.stack((np.ones_like(b1), b1, b2, mm(b2, b1)), axis=1).ravel()
     rows = np.arange(0, 4 * len(P), 4)
     k = (int(P[-1]).bit_length() - 2) // 2 * 2 if len(P) else 0  # top window of (p-1)/2
     r = powers[rows + ((P >> k + 1) & 3)]
     for k in range(k - 2, -1, -2):
-        r = r * r % P
-        r = r * r % P
-        r = r * powers[rows + ((P >> k + 1) & 3)] % P
-    return (r == 1).astype(np.int8) - (r == P - 1).astype(np.int8)
+        mm(r, r, out=r)
+        mm(r, r, out=r)
+        mm(r, powers[rows + ((P >> k + 1) & 3)], out=r)
+    return (r == 1).astype(np.int8) - (r == (-1 if balanced else P - 1)).astype(np.int8)
 
 
 _TWO_PART_TABLES = {  # chi_-4, chi_8, chi_-8 on the residues mod 8
@@ -353,6 +372,11 @@ def _root_counts(poly: PolyZ, P: np.ndarray, t: int, scalar: np.ndarray) -> np.n
     return counts
 
 
+def _require_cutoff(cutoff: int) -> None:
+    if not 2 <= cutoff < _INT64_PRIME_BOUND:
+        raise ValueError(f"cutoff must be at least 2 and below 2^31, got {cutoff}")
+
+
 def _require_irreducible_if_quadratic(poly: PolyZ) -> None:
     if poly.degree() == 2:
         c, b, a = poly.coeffs
@@ -381,8 +405,7 @@ def pr_density(f: PolyZ, cutoff: int = 10_000, accelerate: bool = True) -> Densi
     prime divides every value (the product collapses to 0): such an f
     represents at most finitely many primes.
     """
-    if cutoff < 2:
-        raise ValueError("cutoff must be at least 2")
+    _require_cutoff(cutoff)
     deg = f.degree()
     if deg < 1:
         raise ValueError("density needs a non-constant polynomial")
@@ -419,6 +442,7 @@ def pr_density_simple(A: int, B: int, cutoff: int = 1_000_000) -> DensityReport:
         prod_{q | gcd(A, B-1), q > 2}(1 - 1/q)
       * prod_{q odd, q not | A}(1 - (1 + (-A(B-1)/q)) / q^2).
     """
+    _require_cutoff(cutoff)
     if A <= 0:
         raise ValueError("leading coefficient must be positive")
     _require_irreducible_if_quadratic(PolyZ((B, 0, A)))
@@ -497,6 +521,7 @@ def bateman_horn_constant(
     the random-sign model 3 * value / sqrt(cutoff ln cutoff), the generic
     factor being 1 - chi(p)/(p-1) with a conditionally convergent sum.
     """
+    _require_cutoff(cutoff)
     deg = f.degree()
     if deg < 1:
         raise ValueError("constant polynomials are not supported")

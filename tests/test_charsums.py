@@ -214,8 +214,9 @@ def test_inert_proportion_exact_values():
 
 
 def test_inert_proportion_general_polynomial_path():
-    # degree-2 PolyZ goes through the enumeration route and must agree with
-    # the closed-form quadratic route
+    # routes go by degree, so both spellings of 3X^2 + 7 take the closed form
+    # and must agree; test_local_average_closed_vs_brute checks that closed
+    # form against enumeration
     assert inert_proportion(PolyZ((7, 0, 3)), 5) == inert_proportion(QuadraticPoly(3, 0, 7), 5)
     assert inert_proportion(PolyZ((1, 0, 1)), 12) == Fraction(2, 3)
     # permutation cubic: zero average, proportion exactly 1/2

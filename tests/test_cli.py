@@ -9,6 +9,7 @@ from fractions import Fraction
 
 import pytest
 
+from qprim import densities
 from qprim.charsums import brute_char_average
 from qprim.cli import main, preset_registry
 from qprim.poly import parse_poly
@@ -312,6 +313,19 @@ def test_density_cutoff_below_two_is_an_error(capsys, mode, cutoff):
     code, _, err = run_cli(capsys, "density", *mode, "--cutoff", cutoff)
     assert code == 1
     assert "cutoff must be at least 2" in err
+
+
+@pytest.mark.parametrize(
+    "mode", [["--poly", "1,1,41", "--no-accelerate"], ["--poly", "1,1,41"], ["--bateman-horn", "1,1,41"]]
+)
+def test_density_cutoff_of_2_31_exits_before_reading_a_prime(capsys, monkeypatch, mode):
+    def no_primes(start, stop):
+        raise AssertionError("a prime was read")
+
+    monkeypatch.setattr(densities, "prime_chunks", no_primes)
+    code, _, err = run_cli(capsys, "density", *mode, "--cutoff", str(2**31))
+    assert code == 1
+    assert "cutoff must be at least 2 and below 2^31" in err
 
 
 @pytest.mark.parametrize(

@@ -580,6 +580,76 @@ def test_legendre_matches_kronecker_and_guards_int64():
         _legendre(3, np.array([2**31 + 11], dtype=np.int64))
 
 
+def assert_legendre_is_kronecker(a, P):
+    P = np.array(P, dtype=np.int64)
+    assert _legendre(a, P).tolist() == [kronecker(a, int(q)) for q in P], (a, P.tolist())
+
+
+def test_legendre_float_and_int64_kernels_at_their_edges():
+    # a chunk's largest prime picks the kernel: float64 below 2^26, int64 up
+    # to 2^31; a chunk of primes below 8 reads its answer straight from b1,
+    # b2 or b3, never running the window loop
+    for P in ([3], [5], [7], [3, 5, 7]):
+        for a in range(-30, 31):
+            assert_legendre_is_kronecker(a, P)
+    below = list(iter_primes(2**26 - 3000, 2**26 - 1))
+    above = list(iter_primes(2**26, 2**26 + 3000))
+    top = list(iter_primes(2**31 - 3000, 2**31 - 1))
+    assert below and above and top
+    rng = random.Random(26)
+    big = [rng.choice((1, -1)) * rng.randrange(10**39, 10**41) for _ in range(20)]
+    for P in (below, above, below + above, top, [3, 5, 7] + top):
+        for p in (P[0], P[-1]):
+            for a in [0, 1, -1, p - 1, p, p + 1, 2 * p, p * p - 1] + big:
+                assert_legendre_is_kronecker(a, P)
+
+
+def test_legendre_below_1e6_for_large_discriminants():
+    P = np.array(odd_primes(10**6), dtype=np.int64)
+    assert len(P) == 78497
+    for D in (-(2**90) - 163, 2**90 + 211):
+        assert _legendre(D, P).tolist() == [kronecker(D, int(q)) for q in P.tolist()], D
+
+
+def test_tiny_cutoffs_bit_identical_to_scalar_loop():
+    # cutoffs 3..7 fold in chunks whose largest prime is below 8
+    euler, lehmer = QuadraticPoly(1, 1, 41), QuadraticPoly(326, 0, 3)
+    for cutoff in range(2, 41):
+        for f in (euler, lehmer):
+            want = pr_density_scalar(f, cutoff)
+            assert pr_density(f, cutoff, accelerate=False).value == want, (f, cutoff)
+        want = pr_density_simple_scalar(326, 3, cutoff)
+        assert pr_density_simple(326, 3, cutoff).value == want, cutoff
+        want = bateman_horn_scalar(euler, cutoff)
+        assert bateman_horn_constant(euler, cutoff).value == want, cutoff
+
+
+def test_legendre_products_refuse_a_cutoff_of_2_31_before_reading_a_prime(monkeypatch):
+    class PrimesRead(Exception):
+        pass
+
+    def no_primes(start, stop):
+        raise PrimesRead
+
+    monkeypatch.setattr(densities, "prime_chunks", no_primes)
+    f = QuadraticPoly(1, 1, 41)
+    calls = [
+        lambda c: pr_density(f, c),
+        lambda c: pr_density(f, c, accelerate=False),
+        lambda c: pr_density_simple(326, 3, c),
+        lambda c: bateman_horn_constant(f, c),
+        lambda c: bateman_horn_constant(PolyZ((2, 0, 0, 1)), c, assume_irreducible=True),
+    ]
+    for call in calls:
+        for cutoff in (2**31, 2**31 + 1, 10**12):
+            with pytest.raises(ValueError, match="below 2\\^31"):
+                call(cutoff)
+        with pytest.raises(PrimesRead):
+            call(2**31 - 1)
+    with pytest.raises(PrimesRead):  # no Legendre symbol: up to 1e10, as prime_chunks allows
+        totient_ratio_constant(2**31)
+
+
 def test_ratio_rounds_once_like_python():
     den = 1822851097 * 1822851096  # q (q - 1) above 2^53, as for q > 9.5e7
     assert 1 / den != 1.0 / float(den)  # converting first rounds twice
