@@ -16,9 +16,12 @@ That walk, _residual_indices, is the only reader of the stream's base-2
 candidates: it takes the larger survivors on the base-2 strong test alone,
 factors their p - 1 in groups of _GROUP, and lets the powers of the
 primitive-root test prove p prime by Lucas; is_prime proves a candidate its
-witness does not.  search's k-sweep and criteria.lehmer_index_coprimality
-read the same walk, with its p - 1 factorizations.  entries_upto yields proven
-primes only.
+witness does not.  criteria.lehmer_index_coprimality reads the same walk,
+with its p - 1 factorizations, and so does base_streaks, the one k-sweep
+engine (search.sweep and empirical_max_streak fold its output with
+BestStreak): it tests every live base k^2 * g_base against a group of the
+walk's primes in one matrix pass, from the index of g_base and the
+factorization of p - 1.  entries_upto yields proven primes only.
 """
 
 from __future__ import annotations
@@ -29,8 +32,10 @@ from itertools import compress, islice, repeat
 from math import isqrt
 from typing import Iterator
 
+import numpy as np
+
 from . import arith
-from .arith import Factorization, factor, is_prime
+from .arith import Factorization, factor, is_prime, primes_up_to
 from .charsums import require_valid_base
 from .poly import PolyZ, roots_mod
 
@@ -38,6 +43,8 @@ _BLOCK = 8192
 _GROUP = 64  # walks factor the p - 1 of this many candidates in one batch
 _MIN_DEPTH = 2_000  # a stream block is sieved to max(this, its end n)
 _COUNT_SIEVE_CAP = 1_000_000  # prime_count's largest sieve limit (memory bound)
+_EXACT_BITS = 48  # a sweep group whose p are all below 2^48 runs on uint64 arrays
+_MATRIX_ELEMENTS = 1 << 14  # plan rows x (p, q) pairs per matrix pass: bounds its memory
 
 
 @dataclass(frozen=True)
@@ -179,20 +186,6 @@ class PrimeValueStream:
         because perfbench wraps it by name for its streaks.pm1 counters."""
         return factor(p - 1)
 
-    def _factored(self, n_cap: int) -> Iterator[tuple[int, int, Factorization]]:
-        """(n, p, factorization of p - 1) for the candidates p = f(n), n <= n_cap,
-        which passed only the base-2 test: its one caller, _residual_indices,
-        proves each p.  Each _GROUP of p - 1 is one factor_many batch.  A p
-        whose p - 1 failed to factor raises that error here if it is prime,
-        and is dropped if not."""
-        candidates = self._entries(n_cap, arith.is_strong_probable_prime)
-        while group := list(islice(candidates, _GROUP)):
-            for (n, p), pm1 in zip(group, arith.factor_many([p - 1 for _, p in group])):
-                if not isinstance(pm1, Exception):
-                    yield n, p, pm1
-                elif is_prime(p):
-                    raise pm1
-
 
 def _residual_indices(
     f: PolyZ, g: int, n_cap: int, stream: PrimeValueStream | None = None
@@ -200,9 +193,10 @@ def _residual_indices(
     """Yield (n, p, pm1, index) over the distinct primes p = f(n), n <= n_cap,
     in order: pm1 factors p - 1, and index is (p-1)/ord_p(g), 1 exactly when g
     is a primitive root mod p, or None when p divides g.  Arguments are
-    checked before the walk.  g is the Lucas witness; a candidate it does not
-    certify (a failing prime, an index above 1, p | g) counts only once
-    is_prime proves it.  Every walk over proven primes reads this one."""
+    checked before the walk.  The base-2 candidates' p - 1 are factored
+    _GROUP at a time.  g is the Lucas witness; a candidate it does not certify
+    counts only once is_prime proves it, and a p - 1 that failed to factor
+    then raises (a composite's is dropped).  Every proven-prime walk reads this."""
     require_valid_base(g)
     if n_cap < 0:
         raise ValueError("n_cap must be >= 0")
@@ -212,11 +206,15 @@ def _residual_indices(
         raise ValueError(f"the stream walks {stream.poly}, not {f}")
 
     def walk() -> Iterator[tuple[int, int, Factorization, int | None]]:
-        for n, p, pm1 in stream._factored(n_cap):
-            if arith.lucas_certifies(g, p, pm1):
-                yield n, p, pm1, 1
-            elif is_prime(p):
-                yield n, p, pm1, None if g % p == 0 else arith.residual_index(g, p, pm1)
+        candidates = stream._entries(n_cap, arith.is_strong_probable_prime)
+        while group := list(islice(candidates, _GROUP)):
+            for (n, p), pm1 in zip(group, arith.factor_many([p - 1 for _, p in group])):
+                if not isinstance(pm1, Exception) and arith.lucas_certifies(g, p, pm1):
+                    yield n, p, pm1, 1
+                elif is_prime(p):
+                    if isinstance(pm1, Exception):
+                        raise pm1
+                    yield n, p, pm1, None if g % p == 0 else arith.residual_index(g, p, pm1)
 
     return walk()
 
@@ -295,6 +293,144 @@ def pr_stats(f: PolyZ, g: int, n_cap: int) -> PrStats:
     )
 
 
+def _power_plan(live: list[int]) -> tuple:
+    """(ks, level ends, the rows of l and k // l per composite row, the row of
+    each live k), ks being the k that the powers k^e of the live k are built
+    from, l the least prime factor of k: a pow for prime k (and k = 1), the
+    first level, else l^e * (k // l)^e, at the level of k's bit length."""
+    small, spf, need, todo = primes_up_to(isqrt(max(live))), {}, set(), set(live)
+    while todo:
+        need |= todo
+        spf |= {k: next((q for q in small if k % q == 0), k) for k in todo}
+        todo = {m for k in todo for m in (spf[k], k // spf[k])} - need - {1}
+    level = {k: spf[k] != k and k.bit_length() for k in need}
+    ks = sorted(need, key=lambda k: (level[k], k))
+    row = {k: i for i, k in enumerate(ks)}
+    ends = [i for i in range(1, len(ks) + 1) if i == len(ks) or level[ks[i]] > level[ks[i - 1]]]
+    factors = np.array([(row[spf[k]], row[k // spf[k]]) for k in ks[ends[0] :]], np.intp)
+    return ks, ends, factors.reshape(-1, 2), np.array([row[k] for k in live], np.intp)
+
+
+def _mulmod(a: np.ndarray, b: np.ndarray, p: np.ndarray) -> np.ndarray:
+    """a * b mod p elementwise for a < p, on Python ints or exactly on uint64 for p < 2^_EXACT_BITS:
+    b is taken w = 63 - bits(max p) bits at a time, so (r << w) + a * chunk < 2^64."""
+    if p.dtype == object:
+        return a * b % p
+    r, w = 0, 63 - int(p.max()).bit_length()
+    for shift in range((int(b.max()).bit_length() - 1) // w * w, -1, -w):
+        r = ((r << w) + a * ((b >> shift) & ((1 << w) - 1))) % p
+    return r
+
+
+def _powmod(base: np.ndarray, e: np.ndarray, p: np.ndarray) -> np.ndarray:
+    """base^e mod p elementwise: pow on Python ints, square-and-multiply by _mulmod on uint64."""
+    if p.dtype == object:
+        return np.frompyfunc(pow, 3, 1)(base, e, p)
+    r = np.ones(np.broadcast_shapes(base.shape, e.shape), np.uint64)
+    for bit in reversed(range(int(e.max()).bit_length())):
+        r = _mulmod(r, r, p)
+        r = np.where((e >> bit) & 1 == 1, _mulmod(r, base, p), r)
+    return r
+
+
+def base_streaks(
+    f: PolyZ, g_base: int, k_lo: int, k_hi: int, n_cap: int
+) -> Iterator[tuple[int, int, int | None]]:
+    """Yield (k, count, failing_prime) for the bases k^2 * g_base, k = k_lo..k_hi,
+    in ascending k, each once it and every smaller k have finished;
+    failing_prime is None when the streak reached n_cap unfinished.  g_base
+    must be a valid base (then so is every k^2 * g_base).  An empty range
+    yields nothing and builds no stream.
+
+    One walk of the prime stream serves every base, a group of at most _GROUP
+    primes at a time, fewer once their (p, q) pairs times the plan's rows
+    reach _MATRIX_ELEMENTS.  At p not dividing g_base, a live k fails if
+    k^e = z at one of p's pairs (e, z); one pass computes k^e mod p for every
+    plan row and pair, on uint64 if every p < 2^_EXACT_BITS (p | k: k^e = 0,
+    a skip).  (k^2 g_base / p) = (g_base / p), so an even index of g_base
+    gives the pair (p - 1, 1); an odd one gives e = (p-1)/q,
+    z = g_base^(e(q-1)/2) per odd q | p-1, as (k^2 g_base)^e = 1 iff k^e = z,
+    or else (0, 0), which fails no k.  A k's count is the primes passed
+    before it failed, less those dividing it."""
+    if k_lo > k_hi:
+        return
+    live = np.arange(k_lo, k_hi + 1)
+    (ks, ends, factors, live_rows), planned = _power_plan(live.tolist()), len(live)
+    passed, passed_small = 0, []  # primes so far not dividing g_base; (position, p) of those <= k_hi
+    done: dict[int, tuple[int, int | None]] = {}
+
+    def count(k: int, n: int) -> int:  # k's count at the n-th prime
+        return n - sum(1 for i, p in passed_small if i < n and k % p == 0)
+
+    walk = (item for item in _residual_indices(f, g_base, n_cap) if item[3] is not None)
+    next_k, error = k_lo, None
+    while len(live):
+        items, starts, pairs = [], [], []
+        try:
+            for _, p, pm1, index in walk:
+                es = [(p - 1) // q for q in pm1.prime_factors()[1:]] if index % 2 else [p - 1]
+                items.append(p)
+                starts.append(len(pairs))
+                pairs += [(p, e, pow(g_base, (p - 1 - e) // 2, p)) for e in es] or [(p, 0, 0)]  # e(q-1) = p-1-e
+                if len(items) == _GROUP or len(pairs) * len(ks) >= _MATRIX_ELEMENTS:
+                    break
+        except Exception as exc:  # the walk raises in prime order: re-raised if a k is live there
+            error = exc
+        if not items:
+            break
+        dtype = np.uint64 if max(items) >> _EXACT_BITS == 0 else object
+        P, E, Z = (np.array(v, dtype)[None, :] for v in zip(*pairs))
+        V = np.empty((len(ks), len(pairs)), dtype)
+        V[: ends[0]] = _powmod(np.array(ks[: ends[0]], dtype)[:, None], E, P)
+        for lo, hi in zip(ends, ends[1:]):
+            ell, m = factors[lo - ends[0] : hi - ends[0]].T
+            V[lo:hi] = _mulmod(V[ell], V[m], P)
+        fails = np.logical_or.reduceat(V[live_rows] == Z, starts, axis=1)
+        failed, first = fails.any(axis=1), fails.argmax(axis=1)
+        passed_small += [(passed + j, p) for j, p in enumerate(items) if p <= k_hi]
+        dead = zip(live[failed].tolist(), first[failed].tolist())  # (k, the item it failed at)
+        done |= {k: (count(k, passed + j), items[j]) for k, j in dead}
+        passed += len(items)
+        live, live_rows = live[~failed], live_rows[~failed]
+        while next_k in done:
+            yield (next_k, *done.pop(next_k))
+            next_k += 1
+        if 0 < 2 * len(live) <= planned:  # till then, dead k in the plan cost less
+            (ks, ends, factors, live_rows), planned = _power_plan(live.tolist()), len(live)
+    if error is not None and len(live):
+        raise error
+    for k in range(next_k, k_hi + 1):
+        yield (k, *done.pop(k, (count(k, passed), None)))
+
+
+@dataclass
+class BestStreak:
+    """Fold over base_streaks output in ascending k: the longest streak (ties
+    to the smallest k) and the longest unfinished one (None: unknown).
+
+    The best is certified when every unfinished streak is shorter, itself
+    included, so it ended in a failing prime; otherwise a larger n_cap could
+    change it."""
+
+    k: int = 0
+    c: int = -1
+    failing_prime: int | None = None
+    max_unfinished: int | None = -1
+
+    def add(self, k: int, c: int, failing_prime: int | None) -> bool:
+        """Fold in one result; True when it becomes the new best."""
+        if failing_prime is None and self.max_unfinished is not None:
+            self.max_unfinished = max(self.max_unfinished, c)
+        if c <= self.c:
+            return False
+        self.k, self.c, self.failing_prime = k, c, failing_prime
+        return True
+
+    @property
+    def certified(self) -> bool:
+        return self.max_unfinished is not None and self.max_unfinished < self.c
+
+
 def empirical_max_streak(
     g_base: int,
     f: PolyZ,
@@ -310,9 +446,6 @@ def empirical_max_streak(
     workers below 1 raises ValueError; any other count runs the same serial
     sweep.
     """
-    # search builds on this module, so its sweep engine is imported on use
-    from .search import BestStreak, base_streaks
-
     require_valid_base(g_base)
     if k_max < 1:
         raise ValueError("k_max must be >= 1")

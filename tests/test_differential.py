@@ -1,6 +1,6 @@
 """A seeded differential test of the proven-prime walk and the k-sweep.
 
-streaks._residual_indices, streak, pr_stats and search.base_streaks are
+streaks._residual_indices, streak, pr_stats and streaks.base_streaks are
 compared with an enumeration of f(0..n_cap) by sympy.isprime, with indices
 from sympy.n_order and p - 1 from sympy.factorint.  The random f have degree
 1 to 3 and come in four shapes: small coefficients with negative middle ones,
@@ -18,8 +18,7 @@ import pytest
 from qprim.arith import is_strong_probable_prime
 from qprim.charsums import is_valid_base
 from qprim.poly import PolyZ
-from qprim.search import _EXACT_BITS, base_streaks
-from qprim.streaks import PrimeValueStream, _residual_indices, pr_stats, streak
+from qprim.streaks import _EXACT_BITS, PrimeValueStream, _residual_indices, base_streaks, pr_stats, streak
 
 sympy = pytest.importorskip("sympy")
 
@@ -142,7 +141,9 @@ def test_the_cases_cover_what_they_claim():
     # a prime value dividing a k in a case's range, and a pseudoprime value the walk must reject
     assert any(any(p <= k_hi and k_hi // p * p >= k_lo for p in prime_values[f]) for f, _, k_lo, k_hi, _ in CASES)
     assert all(is_strong_probable_prime(v) and not sympy.isprime(v) for v in PSEUDOPRIMES)
-    candidates = {p for f, *_, n_cap in CASES for _, p, _ in PrimeValueStream(f)._factored(n_cap)}
+    candidates = {
+        p for f, *_, n_cap in CASES for _, p in PrimeValueStream(f)._entries(n_cap, is_strong_probable_prime)
+    }
     assert candidates & set(PSEUDOPRIMES)
     # narrow and wide k ranges, and an n_cap of at most 1
     assert {k_hi - k_lo <= 3 for _, _, k_lo, k_hi, _ in CASES} == {True, False}

@@ -2,8 +2,9 @@
 OpenSSL's libcrypto), a sweep's config hash included, nothing loads a process
 pool, and `import qprim` loads numpy with one OpenBLAS thread while leaving
 the caller's environment as it found it, which holds only while the package
-calls no BLAS routine.  No module routes a polynomial by its class, and no
-function body imports a qprim module but the one listed with its reason."""
+calls no BLAS routine.  No module routes a polynomial by its class, no
+function body imports a qprim module, and every name a module imports is read
+there, but those listed with their reasons."""
 
 import ast
 import json
@@ -155,15 +156,6 @@ def test_no_route_by_polynomial_class(module):
     assert class_routes((SRC / "qprim" / module).read_text()) == []
 
 
-# (module, function, qprim module it imports) -> why the import cannot sit at the top
-LAZY_QPRIM_IMPORTS = {
-    ("streaks.py", "empirical_max_streak", "search"): (
-        "perfbench calls the function by this name in streaks, and the k-sweep engine it reads"
-        " lives in search, which imports streaks"
-    ),
-}
-
-
 def lazy_qprim_imports(source: str) -> list[tuple[str, str]]:
     """(innermost function, qprim module) for each import of a qprim module
     made inside a function body."""
@@ -195,5 +187,48 @@ def test_lazy_import_guard_sees_each_form():
 @pytest.mark.parametrize("module", sorted(p.name for p in (SRC / "qprim").glob("*.py")))
 def test_no_function_imports_a_qprim_module(module):
     # an import inside a function hides the import graph and is paid on first call
-    allowed = [(function, target) for (name, function, target) in LAZY_QPRIM_IMPORTS if name == module]
-    assert lazy_qprim_imports((SRC / "qprim" / module).read_text()) == allowed
+    assert lazy_qprim_imports((SRC / "qprim" / module).read_text()) == []
+
+
+# (module, name) -> why an import outside any function binds a name its module never reads
+UNREAD_IMPORTS = {
+    ("__init__.py", "numpy"): "imported for its effect: numpy loads while OPENBLAS_NUM_THREADS is 1",
+    ("search.py", "streak"): "perfbench's resume check patches search.streak by name",
+}
+
+
+def unread_imports(source: str) -> list[str]:
+    """The names bound by imports outside any function or class body in
+    source (__future__ aside) that the module never reads: no load of the
+    name, and no entry of __all__ names it."""
+    tree = ast.parse(source)
+    bound, read = set(), set()
+
+    def visit(node: ast.AST) -> None:
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.Import, ast.ImportFrom)) and getattr(child, "module", None) != "__future__":
+                bound.update((alias.asname or alias.name).split(".")[0] for alias in child.names)
+            elif not isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                visit(child)
+
+    visit(tree)
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            read.add(node.id)
+        elif isinstance(node, ast.Assign) and [getattr(t, "id", None) for t in node.targets] == ["__all__"]:
+            read.update(element.value for element in node.value.elts)
+    return sorted(bound - read)
+
+
+def test_unread_import_guard_sees_each_form():
+    source = "from __future__ import annotations\nimport os, numpy as np\nimport os.path\nfrom .a import b, c as d\n"
+    source += "try:\n    import fcntl\nexcept ImportError:\n    fcntl = None\nif d:\n    import json\n"
+    source += "__all__ = ['b']\ndef f():\n    import sys\n    return np.ones(1)\nclass C:\n    from .e import g\n"
+    assert unread_imports(source) == ["fcntl", "json", "os"]
+
+
+@pytest.mark.parametrize("module", sorted(p.name for p in (SRC / "qprim").glob("*.py")))
+def test_every_import_outside_a_function_is_read(module):
+    # a name bound but never read is a dependency the module does not have
+    allowed = sorted(name for (file, name) in UNREAD_IMPORTS if file == module)
+    assert unread_imports((SRC / "qprim" / module).read_text()) == allowed

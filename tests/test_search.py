@@ -4,8 +4,13 @@ import hashlib
 import json
 import os
 import random
+import signal
+import subprocess
+import sys
+import time
 from dataclasses import asdict
 from math import isqrt
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -15,14 +20,13 @@ from qprim.arith import DETERMINISTIC_PRIMALITY_LIMIT, squarefree_decomposition
 from qprim.charsums import admissible_discriminants, is_valid_base
 from qprim.poly import QuadraticPoly
 from qprim.search import (
-    _EXACT_BITS,
     CheckpointError,
     SearchConfig,
     candidate_poly,
     config_hash,
     sweep,
 )
-from qprim.streaks import streak
+from qprim.streaks import _EXACT_BITS, streak
 
 D_A = 4472988326827347533
 D_B = 9828323860172600203
@@ -280,6 +284,62 @@ def test_sweep_fresh_over_torn_file(tmp_path):
     assert len(lines) == 1 and json.loads(lines[0])["config_hash"] == config_hash(LEHMER_CFG)
 
 
+def test_sweep_refuses_a_checkpoint_another_run_holds(tmp_path, capsys):
+    fcntl = pytest.importorskip("fcntl")
+    from qprim.cli import main
+
+    path = tmp_path / "ck.jsonl"
+    sweep(README_CFG, checkpoint_path=str(path), checkpoint_every=4)
+    path.write_bytes(path.read_bytes()[:-9])  # a torn tail: a resume would cut it, --fresh all of it
+    before = path.read_bytes()
+    with open(path, "rb") as other_run:  # its own open file description, as another process's
+        fcntl.flock(other_run, fcntl.LOCK_EX | fcntl.LOCK_NB)
+        for resume in (True, False):
+            with pytest.raises(CheckpointError, match="checkpoint in use by another run"):
+                sweep(README_CFG, checkpoint_path=str(path), resume=resume)
+        argv = ["search", "--d", "163", "--d1", "163", "--alpha", "1", "--g-base", "326", "--k-hi", "40"]
+        assert main([*argv, "--n-cap", "6000", "--checkpoint", str(path)]) == 1
+        assert "checkpoint in use by another run" in capsys.readouterr().err
+        assert path.read_bytes() == before
+    best = sweep(README_CFG, checkpoint_path=str(path))  # the lock went with its holder
+    assert (best.k, best.c, best.certified) == (15, 423, True)
+
+
+def test_sweep_resumes_after_a_sigkill(tmp_path):
+    # a real crash: one `qprim search` killed once its first checkpoint line is
+    # on disk.  This sweep writes its 1563 lines over about the last quarter of
+    # its run (a k is written once every smaller k has finished), so the kill
+    # lands mid-run.
+    path = tmp_path / "ck.jsonl"
+    argv = ["search", "--d", "163", "--d1", "163", "--alpha", "1", "--g-base", "326", "--k-hi", "25000"]
+    argv += ["--n-cap", "300000", "--long-run", "--checkpoint", str(path)]
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = dict(os.environ, PYTHONPATH=str(src), PYTHONDONTWRITEBYTECODE="1")
+    run = subprocess.Popen([sys.executable, "-m", "qprim.cli", *argv], env=env, stdout=subprocess.DEVNULL)
+    deadline = time.monotonic() + 300
+    try:
+        while run.poll() is None and time.monotonic() < deadline:
+            if path.exists() and b"\n" in path.read_bytes():
+                break
+            time.sleep(0.005)
+        run.send_signal(signal.SIGKILL)
+    finally:
+        run.kill()
+        run.wait()
+    assert run.returncode == -signal.SIGKILL, f"the sweep ended with {run.returncode} before the kill landed"
+    written = path.read_bytes()
+    assert b"\n" in written, "no checkpoint line within 300 s"
+    cfg = SearchConfig(d=163, d1=163, alpha=1, g_base=326, k_hi=25000, n_cap=300_000)
+    resumed, whole = sweep(cfg, checkpoint_path=str(path)), sweep(cfg)
+    assert (resumed.k, resumed.c, resumed.failing_prime, resumed.certified) == (
+        whole.k, whole.c, whole.failing_prime, whole.certified
+    )
+    text = path.read_text()
+    assert text.startswith(written[: written.rindex(b"\n") + 1].decode())
+    ks = [json.loads(line)["k"] for line in text.splitlines()]
+    assert ks == sorted(set(ks)) and ks[-1] == 25000  # resumed after the last line, not restarted
+
+
 def test_resumed_finished_sweep_builds_no_stream(tmp_path, monkeypatch):
     from qprim import search, streaks
 
@@ -353,16 +413,16 @@ def test_base_streaks_covers_skips_q2_failures_and_unfinished():
 
 def test_base_streaks_covers_both_element_types(monkeypatch):
     # the record family and the crossing above exercise what they claim
-    from qprim import search
+    from qprim import search, streaks
 
     exact = []
-    powmod = search._powmod
+    powmod = streaks._powmod
 
     def spy(base, e, p):
         exact.append(p.dtype != object)
         return powmod(base, e, p)
 
-    monkeypatch.setattr(search, "_powmod", spy)
+    monkeypatch.setattr(streaks, "_powmod", spy)
     assert any(p for *_, p in search.base_streaks(RECORD_G24, 3, 1, 25, 1000)) and not any(exact)
     exact.clear()
     failing = [p for *_, p in search.base_streaks(CROSSING, 326, 10**6, 10**6 + 60, 1300) if p]
@@ -402,7 +462,7 @@ def test_sweep_reads_the_walk_no_further_than_its_last_live_k():
 def test_uint64_kernels_are_exact_at_their_bounds(ps):
     # operands p - 1 and exponents with the top bit set, then a seeded sample,
     # against Python's a * b % p and pow; the widest p sets the chunk width
-    from qprim.search import _mulmod, _powmod
+    from qprim.streaks import _mulmod, _powmod
 
     rng = random.Random(len(ps))
     cols = [(p, x) for p in ps for x in [p - 1, p - 2, 0, 1] + [rng.randrange(p) for _ in range(40)]]

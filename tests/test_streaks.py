@@ -5,7 +5,7 @@ from itertools import islice
 
 import pytest
 
-from qprim.arith import factor, is_prime, is_primitive_root, primes_up_to
+from qprim.arith import factor, is_prime, is_primitive_root, is_strong_probable_prime, primes_up_to
 from qprim.poly import PolyZ, QuadraticPoly, roots_mod as _quadratic_roots_mod
 from qprim.streaks import (
     PrimeValueStream,
@@ -392,15 +392,16 @@ RECORD_PRESETS = ["example1", "example2", "example2-g24", "example3", "example3-
 
 @pytest.mark.parametrize("name", RECORD_PRESETS + ["lehmer"])
 def test_stream_pm1_factorizations_against_sympy(name):
-    # the walks' p - 1, factored 64 candidates at a time: 300 candidates
-    # cross four group boundaries
+    # the walk's p - 1, factored 64 candidates at a time: 300 primes, so at
+    # least 300 candidates, cross four group boundaries
     sympy = pytest.importorskip("sympy")
     from qprim.cli import preset_registry
+    from qprim.streaks import _residual_indices
 
-    stream = PrimeValueStream(preset_registry()[name].poly)
-    factored = list(islice(stream._factored(10**6), 300))
+    preset = preset_registry()[name]
+    factored = list(islice(_residual_indices(preset.poly, preset.g, 10**6), 300))
     assert len(factored) == 300
-    for _, p, pm1 in factored:
+    for _, p, pm1, _ in factored:
         assert pm1.value == p - 1
         assert dict(pm1.factors) == sympy.factorint(p - 1), p
 
@@ -409,12 +410,11 @@ def test_walks_skip_a_base2_pseudoprime_with_no_small_factor():
     # f(1) = 3511^2 passes the base-2 strong test and has no prime factor up
     # to the linear sieve depth of 2000, so it reaches the walks as a
     # candidate; no Lucas witness may pass it off as prime
-    from qprim.search import base_streaks
-    from qprim.streaks import _residual_indices
+    from qprim.streaks import _residual_indices, base_streaks
 
     f = PolyZ((1, 3511**2 - 1))
     n_cap = 1500
-    assert (1, 3511**2) in [(n, p) for n, p, _ in PrimeValueStream(f)._factored(n_cap)]
+    assert (1, 3511**2) in PrimeValueStream(f)._entries(n_cap, is_strong_probable_prime)
     entries = sympy_entries(f, n_cap)
     for g in (3, 5, 6, 7, 10, 11, -3):
         assert [(n, p) for n, p, _, _ in _residual_indices(f, g, n_cap)] == entries
