@@ -13,7 +13,9 @@ This is also the package's one prime sieve.  An odd-only numpy sieve fills a
 cached table of the primes up to 2e6; prime_chunks hands out read-only int64
 slices of it and, past it, sieves numpy segments by the table's primes.
 primes_up_to, iter_primes, factor's trial primes and the Euler products of
-densities all read from prime_chunks.
+densities all read from prime_chunks.  Lanes does exact modular arithmetic
+over such a chunk, one lane per prime: the Legendre symbols of densities and
+the value sieve's root tables (poly.roots_table) both run on it.
 """
 
 from __future__ import annotations
@@ -318,10 +320,12 @@ def factor_many(values: list[int], rho_budget: int = 4_000_000) -> list[Factoriz
     """factor(n) for each n in values, as one batch: its Factorization, or
     the ValueError or FactorizationError that factor(n) raises.  The small
     primes come from gcds with primorials, and the composite cofactors left
-    are split together by _brent_rho."""
+    are split together by _brent_rho.  A cofactor or rho factor below the
+    square of the trial bound has no prime factor up to it, so it is prime
+    without an is_prime call."""
     fmaps: list[dict[int, int]] = [{} for _ in values]
     out: list = [None] * len(values)
-    parts = []  # (index, cofactor free of small primes, is it prime)
+    parts = []  # (index, cofactor with no prime factor up to bound, bound, is it prime)
     for i, n in enumerate(values):
         try:
             if n < 1:
@@ -330,20 +334,20 @@ def factor_many(values: list[int], rho_budget: int = 4_000_000) -> list[Factoriz
             if work >= DETERMINISTIC_PRIMALITY_LIMIT:
                 work, bound = _divide_out(work, _TRIAL_LIMIT, fmaps[i]), _TRIAL_LIMIT
             if work > 1:  # no factor up to the bound and below its square -> prime
-                parts.append((i, work, work < bound * bound or is_prime(work)))
+                parts.append((i, work, bound, work < bound * bound or is_prime(work)))
         except ValueError as exc:
             out[i] = exc
     while parts:
-        todo = [(i, m) for i, m, prime in parts if not prime and out[i] is None]
-        for i, m, prime in parts:
+        todo = [(i, m, bound) for i, m, bound, prime in parts if not prime and out[i] is None]
+        for i, m, _, prime in parts:
             if prime:
                 fmaps[i][m] = fmaps[i].get(m, 0) + 1
         parts = []
-        for (i, m), d in zip(todo, _brent_rho([m for _, m in todo], rho_budget)):
+        for (i, m, bound), d in zip(todo, _brent_rho([m for _, m, _ in todo], rho_budget)):
             if d is None:
                 out[i] = FactorizationError(f"cannot factor {m} within budget")
-            else:
-                parts += [(i, d, is_prime(d)), (i, m // d, is_prime(m // d))]
+            else:  # d and m // d have no prime factor up to bound either
+                parts += [(i, e, bound, e < bound * bound or is_prime(e)) for e in (d, m // d)]
     return [
         err if err is not None else Factorization(value=n, factors=tuple(sorted(fmap.items())))
         for n, err, fmap in zip(values, out, fmaps)
@@ -439,6 +443,128 @@ def sqrt_mod(a: int, p: int) -> int | None:
             t = t * c % p
             m = i
     return min(r, p - r)
+
+
+_INT64_PRIME_BOUND = 2**31  # keeps (p-1)^2 and each limb of residues() inside int64
+_FLOAT_PRIME_BOUND = 2**26  # keeps a product of balanced residues below 2^52
+
+
+def residues(a: int, P: np.ndarray) -> np.ndarray:
+    """|a| mod each entry of the ascending int64 array P, exact for any
+    Python int a: Horner's rule over the limbs of |a|, each 62 - bits(max p)
+    bits wide, keeps every intermediate below 2^62."""
+    if len(P) and P[-1] >= _INT64_PRIME_BOUND:
+        raise ValueError(f"moduli must stay below 2^31 for int64 arithmetic, got {P[-1]}")
+    bits = 62 - int(P[-1]).bit_length() if len(P) else 62
+    m = abs(a)
+    limbs = []
+    while m:
+        limbs.append(m & ((1 << bits) - 1))
+        m >>= bits
+    r = np.zeros_like(P)
+    for limb in reversed(limbs):
+        r = ((r << bits) + limb) % P
+    return r
+
+
+class Lanes:
+    """Exact arithmetic mod each odd prime p of an ascending int64 array P
+    below 2^31 (lift raises above), one lane per p.  From 2^26 (the largest
+    p decides) residues are int64 in [0, p) and x y mod p is x y % p.  Below,
+    they are float64 in [-(p-1)/2, (p-1)/2], and x y mod p is t - q p,
+    t = x y, q = rint(t * (1/p)), exactly: |t| <= p^2/4 < 2^52, so t, q p and
+    t - q p are exact; t * (1/p) is within about 2^-28 of t/p, which (p odd)
+    lies at least 1/(2p) > 2^-27 from any half-integer: q is the nearest."""
+
+    def __init__(self, P: np.ndarray, balanced: bool | None = None):
+        self.P = P
+        self.balanced = (not len(P) or P[-1] < _FLOAT_PRIME_BOUND) if balanced is None else balanced
+        if self.balanced:
+            self.p = P.astype(np.float64)
+            self.inv, self._t = 1.0 / self.p, np.empty_like(self.p)
+        self.minus_one = -1.0 if self.balanced else P - 1
+
+    def take(self, index: np.ndarray) -> "Lanes":
+        """The lanes picked by index (a mask or ascending positions), in this representation."""
+        return Lanes(self.P[index], self.balanced)
+
+    def lift(self, a: int) -> np.ndarray:
+        """a mod each p as a residue of this representation; a negative a is
+        negated after |a| is reduced, by a sign flip in the balanced one."""
+        r = residues(a, self.P)
+        if self.balanced:
+            r = np.where(r > self.P >> 1, r - self.P, r).astype(np.float64)
+            return np.negative(r, out=r) if a < 0 else r
+        return np.subtract(self.P, r, out=r, where=r > 0) if a < 0 else r
+
+    def lower(self, x: np.ndarray) -> np.ndarray:
+        """The residues x as int64 in [0, p)."""
+        if not self.balanced:
+            return x
+        r = x.astype(np.int64)
+        return np.add(r, self.P, out=r, where=r < 0)
+
+    def mul(self, x: np.ndarray, y: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+        """x y mod p lane by lane (into out, which may be x)."""
+        if not self.balanced:
+            return np.remainder(np.multiply(x, y, out=out), self.P, out=out)
+        t = np.multiply(x, y, out=self._t)
+        q = np.rint(np.multiply(t, self.inv, out=out), out=out)
+        return np.subtract(t, np.multiply(q, self.p, out=q), out=q)
+
+    def pow(self, x: np.ndarray, E: np.ndarray) -> np.ndarray:
+        """x^E lane by lane for int64 exponents E >= 0, over two-bit windows
+        of E with x^0..x^3 from a table (a lane with E < 4 reads x itself)."""
+        x2 = self.mul(x, x)
+        powers = np.stack((np.ones_like(x), x, x2, self.mul(x2, x)), axis=1).ravel()
+        rows = np.arange(0, 4 * len(x), 4)
+        k = max(int(E.max()).bit_length() - 1, 0) // 2 * 2 if len(E) else 0  # the top window
+        r = powers[rows + ((E >> k) & 3)]
+        for k in range(k - 2, -1, -2):
+            self.mul(r, r, out=r)
+            self.mul(r, r, out=r)
+            self.mul(r, powers[rows + ((E >> k) & 3)], out=r)
+        return r
+
+    def sqrt(self, x: np.ndarray) -> np.ndarray:
+        """A square root of each x, a nonzero square mod its p: Tonelli-Shanks
+        over the lanes.  With p - 1 = Q 2^S, R = x^((Q+1)/2) and T = x^Q; each
+        round multiplies R by c^(2^(M-i-1)), c of order 2^M and i the least
+        with T^(2^i) = 1, until T = 1 in every lane.  c starts as z^Q for the
+        least non-residue z of the lane's p, found by reciprocity, only where
+        T != 1 (so p = 1 mod 4)."""
+        P = self.P
+        S = np.frexp((P - 1) & (1 - P))[1] - 1  # the exponent of 2 in p - 1
+        y = self.pow(x, (P - 1) >> S + 1)
+        R = self.mul(y, x)
+        T = self.mul(y, R)
+        todo = np.flatnonzero(T != 1)
+        lanes, T, M, R_todo = self.take(todo), T[todo], S[todo], R[todo]
+        Z = np.where(lanes.P % 8 == 5, 2, 0)  # here p = 1 mod 4: (2/p) = -1 iff p = 5 mod 8
+        for z in iter_primes(3, math.isqrt(int(P[-1])) + 1 if len(todo) else 0):
+            if Z.all():
+                break
+            square = np.zeros(z, bool)
+            square[np.arange(z) ** 2 % z] = True
+            Z[(Z == 0) & ~square[lanes.P % z]] = z  # (z/p) = (p/z), by reciprocity
+        c = lanes.pow(Z.astype(T.dtype), lanes.P - 1 >> M)  # z < sqrt(p) + 1 <= (p-1)/2: balanced
+        while len(todo):
+            i, t2 = np.zeros_like(M), T
+            for j in range(1, int(M.max())):
+                t2 = lanes.mul(t2, t2)
+                i[(i == 0) & (t2 == 1)] = j
+            if not i.all():
+                raise ValueError("Lanes.sqrt needs a nonzero square in every lane")
+            b, e = c, M - i - 1
+            for j in range(int(e.max())):
+                b = np.where(j < e, lanes.mul(b, b), b)
+            R_todo, c = lanes.mul(R_todo, b), lanes.mul(b, b)
+            T, M = lanes.mul(T, c), i
+            done = T == 1
+            R[todo[done]] = R_todo[done]
+            keep = ~done
+            lanes, todo, T, M, c, R_todo = lanes.take(keep), todo[keep], T[keep], M[keep], c[keep], R_todo[keep]
+        return R
 
 
 def _require_unit(g: int, p: int) -> int:

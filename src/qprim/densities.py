@@ -14,9 +14,9 @@ truncation could never reach 1e-9 at s = 1 for |D| ~ 1e5.
 
 The character layer is numpy over chunks: odd primes from
 arith.prime_chunks, the package's one sieve, and residues in _CHUNK
-entries.  `_legendre` applies Euler's criterion by two-bit windows, exact
-in float64 below 2^26 and int64 below 2^31 (no cutoff may reach it), where
-a factor reads it; `_kronecker_chunk` evaluates chi_D from the components
+entries.  `_legendre` applies Euler's criterion on arith.Lanes, exact in
+float64 below 2^26 and int64 below 2^31 (no cutoff may reach it), where a
+factor reads it; `_kronecker_chunk` evaluates chi_D from the components
 of D, prime discriminants; `_euler_product` folds each chunk's factors in.
 Each factor is computed by the same IEEE operations as the scalar formula
 and multiplied in with math.prod in the same order, and the L-value sums
@@ -36,7 +36,7 @@ from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
-from .arith import euler_phi, factor, is_prime, prime_chunks
+from .arith import _INT64_PRIME_BOUND, Lanes, euler_phi, factor, is_prime, prime_chunks, residues
 from .charsums import FundamentalDiscriminant
 from .poly import PolyZ, is_perfect_square, roots_mod
 
@@ -133,60 +133,15 @@ def _trigamma(x: np.ndarray) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 _CHUNK = 8192
-_INT64_PRIME_BOUND = 2**31  # keeps (p-1)^2 and each limb of _mod inside int64
-_FLOAT_PRIME_BOUND = 2**26  # keeps a product of balanced residues below 2^52
-
-
-def _mod(a: int, P: np.ndarray) -> np.ndarray:
-    """a mod each entry of the ascending int64 array P, exact for any Python
-    int a: Horner's rule over the limbs of |a|, each 62 - bits(max p) bits
-    wide, keeps every intermediate below 2^62."""
-    if len(P) and P[-1] >= _INT64_PRIME_BOUND:
-        raise ValueError(f"moduli must stay below 2^31 for int64 arithmetic, got {P[-1]}")
-    bits = 62 - int(P[-1]).bit_length() if len(P) else 62
-    m = abs(a)
-    limbs = []
-    while m:
-        limbs.append(m & ((1 << bits) - 1))
-        m >>= bits
-    r = np.zeros_like(P)
-    for limb in reversed(limbs):
-        r = ((r << bits) + limb) % P
-    return (-r) % P if a < 0 else r
 
 
 def _legendre(a: int, P: np.ndarray) -> np.ndarray:
     """(a/p) for each odd prime p of the ascending int64 array P, as int8:
-    Euler's criterion a^((p-1)/2) mod p over two-bit windows, a^0..a^3 from
-    a table.  From 2^26 (the chunk's largest prime decides) x y mod p is
-    x y % p in int64.  Below, residues are float64 in [-(p-1)/2, (p-1)/2], b1
-    too (primes below 8 read it from the table), and x y mod p is t - q p,
-    t = x y, q = rint(t * (1/p)), exactly: |t| <= p^2/4 < 2^52, so t, q p and
-    t - q p are exact; t * (1/p) is within about 2^-28 of t/p, which (p odd)
-    lies at least 1/(2p) > 2^-27 from any half-integer: q is the nearest."""
-    b1 = _mod(a, P)
-    balanced = not len(P) or P[-1] < _FLOAT_PRIME_BOUND
-    if balanced:
-        p = P.astype(np.float64)
-        inv, t = 1.0 / p, np.empty_like(p)
-        b1 = np.where(b1 > P >> 1, b1 - P, b1).astype(np.float64)
-
-    def mm(x: np.ndarray, y: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-        if not balanced:
-            return np.remainder(np.multiply(x, y, out=out), P, out=out)
-        q = np.rint(np.multiply(np.multiply(x, y, out=t), inv, out=out), out=out)
-        return np.subtract(t, np.multiply(q, p, out=q), out=q)
-
-    b2 = mm(b1, b1)
-    powers = np.stack((np.ones_like(b1), b1, b2, mm(b2, b1)), axis=1).ravel()
-    rows = np.arange(0, 4 * len(P), 4)
-    k = (int(P[-1]).bit_length() - 2) // 2 * 2 if len(P) else 0  # top window of (p-1)/2
-    r = powers[rows + ((P >> k + 1) & 3)]
-    for k in range(k - 2, -1, -2):
-        mm(r, r, out=r)
-        mm(r, r, out=r)
-        mm(r, powers[rows + ((P >> k + 1) & 3)], out=r)
-    return (r == 1).astype(np.int8) - (r == (-1 if balanced else P - 1)).astype(np.int8)
+    Euler's criterion a^((p-1)/2) mod p by arith.Lanes, exact in float64
+    below 2^26 (the chunk's largest prime decides) and in int64 below 2^31."""
+    lanes = Lanes(P)
+    r = lanes.pow(lanes.lift(a), P >> 1)
+    return (r == 1).astype(np.int8) - (r == lanes.minus_one).astype(np.int8)
 
 
 _TWO_PART_TABLES = {  # chi_-4, chi_8, chi_-8 on the residues mod 8
@@ -357,7 +312,7 @@ def residue_counts_mod_prime(f: PolyZ, q: int) -> tuple[int, int]:
 def _scalar_primes(poly: PolyZ, P: np.ndarray) -> np.ndarray:
     """Mask of the primes of the chunk P that divide the leading coefficient
     (all for degree > 2): only there can f have q roots, a fixed divisor."""
-    return (_mod(poly.leading(), P) == 0) | (poly.degree() > 2)
+    return (residues(poly.leading(), P) == 0) | (poly.degree() > 2)
 
 
 def _root_counts(poly: PolyZ, P: np.ndarray, t: int, scalar: np.ndarray) -> np.ndarray:
@@ -453,7 +408,7 @@ def pr_density_simple(A: int, B: int, cutoff: int = 1_000_000) -> DensityReport:
     M = -A * (B - 1)
 
     def local(P: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        q = P[_mod(A, P) != 0]
+        q = P[residues(A, P) != 0]
         return q, 1.0 - _ratio(1 + _legendre(M, q).astype(np.int64), q * q)
 
     value, last = _euler_product(cutoff, local, value)

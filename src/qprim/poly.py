@@ -6,9 +6,12 @@ a, b, c and the discriminant d as read-only views, so no answer depends on
 which of the two classes spells f.  Every question "for which s is f(s) = t
 (mod q)?" goes through roots_mod: closed form for degree <= 2 and odd prime
 q, else a scan of values_mod, the one numpy enumeration of f(0..m-1) mod m,
-which also backs the residue counts and the mod-8 profile.  `densities` keeps
-a vectorised Legendre kernel for root counts over whole chunks of primes; it
-is property-tested against these.
+which also backs the residue counts and the mod-8 profile.  roots_table
+answers it for a whole chunk of primes at once, the value sieve's roots: for
+degree 1 and 2 one pass over arith.Lanes, equal to roots_mod prime by prime,
+which it calls at q = 2 and where q divides the leading coefficient.
+`densities` counts roots over chunks of primes by the same Lanes kernel; both
+are property-tested against roots_mod.
 """
 
 from __future__ import annotations
@@ -19,7 +22,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .arith import sqrt_mod
+from .arith import _INT64_PRIME_BOUND, Lanes, residues, sqrt_mod
 
 
 @dataclass(frozen=True, eq=False)
@@ -160,6 +163,47 @@ def roots_mod(f: PolyZ, q: int, t: int = 0) -> tuple[int, ...]:
     inv2a = pow(2 * a, -1, q)
     r1, r2 = sorted(((-b + s) * inv2a % q, (-b - s) * inv2a % q))
     return (r1,) if r1 == r2 else (r1, r2)
+
+
+def roots_table(f: PolyZ, P: np.ndarray, t: int = 0) -> tuple[np.ndarray, np.ndarray]:
+    """(Q, R), int64: roots_mod(f, q, t) for each prime q of the ascending
+    int64 array P, concatenated, each root r beside its q in Q.  For degree 1
+    and 2, the odd q below 2^31 that do not divide the leading coefficient
+    are one pass over arith.Lanes: -c/b, or (-b +- s)/(2a) with s a square
+    root of the discriminant; roots_mod takes the other q."""
+    c, b, a = (f.coeffs + (0, 0))[:3]
+    c -= t
+    fast = np.zeros(len(P), bool)
+    if f.degree() in (1, 2) and len(P) and P[-1] < _INT64_PRIME_BOUND:
+        fast = (P != 2) & (residues(f.leading(), P) != 0)
+    lanes = Lanes(P[fast])
+    Pf = lanes.P
+
+    def mod(v: int) -> np.ndarray:  # v mod each q, in [0, q)
+        return lanes.lower(lanes.lift(v))
+
+    if f.degree() == 1:
+        r1 = r2 = -mod(c) % Pf * lanes.lower(lanes.pow(lanes.lift(b), Pf - 2)) % Pf
+        count = np.ones(len(Pf), np.int64)
+    else:  # degree 2, or no lane at all
+        disc = lanes.lift(b * b - 4 * a * c)
+        square = lanes.pow(disc, Pf >> 1) == 1
+        s, roots = np.zeros(len(Pf), np.int64), lanes.take(square)
+        s[square] = roots.lower(roots.sqrt(disc[square]))
+        inv = lanes.lower(lanes.pow(lanes.lift(2 * a), Pf - 2))
+        nb = -mod(b)
+        r1, r2 = (nb + s) % Pf * inv % Pf, (nb - s) % Pf * inv % Pf
+        count = np.where(square, 2, disc == 0)  # q | disc: one double root
+    slow = [roots_mod(f, q, t) for q in P[~fast].tolist()]
+    counts = np.zeros(len(P), np.int64)
+    counts[fast], counts[~fast] = count, [len(rs) for rs in slow]
+    starts = np.cumsum(counts) - counts  # where each q's roots begin in R
+    R, at = np.empty(int(counts.sum()), np.int64), starts[fast]
+    R[at[count > 0]] = np.minimum(r1, r2)[count > 0]
+    R[at[count > 1] + 1] = np.maximum(r1, r2)[count > 1]
+    for start, rs in zip(starts[~fast].tolist(), slow):
+        R[start : start + len(rs)] = rs
+    return np.repeat(P, counts), R
 
 
 def mod8_profile(f: PolyZ) -> tuple[Fraction, Fraction, Fraction, Fraction]:

@@ -2,15 +2,19 @@
 
 The workhorse is PrimeValueStream: a forward pass over blocks of n that
 yields the distinct primes f(n) in ascending n, from a block sieve on the
-roots of f mod each sieve prime, from poly.roots_mod.  A survivor f(n) of the
-sieve has no prime factor up to the depth sieved, so it is prime outright
-when 2 <= f(n) <= depth^2; only larger survivors reach the deterministic
-Miller-Rabin test.  The stream sieves only the n asked for, each block to
-depth max(2000, block end) within the sieve limit: a prime above the range
-scanned strikes at most deg f of its n, and its roots cost more than the
-tests they save.  prime_count sieves to the full limit.  The stream keeps
-only its roots table between walks; streak, verify_primitive_root_prefix and
-pr_stats read the residual index of g at each prime from one walk.
+roots of f mod each sieve prime, from poly.roots_table a chunk of primes at
+a time.  A survivor f(n) of the sieve has no prime factor up to the depth
+sieved, so it is prime outright when 2 <= f(n) <= depth^2; only larger
+survivors reach the deterministic Miller-Rabin test.  The stream sieves only
+the n asked for, each block to depth max(2000, block end) within the sieve
+limit: a prime above the range scanned strikes at most deg f of its n, and
+its roots cost more than the tests they save.  The block sieve (_sieve)
+returns its survivors; _walk evaluates them.  prime_count reads the same
+sieve to the full limit and, past _direct_upto where f increases, counts a
+block's survivors without evaluating f when its last value is at most the
+limit squared.  The stream keeps only its roots table between walks; streak,
+verify_primitive_root_prefix and pr_stats read the residual index of g at
+each prime from one walk.
 
 That walk, _residual_indices, is the only reader of the stream's base-2
 candidates: it takes the larger survivors on the base-2 strong test alone,
@@ -28,7 +32,7 @@ from __future__ import annotations
 
 from array import array
 from dataclasses import dataclass
-from itertools import compress, islice, repeat
+from itertools import compress, islice
 from math import isqrt
 from typing import Iterator
 
@@ -37,7 +41,7 @@ import numpy as np
 from . import arith
 from .arith import Factorization, factor, is_prime, primes_up_to
 from .charsums import require_valid_base
-from .poly import PolyZ, roots_mod
+from .poly import PolyZ, roots_table
 
 _BLOCK = 8192
 _GROUP = 64  # walks factor the p - 1 of this many candidates in one batch
@@ -129,28 +133,32 @@ class PrimeValueStream:
         # below this n, sieve kills are double-checked
         self._direct_upto = _positive_tail_start(f, sieve_limit)
 
-    def _block_primes(self, lo: int, size: int, depth: int, test) -> Iterator[tuple[int, int]]:
-        """Yield (n, f(n)) for the n in [lo, lo + size) with f(n) prime,
-        ascending, sieving by the primes up to the largest depth asked for so
-        far, within sieve_limit; the roots table grows to it from arith's cached
-        primes.  A survivor f(n) >= 2 has no prime factor up to that depth, so
-        it is prime if f(n) <= depth^2; only larger ones reach `test`, is_prime
-        or a weaker pre-filter.  Below _direct_upto a sieve kill may be f(n)
-        equal to a sieve prime, so those n are tested directly."""
+    def _sieve(self, lo: int, size: int, depth: int) -> tuple[bytearray, int]:
+        """(alive, split) for the n in [lo, lo + size): alive[n - lo] is 0
+        where a sieve prime divides f(n), sieving by the primes up to the
+        largest depth asked for so far, within sieve_limit; split counts the n
+        below _direct_upto.  The roots table grows to that depth a chunk of
+        arith's cached primes at a time, by poly.roots_table."""
         depth = min(depth, self.sieve_limit)
-        for q in arith.iter_primes(self._depth + 1, depth):
-            self._residues.extend(rs := roots_mod(self.poly, q))  # all q of them if q divides every value
-            self._moduli.extend(repeat(q, len(rs)))
+        for P in arith.prime_chunks(self._depth + 1, depth):
+            moduli, residues = roots_table(self.poly, P)  # all q roots if q divides every value
+            self._moduli.extend(moduli.tolist())
+            self._residues.extend(residues.tolist())
         self._depth = max(self._depth, depth)
         alive = bytearray([1]) * size
         for q, r in zip(self._moduli, self._residues):
             start = (r - lo) % q
             if start < size:
                 alive[start::q] = bytearray(len(range(start, size, q)))
-        poly = self.poly
-        limit = self._depth
+        return alive, min(max(self._direct_upto - lo, 0), size)
+
+    def _head(self, lo: int, alive: bytearray, split: int) -> Iterator[tuple[int, int]]:
+        """(n, f(n)) for the n in [lo, lo + split) with f(n) prime, each tested
+        directly: below _direct_upto a sieve kill may be f(n) equal to a sieve
+        prime.  A survivor f(n) >= 2 has no prime factor up to the depth
+        sieved, so it is prime if f(n) <= depth^2."""
+        poly, limit = self.poly, self._depth
         exact = limit * limit
-        split = min(max(self._direct_upto - lo, 0), size)
         for i in range(split):
             n = lo + i
             v = poly.eval(n)
@@ -160,7 +168,14 @@ class PrimeValueStream:
                 prime = v <= limit and is_prime(v)
             if v >= 2 and prime:
                 yield n, v
-        for n in compress(range(lo + split, lo + size), memoryview(alive)[split:]):
+
+    def _walk(self, lo: int, alive: bytearray, split: int, test) -> Iterator[tuple[int, int]]:
+        """(n, f(n)) for the survivors n of the sieve (alive, split) from lo
+        with f(n) prime, ascending: _head below split, and past it survivors
+        above depth^2 only if `test` (is_prime or a weaker pre-filter) passes."""
+        yield from self._head(lo, alive, split)
+        poly, exact = self.poly, self._depth**2
+        for n in compress(range(lo + split, lo + len(alive)), memoryview(alive)[split:]):
             v = poly.eval(n)
             if v >= 2 and (v <= exact or test(v)):
                 yield n, v
@@ -175,7 +190,7 @@ class PrimeValueStream:
         head: set[int] = set()
         for lo in range(0, n_cap + 1, _BLOCK):
             hi = min(lo + _BLOCK, n_cap + 1)
-            for n, v in self._block_primes(lo, hi - lo, max(_MIN_DEPTH, hi), test):
+            for n, v in self._walk(lo, *self._sieve(lo, hi - lo, max(_MIN_DEPTH, hi)), test):
                 if v not in head:
                     if n < self._direct_upto:
                         head.add(v)
@@ -271,11 +286,14 @@ def prime_count(f: PolyZ, x: int) -> int:
         limit = max(limit, min(isqrt(top), _COUNT_SIEVE_CAP))
     stream = PrimeValueStream(f, sieve_limit=limit)
     block = max(_BLOCK, limit)  # a block pays one pass over every root: at >= limit n, each root strikes it
-    return sum(
-        1
-        for lo in range(0, x + 1, block)
-        for _ in stream._block_primes(lo, min(block, x + 1 - lo), limit, is_prime)
-    )
+    count = 0
+    for lo in range(0, x + 1, block):
+        alive, split = stream._sieve(lo, min(block, x + 1 - lo), limit)
+        if f.eval(lo + len(alive) - 1) > limit * limit:  # a survivor may be composite
+            count += sum(1 for _ in stream._walk(lo, alive, split, is_prime))
+        else:  # past split f increases: each survivor is in (limit, limit^2], so prime
+            count += sum(1 for _ in stream._head(lo, alive, split)) + alive.count(1, split)
+    return count
 
 
 def pr_stats(f: PolyZ, g: int, n_cap: int) -> PrStats:

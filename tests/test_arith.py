@@ -487,3 +487,33 @@ def test_factor_gcd_ending_in_one_prime_against_sympy():
     values = [2 * 1999, 1999**2, 3 * 5 * 7 * 1993, 2**10 * 1997 * 1999]
     assert [dict(factor(n).factors) for n in values] == [sympy.factorint(n) for n in values]
     assert [dict(f.factors) for f in arith.factor_many(values)] == [sympy.factorint(n) for n in values]
+
+
+def test_factor_many_proves_no_factor_below_the_square_of_its_trial_bound(monkeypatch):
+    # rho's factors of a cofactor with no prime up to the bound (2000, or 1e5
+    # on the huge path) are prime below the bound squared without a test
+    sympy = pytest.importorskip("sympy")
+    rng = random.Random(2000)
+    mid = [int(sympy.nextprime(rng.randrange(2000, 3_990_000))) for _ in range(60)]  # in (2000, 2000^2)
+    wide = [int(sympy.nextprime(rng.randrange(10**5, 10**10 - 10**4))) for _ in range(8)]  # in (1e5, 1e10)
+    values = [mid[i] * mid[i + 1] * rng.choice((1, 6, 2**5 * 3)) for i in range(0, 40, 2)]
+    values += [mid[i] * mid[i + 1] * mid[i + 2] for i in range(40, 58, 3)]
+    values += [mid[i] * int(sympy.nextprime(rng.randrange(10**12, 10**13))) for i in range(10)]
+    huge = math.prod(sympy.primerange(99_900, 10**5))  # its cofactors take the huge path
+    values += [huge * wide[i] * wide[i + 1] for i in range(0, 8, 2)]
+    assert all(n >= arith.DETERMINISTIC_PRIMALITY_LIMIT for n in values[-4:])
+    tested = []
+
+    def counted(n):
+        tested.append(n)
+        return is_prime(n)
+
+    monkeypatch.setattr(arith, "is_prime", counted)
+    assert [dict(f.factors) for f in arith.factor_many(values)] == [sympy.factorint(n) for n in values]
+    # one test per composite cofactor (each has two primes above the bound,
+    # so it is above the bound squared) and per prime above 2000^2: 20 values
+    # p q s give 1 each, 6 values p q r 2 each, 10 values p P 2 each, and the
+    # 4 huge ones 1 each; the rho factors below the squares take none
+    assert len(tested) == 20 + 12 + 20 + 4
+    assert min(tested) >= 2000**2
+    assert all(n >= 10**10 for n in tested if any(v % n == 0 for v in values[-4:]))

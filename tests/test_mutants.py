@@ -81,13 +81,55 @@ MUTANTS = [
                    "f25-13-466-469-223", "f26-270-5-61-112", "f27--5-4-39-33", "f28--26-5-61-200",
                    "f29-56-383-385-125"),
     ),
-    (  # _legendre's float path with b1 left unbalanced: (2/3) reads 0
-        "densities.py",
-        "np.where(b1 > P >> 1, b1 - P, b1).astype(np.float64)",
-        "b1.astype(np.float64)",
+    (  # Lanes' float residues left unbalanced: _legendre's (2/3) reads 0
+        "arith.py",
+        "np.where(r > self.P >> 1, r - self.P, r).astype(np.float64)",
+        "r.astype(np.float64)",
+        ["tests/test_densities.py::test_legendre_float_and_int64_kernels_at_their_edges"],
+    ),
+    (  # prime_count counting the head's survivors again, from 0 instead of the split
+        "streaks.py",
+        "alive.count(1, split)",
+        "alive.count(1)",
         [
-            "tests/test_densities.py::test_legendre_float_and_int64_kernels_at_their_edges",
-            "tests/test_densities.py::test_tiny_cutoffs_bit_identical_to_scalar_loop",
+            "tests/test_streaks.py::test_prime_count_sieve_exact_against_sympy[f3]",
+            "tests/test_streaks.py::test_prime_count_counts_the_sieve_against_sympy[f6-150]",
+            "tests/test_streaks.py::test_prime_count_matches_brute_scan_past_the_block_edge[coeffs2]",
+        ],
+    ),
+    (  # the root table's quadratic formula at a q dividing the leading coefficient
+        "poly.py",
+        "fast = (P != 2) & (residues(f.leading(), P) != 0)",
+        "fast = P != 2",
+        [
+            "tests/test_poly.py::test_roots_table_equals_roots_mod_prime_by_prime",
+            "tests/test_streaks.py::test_pr_stats_lehmer",
+            "tests/test_streaks.py::test_reused_stream_matches_brute_scan[coeffs0-2000]",
+        ],
+    ),
+    (  # a double root kept twice in the root table
+        "poly.py",
+        "count = np.where(square, 2, disc == 0)",
+        "count = np.where(square, 2, 2 * (disc == 0))",
+        [
+            "tests/test_poly.py::test_roots_table_equals_roots_mod_prime_by_prime",
+            "tests/test_streaks.py::test_reused_stream_matches_brute_scan[coeffs1-2000]",
+        ],
+    ),
+    (  # the roots grown from the last depth sieved, not above it: a prime depth comes twice
+        "streaks.py",
+        "arith.prime_chunks(self._depth + 1, depth)",
+        "arith.prime_chunks(self._depth, depth)",
+        ["tests/test_streaks.py::test_reused_stream_matches_brute_scan[coeffs0-30000]"],
+    ),
+    (  # _entries without its head set: a value below _direct_upto met twice is yielded twice
+        "streaks.py",
+        "head.add(v)",
+        "pass",
+        [
+            "tests/test_streaks.py::test_streak_dedupe_matches_set_oracle",
+            "tests/test_streaks.py::test_reused_stream_matches_brute_scan[coeffs2-2000]",
+            *walk_cases("f12-72-4-45-183"),
         ],
     ),
     (  # sweep without its checkpoint lock: a second run reads and cuts a held file

@@ -9,7 +9,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from qprim.arith import is_prime, primes_up_to
+from qprim.arith import is_prime, iter_primes, primes_up_to
 from qprim.densities import bateman_horn_constant, pr_density
 from qprim.poly import (
     PolyZ,
@@ -18,6 +18,7 @@ from qprim.poly import (
     mod8_profile,
     parse_poly,
     roots_mod,
+    roots_table,
     values_mod,
 )
 from qprim.streaks import pr_stats, prime_count, streak
@@ -161,6 +162,48 @@ def test_roots_mod_against_enumeration():
                 got = roots_mod(f, q, t)
                 assert got == want, (f, q, t)
                 assert all(type(r) is int for r in got)
+
+
+def assert_table_is_roots_mod(f, P, t):
+    Q, R = roots_table(f, np.array(P, dtype=np.int64), t)
+    assert Q.dtype == R.dtype == np.int64
+    assert list(zip(Q.tolist(), R.tolist())) == [(q, r) for q in P for r in roots_mod(f, q, t)], (f, t, P[0], P[-1])
+
+
+def test_roots_table_equals_roots_mod_prime_by_prime():
+    # one numpy pass per chunk of primes: the float64 lanes below 2^26, int64
+    # from there to just below 2^31, and chunks straddling 2^26
+    rng = random.Random(29)
+
+    def seeded(bits, degree):
+        coeffs = [rng.choice((1, -1)) * rng.getrandbits(bits) for _ in range(degree + 1)]
+        coeffs[-1] = coeffs[-1] or 1
+        return PolyZ(tuple(coeffs))
+
+    small = primes_up_to(3000)  # q = 2 included
+    below = list(iter_primes(2**26 - 4000, 2**26 - 1))
+    above = list(iter_primes(2**26, 2**26 + 4000))
+    top = list(iter_primes(2**31 - 4000, 2**31 - 1))
+    chunks = (small, below, below + above, top, small[1:40] + top)
+    for P in chunks:
+        q = P[len(P) // 2]
+        polys = [seeded(bits, degree) for bits in (8, 80) for degree in (1, 2) for _ in range(3)]
+        polys += [
+            QuadraticPoly(1, 1, 41),  # 163 | disc: a double root at 163
+            QuadraticPoly(1, -10, 25),  # disc 0: a double root at every q
+            PolyZ((rng.getrandbits(80), -rng.getrandbits(80), q * rng.getrandbits(20))),  # q | a
+            PolyZ((-rng.getrandbits(80), q * rng.getrandbits(20), 7)),  # q | b
+            PolyZ((rng.getrandbits(80), q * 11)),  # a linear with q | b
+            PolyZ((6, 3, 15)),  # 3 divides every value
+            PolyZ((2, 2, 2)),  # 2 divides every value
+        ]
+        if P is small:  # q = 2003 divides every value: all 2003 residues; degree 3: roots_mod at every q
+            polys += [PolyZ((2003 * 5, 2003 * 3, 2003 * 7)), PolyZ((1, 1, 0, 1))]
+        for f in polys:
+            for t in (0, 1):
+                assert_table_is_roots_mod(f, P, t)
+    Q, R = roots_table(PolyZ((6, 3, 15)), np.array([2, 3, 5], dtype=np.int64))
+    assert (Q.tolist(), R.tolist()) == ([2, 2, 3, 3, 3, 5], [0, 1, 0, 1, 2, 3])
 
 
 def test_values_mod_against_eval_mod():

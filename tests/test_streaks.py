@@ -244,6 +244,36 @@ def test_prime_count_linear_exact_against_sympy(f):
     assert prime_count(f, 3000) == sympy_count(f, 3000)
 
 
+@pytest.mark.parametrize(
+    "f, x",
+    [
+        (QuadraticPoly(1, 1, 41), 39),  # every f(n) a sieve prime below _direct_upto
+        (QuadraticPoly(1, 1, 41), 5000),
+        (QuadraticPoly(1, 1, 27941), 5000),
+        (QuadraticPoly(10**7, 1, 41), 3000),  # the 1e6 sieve cap: f(x) > limit^2, survivors tested
+        (PolyZ((-1, 6)), 8192),  # degree 1, x at a block edge: the second block holds one n
+        (PolyZ((-1, 6)), 8193),
+        (PolyZ((1, 1, 0, 1)), 150),  # degree 3: f(x) below 2000^2, survivors counted
+        (PolyZ((1, 1, 0, 1)), 3000),  # and past it, tested
+    ],
+)
+def test_prime_count_counts_the_sieve_against_sympy(f, x):
+    assert prime_count(f, x) == sympy_count(f, x)
+
+
+def test_prime_count_evaluates_only_the_head(monkeypatch):
+    # past _direct_upto a block's survivors are counted, not evaluated: the
+    # calls left are the head's, the tail-start searches and one per block
+    f = QuadraticPoly(1, 1, 41)
+    head = PrimeValueStream(f, sieve_limit=60_000)._direct_upto  # prime_count's limit at x = 60000
+    calls = []
+    evaluate = PolyZ.eval
+    monkeypatch.setattr(PolyZ, "eval", lambda self, n: calls.append(n) or evaluate(self, n))
+    assert prime_count(f, 60_000) == sum(1 for n in range(60_001) if is_prime(evaluate(f, n)))
+    assert head == 245
+    assert len(calls) <= head + 40
+
+
 def test_linear_roots_closed_form_against_enumeration():
     # linear f, and quadratics that are linear or constant mod q | a
     polys = [PolyZ((1, 2)), PolyZ((-1, 6)), PolyZ((7, 30)), PolyZ((0, 1)), PolyZ((7, 3, 15)), PolyZ((4, 1, 1001))]
