@@ -13,9 +13,10 @@ This is also the package's one prime sieve.  An odd-only numpy sieve fills a
 cached table of the primes up to 2e6; prime_chunks hands out read-only int64
 slices of it and, past it, sieves numpy segments by the table's primes.
 primes_up_to, iter_primes, factor's trial primes and the Euler products of
-densities all read from prime_chunks.  Lanes does exact modular arithmetic
-over such a chunk, one lane per prime: the Legendre symbols of densities and
-the value sieve's root tables (poly.roots_table) both run on it.
+densities all read from prime_chunks.  Lanes, the one numpy modular kernel,
+does exact arithmetic mod such a chunk, one lane per prime: the Legendre
+symbols of densities, the value sieve's root tables (poly.roots_table) and
+the k-sweep's matrix (streaks.base_streaks) all run on it.
 """
 
 from __future__ import annotations
@@ -445,8 +446,9 @@ def sqrt_mod(a: int, p: int) -> int | None:
     return min(r, p - r)
 
 
-_INT64_PRIME_BOUND = 2**31  # keeps (p-1)^2 and each limb of residues() inside int64
+_INT64_PRIME_BOUND = 2**31  # lift's and sqrt's bound: each limb of residues() is at least 31 bits
 _FLOAT_PRIME_BOUND = 2**26  # keeps a product of balanced residues below 2^52
+_QUOTIENT_PRIME_BOUND = 2**50  # keeps fl(x) fl(y) fl(1/p) within 0.375 of x y / p
 
 
 def residues(a: int, P: np.ndarray) -> np.ndarray:
@@ -468,21 +470,27 @@ def residues(a: int, P: np.ndarray) -> np.ndarray:
 
 
 class Lanes:
-    """Exact arithmetic mod each odd prime p of an ascending int64 array P
-    below 2^31 (lift raises above), one lane per p.  From 2^26 (the largest
-    p decides) residues are int64 in [0, p) and x y mod p is x y % p.  Below,
-    they are float64 in [-(p-1)/2, (p-1)/2], and x y mod p is t - q p,
-    t = x y, q = rint(t * (1/p)), exactly: |t| <= p^2/4 < 2^52, so t, q p and
-    t - q p are exact; t * (1/p) is within about 2^-28 of t/p, which (p odd)
-    lies at least 1/(2p) > 2^-27 from any half-integer: q is the nearest."""
+    """Exact arithmetic mod each odd prime p of an ascending array P, one
+    lane per p; residues broadcast against P, a column of them against a row
+    of lanes.  The largest p picks the residues.  Below 2^26, float64 in
+    [-(p-1)/2, (p-1)/2], and x y mod p is t - q p, t = x y and
+    q = rint(t * (1/p)): |t| <= p^2/4 < 2^52, so t, q p and t - q p are
+    exact; t * (1/p) is within about 2^-28 of t/p, which (p odd) lies at
+    least 1/(2p) > 2^-27 from any half-integer.  Below 2^50 (or with balanced=False), int64 in [0, p), and
+    q = rint(fl(x) fl(y) (1/p)) lies within 0.375 + 1/2 of x y / p, so
+    x y - q p, exact in wrapping int64, needs at most one + p.  From 2^50,
+    Python ints.  lift and sqrt take p below 2^31."""
 
     def __init__(self, P: np.ndarray, balanced: bool | None = None):
-        self.P = P
-        self.balanced = (not len(P) or P[-1] < _FLOAT_PRIME_BOUND) if balanced is None else balanced
+        top = int(P[-1]) if len(P) else 0
+        self.balanced = top < _FLOAT_PRIME_BOUND if balanced is None else balanced
+        self.P = P.astype(object if top >= _QUOTIENT_PRIME_BOUND else np.int64, copy=False)
         if self.balanced:
-            self.p = P.astype(np.float64)
+            self.p = self.P.astype(np.float64)
             self.inv, self._t = 1.0 / self.p, np.empty_like(self.p)
-        self.minus_one = -1.0 if self.balanced else P - 1
+        elif self.P.dtype != object:
+            self.inv = 1.0 / self.P
+        self.minus_one = -1.0 if self.balanced else self.P - 1
 
     def take(self, index: np.ndarray) -> "Lanes":
         """The lanes picked by index (a mask or ascending positions), in this representation."""
@@ -498,7 +506,7 @@ class Lanes:
         return np.subtract(self.P, r, out=r, where=r > 0) if a < 0 else r
 
     def lower(self, x: np.ndarray) -> np.ndarray:
-        """The residues x as int64 in [0, p)."""
+        """The residues x in [0, p), as int64 below 2^50."""
         if not self.balanced:
             return x
         r = x.astype(np.int64)
@@ -506,19 +514,27 @@ class Lanes:
 
     def mul(self, x: np.ndarray, y: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
         """x y mod p lane by lane (into out, which may be x)."""
-        if not self.balanced:
+        if self.balanced:
+            t = np.multiply(x, y, out=self._t if x.shape == y.shape == self._t.shape else None)
+            q = np.rint(np.multiply(t, self.inv, out=out), out=out)
+            return np.subtract(t, np.multiply(q, self.p, out=q), out=q)
+        if self.P.dtype == object:
             return np.remainder(np.multiply(x, y, out=out), self.P, out=out)
-        t = np.multiply(x, y, out=self._t)
-        q = np.rint(np.multiply(t, self.inv, out=out), out=out)
-        return np.subtract(t, np.multiply(q, self.p, out=q), out=q)
+        f = np.multiply(x, y, dtype=np.float64)
+        q = np.rint(np.multiply(f, self.inv, out=f), out=f).astype(np.int64)
+        r = np.subtract(np.multiply(x, y, out=out), np.multiply(q, self.P, out=q), out=out)
+        return np.add(r, self.P, out=r, where=r < 0)
 
     def pow(self, x: np.ndarray, E: np.ndarray) -> np.ndarray:
-        """x^E lane by lane for int64 exponents E >= 0, over two-bit windows
-        of E with x^0..x^3 from a table (a lane with E < 4 reads x itself)."""
+        """x^E lane by lane for exponents E >= 0 (int64 below 2^50), over
+        two-bit windows of E with x^0..x^3 from a table (a lane with E < 4
+        reads x itself)."""
+        if self.P.dtype == object:
+            return np.frompyfunc(pow, 3, 1)(x, E, self.P)
         x2 = self.mul(x, x)
-        powers = np.stack((np.ones_like(x), x, x2, self.mul(x2, x)), axis=1).ravel()
-        rows = np.arange(0, 4 * len(x), 4)
-        k = max(int(E.max()).bit_length() - 1, 0) // 2 * 2 if len(E) else 0  # the top window
+        powers = np.stack((np.ones_like(x), x, x2, self.mul(x2, x)), axis=-1).ravel()
+        rows = np.arange(0, powers.size, 4).reshape(x.shape)
+        k = max(int(E.max()).bit_length() - 1, 0) // 2 * 2 if E.size else 0  # the top window
         r = powers[rows + ((E >> k) & 3)]
         for k in range(k - 2, -1, -2):
             self.mul(r, r, out=r)
@@ -526,37 +542,42 @@ class Lanes:
             self.mul(r, powers[rows + ((E >> k) & 3)], out=r)
         return r
 
-    def sqrt(self, x: np.ndarray) -> np.ndarray:
-        """A square root of each x, a nonzero square mod its p: Tonelli-Shanks
-        over the lanes.  With p - 1 = Q 2^S, R = x^((Q+1)/2) and T = x^Q; each
-        round multiplies R by c^(2^(M-i-1)), c of order 2^M and i the least
-        with T^(2^i) = 1, until T = 1 in every lane.  c starts as z^Q for the
-        least non-residue z of the lane's p, found by reciprocity, only where
+    def sqrt(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """(R, square): square marks the lanes where x is a nonzero square
+        mod p, and there R^2 = x, by Tonelli-Shanks over the lanes.  With
+        p - 1 = Q 2^S, R = x^((Q+1)/2) and T = x^Q; x is a nonzero square iff
+        T^(2^(S-1)) = x^((p-1)/2) = 1.  Each round multiplies R by
+        c^(2^(M-i-1)), c of order 2^M and i the least with T^(2^i) = 1, until
+        T = 1 in every lane.  c starts as z^Q for the least non-residue z of
+        the lane's p, found by reciprocity, only where x is a square and
         T != 1 (so p = 1 mod 4)."""
         P = self.P
         S = np.frexp((P - 1) & (1 - P))[1] - 1  # the exponent of 2 in p - 1
         y = self.pow(x, (P - 1) >> S + 1)
         R = self.mul(y, x)
         T = self.mul(y, R)
-        todo = np.flatnonzero(T != 1)
-        lanes, T, M, R_todo = self.take(todo), T[todo], S[todo], R[todo]
-        Z = np.where(lanes.P % 8 == 5, 2, 0)  # here p = 1 mod 4: (2/p) = -1 iff p = 5 mod 8
-        for z in iter_primes(3, math.isqrt(int(P[-1])) + 1 if len(todo) else 0):
-            if Z.all():
-                break
-            square = np.zeros(z, bool)
-            square[np.arange(z) ** 2 % z] = True
-            Z[(Z == 0) & ~square[lanes.P % z]] = z  # (z/p) = (p/z), by reciprocity
-        c = lanes.pow(Z.astype(T.dtype), lanes.P - 1 >> M)  # z < sqrt(p) + 1 <= (p-1)/2: balanced
+        square = T == 1
+        todo = np.flatnonzero(~square)
+        lanes, T, M, R_todo, c = self.take(todo), T[todo], S[todo], R[todo], None
         while len(todo):
             i, t2 = np.zeros_like(M), T
             for j in range(1, int(M.max())):
                 t2 = lanes.mul(t2, t2)
                 i[(i == 0) & (t2 == 1)] = j
-            if not i.all():
-                raise ValueError("Lanes.sqrt needs a nonzero square in every lane")
+            if c is None:  # the first round: x is 0 or no square where T^(2^(M-1)) != 1
+                keep = (0 < i) & (i < M)
+                square[todo[keep]] = True
+                lanes, todo, T, M, i, R_todo = lanes.take(keep), todo[keep], T[keep], M[keep], i[keep], R_todo[keep]
+                Z = np.where(lanes.P % 8 == 5, 2, 0)  # here p = 1 mod 4: (2/p) = -1 iff p = 5 mod 8
+                for z in iter_primes(3, math.isqrt(int(P[-1])) + 1 if len(todo) else 0):
+                    if Z.all():
+                        break
+                    residue = np.zeros(z, bool)
+                    residue[np.arange(z) ** 2 % z] = True
+                    Z[(Z == 0) & ~residue[lanes.P % z]] = z  # (z/p) = (p/z), by reciprocity
+                c = lanes.pow(Z.astype(T.dtype), lanes.P - 1 >> M)  # z < sqrt(p) + 1 <= (p-1)/2: balanced
             b, e = c, M - i - 1
-            for j in range(int(e.max())):
+            for j in range(int(e.max(initial=0))):
                 b = np.where(j < e, lanes.mul(b, b), b)
             R_todo, c = lanes.mul(R_todo, b), lanes.mul(b, b)
             T, M = lanes.mul(T, c), i
@@ -564,7 +585,7 @@ class Lanes:
             R[todo[done]] = R_todo[done]
             keep = ~done
             lanes, todo, T, M, c, R_todo = lanes.take(keep), todo[keep], T[keep], M[keep], c[keep], R_todo[keep]
-        return R
+        return R, square
 
 
 def _require_unit(g: int, p: int) -> int:

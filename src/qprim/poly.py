@@ -187,9 +187,8 @@ def roots_table(f: PolyZ, P: np.ndarray, t: int = 0) -> tuple[np.ndarray, np.nda
         count = np.ones(len(Pf), np.int64)
     else:  # degree 2, or no lane at all
         disc = lanes.lift(b * b - 4 * a * c)
-        square = lanes.pow(disc, Pf >> 1) == 1
-        s, roots = np.zeros(len(Pf), np.int64), lanes.take(square)
-        s[square] = roots.lower(roots.sqrt(disc[square]))
+        s, square = lanes.sqrt(disc)
+        s = lanes.lower(s)  # 0 where q | disc
         inv = lanes.lower(lanes.pow(lanes.lift(2 * a), Pf - 2))
         nb = -mod(b)
         r1, r2 = (nb + s) % Pf * inv % Pf, (nb - s) % Pf * inv % Pf

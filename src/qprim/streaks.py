@@ -47,7 +47,6 @@ _BLOCK = 8192
 _GROUP = 64  # walks factor the p - 1 of this many candidates in one batch
 _MIN_DEPTH = 2_000  # a stream block is sieved to max(this, its end n)
 _COUNT_SIEVE_CAP = 1_000_000  # prime_count's largest sieve limit (memory bound)
-_EXACT_BITS = 48  # a sweep group whose p are all below 2^48 runs on uint64 arrays
 _MATRIX_ELEMENTS = 1 << 14  # plan rows x (p, q) pairs per matrix pass: bounds its memory
 
 
@@ -329,28 +328,6 @@ def _power_plan(live: list[int]) -> tuple:
     return ks, ends, factors.reshape(-1, 2), np.array([row[k] for k in live], np.intp)
 
 
-def _mulmod(a: np.ndarray, b: np.ndarray, p: np.ndarray) -> np.ndarray:
-    """a * b mod p elementwise for a < p, on Python ints or exactly on uint64 for p < 2^_EXACT_BITS:
-    b is taken w = 63 - bits(max p) bits at a time, so (r << w) + a * chunk < 2^64."""
-    if p.dtype == object:
-        return a * b % p
-    r, w = 0, 63 - int(p.max()).bit_length()
-    for shift in range((int(b.max()).bit_length() - 1) // w * w, -1, -w):
-        r = ((r << w) + a * ((b >> shift) & ((1 << w) - 1))) % p
-    return r
-
-
-def _powmod(base: np.ndarray, e: np.ndarray, p: np.ndarray) -> np.ndarray:
-    """base^e mod p elementwise: pow on Python ints, square-and-multiply by _mulmod on uint64."""
-    if p.dtype == object:
-        return np.frompyfunc(pow, 3, 1)(base, e, p)
-    r = np.ones(np.broadcast_shapes(base.shape, e.shape), np.uint64)
-    for bit in reversed(range(int(e.max()).bit_length())):
-        r = _mulmod(r, r, p)
-        r = np.where((e >> bit) & 1 == 1, _mulmod(r, base, p), r)
-    return r
-
-
 def base_streaks(
     f: PolyZ, g_base: int, k_lo: int, k_hi: int, n_cap: int
 ) -> Iterator[tuple[int, int, int | None]]:
@@ -364,12 +341,12 @@ def base_streaks(
     primes at a time, fewer once their (p, q) pairs times the plan's rows
     reach _MATRIX_ELEMENTS.  At p not dividing g_base, a live k fails if
     k^e = z at one of p's pairs (e, z); one pass computes k^e mod p for every
-    plan row and pair, on uint64 if every p < 2^_EXACT_BITS (p | k: k^e = 0,
-    a skip).  (k^2 g_base / p) = (g_base / p), so an even index of g_base
-    gives the pair (p - 1, 1); an odd one gives e = (p-1)/q,
-    z = g_base^(e(q-1)/2) per odd q | p-1, as (k^2 g_base)^e = 1 iff k^e = z,
-    or else (0, 0), which fails no k.  A k's count is the primes passed
-    before it failed, less those dividing it."""
+    plan row and pair on arith.Lanes, in int64 if every p < 2^50, else in
+    Python ints (p | k: k^e = 0, a skip).  (k^2 g_base / p) = (g_base / p),
+    so an even index of g_base gives the pair (p - 1, 1); an odd one gives
+    e = (p-1)/q, z = g_base^(e(q-1)/2) per odd q | p-1, as (k^2 g_base)^e = 1
+    iff k^e = z, or else (0, 0), which fails no k.  A k's count is the primes
+    passed before it failed, less those dividing it."""
     if k_lo > k_hi:
         return
     live = np.arange(k_lo, k_hi + 1)
@@ -396,13 +373,14 @@ def base_streaks(
             error = exc
         if not items:
             break
-        dtype = np.uint64 if max(items) >> _EXACT_BITS == 0 else object
-        P, E, Z = (np.array(v, dtype)[None, :] for v in zip(*pairs))
-        V = np.empty((len(ks), len(pairs)), dtype)
-        V[: ends[0]] = _powmod(np.array(ks[: ends[0]], dtype)[:, None], E, P)
+        P, E, Z = zip(*pairs)
+        lanes = arith.Lanes(np.array(P, object), balanced=False)
+        E, Z = (np.array(v, lanes.P.dtype) for v in (E, Z))
+        V = np.empty((len(ks), len(pairs)), lanes.P.dtype)
+        V[: ends[0]] = lanes.pow(np.array(ks[: ends[0]], lanes.P.dtype)[:, None] % lanes.P, E)
         for lo, hi in zip(ends, ends[1:]):
             ell, m = factors[lo - ends[0] : hi - ends[0]].T
-            V[lo:hi] = _mulmod(V[ell], V[m], P)
+            V[lo:hi] = lanes.mul(V[ell], V[m])
         fails = np.logical_or.reduceat(V[live_rows] == Z, starts, axis=1)
         failed, first = fails.any(axis=1), fails.argmax(axis=1)
         passed_small += [(passed + j, p) for j, p in enumerate(items) if p <= k_hi]

@@ -5,7 +5,7 @@ compared with an enumeration of f(0..n_cap) by sympy.isprime, with indices
 from sympy.n_order and p - 1 from sympy.factorint.  The random f have degree
 1 to 3 and come in four shapes: small coefficients with negative middle ones,
 a hump whose values repeat below the tail start, values near or crossing
-2^48 (the sweep's uint64 / Python-int split), and a value that is a base-2
+2^50 (the sweep's int64 / Python-int split in arith.Lanes), and a value that is a base-2
 strong pseudoprime with no factor up to the sieve depth.  Bases are signed
 and may carry a square factor; k ranges are narrow or wide, n_cap small.
 """
@@ -15,10 +15,10 @@ from functools import cache
 
 import pytest
 
-from qprim.arith import is_strong_probable_prime
+from qprim.arith import _QUOTIENT_PRIME_BOUND, is_strong_probable_prime
 from qprim.charsums import is_valid_base
 from qprim.poly import PolyZ
-from qprim.streaks import _EXACT_BITS, PrimeValueStream, _residual_indices, base_streaks, pr_stats, streak
+from qprim.streaks import PrimeValueStream, _residual_indices, base_streaks, pr_stats, streak
 
 sympy = pytest.importorskip("sympy")
 
@@ -45,12 +45,12 @@ def random_case(rng: random.Random, shape: str) -> tuple:
         v, a = rng.randint(3, 30), rng.randint(1, 4)
         f = PolyZ((a * v * v + rng.randint(-20, 20), -2 * a * v, a))
         n_cap = max(n_cap, 2 * v + 5)
-    elif shape == "near48":  # values below 2^48 to a prime f(n_cap): uint64 groups at their widest p
+    elif shape == "near50":  # values below 2^50 to a prime f(n_cap): int64 groups at their widest p
         n_cap = rng.randint(100, 240)
-        f = through(coeffs, n_cap, sympy.prevprime((1 << _EXACT_BITS) - rng.randint(1, 1 << 20)))
-    elif shape == "cross48":  # a prime just above 2^48 halfway
+        f = through(coeffs, n_cap, sympy.prevprime(_QUOTIENT_PRIME_BOUND - rng.randint(1, 1 << 20)))
+    elif shape == "cross50":  # a prime just above 2^50 halfway
         n_cap = rng.randint(100, 240)
-        f = through(coeffs, rng.randint(n_cap // 3, 2 * n_cap // 3), sympy.nextprime(1 << _EXACT_BITS))
+        f = through(coeffs, rng.randint(n_cap // 3, 2 * n_cap // 3), sympy.nextprime(_QUOTIENT_PRIME_BOUND))
     else:  # "pseudoprime"
         n_cap = rng.randint(20, 240)
         f = through(coeffs, rng.randint(0, n_cap), rng.choice(PSEUDOPRIMES))
@@ -64,7 +64,7 @@ def random_case(rng: random.Random, shape: str) -> tuple:
 
 def cases() -> list[tuple]:
     rng = random.Random(SEED)
-    shapes = ["small"] * 10 + ["hump"] * 6 + ["near48"] * 5 + ["cross48"] * 5 + ["pseudoprime"] * 4
+    shapes = ["small"] * 10 + ["hump"] * 6 + ["near50"] * 5 + ["cross50"] * 5 + ["pseudoprime"] * 4
     return [random_case(rng, shape) for shape in shapes]
 
 
@@ -135,9 +135,9 @@ def test_the_cases_cover_what_they_claim():
     # a prime value that recurs at a later n
     recurring = ([v for n in range(n_cap + 1) if (v := f.eval(n)) in prime_values[f]] for f, *_, n_cap in CASES)
     assert any(len(vs) > len(set(vs)) for vs in recurring)
-    # prime values just below 2^48 alone, and on both sides of it
-    assert any(ps and max(ps).bit_length() == _EXACT_BITS for ps in prime_values.values())
-    assert any(ps and min(ps).bit_length() <= _EXACT_BITS < max(ps).bit_length() for ps in prime_values.values())
+    # prime values just below 2^50 alone, and on both sides of it
+    assert any(ps and _QUOTIENT_PRIME_BOUND // 2 <= max(ps) < _QUOTIENT_PRIME_BOUND for ps in prime_values.values())
+    assert any(ps and min(ps) < _QUOTIENT_PRIME_BOUND <= max(ps) for ps in prime_values.values())
     # a prime value dividing a k in a case's range, and a pseudoprime value the walk must reject
     assert any(any(p <= k_hi and k_hi // p * p >= k_lo for p in prime_values[f]) for f, _, k_lo, k_hi, _ in CASES)
     assert all(is_strong_probable_prime(v) and not sympy.isprime(v) for v in PSEUDOPRIMES)

@@ -3,8 +3,9 @@ OpenSSL's libcrypto), a sweep's config hash included, nothing loads a process
 pool, and `import qprim` loads numpy with one OpenBLAS thread while leaving
 the caller's environment as it found it, which holds only while the package
 calls no BLAS routine.  No module routes a polynomial by its class, no
-function body imports a qprim module, and every name a module imports is read
-there, but those listed with their reasons."""
+function body imports a qprim module, every name a module imports is read
+there, but those listed with their reasons, and no module names uint64:
+arith.Lanes is the one numpy modular kernel."""
 
 import ast
 import json
@@ -232,3 +233,10 @@ def test_every_import_outside_a_function_is_read(module):
     # a name bound but never read is a dependency the module does not have
     allowed = sorted(name for (file, name) in UNREAD_IMPORTS if file == module)
     assert unread_imports((SRC / "qprim" / module).read_text()) == allowed
+
+
+@pytest.mark.parametrize("module", sorted(p.name for p in (SRC / "qprim").glob("*.py")))
+def test_no_second_modular_kernel(module):
+    # arith.Lanes picks float64, int64 or Python ints by the largest modulus; a
+    # uint64 kernel beside it would be a second representation to keep exact
+    assert "uint64" not in (SRC / "qprim" / module).read_text()

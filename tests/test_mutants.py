@@ -36,20 +36,30 @@ def walk_cases(*ids: str) -> list[str]:
 
 # (module, fragment, replacement, tests that must fail)
 MUTANTS = [
-    (  # the uint64 kernel's chunk width one bit too wide: (r << w) + a * chunk overflows
-        "streaks.py",
-        "63 - int(p.max())",
-        "64 - int(p.max())",
-        walk_cases("f16-18-1-77-111", "f17--8-166-168-210", "f18-23-1552-1555-176", "f19-96-1800-1803-164",
-                   "f20--52-271-274-107"),
+    (  # Lanes' int64 products without their + p correction: a negative x y - q p is kept
+        "arith.py",
+        "np.multiply(q, self.P, out=q), out=out)\n        return np.add(r, self.P, out=r, where=r < 0)",
+        "np.multiply(q, self.P, out=q), out=out)\n        return r",
+        [
+            "tests/test_search.py::test_lanes_are_exact_at_their_bounds[below2^31]",
+            "tests/test_search.py::test_lanes_are_exact_at_their_bounds[below2^50]",
+            "tests/test_search.py::test_base_streaks_equals_per_base_streak[f7-326-1000000-1000060-1300]",
+            "tests/test_densities.py::test_legendre_float_and_int64_kernels_at_their_edges",
+            *walk_cases("f13-12-2-46-37", "f28--26-5-61-200"),
+        ],
+    ),
+    (  # Lanes' int64 path raised from 2^50 to 2^53: the float quotient can miss by more than one
+        "arith.py",
+        "_QUOTIENT_PRIME_BOUND = 2**50",
+        "_QUOTIENT_PRIME_BOUND = 2**53",
+        ["tests/test_search.py::test_lanes_are_exact_at_their_bounds[above2^50]"],
     ),
     (  # z = g_base^e in place of g_base^(e(q-1)/2)
         "streaks.py",
         "pow(g_base, (p - 1 - e) // 2, p)",
         "pow(g_base, e, p)",
         walk_cases("f1--16-4-55-43", "f5--18-2-69-121", "f10-45-366-368-23", "f13-12-2-46-37", "f14-23-5-45-53",
-                   "f16-18-1-77-111", "f17--8-166-168-210", "f18-23-1552-1555-176", "f19-96-1800-1803-164",
-                   "f20--52-271-274-107", "f23-261-82-85-109", "f24--18-2-65-128", "f28--26-5-61-200",
+                   "f17--8-166-168-210", "f19-96-1800-1803-164", "f23-261-82-85-109", "f28--26-5-61-200",
                    "f29-56-383-385-125"),
     ),
     (  # a k's count less every earlier prime, not only those dividing k
@@ -130,6 +140,15 @@ MUTANTS = [
             "tests/test_streaks.py::test_streak_dedupe_matches_set_oracle",
             "tests/test_streaks.py::test_reused_stream_matches_brute_scan[coeffs2-2000]",
             *walk_cases("f12-72-4-45-183"),
+        ],
+    ),
+    (  # the simulation without its running maximum: a trial in pieces keeps its last piece's
+        "densities.py",
+        "np.maximum(best, np.floor(np.log(u) / lp).max(axis=1), out=best)",
+        "best = np.floor(np.log(u) / lp).max(axis=1)",
+        [
+            "tests/test_densities.py::test_simulation_in_pieces_draws_the_whole_row_values[11]",
+            "tests/test_densities.py::test_simulation_in_pieces_draws_the_whole_row_values[25]",
         ],
     ),
     (  # sweep without its checkpoint lock: a second run reads and cuts a held file

@@ -16,7 +16,7 @@ import numpy as np
 import pytest
 import sympy
 
-from qprim.arith import DETERMINISTIC_PRIMALITY_LIMIT, squarefree_decomposition
+from qprim.arith import _QUOTIENT_PRIME_BOUND, DETERMINISTIC_PRIMALITY_LIMIT, Lanes, squarefree_decomposition
 from qprim.charsums import admissible_discriminants, is_valid_base
 from qprim.poly import QuadraticPoly
 from qprim.search import (
@@ -26,7 +26,7 @@ from qprim.search import (
     config_hash,
     sweep,
 )
-from qprim.streaks import _EXACT_BITS, streak
+from qprim.streaks import streak
 
 D_A = 4472988326827347533
 D_B = 9828323860172600203
@@ -371,10 +371,10 @@ def per_base_streaks(f, g_base, k_lo, k_hi, n_cap):
 
 
 LEHMER = QuadraticPoly(326, 0, 3)
-# the example2-g24 record family: every value lies above 2^_EXACT_BITS
+# the example2-g24 record family: every value lies above 2^55, past Lanes' int64 bound
 RECORD_G24 = candidate_poly(SearchConfig(d=D_A, d1=230849, alpha=6, sign=-1, shift=56943))
-# 326 (X + shift)^2 + 3, whose values reach 2^_EXACT_BITS near n = 700
-CROSSING = candidate_poly(SearchConfig(d=163, d1=163, alpha=1, shift=isqrt((1 << _EXACT_BITS) // 326) - 700))
+# 326 (X + shift)^2 + 3, whose values reach that bound, 2^50, near n = 700
+CROSSING = candidate_poly(SearchConfig(d=163, d1=163, alpha=1, shift=isqrt(_QUOTIENT_PRIME_BOUND // 326) - 700))
 
 
 @pytest.mark.parametrize(
@@ -389,7 +389,7 @@ CROSSING = candidate_poly(SearchConfig(d=163, d1=163, alpha=1, shift=isqrt((1 <<
         (QuadraticPoly(1, 0, 1), 3, 1, 100, 2000),
         (LEHMER, 326, 1, 200, 30),  # most streaks unfinished at n_cap
         (RECORD_G24, 3, 1, 25, 1000),  # Python-int groups alone
-        (CROSSING, 326, 10**6, 10**6 + 60, 1300),  # uint64 groups, then Python-int ones
+        (CROSSING, 326, 10**6, 10**6 + 60, 1300),  # int64 groups, then Python-int ones
     ],
 )
 def test_base_streaks_equals_per_base_streak(f, g_base, k_lo, k_hi, n_cap):
@@ -413,21 +413,22 @@ def test_base_streaks_covers_skips_q2_failures_and_unfinished():
 
 def test_base_streaks_covers_both_element_types(monkeypatch):
     # the record family and the crossing above exercise what they claim
-    from qprim import search, streaks
+    from qprim import arith, search
 
     exact = []
-    powmod = streaks._powmod
 
-    def spy(base, e, p):
-        exact.append(p.dtype != object)
-        return powmod(base, e, p)
+    class Spy(Lanes):
+        def pow(self, x, E):
+            if not self.balanced:  # the sweep's lanes; the sieve's root tables run on float64 here
+                exact.append(self.P.dtype != object)
+            return super().pow(x, E)
 
-    monkeypatch.setattr(streaks, "_powmod", spy)
+    monkeypatch.setattr(arith, "Lanes", Spy)
     assert any(p for *_, p in search.base_streaks(RECORD_G24, 3, 1, 25, 1000)) and not any(exact)
     exact.clear()
     failing = [p for *_, p in search.base_streaks(CROSSING, 326, 10**6, 10**6 + 60, 1300) if p]
     assert True in exact and False in exact
-    assert min(failing) < 1 << _EXACT_BITS <= max(failing)
+    assert min(failing) < _QUOTIENT_PRIME_BOUND <= max(failing)
 
 
 # 326 (X + shift)^2 + 3, whose values pass DETERMINISTIC_PRIMALITY_LIMIT
@@ -456,29 +457,46 @@ def test_sweep_reads_the_walk_no_further_than_its_last_live_k():
         list(base_streaks(PAST_PROVABLE, 31, 1, 5, 60))
 
 
-@pytest.mark.parametrize(
-    "ps", [[sympy.prevprime(1 << _EXACT_BITS)], [1021], [3, 1021, 65521, sympy.prevprime(1 << _EXACT_BITS)]]
-)
-def test_uint64_kernels_are_exact_at_their_bounds(ps):
-    # operands p - 1 and exponents with the top bit set, then a seeded sample,
-    # against Python's a * b % p and pow; the widest p sets the chunk width
-    from qprim.streaks import _mulmod, _powmod
+def in_lanes(lanes, X):
+    """The integers X, reduced mod p, in lanes' representation: a row of X
+    has a column per lane, or one column that meets every lane."""
+    R = np.array(X, object) % lanes.P
+    if lanes.balanced:
+        R = np.where(R > lanes.P // 2, R - lanes.P, R)
+    return R.astype(np.float64 if lanes.balanced else lanes.P.dtype)
 
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")  # int64 products wrap in arrays, unwarned
+@pytest.mark.parametrize(
+    "ps",
+    [
+        [3, 1021, sympy.prevprime(2**26)],
+        [sympy.prevprime(2**31)],
+        [3, 1021, 65521, sympy.prevprime(2**50)],
+        [sympy.prevprime(2**50), sympy.nextprime(2**50), sympy.prevprime(2**53)],
+    ],
+    ids=["below2^26", "below2^31", "below2^50", "above2^50"],
+)
+def test_lanes_are_exact_at_their_bounds(ps):
+    # the largest p picks float64, int64 or Python ints: operands p - 1 and
+    # exponents with the top bit set, then a seeded sample, against Python's
+    # a * b % p and pow; products of a matrix by a row of residues, and
+    # powers of a column of bases, reduced mod p, against a row of lanes
     rng = random.Random(len(ps))
     cols = [(p, x) for p in ps for x in [p - 1, p - 2, 0, 1] + [rng.randrange(p) for _ in range(40)]]
-    P = np.array([[p for p, _ in cols]], np.uint64)
+    lanes = Lanes(np.array([p for p, _ in cols], object))
+    assert lanes.P.dtype == (object if max(ps) > _QUOTIENT_PRIME_BOUND else np.int64)
+    assert lanes.balanced == (max(ps) < 2**26)
     a = [[p - 1, p - 2, 1, 0][i] if i < 4 else rng.randrange(p) for i in range(30) for p, _ in cols]
-    A = np.array(a, np.uint64).reshape(30, len(cols))
-    B = np.array([[x for _, x in cols]], np.uint64)
-    assert _mulmod(A, B, P).tolist() == [[u * x % p for u, (p, x) in zip(row, cols)] for row in A.tolist()]
+    A = np.array(a, object).reshape(30, len(cols))
+    got = lanes.lower(lanes.mul(in_lanes(lanes, A), in_lanes(lanes, [[x for _, x in cols]])[0]))
+    assert got.tolist() == [[u * x % p for u, (p, x) in zip(row, cols)] for row in A.tolist()]
 
     top = [(p, 1 << (p.bit_length() - 1)) for p in ps]
     exps = [(p, e) for p, t in top for e in (p - 1, p - 2, t, t | 1, t | rng.randrange(t))]
-    exps += [(p, rng.randrange(1, p)) for p in ps for _ in range(20)]
-    bases = [1, 2, 3, 25_000, max(ps) - 1, *(rng.randrange(1, 1 << 20) for _ in range(20))]
-    got = _powmod(
-        np.array(bases, np.uint64)[:, None],
-        np.array([[e for _, e in exps]], np.uint64),
-        np.array([[p for p, _ in exps]], np.uint64),
-    )
+    exps = sorted(exps + [(p, rng.randrange(1, p)) for p in ps for _ in range(20)])  # lanes ascend by p
+    bases = [0, 1, 2, 3, 25_000, max(ps) - 1, *(rng.randrange(1, 1 << 20) for _ in range(20))]
+    lanes = Lanes(np.array([p for p, _ in exps], object))
+    E = np.array([e for _, e in exps], lanes.P.dtype)
+    got = lanes.lower(lanes.pow(in_lanes(lanes, [[b] for b in bases]), E))
     assert got.tolist() == [[pow(b, e, p) for p, e in exps] for b in bases]
