@@ -452,12 +452,13 @@ _QUOTIENT_PRIME_BOUND = 2**50  # keeps fl(x) fl(y) fl(1/p) within 0.375 of x y /
 
 
 def residues(a: int, P: np.ndarray) -> np.ndarray:
-    """|a| mod each entry of the ascending int64 array P, exact for any
-    Python int a: Horner's rule over the limbs of |a|, each 62 - bits(max p)
-    bits wide, keeps every intermediate below 2^62."""
-    if len(P) and P[-1] >= _INT64_PRIME_BOUND:
-        raise ValueError(f"moduli must stay below 2^31 for int64 arithmetic, got {P[-1]}")
-    bits = 62 - int(P[-1]).bit_length() if len(P) else 62
+    """|a| mod each entry of the int64 array P, exact for any Python int a:
+    Horner's rule over the limbs of |a|, each 62 - bits(max p) bits wide,
+    keeps every intermediate below 2^62."""
+    top = int(P.max()) if len(P) else 0
+    if top >= _INT64_PRIME_BOUND:
+        raise ValueError(f"moduli must stay below 2^31 for int64 arithmetic, got {top}")
+    bits = 62 - top.bit_length()
     m = abs(a)
     limbs = []
     while m:
@@ -470,19 +471,19 @@ def residues(a: int, P: np.ndarray) -> np.ndarray:
 
 
 class Lanes:
-    """Exact arithmetic mod each odd prime p of an ascending array P, one
+    """Exact arithmetic mod each odd prime p of an array P, in any order, one
     lane per p; residues broadcast against P, a column of them against a row
     of lanes.  The largest p picks the residues.  Below 2^26, float64 in
     [-(p-1)/2, (p-1)/2], and x y mod p is t - q p, t = x y and
     q = rint(t * (1/p)): |t| <= p^2/4 < 2^52, so t, q p and t - q p are
     exact; t * (1/p) is within about 2^-28 of t/p, which (p odd) lies at
-    least 1/(2p) > 2^-27 from any half-integer.  Below 2^50 (or with balanced=False), int64 in [0, p), and
-    q = rint(fl(x) fl(y) (1/p)) lies within 0.375 + 1/2 of x y / p, so
-    x y - q p, exact in wrapping int64, needs at most one + p.  From 2^50,
-    Python ints.  lift and sqrt take p below 2^31."""
+    least 1/(2p) > 2^-27 from any half-integer.  Below 2^50 (or with
+    balanced=False), int64 in [0, p), and q = rint(fl(x) fl(y) (1/p)) lies
+    within 0.375 + 1/2 of x y / p, so x y - q p, exact in wrapping int64, needs
+    at most one + p.  From 2^50, Python ints.  lift and sqrt take p below 2^31."""
 
     def __init__(self, P: np.ndarray, balanced: bool | None = None):
-        top = int(P[-1]) if len(P) else 0
+        top = int(P.max()) if len(P) else 0
         self.balanced = top < _FLOAT_PRIME_BOUND if balanced is None else balanced
         self.P = P.astype(object if top >= _QUOTIENT_PRIME_BOUND else np.int64, copy=False)
         if self.balanced:
@@ -493,7 +494,7 @@ class Lanes:
         self.minus_one = -1.0 if self.balanced else self.P - 1
 
     def take(self, index: np.ndarray) -> "Lanes":
-        """The lanes picked by index (a mask or ascending positions), in this representation."""
+        """The lanes picked by index (a mask or positions), in this representation."""
         return Lanes(self.P[index], self.balanced)
 
     def lift(self, a: int) -> np.ndarray:
@@ -569,7 +570,7 @@ class Lanes:
                 square[todo[keep]] = True
                 lanes, todo, T, M, i, R_todo = lanes.take(keep), todo[keep], T[keep], M[keep], i[keep], R_todo[keep]
                 Z = np.where(lanes.P % 8 == 5, 2, 0)  # here p = 1 mod 4: (2/p) = -1 iff p = 5 mod 8
-                for z in iter_primes(3, math.isqrt(int(P[-1])) + 1 if len(todo) else 0):
+                for z in iter_primes(3, math.isqrt(int(P.max())) + 1 if len(todo) else 0):
                     if Z.all():
                         break
                     residue = np.zeros(z, bool)

@@ -54,6 +54,18 @@ MUTANTS = [
         "_QUOTIENT_PRIME_BOUND = 2**53",
         ["tests/test_search.py::test_lanes_are_exact_at_their_bounds[above2^50]"],
     ),
+    (  # Lanes' representation picked by the last p, not the largest: a falling group runs in int64 past 2^50
+        "arith.py",
+        "top = int(P.max()) if len(P) else 0\n        self.balanced",
+        "top = int(P[-1]) if len(P) else 0\n        self.balanced",
+        [
+            "tests/test_search.py::test_lanes_are_exact_at_their_bounds[below2^50]",
+            "tests/test_search.py::test_lanes_are_exact_at_their_bounds[above2^50]",
+            "tests/test_search.py::test_base_streaks_equals_per_base_streak[f8-3-1-60-60]",
+            "tests/test_search.py::test_base_streaks_equals_per_base_streak[f9-326-1-60-60]",
+            "tests/test_search.py::test_base_streaks_covers_both_element_types",
+        ],
+    ),
     (  # z = g_base^e in place of g_base^(e(q-1)/2)
         "streaks.py",
         "pow(g_base, (p - 1 - e) // 2, p)",

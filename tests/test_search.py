@@ -375,6 +375,9 @@ LEHMER = QuadraticPoly(326, 0, 3)
 RECORD_G24 = candidate_poly(SearchConfig(d=D_A, d1=230849, alpha=6, sign=-1, shift=56943))
 # 326 (X + shift)^2 + 3, whose values reach that bound, 2^50, near n = 700
 CROSSING = candidate_poly(SearchConfig(d=163, d1=163, alpha=1, shift=isqrt(_QUOTIENT_PRIME_BOUND // 326) - 700))
+# 2^44 (X - 64)^2 + 37, whose prime values fall from 2^56 to 2^49 in one group
+# of the sweep: the largest of them, not the last, picks the group's lanes
+FALLING = QuadraticPoly(2**44, -(2**51), 2**56 + 37)
 
 
 @pytest.mark.parametrize(
@@ -390,6 +393,8 @@ CROSSING = candidate_poly(SearchConfig(d=163, d1=163, alpha=1, shift=isqrt(_QUOT
         (LEHMER, 326, 1, 200, 30),  # most streaks unfinished at n_cap
         (RECORD_G24, 3, 1, 25, 1000),  # Python-int groups alone
         (CROSSING, 326, 10**6, 10**6 + 60, 1300),  # int64 groups, then Python-int ones
+        (FALLING, 3, 1, 60, 60),
+        (FALLING, 326, 1, 60, 60),
     ],
 )
 def test_base_streaks_equals_per_base_streak(f, g_base, k_lo, k_hi, n_cap):
@@ -429,6 +434,8 @@ def test_base_streaks_covers_both_element_types(monkeypatch):
     failing = [p for *_, p in search.base_streaks(CROSSING, 326, 10**6, 10**6 + 60, 1300) if p]
     assert True in exact and False in exact
     assert min(failing) < _QUOTIENT_PRIME_BOUND <= max(failing)
+    exact.clear()
+    assert list(search.base_streaks(FALLING, 3, 1, 60, 60)) and exact and not any(exact)
 
 
 # 326 (X + shift)^2 + 3, whose values pass DETERMINISTIC_PRIMALITY_LIMIT
@@ -478,12 +485,13 @@ def in_lanes(lanes, X):
     ids=["below2^26", "below2^31", "below2^50", "above2^50"],
 )
 def test_lanes_are_exact_at_their_bounds(ps):
-    # the largest p picks float64, int64 or Python ints: operands p - 1 and
-    # exponents with the top bit set, then a seeded sample, against Python's
-    # a * b % p and pow; products of a matrix by a row of residues, and
-    # powers of a column of bases, reduced mod p, against a row of lanes
+    # the largest p, here the first lane, picks float64, int64 or Python
+    # ints: operands p - 1 and exponents with the top bit set, then a seeded
+    # sample, against Python's a * b % p and pow; products of a matrix by a
+    # row of residues, and powers of a column of bases, reduced mod p,
+    # against a row of lanes
     rng = random.Random(len(ps))
-    cols = [(p, x) for p in ps for x in [p - 1, p - 2, 0, 1] + [rng.randrange(p) for _ in range(40)]]
+    cols = [(p, x) for p in ps[::-1] for x in [p - 1, p - 2, 0, 1] + [rng.randrange(p) for _ in range(40)]]
     lanes = Lanes(np.array([p for p, _ in cols], object))
     assert lanes.P.dtype == (object if max(ps) > _QUOTIENT_PRIME_BOUND else np.int64)
     assert lanes.balanced == (max(ps) < 2**26)
@@ -494,7 +502,7 @@ def test_lanes_are_exact_at_their_bounds(ps):
 
     top = [(p, 1 << (p.bit_length() - 1)) for p in ps]
     exps = [(p, e) for p, t in top for e in (p - 1, p - 2, t, t | 1, t | rng.randrange(t))]
-    exps = sorted(exps + [(p, rng.randrange(1, p)) for p in ps for _ in range(20)])  # lanes ascend by p
+    exps = sorted(exps + [(p, rng.randrange(1, p)) for p in ps for _ in range(20)], reverse=True)
     bases = [0, 1, 2, 3, 25_000, max(ps) - 1, *(rng.randrange(1, 1 << 20) for _ in range(20))]
     lanes = Lanes(np.array([p for p, _ in exps], object))
     E = np.array([e for _, e in exps], lanes.P.dtype)
