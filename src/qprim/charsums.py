@@ -16,6 +16,7 @@ from .poly import (
     in_conjecture_f_family,
     is_perfect_square,
     mod8_profile,
+    roots_mod,
     values_mod,
 )
 
@@ -74,8 +75,7 @@ def fundamental_discriminant(g: int) -> FundamentalDiscriminant:
 
 def jacobsthal_sum(a: int, p: int) -> int:
     """sum_{m=0}^{p-1} ((m^2+a)/p) for odd prime p: p-1 if p | a, else -1."""
-    _require_odd_prime(p)
-    return p - 1 if a % p == 0 else -1
+    return complete_char_sum(PolyZ((a, 0, 1)), p)
 
 
 def _require_odd_prime(p: int) -> None:
@@ -105,17 +105,10 @@ def complete_char_sum(f: PolyZ, p: int) -> int:
 
 def local_char_average(f: PolyZ, p: int) -> Fraction:
     """Average Jacobi symbol of quadratic f over the classes mod p coprime to
-    f, in closed form (four cases by p | a, p | d)."""
-    _require_odd_prime(p)
-    a, c, d = _quadratic(f)
-    pa, pd = a % p == 0, d % p == 0
-    if not pa and not pd:
-        return Fraction(-kronecker(a, p), p - 1 - kronecker(d, p))
-    if pa and not pd:
-        return Fraction(0)
-    if not pa and pd:
-        return Fraction(kronecker(a, p))
-    return Fraction(kronecker(c, p))
+    f: the complete sum over the p - #roots units, 0 if p divides every value."""
+    total = complete_char_sum(f, p)
+    units = p - len(roots_mod(f, p))
+    return Fraction(total, units) if units else Fraction(0)
 
 
 def brute_char_average(f: PolyZ, p: int) -> Fraction:

@@ -89,16 +89,9 @@ def lehmer_index_coprimality(k: int, n_cap: int) -> bool:
 
 def chebyshev_criterion(p1: int) -> bool:
     """If p1 = 1 (mod 4) is prime and p2 = 2*p1+1 is prime, then 2 is a
-    primitive root mod p2.  True when the hypotheses hold (and the conclusion
-    verifies); False when inapplicable."""
-    if p1 < 2 or p1 % 4 != 1 or not is_prime(p1):
-        return False
-    p2 = 2 * p1 + 1
-    if not is_prime(p2):
-        return False
-    if not is_primitive_root(2, p2):
-        raise CriterionViolationError(f"2 is not a primitive root mod {p2}")
-    return True
+    primitive root mod p2: extended_chebyshev at g = 2.  True when the
+    hypotheses hold (and the conclusion verifies); False when inapplicable."""
+    return extended_chebyshev(2, p1)
 
 
 def chebyshev_offset(g2: int) -> int:
@@ -127,15 +120,14 @@ def extended_chebyshev(g: int, p1: int) -> bool:
     conclusion verified; raises CriterionViolationError otherwise.
     """
     dec = decompose_base(g)
-    if not is_prime(p1):
-        return False
     if dec.g1 in (2, -2):
-        sign_class = 1 if g > 0 else 3
-        if p1 % 4 != sign_class:
+        if p1 % 4 != (1 if g > 0 else 3) or not is_prime(p1):  # the congruence first: no test past its range
             return False
         p2 = 2 * p1 + 1
         power = 2
     else:
+        if not is_prime(p1):
+            return False
         if dec.g2 < 3:
             raise ValueError(f"base {g} has no odd squarefree part >= 3")
         a = chebyshev_offset(dec.g2)

@@ -1,10 +1,11 @@
 """Euler-product densities and constants.
 
 Covers the truncated products that predict streak behaviour (the quality
-density, its simplified form, the uncorrected/corrected split-prime products),
-the classical constants (totient-ratio mean, Hardy-Littlewood constants,
-Bateman-Horn products), Dirichlet L-values at s = 1, 2, and the
-expected-maximum model for a family of geometric streaks.
+density and its simplified form; Lehmer's corrected and uncorrected
+products are those two at 326X^2 + 3), the classical constants
+(totient-ratio mean, Hardy-Littlewood constants, Bateman-Horn products),
+Dirichlet L-values at s = 1, 2, and the expected-maximum model for a family
+of geometric streaks.
 
 L-values are evaluated through character-weighted Hurwitz-zeta sums: digamma
 for s = 1 (the pole cancels against a non-principal character) and trigamma
@@ -28,7 +29,7 @@ arrays would be no faster and would raise peak memory; nothing builds one.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import lru_cache
 from itertools import chain
@@ -36,13 +37,12 @@ from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
-from .arith import _INT64_PRIME_BOUND, Lanes, euler_phi, factor, is_prime, prime_chunks, residues
+from .arith import _INT64_PRIME_BOUND, Lanes, euler_phi, factor, is_prime, kronecker, prime_chunks, residues
 from .charsums import FundamentalDiscriminant
 from .poly import PolyZ, is_perfect_square, roots_mod
 
 _EXTENSION = 1_000_000  # accelerated pr_density's last prime for degree <= 2
 _LEHMER_DISC = -163  # Lehmer's products run over the primes split here
-_LEHMER_TWIST = -978  # the corrected product's twist, -6 * 163
 _LEHMER_CUTOFF = 1_000_000
 
 
@@ -416,29 +416,22 @@ def pr_density_simple(A: int, B: int, cutoff: int = 1_000_000) -> DensityReport:
     return DensityReport(value=value, cutoff=last or 3, tail_bound=tail, method="direct")
 
 
-def _lehmer_product(local: Callable[[np.ndarray], np.ndarray]) -> DensityReport:
-    """prod of local(q) over the primes q <= _LEHMER_CUTOFF split in
-    Q(sqrt(_LEHMER_DISC)), those with (_LEHMER_DISC/q) = 1.  Tail bound
-    1/(cutoff ln cutoff) (split primes have density 1/2)."""
-
-    def split(P: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        q = P[_legendre(_LEHMER_DISC, P) == 1]
-        return q, local(q)
-
-    value, last = _euler_product(_LEHMER_CUTOFF, split)
-    tail = 1.0 / (_LEHMER_CUTOFF * math.log(_LEHMER_CUTOFF))
-    return DensityReport(value=value, cutoff=last or 3, tail_bound=tail, method="direct")
+def _lehmer_report(rep: DensityReport) -> DensityReport:
+    """rep at its last split prime for -163, with Lehmer's tail 1/(L ln L):
+    split primes have density 1/2."""
+    last = next(q for q in range(_LEHMER_CUTOFF, 2, -1) if kronecker(_LEHMER_DISC, q) == 1 and is_prime(q))
+    return replace(rep, cutoff=last, tail_bound=1.0 / (_LEHMER_CUTOFF * math.log(_LEHMER_CUTOFF)))
 
 
 def lehmer_naive_density() -> DensityReport:
-    """prod over primes q with (-163/q) = 1 of (1 - 2/q^2)."""
-    return _lehmer_product(lambda q: 1.0 - 2.0 / (q * q))
+    """prod over primes q with (-163/q) = 1 of (1 - 2/q^2): pr_density_simple of 326X^2 + 3."""
+    return _lehmer_report(pr_density_simple(326, 3, _LEHMER_CUTOFF))
 
 
 def lehmer_corrected_density() -> DensityReport:
-    """prod over primes q with (-163/q) = 1 of (1 - 2/(q (q-1-(-978/q)))):
-    the allowable-class-corrected success probability."""
-    return _lehmer_product(lambda q: 1.0 - 2.0 / (q * (q - 1 - _legendre(_LEHMER_TWIST, q))))
+    """prod over primes q with (-163/q) = 1 of (1 - 2/(q (q-1-(-978/q)))): the
+    allowable-class-corrected success probability, pr_density of 326X^2 + 3."""
+    return _lehmer_report(pr_density(PolyZ((3, 0, 326)), _LEHMER_CUTOFF, accelerate=False))
 
 
 def totient_ratio_constant(cutoff: int = 10_000_000) -> DensityReport:

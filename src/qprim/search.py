@@ -68,6 +68,8 @@ class SearchConfig:
             raise ValueError("r1*r2 must be a positive perfect square")
         if self.k_lo < 1 or self.k_hi < self.k_lo:
             raise ValueError("need 1 <= k_lo <= k_hi")
+        if self.k_hi >= 2**63:
+            raise ValueError(f"k_hi must be below 2^63, got {self.k_hi}")
         if self.n_cap < 0:
             raise ValueError("n_cap must be >= 0")
 

@@ -335,7 +335,7 @@ def base_streaks(
     in ascending k, each once it and every smaller k have finished;
     failing_prime is None when the streak reached n_cap unfinished.  g_base
     must be a valid base (then so is every k^2 * g_base).  An empty range
-    yields nothing and builds no stream.
+    yields nothing and builds no stream; k_hi >= 2^63 raises ValueError.
 
     One walk of the prime stream serves every base, a group of at most _GROUP
     primes at a time, fewer once their (p, q) pairs times the plan's rows
@@ -349,7 +349,9 @@ def base_streaks(
     passed before it failed, less those dividing it."""
     if k_lo > k_hi:
         return
-    live = np.arange(k_lo, k_hi + 1)
+    if k_hi >= 2**63:  # the k are an int64 array
+        raise ValueError(f"k must be below 2^63, got k_hi = {k_hi}")
+    live = k_lo + np.arange(k_hi - k_lo + 1)  # k_hi + 1 may not fit in int64
     (ks, ends, factors, live_rows), planned = _power_plan(live.tolist()), len(live)
     passed, passed_small = 0, []  # primes so far not dividing g_base; (position, p) of those <= k_hi
     done: dict[int, tuple[int, int | None]] = {}

@@ -136,6 +136,19 @@ def test_kronecker_against_gmp():
         assert kronecker(a, n) == gmpy2.kronecker(a, n), (a, n)
 
 
+def test_kronecker_negative_modulus_against_sympy():
+    # (a/-n) = (a/-1)(a/n), (a/-1) = -1 for a < 0 and 1 otherwise; sympy's
+    # Jacobi symbol at odd n > 0, not qprim's kronecker, gives (a/n)
+    sympy = pytest.importorskip("sympy")
+    for n in range(1, 120, 2):
+        for a in range(-150, 151):
+            assert kronecker(a, -n) == (-1 if a < 0 else 1) * sympy.jacobi_symbol(a, n), (a, n)
+    rng = random.Random(11)
+    for _ in range(500):
+        a, n = rng.randint(-(10**18), 10**18), rng.randrange(1, 10**9, 2)
+        assert kronecker(a, -n) == (-1 if a < 0 else 1) * sympy.jacobi_symbol(a, n), (a, n)
+
+
 def test_kronecker_multiplicativity():
     rng = random.Random(7)
     for _ in range(300):

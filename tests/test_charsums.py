@@ -130,6 +130,16 @@ def test_local_average_examples():
     assert local_char_average(QuadraticPoly(3, 1, 1), 3) == Fraction(0)  # p|a, p not | d
 
 
+def test_local_average_is_0_where_p_divides_every_value():
+    # no unit class to average over: the enumeration form refuses, the
+    # closed form reads 0 (its complete sum is p * (0/p) = 0)
+    f = QuadraticPoly(3, 3, 3)
+    with pytest.raises(ValueError, match="divisible by 3"):
+        brute_char_average(f, 3)
+    assert local_char_average(f, 3) == 0
+    assert local_char_average(PolyZ((35, 14, 7)), 7) == 0
+
+
 def test_local_average_closed_vs_brute():
     for f in random_quadratics(43, 120):
         for p in ODD_PRIMES_199:

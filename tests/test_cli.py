@@ -5,6 +5,7 @@ import io
 import json
 import math
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -372,6 +373,24 @@ def test_maxstreak_long_run_gate(capsys):
     )
     assert code == 1
     assert "long-run" in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["search", "--d", "163", "--d1", "163", "--alpha", "1", "--g-base", "326",
+         "--k-lo", "9223372036854775809", "--k-hi", "9223372036854775810", "--n-cap", "40"],
+        ["maxstreak", "--poly", "326,0,3", "--g-base", "326", "--k-max", "9223372036854775808", "--long-run"],
+    ],
+    ids=["search", "maxstreak"],
+)
+def test_sweeps_refuse_k_of_2_63_or_more(capsys, argv):
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, *argv)
+    assert time.perf_counter() - start < 1
+    assert (code, out) == (1, "")
+    [line] = err.splitlines()
+    assert line.startswith("error: ") and "below 2^63" in line
 
 
 def test_search_cli_reports_certified(capsys, tmp_path):

@@ -92,6 +92,19 @@ def test_chebyshev_classic_spots():
     assert not chebyshev_criterion(4)
 
 
+def test_chebyshev_reads_the_congruence_before_primality():
+    # p1 past the deterministic primality range, in the wrong class mod 4:
+    # inapplicable, with no primality test to raise.  4 * 10**24 + 3 has the
+    # factor 7, which is_prime finds before it checks the range.
+    assert chebyshev_criterion(4 * 10**24 + 3) is False
+    for p1 in (4 * 10**24 + 19, 4 * 10**24 + 1):
+        with pytest.raises(ValueError, match="deterministic primality range"):
+            is_prime(p1)
+    assert chebyshev_criterion(4 * 10**24 + 19) is False
+    assert extended_chebyshev(2, 4 * 10**24 + 19) is False
+    assert extended_chebyshev(-2, 4 * 10**24 + 1) is False  # -2 needs p1 = 3 mod 4
+
+
 def test_chebyshev_classic_exhaustive():
     applicable = 0
     for p1 in primes_up_to(100_000):

@@ -54,6 +54,21 @@ MUTANTS = [
         "_QUOTIENT_PRIME_BOUND = 2**53",
         ["tests/test_search.py::test_lanes_are_exact_at_their_bounds[above2^50]"],
     ),
+    (  # Lanes' float64 path raised from 2^26 to 2^28: a balanced product there can reach 2^54
+        "arith.py",
+        "_FLOAT_PRIME_BOUND = 2**26",
+        "_FLOAT_PRIME_BOUND = 2**28",
+        ["tests/test_search.py::test_lanes_are_exact_at_their_bounds[below2^28]"],
+    ),
+    (  # the int64 lanes' bound raised from 2^31 to 2^32: roots_table's int64 products overflow
+        "arith.py",
+        "_INT64_PRIME_BOUND = 2**31",
+        "_INT64_PRIME_BOUND = 2**32",
+        [
+            "tests/test_poly.py::test_roots_table_near_2_32_equals_roots_mod",
+            "tests/test_densities.py::test_legendre_matches_kronecker_and_guards_int64",
+        ],
+    ),
     (  # Lanes' representation picked by the last p, not the largest: a falling group runs in int64 past 2^50
         "arith.py",
         "top = int(P.max()) if len(P) else 0\n        self.balanced",
@@ -163,6 +178,31 @@ MUTANTS = [
             "tests/test_densities.py::test_simulation_in_pieces_draws_the_whole_row_values[25]",
         ],
     ),
+    (  # the local average without its zero-units guard: p dividing every value divides by zero
+        "charsums.py",
+        "return Fraction(total, units) if units else Fraction(0)",
+        "return Fraction(total, units)",
+        [
+            "tests/test_charsums.py::test_local_average_is_0_where_p_divides_every_value",
+            "tests/test_charsums.py::test_local_average_bounded",
+        ],
+    ),
+    (  # Chebyshev's criterion testing primality before the congruence: past the range it raises
+        "criteria.py",
+        "if p1 % 4 != (1 if g > 0 else 3) or not is_prime(p1):",
+        "if not is_prime(p1) or p1 % 4 != (1 if g > 0 else 3):",
+        ["tests/test_criteria.py::test_chebyshev_reads_the_congruence_before_primality"],
+    ),
+    (  # Lehmer's tail at full density, 2/(L ln L), not half: split primes are half of all
+        "densities.py",
+        "tail_bound=1.0 / (_LEHMER_CUTOFF",
+        "tail_bound=2.0 / (_LEHMER_CUTOFF",
+        [
+            f"tests/test_cli_golden.py::test_cli_output_matches_golden[{fmt}-density --lehmer-{kind}]"
+            for fmt in ("text", "csv", "json")
+            for kind in ("naive", "corrected")
+        ],
+    ),
     (  # sweep without its checkpoint lock: a second run reads and cuts a held file
         "search.py",
         "fcntl.flock(fh, fcntl.LOCK_EX | fcntl.LOCK_NB)",
@@ -178,7 +218,8 @@ def run_tests(src: Path, tests: list[str]) -> tuple[int, set[str], str]:
     env = dict(os.environ, PYTHONPATH=str(src), PYTHONDONTWRITEBYTECODE="1")
     argv = [sys.executable, "-m", "pytest", "-q", "-rf", "-p", "no:cacheprovider", *tests]
     run = subprocess.run(argv, cwd=ROOT, env=env, capture_output=True, text=True, timeout=600)
-    return run.returncode, set(re.findall(r"^FAILED (\S+)", run.stdout, re.M)), run.stdout + run.stderr
+    failed = set(re.findall(r"^FAILED (.+?)(?: - .*)?$", run.stdout, re.M))  # an id may hold spaces
+    return run.returncode, failed, run.stdout + run.stderr
 
 
 def copy_src(tmp_path: Path) -> Path:

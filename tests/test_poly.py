@@ -170,6 +170,18 @@ def assert_table_is_roots_mod(f, P, t):
     assert list(zip(Q.tolist(), R.tolist())) == [(q, r) for q in P for r in roots_mod(f, q, t)], (f, t, P[0], P[-1])
 
 
+def test_roots_table_near_2_32_equals_roots_mod():
+    # literal primes just below 2^32, not read from arith's int64 bound:
+    # int64 lanes there would overflow their products
+    rng = random.Random(31)
+    P = [4294967231, 4294967279, 4294967291]
+    for _ in range(40):
+        f = QuadraticPoly(rng.randint(1, 10**6), rng.randint(-(10**6), 10**6), rng.randint(-(10**6), 10**6))
+        for t in (0, 1):
+            assert_table_is_roots_mod(f, P, t)
+    assert_table_is_roots_mod(PolyZ((3, 7)), P, 0)
+
+
 def test_roots_table_equals_roots_mod_prime_by_prime():
     # one numpy pass per chunk of primes: the float64 lanes below 2^26, int64
     # from there to just below 2^31, and chunks straddling 2^26

@@ -26,7 +26,7 @@ from qprim.search import (
     config_hash,
     sweep,
 )
-from qprim.streaks import streak
+from qprim.streaks import base_streaks, empirical_max_streak, streak
 
 D_A = 4472988326827347533
 D_B = 9828323860172600203
@@ -68,6 +68,19 @@ def test_candidate_poly_validation():
         candidate_poly(SearchConfig(d=10, d1=5, sign=0))
     cfg = SearchConfig(d=10, d1=5, r1=2, r2=8)  # 16 is a square
     assert candidate_poly(cfg).a == 10
+
+
+def test_k_of_2_63_or_more_is_refused_before_the_sweep():
+    # the k are an int64 array: past 2^63 numpy would make them float64
+    f = candidate_poly(SearchConfig(d=163, d1=163, alpha=1))
+    with pytest.raises(ValueError, match=r"2\^63"):
+        SearchConfig(d=163, d1=163, alpha=1, g_base=326, k_lo=2**63 + 1, k_hi=2**63 + 2).validate()
+    with pytest.raises(ValueError, match=r"2\^63"):
+        SearchConfig(d=163, d1=163, alpha=1, g_base=326, k_lo=1, k_hi=2**63).validate()
+    with pytest.raises(ValueError, match=r"2\^63"):
+        next(base_streaks(f, 326, 2**63 - 1, 2**63, 40))
+    with pytest.raises(ValueError, match=r"2\^63"):
+        empirical_max_streak(326, f, 2**63, n_cap=40)
 
 
 def admissible_bases(f, g_bound):
@@ -478,11 +491,12 @@ def in_lanes(lanes, X):
     "ps",
     [
         [3, 1021, sympy.prevprime(2**26)],
+        [268435399, 268435367, 268435361],  # the primes just below 2^28, as literals: int64, not float64
         [sympy.prevprime(2**31)],
         [3, 1021, 65521, sympy.prevprime(2**50)],
         [sympy.prevprime(2**50), sympy.nextprime(2**50), sympy.prevprime(2**53)],
     ],
-    ids=["below2^26", "below2^31", "below2^50", "above2^50"],
+    ids=["below2^26", "below2^28", "below2^31", "below2^50", "above2^50"],
 )
 def test_lanes_are_exact_at_their_bounds(ps):
     # the largest p, here the first lane, picks float64, int64 or Python

@@ -181,6 +181,22 @@ def test_verify_prefix():
         verify_primitive_root_prefix(L, 326, 10_000, 1000)
 
 
+def test_verify_prefix_skips_a_prime_dividing_g():
+    # f(0) = 3 divides g = 978, so the prefix starts at the next prime:
+    # against sympy's multiplicative order over the primes f(n) not dividing g
+    sympy = pytest.importorskip("sympy")
+    g, primes = 978, []
+    for n in range(200):
+        p = L.eval(n)
+        if sympy.isprime(p) and g % p and p not in primes:
+            primes.append(p)
+    assert L.eval(0) == 3 and g % 3 == 0
+    for prefix in range(1, 8):
+        want = all(sympy.n_order(g, p) == p - 1 for p in primes[:prefix])
+        assert verify_primitive_root_prefix(L, g, prefix, 200) == want, prefix
+    assert verify_primitive_root_prefix(L, g, 4, 200) and not verify_primitive_root_prefix(L, g, 5, 200)
+
+
 def test_walks_refuse_another_polynomials_stream():
     from qprim.streaks import _residual_indices
 
