@@ -224,6 +224,7 @@ def _euler_product(
 # ---------------------------------------------------------------------------
 
 _L_ERROR_FLOOR = 1e-11
+_TABLE_CAP = 2**30  # the largest prime whose int8 Legendre table (1 GiB) dirichlet_l builds
 
 
 def dirichlet_l(s: int, D, tol: float = 1e-9) -> LValue:
@@ -241,6 +242,8 @@ def dirichlet_l(s: int, D, tol: float = 1e-9) -> LValue:
     q = abs(fd.D)
     if q <= 1:
         raise ValueError("need a discriminant with |D| > 1")
+    if (p := factor(q).factors[-1][0]) > _TABLE_CAP:  # chi_D reads a Legendre table of p entries
+        raise ValueError(f"the prime factors of |D| must be at most 2^30 (--disc), got {p}")
     if tol <= 0:
         raise ValueError("tol must be positive")
     if tol < _L_ERROR_FLOOR:

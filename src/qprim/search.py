@@ -17,7 +17,7 @@ from .poly import QuadraticPoly, is_perfect_square
 
 # streak is unused here: perfbench's resume check patches search.streak by
 # name, so the binding stays
-from .streaks import BestStreak, base_streaks, streak  # noqa: F401
+from .streaks import _K_RANGE_CAP, BestStreak, base_streaks, streak  # noqa: F401
 
 try:
     import fcntl
@@ -62,6 +62,8 @@ class SearchConfig:
             raise ValueError("d1 must be a positive divisor of d")
         if self.alpha < 0 or self.shift < 0:
             raise ValueError("alpha and shift must be >= 0")
+        if self.alpha > 81:  # 2^alpha divides the leading coefficient, and 2^82 > 3.3e24
+            raise ValueError(f"alpha must be at most 81 (--alpha): 2^82 is past the primality range, got {self.alpha}")
         if self.sign not in (1, -1):
             raise ValueError("sign must be +1 or -1")
         if self.r1 <= 0 or self.r2 <= 0 or not is_perfect_square(self.r1 * self.r2):
@@ -70,6 +72,8 @@ class SearchConfig:
             raise ValueError("need 1 <= k_lo <= k_hi")
         if self.k_hi >= 2**63:
             raise ValueError(f"k_hi must be below 2^63, got {self.k_hi}")
+        if self.k_hi - self.k_lo >= _K_RANGE_CAP:  # base_streaks' bound, before sweep opens its checkpoint
+            raise ValueError(f"a sweep takes at most 2^20 k (--k-lo to --k-hi), got {self.k_hi - self.k_lo + 1}")
         if self.n_cap < 0:
             raise ValueError("n_cap must be >= 0")
 
@@ -81,7 +85,6 @@ class SearchRecord:
     g: int
     c: int
     failing_prime: int | None
-    timestamp: float
     certified: bool
 
 
@@ -105,16 +108,16 @@ def candidate_poly(cfg: SearchConfig) -> QuadraticPoly:
     return QuadraticPoly(a=scale, b=2 * scale * cfg.shift, c=scale * cfg.shift * cfg.shift + const)
 
 
-def _read_checkpoint(path: str, expected_hash: str) -> tuple[int, BestStreak, float]:
-    """Last completed k, the fold state and its timestamp from a checkpoint
-    file.  A final line without its newline is a write cut short by a crash:
-    if it does not parse it counts as not written and is cut off the file."""
-    best, found_at = BestStreak(), 0.0
+def _read_checkpoint(path: str, expected_hash: str) -> tuple[int, BestStreak]:
+    """Last completed k and the fold state from a checkpoint file.  A final
+    line without its newline is a write cut short by a crash: if it does not
+    parse it counts as not written and is cut off the file."""
+    best = BestStreak()
     try:
         with open(path, "rb") as fh:
             data = fh.read()
     except FileNotFoundError:
-        return 0, best, found_at
+        return 0, best
     lines = data.split(b"\n")  # the last piece lacks a newline: b"" unless torn
     last_k = 0
     for idx, line in enumerate(lines, start=1):
@@ -148,8 +151,7 @@ def _read_checkpoint(path: str, expected_hash: str) -> tuple[int, BestStreak, fl
         best = BestStreak(
             best_k, best_c, rec.get("best_failing_prime"), rec.get("max_unfinished")
         )
-        found_at = rec.get("timestamp", 0.0)
-    return last_k, best, found_at
+    return last_k, best
 
 
 def sweep(
@@ -174,7 +176,7 @@ def sweep(
         raise ValueError("workers must be >= 1")
     require_valid_base(cfg.g_base)
     h = config_hash(cfg)
-    best, found_at, last_k = BestStreak(), 0.0, 0
+    best, last_k = BestStreak(), 0
     # opened without truncating: the file is read or cut only under the lock
     fh = open(checkpoint_path, "a", encoding="utf-8") if checkpoint_path else None
     try:
@@ -184,13 +186,12 @@ def sweep(
             except BlockingIOError:
                 raise CheckpointError(f"{checkpoint_path}: checkpoint in use by another run") from None
         if fh and resume:
-            last_k, best, found_at = _read_checkpoint(checkpoint_path, h)
+            last_k, best = _read_checkpoint(checkpoint_path, h)
         elif fh:
             fh.truncate(0)  # a fresh sweep replaces the file: its lines alone must make it resumable
         start_k, since_write, last_write = max(cfg.k_lo, last_k + 1), 0, time.monotonic()
         for k, c, failing in base_streaks(candidate_poly(cfg), cfg.g_base, start_k, cfg.k_hi, cfg.n_cap):
-            if best.add(k, c, failing):
-                found_at = time.time()
+            best.add(k, c, failing)
             since_write += 1
             if fh and (
                 since_write >= checkpoint_every
@@ -220,6 +221,5 @@ def sweep(
         g=best.k * best.k * cfg.g_base,
         c=best.c,
         failing_prime=best.failing_prime,
-        timestamp=found_at,
         certified=best.certified,
     )

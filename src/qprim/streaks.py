@@ -3,36 +3,39 @@
 The workhorse is PrimeValueStream: a forward pass over blocks of n that
 yields the distinct primes f(n) in ascending n, from a block sieve on the
 roots of f mod each sieve prime, from poly.roots_table a chunk of primes at
-a time.  A survivor f(n) of the sieve has no prime factor up to the depth
-sieved, so it is prime outright when 2 <= f(n) <= depth^2; only larger
-survivors reach the deterministic Miller-Rabin test.  The stream sieves only
-the n asked for, each block to depth max(2000, block end) within the sieve
-limit: a prime above the range scanned strikes at most deg f of its n, and
-its roots cost more than the tests they save.  The block sieve (_sieve)
-returns its survivors; _walk evaluates them.  prime_count reads the same
-sieve to the full limit and, past _direct_upto where f increases, counts a
-block's survivors without evaluating f when its last value is at most the
-limit squared.  The stream keeps only its roots table between walks; streak,
-verify_primitive_root_prefix and pr_stats read the residual index of g at
-each prime from one walk.
+a time.  Below _direct_upto, where f(n) may itself be a sieve prime, the
+sieve is not read: every f(n) there takes the reader's own test.  Past it a
+survivor has no prime factor up to the depth sieved, so it is prime outright
+when f(n) <= depth^2, and only larger survivors take the reader's test.  The
+stream sieves only the n asked for, each block to depth max(2000, block end)
+within the sieve limit: a prime above the range scanned strikes at most
+deg f of its n, and its roots cost more than the tests they save.  The block
+sieve (_sieve) returns its survivors, _walk evaluates them, and _blocks
+yields each block's rows as a lazy iterator: the block is the walk's unit.
+prime_count reads the same sieve to the full limit and, past _direct_upto
+where f increases, counts a block's survivors without evaluating f when its
+last value is at most the limit squared.  The stream keeps only its roots
+table between walks; streak, verify_primitive_root_prefix and pr_stats read
+the residual index of g at each prime from one walk.
 
 That walk, _residual_indices, is the only reader of the stream's base-2
 candidates: it takes the larger survivors on the base-2 strong test alone,
-factors their p - 1 in groups of _GROUP, and lets the powers of the
-primitive-root test prove p prime by Lucas; is_prime proves a candidate its
-witness does not.  criteria.lehmer_index_coprimality reads the same walk,
-with its p - 1 factorizations, and so does base_streaks, the one k-sweep
-engine (search.sweep and empirical_max_streak fold its output with
-BestStreak): it tests every live base k^2 * g_base against a group of the
-walk's primes in one matrix pass, from the index of g_base and the
-factorization of p - 1.  entries_upto yields proven primes only.
+factors their p - 1 in groups of at most _GROUP that never cross a block
+edge, and lets the powers of the primitive-root test prove p prime by
+Lucas; is_prime proves a candidate its witness does not.
+criteria.lehmer_index_coprimality reads the same walk, with its p - 1
+factorizations, and so does base_streaks, the one k-sweep engine
+(search.sweep and empirical_max_streak fold its output with BestStreak): it
+tests every live base k^2 * g_base against a group of the walk's primes in
+one matrix pass, from the index of g_base and the factorization of p - 1.
+entries_upto yields proven primes only.
 """
 
 from __future__ import annotations
 
 from array import array
 from dataclasses import dataclass
-from itertools import compress, islice
+from itertools import chain, compress, islice
 from math import isqrt
 from typing import Iterator
 
@@ -48,6 +51,7 @@ _GROUP = 64  # walks factor the p - 1 of this many candidates in one batch
 _MIN_DEPTH = 2_000  # a stream block is sieved to max(this, its end n)
 _COUNT_SIEVE_CAP = 1_000_000  # prime_count's largest sieve limit (memory bound)
 _MATRIX_ELEMENTS = 1 << 14  # plan rows x (p, q) pairs per matrix pass: bounds its memory
+_K_RANGE_CAP = 1 << 20  # base_streaks' most k: their power plan takes about 420 MB
 
 
 @dataclass(frozen=True)
@@ -129,7 +133,7 @@ class PrimeValueStream:
         self.sieve_limit = sieve_limit
         self._moduli, self._residues = array("q"), array("q")  # q and r, ascending in q then r
         self._depth = 0  # the roots cover the sieve primes up to this
-        # below this n, sieve kills are double-checked
+        # below this n, every f(n) takes the reader's test: a sieve kill may be a sieve prime
         self._direct_upto = _positive_tail_start(f, sieve_limit)
 
     def _sieve(self, lo: int, size: int, depth: int) -> tuple[bytearray, int]:
@@ -151,49 +155,36 @@ class PrimeValueStream:
                 alive[start::q] = bytearray(len(range(start, size, q)))
         return alive, min(max(self._direct_upto - lo, 0), size)
 
-    def _head(self, lo: int, alive: bytearray, split: int) -> Iterator[tuple[int, int]]:
-        """(n, f(n)) for the n in [lo, lo + split) with f(n) prime, each tested
-        directly: below _direct_upto a sieve kill may be f(n) equal to a sieve
-        prime.  A survivor f(n) >= 2 has no prime factor up to the depth
-        sieved, so it is prime if f(n) <= depth^2."""
-        poly, limit = self.poly, self._depth
-        exact = limit * limit
-        for i in range(split):
-            n = lo + i
-            v = poly.eval(n)
-            if alive[i]:
-                prime = v <= exact or is_prime(v)
-            else:
-                prime = v <= limit and is_prime(v)
-            if v >= 2 and prime:
-                yield n, v
-
     def _walk(self, lo: int, alive: bytearray, split: int, test) -> Iterator[tuple[int, int]]:
-        """(n, f(n)) for the survivors n of the sieve (alive, split) from lo
-        with f(n) prime, ascending: _head below split, and past it survivors
-        above depth^2 only if `test` (is_prime or a weaker pre-filter) passes."""
-        yield from self._head(lo, alive, split)
+        """(n, f(n)) ascending over [lo, lo + len(alive)) with f(n) >= 2 prime:
+        below split each f(n) takes `test` (is_prime or a weaker pre-filter),
+        whatever the sieve says; past it only survivors count, prime outright
+        up to depth^2 and by `test` above."""
         poly, exact = self.poly, self._depth**2
+        for n in range(lo, lo + split):
+            v = poly.eval(n)
+            if v >= 2 and test(v):
+                yield n, v
         for n in compress(range(lo + split, lo + len(alive)), memoryview(alive)[split:]):
             v = poly.eval(n)
             if v >= 2 and (v <= exact or test(v)):
                 yield n, v
 
     def entries_upto(self, n_cap: int) -> Iterator[tuple[int, int]]:
-        """Yield (n, p) pairs with n <= n_cap in ascending n, sieving blocks of
-        n from 0.  f strictly increases from _direct_upto on, so only values
-        first met below it can recur; they are all this call remembers."""
-        return self._entries(n_cap, is_prime)
+        """Yield (n, p) pairs with n <= n_cap in ascending n, one block at a time."""
+        return chain.from_iterable(self._blocks(n_cap, is_prime))
 
-    def _entries(self, n_cap: int, test) -> Iterator[tuple[int, int]]:
+    def _blocks(self, n_cap: int, test) -> Iterator[Iterator[tuple[int, int]]]:
+        """The blocks of n <= n_cap from 0, each sieved as it is reached and
+        walked lazily: its (n, f(n)) that pass `test`, each value once.  f
+        strictly increases from _direct_upto on, so only values first met
+        below it can recur; they are all the blocks remember."""
         head: set[int] = set()
         for lo in range(0, n_cap + 1, _BLOCK):
             hi = min(lo + _BLOCK, n_cap + 1)
-            for n, v in self._walk(lo, *self._sieve(lo, hi - lo, max(_MIN_DEPTH, hi)), test):
-                if v not in head:
-                    if n < self._direct_upto:
-                        head.add(v)
-                    yield n, v
+            rows = self._walk(lo, *self._sieve(lo, hi - lo, max(_MIN_DEPTH, hi)), test)
+            # set.add returns None: a value below _direct_upto is remembered as it is yielded
+            yield ((n, v) for n, v in rows if v not in head and (n >= self._direct_upto or not head.add(v)))
 
     def pm1_factorization(self, p: int) -> Factorization:
         """factor(p - 1).  No walk calls it (they factor in groups); it stays
@@ -208,9 +199,10 @@ def _residual_indices(
     in order: pm1 factors p - 1, and index is (p-1)/ord_p(g), 1 exactly when g
     is a primitive root mod p, or None when p divides g.  Arguments are
     checked before the walk.  The base-2 candidates' p - 1 are factored
-    _GROUP at a time.  g is the Lucas witness; a candidate it does not certify
-    counts only once is_prime proves it, and a p - 1 that failed to factor
-    then raises (a composite's is dropped).  Every proven-prime walk reads this."""
+    _GROUP at a time, a block's last group short.  g is the Lucas witness; a
+    candidate it does not certify counts only once is_prime proves it, and a
+    p - 1 that failed to factor then raises (a composite's is dropped).
+    Every proven-prime walk reads this."""
     require_valid_base(g)
     if n_cap < 0:
         raise ValueError("n_cap must be >= 0")
@@ -220,15 +212,15 @@ def _residual_indices(
         raise ValueError(f"the stream walks {stream.poly}, not {f}")
 
     def walk() -> Iterator[tuple[int, int, Factorization, int | None]]:
-        candidates = stream._entries(n_cap, arith.is_strong_probable_prime)
-        while group := list(islice(candidates, _GROUP)):
-            for (n, p), pm1 in zip(group, arith.factor_many([p - 1 for _, p in group])):
-                if not isinstance(pm1, Exception) and arith.lucas_certifies(g, p, pm1):
-                    yield n, p, pm1, 1
-                elif is_prime(p):
-                    if isinstance(pm1, Exception):
-                        raise pm1
-                    yield n, p, pm1, None if g % p == 0 else arith.residual_index(g, p, pm1)
+        for block in stream._blocks(n_cap, arith.is_strong_probable_prime):
+            while group := list(islice(block, _GROUP)):
+                for (n, p), pm1 in zip(group, arith.factor_many([p - 1 for _, p in group])):
+                    if not isinstance(pm1, Exception) and arith.lucas_certifies(g, p, pm1):
+                        yield n, p, pm1, 1
+                    elif is_prime(p):
+                        if isinstance(pm1, Exception):
+                            raise pm1
+                        yield n, p, pm1, None if g % p == 0 else arith.residual_index(g, p, pm1)
 
     return walk()
 
@@ -291,7 +283,7 @@ def prime_count(f: PolyZ, x: int) -> int:
         if f.eval(lo + len(alive) - 1) > limit * limit:  # a survivor may be composite
             count += sum(1 for _ in stream._walk(lo, alive, split, is_prime))
         else:  # past split f increases: each survivor is in (limit, limit^2], so prime
-            count += sum(1 for _ in stream._head(lo, alive, split)) + alive.count(1, split)
+            count += sum(1 for _ in stream._walk(lo, alive[:split], split, is_prime)) + alive.count(1, split)
     return count
 
 
@@ -335,7 +327,8 @@ def base_streaks(
     in ascending k, each once it and every smaller k have finished;
     failing_prime is None when the streak reached n_cap unfinished.  g_base
     must be a valid base (then so is every k^2 * g_base).  An empty range
-    yields nothing and builds no stream; k_hi >= 2^63 raises ValueError.
+    yields nothing and builds no stream; k_hi >= 2^63 or more than
+    _K_RANGE_CAP values of k raise ValueError.
 
     One walk of the prime stream serves every base, a group of at most _GROUP
     primes at a time, fewer once their (p, q) pairs times the plan's rows
@@ -351,6 +344,8 @@ def base_streaks(
         return
     if k_hi >= 2**63:  # the k are an int64 array
         raise ValueError(f"k must be below 2^63, got k_hi = {k_hi}")
+    if k_hi - k_lo >= _K_RANGE_CAP:
+        raise ValueError(f"a sweep takes at most 2^20 k (--k-max, or --k-lo to --k-hi), got {k_hi - k_lo + 1}")
     live = k_lo + np.arange(k_hi - k_lo + 1)  # k_hi + 1 may not fit in int64
     (ks, ends, factors, live_rows), planned = _power_plan(live.tolist()), len(live)
     passed, passed_small = 0, []  # primes so far not dividing g_base; (position, p) of those <= k_hi
@@ -415,14 +410,12 @@ class BestStreak:
     failing_prime: int | None = None
     max_unfinished: int | None = -1
 
-    def add(self, k: int, c: int, failing_prime: int | None) -> bool:
-        """Fold in one result; True when it becomes the new best."""
+    def add(self, k: int, c: int, failing_prime: int | None) -> None:
+        """Fold in one result."""
         if failing_prime is None and self.max_unfinished is not None:
             self.max_unfinished = max(self.max_unfinished, c)
-        if c <= self.c:
-            return False
-        self.k, self.c, self.failing_prime = k, c, failing_prime
-        return True
+        if c > self.c:
+            self.k, self.c, self.failing_prime = k, c, failing_prime
 
     @property
     def certified(self) -> bool:

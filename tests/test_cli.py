@@ -4,9 +4,13 @@ import csv
 import io
 import json
 import math
+import os
 import random
+import subprocess
+import sys
 import time
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -391,6 +395,50 @@ def test_sweeps_refuse_k_of_2_63_or_more(capsys, argv):
     assert (code, out) == (1, "")
     [line] = err.splitlines()
     assert line.startswith("error: ") and "below 2^63" in line
+
+
+SEARCH = ["search", "--d", "163", "--d1", "163", "--g-base", "326", "--n-cap", "10"]
+MAXSTREAK = ["maxstreak", "--poly", "326,0,3", "--g-base", "326", "--long-run", "--n-cap", "10"]
+# (argv, the option its one error line names); without their bounds these
+# asked numpy for TiBs, printed numpy's empty max() error, or Python's
+# integer-printing limit, which names no option
+PAST_A_BOUND = [
+    (MAXSTREAK + ["--k-max", str(2**63 - 1)], "--k-max"),
+    (MAXSTREAK + ["--k-max", str(2**40)], "--k-max"),
+    (SEARCH + ["--k-hi", str(2**20 + 1), "--long-run"], "--k-hi"),
+    (["lvalue", "--s", "1", "--disc", str(2**53 + 1)], "--disc"),  # its prime factor 28059810762433
+    (SEARCH + ["--alpha", str(2**64), "--k-hi", "2"], "--alpha"),
+    (SEARCH + ["--alpha", "100000", "--k-hi", "2"], "--alpha"),
+    (["tau", "--poly", "326,0,3", "--admissible", "--bound", str(10**5 + 1)], "--bound"),
+]
+
+REFUSALS = """
+import contextlib, io, json, resource, sys, time
+resource.setrlimit(resource.RLIMIT_AS, (3 << 30, 3 << 30))  # an unrefused case fails here, not on the host
+from qprim.cli import main
+out = []
+for argv in json.loads(sys.argv[1]):
+    err, start = io.StringIO(), time.perf_counter()
+    with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+        try:
+            code = main(argv)
+        except BaseException as exc:
+            code = repr(exc)
+    out.append((code, err.getvalue(), time.perf_counter() - start))
+print(json.dumps(out))
+"""
+
+
+def test_inputs_past_a_bound_exit_1_naming_their_option():
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = dict(os.environ, PYTHONPATH=str(src), PYTHONDONTWRITEBYTECODE="1")
+    argvs = json.dumps([argv for argv, _ in PAST_A_BOUND])
+    run = subprocess.run([sys.executable, "-c", REFUSALS, argvs], env=env, capture_output=True, text=True, timeout=120)
+    assert run.returncode == 0, run.stderr[-2000:]
+    for (argv, option), (code, err, seconds) in zip(PAST_A_BOUND, json.loads(run.stdout), strict=True):
+        [line] = err.splitlines()
+        assert (code, line[:7]) == (1, "error: ") and option in line, (argv, code, err)
+        assert seconds < 1, argv
 
 
 def test_search_cli_reports_certified(capsys, tmp_path):

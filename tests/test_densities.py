@@ -233,6 +233,9 @@ def test_dirichlet_l_guards():
     with pytest.raises(ValueError):
         dirichlet_l(1, 48)  # not fundamental
     assert dirichlet_l(1, -4).abs_error <= 1e-9
+    # the Legendre table of the least prime above 2^30 would take 1 GiB: refused before it is built
+    with pytest.raises(ValueError, match=r"at most 2\^30 \(--disc\), got 1073741827"):
+        dirichlet_l(1, -1073741827)
 
 
 def test_hardy_littlewood_constants():

@@ -141,9 +141,8 @@ def test_the_cases_cover_what_they_claim():
     # a prime value dividing a k in a case's range, and a pseudoprime value the walk must reject
     assert any(any(p <= k_hi and k_hi // p * p >= k_lo for p in prime_values[f]) for f, _, k_lo, k_hi, _ in CASES)
     assert all(is_strong_probable_prime(v) and not sympy.isprime(v) for v in PSEUDOPRIMES)
-    candidates = {
-        p for f, *_, n_cap in CASES for _, p in PrimeValueStream(f)._entries(n_cap, is_strong_probable_prime)
-    }
+    blocks = (PrimeValueStream(f)._blocks(n_cap, is_strong_probable_prime) for f, *_, n_cap in CASES)
+    candidates = {p for walk in blocks for block in walk for _, p in block}
     assert candidates & set(PSEUDOPRIMES)
     # narrow and wide k ranges, and an n_cap of at most 1
     assert {k_hi - k_lo <= 3 for _, _, k_lo, k_hi, _ in CASES} == {True, False}

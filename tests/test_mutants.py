@@ -159,15 +159,48 @@ MUTANTS = [
         "arith.prime_chunks(self._depth, depth)",
         ["tests/test_streaks.py::test_reused_stream_matches_brute_scan[coeffs0-30000]"],
     ),
-    (  # _entries without its head set: a value below _direct_upto met twice is yielded twice
+    (  # _blocks without its head set: a value below _direct_upto met twice is yielded twice
         "streaks.py",
-        "head.add(v)",
-        "pass",
+        "not head.add(v)",
+        "True",
         [
             "tests/test_streaks.py::test_streak_dedupe_matches_set_oracle",
             "tests/test_streaks.py::test_reused_stream_matches_brute_scan[coeffs2-2000]",
             *walk_cases("f12-72-4-45-183"),
         ],
+    ),
+    (  # a head value yielded again when it recurs past _direct_upto
+        "streaks.py",
+        "v not in head and (n >= self._direct_upto or",
+        "(n >= self._direct_upto or v not in head) and (n >= self._direct_upto or",
+        [
+            "tests/test_streaks.py::test_preset_entries_match_sympy_enumeration[X^2-400X+40003]",
+            "tests/test_streaks.py::test_reused_stream_matches_brute_scan[coeffs2-500]",
+            "tests/test_streaks.py::test_reused_stream_matches_brute_scan[coeffs2-2000]",
+            "tests/test_streaks.py::test_reused_stream_matches_brute_scan[coeffs2-30000]",
+        ],
+    ),
+    (  # a block walked eagerly: a walk that stops inside a group base-2-tests the rest of its block
+        "streaks.py",
+        "yield ((n, v) for n, v in rows if v not in head and (n >= self._direct_upto or not head.add(v)))",
+        "yield iter([(n, v) for n, v in rows if v not in head and (n >= self._direct_upto or not head.add(v))])",
+        ["tests/test_streaks.py::test_walk_that_stops_inside_a_group_tests_no_further"],
+    ),
+    (  # the head reading the sieve: an f(n) that is itself a sieve prime, as Lehmer's f(0) = 3, is lost
+        "streaks.py",
+        "for n in range(lo, lo + split):",
+        "for n in compress(range(lo, lo + split), alive):",
+        [
+            "tests/test_streaks.py::test_lehmer_streak",
+            "tests/test_streaks.py::test_prime_count_examples",
+            "tests/test_streaks.py::test_prime_count_counts_the_sieve_against_sympy[f0-39]",
+        ],
+    ),
+    (  # the walk's groups run across block edges
+        "streaks.py",
+        "for block in stream._blocks(n_cap, arith.is_strong_probable_prime):",
+        "for block in [chain.from_iterable(stream._blocks(n_cap, arith.is_strong_probable_prime))]:",
+        ["tests/test_streaks.py::test_walk_groups_stop_at_the_block_edge"],
     ),
     (  # the simulation without its running maximum: a trial in pieces keeps its last piece's
         "densities.py",

@@ -14,7 +14,6 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-import sympy
 
 from qprim.arith import _QUOTIENT_PRIME_BOUND, DETERMINISTIC_PRIMALITY_LIMIT, Lanes, squarefree_decomposition
 from qprim.charsums import admissible_discriminants, is_valid_base
@@ -81,6 +80,18 @@ def test_k_of_2_63_or_more_is_refused_before_the_sweep():
         next(base_streaks(f, 326, 2**63 - 1, 2**63, 40))
     with pytest.raises(ValueError, match=r"2\^63"):
         empirical_max_streak(326, f, 2**63, n_cap=40)
+
+
+def test_alpha_and_the_k_range_are_bounded_before_any_allocation(tmp_path):
+    SearchConfig(d=163, d1=163, alpha=81).validate()  # 2^81 < 3.3e24 < 2^82
+    with pytest.raises(ValueError, match=r"at most 81 \(--alpha\)"):
+        SearchConfig(d=163, d1=163, alpha=82).validate()
+    f = candidate_poly(SearchConfig(d=163, d1=163, alpha=1))
+    with pytest.raises(ValueError, match=r"at most 2\^20 k .*got 1048577"):
+        next(base_streaks(f, 326, 5, 5 + 2**20, 40))
+    with pytest.raises(ValueError, match=r"at most 2\^20 k .*got 1048577"):  # and no checkpoint file is made
+        sweep(SearchConfig(d=163, d1=163, g_base=326, k_lo=5, k_hi=5 + 2**20), checkpoint_path=str(tmp_path / "ck"))
+    assert not (tmp_path / "ck").exists()
 
 
 def admissible_bases(f, g_bound):
@@ -490,11 +501,11 @@ def in_lanes(lanes, X):
 @pytest.mark.parametrize(
     "ps",
     [
-        [3, 1021, sympy.prevprime(2**26)],
-        [268435399, 268435367, 268435361],  # the primes just below 2^28, as literals: int64, not float64
-        [sympy.prevprime(2**31)],
-        [3, 1021, 65521, sympy.prevprime(2**50)],
-        [sympy.prevprime(2**50), sympy.nextprime(2**50), sympy.prevprime(2**53)],
+        [3, 1021, 67108859],  # the last prime below 2^26
+        [268435399, 268435367, 268435361],  # the primes just below 2^28: int64, not float64
+        [2147483647],  # 2^31 - 1
+        [3, 1021, 65521, 1125899906842597],  # the last prime below 2^50
+        [1125899906842597, 1125899906842679, 9007199254740881],  # either side of 2^50; the last below 2^53
     ],
     ids=["below2^26", "below2^28", "below2^31", "below2^50", "above2^50"],
 )

@@ -1,7 +1,7 @@
 """Tests for the streak statistic, prime counts, and residual-index stats."""
 
 from functools import cache
-from itertools import islice
+from itertools import accumulate, islice
 
 import pytest
 
@@ -452,6 +452,36 @@ def test_stream_pm1_factorizations_against_sympy(name):
         assert dict(pm1.factors) == sympy.factorint(p - 1), p
 
 
+def test_walk_groups_stop_at_the_block_edge(monkeypatch):
+    # Lehmer's first block holds 634 candidates, 58 mod 64: its last group is
+    # cut short at the edge, and the next block starts a group of its own
+    from qprim import arith
+    from qprim.streaks import _GROUP, _residual_indices
+
+    sizes = []
+    factor_many = arith.factor_many
+    monkeypatch.setattr(arith, "factor_many", lambda values: sizes.append(len(values)) or factor_many(values))
+    rows = [(n, p) for n, p, _, _ in _residual_indices(L, 326, 12_000)]
+    assert rows == sympy_entries(L, 12_000)
+    first_block = len(list(next(PrimeValueStream(L)._blocks(12_000, is_strong_probable_prime))))
+    assert first_block % _GROUP and first_block in accumulate(sizes)
+    assert max(sizes) == _GROUP
+
+
+def test_walk_that_stops_inside_a_group_tests_no_further(monkeypatch):
+    # example2's first 20 primes lie in its first group of 64 candidates,
+    # which 165 base-2 tests find; the rest of the block is never tested
+    from qprim import arith
+    from qprim.cli import preset_registry
+
+    tested = []
+    strong = arith.is_strong_probable_prime
+    monkeypatch.setattr(arith, "is_strong_probable_prime", lambda v: tested.append(v) or strong(v))
+    preset = preset_registry()["example2"]
+    assert verify_primitive_root_prefix(preset.poly, preset.g, 20)
+    assert len(tested) == 165
+
+
 def test_walks_skip_a_base2_pseudoprime_with_no_small_factor():
     # f(1) = 3511^2 passes the base-2 strong test and has no prime factor up
     # to the linear sieve depth of 2000, so it reaches the walks as a
@@ -460,7 +490,7 @@ def test_walks_skip_a_base2_pseudoprime_with_no_small_factor():
 
     f = PolyZ((1, 3511**2 - 1))
     n_cap = 1500
-    assert (1, 3511**2) in PrimeValueStream(f)._entries(n_cap, is_strong_probable_prime)
+    assert (1, 3511**2) in next(PrimeValueStream(f)._blocks(n_cap, is_strong_probable_prime))  # n_cap: one block
     entries = sympy_entries(f, n_cap)
     for g in (3, 5, 6, 7, 10, 11, -3):
         assert [(n, p) for n, p, _, _ in _residual_indices(f, g, n_cap)] == entries
