@@ -10,7 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .arith import Factorization, _divide_out, factor, is_prime, kronecker, squarefree_decomposition
+from .arith import Factorization, factor, is_prime, kronecker, iter_primes, squarefree_decomposition
 from .poly import (
     PolyZ,
     in_conjecture_f_family,
@@ -171,27 +171,31 @@ def inert_proportion(f: PolyZ, D: FundamentalDiscriminant | int) -> Fraction:
     return (1 + beta * a_odd) / 2
 
 
-_BOUND_CAP = 10**5  # admissible_discriminants' largest bound: the primorial to it costs about bound^2
-
-
 def admissible_discriminants(f: PolyZ, bound: int) -> list[FundamentalDiscriminant]:
     """All fundamental discriminants D with |D| <= bound and inert proportion
     exactly 1 for f.  Complete: such D must divide 24*a*d, so only divisors
     of that product are scanned.  A divisor up to `bound` has no prime factor
-    above `bound`, so only the bound-smooth part of 24*a*d is factored, by
-    one gcd with the primorial to `bound` (10^5 at most): the rest of it,
-    however large, never needs a primality test."""
+    above `bound`, so only the bound-smooth part of 24*a*d is factored (by
+    trial division): the rest of it, however large, never needs a primality
+    test."""
     if not in_conjecture_f_family(f):
         raise ValueError("polynomial is outside the quadratic search family")
     if bound < 1:
         raise ValueError("bound must be >= 1")
-    if bound > _BOUND_CAP:
-        raise ValueError(f"bound must be at most 10^5 (--bound), got {bound}")
     a, _, d = _quadratic(f)
-    base, smooth = 24 * a * abs(d), {}
-    rest = _divide_out(base, bound, smooth)
+    base = rest = 24 * a * abs(d)
+    smooth = []
+    for p in iter_primes(2, bound):
+        if rest == 1:
+            break
+        e = 0
+        while rest % p == 0:
+            rest //= p
+            e += 1
+        if e:
+            smooth.append((p, e))
     out = []
-    for t in Factorization(base // rest, tuple(sorted(smooth.items()))).divisors(limit=bound):
+    for t in Factorization(base // rest, tuple(smooth)).divisors(limit=bound):
         for D in (t, -t):
             if not is_fundamental_discriminant(D):
                 continue

@@ -157,9 +157,12 @@ def _character_tables(D: int) -> tuple[tuple[int, np.ndarray], ...]:
     per prime-discriminant component: the Legendre table mod each odd p | D
     (chi_{p*}(a) = (a/p) with p* = +-p = 1 mod 4) and, for the 2-part
     D / prod p*, the chi_-4, chi_8 or chi_-8 table mod 8."""
+    factors = factor(abs(D)).factors
+    if (top := factors[-1][0]) > 2**30:  # its int8 table would pass 1 GiB: refused before any is built
+        raise ValueError(f"the prime factors of |D| must be at most 2^30 (--disc), got {top}")
     parts = []
     odd_part = 1
-    for p, _ in factor(abs(D)).factors:
+    for p, _ in factors:
         if p == 2:
             continue
         odd_part *= p if p % 4 == 1 else -p
@@ -224,7 +227,6 @@ def _euler_product(
 # ---------------------------------------------------------------------------
 
 _L_ERROR_FLOOR = 1e-11
-_TABLE_CAP = 2**30  # the largest prime whose int8 Legendre table (1 GiB) dirichlet_l builds
 
 
 def dirichlet_l(s: int, D, tol: float = 1e-9) -> LValue:
@@ -242,8 +244,6 @@ def dirichlet_l(s: int, D, tol: float = 1e-9) -> LValue:
     q = abs(fd.D)
     if q <= 1:
         raise ValueError("need a discriminant with |D| > 1")
-    if (p := factor(q).factors[-1][0]) > _TABLE_CAP:  # chi_D reads a Legendre table of p entries
-        raise ValueError(f"the prime factors of |D| must be at most 2^30 (--disc), got {p}")
     if tol <= 0:
         raise ValueError("tol must be positive")
     if tol < _L_ERROR_FLOOR:

@@ -3,32 +3,31 @@
 The workhorse is PrimeValueStream: a forward pass over blocks of n that
 yields the distinct primes f(n) in ascending n, from a block sieve on the
 roots of f mod each sieve prime, from poly.roots_table a chunk of primes at
-a time.  Below _direct_upto, where f(n) may itself be a sieve prime, the
-sieve is not read: every f(n) there takes the reader's own test.  Past it a
-survivor has no prime factor up to the depth sieved, so it is prime outright
-when f(n) <= depth^2, and only larger survivors take the reader's test.  The
-stream sieves only the n asked for, each block to depth max(2000, block end)
-within the sieve limit: a prime above the range scanned strikes at most
-deg f of its n, and its roots cost more than the tests they save.  The block
-sieve (_sieve) returns its survivors, _walk evaluates them, and _blocks
-yields each block's rows as a lazy iterator: the block is the walk's unit.
-prime_count reads the same sieve to the full limit and, past _direct_upto
-where f increases, counts a block's survivors without evaluating f when its
-last value is at most the limit squared.  The stream keeps only its roots
-table between walks; streak, verify_primitive_root_prefix and pr_stats read
-the residual index of g at each prime from one walk.
+a time.  Past _direct_upto a survivor f(n) has no prime factor up to its
+block's depth, so it is prime outright when f(n) <= depth^2, and a larger
+one takes the reader's own test.  Below it f(n) may be a sieve prime: each
+takes that test, but a struck f(n) above the depth.  The stream sieves only
+the n asked for, each block to depth max(2000, block end) within the sieve
+limit: a prime above the range scanned strikes at most deg f of its n, and
+its roots cost more than the tests they save.  _sieve returns a block's
+survivors, _walk evaluates them, and _blocks yields each block's rows
+lazily: the block is the walk's unit.  prime_count reads the same sieve to
+the full limit and, past _direct_upto where f increases, counts a block's
+survivors without evaluating f when its last value is at most the limit
+squared.  The stream keeps only its roots table between walks; streak,
+verify_primitive_root_prefix and pr_stats read the residual index of g at
+each prime from one walk.
 
 That walk, _residual_indices, is the only reader of the stream's base-2
 candidates: it takes the larger survivors on the base-2 strong test alone,
-factors their p - 1 in groups of at most _GROUP that never cross a block
-edge, and lets the powers of the primitive-root test prove p prime by
-Lucas; is_prime proves a candidate its witness does not.
-criteria.lehmer_index_coprimality reads the same walk, with its p - 1
-factorizations, and so does base_streaks, the one k-sweep engine
-(search.sweep and empirical_max_streak fold its output with BestStreak): it
-tests every live base k^2 * g_base against a group of the walk's primes in
-one matrix pass, from the index of g_base and the factorization of p - 1.
-entries_upto yields proven primes only.
+factors their p - 1 in groups of at most _GROUP inside a block, and lets
+the powers of the primitive-root test prove p prime by Lucas; is_prime
+proves a candidate its witness does not.  criteria.lehmer_index_coprimality
+reads the same walk, with its p - 1 factorizations, and so does
+base_streaks, the one k-sweep engine (search.sweep and empirical_max_streak
+fold its output with BestStreak): it tests every live base k^2 * g_base
+against a group of the walk's primes in one matrix pass, from the index of
+g_base and the factorization of p - 1.  entries_upto yields proven primes only.
 """
 
 from __future__ import annotations
@@ -133,15 +132,15 @@ class PrimeValueStream:
         self.sieve_limit = sieve_limit
         self._moduli, self._residues = array("q"), array("q")  # q and r, ascending in q then r
         self._depth = 0  # the roots cover the sieve primes up to this
-        # below this n, every f(n) takes the reader's test: a sieve kill may be a sieve prime
+        # below this n, a struck f(n) may be a sieve prime; past it f increases
         self._direct_upto = _positive_tail_start(f, sieve_limit)
 
-    def _sieve(self, lo: int, size: int, depth: int) -> tuple[bytearray, int]:
-        """(alive, split) for the n in [lo, lo + size): alive[n - lo] is 0
-        where a sieve prime divides f(n), sieving by the primes up to the
-        largest depth asked for so far, within sieve_limit; split counts the n
-        below _direct_upto.  The roots table grows to that depth a chunk of
-        arith's cached primes at a time, by poly.roots_table."""
+    def _sieve(self, lo: int, size: int, depth: int) -> tuple[bytearray, int, int]:
+        """(alive, split, depth) for the n in [lo, lo + size): alive[n - lo]
+        is 0 where a sieve prime divides f(n), sieving by the primes up to the
+        largest depth asked for so far, within sieve_limit, which is returned;
+        split counts the n below _direct_upto.  The roots table grows to that
+        depth a chunk of arith's cached primes at a time, by roots_table."""
         depth = min(depth, self.sieve_limit)
         for P in arith.prime_chunks(self._depth + 1, depth):
             moduli, residues = roots_table(self.poly, P)  # all q roots if q divides every value
@@ -153,17 +152,17 @@ class PrimeValueStream:
             start = (r - lo) % q
             if start < size:
                 alive[start::q] = bytearray(len(range(start, size, q)))
-        return alive, min(max(self._direct_upto - lo, 0), size)
+        return alive, min(max(self._direct_upto - lo, 0), size), self._depth
 
-    def _walk(self, lo: int, alive: bytearray, split: int, test) -> Iterator[tuple[int, int]]:
-        """(n, f(n)) ascending over [lo, lo + len(alive)) with f(n) >= 2 prime:
-        below split each f(n) takes `test` (is_prime or a weaker pre-filter),
-        whatever the sieve says; past it only survivors count, prime outright
-        up to depth^2 and by `test` above."""
-        poly, exact = self.poly, self._depth**2
-        for n in range(lo, lo + split):
+    def _walk(self, lo: int, alive: bytearray, split: int, depth: int, test) -> Iterator[tuple[int, int]]:
+        """(n, f(n)) ascending over [lo, lo + len(alive)) with f(n) >= 2 prime,
+        from a block sieved to `depth`: below split each f(n) but a struck one
+        above the depth takes `test` (is_prime or a weaker pre-filter); past
+        it a survivor is prime outright up to depth^2 and by `test` above."""
+        poly, exact = self.poly, depth * depth
+        for n, live in zip(range(lo, lo + split), alive):
             v = poly.eval(n)
-            if v >= 2 and test(v):
+            if v >= 2 and (live or v <= depth) and test(v):
                 yield n, v
         for n in compress(range(lo + split, lo + len(alive)), memoryview(alive)[split:]):
             v = poly.eval(n)
@@ -176,15 +175,20 @@ class PrimeValueStream:
 
     def _blocks(self, n_cap: int, test) -> Iterator[Iterator[tuple[int, int]]]:
         """The blocks of n <= n_cap from 0, each sieved as it is reached and
-        walked lazily: its (n, f(n)) that pass `test`, each value once.  f
-        strictly increases from _direct_upto on, so only values first met
-        below it can recur; they are all the blocks remember."""
+        walked lazily: its (n, f(n)) that pass `test`, each value once.  Only
+        values first met below _direct_upto can recur: the blocks keep them."""
         head: set[int] = set()
+
+        def unseen(rows: Iterator[tuple[int, int]]) -> Iterator[tuple[int, int]]:
+            for n, v in rows:
+                if v not in head:
+                    if n < self._direct_upto:
+                        head.add(v)
+                    yield n, v
+
         for lo in range(0, n_cap + 1, _BLOCK):
             hi = min(lo + _BLOCK, n_cap + 1)
-            rows = self._walk(lo, *self._sieve(lo, hi - lo, max(_MIN_DEPTH, hi)), test)
-            # set.add returns None: a value below _direct_upto is remembered as it is yielded
-            yield ((n, v) for n, v in rows if v not in head and (n >= self._direct_upto or not head.add(v)))
+            yield unseen(self._walk(lo, *self._sieve(lo, hi - lo, max(_MIN_DEPTH, hi)), test))
 
     def pm1_factorization(self, p: int) -> Factorization:
         """factor(p - 1).  No walk calls it (they factor in groups); it stays
@@ -199,10 +203,10 @@ def _residual_indices(
     in order: pm1 factors p - 1, and index is (p-1)/ord_p(g), 1 exactly when g
     is a primitive root mod p, or None when p divides g.  Arguments are
     checked before the walk.  The base-2 candidates' p - 1 are factored
-    _GROUP at a time, a block's last group short.  g is the Lucas witness; a
-    candidate it does not certify counts only once is_prime proves it, and a
-    p - 1 that failed to factor then raises (a composite's is dropped).
-    Every proven-prime walk reads this."""
+    _GROUP at a time within a block.  g is the Lucas witness; a candidate it
+    does not certify counts only once is_prime proves it, and a p - 1 that
+    failed to factor then raises (a composite's is dropped).  Every
+    proven-prime walk reads this."""
     require_valid_base(g)
     if n_cap < 0:
         raise ValueError("n_cap must be >= 0")
@@ -279,11 +283,11 @@ def prime_count(f: PolyZ, x: int) -> int:
     block = max(_BLOCK, limit)  # a block pays one pass over every root: at >= limit n, each root strikes it
     count = 0
     for lo in range(0, x + 1, block):
-        alive, split = stream._sieve(lo, min(block, x + 1 - lo), limit)
+        alive, split, depth = stream._sieve(lo, min(block, x + 1 - lo), limit)
         if f.eval(lo + len(alive) - 1) > limit * limit:  # a survivor may be composite
-            count += sum(1 for _ in stream._walk(lo, alive, split, is_prime))
+            count += sum(1 for _ in stream._walk(lo, alive, split, depth, is_prime))
         else:  # past split f increases: each survivor is in (limit, limit^2], so prime
-            count += sum(1 for _ in stream._walk(lo, alive[:split], split, is_prime)) + alive.count(1, split)
+            count += sum(1 for _ in stream._walk(lo, alive[:split], split, depth, is_prime)) + alive.count(1, split)
     return count
 
 
@@ -411,7 +415,6 @@ class BestStreak:
     max_unfinished: int | None = -1
 
     def add(self, k: int, c: int, failing_prime: int | None) -> None:
-        """Fold in one result."""
         if failing_prime is None and self.max_unfinished is not None:
             self.max_unfinished = max(self.max_unfinished, c)
         if c > self.c:

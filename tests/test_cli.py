@@ -409,7 +409,6 @@ PAST_A_BOUND = [
     (["lvalue", "--s", "1", "--disc", str(2**53 + 1)], "--disc"),  # its prime factor 28059810762433
     (SEARCH + ["--alpha", str(2**64), "--k-hi", "2"], "--alpha"),
     (SEARCH + ["--alpha", "100000", "--k-hi", "2"], "--alpha"),
-    (["tau", "--poly", "326,0,3", "--admissible", "--bound", str(10**5 + 1)], "--bound"),
 ]
 
 REFUSALS = """

@@ -161,8 +161,8 @@ MUTANTS = [
     ),
     (  # _blocks without its head set: a value below _direct_upto met twice is yielded twice
         "streaks.py",
-        "not head.add(v)",
-        "True",
+        "head.add(v)",
+        "pass",
         [
             "tests/test_streaks.py::test_streak_dedupe_matches_set_oracle",
             "tests/test_streaks.py::test_reused_stream_matches_brute_scan[coeffs2-2000]",
@@ -171,8 +171,8 @@ MUTANTS = [
     ),
     (  # a head value yielded again when it recurs past _direct_upto
         "streaks.py",
-        "v not in head and (n >= self._direct_upto or",
-        "(n >= self._direct_upto or v not in head) and (n >= self._direct_upto or",
+        "if v not in head:",
+        "if n >= self._direct_upto or v not in head:",
         [
             "tests/test_streaks.py::test_preset_entries_match_sympy_enumeration[X^2-400X+40003]",
             "tests/test_streaks.py::test_reused_stream_matches_brute_scan[coeffs2-500]",
@@ -182,19 +182,31 @@ MUTANTS = [
     ),
     (  # a block walked eagerly: a walk that stops inside a group base-2-tests the rest of its block
         "streaks.py",
-        "yield ((n, v) for n, v in rows if v not in head and (n >= self._direct_upto or not head.add(v)))",
-        "yield iter([(n, v) for n, v in rows if v not in head and (n >= self._direct_upto or not head.add(v))])",
+        "yield unseen(self._walk(lo, *self._sieve(lo, hi - lo, max(_MIN_DEPTH, hi)), test))",
+        "yield iter(list(unseen(self._walk(lo, *self._sieve(lo, hi - lo, max(_MIN_DEPTH, hi)), test))))",
         ["tests/test_streaks.py::test_walk_that_stops_inside_a_group_tests_no_further"],
     ),
-    (  # the head reading the sieve: an f(n) that is itself a sieve prime, as Lehmer's f(0) = 3, is lost
+    (  # the head trusting every sieve kill: an f(n) that is itself a sieve prime, as Lehmer's f(0) = 3, is lost
         "streaks.py",
-        "for n in range(lo, lo + split):",
-        "for n in compress(range(lo, lo + split), alive):",
+        "(live or v <= depth)",
+        "live",
         [
             "tests/test_streaks.py::test_lehmer_streak",
             "tests/test_streaks.py::test_prime_count_examples",
             "tests/test_streaks.py::test_prime_count_counts_the_sieve_against_sympy[f0-39]",
         ],
+    ),
+    (  # the head testing every f(n): a struck value above the depth, composite, takes the test too
+        "streaks.py",
+        "(live or v <= depth)",
+        "(live or v >= 2)",
+        ["tests/test_streaks.py::test_the_head_tests_survivors_and_struck_values_up_to_the_depth"],
+    ),
+    (  # a block read at the depth of the latest sieve: its survivors up to that depth^2 count unproven
+        "streaks.py",
+        "poly, exact = self.poly, depth * depth",
+        "poly, exact = self.poly, self._depth**2",
+        ["tests/test_streaks.py::test_a_block_keeps_the_depth_it_was_sieved_to"],
     ),
     (  # the walk's groups run across block edges
         "streaks.py",

@@ -1,5 +1,6 @@
 """Tests for the streak statistic, prime counts, and residual-index stats."""
 
+import math
 from functools import cache
 from itertools import accumulate, islice
 
@@ -480,6 +481,30 @@ def test_walk_that_stops_inside_a_group_tests_no_further(monkeypatch):
     preset = preset_registry()["example2"]
     assert verify_primitive_root_prefix(preset.poly, preset.g, 20)
     assert len(tested) == 165
+
+
+def test_a_block_keeps_the_depth_it_was_sieved_to():
+    # block 0 of Lehmer's L is sieved to 8192; taking block 1 first grows the
+    # roots to 16384, and block 0's survivors in (8192^2, 16384^2] must still
+    # take the test, as some are products of two primes above 8192
+    stream = PrimeValueStream(L)
+    blocks = stream._blocks(16_383, is_prime)
+    first, second = next(blocks), next(blocks)
+    assert stream._depth == 16_384
+    assert list(first) + list(second) == sympy_entries(L, 16_383)
+
+
+def test_the_head_tests_survivors_and_struck_values_up_to_the_depth():
+    # (X - 50000)^2 + 41 decreases over its whole first block, so every n of
+    # it is in the head: only the survivors of the sieve to 8192 take the
+    # test, as every struck f(n) there is above 8192 and so composite
+    f = PolyZ((50_000**2 + 41, -100_000, 1))
+    primorial = math.prod(primes_up_to(8192))
+    survivors = sum(1 for n in range(8192) if math.gcd(f.eval(n), primorial) == 1)
+    tested = []
+    rows = list(next(PrimeValueStream(f)._blocks(8191, lambda v: tested.append(v) or is_prime(v))))
+    assert rows == sympy_entries(f, 8191)
+    assert len(tested) == survivors
 
 
 def test_walks_skip_a_base2_pseudoprime_with_no_small_factor():
