@@ -10,7 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .arith import Factorization, factor, is_prime, kronecker, iter_primes, squarefree_decomposition
+from .arith import Factorization, _strip, factor, is_prime, kronecker, iter_primes, squarefree_decomposition
 from .poly import (
     PolyZ,
     in_conjecture_f_family,
@@ -176,26 +176,22 @@ def admissible_discriminants(f: PolyZ, bound: int) -> list[FundamentalDiscrimina
     exactly 1 for f.  Complete: such D must divide 24*a*d, so only divisors
     of that product are scanned.  A divisor up to `bound` has no prime factor
     above `bound`, so only the bound-smooth part of 24*a*d is factored (by
-    trial division): the rest of it, however large, never needs a primality
-    test."""
+    trial division, which stops once the product is used up): the rest of
+    it, however large, never needs a primality test."""
     if not in_conjecture_f_family(f):
         raise ValueError("polynomial is outside the quadratic search family")
     if bound < 1:
         raise ValueError("bound must be >= 1")
     a, _, d = _quadratic(f)
     base = rest = 24 * a * abs(d)
-    smooth = []
+    smooth: dict[int, int] = {}  # ascending p, as Factorization needs
     for p in iter_primes(2, bound):
         if rest == 1:
             break
-        e = 0
-        while rest % p == 0:
-            rest //= p
-            e += 1
-        if e:
-            smooth.append((p, e))
+        if rest % p == 0:
+            rest = _strip(rest, p, smooth)
     out = []
-    for t in Factorization(base // rest, tuple(smooth)).divisors(limit=bound):
+    for t in Factorization(base // rest, tuple(smooth.items())).divisors(limit=bound):
         for D in (t, -t):
             if not is_fundamental_discriminant(D):
                 continue

@@ -415,6 +415,7 @@ class BestStreak:
     max_unfinished: int | None = -1
 
     def add(self, k: int, c: int, failing_prime: int | None) -> None:
+        """Fold in one result."""
         if failing_prime is None and self.max_unfinished is not None:
             self.max_unfinished = max(self.max_unfinished, c)
         if c > self.c:
