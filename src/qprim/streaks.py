@@ -276,7 +276,7 @@ def prime_count(f: PolyZ, x: int) -> int:
     limit = _default_sieve_limit(f)
     if f.degree() <= 2:
         # roots mod q have a closed form, so sieve to sqrt(max f): then every
-        # survivor is prime without a test
+        # survivor past the head is prime without a test
         top = max(f.eval(0), f.eval(x), 0)
         limit = max(limit, min(isqrt(top), _COUNT_SIEVE_CAP))
     stream = PrimeValueStream(f, sieve_limit=limit)
