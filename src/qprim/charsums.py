@@ -7,6 +7,7 @@ no floating point.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -34,34 +35,36 @@ def require_valid_base(g: int) -> None:
 
 @dataclass(frozen=True)
 class FundamentalDiscriminant:
-    """A fundamental quadratic-field discriminant and its (positive) odd part."""
+    """A fundamental quadratic-field discriminant and its odd primes, ascending."""
 
     D: int
-    odd_part: int
+    odd_primes: tuple[int, ...]
+
+    @property
+    def odd_part(self) -> int:
+        return math.prod(self.odd_primes)
 
     @classmethod
     def from_integer(cls, D: int | FundamentalDiscriminant) -> FundamentalDiscriminant:
         """The fundamental discriminant D; an instance is returned unchanged."""
         if isinstance(D, FundamentalDiscriminant):
             return D
-        if not is_fundamental_discriminant(D):
+        if (odd_primes := _odd_primes(D)) is None:
             raise ValueError(f"{D} is not a fundamental discriminant")
-        m = abs(D)
-        while m % 2 == 0:
-            m //= 2
-        return cls(D=D, odd_part=m)
+        return cls(D, odd_primes)
+
+
+def _odd_primes(D: int) -> tuple[int, ...] | None:
+    """D's odd primes, from one factorization, if D is a fundamental discriminant
+    (D = 1 mod 4, or 4m with m = 2, 3 mod 4; squarefree D or m), else None."""
+    m = D if D % 4 == 1 else D // 4 if D % 16 in (8, 12) else 0
+    if m and (fact := factor(abs(m))).is_squarefree():
+        return tuple(p for p in fact.prime_factors() if p > 2)
+    return None
 
 
 def is_fundamental_discriminant(D: int) -> bool:
-    if D == 0:
-        return False
-    if D % 4 == 1:
-        return factor(abs(D)).is_squarefree()
-    if D % 4 == 0:
-        m = D // 4
-        if m % 4 in (2, 3):
-            return factor(abs(m)).is_squarefree()
-    return False
+    return _odd_primes(D) is not None
 
 
 def fundamental_discriminant(g: int) -> FundamentalDiscriminant:
@@ -122,27 +125,26 @@ def brute_char_average(f: PolyZ, p: int) -> Fraction:
     return Fraction(sum(kronecker(v, p) for v in units), len(units))
 
 
-def _require_odd_squarefree(d: int) -> Factorization:
-    if d <= 1 or d % 2 == 0:
-        raise ValueError(f"modulus {d} must be odd, squarefree and > 1")
-    fact = factor(d)
-    if not fact.is_squarefree():
-        raise ValueError(f"modulus {d} must be squarefree")
-    return fact
-
-
-def char_average(f: PolyZ, d: int) -> Fraction:
-    """Multiplicative extension prod_{p | d} of the local average, for odd
-    squarefree d > 1: the closed form for f of degree 2, enumeration for any
-    other degree."""
-    fact = _require_odd_squarefree(d)
+def local_average(f: PolyZ, *primes: int) -> Fraction:
+    """The product of the local averages of f at the odd primes given, 0 once
+    one is: local_char_average for f of degree 2, else brute_char_average."""
     local = local_char_average if f.degree() == 2 else brute_char_average
     out = Fraction(1)
-    for p, _ in fact.factors:
+    for p in primes:
         out *= local(f, p)
         if out == 0:
             break
     return out
+
+
+def char_average(f: PolyZ, d: int) -> Fraction:
+    """Multiplicative extension prod_{p | d} of the local average, for odd
+    squarefree d > 1."""
+    if d <= 1 or d % 2 == 0:
+        raise ValueError(f"modulus {d} must be odd, squarefree and > 1")
+    if not (fact := factor(d)).is_squarefree():
+        raise ValueError(f"modulus {d} must be squarefree")
+    return local_average(f, *fact.prime_factors())
 
 
 def inert_proportion(f: PolyZ, D: FundamentalDiscriminant | int) -> Fraction:
@@ -153,9 +155,9 @@ def inert_proportion(f: PolyZ, D: FundamentalDiscriminant | int) -> Fraction:
     back to enumeration at each odd prime dividing D.
     """
     D = FundamentalDiscriminant.from_integer(D)
-    if D.odd_part == 1:
+    if not D.odd_primes:
         raise ValueError(f"discriminant {D.D} has no odd prime divisor")
-    a_odd = char_average(f, D.odd_part)
+    a_odd = local_average(f, *D.odd_primes)
     if D.D % 2 != 0:
         return (1 - a_odd) / 2
     a1, a3, a5, a7 = mod8_profile(f)
@@ -193,11 +195,10 @@ def admissible_discriminants(f: PolyZ, bound: int) -> list[FundamentalDiscrimina
     out = []
     for t in Factorization(base // rest, tuple(smooth.items())).divisors(limit=bound):
         for D in (t, -t):
-            if not is_fundamental_discriminant(D):
+            try:
+                fd = FundamentalDiscriminant.from_integer(D)
+            except ValueError:
                 continue
-            fd = FundamentalDiscriminant.from_integer(D)
-            if fd.odd_part == 1:
-                continue
-            if inert_proportion(f, fd) == 1:
+            if fd.odd_primes and inert_proportion(f, fd) == 1:
                 out.append(fd)
     return sorted(out, key=lambda fd: fd.D)

@@ -31,12 +31,11 @@ from . import __version__
 from .arith import primes_up_to
 from .charsums import (
     admissible_discriminants,
-    brute_char_average,
     char_average,
     complete_char_sum,
     inert_proportion,
     jacobsthal_sum,
-    local_char_average,
+    local_average,
 )
 from .criteria import (
     chebyshev_criterion,
@@ -355,8 +354,7 @@ def _handle_charsum(args) -> dict:
     if args.mode == "complete":
         return {"value": complete_char_sum(f, args.p), "p": args.p}
     if args.mode == "local":
-        local = local_char_average if f.degree() == 2 else brute_char_average
-        return {"value": local(f, args.p), "p": args.p}
+        return {"value": local_average(f, args.p), "p": args.p}
     # mode == "average": composite odd squarefree modulus
     return {"value": char_average(f, args.d), "d": args.d}
 

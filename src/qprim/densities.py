@@ -152,19 +152,16 @@ _TWO_PART_TABLES = {  # chi_-4, chi_8, chi_-8 on the residues mod 8
 
 
 @lru_cache(maxsize=16)
-def _character_tables(D: int) -> tuple[tuple[int, np.ndarray], ...]:
+def _character_tables(fd: FundamentalDiscriminant) -> tuple[tuple[int, np.ndarray], ...]:
     """chi_D for a fundamental discriminant D as (modulus, table) pairs, one
     per prime-discriminant component: the Legendre table mod each odd p | D
     (chi_{p*}(a) = (a/p) with p* = +-p = 1 mod 4) and, for the 2-part
     D / prod p*, the chi_-4, chi_8 or chi_-8 table mod 8."""
-    factors = factor(abs(D)).factors
-    if (top := factors[-1][0]) > 2**30:  # its int8 table would pass 1 GiB: refused before any is built
+    if (top := max(fd.odd_primes, default=2)) > 2**30:  # its int8 table would pass 1 GiB: refused before any is built
         raise ValueError(f"the prime factors of |D| must be at most 2^30 (--disc), got {top}")
     parts = []
     odd_part = 1
-    for p, _ in factors:
-        if p == 2:
-            continue
+    for p in fd.odd_primes:
         odd_part *= p if p % 4 == 1 else -p
         table = np.full(p, -1, dtype=np.int8)
         table[0] = 0
@@ -174,16 +171,16 @@ def _character_tables(D: int) -> tuple[tuple[int, np.ndarray], ...]:
             table[r * r % p] = 1
         table.flags.writeable = False  # shared by every caller through the cache
         parts.append((p, table))
-    if D != odd_part:
-        parts.append((8, _TWO_PART_TABLES[D // odd_part]))
+    if fd.D != odd_part:
+        parts.append((8, _TWO_PART_TABLES[fd.D // odd_part]))
     return tuple(parts)
 
 
-def _kronecker_chunk(D: int, a: np.ndarray) -> np.ndarray:
+def _kronecker_chunk(fd: FundamentalDiscriminant, a: np.ndarray) -> np.ndarray:
     """The Kronecker symbol (D/a) on the non-negative int64 array a, as int8,
-    for a fundamental discriminant D."""
+    for the fundamental discriminant fd."""
     chi = np.ones(len(a), dtype=np.int8)
-    for m, table in _character_tables(D):
+    for m, table in _character_tables(fd):
         chi *= table[a % m]
     return chi
 
@@ -255,7 +252,7 @@ def dirichlet_l(s: int, D, tol: float = 1e-9) -> LValue:
     def terms() -> Iterator[list[float]]:
         for lo in range(1, q, _CHUNK):
             a = np.arange(lo, min(lo + _CHUNK, q), dtype=np.int64)
-            chi = _kronecker_chunk(fd.D, a)
+            chi = _kronecker_chunk(fd, a)
             units = chi != 0
             yield (chi[units] * psi(a[units] / q)).tolist()
 
@@ -288,7 +285,7 @@ def hardy_littlewood_constant(D: int, tol: float = 1e-8) -> DensityReport:
     L1 = dirichlet_l(1, fd, tol=1e-10)
     L2 = dirichlet_l(2, fd, tol=1e-10)
     value = (math.pi ** 4 / 90.0) / (2.0 * L1.value * L2.value)
-    for p, _ in factor(abs(fd.D)).factors:
+    for p in fd.odd_primes:  # D = 5 mod 8 is odd
         value *= 1.0 - 1.0 / float(p) ** 4
     cutoff = _split_cutoff(tol, power=2)
 

@@ -3,20 +3,20 @@
 The workhorse is PrimeValueStream: a forward pass over blocks of n that
 yields the distinct primes f(n) in ascending n, from a block sieve on the
 roots of f mod each sieve prime, from poly.roots_table a chunk of primes at
-a time.  Past _direct_upto a survivor f(n) has no prime factor up to its
-block's depth, so it is prime outright when f(n) <= depth^2, and a larger
-one takes the reader's own test.  Below it f(n) may be a sieve prime: each
-takes that test, but a struck f(n) above the depth.  The stream sieves only
-the n asked for, each block to depth max(2000, block end) within the sieve
-limit: a prime above the range scanned strikes at most deg f of its n, and
-its roots cost more than the tests they save.  _sieve returns a block's
-survivors, _walk evaluates them, and _blocks yields each block's rows
-lazily: the block is the walk's unit.  prime_count reads the same sieve to
-the full limit and, past _direct_upto where f increases, counts a block's
-survivors without evaluating f when its last value is at most the limit
-squared.  The stream keeps only its roots table between walks; streak,
-verify_primitive_root_prefix and pr_stats read the residual index of g at
-each prime from one walk.
+a time.  One rule decides each f(n) = v >= 2 of a block sieved to depth: a
+survivor is prime outright when v <= depth^2 and takes the reader's own
+test above; a struck v can only be a sieve prime, so it takes that test up
+to the depth.  Past _direct_upto every struck v is above the sieve limit:
+only survivors are evaluated.  The stream sieves only the n asked for, each
+block to depth max(2000, block end) within the sieve limit: a prime above
+the range scanned strikes at most deg f of its n, and its roots cost more
+than the tests they save.  _sieve returns a block's survivors, _walk
+decides them, and _blocks yields each block's rows lazily: the block is the
+walk's unit.  prime_count sieves to the full limit and counts with the same
+rule, but counts the survivors past _direct_upto unevaluated in a block
+whose last value is at most depth^2.  The stream keeps only its roots table
+between walks; streak, verify_primitive_root_prefix and pr_stats read the
+residual index of g at each prime from one walk.
 
 That walk, _residual_indices, is the only reader of the stream's base-2
 candidates: it takes the larger survivors on the base-2 strong test alone,
@@ -155,18 +155,14 @@ class PrimeValueStream:
         return alive, min(max(self._direct_upto - lo, 0), size), self._depth
 
     def _walk(self, lo: int, alive: bytearray, split: int, depth: int, test) -> Iterator[tuple[int, int]]:
-        """(n, f(n)) ascending over [lo, lo + len(alive)) with f(n) >= 2 prime,
-        from a block sieved to `depth`: below split each f(n) but a struck one
-        above the depth takes `test` (is_prime or a weaker pre-filter); past
-        it a survivor is prime outright up to depth^2 and by `test` above."""
+        """(n, f(n)) ascending over [lo, lo + len(alive)) with f(n) >= 2 prime, from
+        a block sieved to `depth`: a live f(n) is prime outright up to depth^2 and by
+        `test` (is_prime or a weaker pre-filter) above; a struck one, prime only as a
+        sieve prime, by `test` up to the depth, and past split it is above: not walked."""
         poly, exact = self.poly, depth * depth
-        for n, live in zip(range(lo, lo + split), alive):
-            v = poly.eval(n)
-            if v >= 2 and (live or v <= depth) and test(v):
-                yield n, v
-        for n in compress(range(lo + split, lo + len(alive)), memoryview(alive)[split:]):
-            v = poly.eval(n)
-            if v >= 2 and (v <= exact or test(v)):
+        for n in chain(range(lo, lo + split), compress(range(lo + split, lo + len(alive)), memoryview(alive)[split:])):
+            v, live = poly.eval(n), alive[n - lo]
+            if v >= 2 and (live and v <= exact or (live or v <= depth) and test(v)):
                 yield n, v
 
     def entries_upto(self, n_cap: int) -> Iterator[tuple[int, int]]:
@@ -276,7 +272,7 @@ def prime_count(f: PolyZ, x: int) -> int:
     limit = _default_sieve_limit(f)
     if f.degree() <= 2:
         # roots mod q have a closed form, so sieve to sqrt(max f): then every
-        # survivor past the head is prime without a test
+        # survivor is prime without a test
         top = max(f.eval(0), f.eval(x), 0)
         limit = max(limit, min(isqrt(top), _COUNT_SIEVE_CAP))
     stream = PrimeValueStream(f, sieve_limit=limit)
@@ -284,10 +280,9 @@ def prime_count(f: PolyZ, x: int) -> int:
     count = 0
     for lo in range(0, x + 1, block):
         alive, split, depth = stream._sieve(lo, min(block, x + 1 - lo), limit)
-        if f.eval(lo + len(alive) - 1) > limit * limit:  # a survivor may be composite
-            count += sum(1 for _ in stream._walk(lo, alive, split, depth, is_prime))
-        else:  # past split f increases: each survivor is in (limit, limit^2], so prime
-            count += sum(1 for _ in stream._walk(lo, alive[:split], split, depth, is_prime)) + alive.count(1, split)
+        # past split f increases: if the last value is at most depth^2, every survivor there is prime: counted
+        end = split if f.eval(lo + len(alive) - 1) <= depth * depth else len(alive)
+        count += sum(1 for _ in stream._walk(lo, alive[:end], split, depth, is_prime)) + alive.count(1, end)
     return count
 
 

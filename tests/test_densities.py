@@ -246,6 +246,19 @@ def test_hardy_littlewood_constants():
     assert c163.tail_bound > 0
 
 
+def test_hardy_littlewood_constant_factors_the_discriminant_once(monkeypatch):
+    # the discriminant keeps the odd primes of its one factorization: the
+    # character tables and the product over q | D read them
+    from qprim import charsums
+
+    seen = []
+    for module in (charsums, densities):
+        monkeypatch.setattr(module, "factor", lambda n, *a, **k: seen.append(n) or factor(n, *a, **k))
+    densities._character_tables.cache_clear()
+    assert abs(hardy_littlewood_constant(-111763).value - 3.6319998) < 1e-5
+    assert seen.count(111763) == 1
+
+
 def test_hardy_littlewood_cutoff_stability():
     tol = 1e-8
     a = hardy_littlewood_constant(-163, tol=tol)
@@ -570,7 +583,9 @@ def test_kronecker_chunk_matches_kronecker():
             if not is_fundamental_discriminant(D):
                 continue
             a = np.arange(3 * t, dtype=np.int64)
-            assert _kronecker_chunk(D, a).tolist() == [kronecker(D, int(x)) for x in a], D
+            assert _kronecker_chunk(FundamentalDiscriminant.from_integer(D), a).tolist() == [
+                kronecker(D, int(x)) for x in a
+            ], D
             checked += 1
     assert checked > 100
 

@@ -124,14 +124,15 @@ MUTANTS = [
         "r.astype(np.float64)",
         ["tests/test_densities.py::test_legendre_float_and_int64_kernels_at_their_edges"],
     ),
-    (  # prime_count counting the head's survivors again, from 0 instead of the split
+    (  # prime_count counting the walked survivors again, from 0 instead of where the walk ends
         "streaks.py",
-        "alive.count(1, split)",
+        "alive.count(1, end)",
         "alive.count(1)",
         [
             "tests/test_streaks.py::test_prime_count_sieve_exact_against_sympy[f3]",
             "tests/test_streaks.py::test_prime_count_counts_the_sieve_against_sympy[f6-150]",
             "tests/test_streaks.py::test_prime_count_matches_brute_scan_past_the_block_edge[coeffs2]",
+            "tests/test_streaks.py::test_prime_count_proves_live_head_values_up_to_the_depth_squared",
         ],
     ),
     (  # the root table's quadratic formula at a q dividing the leading coefficient
@@ -186,21 +187,30 @@ MUTANTS = [
         "yield iter(list(unseen(self._walk(lo, *self._sieve(lo, hi - lo, max(_MIN_DEPTH, hi)), test))))",
         ["tests/test_streaks.py::test_walk_that_stops_inside_a_group_tests_no_further"],
     ),
-    (  # the head trusting every sieve kill: an f(n) that is itself a sieve prime, as Lehmer's f(0) = 3, is lost
+    (  # the walk trusting every sieve kill: an f(n) that is itself a sieve prime, as Lehmer's f(0) = 3, is lost
         "streaks.py",
-        "(live or v <= depth)",
-        "live",
+        "or (live or v <= depth) and test(v)",
+        "or live and test(v)",
         [
             "tests/test_streaks.py::test_lehmer_streak",
             "tests/test_streaks.py::test_prime_count_examples",
             "tests/test_streaks.py::test_prime_count_counts_the_sieve_against_sympy[f0-39]",
         ],
     ),
-    (  # the head testing every f(n): a struck value above the depth, composite, takes the test too
+    (  # the walk testing every struck f(n): one above the depth, composite, takes the test too
         "streaks.py",
         "(live or v <= depth)",
         "(live or v >= 2)",
-        ["tests/test_streaks.py::test_the_head_tests_survivors_and_struck_values_up_to_the_depth"],
+        [
+            "tests/test_streaks.py::test_the_head_tests_survivors_and_struck_values_up_to_the_depth",
+            "tests/test_streaks.py::test_prime_count_proves_live_head_values_up_to_the_depth_squared",
+        ],
+    ),
+    (  # the walk without its depth^2 shortcut: a live head value that the sieve proves prime takes the test
+        "streaks.py",
+        "live and v <= exact or ",
+        "",
+        ["tests/test_streaks.py::test_prime_count_proves_live_head_values_up_to_the_depth_squared"],
     ),
     (  # a block read at the depth of the latest sieve: its survivors up to that depth^2 count unproven
         "streaks.py",
@@ -221,6 +231,18 @@ MUTANTS = [
         [
             "tests/test_densities.py::test_simulation_in_pieces_draws_the_whole_row_values[11]",
             "tests/test_densities.py::test_simulation_in_pieces_draws_the_whole_row_values[25]",
+        ],
+    ),
+    (  # a discriminant that keeps 3 out of its odd primes: its character, L-values and inert proportions lose chi_-3
+        "charsums.py",
+        "if p > 2)",
+        "if p > 3)",
+        [
+            "tests/test_charsums.py::test_admissible_discriminants",
+            "tests/test_charsums.py::test_inert_proportion_exact_values",
+            "tests/test_densities.py::test_kronecker_chunk_matches_kronecker",
+            "tests/test_densities.py::test_dirichlet_l_closed_form_oracles",
+            "tests/test_cli_golden.py::test_cli_output_matches_golden[text-tau --poly 326,0,3 --admissible]",
         ],
     ),
     (  # the local average without its zero-units guard: p dividing every value divides by zero

@@ -291,6 +291,21 @@ def test_prime_count_evaluates_only_the_head(monkeypatch):
     assert len(calls) <= head + 40
 
 
+def test_prime_count_proves_live_head_values_up_to_the_depth_squared(monkeypatch):
+    # (X - 50000)^2 + 41 to x = 60000 sieves to isqrt(f(0)) = 50000, and its
+    # first 50174 n are head: a live value up to 50000^2 has no prime factor
+    # up to the depth, so it is prime without a test; what is left to test
+    # are the struck values up to the depth (f(0), above the square, is struck)
+    from qprim import streaks
+
+    f, depth = PolyZ((50_000**2 + 41, -100_000, 1)), 50_000
+    tested = []
+    monkeypatch.setattr(streaks, "is_prime", lambda v: tested.append(v) or is_prime(v))
+    assert prime_count(f, 60_000) == sum(1 for n in range(60_001) if is_prime(f.eval(n)))
+    assert [v for v in tested if depth < v <= depth * depth] == []
+    assert tested
+
+
 def test_linear_roots_closed_form_against_enumeration():
     # linear f, and quadratics that are linear or constant mod q | a
     polys = [PolyZ((1, 2)), PolyZ((-1, 6)), PolyZ((7, 30)), PolyZ((0, 1)), PolyZ((7, 3, 15)), PolyZ((4, 1, 1001))]
