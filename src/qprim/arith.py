@@ -640,19 +640,6 @@ def lucas_certifies(g: int, p: int, pm1: Factorization) -> bool:
     return all(pow(r, (p - 1) // q, p) != 1 for q in pm1.prime_factors()[1:])
 
 
-def squarefree_decomposition(n: int) -> tuple[int, int]:
-    """Write n = s^2 * m with m squarefree (sign carried by m). Returns (s, m)."""
-    if n == 0:
-        raise ValueError("0 has no squarefree decomposition")
-    sign = 1 if n > 0 else -1
-    s, m = 1, 1
-    for p, e in factor(abs(n)).factors:
-        s *= p ** (e // 2)
-        if e % 2:
-            m *= p
-    return s, sign * m
-
-
 def iter_primes(start: int, stop: int) -> Iterator[int]:
     """Primes p with start <= p <= stop, ascending. stop <= 1e10."""
     for chunk in prime_chunks(start, stop):

@@ -1,6 +1,11 @@
 """Complete character sums, local/global Jacobi-symbol averages, and the
 exact inert-prime proportion of primes represented by a polynomial.
 
+FundamentalDiscriminant is the package's one split of a discriminant into
+prime discriminants and a 2-part, and TWO_PART_CHARACTERS the one table of
+the 2-part's character mod 8: inert_proportion, densities' chi_D tables and
+criteria.extended_chebyshev (by fundamental_discriminant of a base) read it.
+
 Everything in this module is exact rational arithmetic (fractions.Fraction);
 no floating point.
 """
@@ -11,7 +16,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .arith import Factorization, _strip, factor, is_prime, kronecker, iter_primes, squarefree_decomposition
+from .arith import Factorization, _strip, factor, is_prime, kronecker, iter_primes
 from .poly import (
     PolyZ,
     in_conjecture_f_family,
@@ -35,45 +40,45 @@ def require_valid_base(g: int) -> None:
 
 @dataclass(frozen=True)
 class FundamentalDiscriminant:
-    """A fundamental quadratic-field discriminant and its odd primes, ascending."""
+    """A fundamental quadratic-field discriminant and its odd primes, ascending:
+    D is the product of one prime discriminant p* = +-p = 1 mod 4 per odd
+    prime and of its 2-part, 1, -4, 8 or -8."""
 
     D: int
     odd_primes: tuple[int, ...]
 
     @property
-    def odd_part(self) -> int:
-        return math.prod(self.odd_primes)
+    def two_part(self) -> int:
+        """D / prod p*: 1, -4, 8 or -8, whose character is a row of TWO_PART_CHARACTERS."""
+        return self.D // math.prod(p if p % 4 == 1 else -p for p in self.odd_primes)
 
     @classmethod
     def from_integer(cls, D: int | FundamentalDiscriminant) -> FundamentalDiscriminant:
-        """The fundamental discriminant D; an instance is returned unchanged."""
+        """D from one factorization, if fundamental (D = 1 mod 4, or 4m with
+        m = 2, 3 mod 4; squarefree D or m); an instance is returned unchanged."""
         if isinstance(D, FundamentalDiscriminant):
             return D
-        if (odd_primes := _odd_primes(D)) is None:
+        m = D if D % 4 == 1 else D // 4 if D % 16 in (8, 12) else 0
+        if not m or not (fact := factor(abs(m))).is_squarefree():
             raise ValueError(f"{D} is not a fundamental discriminant")
-        return cls(D, odd_primes)
+        return cls(D, tuple(p for p in fact.prime_factors() if p > 2))
 
 
-def _odd_primes(D: int) -> tuple[int, ...] | None:
-    """D's odd primes, from one factorization, if D is a fundamental discriminant
-    (D = 1 mod 4, or 4m with m = 2, 3 mod 4; squarefree D or m), else None."""
-    m = D if D % 4 == 1 else D // 4 if D % 16 in (8, 12) else 0
-    if m and (fact := factor(abs(m))).is_squarefree():
-        return tuple(p for p in fact.prime_factors() if p > 2)
-    return None
-
-
-def is_fundamental_discriminant(D: int) -> bool:
-    return _odd_primes(D) is not None
+TWO_PART_CHARACTERS = {  # chi_t on the residues mod 8 for each 2-part t other than 1
+    -4: (0, 1, 0, -1, 0, 1, 0, -1),
+    8: (0, 1, 0, -1, 0, -1, 0, 1),
+    -8: (0, 1, 0, 1, 0, -1, 0, -1),
+}
 
 
 def fundamental_discriminant(g: int) -> FundamentalDiscriminant:
-    """Discriminant of Q(sqrt(g)) for a valid base g: write g = g0^2*g1 with
-    g1 squarefree; D = g1 if g1 = 1 mod 4, else 4*g1."""
+    """Discriminant of Q(sqrt(g)) for a valid base g, from one factorization
+    of |g|: its primes of odd exponent, with the sign of g, make the
+    squarefree part g1, and D = g1 if g1 = 1 mod 4, else 4*g1."""
     require_valid_base(g)
-    _, g1 = squarefree_decomposition(g)
-    D = g1 if g1 % 4 == 1 else 4 * g1
-    return FundamentalDiscriminant.from_integer(D)
+    primes = [p for p, e in factor(abs(g)).factors if e % 2]
+    g1 = math.prod(primes) if g > 0 else -math.prod(primes)
+    return FundamentalDiscriminant(g1 if g1 % 4 == 1 else 4 * g1, tuple(p for p in primes if p > 2))
 
 
 def jacobsthal_sum(a: int, p: int) -> int:
@@ -149,7 +154,10 @@ def char_average(f: PolyZ, d: int) -> Fraction:
 
 def inert_proportion(f: PolyZ, D: FundamentalDiscriminant | int) -> Fraction:
     """Exact proportion of primes p = f(n) that are inert in the quadratic
-    field of fundamental discriminant D, per the mod-8 case table.
+    field of fundamental discriminant D: (1 + beta*a)/2, with a the product
+    of f's local averages at the odd primes of D, beta = -1 for a 2-part of 1,
+    else -sum_j chi(j)*alpha_j over the 2-part's character chi and f's mod-8
+    profile alpha_1, alpha_3, alpha_5, alpha_7.
 
     f of degree 2 uses the closed-form local averages; any other degree falls
     back to enumeration at each odd prime dividing D.
@@ -158,18 +166,9 @@ def inert_proportion(f: PolyZ, D: FundamentalDiscriminant | int) -> Fraction:
     if not D.odd_primes:
         raise ValueError(f"discriminant {D.D} has no odd prime divisor")
     a_odd = local_average(f, *D.odd_primes)
-    if D.D % 2 != 0:
+    if (two := D.two_part) == 1:
         return (1 - a_odd) / 2
-    a1, a3, a5, a7 = mod8_profile(f)
-    r = D.D % 32
-    if D.D % 8 == 4:
-        beta = a3 + a7 - a1 - a5
-    elif r == 8:
-        beta = a3 + a5 - a1 - a7
-    elif r == 24:
-        beta = a5 + a7 - a1 - a3
-    else:  # fundamental even discriminants are = 4 mod 8 or = 8, 24 mod 32
-        raise ValueError(f"{D.D} is not a fundamental discriminant")
+    beta = -sum(c * alpha for c, alpha in zip(TWO_PART_CHARACTERS[two][1::2], mod8_profile(f)))
     return (1 + beta * a_odd) / 2
 
 

@@ -5,6 +5,9 @@ Each predicate here is a verifiable statement: given hypotheses on a prime
 helpers return False for inapplicable inputs and raise CriterionViolationError
 if hypotheses hold but the conclusion fails, which no input should ever
 trigger; the exhaustive property tests assert exactly that.
+extended_chebyshev reads a base's squarefree part from
+charsums.fundamental_discriminant: D = +-8 for g1 = +-2, and the odd primes
+of D for g2, the odd part of |g1|.
 lehmer_index_coprimality (the CLI's prop2 mode) walks the primes 326n^2 + 3
 through streaks._residual_indices, which proves each one and factors its
 p - 1.
@@ -13,7 +16,7 @@ p - 1.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+
 from .arith import (
     factor,
     is_prime,
@@ -21,32 +24,14 @@ from .arith import (
     kronecker,
     primes_up_to,
     residual_index,
-    squarefree_decomposition,
 )
-from .charsums import require_valid_base
+from .charsums import fundamental_discriminant
 from .poly import QuadraticPoly
 from .streaks import _residual_indices
 
 
 class CriterionViolationError(RuntimeError):
     """Hypotheses of a proven criterion held but its conclusion failed."""
-
-
-@dataclass(frozen=True)
-class BaseDecomposition:
-    """g = g0^2 * g1 with g1 squarefree; g2 is the odd part of |g1|."""
-
-    g: int
-    g0: int
-    g1: int
-    g2: int
-
-
-def decompose_base(g: int) -> BaseDecomposition:
-    require_valid_base(g)
-    g0, g1 = squarefree_decomposition(g)
-    g2 = abs(g1) if g1 % 2 != 0 else abs(g1) // 2
-    return BaseDecomposition(g=g, g0=g0, g1=g1, g2=g2)
 
 
 def excluded_index_primes(alpha: int, d1: int, d2: int, q_max: int) -> list[int]:
@@ -119,8 +104,8 @@ def extended_chebyshev(g: int, p1: int) -> bool:
     Returns False when inapplicable, True when the hypotheses held and the
     conclusion verified; raises CriterionViolationError otherwise.
     """
-    dec = decompose_base(g)
-    if dec.g1 in (2, -2):
+    fd = fundamental_discriminant(g)
+    if fd.D in (8, -8):  # g = g0^2 * g1 with g1 = +-2
         if p1 % 4 != (1 if g > 0 else 3) or not is_prime(p1):  # the congruence first: no test past its range
             return False
         p2 = 2 * p1 + 1
@@ -128,10 +113,10 @@ def extended_chebyshev(g: int, p1: int) -> bool:
     else:
         if not is_prime(p1):
             return False
-        if dec.g2 < 3:
+        if (g2 := math.prod(fd.odd_primes)) < 3:
             raise ValueError(f"base {g} has no odd squarefree part >= 3")
-        a = chebyshev_offset(dec.g2)
-        if p1 % dec.g2 != a % dec.g2:
+        a = chebyshev_offset(g2)
+        if p1 % g2 != a % g2:
             return False
         p2 = 8 * p1 + 1
         power = 8

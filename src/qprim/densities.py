@@ -18,7 +18,8 @@ arith.prime_chunks, the package's one sieve, and residues in _CHUNK
 entries.  `_legendre` applies Euler's criterion on arith.Lanes, exact in
 float64 below 2^26 and int64 below 2^31 (no cutoff may reach it), where a
 factor reads it; `_kronecker_chunk` evaluates chi_D from the components
-of D, prime discriminants; `_euler_product` folds each chunk's factors in.
+of D, prime discriminants, as charsums.FundamentalDiscriminant splits it
+(its odd primes and its 2-part); `_euler_product` folds each chunk's factors in.
 Each factor is computed by the same IEEE operations as the scalar formula
 and multiplied in with math.prod in the same order, and the L-value sums
 are exact (math.fsum), so every value is bit-identical to a plain loop over
@@ -38,7 +39,7 @@ from typing import Callable, Iterator, Sequence
 import numpy as np
 
 from .arith import _INT64_PRIME_BOUND, Lanes, euler_phi, factor, is_prime, kronecker, prime_chunks, residues
-from .charsums import FundamentalDiscriminant
+from .charsums import TWO_PART_CHARACTERS, FundamentalDiscriminant
 from .poly import PolyZ, is_perfect_square, roots_mod
 
 _EXTENSION = 1_000_000  # accelerated pr_density's last prime for degree <= 2
@@ -144,25 +145,16 @@ def _legendre(a: int, P: np.ndarray) -> np.ndarray:
     return (r == 1).astype(np.int8) - (r == lanes.minus_one).astype(np.int8)
 
 
-_TWO_PART_TABLES = {  # chi_-4, chi_8, chi_-8 on the residues mod 8
-    -4: np.array([0, 1, 0, -1, 0, 1, 0, -1], dtype=np.int8),
-    8: np.array([0, 1, 0, -1, 0, -1, 0, 1], dtype=np.int8),
-    -8: np.array([0, 1, 0, 1, 0, -1, 0, -1], dtype=np.int8),
-}
-
-
 @lru_cache(maxsize=16)
 def _character_tables(fd: FundamentalDiscriminant) -> tuple[tuple[int, np.ndarray], ...]:
     """chi_D for a fundamental discriminant D as (modulus, table) pairs, one
     per prime-discriminant component: the Legendre table mod each odd p | D
-    (chi_{p*}(a) = (a/p) with p* = +-p = 1 mod 4) and, for the 2-part
-    D / prod p*, the chi_-4, chi_8 or chi_-8 table mod 8."""
+    (chi_{p*}(a) = (a/p) with p* = +-p = 1 mod 4) and, for a 2-part other
+    than 1, its row of TWO_PART_CHARACTERS mod 8."""
     if (top := max(fd.odd_primes, default=2)) > 2**30:  # its int8 table would pass 1 GiB: refused before any is built
         raise ValueError(f"the prime factors of |D| must be at most 2^30 (--disc), got {top}")
     parts = []
-    odd_part = 1
     for p in fd.odd_primes:
-        odd_part *= p if p % 4 == 1 else -p
         table = np.full(p, -1, dtype=np.int8)
         table[0] = 0
         half = (p + 1) // 2
@@ -171,8 +163,10 @@ def _character_tables(fd: FundamentalDiscriminant) -> tuple[tuple[int, np.ndarra
             table[r * r % p] = 1
         table.flags.writeable = False  # shared by every caller through the cache
         parts.append((p, table))
-    if fd.D != odd_part:
-        parts.append((8, _TWO_PART_TABLES[fd.D // odd_part]))
+    if (two := fd.two_part) != 1:
+        table = np.array(TWO_PART_CHARACTERS[two], dtype=np.int8)
+        table.flags.writeable = False
+        parts.append((8, table))
     return tuple(parts)
 
 

@@ -17,7 +17,7 @@ from .poly import QuadraticPoly, is_perfect_square
 
 # streak is unused here: perfbench's resume check patches search.streak by
 # name, so the binding stays
-from .streaks import _K_RANGE_CAP, BestStreak, base_streaks, streak  # noqa: F401
+from .streaks import BestStreak, _check_k_range, base_streaks, streak  # noqa: F401
 
 try:
     import fcntl
@@ -70,10 +70,7 @@ class SearchConfig:
             raise ValueError("r1*r2 must be a positive perfect square")
         if self.k_lo < 1 or self.k_hi < self.k_lo:
             raise ValueError("need 1 <= k_lo <= k_hi")
-        if self.k_hi >= 2**63:
-            raise ValueError(f"k_hi must be below 2^63, got {self.k_hi}")
-        if self.k_hi - self.k_lo >= _K_RANGE_CAP:  # base_streaks' bound, before sweep opens its checkpoint
-            raise ValueError(f"a sweep takes at most 2^20 k (--k-lo to --k-hi), got {self.k_hi - self.k_lo + 1}")
+        _check_k_range(self.k_lo, self.k_hi)  # base_streaks' bound, before sweep opens its checkpoint
         if self.n_cap < 0:
             raise ValueError("n_cap must be >= 0")
 

@@ -319,6 +319,14 @@ def _power_plan(live: list[int]) -> tuple:
     return ks, ends, factors.reshape(-1, 2), np.array([row[k] for k in live], np.intp)
 
 
+def _check_k_range(k_lo: int, k_hi: int) -> None:
+    """Refuse k_hi >= 2^63 (the k are an int64 array) or over _K_RANGE_CAP k."""
+    if k_hi >= 2**63:
+        raise ValueError(f"k must be below 2^63 (--k-max, or --k-lo to --k-hi), got k_hi = {k_hi}")
+    if k_hi - k_lo >= _K_RANGE_CAP:
+        raise ValueError(f"a sweep takes at most 2^20 k (--k-max, or --k-lo to --k-hi), got {k_hi - k_lo + 1}")
+
+
 def base_streaks(
     f: PolyZ, g_base: int, k_lo: int, k_hi: int, n_cap: int
 ) -> Iterator[tuple[int, int, int | None]]:
@@ -341,10 +349,7 @@ def base_streaks(
     passed before it failed, less those dividing it."""
     if k_lo > k_hi:
         return
-    if k_hi >= 2**63:  # the k are an int64 array
-        raise ValueError(f"k must be below 2^63, got k_hi = {k_hi}")
-    if k_hi - k_lo >= _K_RANGE_CAP:
-        raise ValueError(f"a sweep takes at most 2^20 k (--k-max, or --k-lo to --k-hi), got {k_hi - k_lo + 1}")
+    _check_k_range(k_lo, k_hi)
     live = k_lo + np.arange(k_hi - k_lo + 1)  # k_hi + 1 may not fit in int64
     (ks, ends, factors, live_rows), planned = _power_plan(live.tolist()), len(live)
     passed, passed_small = 0, []  # primes so far not dividing g_base; (position, p) of those <= k_hi

@@ -25,7 +25,6 @@ from qprim.charsums import (
     char_average,
     complete_char_sum,
     inert_proportion,
-    is_fundamental_discriminant,
     jacobsthal_sum,
     local_char_average,
 )
@@ -300,10 +299,12 @@ def test_criterion_10_property_suites():
     fund = []
     for t in range(2, 201):
         for dd in (t, -t):
-            if is_fundamental_discriminant(dd):
+            try:
                 fd = FundamentalDiscriminant.from_integer(dd)
-                if fd.odd_part > 1:
-                    fund.append(fd)
+            except ValueError:
+                continue
+            if fd.odd_primes:
+                fund.append(fd)
     family = [f for f in quads if in_conjecture_f_family(f)][:500]
     for f in family:
         for fd in fund:

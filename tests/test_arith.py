@@ -22,7 +22,6 @@ from qprim.arith import (
     primes_up_to,
     residual_index,
     sqrt_mod,
-    squarefree_decomposition,
 )
 
 ODD_PRIMES_1000 = [p for p in primes_up_to(1000) if p > 2]
@@ -425,15 +424,6 @@ def test_sqrt_mod():
                 assert r is not None and r * r % p == a, (a, p)
             else:
                 assert r is None, (a, p)
-
-
-def test_squarefree_decomposition():
-    assert squarefree_decomposition(326) == (1, 326)
-    assert squarefree_decomposition(-163) == (1, -163)
-    assert squarefree_decomposition(12) == (2, 3)
-    assert squarefree_decomposition(-18) == (3, -2)
-    with pytest.raises(ValueError):
-        squarefree_decomposition(0)
 
 
 def test_euler_phi():

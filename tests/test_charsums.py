@@ -8,6 +8,7 @@ import pytest
 
 from qprim.arith import factor, kronecker, primes_up_to
 from qprim.charsums import (
+    TWO_PART_CHARACTERS,
     FundamentalDiscriminant,
     admissible_discriminants,
     brute_char_average,
@@ -15,7 +16,7 @@ from qprim.charsums import (
     complete_char_sum,
     fundamental_discriminant,
     inert_proportion,
-    is_fundamental_discriminant,
+    is_valid_base,
     jacobsthal_sum,
     local_char_average,
 )
@@ -58,6 +59,14 @@ def char_average_enumeration(f, d):
     return Fraction(total, units)
 
 
+def fundamental(D):
+    """FundamentalDiscriminant.from_integer(D), or None where D is not fundamental."""
+    try:
+        return FundamentalDiscriminant.from_integer(D)
+    except ValueError:
+        return None
+
+
 def random_quadratics(seed, count, coeff=60):
     rng = random.Random(seed)
     out = []
@@ -74,7 +83,10 @@ def test_fundamental_discriminants():
     assert fundamental_discriminant(6).D == 24
     assert fundamental_discriminant(-3).D == -3
     assert fundamental_discriminant(5).D == 5
-    assert fundamental_discriminant(1304).odd_part == 163
+    assert fundamental_discriminant(1304).odd_primes == (163,)
+    assert fundamental_discriminant(-163).odd_primes == (163,)
+    assert fundamental_discriminant(12).odd_primes == (3,)  # 12 = 2^2 * 3
+    assert fundamental_discriminant(-18) == FundamentalDiscriminant(-8, ())  # -18 = 3^2 * -2
     for g in (-1, 0, 1, 4, 9, 144):
         with pytest.raises(ValueError):
             fundamental_discriminant(g)
@@ -84,9 +96,49 @@ def test_is_fundamental():
     good = [-163, -3, -4, -8, 5, 8, 12, 24, 1304, -3912]
     bad = [0, 2, 3, -5, 9, 16, 48, -12]
     for D in good:
-        assert is_fundamental_discriminant(D), D
+        assert FundamentalDiscriminant.from_integer(D).D == D
     for D in bad:
-        assert not is_fundamental_discriminant(D), D
+        with pytest.raises(ValueError, match="not a fundamental discriminant"):
+            FundamentalDiscriminant.from_integer(D)
+    assert FundamentalDiscriminant.from_integer(-3912).odd_primes == (3, 163)  # -3912 = -8 * 3 * 163
+
+
+def test_two_part_splits_every_fundamental_discriminant_to_5000():
+    # D = two_part * prod p*, p* = +-p = 1 mod 4; the oracle factors with sympy
+    factorint = pytest.importorskip("sympy").factorint
+    two_parts = set()
+    for t in range(1, 5001):
+        for D in (t, -t):
+            fd = fundamental(D)
+            m = D if D % 4 == 1 else D // 4 if D % 4 == 0 and D // 4 % 4 in (2, 3) else 0
+            assert (fd is not None) == (m != 0 and max(factorint(abs(m)).values(), default=1) == 1), D
+            if fd is None:
+                continue
+            assert fd.odd_primes == tuple(sorted(p for p in factorint(abs(D)) if p > 2)), D
+            assert fd.two_part in (1, -4, 8, -8), D
+            assert fd.D == fd.two_part * math.prod(p if p % 4 == 1 else -p for p in fd.odd_primes), D
+            two_parts.add(fd.two_part)
+    assert two_parts == {1, -4, 8, -8}
+
+
+def test_two_part_characters_are_kronecker_symbols():
+    assert sorted(TWO_PART_CHARACTERS) == [-8, -4, 8]
+    for t, chi in TWO_PART_CHARACTERS.items():
+        assert list(chi) == [kronecker(t, j) for j in range(8)], t
+
+
+def test_fundamental_discriminant_against_factorint():
+    # D of Q(sqrt(g)) from g's squarefree part g1, by sympy's factorization
+    factorint = pytest.importorskip("sympy").factorint
+    for g in range(-2000, 2001):
+        if not is_valid_base(g):
+            with pytest.raises(ValueError, match="invalid base"):
+                fundamental_discriminant(g)
+            continue
+        g1 = (1 if g > 0 else -1) * math.prod(p for p, e in factorint(abs(g)).items() if e % 2)
+        D = g1 if g1 % 4 == 1 else 4 * g1
+        odd_primes = tuple(sorted(p for p in factorint(abs(g1)) if p > 2))
+        assert fundamental_discriminant(g) == FundamentalDiscriminant(D, odd_primes), g
 
 
 def test_jacobsthal_closed_vs_brute():
@@ -219,7 +271,6 @@ def test_inert_proportion_exact_values():
     assert inert_proportion(QuadraticPoly(1, 0, 1), 12) == Fraction(2, 3)
     # f41 has the uniform mod-8 profile, so every even discriminant gives 1/2
     for D in (-8 * 3, 24, 12, -4 * 41):
-        assert is_fundamental_discriminant(D)
         assert inert_proportion(QuadraticPoly(1, 1, 41), D) == Fraction(1, 2)
 
 
@@ -292,10 +343,8 @@ def test_admissible_discriminants_against_brute_force(d, d1, alpha, sign):
     brute = []
     for t in range(1, 2001):
         for D in (t, -t):
-            if is_fundamental_discriminant(D):
-                fd = FundamentalDiscriminant.from_integer(D)
-                if fd.odd_part > 1 and inert_proportion(f, fd) == 1:
-                    brute.append(D)
+            if (fd := fundamental(D)) and fd.odd_primes and inert_proportion(f, fd) == 1:
+                brute.append(D)
     assert [fd.D for fd in admissible_discriminants(f, 2000)] == sorted(brute)
     assert brute
 
@@ -304,10 +353,8 @@ def test_prop5_bounds_and_divisibility():
     fund = []
     for t in range(2, 201):
         for D in (t, -t):
-            if is_fundamental_discriminant(D):
-                fd = FundamentalDiscriminant.from_integer(D)
-                if fd.odd_part > 1:
-                    fund.append(fd)
+            if (fd := fundamental(D)) and fd.odd_primes:
+                fund.append(fd)
     fs = [f for f in random_quadratics(12345, 800) if in_conjecture_f_family(f)][:500]
     assert len(fs) == 500
     for f in fs:

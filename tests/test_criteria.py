@@ -5,12 +5,10 @@ import math
 import pytest
 
 from qprim.arith import factor, is_prime, is_primitive_root, primes_up_to, residual_index
-from qprim.charsums import require_valid_base
+from qprim.charsums import fundamental_discriminant, require_valid_base
 from qprim.criteria import (
-    BaseDecomposition,
     chebyshev_criterion,
     chebyshev_offset,
-    decompose_base,
     excluded_index_primes,
     extended_chebyshev,
     fueter_criterion,
@@ -20,13 +18,13 @@ from qprim.poly import QuadraticPoly
 from qprim.streaks import PrimeValueStream
 
 
-def test_decompose_base():
-    assert decompose_base(326) == BaseDecomposition(g=326, g0=1, g1=326, g2=163)
-    assert decompose_base(12) == BaseDecomposition(g=12, g0=2, g1=3, g2=3)
-    assert decompose_base(8) == BaseDecomposition(g=8, g0=2, g1=2, g2=1)
-    assert decompose_base(-10) == BaseDecomposition(g=-10, g0=1, g1=-10, g2=5)
+def test_chebyshev_reads_g1_and_g2_from_the_fundamental_discriminant():
+    # g = g0^2 * g1, g1 squarefree, g2 the odd part of |g1|: g1 = +-2 is D = +-8
+    for g, D, g2 in ((326, 1304, 163), (12, 12, 3), (8, 8, 1), (-10, -40, 5), (-2, -8, 1), (-4, -4, 1)):
+        fd = fundamental_discriminant(g)
+        assert (fd.D, math.prod(fd.odd_primes)) == (D, g2), g
     with pytest.raises(ValueError):
-        decompose_base(9)
+        fundamental_discriminant(9)
 
 
 def test_excluded_index_primes_lehmer_shape():

@@ -5,11 +5,14 @@ the caller's environment as it found it, which holds only while the package
 calls no BLAS routine.  No module routes a polynomial by its class, no
 function body imports a qprim module, every name a module imports is read
 there, but those listed with their reasons, and no module names uint64:
-arith.Lanes is the one numpy modular kernel."""
+arith.Lanes is the one numpy modular kernel.  Every public function or class
+is named elsewhere in the package, read by perfbench or listed in
+qprim.__all__."""
 
 import ast
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -240,3 +243,39 @@ def test_no_second_modular_kernel(module):
     # arith.Lanes picks float64, int64 or Python ints by the largest modulus; a
     # uint64 kernel beside it would be a second representation to keep exact
     assert "uint64" not in (SRC / "qprim" / module).read_text()
+
+
+def unnamed_public_definitions(modules: dict[str, str], readers: str, exported: set[str]) -> list[str]:
+    """'module: name' for each public function or class defined at the top
+    level of modules (file name -> source) that no other top-level statement
+    of modules names, that is no word of readers, and that exported does not
+    list: a definition nothing calls but its own tests."""
+    defined, named = [], set()
+    for module, source in modules.items():
+        for stmt in ast.parse(source).body:
+            own = stmt.name if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)) else None
+            if own and not own.startswith("_"):
+                defined.append((module, own))
+            for node in ast.walk(stmt):
+                name = node.name if isinstance(node, ast.alias) else getattr(node, "id", None) or getattr(node, "attr", None)
+                if name and name != own:
+                    named.update(name.split("."))
+    words = set(re.findall(r"\w+", readers))
+    return [f"{module}: {name}" for module, name in defined if name not in named | words | exported]
+
+
+def test_unnamed_public_guard_sees_each_form():
+    a = "def used(): pass\ndef unused(): pass\ndef _private(): pass\nclass Attr: pass\nclass Unused:\n    x = Unused\n"
+    a += "def recursive():\n    return recursive()\ndef exported(): pass\ndef benched(): pass\nimported = 1\n"
+    b = "from .a import used\nfrom . import a\na.Attr()\n"
+    found = unnamed_public_definitions({"a.py": a, "b.py": b}, "patch(a, 'benched')", {"exported"})
+    assert found == ["a.py: unused", "a.py: Unused", "a.py: recursive"]
+
+
+def test_every_public_definition_is_named_read_or_exported():
+    # a public name only tests call is an oracle posing as API: fold it into the tests or delete it
+    modules = {p.name: p.read_text() for p in (SRC / "qprim").glob("*.py") if p.name != "__init__.py"}
+    readers = "\n".join(p.read_text() for p in (SRC.parent / "perfbench").glob("*.py"))
+    init = ast.parse((SRC / "qprim" / "__init__.py").read_text())
+    [exported] = [ast.literal_eval(s.value) for s in init.body if isinstance(s, ast.Assign) and s.targets[0].id == "__all__"]
+    assert unnamed_public_definitions(modules, readers, set(exported)) == []

@@ -235,14 +235,41 @@ MUTANTS = [
     ),
     (  # a discriminant that keeps 3 out of its odd primes: its character, L-values and inert proportions lose chi_-3
         "charsums.py",
-        "if p > 2)",
-        "if p > 3)",
+        "fact.prime_factors() if p > 2)",
+        "fact.prime_factors() if p > 3)",
         [
+            "tests/test_charsums.py::test_two_part_splits_every_fundamental_discriminant_to_5000",
             "tests/test_charsums.py::test_admissible_discriminants",
             "tests/test_charsums.py::test_inert_proportion_exact_values",
             "tests/test_densities.py::test_kronecker_chunk_matches_kronecker",
             "tests/test_densities.py::test_dirichlet_l_closed_form_oracles",
             "tests/test_cli_golden.py::test_cli_output_matches_golden[text-tau --poly 326,0,3 --admissible]",
+        ],
+    ),
+    (  # chi_8 and chi_-8 swapped: every D with 2-part +-8 reads the other character
+        "charsums.py",
+        "    8: (0, 1, 0, -1, 0, -1, 0, 1),\n    -8: (0, 1, 0, 1, 0, -1, 0, -1),",
+        "    8: (0, 1, 0, 1, 0, -1, 0, -1),\n    -8: (0, 1, 0, -1, 0, -1, 0, 1),",
+        [
+            "tests/test_charsums.py::test_two_part_characters_are_kronecker_symbols",
+            "tests/test_charsums.py::test_admissible_discriminants",
+            "tests/test_densities.py::test_kronecker_chunk_matches_kronecker",
+            "tests/test_densities.py::test_l_values_bit_identical_to_scalar_loop",
+            "tests/test_search.py::test_admissible_bases_lehmer",
+            "tests/test_cli_golden.py::test_cli_output_matches_golden[text-tau --poly 326,0,3 --admissible]",
+        ],
+    ),
+    (  # a base's squarefree part from its primes of even exponent: 326 reads D = 1
+        "charsums.py",
+        "if e % 2]",
+        "if e % 2 == 0]",
+        [
+            "tests/test_charsums.py::test_fundamental_discriminants",
+            "tests/test_charsums.py::test_fundamental_discriminant_against_factorint",
+            "tests/test_criteria.py::test_chebyshev_reads_g1_and_g2_from_the_fundamental_discriminant",
+            "tests/test_criteria.py::test_extended_chebyshev_spot",
+            "tests/test_search.py::test_admissible_bases_lehmer",
+            "tests/test_cli_golden.py::test_cli_output_matches_golden[text-criteria --mode extended --g 3 --max 2000]",
         ],
     ),
     (  # the local average without its zero-units guard: p dividing every value divides by zero

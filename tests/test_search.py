@@ -15,8 +15,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from qprim.arith import _QUOTIENT_PRIME_BOUND, DETERMINISTIC_PRIMALITY_LIMIT, Lanes, squarefree_decomposition
-from qprim.charsums import admissible_discriminants, is_valid_base
+from qprim.arith import _QUOTIENT_PRIME_BOUND, DETERMINISTIC_PRIMALITY_LIMIT, Lanes
+from qprim.charsums import admissible_discriminants, fundamental_discriminant, is_valid_base
 from qprim.poly import QuadraticPoly
 from qprim.search import (
     CheckpointError,
@@ -103,9 +103,7 @@ def admissible_bases(f, g_bound):
     for g in range(-g_bound, g_bound + 1):
         if not is_valid_base(g) or g == 0:
             continue
-        _, g1 = squarefree_decomposition(g)
-        D = g1 if g1 % 4 == 1 else 4 * g1
-        if D in good:
+        if fundamental_discriminant(g).D in good:
             out.append(g)
     return out
 
