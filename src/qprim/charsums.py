@@ -168,7 +168,8 @@ def inert_proportion(f: PolyZ, D: FundamentalDiscriminant | int) -> Fraction:
     a_odd = local_average(f, *D.odd_primes)
     if (two := D.two_part) == 1:
         return (1 - a_odd) / 2
-    beta = -sum(c * alpha for c, alpha in zip(TWO_PART_CHARACTERS[two][1::2], mod8_profile(f)))
+    # -sum_j chi(j)*alpha_j in a third of the Fraction arithmetic, as the alpha_j sum to 1
+    beta = 2 * sum(alpha for c, alpha in zip(TWO_PART_CHARACTERS[two][1::2], mod8_profile(f)) if c < 0) - 1
     return (1 + beta * a_odd) / 2
 
 
