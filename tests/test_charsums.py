@@ -84,12 +84,19 @@ def test_fundamental_discriminants():
     assert fundamental_discriminant(-3).D == -3
     assert fundamental_discriminant(5).D == 5
     assert fundamental_discriminant(1304).odd_primes == (163,)
-    assert fundamental_discriminant(-163).odd_primes == (163,)
-    assert fundamental_discriminant(12).odd_primes == (3,)  # 12 = 2^2 * 3
-    assert fundamental_discriminant(-18) == FundamentalDiscriminant(-8, ())  # -18 = 3^2 * -2
     for g in (-1, 0, 1, 4, 9, 144):
         with pytest.raises(ValueError):
             fundamental_discriminant(g)
+
+
+def test_fundamental_discriminant_reads_the_squarefree_kernel():
+    # g = s^2 * g1 with g1 squarefree: D is g1 or 4 * g1, and its odd primes are g1's
+    assert fundamental_discriminant(326) == FundamentalDiscriminant(1304, (163,))
+    assert fundamental_discriminant(-163) == FundamentalDiscriminant(-163, (163,))
+    assert fundamental_discriminant(12) == FundamentalDiscriminant(12, (3,))  # 12 = 2^2 * 3
+    assert fundamental_discriminant(-18) == FundamentalDiscriminant(-8, ())  # -18 = 3^2 * -2
+    with pytest.raises(ValueError):
+        fundamental_discriminant(0)
 
 
 def test_is_fundamental():

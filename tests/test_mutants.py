@@ -265,6 +265,7 @@ MUTANTS = [
         "if e % 2 == 0]",
         [
             "tests/test_charsums.py::test_fundamental_discriminants",
+            "tests/test_charsums.py::test_fundamental_discriminant_reads_the_squarefree_kernel",
             "tests/test_charsums.py::test_fundamental_discriminant_against_factorint",
             "tests/test_criteria.py::test_chebyshev_reads_g1_and_g2_from_the_fundamental_discriminant",
             "tests/test_criteria.py::test_extended_chebyshev_spot",
