@@ -7,7 +7,7 @@ walks pre-filter by the base-2 test alone and prove primes by Lucas
 up to 2000 come from one gcd with their cached primorial (up to 1e5 while the
 cofactor is still beyond the primality range), and Brent's cycle-finding rho
 splits the composite cofactors left together, in lockstep on products of
-several, under an iteration budget that fails loudly instead of hanging.
+several, under a fixed budget (_RHO_BUDGET) that fails loudly, not hangs.
 
 This is also the package's one prime sieve.  An odd-only numpy sieve fills a
 cached table of the primes up to 2e6; prime_chunks hands out read-only int64
@@ -58,6 +58,7 @@ _SHORT_TRIAL = 2_000  # factor's trial bound; rho finds the factors above it
 _TRIAL_LIMIT = 100_000  # factor's bound for huge cofactors; the least table size
 _RHO_CS = (1, 3, 5, 7, 11, 13, 17)  # rho's increments c, tried in turn
 _RHO_BLOCK = 128  # rho steps between gcds
+_RHO_BUDGET = 4_000_000  # rho steps a cofactor may take before factor gives up
 _RHO_WIDTH = 256  # bits: rho lanes are packed into products at least this wide
 _PRIME_CHUNK = 8192
 _SEGMENT = 1 << 17
@@ -317,7 +318,7 @@ def _strip(work: int, p: int, fmap: dict[int, int]) -> int:
     return work
 
 
-def factor_many(values: list[int], rho_budget: int = 4_000_000) -> list[Factorization | Exception]:
+def factor_many(values: list[int]) -> list[Factorization | Exception]:
     """factor(n) for each n in values, as one batch: its Factorization, or
     the ValueError or FactorizationError that factor(n) raises.  The small
     primes come from gcds with primorials, and the composite cofactors left
@@ -344,7 +345,7 @@ def factor_many(values: list[int], rho_budget: int = 4_000_000) -> list[Factoriz
             if prime:
                 fmaps[i][m] = fmaps[i].get(m, 0) + 1
         parts = []
-        for (i, m, bound), d in zip(todo, _brent_rho([m for _, m, _ in todo], rho_budget)):
+        for (i, m, bound), d in zip(todo, _brent_rho([m for _, m, _ in todo], _RHO_BUDGET)):
             if d is None:
                 out[i] = FactorizationError(f"cannot factor {m} within budget")
             else:  # d and m // d have no prime factor up to bound either
@@ -355,12 +356,12 @@ def factor_many(values: list[int], rho_budget: int = 4_000_000) -> list[Factoriz
     ]
 
 
-def factor(n: int, rho_budget: int = 4_000_000) -> Factorization:
+def factor(n: int) -> Factorization:
     """Factor n >= 1 (factor_many on a batch of one).  Only a cofactor that no
     primality test here can certify, at or above DETERMINISTIC_PRIMALITY_LIMIT
-    with no prime factor up to 1e5, raises ValueError; FactorizationError when
-    the rho budget is exhausted (n is outside the intended magnitude range)."""
-    result = factor_many([n], rho_budget)[0]
+    with no prime factor up to 1e5, raises ValueError; FactorizationError past
+    _RHO_BUDGET rho steps (n is outside the intended magnitude range)."""
+    result = factor_many([n])[0]
     if isinstance(result, Exception):
         raise result
     return result
@@ -617,14 +618,14 @@ def residual_index(g: int, p: int, pm1: Factorization | None = None) -> int:
     return (p - 1) // multiplicative_order(g, p, pm1)
 
 
-def is_primitive_root(g: int, p: int, pm1: Factorization | None = None) -> bool:
+def is_primitive_root(g: int, p: int) -> bool:
     """True iff g generates the multiplicative group mod the prime p.
 
     For odd prime p this is exactly lucas_certifies: g^((p-1)/q) != 1 for
     every prime q | p-1, with -1 at q = 2. For p = 2 every odd g qualifies.
     """
     _require_unit(g, p)
-    return p == 2 or lucas_certifies(g, p, pm1 or factor(p - 1))
+    return p == 2 or lucas_certifies(g, p, factor(p - 1))
 
 
 def lucas_certifies(g: int, p: int, pm1: Factorization) -> bool:

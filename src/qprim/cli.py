@@ -312,11 +312,7 @@ def _handle_density(args) -> dict:
         primes = [int(p) for p in args.q_product.split(",")]
         return {"kind": "totient_ratio_product", "value": totient_ratio_product(primes)}
     if args.bateman_horn:
-        f = parse_poly(args.bateman_horn)
-        if f.degree() > 2:
-            raise ValueError("density --bateman-horn needs degree <= 2: irreducibility is not checked above")
-        rep = bateman_horn_constant(f, args.cutoff)
-        return {"kind": "bateman_horn", **asdict(rep)}
+        return {"kind": "bateman_horn", **asdict(bateman_horn_constant(parse_poly(args.bateman_horn), args.cutoff))}
     if args.simple:
         return {"kind": "simplified_quality", **asdict(pr_density_simple(*args.simple))}
     if not args.poly:

@@ -3,9 +3,9 @@
 Covers the truncated products that predict streak behaviour (the quality
 density and its simplified form; Lehmer's corrected and uncorrected
 products are those two at 326X^2 + 3), the classical constants
-(totient-ratio mean, Hardy-Littlewood constants, Bateman-Horn products),
-Dirichlet L-values at s = 1, 2, and the expected-maximum model for a family
-of geometric streaks.
+(totient-ratio mean, Hardy-Littlewood constants, Bateman-Horn products of
+degree at most 2, where irreducibility is checked), Dirichlet L-values at
+s = 1, 2, and the expected-maximum model for a family of geometric streaks.
 
 L-values are evaluated through character-weighted Hurwitz-zeta sums: digamma
 for s = 1 (the pole cancels against a non-principal character) and trigamma
@@ -451,27 +451,23 @@ def totient_ratio_product(primes: Sequence[int]) -> float:
     return float(out)
 
 
-def bateman_horn_constant(
-    f: PolyZ, cutoff: int = 100_000, assume_irreducible: bool = False
-) -> DensityReport:
+def bateman_horn_constant(f: PolyZ, cutoff: int = 100_000) -> DensityReport:
     """prod_{p <= cutoff} (1 - N_p(f)/p) / (1 - 1/p), the density constant of
-    the prime-counting heuristic for f.
+    the prime-counting heuristic for f of degree 1 or 2.
 
-    Quadratic irreducibility is checked via the discriminant; higher degree
-    needs assume_irreducible=True (and enumerated root counts, so the cutoff
-    is capped at 20000 there).  tail_bound is an estimate, not a proven bound:
-    the random-sign model 3 * value / sqrt(cutoff ln cutoff), the generic
-    factor being 1 - chi(p)/(p-1) with a conditionally convergent sum.
+    Quadratic irreducibility is checked via the discriminant; above degree 2
+    it could not be, so such f raise ValueError.  tail_bound is an estimate,
+    not a proven bound: the random-sign model 3 * value / sqrt(cutoff ln
+    cutoff), the generic factor being 1 - chi(p)/(p-1) with a conditionally
+    convergent sum.
     """
-    _require_cutoff(cutoff)
     deg = f.degree()
+    if deg > 2:
+        raise ValueError("density --bateman-horn needs degree <= 2: irreducibility is not checked above")
+    _require_cutoff(cutoff)
     if deg < 1:
         raise ValueError("constant polynomials are not supported")
     _require_irreducible_if_quadratic(f)
-    if deg > 2:
-        if not assume_irreducible:
-            raise ValueError("degree > 2 needs assume_irreducible=True")
-        cutoff = min(cutoff, 20_000)
     content = math.gcd(*f.coeffs)
     if content != 1:
         raise ValueError("polynomial must have content 1")

@@ -1,7 +1,9 @@
 """Record-search machinery: build candidate quadratics from a non-residue-rich
 number d and sweep k over k^2 * g_base with checkpointing, on
-streaks.base_streaks, the one k-sweep engine.  A checkpoint has one writer:
-sweep holds an exclusive flock on it from before it reads the file to the end.
+streaks.base_streaks, the one k-sweep engine.  A checkpoint line goes out
+every CHECKPOINT_EVERY (16) completed k or CHECKPOINT_SECONDS (30 s), and
+after the last k.  A checkpoint has one writer: sweep holds an exclusive flock
+on it from before it reads the file to the end.
 config_hash, which keys the checkpoint lines, takes SHA-256 from CPython's
 built-in module, so no command loads hashlib or maps OpenSSL's libcrypto.
 """
@@ -24,6 +26,7 @@ try:
 except ImportError:  # not POSIX: two runs on one checkpoint go undetected
     fcntl = None
 
+CHECKPOINT_EVERY = 16  # completed k values between checkpoint lines
 CHECKPOINT_SECONDS = 30.0  # longest wait for a checkpoint line while bases complete
 
 
@@ -151,15 +154,9 @@ def _read_checkpoint(path: str, expected_hash: str) -> tuple[int, BestStreak]:
     return last_k, best
 
 
-def sweep(
-    cfg: SearchConfig,
-    checkpoint_path: str | None = None,
-    workers: int = 1,
-    checkpoint_every: int = 16,
-    resume: bool = True,
-) -> SearchRecord:
+def sweep(cfg: SearchConfig, checkpoint_path: str | None = None, workers: int = 1, resume: bool = True) -> SearchRecord:
     """Run the k-sweep, maintaining the best record (max streak, ties to the
-    smallest k), appending a checkpoint line every `checkpoint_every`
+    smallest k), appending a checkpoint line every CHECKPOINT_EVERY
     completed k values or every CHECKPOINT_SECONDS, whichever comes first,
     and after k_hi.  With `resume`, an existing checkpoint for the same
     configuration is continued; without it, an existing checkpoint file is
@@ -191,7 +188,7 @@ def sweep(
             best.add(k, c, failing)
             since_write += 1
             if fh and (
-                since_write >= checkpoint_every
+                since_write >= CHECKPOINT_EVERY
                 or k == cfg.k_hi
                 or time.monotonic() - last_write >= CHECKPOINT_SECONDS
             ):

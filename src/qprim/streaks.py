@@ -304,9 +304,11 @@ def pr_stats(f: PolyZ, g: int, n_cap: int) -> PrStats:
 def _power_plan(live: list[int]) -> tuple:
     """(ks, level ends, the rows of l and k // l per composite row, the row of
     each live k), ks being the k that the powers k^e of the live k are built
-    from, l the least prime factor of k: a pow for prime k (and k = 1), the
-    first level, else l^e * (k // l)^e, at the level of k's bit length."""
-    small, spf, need, todo = primes_up_to(isqrt(max(live))), {}, set(), set(live)
+    from, l the least prime factor of k: a pow for k = 1 and for k with no
+    prime factor up to 2^16 (prime k among them), the first level, else
+    l^e * (k // l)^e, at the level of k's bit length.  The 2^16 bound keeps k
+    near 2^62 from sieving the primes to 2^31."""
+    small, spf, need, todo = primes_up_to(min(isqrt(max(live)), 1 << 16)), {}, set(), set(live)
     while todo:
         need |= todo
         spf |= {k: next((q for q in small if k % q == 0), k) for k in todo}

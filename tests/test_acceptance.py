@@ -243,7 +243,7 @@ def test_criterion_09_record_prefixes():
     assert ok2
 
 
-def test_criterion_10_property_suites():
+def test_criterion_10_property_suites(monkeypatch):
     start = time.perf_counter()
     rng = random.Random(20260810)
     odd_primes_199 = [p for p in primes_up_to(199) if p > 2]
@@ -348,9 +348,10 @@ def test_criterion_10_property_suites():
     b1 = sweep(cfg, workers=1)
     b4 = sweep(cfg, workers=4)
     assert (b1.k, b1.g, b1.c) == (b4.k, b4.g, b4.c)
+    monkeypatch.setattr("qprim.search.CHECKPOINT_EVERY", 4)
     with tempfile.TemporaryDirectory() as tmp:
         full_path = f"{tmp}/full.jsonl"
-        full = sweep(cfg, checkpoint_path=full_path, checkpoint_every=4)
+        full = sweep(cfg, checkpoint_path=full_path)
         kept = [
             line
             for line in Path(full_path).read_text(encoding="utf-8").splitlines()
@@ -359,7 +360,7 @@ def test_criterion_10_property_suites():
         part_path = f"{tmp}/part.jsonl"
         with open(part_path, "w", encoding="utf-8") as fh:
             fh.write("\n".join(kept) + "\n")
-        resumed = sweep(cfg, checkpoint_path=part_path, checkpoint_every=4)
+        resumed = sweep(cfg, checkpoint_path=part_path)
         assert (resumed.k, resumed.c) == (full.k, full.c)
 
     elapsed = time.perf_counter() - start

@@ -174,10 +174,11 @@ def test_factor_roundtrip_exhaustive():
         assert list(f.prime_factors()) == sorted(set(f.prime_factors()))
 
 
-def test_factor_budget_failure_is_loud():
+def test_factor_budget_failure_is_loud(monkeypatch):
     semiprime = 1000000007 * 999999937
-    with pytest.raises(FactorizationError):
-        factor(semiprime, rho_budget=500)
+    with monkeypatch.context() as m, pytest.raises(FactorizationError):
+        m.setattr(arith, "_RHO_BUDGET", 500)
+        factor(semiprime)
     full = factor(semiprime)
     assert full.factors == ((999999937, 1), (1000000007, 1))
 
@@ -324,11 +325,12 @@ def test_factor_rho_lane_closing_mod_both_primes_retries():
     assert [dict(f.factors) for f in arith.factor_many(values)] == _sympy_factorizations(values)
 
 
-def test_factor_many_reports_errors_per_value():
+def test_factor_many_reports_errors_per_value(monkeypatch):
     sympy = pytest.importorskip("sympy")
+    monkeypatch.setattr(arith, "_RHO_BUDGET", 500)
     semiprime = 1000000007 * 999999937
     big_prime = sympy.nextprime(4 * 10**24)  # above the primality range
-    out = arith.factor_many([semiprime, 12, 0, 2003 * 2011 * 7, 6 * 99991 * big_prime], rho_budget=500)
+    out = arith.factor_many([semiprime, 12, 0, 2003 * 2011 * 7, 6 * 99991 * big_prime])
     assert isinstance(out[0], FactorizationError)
     assert (out[1].factors, out[3].factors) == (((2, 2), (3, 1)), ((7, 1), (2003, 1), (2011, 1)))
     assert isinstance(out[2], ValueError) and "n >= 1" in str(out[2])
@@ -346,7 +348,7 @@ def test_lucas_certifies_proves_primes_and_no_base_of_3511_squared():
     for p in (5, 7, 1838843753, 18465947):
         pm1 = factor(p - 1)
         bases = [g for g in range(-60, 60) if g % p]
-        roots = [g for g in bases if is_primitive_root(g, p, pm1)]
+        roots = [g for g in bases if is_primitive_root(g, p)]
         assert [g for g in bases if arith.lucas_certifies(g, p, pm1)] == roots
     assert not arith.lucas_certifies(3, 2, factor(1))
 

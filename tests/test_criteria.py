@@ -4,7 +4,7 @@ import math
 
 import pytest
 
-from qprim.arith import factor, is_prime, is_primitive_root, primes_up_to, residual_index
+from qprim.arith import is_prime, is_primitive_root, primes_up_to, residual_index
 from qprim.charsums import fundamental_discriminant, require_valid_base
 from qprim.criteria import (
     chebyshev_criterion,
@@ -177,9 +177,8 @@ def verify_construction(a1, c1, n_count, bases):
         v = a1 * n * n + c1
         if v < 2 or not is_prime(v):
             return False
-        fact = factor(v - 1)
         for g in base_list:
-            if g % v == 0 or not is_primitive_root(g, v, fact):
+            if g % v == 0 or not is_primitive_root(g, v):
                 return False
     return True
 

@@ -442,10 +442,8 @@ def test_bateman_horn():
     assert abs(h.value - 1.3728) < 5e-3
     with pytest.raises(ValueError):
         bateman_horn_constant(QuadraticPoly(1, 2, 1))  # reducible
-    with pytest.raises(ValueError):
-        bateman_horn_constant(PolyZ((1, 0, 0, 1)))  # cubic without the flag
-    h3 = bateman_horn_constant(PolyZ((1, 1, 0, 1)), cutoff=2000, assume_irreducible=True)
-    assert h3.value > 0
+    with pytest.raises(ValueError, match="needs degree <= 2"):
+        bateman_horn_constant(PolyZ((1, 0, 0, 1)))  # irreducibility is not checked above degree 2
 
 
 def test_bateman_horn_consistent_with_hl_constant():
@@ -658,7 +656,6 @@ def test_legendre_products_refuse_a_cutoff_of_2_31_before_reading_a_prime(monkey
         lambda c: pr_density(f, c, accelerate=False),
         lambda c: pr_density_simple(326, 3, c),
         lambda c: bateman_horn_constant(f, c),
-        lambda c: bateman_horn_constant(PolyZ((2, 0, 0, 1)), c, assume_irreducible=True),
     ]
     for call in calls:
         for cutoff in (2**31, 2**31 + 1, 10**12):
@@ -745,8 +742,6 @@ def test_fixed_divisor_without_content_raises():
     assert math.gcd(*f.coeffs) == 1 and all(f.eval(n) % 3 == 0 for n in range(30))
     with pytest.raises(ValueError, match="divisible by 3"):
         pr_density(f)
-    with pytest.raises(ValueError, match="divisible by 3"):
-        bateman_horn_constant(f, assume_irreducible=True)
 
 
 def test_recurrence_on_mixed_steps_matches_scalar():

@@ -7,7 +7,8 @@ function body imports a qprim module, every name a module imports is read
 there, but those listed with their reasons, and no module names uint64:
 arith.Lanes is the one numpy modular kernel.  Every public function or class
 is named elsewhere in the package, read by perfbench or listed in
-qprim.__all__."""
+qprim.__all__, and every defaulted parameter of one is set by some call in
+the package or perfbench, but those listed with their reasons."""
 
 import ast
 import json
@@ -279,3 +280,70 @@ def test_every_public_definition_is_named_read_or_exported():
     init = ast.parse((SRC / "qprim" / "__init__.py").read_text())
     [exported] = [ast.literal_eval(s.value) for s in init.body if isinstance(s, ast.Assign) and s.targets[0].id == "__all__"]
     assert unnamed_public_definitions(modules, readers, set(exported)) == []
+
+
+# (module, function, parameter) -> why a default that no package or perfbench call sets stays
+UNSET_DEFAULTS = {
+    ("cli.py", "main", "argv"): "tests pass their own argv; the console script passes none",
+    ("poly.py", "roots_table", "t"): "the f - 1 table of ROADMAP item 5 needs it; tests check t = 1 against roots_mod",
+}
+
+
+def unset_defaults(modules: dict[str, str], callers: list[str]) -> list[tuple[str, str, str]]:
+    """(module, function, parameter) for each defaulted parameter of a public
+    function, or public method of a public class, defined at the top level of
+    modules (file name -> source) that no call in callers sets: a call counts
+    if its callee's name (a bare name or an attribute) is the function's and
+    it passes the parameter by keyword, by position at or past its index, or
+    through * or **.  A method's first parameter, self or cls, takes no
+    position."""
+    calls: dict[str, list[tuple[int, set[str], bool]]] = {}
+    for source in callers:
+        for node in ast.walk(ast.parse(source)):
+            if isinstance(node, ast.Call):
+                name = getattr(node.func, "id", None) or getattr(node.func, "attr", None)
+                starred = any(isinstance(a, ast.Starred) for a in node.args) or any(k.arg is None for k in node.keywords)
+                calls.setdefault(name, []).append((len(node.args), {k.arg for k in node.keywords}, starred))
+    found = []
+    for module, source in modules.items():
+        for stmt in ast.parse(source).body:
+            functions = [(stmt, 0)] if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef)) else []
+            if isinstance(stmt, ast.ClassDef) and not stmt.name.startswith("_"):
+                functions = [
+                    (f, 0 if any(getattr(d, "id", None) == "staticmethod" for d in f.decorator_list) else 1)
+                    for f in stmt.body
+                    if isinstance(f, (ast.FunctionDef, ast.AsyncFunctionDef))
+                ]
+            for function, skip in functions:
+                if function.name.startswith("_"):
+                    continue
+                a = function.args
+                positional = (a.posonlyargs + a.args)[skip:]
+                defaulted = [(p.arg, i) for i, p in enumerate(positional) if i >= len(positional) - len(a.defaults)]
+                defaulted += [(p.arg, None) for p, d in zip(a.kwonlyargs, a.kw_defaults) if d is not None]
+                for param, index in defaulted:
+                    if not any(
+                        starred or param in keywords or (index is not None and n_args > index)
+                        for n_args, keywords, starred in calls.get(function.name, [])
+                    ):
+                        found.append((module, function.name, param))
+    return found
+
+
+def test_unset_default_guard_sees_each_form():
+    a = "def f(x, by_pos=1, by_key=2, unset=3, *, kw_only=4, kw_unset=5): pass\n"
+    a += "def star(y=1): pass\ndef double_star(y=1): pass\ndef g(y=1): pass\ndef _private(y=1): pass\n"
+    a += "class C:\n    def m(self, first=1, second=2): pass\n    @staticmethod\n    def s(first=1): pass\n"
+    a += "    @classmethod\n    def c(cls, first=1): pass\nclass _P:\n    def m(self, hidden=1): pass\n"
+    b = "f(0, 1)\nf(0, by_key=2, kw_only=4)\nstar(*ys)\nobj.double_star(**kw)\nnot_g(y=1)\n"
+    b += "C().m(1)\nC.s(1)\nC.c()\n"
+    assert unset_defaults({"a.py": a}, [a, b]) == [
+        ("a.py", "f", "unset"), ("a.py", "f", "kw_unset"), ("a.py", "g", "y"), ("a.py", "m", "second"), ("a.py", "c", "first"),
+    ]
+
+
+def test_every_default_is_set_by_a_caller():
+    # a default only tests set is an option no user reaches: fold it into a constant or delete it
+    modules = {p.name: p.read_text() for p in (SRC / "qprim").glob("*.py")}
+    perfbench = [p.read_text() for p in (SRC.parent / "perfbench").glob("*.py")]
+    assert sorted(unset_defaults(modules, [*modules.values(), *perfbench])) == sorted(UNSET_DEFAULTS)

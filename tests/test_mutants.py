@@ -304,6 +304,18 @@ MUTANTS = [
         "pass",
         ["tests/test_search.py::test_sweep_refuses_a_checkpoint_another_run_holds"],
     ),
+    (  # the power plan's trial primes up to isqrt(k) unbounded: k near 2^62 asks for the primes to 2^31
+        "streaks.py",
+        "primes_up_to(min(isqrt(max(live)), 1 << 16))",
+        "primes_up_to(isqrt(max(live)))",
+        ["tests/test_search.py::test_base_streaks_near_2_62_sieve_no_prime_past_2_16"],
+    ),
+    (  # pr_density reading only the primes where f = 1 has a root: X^3 - X + 3's fixed divisor 3 hides
+        "densities.py",
+        "read = (n_ones != 0) | scalar",
+        "read = n_ones != 0",
+        ["tests/test_densities.py::test_fixed_divisor_without_content_raises"],
+    ),
 ]
 
 

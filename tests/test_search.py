@@ -160,11 +160,12 @@ def test_sweep_deterministic_across_workers():
     assert (b1.k, b1.g, b1.c, b1.failing_prime) == (b8.k, b8.g, b8.c, b8.failing_prime)
 
 
-def test_sweep_checkpoint_resume_equivalence(tmp_path):
+def test_sweep_checkpoint_resume_equivalence(tmp_path, monkeypatch):
+    monkeypatch.setattr("qprim.search.CHECKPOINT_EVERY", 4)
     cfg = SearchConfig(
         d=163, d1=163, alpha=1, sign=1, shift=0, g_base=326, k_lo=1, k_hi=24, n_cap=3000
     )
-    full = sweep(cfg, checkpoint_path=str(tmp_path / "full.jsonl"), checkpoint_every=4)
+    full = sweep(cfg, checkpoint_path=str(tmp_path / "full.jsonl"))
 
     # simulate a crash: keep only lines up to k <= 12, then resume
     partial_path = tmp_path / "partial.jsonl"
@@ -174,7 +175,7 @@ def test_sweep_checkpoint_resume_equivalence(tmp_path):
         if rec["k"] <= 12:
             kept.append(line)
     partial_path.write_text("\n".join(kept) + "\n")
-    resumed = sweep(cfg, checkpoint_path=str(partial_path), checkpoint_every=4)
+    resumed = sweep(cfg, checkpoint_path=str(partial_path))
     assert (resumed.k, resumed.g, resumed.c) == (full.k, full.g, full.c)
     # the checkpoint now covers the full range; resuming again is a no-op
     again = sweep(cfg, checkpoint_path=str(partial_path))
@@ -227,13 +228,14 @@ def test_sweep_certified_agrees_across_workers():
         )
 
 
-def test_sweep_resume_keeps_certified(tmp_path):
+def test_sweep_resume_keeps_certified(tmp_path, monkeypatch):
+    monkeypatch.setattr("qprim.search.CHECKPOINT_EVERY", 4)
     for cfg in (README_CFG, TRUNCATED_CFG):
         path = tmp_path / f"{config_hash(cfg)}.jsonl"
-        full = sweep(cfg, checkpoint_path=str(path), checkpoint_every=4)
+        full = sweep(cfg, checkpoint_path=str(path))
         lines = path.read_text().splitlines()
         path.write_text("\n".join(lines[:3]) + "\n")  # crash after k = 12
-        resumed = sweep(cfg, checkpoint_path=str(path), checkpoint_every=4)
+        resumed = sweep(cfg, checkpoint_path=str(path))
         again = sweep(cfg, checkpoint_path=str(path))  # nothing left to sweep
         for rec in (resumed, again):
             assert (rec.k, rec.c, rec.certified) == (full.k, full.c, full.certified)
@@ -259,13 +261,14 @@ def test_sweep_rejects_invalid_g_base(tmp_path, g_base):
     assert not path.exists()
 
 
-def test_sweep_torn_final_line(tmp_path):
+def test_sweep_torn_final_line(tmp_path, monkeypatch):
+    monkeypatch.setattr("qprim.search.CHECKPOINT_EVERY", 4)
     path = tmp_path / "ck.jsonl"
-    full = sweep(README_CFG, checkpoint_path=str(path), checkpoint_every=4)
+    full = sweep(README_CFG, checkpoint_path=str(path))
     text = path.read_text()
     last = text.splitlines()[-1]
     path.write_text(text[: len(text) - len(last) // 2 - 1])  # crash mid-write
-    resumed = sweep(README_CFG, checkpoint_path=str(path), checkpoint_every=4)
+    resumed = sweep(README_CFG, checkpoint_path=str(path))
     assert (resumed.k, resumed.c, resumed.failing_prime, resumed.certified) == (
         full.k, full.c, full.failing_prime, full.certified
     )
@@ -275,21 +278,23 @@ def test_sweep_torn_final_line(tmp_path):
     assert ks == sorted(ks) and ks[-1] == README_CFG.k_hi
 
 
-def test_sweep_unterminated_complete_line_is_kept(tmp_path):
+def test_sweep_unterminated_complete_line_is_kept(tmp_path, monkeypatch):
+    monkeypatch.setattr("qprim.search.CHECKPOINT_EVERY", 4)
     path = tmp_path / "ck.jsonl"
-    sweep(README_CFG, checkpoint_path=str(path), checkpoint_every=4)
+    sweep(README_CFG, checkpoint_path=str(path))
     lines = path.read_text().splitlines()
     path.write_text("\n".join(lines[:3]))  # last record intact, newline lost
-    best = sweep(README_CFG, checkpoint_path=str(path), checkpoint_every=4)
+    best = sweep(README_CFG, checkpoint_path=str(path))
     assert (best.k, best.c, best.certified) == (15, 423, True)
     ks = [json.loads(line)["k"] for line in path.read_text().splitlines()]
     assert ks[:3] == [4, 8, 12] and ks[3] == 16
 
 
-def test_sweep_fresh_replaces_foreign_checkpoint(tmp_path):
+def test_sweep_fresh_replaces_foreign_checkpoint(tmp_path, monkeypatch):
+    monkeypatch.setattr("qprim.search.CHECKPOINT_EVERY", 4)
     path = tmp_path / "ck.jsonl"
     sweep(LEHMER_CFG, checkpoint_path=str(path))
-    fresh = sweep(README_CFG, checkpoint_path=str(path), checkpoint_every=4, resume=False)
+    fresh = sweep(README_CFG, checkpoint_path=str(path), resume=False)
     hashes = {json.loads(line)["config_hash"] for line in path.read_text().splitlines()}
     assert hashes == {config_hash(README_CFG)}
     resumed = sweep(README_CFG, checkpoint_path=str(path))
@@ -306,12 +311,13 @@ def test_sweep_fresh_over_torn_file(tmp_path):
     assert len(lines) == 1 and json.loads(lines[0])["config_hash"] == config_hash(LEHMER_CFG)
 
 
-def test_sweep_refuses_a_checkpoint_another_run_holds(tmp_path, capsys):
+def test_sweep_refuses_a_checkpoint_another_run_holds(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr("qprim.search.CHECKPOINT_EVERY", 4)
     fcntl = pytest.importorskip("fcntl")
     from qprim.cli import main
 
     path = tmp_path / "ck.jsonl"
-    sweep(README_CFG, checkpoint_path=str(path), checkpoint_every=4)
+    sweep(README_CFG, checkpoint_path=str(path))
     path.write_bytes(path.read_bytes()[:-9])  # a torn tail: a resume would cut it, --fresh all of it
     before = path.read_bytes()
     with open(path, "rb") as other_run:  # its own open file description, as another process's
@@ -424,6 +430,23 @@ def test_base_streaks_equals_per_base_streak(f, g_base, k_lo, k_hi, n_cap):
 
     got = list(base_streaks(f, g_base, k_lo, k_hi, n_cap))
     assert got == per_base_streaks(f, g_base, k_lo, k_hi, n_cap)
+
+
+def test_base_streaks_near_2_62_sieve_no_prime_past_2_16(monkeypatch):
+    # the power plan once asked for the primes up to isqrt(k), to 2^31 at k = 2^62:
+    # several GB for three k.  A k with no prime factor up to 2^16 takes a pow row
+    from qprim import arith, streaks
+
+    def primes_up_to(bound):
+        if bound > 1 << 16:
+            raise AssertionError(f"the power plan asked for the primes up to {bound}")
+        return arith.primes_up_to(bound)
+
+    monkeypatch.setattr(streaks, "primes_up_to", primes_up_to)
+    near = 65521 * 65537  # the primes on either side of 2^16
+    for k_lo, k_hi in ((2**62, 2**62 + 2), (2**62 - 40, 2**62 - 30), (1, 60), (near - 3, near + 3)):
+        got = list(base_streaks(LEHMER, 326, k_lo, k_hi, 300))
+        assert got == per_base_streaks(LEHMER, 326, k_lo, k_hi, 300), (k_lo, k_hi)
 
 
 def test_base_streaks_covers_skips_q2_failures_and_unfinished():

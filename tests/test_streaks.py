@@ -323,18 +323,13 @@ def test_prime_count_cubic_with_fixed_prime_divisor():
     assert list(PrimeValueStream(f).entries_upto(3000)) == [(0, 3)]
 
 
-@cache
-def pm1_factorization(p):
-    return factor(p - 1)
-
-
 def reference_streak(entries, g):
     """(count, failing prime) from arith.is_primitive_root on every prime."""
     count = 0
     for _, p in entries:
         if g % p == 0:
             continue
-        if not is_primitive_root(g, p, pm1_factorization(p)):
+        if not is_primitive_root(g, p):
             return count, p
         count += 1
     return count, None
@@ -545,21 +540,19 @@ def test_walks_skip_a_base2_pseudoprime_with_no_small_factor():
 
 
 def test_tiny_rho_budget_raises_only_where_the_walk_reaches_that_prime(monkeypatch):
-    from functools import partial
-
     from qprim import arith
 
     def needs_rho(p):
         try:
-            factor(p - 1, rho_budget=1)
+            factor(p - 1)
         except arith.FactorizationError:
             return True
         return False
 
     primes = [p for _, p in PrimeValueStream(L).entries_upto(3000)]
+    monkeypatch.setattr(arith, "_RHO_BUDGET", 1)
     first = next(j for j, p in enumerate(primes) if needs_rho(p))
     assert 0 < first < 64  # inside the walk's first group of candidates
-    monkeypatch.setattr(arith, "factor_many", partial(arith.factor_many, rho_budget=1))
     assert verify_primitive_root_prefix(L, 326, first)
     with pytest.raises(arith.FactorizationError):
         verify_primitive_root_prefix(L, 326, first + 1)
