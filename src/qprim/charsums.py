@@ -5,6 +5,8 @@ FundamentalDiscriminant is the package's one split of a discriminant into
 prime discriminants and a 2-part, and TWO_PART_CHARACTERS the one table of
 the 2-part's character mod 8: inert_proportion, densities' chi_D tables and
 criteria.extended_chebyshev (by fundamental_discriminant of a base) read it.
+_require_odd_prime is the package's one odd-prime check.  Off degree 2 the
+local average enumerates f mod p, so it refuses p above 2^20.
 
 Everything in this module is exact rational arithmetic (fractions.Fraction);
 no floating point.
@@ -120,9 +122,11 @@ def local_char_average(f: PolyZ, p: int) -> Fraction:
 
 
 def brute_char_average(f: PolyZ, p: int) -> Fraction:
-    """Enumeration form of the local average, valid for any degree:
+    """Enumeration form of the local average, valid for any degree and p up to 2^20:
     sum_r (f(r)/p) / #{r mod p : gcd(f(r), p) = 1}."""
     _require_odd_prime(p)
+    if p > 1 << 20:  # values_mod holds p values: about 2 s and 86 MB of peak RSS for a cubic just below
+        raise ValueError(f"enumerating f mod p needs p at most 2^20 (--p, --d or --disc), got {p}")
     values = values_mod(f, p)
     units = values[values != 0].tolist()
     if not units:

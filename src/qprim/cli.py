@@ -327,7 +327,7 @@ def _handle_hlconst(args) -> dict:
 
 
 def _handle_lvalue(args) -> dict:
-    lv = dirichlet_l(args.s, args.disc, tol=args.tol)
+    lv = dirichlet_l(args.s, args.disc)
     return {"s": lv.s, "disc": lv.D.D, "value": lv.value, "abs_error": lv.abs_error}
 
 
@@ -552,7 +552,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("lvalue", parents=[common], help="Dirichlet L(s, chi_D) at s = 1 or 2")
     p.add_argument("--s", type=int, required=True, choices=(1, 2))
     p.add_argument("--disc", type=int, required=True)
-    p.add_argument("--tol", type=float, default=1e-9)
     p.set_defaults(func=_handle_lvalue)
 
     p = sub.add_parser("mstat", parents=[common], help="expected maximum of s geometric streaks")

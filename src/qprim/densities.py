@@ -5,7 +5,7 @@ density and its simplified form; Lehmer's corrected and uncorrected
 products are those two at 326X^2 + 3), the classical constants
 (totient-ratio mean, Hardy-Littlewood constants, Bateman-Horn products of
 degree at most 2, where irreducibility is checked), Dirichlet L-values at
-s = 1, 2, and the expected-maximum model for a family of geometric streaks.
+s = 1, 2, and the expected-maximum model of s geometric streaks.
 
 L-values are evaluated through character-weighted Hurwitz-zeta sums: digamma
 for s = 1 (the pole cancels against a non-principal character) and trigamma
@@ -39,7 +39,7 @@ from typing import Callable, Iterator, Sequence
 import numpy as np
 
 from .arith import _INT64_PRIME_BOUND, Lanes, euler_phi, factor, is_prime, kronecker, prime_chunks, residues
-from .charsums import TWO_PART_CHARACTERS, FundamentalDiscriminant
+from .charsums import TWO_PART_CHARACTERS, FundamentalDiscriminant, _require_odd_prime
 from .poly import PolyZ, is_perfect_square, roots_mod
 
 _EXTENSION = 1_000_000  # accelerated pr_density's last prime for degree <= 2
@@ -220,14 +220,14 @@ def _euler_product(
 _L_ERROR_FLOOR = 1e-11
 
 
-def dirichlet_l(s: int, D, tol: float = 1e-9) -> LValue:
+def dirichlet_l(s: int, D) -> LValue:
     """L(s, chi_D) for s in {1, 2}, chi_D(n) the Kronecker symbol (D/n).
 
     s = 1:  -(1/q) * sum_a chi(a) psi(a/q)      (q = |D|)
     s = 2:   (1/q^2) * sum_a chi(a) psi'(a/q)
 
-    The reported abs_error is a rounding envelope; the outer 1/q keeps the
-    accumulated term errors from growing with q.
+    The terms are summed exactly, so no tolerance enters; abs_error is a
+    rounding envelope, the outer 1/q keeping term errors from growing with q.
     """
     fd = FundamentalDiscriminant.from_integer(D)
     if s not in (1, 2):
@@ -235,12 +235,6 @@ def dirichlet_l(s: int, D, tol: float = 1e-9) -> LValue:
     q = abs(fd.D)
     if q <= 1:
         raise ValueError("need a discriminant with |D| > 1")
-    if tol <= 0:
-        raise ValueError("tol must be positive")
-    if tol < _L_ERROR_FLOOR:
-        raise ValueError(
-            f"precision-exceeded: tol={tol} is below the working precision {_L_ERROR_FLOOR}"
-        )
     psi = _digamma if s == 1 else _trigamma
 
     def terms() -> Iterator[list[float]]:
@@ -276,9 +270,7 @@ def hardy_littlewood_constant(D: int, tol: float = 1e-8) -> DensityReport:
     fd = FundamentalDiscriminant.from_integer(D)
     if fd.D >= 0 or fd.D % 8 != 5:
         raise ValueError("discriminant must be negative and = 5 (mod 8)")
-    L1 = dirichlet_l(1, fd, tol=1e-10)
-    L2 = dirichlet_l(2, fd, tol=1e-10)
-    value = (math.pi ** 4 / 90.0) / (2.0 * L1.value * L2.value)
+    value = (math.pi ** 4 / 90.0) / (2.0 * dirichlet_l(1, fd).value * dirichlet_l(2, fd).value)
     for p in fd.odd_primes:  # D = 5 mod 8 is odd
         value *= 1.0 - 1.0 / float(p) ** 4
     cutoff = _split_cutoff(tol, power=2)
@@ -445,8 +437,7 @@ def totient_ratio_product(primes: Sequence[int]) -> float:
     """prod (p-1)/phi(p-1) over the given odd primes, exact, returned as float."""
     out = Fraction(1)
     for p in primes:
-        if p < 3 or not is_prime(p):
-            raise ValueError(f"{p} is not an odd prime")
+        _require_odd_prime(p)
         out *= Fraction(p - 1, euler_phi(p - 1))
     return float(out)
 
@@ -487,8 +478,15 @@ def bateman_horn_constant(f: PolyZ, cutoff: int = 100_000) -> DensityReport:
 
 
 # ---------------------------------------------------------------------------
-# expected maximum of s independent geometric streaks
+# expected maximum of s independent geometric streaks: one check of p1 and s
 # ---------------------------------------------------------------------------
+
+
+def _require_model(p1: float, s: int) -> None:
+    if not 0.0 < p1 < 1.0:
+        raise ValueError("success probability must lie strictly between 0 and 1")
+    if s < 1:
+        raise ValueError("need s >= 1")
 
 
 def expected_max_streak(p1: float, s: int) -> float:
@@ -497,10 +495,7 @@ def expected_max_streak(p1: float, s: int) -> float:
 
     Summed until the certified remaining mass drops below 1e-12 relative.
     """
-    if not 0.0 < p1 < 1.0:
-        raise ValueError("success probability must lie strictly between 0 and 1")
-    if s < 1:
-        raise ValueError("need s >= 1")
+    _require_model(p1, s)
     lp = math.log(p1)
 
     def big_f(j: int) -> float:
@@ -529,8 +524,7 @@ def expected_max_streak(p1: float, s: int) -> float:
 
 def harmonic_max_estimate(p1: float, s: int) -> float:
     """(sum_{r<=s} 1/r) / ln(1/p1) - 1/2: the Gumbel-style approximation."""
-    if not 0.0 < p1 < 1.0:
-        raise ValueError("success probability must lie strictly between 0 and 1")
+    _require_model(p1, s)
     psi = _digamma(np.array([s + 1.0, 1.0]))
     harmonic = float(psi[0] - psi[1])
     return harmonic / math.log(1.0 / p1) - 0.5
@@ -538,17 +532,14 @@ def harmonic_max_estimate(p1: float, s: int) -> float:
 
 def asymptotic_max_estimate(p1: float, s: int) -> float:
     """log s / log(1/p1): the leading-order growth of the expected maximum."""
-    if not 0.0 < p1 < 1.0:
-        raise ValueError("success probability must lie strictly between 0 and 1")
+    _require_model(p1, s)
     return math.log(s) / math.log(1.0 / p1)
 
 
 _SIM_DRAWS = 4_000_000  # most variates simulate_max_streak draws at once (8 bytes each)
 
 
-def simulate_max_streak(
-    p1: float, s: int, trials: int, seed: int
-) -> tuple[float, float]:
+def simulate_max_streak(p1: float, s: int, trials: int, seed: int) -> tuple[float, float]:
     """Monte-Carlo mean of the maximum of s geometric streak lengths
     (j successes then one failure), with its standard error.  Deterministic
     under a fixed seed.  At most _SIM_DRAWS variates are drawn at once, whole
@@ -556,10 +547,7 @@ def simulate_max_streak(
     the generator hands out the same doubles in the same order either way."""
     if trials < 100:
         raise ValueError("need at least 100 trials")
-    if not 0.0 < p1 < 1.0:
-        raise ValueError("success probability must lie strictly between 0 and 1")
-    if s < 1:
-        raise ValueError("need s >= 1")
+    _require_model(p1, s)
     rng = np.random.default_rng(seed)
     lp = math.log(p1)
     maxima = np.empty(trials)

@@ -19,6 +19,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 
 import numpy as np
 
@@ -205,10 +206,11 @@ def roots_table(f: PolyZ, P: np.ndarray, t: int = 0) -> tuple[np.ndarray, np.nda
     return np.repeat(P, counts), R
 
 
+@lru_cache(maxsize=16)
 def mod8_profile(f: PolyZ) -> tuple[Fraction, Fraction, Fraction, Fraction]:
-    """(alpha_1, alpha_3, alpha_5, alpha_7): the distribution of the odd values
-    of f over the classes 1, 3, 5, 7 mod 8, alpha_j = #{s mod 8 : f(s) = j mod 8}
-    / #{s mod 8 : f(s) odd}."""
+    """(alpha_1, alpha_3, alpha_5, alpha_7), cached by f: the distribution of the
+    odd values of f over the classes 1, 3, 5, 7 mod 8, alpha_j = #{s mod 8 :
+    f(s) = j mod 8} / #{s mod 8 : f(s) odd}."""
     counts = np.bincount(values_mod(f, 8), minlength=8).tolist()
     odd = sum(counts[1::2])
     if odd == 0:

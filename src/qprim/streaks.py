@@ -41,7 +41,7 @@ from typing import Iterator
 import numpy as np
 
 from . import arith
-from .arith import Factorization, factor, is_prime, primes_up_to
+from .arith import Factorization, _divide_out, factor, is_prime
 from .charsums import require_valid_base
 from .poly import PolyZ, roots_table
 
@@ -304,17 +304,22 @@ def pr_stats(f: PolyZ, g: int, n_cap: int) -> PrStats:
 def _power_plan(live: list[int]) -> tuple:
     """(ks, level ends, the rows of l and k // l per composite row, the row of
     each live k), ks being the k that the powers k^e of the live k are built
-    from, l the least prime factor of k: a pow for k = 1 and for k with no
-    prime factor up to 2^16 (prime k among them), the first level, else
-    l^e * (k // l)^e, at the level of k's bit length.  The 2^16 bound keeps k
-    near 2^62 from sieving the primes to 2^31."""
-    small, spf, need, todo = primes_up_to(min(isqrt(max(live)), 1 << 16)), {}, set(), set(live)
-    while todo:
-        need |= todo
-        spf |= {k: next((q for q in small if k % q == 0), k) for k in todo}
-        todo = {m for k in todo for m in (spf[k], k // spf[k])} - need - {1}
-    level = {k: spf[k] != k and k.bit_length() for k in need}
-    ks = sorted(need, key=lambda k: (level[k], k))
+    from, l the least prime factor of k up to min(isqrt(max(live)), 2^16): a
+    pow for k = 1 and for k with no prime factor up to it (prime k among
+    them), the first level, else l^e * (k // l)^e, at the level of k's bit
+    length.  One _divide_out (a gcd with a cached primorial) splits each live
+    k into its primes up to the bound and a cofactor, and k's chain runs from
+    the cofactor up through those primes, largest first."""
+    bound, spf = min(isqrt(max(live)), 1 << 16), {}  # spf[k] = l, or k for a pow row
+    for k in live:
+        m = _divide_out(k, bound, fmap := {})
+        if m > 1 or k == 1:
+            spf[m] = m
+        for q in [q for q, e in reversed(fmap.items()) for _ in range(e)]:  # fmap ascends
+            spf[q], m = q, m * q
+            spf[m] = q
+    level = {k: l != k and k.bit_length() for k, l in spf.items()}
+    ks = sorted(spf, key=lambda k: (level[k], k))
     row = {k: i for i, k in enumerate(ks)}
     ends = [i for i in range(1, len(ks) + 1) if i == len(ks) or level[ks[i]] > level[ks[i - 1]]]
     factors = np.array([(row[spf[k]], row[k // spf[k]]) for k in ks[ends[0] :]], np.intp)

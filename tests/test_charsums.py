@@ -334,6 +334,17 @@ def test_admissible_discriminants():
     assert [fd.D for fd in admissible_discriminants(L, 10**7)] == [-163, -3, 24, 1304]
 
 
+def test_admissible_discriminants_reads_the_mod8_profile_once_per_f():
+    # inert_proportion reads it at each candidate D with a 2-part other than 1
+    from qprim import poly
+
+    for f in (L, QuadraticPoly(1, 0, 5), QuadraticPoly(3, 1, 7)):
+        poly.mod8_profile.cache_clear()
+        admissible_discriminants(f, 2000)
+        info = poly.mod8_profile.cache_info()
+        assert (info.misses, info.hits > 0) == (1, True), f
+
+
 @pytest.mark.parametrize(
     "d, d1, alpha, sign",
     [

@@ -14,7 +14,7 @@ from pathlib import Path
 
 import pytest
 
-from qprim import densities
+from qprim import charsums, cli, densities
 from qprim.charsums import brute_char_average
 from qprim.cli import main, preset_registry
 from qprim.poly import parse_poly
@@ -377,6 +377,55 @@ def test_maxstreak_long_run_gate(capsys):
     )
     assert code == 1
     assert "long-run" in err
+
+
+@pytest.mark.parametrize(
+    "argv, walk",
+    [
+        (["prstats", "--poly", "326,0,3", "--g", "326", "--n-cap", "1000001"], "pr_stats"),
+        (["search", "--d", "163", "--d1", "163", "--alpha", "1", "--g-base", "326", "--k-hi", "2001"], "sweep"),
+    ],
+    ids=["prstats", "search"],
+)
+def test_long_run_gate_refuses_before_the_walk(capsys, monkeypatch, argv, walk):
+    def no_walk(*args, **kwargs):
+        raise AssertionError(f"{walk} started")
+
+    monkeypatch.setattr(cli, walk, no_walk)
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out) == (1, "")
+    [line] = err.splitlines()
+    assert line.startswith("error: ") and line.endswith("needs --long-run (a minutes-scale computation)")
+
+
+@pytest.mark.parametrize(
+    "argv, option",
+    [
+        (["charsum", "--mode", "local", "--poly", "1,0,0,1", "--p", "2147483647"], "--p"),
+        (["charsum", "--mode", "average", "--poly", "1,0,0,1", "--d", "1048583"], "--d"),
+        (["tau", "--poly", "1,0,0,1", "--disc", "-2147483647"], "--disc"),
+    ],
+    ids=["charsum-local", "charsum-average", "tau"],
+)
+def test_enumerated_local_average_refuses_p_past_2_20(capsys, monkeypatch, argv, option):
+    # values_mod would ask for an int64 array of p entries: 16 GiB at p = 2^31 - 1
+    def no_enumeration(f, m):
+        raise AssertionError(f"values_mod enumerated f mod {m}")
+
+    monkeypatch.setattr(charsums, "values_mod", no_enumeration)
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out) == (1, "")
+    [line] = err.splitlines()
+    assert line.startswith("error: ") and "at most 2^20" in line and option in line
+
+
+def test_lvalue_takes_no_tol(capsys):
+    # its value never read a tolerance; hlconst --tol sets the split-product cutoff
+    with pytest.raises(SystemExit) as exc:
+        main(["lvalue", "--s", "1", "--disc", "-4", "--tol", "1e-9"])
+    assert exc.value.code == 2
+    code, _, _ = run_cli(capsys, "hlconst", "--disc", "-163", "--tol", "1e-7")
+    assert code == 0
 
 
 @pytest.mark.parametrize(

@@ -80,7 +80,7 @@ def character_euler_product(s, D, tol=1e-6):
     * prod_{split q >= 3}(1 - 2/(q^s (q^s - 1))), eps(s) = 1 + 2^-s (D/2)."""
     eps = 1.0 + kronecker(D, 2) * 2.0 ** -s
     zeta_2s = math.pi ** 2 / 6.0 if s == 1 else math.pi ** 4 / 90.0
-    value = eps * zeta_2s / dirichlet_l(s, D, tol=1e-10).value
+    value = eps * zeta_2s / dirichlet_l(s, D).value
     for p, _ in factor(abs(D)).factors:
         value *= 1.0 - 1.0 / float(p) ** (2 * s)
     for q in odd_primes(_split_cutoff(tol, power=s)):
@@ -229,8 +229,6 @@ def test_dirichlet_l_guards():
     with pytest.raises(ValueError):
         dirichlet_l(3, -4)
     with pytest.raises(ValueError):
-        dirichlet_l(1, -4, tol=1e-18)  # precision-exceeded
-    with pytest.raises(ValueError):
         dirichlet_l(1, 48)  # not fundamental
     assert dirichlet_l(1, -4).abs_error <= 1e-9
     # the Legendre table of the least prime above 2^30 would take 1 GiB: refused before it is built
@@ -279,7 +277,7 @@ def test_hardy_littlewood_guards():
         hardy_littlewood_constant(5)  # positive
     with pytest.raises(ValueError):
         hardy_littlewood_constant(-45)  # not fundamental
-    for tol in (0, -1, 0.0):  # no cutoff meets these: refused, as dirichlet_l refuses them
+    for tol in (0, -1, 0.0):  # no split-product cutoff meets these: refused
         with pytest.raises(ValueError, match="tol must be positive"):
             hardy_littlewood_constant(-163, tol=tol)
 
@@ -480,6 +478,30 @@ def test_expected_max_guards():
         expected_max_streak(0.0, 10)
     with pytest.raises(ValueError):
         expected_max_streak(0.5, 0)
+
+
+MODEL = {
+    "expected": expected_max_streak,
+    "harmonic": harmonic_max_estimate,
+    "asymptotic": asymptotic_max_estimate,
+    "simulated": lambda p1, s: simulate_max_streak(p1, s, trials=100, seed=1),
+}
+
+
+@pytest.mark.parametrize("fn", MODEL.values(), ids=MODEL)
+def test_model_refuses_p1_outside_0_1(fn):
+    for p1 in (1.0, 0.0, -0.5, 1.5, math.nan):
+        with pytest.raises(ValueError, match="success probability must lie strictly between 0 and 1"):
+            fn(p1, 10)
+
+
+@pytest.mark.parametrize("fn", MODEL.values(), ids=MODEL)
+def test_model_refuses_s_below_1(fn):
+    # the estimators once returned -0.5 (harmonic, s = 0), -inf with a warning
+    # (harmonic, s = -3) and "math domain error" (asymptotic, s = 0)
+    for s in (0, -3):
+        with pytest.raises(ValueError, match="need s >= 1"):
+            fn(0.9, s)
 
 
 def test_simulate_max_streak():

@@ -1,9 +1,10 @@
 """Mutants that the tests must catch, re-run on every long run.
 
-Each row names a module of src/qprim, a source fragment that occurs in it
-exactly once, its replacement, and the tests that must fail once it is made.
-The rows run on copies of src under tmp_path, each in a pytest subprocess
-that runs only the named tests.  The control run first checks that the named
+Each row names a module of src/qprim (or a test file, for the AST guards of
+tests/test_imports.py), a source fragment that occurs in it exactly once, its
+replacement, and the tests that must fail once it is made.  The rows run on
+copies of src, tests and perfbench under tmp_path, each in a pytest
+subprocess that runs only the named tests.  The control run first checks that the named
 tests pass on an unmutated copy, so a failure below is the mutant's doing.  A
 fragment a refactor moved or rewrote fails its row loudly: update the row.
 
@@ -306,9 +307,59 @@ MUTANTS = [
     ),
     (  # the power plan's trial primes up to isqrt(k) unbounded: k near 2^62 asks for the primes to 2^31
         "streaks.py",
-        "primes_up_to(min(isqrt(max(live)), 1 << 16))",
-        "primes_up_to(isqrt(max(live)))",
+        "bound, spf = min(isqrt(max(live)), 1 << 16), {}",
+        "bound, spf = isqrt(max(live)), {}",
         ["tests/test_search.py::test_base_streaks_near_2_62_sieve_no_prime_past_2_16"],
+    ),
+    (  # the power plan without its cofactor row: a k with a prime factor past the bound has no row to build from
+        "streaks.py",
+        "if m > 1 or k == 1:",
+        "if k == 1:",
+        [
+            "tests/test_search.py::test_base_streaks_near_2_62_sieve_no_prime_past_2_16",
+            "tests/test_search.py::test_power_plan_reads_each_k_from_one_factor_map",
+        ],
+    ),
+    (  # the model's one check passing s = 0: the estimators return -0.5 or fail in math.log, the simulation divides by 0
+        "densities.py",
+        "if s < 1:",
+        "if s < 0:",
+        [
+            *(f"tests/test_densities.py::test_model_refuses_s_below_1[{fn}]"
+              for fn in ("expected", "harmonic", "asymptotic", "simulated")),
+            "tests/test_densities.py::test_expected_max_guards",
+            "tests/test_densities.py::test_simulate_max_streak",
+        ],
+    ),
+    (  # the local average enumerating f mod p at any p: 16 GiB at p = 2^31 - 1
+        "charsums.py",
+        "if p > 1 << 20:",
+        "if False:",
+        [
+            f"tests/test_cli.py::test_enumerated_local_average_refuses_p_past_2_20[{case}]"
+            for case in ("charsum-local", "charsum-average", "tau")
+        ],
+    ),
+    (  # the unset-default guard's allowlist keeping an entry no longer found: dirichlet_l's dropped tol
+        "test_imports.py",
+        "UNSET_DEFAULTS = {\n",
+        'UNSET_DEFAULTS = {\n    ("densities.py", "dirichlet_l", "tol"): "a stale entry",\n',
+        ["tests/test_imports.py::test_every_default_is_set_by_a_caller"],
+    ),
+    (  # the unset-default guard counting a positional call that stops at the parameter as setting it
+        "test_imports.py",
+        "n_args > index",
+        "n_args >= index",
+        ["tests/test_imports.py::test_unset_default_guard_sees_each_form"],
+    ),
+    (  # the unnamed-public guard not reading perfbench: residue_counts_mod_prime, which only perfbench calls, reads as unnamed
+        "test_imports.py",
+        r'words = set(re.findall(r"\w+", readers))',
+        "words = set()",
+        [
+            "tests/test_imports.py::test_unnamed_public_guard_sees_each_form",
+            "tests/test_imports.py::test_every_public_definition_is_named_read_or_exported",
+        ],
     ),
     (  # pr_density reading only the primes where f = 1 has a root: X^3 - X + 3's fixed divisor 3 hides
         "densities.py",
@@ -319,34 +370,38 @@ MUTANTS = [
 ]
 
 
-def run_tests(src: Path, tests: list[str]) -> tuple[int, set[str], str]:
-    """pytest on `tests` with qprim imported from src: its exit code, the ids
-    that failed, and its output."""
-    env = dict(os.environ, PYTHONPATH=str(src), PYTHONDONTWRITEBYTECODE="1")
+def run_tests(root: Path, tests: list[str]) -> tuple[int, set[str], str]:
+    """pytest on `tests` in the copy at root, with qprim imported from its src:
+    its exit code, the ids that failed, and its output."""
+    env = dict(os.environ, PYTHONPATH=str(root / "src"), PYTHONDONTWRITEBYTECODE="1")
     argv = [sys.executable, "-m", "pytest", "-q", "-rf", "-p", "no:cacheprovider", *tests]
-    run = subprocess.run(argv, cwd=ROOT, env=env, capture_output=True, text=True, timeout=600)
+    run = subprocess.run(argv, cwd=root, env=env, capture_output=True, text=True, timeout=600)
     failed = set(re.findall(r"^FAILED (.+?)(?: - .*)?$", run.stdout, re.M))  # an id may hold spaces
     return run.returncode, failed, run.stdout + run.stderr
 
 
-def copy_src(tmp_path: Path) -> Path:
-    src = tmp_path / "src"
-    shutil.copytree(ROOT / "src", src, ignore=shutil.ignore_patterns("__pycache__"))
-    return src
+def copy_tree(tmp_path: Path) -> Path:
+    """src, tests and perfbench (which the guards read) copied to tmp_path,
+    with pyproject.toml so that pytest's test ids stay relative to it."""
+    for name in ("src", "tests", "perfbench"):
+        shutil.copytree(ROOT / name, tmp_path / name, ignore=shutil.ignore_patterns("__pycache__"))
+    shutil.copy(ROOT / "pyproject.toml", tmp_path)
+    return tmp_path
 
 
 def test_named_tests_pass_unmutated(tmp_path):
     tests = sorted({t for *_, named in MUTANTS for t in named})
-    code, failed, output = run_tests(copy_src(tmp_path), tests)
+    code, failed, output = run_tests(copy_tree(tmp_path), tests)
     assert (code, failed) == (0, set()), output[-3000:]
     assert f"{len(tests)} passed" in output
 
 
 @pytest.mark.parametrize("module, fragment, replacement, tests", MUTANTS, ids=[f"{m}:{f}" for m, f, *_ in MUTANTS])
 def test_mutant_fails_its_tests(tmp_path, module, fragment, replacement, tests):
-    path = copy_src(tmp_path) / "qprim" / module
+    root = copy_tree(tmp_path)
+    path = root / "tests" / module if module.startswith("test_") else root / "src" / "qprim" / module
     source = path.read_text()
     assert source.count(fragment) == 1, f"{module}: the fragment must occur exactly once: {fragment!r}"
     path.write_text(source.replace(fragment, replacement))
-    code, failed, output = run_tests(tmp_path / "src", tests)
+    code, failed, output = run_tests(root, tests)
     assert code == 1 and failed == set(tests), output[-3000:]

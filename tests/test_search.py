@@ -437,16 +437,57 @@ def test_base_streaks_near_2_62_sieve_no_prime_past_2_16(monkeypatch):
     # several GB for three k.  A k with no prime factor up to 2^16 takes a pow row
     from qprim import arith, streaks
 
-    def primes_up_to(bound):
+    def divide_out(work, bound, fmap):
         if bound > 1 << 16:
             raise AssertionError(f"the power plan asked for the primes up to {bound}")
-        return arith.primes_up_to(bound)
+        return arith._divide_out(work, bound, fmap)
 
-    monkeypatch.setattr(streaks, "primes_up_to", primes_up_to)
+    monkeypatch.setattr(streaks, "_divide_out", divide_out)
     near = 65521 * 65537  # the primes on either side of 2^16
-    for k_lo, k_hi in ((2**62, 2**62 + 2), (2**62 - 40, 2**62 - 30), (1, 60), (near - 3, near + 3)):
+    for k_lo, k_hi in ((2**62, 2**62 + 2), (2**62 - 40, 2**62 - 30), (2**40 - 6, 2**40 + 6), (1, 60), (near - 3, near + 3)):
         got = list(base_streaks(LEHMER, 326, k_lo, k_hi, 300))
         assert got == per_base_streaks(LEHMER, 326, k_lo, k_hi, 300), (k_lo, k_hi)
+
+
+def scan_power_plan(live):
+    """streaks._power_plan as it was first written: each k's least prime
+    factor by a scan of the primes up to the bound, and its cofactor's in turn."""
+    from qprim.arith import primes_up_to
+
+    small, spf, need, todo = primes_up_to(min(isqrt(max(live)), 1 << 16)), {}, set(), set(live)
+    while todo:
+        need |= todo
+        spf |= {k: next((q for q in small if k % q == 0), k) for k in todo}
+        todo = {m for k in todo for m in (spf[k], k // spf[k])} - need - {1}
+    level = {k: spf[k] != k and k.bit_length() for k in need}
+    ks = sorted(need, key=lambda k: (level[k], k))
+    row = {k: i for i, k in enumerate(ks)}
+    ends = [i for i in range(1, len(ks) + 1) if i == len(ks) or level[ks[i]] > level[ks[i - 1]]]
+    factors = np.array([(row[spf[k]], row[k // spf[k]]) for k in ks[ends[0] :]], np.intp)
+    return ks, ends, factors.reshape(-1, 2), np.array([row[k] for k in live], np.intp)
+
+
+def test_power_plan_reads_each_k_from_one_factor_map(monkeypatch):
+    # one gcd with the cached primorial per live k, where the scan tried up to
+    # 6542 primes for each k and each cofactor: about 0.25 ms per k near 2^62
+    from qprim import arith, streaks
+
+    calls = []
+
+    def divide_out(work, bound, fmap):
+        calls.append(work)
+        return arith._divide_out(work, bound, fmap)
+
+    monkeypatch.setattr(streaks, "_divide_out", divide_out)
+    near = 65521 * 65537
+    for lo, hi in ((1, 1000), (1, 60), (1, 1), (2, 2), (2**62 - 40, 2**62 + 2), (near - 3, near + 3), (10**12, 10**12 + 500)):
+        for live in (list(range(lo, hi + 1)), list(range(lo, hi + 1, 3))):  # a re-plan's thinned list too
+            calls.clear()
+            ks, ends, factors, rows = streaks._power_plan(live)
+            assert calls == live
+            want = scan_power_plan(live)
+            assert (ks, ends) == want[:2], (lo, hi)
+            assert np.array_equal(factors, want[2]) and np.array_equal(rows, want[3]), (lo, hi)
 
 
 def test_base_streaks_covers_skips_q2_failures_and_unfinished():
