@@ -4,9 +4,10 @@ Each row names a module of src/qprim (or a test file, for the AST guards of
 tests/test_imports.py), a source fragment that occurs in it exactly once, its
 replacement, and the tests that must fail once it is made.  The rows run on
 copies of src, tests and perfbench under tmp_path, each in a pytest
-subprocess that runs only the named tests.  The control run first checks that the named
-tests pass on an unmutated copy, so a failure below is the mutant's doing.  A
-fragment a refactor moved or rewrote fails its row loudly: update the row.
+subprocess that runs only the named tests.  The control run first checks that
+the named tests pass on an unmutated copy, so a failure below is the mutant's
+doing.  A fragment a refactor moved or rewrote fails its row loudly: update
+the row.
 
 Enable with QPRIM_LONG_RUN=1, e.g.
 

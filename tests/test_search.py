@@ -15,7 +15,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from qprim.arith import _QUOTIENT_PRIME_BOUND, DETERMINISTIC_PRIMALITY_LIMIT, Lanes
+from qprim.arith import _QUOTIENT_PRIME_BOUND, DETERMINISTIC_PRIMALITY_LIMIT, Lanes, primes_up_to
 from qprim.charsums import admissible_discriminants, fundamental_discriminant, is_valid_base
 from qprim.poly import QuadraticPoly
 from qprim.search import (
@@ -450,10 +450,9 @@ def test_base_streaks_near_2_62_sieve_no_prime_past_2_16(monkeypatch):
 
 
 def scan_power_plan(live):
-    """streaks._power_plan as it was first written: each k's least prime
-    factor by a scan of the primes up to the bound, and its cofactor's in turn."""
-    from qprim.arith import primes_up_to
-
+    """The power plan by a scan, the reference streaks._power_plan must equal:
+    each k's least prime factor tried against the primes up to the bound, then
+    its cofactor's in turn."""
     small, spf, need, todo = primes_up_to(min(isqrt(max(live)), 1 << 16)), {}, set(), set(live)
     while todo:
         need |= todo
