@@ -3,11 +3,14 @@
 Everything here is deterministic and exact in its supported range.  Primality
 uses fixed Miller-Rabin witness tiers proven complete below 3.317e24; the
 walks pre-filter by the base-2 test alone and prove primes by Lucas
-(lucas_certifies).  Factorization runs in batches (factor_many): the primes
-up to 2000 come from one gcd with their cached primorial (up to 1e5 while the
-cofactor is still beyond the primality range), and Brent's cycle-finding rho
-splits the composite cofactors left together, in lockstep on products of
-several, under a fixed budget (_RHO_BUDGET) that fails loudly, not hangs.
+(lucas_certifies, or _lucas_batch on a whole group of candidates in one
+Lanes pass).  Factorization runs in batches (factor_many): the primes up to
+2000 come from one gcd with their cached primorial (up to 1e5 while the
+cofactor is still beyond the primality range), a round's cofactors to test
+take one strong-test pass on Lanes once there are _STRONG_BATCH of them,
+and Brent's cycle-finding rho splits the composite cofactors left together,
+in lockstep on products of several, under a fixed budget (_RHO_BUDGET) that
+fails loudly, not hangs.
 
 This is also the package's one prime sieve.  An odd-only numpy sieve fills a
 cached table of the primes up to 2e6; prime_chunks hands out read-only int64
@@ -15,8 +18,9 @@ slices of it and, past it, sieves numpy segments by the table's primes.
 primes_up_to, iter_primes, factor's trial primes and the Euler products of
 densities all read from prime_chunks.  Lanes, the one numpy modular kernel,
 does exact arithmetic mod such a chunk, one lane per prime: the Legendre
-symbols of densities, the value sieve's root tables (poly.roots_table) and
-the k-sweep's matrix (streaks.base_streaks) all run on it.
+symbols of densities, the value sieve's root tables (poly.roots_table), the
+k-sweep's matrix (streaks.base_streaks) and the batched strong and Lucas
+tests all run on it.
 """
 
 from __future__ import annotations
@@ -60,6 +64,7 @@ _RHO_CS = (1, 3, 5, 7, 11, 13, 17)  # rho's increments c, tried in turn
 _RHO_BLOCK = 128  # rho steps between gcds
 _RHO_BUDGET = 4_000_000  # rho steps a cofactor may take before factor gives up
 _RHO_WIDTH = 256  # bits: rho lanes are packed into products at least this wide
+_STRONG_BATCH = 16  # factor_many's fewest cofactors tested in one Lanes pass, not one by one
 _PRIME_CHUNK = 8192
 _SEGMENT = 1 << 17
 _PRIME_CACHE_CAP = 2_000_000
@@ -162,12 +167,51 @@ def is_prime(n: int) -> bool:
             return False
     if n < 3721:  # 61^2: no factor <= 61 and below the square
         return True
+    _require_provable(n)
+    return _strong_test(n, _witnesses(n))
+
+
+def _require_provable(n: int) -> None:
     if n >= DETERMINISTIC_PRIMALITY_LIMIT:
         raise ValueError(f"{n} exceeds the deterministic primality range (< 3.317e24)")
-    for bound, witnesses in _MR_TIERS:
-        if n < bound:
-            break
-    return _strong_test(n, witnesses)
+
+
+def _witnesses(n: int) -> tuple[int, ...]:
+    """The strong-test witnesses of n's tier, n < DETERMINISTIC_PRIMALITY_LIMIT."""
+    return next(witnesses for bound, witnesses in _MR_TIERS if n < bound)
+
+
+def _strong_batch(ns: list[int]) -> list[bool]:
+    """is_prime(n) for each n in ns, where every n is at least 3721, has no
+    prime factor up to 61 and is below DETERMINISTIC_PRIMALITY_LIMIT (so
+    is_prime is the strong test to its tier's witnesses, each below n): two
+    passes of _strong_lanes, the first witness of every n, then the others
+    of the n that passed it (most composites fail the first)."""
+    tiers = [_witnesses(n) for n in ns]
+    verdict = _strong_lanes(ns, [w[0] for w in tiers])
+    rest = [(i, a) for i, w in enumerate(tiers) if verdict[i] for a in w[1:]]
+    for (i, _), passed in zip(rest, _strong_lanes([ns[i] for i, _ in rest], [a for _, a in rest])):
+        verdict[i] &= passed
+    return verdict
+
+
+def _strong_lanes(N: list[int], A: list[int]) -> list[bool]:
+    """The strong test of each odd n in N to the base a beside it in A,
+    1 < a < n, in one pass on Lanes.  With n - 1 = d 2^s, n passes where
+    x = a^d is 1 or one of x, x^2, ..., x^(2^(s-1)) is -1; the squarings run
+    to the largest s, and a -1 counts only within its lane's own s (past
+    it, -1 means a^(n-1) = -1: n is composite)."""
+    if not N:
+        return []
+    S = [((n - 1) & (1 - n)).bit_length() - 1 for n in N]
+    lanes = Lanes(np.array(N, object), balanced=False)
+    x = lanes.pow(np.array(A, lanes.P.dtype), np.array([n - 1 >> s for n, s in zip(N, S)], lanes.P.dtype))
+    passed = (x == 1) | (x == lanes.minus_one)
+    S = np.array(S)
+    for j in range(1, int(S.max())):
+        x = lanes.mul(x, x)
+        passed |= (x == lanes.minus_one) & (j < S)
+    return passed.tolist()
 
 
 @dataclass(frozen=True)
@@ -324,10 +368,11 @@ def factor_many(values: list[int]) -> list[Factorization | Exception]:
     primes come from gcds with primorials, and the composite cofactors left
     are split together by _brent_rho.  A cofactor or rho factor below the
     square of the trial bound has no prime factor up to it, so it is prime
-    without an is_prime call."""
+    without a test; the others of one round take is_prime one by one, or,
+    from _STRONG_BATCH of them on, one _strong_batch pass on Lanes."""
     fmaps: list[dict[int, int]] = [{} for _ in values]
     out: list = [None] * len(values)
-    parts = []  # (index, cofactor with no prime factor up to bound, bound, is it prime)
+    parts = []  # (index, cofactor with no prime factor up to bound, bound)
     for i, n in enumerate(values):
         try:
             if n < 1:
@@ -335,21 +380,26 @@ def factor_many(values: list[int]) -> list[Factorization | Exception]:
             work, bound = _divide_out(n, _SHORT_TRIAL, fmaps[i]), _SHORT_TRIAL
             if work >= DETERMINISTIC_PRIMALITY_LIMIT:
                 work, bound = _divide_out(work, _TRIAL_LIMIT, fmaps[i]), _TRIAL_LIMIT
-            if work > 1:  # no factor up to the bound and below its square -> prime
-                parts.append((i, work, bound, work < bound * bound or is_prime(work)))
+                _require_provable(work)
+            if work > 1:
+                parts.append((i, work, bound))
         except ValueError as exc:
             out[i] = exc
     while parts:
-        todo = [(i, m, bound) for i, m, bound, prime in parts if not prime and out[i] is None]
-        for i, m, _, prime in parts:
-            if prime:
+        tested = [m for _, m, bound in parts if m >= bound * bound]  # below the square: prime
+        prime = dict(zip(tested, _strong_batch(tested) if len(tested) >= _STRONG_BATCH else map(is_prime, tested)))
+        todo = []
+        for i, m, bound in parts:
+            if m < bound * bound or prime[m]:
                 fmaps[i][m] = fmaps[i].get(m, 0) + 1
+            elif out[i] is None:
+                todo.append((i, m, bound))
         parts = []
         for (i, m, bound), d in zip(todo, _brent_rho([m for _, m, _ in todo], _RHO_BUDGET)):
             if d is None:
                 out[i] = FactorizationError(f"cannot factor {m} within budget")
             else:  # d and m // d have no prime factor up to bound either
-                parts += [(i, e, bound, e < bound * bound or is_prime(e)) for e in (d, m // d)]
+                parts += [(i, d, bound), (i, m // d, bound)]
     return [
         err if err is not None else Factorization(value=n, factors=tuple(sorted(fmap.items())))
         for n, err, fmap in zip(values, out, fmaps)
@@ -472,16 +522,21 @@ def residues(a: int, P: np.ndarray) -> np.ndarray:
 
 
 class Lanes:
-    """Exact arithmetic mod each odd prime p of an array P, in any order, one
+    """Exact arithmetic mod each odd p of an array P (prime for sqrt; the
+    strong test of factor_many runs on composite ones), in any order, one
     lane per p; residues broadcast against P, a column of them against a row
     of lanes.  The largest p picks the residues.  Below 2^26, float64 in
     [-(p-1)/2, (p-1)/2], and x y mod p is t - q p, t = x y and
     q = rint(t * (1/p)): |t| <= p^2/4 < 2^52, so t, q p and t - q p are
     exact; t * (1/p) is within about 2^-28 of t/p, which (p odd) lies at
     least 1/(2p) > 2^-27 from any half-integer.  Below 2^50 (or with
-    balanced=False), int64 in [0, p), and q = rint(fl(x) fl(y) (1/p)) lies
-    within 0.375 + 1/2 of x y / p, so x y - q p, exact in wrapping int64, needs
-    at most one + p.  From 2^50, Python ints.  lift and sqrt take p below 2^31."""
+    balanced=False), int64: for |x|, |y| < p < 2^50, fl(x y) (1/p) takes
+    three roundings of relative error 2^-53 on a quotient of size below
+    2^50, so q = rint(fl(fl(x y) fl(1/p))) lies within 0.375 + 1/2 of x y / p
+    and |x y - q p| < 0.875 p, exact in wrapping int64.  So pow multiplies
+    in (-p, p) and normalizes once, at the end, and mul returns [0, p) by
+    one sign shift, r + (p & (r >> 63)).  From 2^50, Python ints.  lift and
+    sqrt take p below 2^31."""
 
     def __init__(self, P: np.ndarray, balanced: bool | None = None):
         top = int(P.max()) if len(P) else 0
@@ -522,10 +577,25 @@ class Lanes:
             return np.subtract(t, np.multiply(q, self.p, out=q), out=q)
         if self.P.dtype == object:
             return np.remainder(np.multiply(x, y, out=out), self.P, out=out)
+        return self._normal(self._lazy_mul(x, y, out))
+
+    def _lazy_mul(self, x: np.ndarray, y: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+        """x y - q p in (-p, p), for int64 |x|, |y| < p < 2^50: no correction."""
         f = np.multiply(x, y, dtype=np.float64)
-        q = np.rint(np.multiply(f, self.inv, out=f), out=f).astype(np.int64)
-        r = np.subtract(np.multiply(x, y, out=out), np.multiply(q, self.P, out=q), out=out)
-        return np.add(r, self.P, out=r, where=r < 0)
+        f *= self.inv
+        q = np.rint(f, out=f).astype(np.int64)
+        q *= self.P
+        r = np.multiply(x, y, out=out)
+        r -= q
+        return r
+
+    def _normal(self, r: np.ndarray) -> np.ndarray:
+        """int64 residues in (-p, p) moved to [0, p) in place: r >> 63 is -1
+        (all bits set) where r < 0, so P & (r >> 63) adds p there only."""
+        s = r >> 63
+        s &= self.P
+        r += s
+        return r
 
     def pow(self, x: np.ndarray, E: np.ndarray) -> np.ndarray:
         """x^E lane by lane for exponents E >= 0 (int64 below 2^50), over
@@ -533,16 +603,17 @@ class Lanes:
         reads x itself)."""
         if self.P.dtype == object:
             return np.frompyfunc(pow, 3, 1)(x, E, self.P)
-        x2 = self.mul(x, x)
-        powers = np.stack((np.ones_like(x), x, x2, self.mul(x2, x)), axis=-1).ravel()
+        mul = self.mul if self.balanced else self._lazy_mul
+        x2 = mul(x, x)
+        powers = np.stack((np.ones_like(x), x, x2, mul(x2, x)), axis=-1).ravel()
         rows = np.arange(0, powers.size, 4).reshape(x.shape)
         k = max(int(E.max()).bit_length() - 1, 0) // 2 * 2 if E.size else 0  # the top window
         r = powers[rows + ((E >> k) & 3)]
         for k in range(k - 2, -1, -2):
-            self.mul(r, r, out=r)
-            self.mul(r, r, out=r)
-            self.mul(r, powers[rows + ((E >> k) & 3)], out=r)
-        return r
+            mul(r, r, out=r)
+            mul(r, r, out=r)
+            mul(r, powers[rows + ((E >> k) & 3)], out=r)
+        return r if self.balanced else self._normal(r)
 
     def sqrt(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """(R, square): square marks the lanes where x is a nonzero square
@@ -639,6 +710,28 @@ def lucas_certifies(g: int, p: int, pm1: Factorization) -> bool:
     if pow(r, p >> 1, p) != p - 1:  # -1, not merely != 1: that gives g^(p-1) = 1
         return False
     return all(pow(r, (p - 1) // q, p) != 1 for q in pm1.prime_factors()[1:])
+
+
+def _lucas_batch(g: int, ps: list[int], pm1s: list) -> list[bool]:
+    """lucas_certifies(g, p, pm1) for each p of ps with its pm1 from pm1s
+    (False where pm1 is an exception), in one Lanes.pow over the pairs
+    (p, (p-1)/q), q | p - 1: the first pair of each p, q = 2, must give -1,
+    and the others anything but 1."""
+    out, at, starts, P, E = [False] * len(ps), [], [], [], []
+    for i, (p, pm1) in enumerate(zip(ps, pm1s)):
+        if not isinstance(pm1, Exception) and p > 2 and p % 2:
+            at.append(i)
+            starts.append(len(P))
+            P += [p] * len(pm1.factors)
+            E += [(p - 1) // q for q in pm1.prime_factors()]
+    if P:
+        lanes = Lanes(np.array(P, object), balanced=False)
+        V = lanes.pow(np.array([g % p for p in P], lanes.P.dtype), np.array(E, lanes.P.dtype))
+        passed = V != 1
+        passed[starts] = V[starts] == lanes.minus_one[starts]  # -1, not merely != 1: that gives g^(p-1) = 1
+        for i, certified in zip(at, np.logical_and.reduceat(passed, starts).tolist()):
+            out[i] = certified
+    return out
 
 
 def iter_primes(start: int, stop: int) -> Iterator[int]:

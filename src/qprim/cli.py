@@ -7,9 +7,11 @@ Exit codes: 0 success, 1 computation error or failed verification, 2 usage
 error.  An option that only some modes read names them in its --help, with
 each one's default, and any other mode refuses it.
 
-Five commands take --long-run.  pi past x = 2e6, prstats past n_cap = 1e6,
-and maxstreak and search over more than 2000 k values exit 1 without it;
-verify walks the full record streaks, not a fast prefix, only with it.
+Seven commands take --long-run.  pi past x = 2e6, prstats past n_cap = 1e6,
+maxstreak and search over more than 2000 k values, and lvalue and hlconst
+past |D| = 1e7 (their sums run over |D| terms: about 2 s there, 20 s at
+1e8) exit 1 without it; verify walks the full record streaks, not a fast
+prefix, only with it.
 streak has no gate.  maxstreak and search sweep in one process: --workers
 has no effect.
 """
@@ -71,6 +73,7 @@ from .streaks import (
 
 LONG_RUN_NCAP = 1_000_000
 LONG_RUN_KMAX = 2_000
+LONG_RUN_DISC = 10_000_000
 
 
 @dataclass(frozen=True)
@@ -322,11 +325,18 @@ def _handle_density(args) -> dict:
     return {"kind": "quality", "poly": str(f), **asdict(rep)}
 
 
+def _require_long_run_past_disc(args) -> None:
+    if abs(args.disc) > LONG_RUN_DISC:
+        _require_long_run(args, f"{args.command} with |--disc| above {LONG_RUN_DISC}")
+
+
 def _handle_hlconst(args) -> dict:
+    _require_long_run_past_disc(args)
     return asdict(hardy_littlewood_constant(args.disc, tol=args.tol))
 
 
 def _handle_lvalue(args) -> dict:
+    _require_long_run_past_disc(args)
     lv = dirichlet_l(args.s, args.disc)
     return {"s": lv.s, "disc": lv.D.D, "value": lv.value, "abs_error": lv.abs_error}
 
@@ -544,12 +554,14 @@ def _build_parser() -> argparse.ArgumentParser:
     mode.add_argument("--bateman-horn", metavar="POLY")
     p.set_defaults(func=_handle_density)
 
-    p = sub.add_parser("hlconst", parents=[common], help="prime-density constant for a negative fundamental discriminant")
+    p = sub.add_parser(
+        "hlconst", parents=[common, gated], help="prime-density constant for a negative fundamental discriminant"
+    )
     p.add_argument("--disc", type=int, required=True)
     p.add_argument("--tol", type=float, default=1e-8)
     p.set_defaults(func=_handle_hlconst)
 
-    p = sub.add_parser("lvalue", parents=[common], help="Dirichlet L(s, chi_D) at s = 1 or 2")
+    p = sub.add_parser("lvalue", parents=[common, gated], help="Dirichlet L(s, chi_D) at s = 1 or 2")
     p.add_argument("--s", type=int, required=True, choices=(1, 2))
     p.add_argument("--disc", type=int, required=True)
     p.set_defaults(func=_handle_lvalue)

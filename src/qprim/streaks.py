@@ -20,14 +20,16 @@ residual index of g at each prime from one walk.
 
 That walk, _residual_indices, is the only reader of the stream's base-2
 candidates: it takes the larger survivors on the base-2 strong test alone,
-factors their p - 1 in groups of at most _GROUP inside a block, and lets
-the powers of the primitive-root test prove p prime by Lucas; is_prime
-proves a candidate its witness does not.  criteria.lehmer_index_coprimality
-reads the same walk, with its p - 1 factorizations, and so does
-base_streaks, the one k-sweep engine (search.sweep and empirical_max_streak
-fold its output with BestStreak): it tests every live base k^2 * g_base
-against a group of the walk's primes in one matrix pass, from the index of
-g_base and the factorization of p - 1.  entries_upto yields proven primes only.
+factors their p - 1 in groups inside a block, _GROUP candidates first and
+twice as many each next time up to _GROUP_CAP, and lets the powers of the
+primitive-root test prove p prime by Lucas, one Lanes pass per group
+(arith._lucas_batch); is_prime proves a candidate its witness does not.
+criteria.lehmer_index_coprimality reads the same walk, with its p - 1
+factorizations, and so does base_streaks, the one k-sweep engine
+(search.sweep and empirical_max_streak fold its output with BestStreak): it
+tests every live base k^2 * g_base against a group of the walk's primes in
+one matrix pass, from the index of g_base and the factorization of p - 1.
+entries_upto yields proven primes only.
 """
 
 from __future__ import annotations
@@ -46,7 +48,8 @@ from .charsums import require_valid_base
 from .poly import PolyZ, roots_table
 
 _BLOCK = 8192
-_GROUP = 64  # walks factor the p - 1 of this many candidates in one batch
+_GROUP = 64  # walks factor the p - 1 of this many candidates in a block's first batch
+_GROUP_CAP = 512  # and of twice as many in each next one, up to this many
 _MIN_DEPTH = 2_000  # a stream block is sieved to max(this, its end n)
 _COUNT_SIEVE_CAP = 1_000_000  # prime_count's largest sieve limit (memory bound)
 _MATRIX_ELEMENTS = 1 << 14  # plan rows x (p, q) pairs per matrix pass: bounds its memory
@@ -198,11 +201,13 @@ def _residual_indices(
     """Yield (n, p, pm1, index) over the distinct primes p = f(n), n <= n_cap,
     in order: pm1 factors p - 1, and index is (p-1)/ord_p(g), 1 exactly when g
     is a primitive root mod p, or None when p divides g.  Arguments are
-    checked before the walk.  The base-2 candidates' p - 1 are factored
-    _GROUP at a time within a block.  g is the Lucas witness; a candidate it
-    does not certify counts only once is_prime proves it, and a p - 1 that
-    failed to factor then raises (a composite's is dropped).  Every
-    proven-prime walk reads this."""
+    checked before the walk.  The base-2 candidates' p - 1 are factored in
+    groups within a block: _GROUP, then each group twice the last, up to
+    _GROUP_CAP, so a walk that stops early has factored at most about twice
+    what it read.  g is the Lucas witness, tested on a whole group in one
+    Lanes pass; a candidate it does not certify counts only once is_prime
+    proves it, and a p - 1 that failed to factor then raises (a composite's
+    is dropped).  Every proven-prime walk reads this."""
     require_valid_base(g)
     if n_cap < 0:
         raise ValueError("n_cap must be >= 0")
@@ -213,9 +218,13 @@ def _residual_indices(
 
     def walk() -> Iterator[tuple[int, int, Factorization, int | None]]:
         for block in stream._blocks(n_cap, arith.is_strong_probable_prime):
-            while group := list(islice(block, _GROUP)):
-                for (n, p), pm1 in zip(group, arith.factor_many([p - 1 for _, p in group])):
-                    if not isinstance(pm1, Exception) and arith.lucas_certifies(g, p, pm1):
+            size = _GROUP
+            while group := list(islice(block, size)):
+                size = min(2 * size, _GROUP_CAP)
+                ps = [p for _, p in group]
+                pm1s = arith.factor_many([p - 1 for p in ps])
+                for (n, p), pm1, certified in zip(group, pm1s, arith._lucas_batch(g, ps, pm1s)):
+                    if certified:
                         yield n, p, pm1, 1
                     elif is_prime(p):
                         if isinstance(pm1, Exception):
@@ -304,13 +313,15 @@ def pr_stats(f: PolyZ, g: int, n_cap: int) -> PrStats:
 def _power_plan(live: list[int]) -> tuple:
     """(ks, level ends, the rows of l and k // l per composite row, the row of
     each live k), ks being the k that the powers k^e of the live k are built
-    from, l the least prime factor of k up to min(isqrt(max(live)), 2^16): a
-    pow for k = 1 and for k with no prime factor up to it (prime k among
-    them), the first level, else l^e * (k // l)^e, at the level of k's bit
-    length.  One _divide_out (a gcd with a cached primorial) splits each live
-    k into its primes up to the bound and a cofactor, and k's chain runs from
-    the cofactor up through those primes, largest first."""
-    bound, spf = min(isqrt(max(live)), 1 << 16), {}  # spf[k] = l, or k for a pow row
+    from, l the least prime factor of k up to a bound, isqrt(max(live))
+    rounded up to a power of two and at most 2^16 (so _trial_primes caches
+    at most 17 bounds for every plan): a pow for k = 1 and for k with no
+    prime factor up to it (prime k among them), the first level, else
+    l^e * (k // l)^e, at the level of k's bit length.  One _divide_out (a gcd
+    with a cached primorial) splits each live k into its primes up to the
+    bound and a cofactor, and k's chain runs from the cofactor up through
+    those primes, largest first."""
+    bound, spf = min(1 << isqrt(max(live)).bit_length(), 1 << 16), {}  # spf[k] = l, or k for a pow row
     for k in live:
         m = _divide_out(k, bound, fmap := {})
         if m > 1 or k == 1:
@@ -327,7 +338,10 @@ def _power_plan(live: list[int]) -> tuple:
 
 
 def _check_k_range(k_lo: int, k_hi: int) -> None:
-    """Refuse k_hi >= 2^63 (the k are an int64 array) or over _K_RANGE_CAP k."""
+    """Refuse k_lo < 1 (k = 0 is the base 0), k_hi >= 2^63 (the k are an
+    int64 array) or over _K_RANGE_CAP k."""
+    if k_lo < 1:
+        raise ValueError(f"k must be at least 1, got k_lo = {k_lo}")
     if k_hi >= 2**63:
         raise ValueError(f"k must be below 2^63 (--k-max, or --k-lo to --k-hi), got k_hi = {k_hi}")
     if k_hi - k_lo >= _K_RANGE_CAP:
@@ -341,8 +355,8 @@ def base_streaks(
     in ascending k, each once it and every smaller k have finished;
     failing_prime is None when the streak reached n_cap unfinished.  g_base
     must be a valid base (then so is every k^2 * g_base).  An empty range
-    yields nothing and builds no stream; k_hi >= 2^63 or more than
-    _K_RANGE_CAP values of k raise ValueError.
+    yields nothing and builds no stream; k_lo < 1, k_hi >= 2^63 or more
+    than _K_RANGE_CAP values of k raise ValueError.
 
     One walk of the prime stream serves every base, a group of at most _GROUP
     primes at a time, fewer once their (p, q) pairs times the plan's rows
@@ -352,8 +366,9 @@ def base_streaks(
     Python ints (p | k: k^e = 0, a skip).  (k^2 g_base / p) = (g_base / p),
     so an even index of g_base gives the pair (p - 1, 1); an odd one gives
     e = (p-1)/q, z = g_base^(e(q-1)/2) per odd q | p-1, as (k^2 g_base)^e = 1
-    iff k^e = z, or else (0, 0), which fails no k.  A k's count is the primes
-    passed before it failed, less those dividing it."""
+    iff k^e = z, or else (0, 0), which fails no k.  The group's z are one
+    more pow on the same lanes.  A k's count is the primes passed before it
+    failed, less those dividing it."""
     if k_lo > k_hi:
         return
     _check_k_range(k_lo, k_hi)
@@ -374,16 +389,17 @@ def base_streaks(
                 es = [(p - 1) // q for q in pm1.prime_factors()[1:]] if index % 2 else [p - 1]
                 items.append(p)
                 starts.append(len(pairs))
-                pairs += [(p, e, pow(g_base, (p - 1 - e) // 2, p)) for e in es] or [(p, 0, 0)]  # e(q-1) = p-1-e
+                pairs += [(p, e) for e in es] or [(p, 0)]
                 if len(items) == _GROUP or len(pairs) * len(ks) >= _MATRIX_ELEMENTS:
                     break
         except Exception as exc:  # the walk raises in prime order: re-raised if a k is live there
             error = exc
         if not items:
             break
-        P, E, Z = zip(*pairs)
+        P, E = zip(*pairs)
         lanes = arith.Lanes(np.array(P, object), balanced=False)
-        E, Z = (np.array(v, lanes.P.dtype) for v in (E, Z))
+        G, E = np.array([g_base % p for p in P], lanes.P.dtype), np.array(E, lanes.P.dtype)
+        Z = np.where(E > 0, lanes.pow(G, (lanes.P - 1 - E) >> 1), 0)  # e(q-1)/2 = (p-1-e)/2; e = 0: fails no k
         V = np.empty((len(ks), len(pairs)), lanes.P.dtype)
         V[: ends[0]] = lanes.pow(np.array(ks[: ends[0]], lanes.P.dtype)[:, None] % lanes.P, E)
         for lo, hi in zip(ends, ends[1:]):

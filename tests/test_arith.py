@@ -335,6 +335,55 @@ def test_factor_many_reports_errors_per_value(monkeypatch):
     assert (out[1].factors, out[3].factors) == (((2, 2), (3, 1)), ((7, 1), (2003, 1), (2011, 1)))
     assert isinstance(out[2], ValueError) and "n >= 1" in str(out[2])
     assert isinstance(out[4], ValueError) and "deterministic primality range" in str(out[4])
+    # among 16 more cofactors to test, the batch takes one strong-test pass
+    # on Lanes: each value keeps its own answer or error
+    batches, strong_batch = [], arith._strong_batch
+    monkeypatch.setattr(arith, "_strong_batch", lambda ns: batches.append(len(ns)) or strong_batch(ns))
+    padding = [2 * int(sympy.nextprime(10**7 + 1000 * i)) for i in range(16)]
+    batch = arith.factor_many([semiprime, 12, 0, 2003 * 2011 * 7, 6 * 99991 * big_prime] + padding)
+    assert batches and batches[0] >= arith._STRONG_BATCH
+    assert [(type(r), str(r)) if isinstance(r, Exception) else r for r in batch[:5]] == [
+        (type(r), str(r)) if isinstance(r, Exception) else r for r in out
+    ]
+    assert [dict(r.factors) for r in batch[5:]] == [sympy.factorint(n) for n in padding]
+
+
+def test_strong_batch_matches_sympy_isprime():
+    # factor_many's batched strong test on odd n with no prime factor up to
+    # 61: seeded n in [4e6, 2^50), on int64 lanes, and above 2^50, on Python
+    # ints, with primes among them; and strong pseudoprimes to base 2 (and to
+    # more bases: 3825123056546413051 to every prime base up to 23)
+    sympy = pytest.importorskip("sympy")
+    rng = random.Random(38)
+    tiny = math.prod(arith._TINY_PRIMES)
+
+    def seeded(lo, hi, count):
+        ns = [n for n in (rng.randrange(lo, hi) | 1 for _ in range(count)) if math.gcd(n, tiny) == 1]
+        return ns + [int(sympy.nextprime(rng.randrange(lo, hi))) for _ in range(count // 10)]
+
+    low, high = seeded(4_000_000, 1 << 50, 600), seeded(1 << 50, arith.DETERMINISTIC_PRIMALITY_LIMIT, 200)
+    pseudo = [3511**2, 9839449621, 3825123056546413051]
+    assert all(arith.is_strong_probable_prime(n) and not sympy.isprime(n) for n in pseudo)
+    for ns in (low, high, low[:20] + pseudo + high[:20]):
+        want = [sympy.isprime(n) for n in ns]
+        assert True in want and False in want
+        assert arith._strong_batch(ns) == want
+
+
+def test_factor_many_batch_splits_base2_pseudoprime_cofactors(monkeypatch):
+    # 3511^2 and 70141 * 140281, above 2^32, pass the base-2 strong test and
+    # have no prime factor up to 2000: as cofactors of p - 1 among 16 or
+    # more to test, the batched pass must find them composite for the rho
+    sympy = pytest.importorskip("sympy")
+    pseudo = [3511**2, 9839449621]
+    assert all(arith.is_strong_probable_prime(n) and min(sympy.factorint(n)) > 2000 for n in pseudo)
+    rng = random.Random(3511)
+    values = [2 * n for n in pseudo] + [2**5 * 3 * n for n in pseudo]
+    values += [2 * int(sympy.nextprime(rng.randrange(10**7, 10**12))) for _ in range(16)]
+    batches, strong_batch = [], arith._strong_batch
+    monkeypatch.setattr(arith, "_strong_batch", lambda ns: batches.append(ns) or strong_batch(ns))
+    assert [dict(f.factors) for f in arith.factor_many(values)] == [sympy.factorint(n) for n in values]
+    assert set(pseudo) <= set(batches[0]) and len(batches[0]) >= arith._STRONG_BATCH
 
 
 def test_lucas_certifies_proves_primes_and_no_base_of_3511_squared():
@@ -507,14 +556,22 @@ def test_factor_many_proves_no_factor_below_the_square_of_its_trial_bound(monkey
     huge = math.prod(sympy.primerange(99_900, 10**5))  # its cofactors take the huge path
     values += [huge * wide[i] * wide[i + 1] for i in range(0, 8, 2)]
     assert all(n >= arith.DETERMINISTIC_PRIMALITY_LIMIT for n in values[-4:])
-    tested = []
+    tested, batches = [], []
 
     def counted(n):
         tested.append(n)
         return is_prime(n)
 
+    def batched(ns):  # _STRONG_BATCH or more cofactors of one round take one pass, not is_prime
+        tested.extend(ns)
+        batches.append(len(ns))
+        return strong_batch(ns)
+
+    strong_batch = arith._strong_batch
     monkeypatch.setattr(arith, "is_prime", counted)
+    monkeypatch.setattr(arith, "_strong_batch", batched)
     assert [dict(f.factors) for f in arith.factor_many(values)] == [sympy.factorint(n) for n in values]
+    assert batches and min(batches) >= arith._STRONG_BATCH
     # one test per composite cofactor (each has two primes above the bound,
     # so it is above the bound squared) and per prime above 2000^2: 20 values
     # p q s give 1 each, 6 values p q r 2 each, 10 values p P 2 each, and the

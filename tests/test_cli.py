@@ -379,13 +379,31 @@ def test_maxstreak_long_run_gate(capsys):
     assert "long-run" in err
 
 
+def test_lvalue_and_hlconst_run_to_the_disc_bound_and_past_it_with_long_run(capsys, monkeypatch):
+    # |D| = 1e7 runs ungated; past it, --long-run lets the sum start
+    started = []
+    lvalue, hlconst = densities.dirichlet_l(1, -4), densities.hardy_littlewood_constant(-3)
+    monkeypatch.setattr(cli, "dirichlet_l", lambda s, D: started.append(D) or lvalue)
+    monkeypatch.setattr(cli, "hardy_littlewood_constant", lambda D, tol: started.append(D) or hlconst)
+    for argv in (
+        ["lvalue", "--s", "1", "--disc", "-10000000"],
+        ["hlconst", "--disc", "-10000000"],
+        ["lvalue", "--s", "2", "--disc", "100000001", "--long-run"],
+        ["hlconst", "--disc", "-10000003", "--long-run"],
+    ):
+        assert run_cli(capsys, *argv)[0] == 0, argv
+    assert started == [-10**7, -10**7, 100000001, -10000003]
+
+
 @pytest.mark.parametrize(
     "argv, walk",
     [
         (["prstats", "--poly", "326,0,3", "--g", "326", "--n-cap", "1000001"], "pr_stats"),
         (["search", "--d", "163", "--d1", "163", "--alpha", "1", "--g-base", "326", "--k-hi", "2001"], "sweep"),
+        (["lvalue", "--s", "1", "--disc", "-100000007"], "dirichlet_l"),
+        (["hlconst", "--disc", "-10000003"], "hardy_littlewood_constant"),
     ],
-    ids=["prstats", "search"],
+    ids=["prstats", "search", "lvalue", "hlconst"],
 )
 def test_long_run_gate_refuses_before_the_walk(capsys, monkeypatch, argv, walk):
     def no_walk(*args, **kwargs):
@@ -455,7 +473,8 @@ PAST_A_BOUND = [
     (MAXSTREAK + ["--k-max", str(2**63 - 1)], "--k-max"),
     (MAXSTREAK + ["--k-max", str(2**40)], "--k-max"),
     (SEARCH + ["--k-hi", str(2**20 + 1), "--long-run"], "--k-hi"),
-    (["lvalue", "--s", "1", "--disc", str(2**53 + 1)], "--disc"),  # its prime factor 28059810762433
+    (["lvalue", "--s", "1", "--disc", str(2**53 + 1), "--long-run"], "--disc"),  # its prime factor 28059810762433
+    (["lvalue", "--s", "1", "--disc", str(2**53 + 1)], "--disc"),  # past |D| = 1e7 without --long-run
     (SEARCH + ["--alpha", str(2**64), "--k-hi", "2"], "--alpha"),
     (SEARCH + ["--alpha", "100000", "--k-hi", "2"], "--alpha"),
 ]
@@ -629,7 +648,7 @@ def test_report_reruns_from_its_inputs(capsys, argv):
     [
         ["density", "--lehmer-naive", "--poly", "326,0,3"],
         ["density", "--simple", "326,3", "--q-product", "3,5"],
-        ["lvalue", "--s", "1", "--disc", "-4", "--long-run"],
+        ["lvalue", "--s", "1", "--disc", "-4", "--tol", "1e-8"],
         ["streak", "--poly", "326,0,3", "--g", "326", "--long-run"],
         ["verify", "--preset", "euler41", "--quick"],
         # options that only some modes read

@@ -38,16 +38,76 @@ def walk_cases(*ids: str) -> list[str]:
 
 # (module, fragment, replacement, tests that must fail)
 MUTANTS = [
-    (  # Lanes' int64 products without their + p correction: a negative x y - q p is kept
+    (  # Lanes' int64 residues without their + p correction: a negative x y - q p is kept
         "arith.py",
-        "np.multiply(q, self.P, out=q), out=out)\n        return np.add(r, self.P, out=r, where=r < 0)",
-        "np.multiply(q, self.P, out=q), out=out)\n        return r",
+        "        s &= self.P\n        r += s\n",
+        "",
         [
             "tests/test_search.py::test_lanes_are_exact_at_their_bounds[below2^31]",
             "tests/test_search.py::test_lanes_are_exact_at_their_bounds[below2^50]",
             "tests/test_search.py::test_base_streaks_equals_per_base_streak[f7-326-1000000-1000060-1300]",
             "tests/test_densities.py::test_legendre_float_and_int64_kernels_at_their_edges",
-            *walk_cases("f13-12-2-46-37", "f28--26-5-61-200"),
+        ],
+    ),
+    (  # Lanes' int64 pow without its final normalization: a lazy residue in (-p, 0) is returned
+        "arith.py",
+        "return r if self.balanced else self._normal(r)",
+        "return r",
+        [
+            "tests/test_search.py::test_lanes_are_exact_at_their_bounds[below2^31]",
+            "tests/test_search.py::test_lanes_are_exact_at_their_bounds[below2^50]",
+            "tests/test_search.py::test_base_streaks_equals_per_base_streak[f7-326-1000000-1000060-1300]",
+            "tests/test_densities.py::test_legendre_float_and_int64_kernels_at_their_edges",
+        ],
+    ),
+    (  # Lanes' int64 mul without its sign shift: its products leave [0, p)
+        "arith.py",
+        "return self._normal(self._lazy_mul(x, y, out))",
+        "return self._lazy_mul(x, y, out)",
+        [
+            "tests/test_search.py::test_lanes_are_exact_at_their_bounds[below2^31]",
+            "tests/test_search.py::test_lanes_are_exact_at_their_bounds[below2^50]",
+            "tests/test_search.py::test_base_streaks_equals_per_base_streak[f7-326-1000000-1000060-1300]",
+        ],
+    ),
+    (  # factor_many's batched strong test cut to the witness 2: 3511^2 and 70141 * 140281 pass as primes
+        "arith.py",
+        "tiers = [_witnesses(n) for n in ns]",
+        "tiers = [(2,) for n in ns]",
+        [
+            "tests/test_arith.py::test_strong_batch_matches_sympy_isprime",
+            "tests/test_arith.py::test_factor_many_batch_splits_base2_pseudoprime_cofactors",
+        ],
+    ),
+    (  # the batched Lucas test's first pair, q = 2, taken when != 1 for == -1: 3511^2 is certified
+        "arith.py",
+        "passed[starts] = V[starts] == lanes.minus_one[starts]",
+        "passed[starts] = V[starts] != 1",
+        [
+            "tests/test_streaks.py::test_lucas_group_holding_3511_squared_agrees_batched_and_scalar",
+            "tests/test_streaks.py::test_walks_skip_a_base2_pseudoprime_with_no_small_factor",
+            *walk_cases("f28--26-5-61-200", "f29-56-383-385-125"),
+        ],
+    ),
+    (  # the walk's group ramp carried across block edges: the next block starts at the last size
+        "streaks.py",
+        "        for block in stream._blocks(n_cap, arith.is_strong_probable_prime):\n            size = _GROUP\n",
+        "        size = _GROUP\n        for block in stream._blocks(n_cap, arith.is_strong_probable_prime):\n",
+        ["tests/test_streaks.py::test_walk_groups_stop_at_the_block_edge"],
+    ),
+    (  # the power plan's trial bound not rounded up to a power of two: a bound per k range stays cached
+        "streaks.py",
+        "min(1 << isqrt(max(live)).bit_length(), 1 << 16)",
+        "min(isqrt(max(live)), 1 << 16)",
+        ["tests/test_search.py::test_power_plan_keeps_few_trial_prime_bounds_cached"],
+    ),
+    (  # lvalue and hlconst without their --long-run gate: the sum over |D| terms starts
+        "cli.py",
+        "if abs(args.disc) > LONG_RUN_DISC:",
+        "if False:",
+        [
+            "tests/test_cli.py::test_long_run_gate_refuses_before_the_walk[lvalue]",
+            "tests/test_cli.py::test_long_run_gate_refuses_before_the_walk[hlconst]",
         ],
     ),
     (  # Lanes' int64 path raised from 2^50 to 2^53: the float quotient can miss by more than one
@@ -78,15 +138,14 @@ MUTANTS = [
         [
             "tests/test_search.py::test_lanes_are_exact_at_their_bounds[below2^50]",
             "tests/test_search.py::test_lanes_are_exact_at_their_bounds[above2^50]",
-            "tests/test_search.py::test_base_streaks_equals_per_base_streak[f8-3-1-60-60]",
             "tests/test_search.py::test_base_streaks_equals_per_base_streak[f9-326-1-60-60]",
             "tests/test_search.py::test_base_streaks_covers_both_element_types",
         ],
     ),
     (  # z = g_base^e in place of g_base^(e(q-1)/2)
         "streaks.py",
-        "pow(g_base, (p - 1 - e) // 2, p)",
-        "pow(g_base, e, p)",
+        "lanes.pow(G, (lanes.P - 1 - E) >> 1)",
+        "lanes.pow(G, E)",
         walk_cases("f1--16-4-55-43", "f5--18-2-69-121", "f10-45-366-368-23", "f13-12-2-46-37", "f14-23-5-45-53",
                    "f17--8-166-168-210", "f19-96-1800-1803-164", "f23-261-82-85-109", "f28--26-5-61-200",
                    "f29-56-383-385-125"),
@@ -97,11 +156,14 @@ MUTANTS = [
         "i < n",
         walk_cases("f5--18-2-69-121", "f7-12-1751-1753-216", "f10-45-366-368-23", "f13-12-2-46-37"),
     ),
-    (  # Lucas's q = 2 test taking g^((p-1)/2) = 1 for -1
+    (  # Lucas's q = 2 test taking g^((p-1)/2) = 1 for -1, in lucas_certifies (the walks use _lucas_batch)
         "arith.py",
         "if pow(r, p >> 1, p) != p - 1:",
         "if pow(r, p >> 1, p) == 1:",
-        walk_cases("f11-153-1582-1583-17", "f14-23-5-45-53", "f28--26-5-61-200", "f29-56-383-385-125"),
+        [
+            "tests/test_arith.py::test_lucas_certifies_proves_primes_and_no_base_of_3511_squared",
+            "tests/test_streaks.py::test_lucas_group_holding_3511_squared_agrees_batched_and_scalar",
+        ],
     ),
     (  # the walk yielding a candidate that neither Lucas nor is_prime proved
         "streaks.py",
@@ -308,8 +370,8 @@ MUTANTS = [
     ),
     (  # the power plan's trial primes up to isqrt(k) unbounded: k near 2^62 asks for the primes to 2^31
         "streaks.py",
-        "bound, spf = min(isqrt(max(live)), 1 << 16), {}",
-        "bound, spf = isqrt(max(live)), {}",
+        "bound, spf = min(1 << isqrt(max(live)).bit_length(), 1 << 16), {}",
+        "bound, spf = 1 << isqrt(max(live)).bit_length(), {}",
         ["tests/test_search.py::test_base_streaks_near_2_62_sieve_no_prime_past_2_16"],
     ),
     (  # the power plan without its cofactor row: a k with a prime factor past the bound has no row to build from

@@ -449,6 +449,21 @@ def test_base_streaks_near_2_62_sieve_no_prime_past_2_16(monkeypatch):
         assert got == per_base_streaks(LEHMER, 326, k_lo, k_hi, 300), (k_lo, k_hi)
 
 
+def test_power_plan_keeps_few_trial_prime_bounds_cached():
+    # the plan's trial bound follows isqrt(max(live)), rounded up to a power
+    # of two: forty sweeps at k = 2^30 + i 2^22 share the bound 2^16, where
+    # forty bounds of their own once each cached a primes list and primorial
+    from qprim import arith
+
+    arith._trial_primes.cache_clear()
+    for i in range(40):
+        k = 2**30 + i * 2**22
+        assert list(base_streaks(LEHMER, 326, k, k, 60)) == per_base_streaks(LEHMER, 326, k, k, 60), k
+    assert arith._trial_primes.cache_info().currsize <= 3  # 2^16, and factor_many's 2000 and 1e5
+    with pytest.raises(ValueError, match="at least 1"):
+        list(base_streaks(LEHMER, 326, 0, 5, 60))  # k = 0 is the base 0
+
+
 def scan_power_plan(live):
     """The power plan by a scan, the reference streaks._power_plan must equal:
     each k's least prime factor tried against the primes up to the bound, then
@@ -502,25 +517,39 @@ def test_base_streaks_covers_skips_q2_failures_and_unfinished():
 
 
 def test_base_streaks_covers_both_element_types(monkeypatch):
-    # the record family and the crossing above exercise what they claim
+    # the record family and the crossing above exercise what they claim: the
+    # sweep's matrix (a 2-D pow) and the walk's batched passes (1-D: the
+    # Lucas tests, the strong tests of factor_many and the sweep's z), each
+    # in int64 exactly where its largest modulus is below 2^50
     from qprim import arith, search
 
-    exact = []
+    calls = []
 
     class Spy(Lanes):
         def pow(self, x, E):
-            if not self.balanced:  # the sweep's lanes; the sieve's root tables run on float64 here
-                exact.append(self.P.dtype != object)
+            if not self.balanced:  # the sieve's root tables run on float64 here
+                calls.append((x.ndim, self.P.dtype != object, int(self.P.max()) < _QUOTIENT_PRIME_BOUND))
             return super().pow(x, E)
 
+    def kinds():
+        exact = [e for ndim, e, _ in calls if ndim == 2]
+        walked = [e for ndim, e, _ in calls if ndim == 1]
+        assert all(e == below for _, e, below in calls)
+        calls.clear()
+        return exact, walked
+
     monkeypatch.setattr(arith, "Lanes", Spy)
-    assert any(p for *_, p in search.base_streaks(RECORD_G24, 3, 1, 25, 1000)) and not any(exact)
-    exact.clear()
+    assert any(p for *_, p in search.base_streaks(RECORD_G24, 3, 1, 25, 1000))
+    exact, walked = kinds()
+    assert exact and not any(exact) and False in walked
     failing = [p for *_, p in search.base_streaks(CROSSING, 326, 10**6, 10**6 + 60, 1300) if p]
+    exact, walked = kinds()
     assert True in exact and False in exact
+    assert True in walked and False in walked
     assert min(failing) < _QUOTIENT_PRIME_BOUND <= max(failing)
-    exact.clear()
-    assert list(search.base_streaks(FALLING, 3, 1, 60, 60)) and exact and not any(exact)
+    assert list(search.base_streaks(FALLING, 3, 1, 60, 60))
+    exact, walked = kinds()
+    assert exact and not any(exact) and False in walked
 
 
 # 326 (X + shift)^2 + 3, whose values pass DETERMINISTIC_PRIMALITY_LIMIT
@@ -594,3 +623,15 @@ def test_lanes_are_exact_at_their_bounds(ps):
     E = np.array([e for _, e in exps], lanes.P.dtype)
     got = lanes.lower(lanes.pow(in_lanes(lanes, [[b] for b in bases]), E))
     assert got.tolist() == [[pow(b, e, p) for p, e in exps] for b in bases]
+
+    # chains of powers from the extremes of the residues, p - 1 and p - 2,
+    # where int64 lanes multiply lazily in (-p, p): exponents of 49 bits
+    # with the top bit set, each power the base of the next
+    lanes = Lanes(np.array(ps * 2, object))
+    want = [p - 1 for p in ps] + [p - 2 for p in ps]
+    x = in_lanes(lanes, [want])[0]
+    for _ in range(3):
+        E = [1 << 48 | rng.getrandbits(48) for _ in want]
+        x = lanes.pow(x, np.array(E, lanes.P.dtype))
+        want = [pow(w, e, p) for w, e, p in zip(want, E, ps * 2)]
+        assert lanes.lower(x).tolist() == want

@@ -464,10 +464,12 @@ def test_stream_pm1_factorizations_against_sympy(name):
 
 
 def test_walk_groups_stop_at_the_block_edge(monkeypatch):
-    # Lehmer's first block holds 634 candidates, 58 mod 64: its last group is
-    # cut short at the edge, and the next block starts a group of its own
+    # Lehmer's first block holds 634 candidates, 58 mod 64: its groups ramp
+    # 64, 128, 256, the fourth is cut short at the edge, and the next block
+    # starts a ramp of its own.  X^2 + X + 41's first block, 3476 candidates,
+    # ramps to the cap of 512 and stays there up to its edge
     from qprim import arith
-    from qprim.streaks import _GROUP, _residual_indices
+    from qprim.streaks import _GROUP, _GROUP_CAP, _residual_indices
 
     sizes = []
     factor_many = arith.factor_many
@@ -476,7 +478,14 @@ def test_walk_groups_stop_at_the_block_edge(monkeypatch):
     assert rows == sympy_entries(L, 12_000)
     first_block = len(list(next(PrimeValueStream(L)._blocks(12_000, is_strong_probable_prime))))
     assert first_block % _GROUP and first_block in accumulate(sizes)
-    assert max(sizes) == _GROUP
+    assert (_GROUP, _GROUP_CAP) == (64, 512)
+    assert sizes == [64, 128, 256, 186, 64, 128, 80] and first_block == 634
+    assert max(sizes) == 4 * _GROUP
+    sizes.clear()
+    euler = PolyZ((41, 1, 1))
+    assert [(n, p) for n, p, _, _ in _residual_indices(euler, 7, 9000)] == sympy_entries(euler, 9000)
+    assert sizes == [64, 128, 256, *[512] * 5, 468, 64, 128, 118]
+    assert max(sizes) == _GROUP_CAP
 
 
 def test_walk_that_stops_inside_a_group_tests_no_further(monkeypatch):
@@ -537,6 +546,31 @@ def test_walks_skip_a_base2_pseudoprime_with_no_small_factor():
         got = [(c, p) for _, c, p in base_streaks(f, g_base, 1, 12, n_cap)]
         want = [sympy_streak(entries, k * k * g_base) for k in range(1, 13)]
         assert got == [(c, p) for c, _, p, _ in want], g_base
+
+
+def test_lucas_group_holding_3511_squared_agrees_batched_and_scalar(monkeypatch):
+    # f(1) = 3511^2 sits in the walk's first group of 64 candidates: the
+    # group's one Lanes pass certifies it for no base, as lucas_certifies
+    # does prime by prime, and the walk's rows are the same whether
+    # factor_many tests its cofactors in one pass (threshold 1) or one by one
+    from qprim import arith
+    from qprim.streaks import _residual_indices
+
+    f, n_cap = PolyZ((3511**2 - 1, 1)), 1500
+    group = list(islice(next(PrimeValueStream(f)._blocks(n_cap, is_strong_probable_prime)), 64))
+    assert len(group) == 64 and (1, 3511**2) in group
+    ps = [p for _, p in group]
+    pm1s = arith.factor_many([p - 1 for p in ps])
+    for g in (3, 5, 6, 7, 10, 11, -3, 326):
+        certified = arith._lucas_batch(g, ps, pm1s)
+        assert certified == [arith.lucas_certifies(g, p, pm1) for p, pm1 in zip(ps, pm1s)]
+        assert not certified[ps.index(3511**2)] and any(certified)
+    rows = {}
+    for threshold in (1, 10**9):
+        monkeypatch.setattr(arith, "_STRONG_BATCH", threshold)
+        rows[threshold] = [list(_residual_indices(f, g, n_cap)) for g in (3, 7, -3)]
+    assert rows[1] == rows[10**9]
+    assert all([(n, p) for n, p, *_ in walk] == sympy_entries(f, n_cap) for walk in rows[1])
 
 
 def test_tiny_rho_budget_raises_only_where_the_walk_reaches_that_prime(monkeypatch):
