@@ -17,10 +17,11 @@ cached table of the primes up to 2e6; prime_chunks hands out read-only int64
 slices of it and, past it, sieves numpy segments by the table's primes.
 primes_up_to, iter_primes, factor's trial primes and the Euler products of
 densities all read from prime_chunks.  Lanes, the one numpy modular kernel,
-does exact arithmetic mod such a chunk, one lane per prime: the Legendre
-symbols of densities, the value sieve's root tables (poly.roots_table), the
-k-sweep's matrix (streaks.base_streaks) and the batched strong and Lucas
-tests all run on it.
+does exact arithmetic mod such a chunk, one lane per prime, on residues in
+[0, p) that its callers pass and get back; how it computes them is its own.
+The Legendre symbols of densities, the value sieve's root tables
+(poly.roots_table), the k-sweep's matrix (streaks.base_streaks) and the
+batched strong and Lucas tests all run on it.
 """
 
 from __future__ import annotations
@@ -204,7 +205,7 @@ def _strong_lanes(N: list[int], A: list[int]) -> list[bool]:
     if not N:
         return []
     S = [((n - 1) & (1 - n)).bit_length() - 1 for n in N]
-    lanes = Lanes(np.array(N, object), balanced=False)
+    lanes = Lanes(np.array(N, object))
     x = lanes.pow(np.array(A, lanes.P.dtype), np.array([n - 1 >> s for n, s in zip(N, S)], lanes.P.dtype))
     passed = (x == 1) | (x == lanes.minus_one)
     S = np.array(S)
@@ -498,8 +499,8 @@ def sqrt_mod(a: int, p: int) -> int | None:
 
 
 _INT64_PRIME_BOUND = 2**31  # lift's and sqrt's bound: each limb of residues() is at least 31 bits
-_FLOAT_PRIME_BOUND = 2**26  # keeps a product of balanced residues below 2^52
-_QUOTIENT_PRIME_BOUND = 2**50  # keeps fl(x) fl(y) fl(1/p) within 0.375 of x y / p
+_FLOAT_PRIME_BOUND = 2**26  # keeps a product of lazy residues below 2^52
+_QUOTIENT_PRIME_BOUND = 2**50  # keeps 3 p / 2^53, the float quotient's error, below 3/8
 
 
 def residues(a: int, P: np.ndarray) -> np.ndarray:
@@ -525,62 +526,65 @@ class Lanes:
     """Exact arithmetic mod each odd p of an array P (prime for sqrt; the
     strong test of factor_many runs on composite ones), in any order, one
     lane per p; residues broadcast against P, a column of them against a row
-    of lanes.  The largest p picks the residues.  Below 2^26, float64 in
-    [-(p-1)/2, (p-1)/2], and x y mod p is t - q p, t = x y and
-    q = rint(t * (1/p)): |t| <= p^2/4 < 2^52, so t, q p and t - q p are
-    exact; t * (1/p) is within about 2^-28 of t/p, which (p odd) lies at
-    least 1/(2p) > 2^-27 from any half-integer.  Below 2^50 (or with
-    balanced=False), int64: for |x|, |y| < p < 2^50, fl(x y) (1/p) takes
-    three roundings of relative error 2^-53 on a quotient of size below
-    2^50, so q = rint(fl(fl(x y) fl(1/p))) lies within 0.375 + 1/2 of x y / p
-    and |x y - q p| < 0.875 p, exact in wrapping int64.  So pow multiplies
-    in (-p, p) and normalizes once, at the end, and mul returns [0, p) by
-    one sign shift, r + (p & (r >> 63)).  From 2^50, Python ints.  lift and
-    sqrt take p below 2^31."""
+    of lanes.  lift, pow, mul and sqrt take and return residues in [0, p):
+    int64 below 2^50, Python ints from there.  The largest p picks how they
+    are computed.  Below 2^50 a product is lazy, x y - q p for |x|, |y| < p
+    with q = rint(fl(fl(x y) fl(1/p))): three roundings of relative error
+    2^-53 on a quotient below p put q within 1/2 + 3p/2^53 < 7/8 of x y / p,
+    so the lazy residue x y - q p lies in (-p, p), fit to multiply again.
+    Below 2^26 it is computed in float64, where x y < 2^52, q p and their
+    difference are exact integers; up to 2^50 in int64, where x y and q p
+    wrap but their difference, below p, does not.  pow and mul normalize
+    once, at the end: a float64 residue is cast to int64, then
+    r + (p & (r >> 63)) adds p where r < 0.  From 2^50, Python ints.  lift
+    and sqrt take p below 2^31."""
 
-    def __init__(self, P: np.ndarray, balanced: bool | None = None):
-        top = int(P.max()) if len(P) else 0
-        self.balanced = top < _FLOAT_PRIME_BOUND if balanced is None else balanced
+    def __init__(self, P: np.ndarray):
+        self._set(P, int(P.max()) if len(P) else 0)
+
+    def _set(self, P: np.ndarray, top: int) -> None:
+        """Lanes mod P, computed as the largest modulus top picks."""
+        self._top = top
         self.P = P.astype(object if top >= _QUOTIENT_PRIME_BOUND else np.int64, copy=False)
-        if self.balanced:
-            self.p = self.P.astype(np.float64)
-            self.inv, self._t = 1.0 / self.p, np.empty_like(self.p)
-        elif self.P.dtype != object:
-            self.inv = 1.0 / self.P
-        self.minus_one = -1.0 if self.balanced else self.P - 1
+        self.minus_one = self.P - 1
+        self._p = self.P.astype(np.float64) if top < _FLOAT_PRIME_BOUND else self.P  # p as the products run
+        if top < _QUOTIENT_PRIME_BOUND:
+            self.inv, self._t = 1.0 / self._p, np.empty_like(self._p)  # _t: the float64 products' buffer
 
     def take(self, index: np.ndarray) -> "Lanes":
-        """The lanes picked by index (a mask or positions), in this representation."""
-        return Lanes(self.P[index], self.balanced)
+        """The lanes picked by index (a mask or positions), computed as these are."""
+        lanes = Lanes.__new__(Lanes)
+        lanes._set(self.P[index], self._top)
+        return lanes
 
     def lift(self, a: int) -> np.ndarray:
-        """a mod each p as a residue of this representation; a negative a is
-        negated after |a| is reduced, by a sign flip in the balanced one."""
+        """a mod each p; a negative a is negated after |a| is reduced."""
         r = residues(a, self.P)
-        if self.balanced:
-            r = np.where(r > self.P >> 1, r - self.P, r).astype(np.float64)
-            return np.negative(r, out=r) if a < 0 else r
         return np.subtract(self.P, r, out=r, where=r > 0) if a < 0 else r
 
-    def lower(self, x: np.ndarray) -> np.ndarray:
-        """The residues x in [0, p), as int64 below 2^50."""
-        if not self.balanced:
-            return x
-        r = x.astype(np.int64)
-        return np.add(r, self.P, out=r, where=r < 0)
+    def mul(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
+        """x y mod p lane by lane."""
+        return self._normal(self._mul(self._in(x), self._in(y)))
 
-    def mul(self, x: np.ndarray, y: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-        """x y mod p lane by lane (into out, which may be x)."""
-        if self.balanced:
+    def pow(self, x: np.ndarray, E: np.ndarray) -> np.ndarray:
+        """x^E lane by lane for exponents E >= 0 (int64 below 2^50)."""
+        if self._top >= _QUOTIENT_PRIME_BOUND:
+            return np.frompyfunc(pow, 3, 1)(x, E, self.P)
+        return self._normal(self._pow(self._in(x), E))
+
+    def _in(self, x: np.ndarray) -> np.ndarray:
+        """Residues in the type the products run in."""
+        return x.astype(self._p.dtype, copy=False)
+
+    def _mul(self, x: np.ndarray, y: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+        """The lazy x y - q p in (-p, p), for |x|, |y| < p (into out, which
+        may be x); Python ints reduce to [0, p)."""
+        if self._top < _FLOAT_PRIME_BOUND:
             t = np.multiply(x, y, out=self._t if x.shape == y.shape == self._t.shape else None)
             q = np.rint(np.multiply(t, self.inv, out=out), out=out)
-            return np.subtract(t, np.multiply(q, self.p, out=q), out=q)
-        if self.P.dtype == object:
+            return np.subtract(t, np.multiply(q, self._p, out=q), out=q)
+        if self._top >= _QUOTIENT_PRIME_BOUND:
             return np.remainder(np.multiply(x, y, out=out), self.P, out=out)
-        return self._normal(self._lazy_mul(x, y, out))
-
-    def _lazy_mul(self, x: np.ndarray, y: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-        """x y - q p in (-p, p), for int64 |x|, |y| < p < 2^50: no correction."""
         f = np.multiply(x, y, dtype=np.float64)
         f *= self.inv
         q = np.rint(f, out=f).astype(np.int64)
@@ -590,30 +594,34 @@ class Lanes:
         return r
 
     def _normal(self, r: np.ndarray) -> np.ndarray:
-        """int64 residues in (-p, p) moved to [0, p) in place: r >> 63 is -1
-        (all bits set) where r < 0, so P & (r >> 63) adds p there only."""
+        """Lazy residues r in (-p, p) as int64 in [0, p) (Python ints are
+        there already): r >> 63 is -1 (all bits set) where r < 0, so
+        P & (r >> 63) adds p there only."""
+        if r.dtype == object:
+            return r
+        r = r.astype(np.int64, copy=False)
         s = r >> 63
         s &= self.P
         r += s
         return r
 
-    def pow(self, x: np.ndarray, E: np.ndarray) -> np.ndarray:
-        """x^E lane by lane for exponents E >= 0 (int64 below 2^50), over
-        two-bit windows of E with x^0..x^3 from a table (a lane with E < 4
-        reads x itself)."""
-        if self.P.dtype == object:
-            return np.frompyfunc(pow, 3, 1)(x, E, self.P)
-        mul = self.mul if self.balanced else self._lazy_mul
-        x2 = mul(x, x)
-        powers = np.stack((np.ones_like(x), x, x2, mul(x2, x)), axis=-1).ravel()
+    def _is_one(self, t: np.ndarray) -> np.ndarray:
+        """Where the lazy residue t is 1: t = 1 or t = 1 - p."""
+        return (t == 1) | (t == 1 - self._p)
+
+    def _pow(self, x: np.ndarray, E: np.ndarray) -> np.ndarray:
+        """The lazy x^E lane by lane, over two-bit windows of E with x^0..x^3
+        from a table (a lane with E < 4 reads x itself)."""
+        x2 = self._mul(x, x)
+        powers = np.stack((np.ones_like(x), x, x2, self._mul(x2, x)), axis=-1).ravel()
         rows = np.arange(0, powers.size, 4).reshape(x.shape)
         k = max(int(E.max()).bit_length() - 1, 0) // 2 * 2 if E.size else 0  # the top window
         r = powers[rows + ((E >> k) & 3)]
         for k in range(k - 2, -1, -2):
-            mul(r, r, out=r)
-            mul(r, r, out=r)
-            mul(r, powers[rows + ((E >> k) & 3)], out=r)
-        return r if self.balanced else self._normal(r)
+            self._mul(r, r, out=r)
+            self._mul(r, r, out=r)
+            self._mul(r, powers[rows + ((E >> k) & 3)], out=r)
+        return r
 
     def sqrt(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """(R, square): square marks the lanes where x is a nonzero square
@@ -623,20 +631,21 @@ class Lanes:
         c^(2^(M-i-1)), c of order 2^M and i the least with T^(2^i) = 1, until
         T = 1 in every lane.  c starts as z^Q for the least non-residue z of
         the lane's p, found by reciprocity, only where x is a square and
-        T != 1 (so p = 1 mod 4)."""
+        T != 1 (so p = 1 mod 4).  Every product stays lazy until R returns."""
         P = self.P
         S = np.frexp((P - 1) & (1 - P))[1] - 1  # the exponent of 2 in p - 1
-        y = self.pow(x, (P - 1) >> S + 1)
-        R = self.mul(y, x)
-        T = self.mul(y, R)
-        square = T == 1
+        x = self._in(x)
+        y = self._pow(x, (P - 1) >> S + 1)
+        R = self._mul(y, x)
+        T = self._mul(y, R)
+        square = self._is_one(T)
         todo = np.flatnonzero(~square)
         lanes, T, M, R_todo, c = self.take(todo), T[todo], S[todo], R[todo], None
         while len(todo):
             i, t2 = np.zeros_like(M), T
             for j in range(1, int(M.max())):
-                t2 = lanes.mul(t2, t2)
-                i[(i == 0) & (t2 == 1)] = j
+                t2 = lanes._mul(t2, t2)
+                i[(i == 0) & lanes._is_one(t2)] = j
             if c is None:  # the first round: x is 0 or no square where T^(2^(M-1)) != 1
                 keep = (0 < i) & (i < M)
                 square[todo[keep]] = True
@@ -648,17 +657,17 @@ class Lanes:
                     residue = np.zeros(z, bool)
                     residue[np.arange(z) ** 2 % z] = True
                     Z[(Z == 0) & ~residue[lanes.P % z]] = z  # (z/p) = (p/z), by reciprocity
-                c = lanes.pow(Z.astype(T.dtype), lanes.P - 1 >> M)  # z < sqrt(p) + 1 <= (p-1)/2: balanced
+                c = lanes._pow(Z.astype(T.dtype), lanes.P - 1 >> M)  # z < sqrt(p) + 1 < p
             b, e = c, M - i - 1
             for j in range(int(e.max(initial=0))):
-                b = np.where(j < e, lanes.mul(b, b), b)
-            R_todo, c = lanes.mul(R_todo, b), lanes.mul(b, b)
-            T, M = lanes.mul(T, c), i
-            done = T == 1
+                b = np.where(j < e, lanes._mul(b, b), b)
+            R_todo, c = lanes._mul(R_todo, b), lanes._mul(b, b)
+            T, M = lanes._mul(T, c), i
+            done = lanes._is_one(T)
             R[todo[done]] = R_todo[done]
             keep = ~done
             lanes, todo, T, M, c, R_todo = lanes.take(keep), todo[keep], T[keep], M[keep], c[keep], R_todo[keep]
-        return R, square
+        return self._normal(R), square
 
 
 def _require_unit(g: int, p: int) -> int:
@@ -725,7 +734,7 @@ def _lucas_batch(g: int, ps: list[int], pm1s: list) -> list[bool]:
             P += [p] * len(pm1.factors)
             E += [(p - 1) // q for q in pm1.prime_factors()]
     if P:
-        lanes = Lanes(np.array(P, object), balanced=False)
+        lanes = Lanes(np.array(P, object))
         V = lanes.pow(np.array([g % p for p in P], lanes.P.dtype), np.array(E, lanes.P.dtype))
         passed = V != 1
         passed[starts] = V[starts] == lanes.minus_one[starts]  # -1, not merely != 1: that gives g^(p-1) = 1

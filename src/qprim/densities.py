@@ -138,8 +138,8 @@ _CHUNK = 8192
 
 def _legendre(a: int, P: np.ndarray) -> np.ndarray:
     """(a/p) for each odd prime p of the ascending int64 array P, as int8:
-    Euler's criterion a^((p-1)/2) mod p by arith.Lanes, exact in float64
-    below 2^26 (the chunk's largest prime decides) and in int64 below 2^31."""
+    Euler's criterion a^((p-1)/2) mod p by arith.Lanes, whose lift takes
+    p below 2^31."""
     lanes = Lanes(P)
     r = lanes.pow(lanes.lift(a), P >> 1)
     return (r == 1).astype(np.int8) - (r == lanes.minus_one).astype(np.int8)

@@ -8,10 +8,11 @@ which of the two classes spells f.  Every question "for which s is f(s) = t
 q, else a scan of values_mod, the one numpy enumeration of f(0..m-1) mod m,
 which also backs the residue counts and the mod-8 profile.  roots_table
 answers it for a whole chunk of primes at once, the value sieve's roots: for
-degree 1 and 2 one pass over arith.Lanes, equal to roots_mod prime by prime,
-which it calls at q = 2 and where q divides the leading coefficient.
-`densities` counts roots over chunks of primes by the same Lanes kernel; both
-are property-tested against roots_mod.
+degree 1 and 2 one pass over arith.Lanes, whose residues in [0, q) it reads
+as they are, equal to roots_mod prime by prime, which it calls at q = 2 and
+where q divides the leading coefficient.  `densities` counts roots over
+chunks of primes by the same Lanes kernel; both are property-tested against
+roots_mod.
 """
 
 from __future__ import annotations
@@ -62,17 +63,6 @@ class PolyZ:
 
     __call__ = eval
 
-    def shift(self, t: int) -> "PolyZ":
-        """Coefficients of f(X + t) (Taylor shift by synthetic division)."""
-        work = list(self.coeffs)
-        out = []
-        for _ in range(len(work)):
-            for i in range(len(work) - 1, 0, -1):
-                work[i - 1] += t * work[i]
-            out.append(work[0])
-            work = work[1:]
-        return PolyZ(tuple(out))
-
     def __str__(self) -> str:
         if self.degree() <= 0:
             return str(self.coeffs[0])
@@ -94,7 +84,7 @@ class PolyZ:
 class QuadraticPoly(PolyZ):
     """aX^2 + bX + c with a > 0: the PolyZ((c, b, a)), adding only the views a, b,
     c and the discriminant d = b^2 - 4ac, and a repr in the a, b, c form its
-    constructor takes; evaluation, str and shift are PolyZ's."""
+    constructor takes; evaluation and str are PolyZ's."""
 
     def __init__(self, a: int, b: int, c: int) -> None:
         if a <= 0:
@@ -179,19 +169,13 @@ def roots_table(f: PolyZ, P: np.ndarray, t: int = 0) -> tuple[np.ndarray, np.nda
         fast = (P != 2) & (residues(f.leading(), P) != 0)
     lanes = Lanes(P[fast])
     Pf = lanes.P
-
-    def mod(v: int) -> np.ndarray:  # v mod each q, in [0, q)
-        return lanes.lower(lanes.lift(v))
-
     if f.degree() == 1:
-        r1 = r2 = -mod(c) % Pf * lanes.lower(lanes.pow(lanes.lift(b), Pf - 2)) % Pf
+        r1 = r2 = lanes.lift(-c) * lanes.pow(lanes.lift(b), Pf - 2) % Pf
         count = np.ones(len(Pf), np.int64)
     else:  # degree 2, or no lane at all
         disc = lanes.lift(b * b - 4 * a * c)
-        s, square = lanes.sqrt(disc)
-        s = lanes.lower(s)  # 0 where q | disc
-        inv = lanes.lower(lanes.pow(lanes.lift(2 * a), Pf - 2))
-        nb = -mod(b)
+        s, square = lanes.sqrt(disc)  # s = 0 where q | disc
+        inv, nb = lanes.pow(lanes.lift(2 * a), Pf - 2), lanes.lift(-b)
         r1, r2 = (nb + s) % Pf * inv % Pf, (nb - s) % Pf * inv % Pf
         count = np.where(square, 2, disc == 0)  # q | disc: one double root
     slow = [roots_mod(f, q, t) for q in P[~fast].tolist()]

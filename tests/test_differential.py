@@ -5,9 +5,10 @@ compared with an enumeration of f(0..n_cap) by sympy.isprime, with indices
 from sympy.n_order and p - 1 from sympy.factorint.  The random f have degree
 1 to 3 and come in four shapes: small coefficients with negative middle ones,
 a hump whose values repeat below the tail start, values near or crossing
-2^50 (the sweep's int64 / Python-int split in arith.Lanes), and a value that is a base-2
-strong pseudoprime with no factor up to the sieve depth.  Bases are signed
-and may carry a square factor; k ranges are narrow or wide, n_cap small.
+2^50 (the sweep's int64 / Python-int split in arith.Lanes, twice more through
+primes written out), and a value that is a base-2 strong pseudoprime with no
+factor up to the sieve depth.  Bases are signed and may carry a square
+factor; k ranges are narrow or wide, n_cap small.
 """
 
 import random
@@ -68,7 +69,13 @@ def cases() -> list[tuple]:
     return [random_case(rng, shape) for shape in shapes]
 
 
-CASES = cases()
+# the near50 and cross50 shapes again, through the primes on either side of
+# 2^50 written out, so that no bound in the code moves them
+LITERAL_CASES = [
+    (through([0, -3, 7], 180, 1125899906842597), 6, 1, 60, 180),
+    (through([0, -11, 3], 70, 1125899906842679), -7, 1, 50, 140),
+]
+CASES = cases() + LITERAL_CASES
 
 
 @cache
@@ -138,6 +145,8 @@ def test_the_cases_cover_what_they_claim():
     # prime values just below 2^50 alone, and on both sides of it
     assert any(ps and _QUOTIENT_PRIME_BOUND // 2 <= max(ps) < _QUOTIENT_PRIME_BOUND for ps in prime_values.values())
     assert any(ps and min(ps) < _QUOTIENT_PRIME_BOUND <= max(ps) for ps in prime_values.values())
+    near, cross = (prime_values[f] for f, *_ in LITERAL_CASES)
+    assert 2**49 <= max(near) < 2**50 and min(cross) < 2**50 <= max(cross)
     # a prime value dividing a k in a case's range, and a pseudoprime value the walk must reject
     assert any(any(p <= k_hi and k_hi // p * p >= k_lo for p in prime_values[f]) for f, _, k_lo, k_hi, _ in CASES)
     assert all(is_strong_probable_prime(v) and not sympy.isprime(v) for v in PSEUDOPRIMES)

@@ -5,7 +5,8 @@ the caller's environment as it found it, which holds only while the package
 calls no BLAS routine.  No module routes a polynomial by its class, no
 function body imports a qprim module, every name a module imports is read
 there, but those listed with their reasons, and no module names uint64:
-arith.Lanes is the one numpy modular kernel.  Every public function or class
+arith.Lanes is the one numpy modular kernel, and no module but arith knows
+how its residues are held.  Every public function or class
 is named elsewhere in the package, read by perfbench or listed in
 qprim.__all__, and every defaulted parameter of one is set by some call in
 the package or perfbench, but those listed with their reasons."""
@@ -244,6 +245,42 @@ def test_no_second_modular_kernel(module):
     # arith.Lanes picks float64, int64 or Python ints by the largest modulus; a
     # uint64 kernel beside it would be a second representation to keep exact
     assert "uint64" not in (SRC / "qprim" / module).read_text()
+
+
+KERNEL_NAMES = {"_FLOAT_PRIME_BOUND", "_QUOTIENT_PRIME_BOUND", "balanced"}
+
+
+def residue_format_uses(source: str) -> list[str]:
+    """'line n: name' for each place in source that names a bound between
+    arith.Lanes' ways of computing or `balanced` (a name, attribute, import,
+    keyword or parameter), and each call of a method lower: what only Lanes
+    should know of how its residues are held."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        name = node.name if isinstance(node, ast.alias) else getattr(node, "id", None) or getattr(node, "attr", None)
+        name = name or getattr(node, "arg", None)
+        if name in KERNEL_NAMES:
+            found.append((node.lineno, name))
+        if isinstance(node, ast.Call) and getattr(node.func, "attr", None) == "lower":
+            found.append((node.lineno, ".lower("))
+    return [f"line {n}: {name}" for n, name in sorted(found)]
+
+
+def test_residue_format_guard_sees_each_form():
+    source = "from .arith import _FLOAT_PRIME_BOUND, Lanes\nx = arith._QUOTIENT_PRIME_BOUND\n"
+    source += "Lanes(P, balanced=False)\nif lanes.balanced:\n    r = lanes.lower(r)\ndef f(balanced=None): pass\n"
+    source += "lower = s.lower\nnp.float64(lower)\nbalance = 1\n"
+    assert residue_format_uses(source) == [
+        "line 1: _FLOAT_PRIME_BOUND", "line 2: _QUOTIENT_PRIME_BOUND", "line 3: balanced", "line 4: balanced",
+        "line 5: .lower(", "line 6: balanced",
+    ]
+
+
+@pytest.mark.parametrize("module", sorted(p.name for p in (SRC / "qprim").glob("*.py") if p.name != "arith.py"))
+def test_only_arith_knows_the_residue_format(module):
+    # Lanes takes and returns residues in [0, p): how it computes them, and
+    # up to which modulus each way is exact, is arith's alone
+    assert residue_format_uses((SRC / "qprim" / module).read_text()) == []
 
 
 def unnamed_public_definitions(modules: dict[str, str], readers: str, exported: set[str]) -> list[str]:

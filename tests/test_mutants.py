@@ -38,7 +38,7 @@ def walk_cases(*ids: str) -> list[str]:
 
 # (module, fragment, replacement, tests that must fail)
 MUTANTS = [
-    (  # Lanes' int64 residues without their + p correction: a negative x y - q p is kept
+    (  # Lanes' lazy residues without their + p correction: a negative x y - q p is kept
         "arith.py",
         "        s &= self.P\n        r += s\n",
         "",
@@ -49,26 +49,45 @@ MUTANTS = [
             "tests/test_densities.py::test_legendre_float_and_int64_kernels_at_their_edges",
         ],
     ),
-    (  # Lanes' int64 pow without its final normalization: a lazy residue in (-p, 0) is returned
+    (  # Lanes' pow without its final normalization: a lazy residue in (-p, 0), in float64 below 2^26, is returned
         "arith.py",
-        "return r if self.balanced else self._normal(r)",
-        "return r",
+        "return self._normal(self._pow(self._in(x), E))",
+        "return self._pow(self._in(x), E)",
         [
+            "tests/test_search.py::test_lanes_are_exact_at_their_bounds[below2^26]",
             "tests/test_search.py::test_lanes_are_exact_at_their_bounds[below2^31]",
             "tests/test_search.py::test_lanes_are_exact_at_their_bounds[below2^50]",
             "tests/test_search.py::test_base_streaks_equals_per_base_streak[f7-326-1000000-1000060-1300]",
             "tests/test_densities.py::test_legendre_float_and_int64_kernels_at_their_edges",
         ],
     ),
-    (  # Lanes' int64 mul without its sign shift: its products leave [0, p)
+    (  # Lanes' mul without its normalization: its products leave [0, p)
         "arith.py",
-        "return self._normal(self._lazy_mul(x, y, out))",
-        "return self._lazy_mul(x, y, out)",
+        "return self._normal(self._mul(self._in(x), self._in(y)))",
+        "return self._mul(self._in(x), self._in(y))",
         [
+            "tests/test_search.py::test_lanes_are_exact_at_their_bounds[below2^26]",
             "tests/test_search.py::test_lanes_are_exact_at_their_bounds[below2^31]",
             "tests/test_search.py::test_lanes_are_exact_at_their_bounds[below2^50]",
             "tests/test_search.py::test_base_streaks_equals_per_base_streak[f7-326-1000000-1000060-1300]",
         ],
+    ),
+    (  # Lanes' float64 residues returned as they are: lazy, in (-p, p), and not int64
+        "arith.py",
+        "if r.dtype == object:",
+        "if r.dtype != np.int64:",
+        [
+            "tests/test_search.py::test_lanes_are_exact_at_their_bounds[below2^26]",
+            "tests/test_densities.py::test_legendre_float_and_int64_kernels_at_their_edges",
+            "tests/test_streaks.py::test_pr_stats_lehmer",
+            "tests/test_streaks.py::test_lucas_group_holding_3511_squared_agrees_batched_and_scalar",
+        ],
+    ),
+    (  # sqrt's lazy 1 read as 1 alone: where a product holds it as 1 - p, x reads as no square
+        "arith.py",
+        "return (t == 1) | (t == 1 - self._p)",
+        "return t == 1",
+        ["tests/test_poly.py::test_roots_table_holds_to_the_lazy_contract"],
     ),
     (  # factor_many's batched strong test cut to the witness 2: 3511^2 and 70141 * 140281 pass as primes
         "arith.py",
@@ -114,9 +133,12 @@ MUTANTS = [
         "arith.py",
         "_QUOTIENT_PRIME_BOUND = 2**50",
         "_QUOTIENT_PRIME_BOUND = 2**53",
-        ["tests/test_search.py::test_lanes_are_exact_at_their_bounds[above2^50]"],
+        [
+            "tests/test_search.py::test_lanes_are_exact_at_their_bounds[above2^50]",
+            "tests/test_search.py::test_base_streaks_element_types_at_a_literal_2_50",
+        ],
     ),
-    (  # Lanes' float64 path raised from 2^26 to 2^28: a balanced product there can reach 2^54
+    (  # Lanes' float64 path raised from 2^26 to 2^28: a lazy product there can reach 2^56
         "arith.py",
         "_FLOAT_PRIME_BOUND = 2**26",
         "_FLOAT_PRIME_BOUND = 2**28",
@@ -131,14 +153,16 @@ MUTANTS = [
             "tests/test_densities.py::test_legendre_matches_kronecker_and_guards_int64",
         ],
     ),
-    (  # Lanes' representation picked by the last p, not the largest: a falling group runs in int64 past 2^50
+    (  # Lanes' way of computing picked by the last p, not the largest: a falling group runs in int64 past 2^50,
+        # or in float64 past 2^26
         "arith.py",
-        "top = int(P.max()) if len(P) else 0\n        self.balanced",
-        "top = int(P[-1]) if len(P) else 0\n        self.balanced",
+        "self._set(P, int(P.max()) if len(P) else 0)",
+        "self._set(P, int(P[-1]) if len(P) else 0)",
         [
             "tests/test_search.py::test_lanes_are_exact_at_their_bounds[below2^50]",
             "tests/test_search.py::test_lanes_are_exact_at_their_bounds[above2^50]",
             "tests/test_search.py::test_base_streaks_equals_per_base_streak[f9-326-1-60-60]",
+            "tests/test_search.py::test_base_streaks_equals_per_base_streak[f11-3-1-60-60]",
             "tests/test_search.py::test_base_streaks_covers_both_element_types",
         ],
     ),
@@ -181,12 +205,6 @@ MUTANTS = [
                    "f21-135-1-42-113", "f22--116-422-425-158", "f23-261-82-85-109", "f24--18-2-65-128",
                    "f25-13-466-469-223", "f26-270-5-61-112", "f27--5-4-39-33", "f28--26-5-61-200",
                    "f29-56-383-385-125"),
-    ),
-    (  # Lanes' float residues left unbalanced: _legendre's (2/3) reads 0
-        "arith.py",
-        "np.where(r > self.P >> 1, r - self.P, r).astype(np.float64)",
-        "r.astype(np.float64)",
-        ["tests/test_densities.py::test_legendre_float_and_int64_kernels_at_their_edges"],
     ),
     (  # prime_count counting the walked survivors again, from 0 instead of where the walk ends
         "streaks.py",

@@ -4,12 +4,13 @@ import copy
 import math
 import pickle
 import random
+from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from qprim.arith import is_prime, iter_primes, primes_up_to
+from qprim.arith import Lanes, is_prime, iter_primes, primes_up_to
 from qprim.densities import bateman_horn_constant, pr_density
 from qprim.poly import (
     PolyZ,
@@ -21,6 +22,7 @@ from qprim.poly import (
     roots_table,
     values_mod,
 )
+from qprim.search import SearchConfig, candidate_poly
 from qprim.streaks import pr_stats, prime_count, streak
 
 L = QuadraticPoly(a=326, b=0, c=3)
@@ -53,13 +55,12 @@ def test_quadratic_invariants():
 
 
 def test_shift():
-    f = PolyZ((41, 1, 1))  # X^2 + X + 41
-    g = f.shift(5)
-    for n in range(-3, 10):
-        assert g.eval(n) == f.eval(n + 5)
-    q = QuadraticPoly(866416, 0, 2903975582404049).shift(599206)
-    base = QuadraticPoly(866416, 0, 2903975582404049)
-    for n in (0, 1, 17):
+    # the records' shift is candidate_poly's: example3 shifted by 599206 is example3-f1
+    example3 = SearchConfig(d=9828323860172600203, d1=54151, alpha=4)
+    base = candidate_poly(example3)
+    q = candidate_poly(replace(example3, shift=599206))
+    assert base == QuadraticPoly(866416, 0, 2903975582404049)
+    for n in (-3, 0, 1, 17):
         assert q.eval(n) == base.eval(n + 599206)
 
 
@@ -132,7 +133,7 @@ def _solver_polys():
         PolyZ((-2, 0, -3, 0, 5)),
         PolyZ((big + 1, -(big + 3), 3 * big + 5)),
         PolyZ((-(big + 7), big - 1, 0, -(5 * big + 1))),
-        QuadraticPoly(14774336, 21513472074368, 7830405969748235009).shift(441957),
+        candidate_poly(SearchConfig(d=4472988326827347533, d1=230849, alpha=6, sign=-1, shift=728069 + 441957)),
     ]
     for degree in range(5):
         coeffs = [rng.randint(-10**12, 10**12) for _ in range(degree + 1)]
@@ -216,6 +217,29 @@ def test_roots_table_equals_roots_mod_prime_by_prime():
                 assert_table_is_roots_mod(f, P, t)
     Q, R = roots_table(PolyZ((6, 3, 15)), np.array([2, 3, 5], dtype=np.int64))
     assert (Q.tolist(), R.tolist()) == ([2, 2, 3, 3, 3, 5], [0, 1, 0, 1, 2, 3])
+
+
+def test_roots_table_holds_to_the_lazy_contract(monkeypatch):
+    # a lazy product may be any residue in (-p, p), though the kernel's
+    # rounding gives the one nearest 0: with every positive one moved down
+    # by p (1 held as 1 - p), on float64 and on int64 lanes, the root
+    # tables, powers and products keep their answers
+    lazy_mul = Lanes._mul
+
+    def low_mul(self, x, y, out=None):
+        r = lazy_mul(self, x, y, out)
+        return np.subtract(r, self._p, out=r, where=r > 0)
+
+    monkeypatch.setattr(Lanes, "_mul", low_mul)
+    rng = random.Random(37)
+    for P in (primes_up_to(3000)[1:], list(iter_primes(2**31 - 4000, 2**31 - 1))):
+        for f in (QuadraticPoly(1, 1, 41), QuadraticPoly(1, -10, 25), PolyZ((rng.getrandbits(80), 7))):
+            for t in (0, 1):
+                assert_table_is_roots_mod(f, P, t)
+        x, y, e = ([rng.randrange(p) for p in P] for _ in range(3))
+        lanes = Lanes(np.array(P, np.int64))
+        assert lanes.mul(np.array(x), np.array(y)).tolist() == [u * v % p for u, v, p in zip(x, y, P)]
+        assert lanes.pow(np.array(x), np.array(e)).tolist() == [pow(u, v, p) for u, v, p in zip(x, e, P)]
 
 
 def test_values_mod_against_eval_mod():
@@ -302,7 +326,6 @@ def test_quadratic_is_the_polyz_of_its_coefficients(a, b, c):
     assert (str(q), q.degree(), q.coeffs) == (str(p), p.degree(), p.coeffs)
     assert all(q.eval(n) == p.eval(n) == q(n) for n in range(-5, 6))
     assert (q.a, q.b, q.c, q.d) == (a, b, c, b * b - 4 * a * c)
-    assert q.shift(7) == p.shift(7)
     assert q != QuadraticPoly(a, b, c + 1) and q != (c, b, a)
 
 

@@ -403,9 +403,15 @@ LEHMER = QuadraticPoly(326, 0, 3)
 RECORD_G24 = candidate_poly(SearchConfig(d=D_A, d1=230849, alpha=6, sign=-1, shift=56943))
 # 326 (X + shift)^2 + 3, whose values reach that bound, 2^50, near n = 700
 CROSSING = candidate_poly(SearchConfig(d=163, d1=163, alpha=1, shift=isqrt(_QUOTIENT_PRIME_BOUND // 326) - 700))
+# its twin with the shift written out, so that no bound in the code moves it
+CROSSING_2_50 = candidate_poly(SearchConfig(d=163, d1=163, alpha=1, shift=1857708))
 # 2^44 (X - 64)^2 + 37, whose prime values fall from 2^56 to 2^49 in one group
-# of the sweep: the largest of them, not the last, picks the group's lanes
+# of the sweep, across 2^50
 FALLING = QuadraticPoly(2**44, -(2**51), 2**56 + 37)
+# 2^18 (X - 64)^2 + 7, whose prime values fall across 2^26 in one group: the
+# first, f(0) = 1073741831, is the largest and picks the group's lanes, the
+# last two to n = 60 are 37748743 and 9437191
+DIVING = QuadraticPoly(2**18, -(2**25), 2**30 + 7)
 
 
 @pytest.mark.parametrize(
@@ -423,6 +429,8 @@ FALLING = QuadraticPoly(2**44, -(2**51), 2**56 + 37)
         (CROSSING, 326, 10**6, 10**6 + 60, 1300),  # int64 groups, then Python-int ones
         (FALLING, 3, 1, 60, 60),
         (FALLING, 326, 1, 60, 60),
+        (CROSSING_2_50, 326, 10**6, 10**6 + 60, 1300),
+        (DIVING, 3, 1, 60, 60),
     ],
 )
 def test_base_streaks_equals_per_base_streak(f, g_base, k_lo, k_hi, n_cap):
@@ -516,19 +524,19 @@ def test_base_streaks_covers_skips_q2_failures_and_unfinished():
     assert 0 < len(unfinished) < 200
 
 
-def test_base_streaks_covers_both_element_types(monkeypatch):
-    # the record family and the crossing above exercise what they claim: the
-    # sweep's matrix (a 2-D pow) and the walk's batched passes (1-D: the
-    # Lucas tests, the strong tests of factor_many and the sweep's z), each
-    # in int64 exactly where its largest modulus is below 2^50
-    from qprim import arith, search
+def element_types(monkeypatch, bound):
+    """kinds, with arith.Lanes patched by a spy on pow: kinds() checks that
+    every pow since its last call ran in int64 exactly where the largest
+    modulus is below bound, and returns the int64 flags of the 2-D calls
+    (the sweep's matrix) and of the 1-D ones (the walk's batched passes: the
+    Lucas tests, the strong tests of factor_many and the sweep's z)."""
+    from qprim import arith
 
     calls = []
 
     class Spy(Lanes):
         def pow(self, x, E):
-            if not self.balanced:  # the sieve's root tables run on float64 here
-                calls.append((x.ndim, self.P.dtype != object, int(self.P.max()) < _QUOTIENT_PRIME_BOUND))
+            calls.append((x.ndim, self.P.dtype != object, int(self.P.max()) < bound))
             return super().pow(x, E)
 
     def kinds():
@@ -539,17 +547,36 @@ def test_base_streaks_covers_both_element_types(monkeypatch):
         return exact, walked
 
     monkeypatch.setattr(arith, "Lanes", Spy)
-    assert any(p for *_, p in search.base_streaks(RECORD_G24, 3, 1, 25, 1000))
+    return kinds
+
+
+def test_base_streaks_covers_both_element_types(monkeypatch):
+    # the record family and the crossing above exercise what they claim: the
+    # sweep's matrix and the walk's batched passes, each in int64 exactly
+    # where its largest modulus is below 2^50
+    kinds = element_types(monkeypatch, _QUOTIENT_PRIME_BOUND)
+    assert any(p for *_, p in base_streaks(RECORD_G24, 3, 1, 25, 1000))
     exact, walked = kinds()
     assert exact and not any(exact) and False in walked
-    failing = [p for *_, p in search.base_streaks(CROSSING, 326, 10**6, 10**6 + 60, 1300) if p]
+    failing = [p for *_, p in base_streaks(CROSSING, 326, 10**6, 10**6 + 60, 1300) if p]
     exact, walked = kinds()
     assert True in exact and False in exact
     assert True in walked and False in walked
     assert min(failing) < _QUOTIENT_PRIME_BOUND <= max(failing)
-    assert list(search.base_streaks(FALLING, 3, 1, 60, 60))
+    assert list(base_streaks(FALLING, 3, 1, 60, 60))
     exact, walked = kinds()
     assert exact and not any(exact) and False in walked
+
+
+def test_base_streaks_element_types_at_a_literal_2_50(monkeypatch):
+    # the same split, read against 2^50 written out on CROSSING's literal
+    # twin: a bound moved in the code cannot move this test with it
+    kinds = element_types(monkeypatch, 2**50)
+    failing = [p for *_, p in base_streaks(CROSSING_2_50, 326, 10**6, 10**6 + 60, 1300) if p]
+    exact, walked = kinds()
+    assert True in exact and False in exact
+    assert True in walked and False in walked
+    assert min(failing) < 1125899906842624 <= max(failing)
 
 
 # 326 (X + shift)^2 + 3, whose values pass DETERMINISTIC_PRIMALITY_LIMIT
@@ -579,12 +606,9 @@ def test_sweep_reads_the_walk_no_further_than_its_last_live_k():
 
 
 def in_lanes(lanes, X):
-    """The integers X, reduced mod p, in lanes' representation: a row of X
-    has a column per lane, or one column that meets every lane."""
-    R = np.array(X, object) % lanes.P
-    if lanes.balanced:
-        R = np.where(R > lanes.P // 2, R - lanes.P, R)
-    return R.astype(np.float64 if lanes.balanced else lanes.P.dtype)
+    """The integers X mod p, as Lanes takes them: a row of X has a column
+    per lane, or one column that meets every lane."""
+    return (np.array(X, object) % lanes.P).astype(lanes.P.dtype)
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")  # int64 products wrap in arrays, unwarned
@@ -608,12 +632,12 @@ def test_lanes_are_exact_at_their_bounds(ps):
     rng = random.Random(len(ps))
     cols = [(p, x) for p in ps[::-1] for x in [p - 1, p - 2, 0, 1] + [rng.randrange(p) for _ in range(40)]]
     lanes = Lanes(np.array([p for p, _ in cols], object))
-    assert lanes.P.dtype == (object if max(ps) > _QUOTIENT_PRIME_BOUND else np.int64)
-    assert lanes.balanced == (max(ps) < 2**26)
+    assert lanes.P.dtype == (object if max(ps) > 2**50 else np.int64)
+    assert lanes.minus_one.tolist() == [p - 1 for p, _ in cols]
     a = [[p - 1, p - 2, 1, 0][i] if i < 4 else rng.randrange(p) for i in range(30) for p, _ in cols]
     A = np.array(a, object).reshape(30, len(cols))
-    got = lanes.lower(lanes.mul(in_lanes(lanes, A), in_lanes(lanes, [[x for _, x in cols]])[0]))
-    assert got.tolist() == [[u * x % p for u, (p, x) in zip(row, cols)] for row in A.tolist()]
+    got = lanes.mul(in_lanes(lanes, A), in_lanes(lanes, [[x for _, x in cols]])[0])
+    assert got.dtype == lanes.P.dtype and got.tolist() == [[u * x % p for u, (p, x) in zip(row, cols)] for row in A.tolist()]
 
     top = [(p, 1 << (p.bit_length() - 1)) for p in ps]
     exps = [(p, e) for p, t in top for e in (p - 1, p - 2, t, t | 1, t | rng.randrange(t))]
@@ -621,11 +645,11 @@ def test_lanes_are_exact_at_their_bounds(ps):
     bases = [0, 1, 2, 3, 25_000, max(ps) - 1, *(rng.randrange(1, 1 << 20) for _ in range(20))]
     lanes = Lanes(np.array([p for p, _ in exps], object))
     E = np.array([e for _, e in exps], lanes.P.dtype)
-    got = lanes.lower(lanes.pow(in_lanes(lanes, [[b] for b in bases]), E))
+    got = lanes.pow(in_lanes(lanes, [[b] for b in bases]), E)
     assert got.tolist() == [[pow(b, e, p) for p, e in exps] for b in bases]
 
     # chains of powers from the extremes of the residues, p - 1 and p - 2,
-    # where int64 lanes multiply lazily in (-p, p): exponents of 49 bits
+    # where the products run lazily in (-p, p): exponents of 49 bits
     # with the top bit set, each power the base of the next
     lanes = Lanes(np.array(ps * 2, object))
     want = [p - 1 for p in ps] + [p - 2 for p in ps]
@@ -634,4 +658,4 @@ def test_lanes_are_exact_at_their_bounds(ps):
         E = [1 << 48 | rng.getrandbits(48) for _ in want]
         x = lanes.pow(x, np.array(E, lanes.P.dtype))
         want = [pow(w, e, p) for w, e, p in zip(want, E, ps * 2)]
-        assert lanes.lower(x).tolist() == want
+        assert x.tolist() == want
