@@ -3,12 +3,12 @@
 Everything here is deterministic and exact in its supported range.  Primality
 uses fixed Miller-Rabin witness tiers proven complete below 3.317e24; the
 walks pre-filter by the base-2 test alone and prove primes by Lucas
-(lucas_certifies, or _lucas_batch on a whole group of candidates in one
-Lanes pass).  Factorization runs in batches (factor_many): the primes up to
-2000 come from one gcd with their cached primorial (up to 1e5 while the
-cofactor is still beyond the primality range), a round's cofactors to test
-take one strong-test pass on Lanes once there are _STRONG_BATCH of them,
-and Brent's cycle-finding rho splits the composite cofactors left together,
+(_lucas_batch, on a whole group of candidates in one Lanes pass).
+Factorization runs in batches (factor_many): the primes up to 2000 come from
+one gcd with their cached primorial (up to 1e5 while the cofactor is still
+beyond the primality range), a round's cofactors to test take one
+strong-test pass on Lanes once there are _STRONG_BATCH of them, and Brent's
+cycle-finding rho splits the composite cofactors left together,
 in lockstep on products of several, under a fixed budget (_RHO_BUDGET) that
 fails loudly, not hangs.
 
@@ -18,7 +18,8 @@ slices of it and, past it, sieves numpy segments by the table's primes.
 primes_up_to, iter_primes, factor's trial primes and the Euler products of
 densities all read from prime_chunks.  Lanes, the one numpy modular kernel,
 does exact arithmetic mod such a chunk, one lane per prime, on residues in
-[0, p) that its callers pass and get back; how it computes them is its own.
+[0, p) that its callers pass and get back, for every odd p; how it computes
+them is its own.
 The Legendre symbols of densities, the value sieve's root tables
 (poly.roots_table), the k-sweep's matrix (streaks.base_streaks) and the
 batched strong and Lucas tests all run on it.
@@ -498,18 +499,17 @@ def sqrt_mod(a: int, p: int) -> int | None:
     return min(r, p - r)
 
 
-_INT64_PRIME_BOUND = 2**31  # lift's and sqrt's bound: each limb of residues() is at least 31 bits
 _FLOAT_PRIME_BOUND = 2**26  # keeps a product of lazy residues below 2^52
 _QUOTIENT_PRIME_BOUND = 2**50  # keeps 3 p / 2^53, the float quotient's error, below 3/8
 
 
 def residues(a: int, P: np.ndarray) -> np.ndarray:
-    """|a| mod each entry of the int64 array P, exact for any Python int a:
-    Horner's rule over the limbs of |a|, each 62 - bits(max p) bits wide,
-    keeps every intermediate below 2^62."""
+    """|a| mod each entry p < 2^61 of the int64 array P, exact for any Python
+    int a: Horner's rule over the limbs of |a|, each 62 - bits(max p) bits
+    wide, keeps every intermediate below 2^62."""
     top = int(P.max()) if len(P) else 0
-    if top >= _INT64_PRIME_BOUND:
-        raise ValueError(f"moduli must stay below 2^31 for int64 arithmetic, got {top}")
+    if top >= 2**61:  # a limb would have no bits
+        raise ValueError(f"int64 moduli must stay below 2^61, got {top}")
     bits = 62 - top.bit_length()
     m = abs(a)
     limbs = []
@@ -526,18 +526,19 @@ class Lanes:
     """Exact arithmetic mod each odd p of an array P (prime for sqrt; the
     strong test of factor_many runs on composite ones), in any order, one
     lane per p; residues broadcast against P, a column of them against a row
-    of lanes.  lift, pow, mul and sqrt take and return residues in [0, p):
-    int64 below 2^50, Python ints from there.  The largest p picks how they
-    are computed.  Below 2^50 a product is lazy, x y - q p for |x|, |y| < p
-    with q = rint(fl(fl(x y) fl(1/p))): three roundings of relative error
-    2^-53 on a quotient below p put q within 1/2 + 3p/2^53 < 7/8 of x y / p,
-    so the lazy residue x y - q p lies in (-p, p), fit to multiply again.
+    of lanes.  lift, pow, mul and sqrt take every such P, and take and
+    return residues in [0, p): int64 below 2^50, Python ints from there.
+    The largest p picks how they are computed.  Below 2^50 a product is
+    lazy, x y - q p for |x|, |y| < p with q = rint(fl(fl(x y) fl(1/p))):
+    three roundings of relative error 2^-53 on a quotient below p put q
+    within 1/2 + 3p/2^53 < 7/8 of x y / p, so the lazy residue x y - q p
+    lies in (-p, p), fit to multiply again.
     Below 2^26 it is computed in float64, where x y < 2^52, q p and their
     difference are exact integers; up to 2^50 in int64, where x y and q p
     wrap but their difference, below p, does not.  pow and mul normalize
     once, at the end: a float64 residue is cast to int64, then
-    r + (p & (r >> 63)) adds p where r < 0.  From 2^50, Python ints.  lift
-    and sqrt take p below 2^31."""
+    r + (p & (r >> 63)) adds p where r < 0.  From 2^50, Python ints: %
+    reduces, and pow takes the powers."""
 
     def __init__(self, P: np.ndarray):
         self._set(P, int(P.max()) if len(P) else 0)
@@ -558,7 +559,10 @@ class Lanes:
         return lanes
 
     def lift(self, a: int) -> np.ndarray:
-        """a mod each p; a negative a is negated after |a| is reduced."""
+        """a mod each p: Python's % on Python ints; on int64, a negative a is
+        negated after |a| is reduced."""
+        if self._top >= _QUOTIENT_PRIME_BOUND:
+            return a % self.P
         r = residues(a, self.P)
         return np.subtract(self.P, r, out=r, where=r > 0) if a < 0 else r
 
@@ -568,8 +572,6 @@ class Lanes:
 
     def pow(self, x: np.ndarray, E: np.ndarray) -> np.ndarray:
         """x^E lane by lane for exponents E >= 0 (int64 below 2^50)."""
-        if self._top >= _QUOTIENT_PRIME_BOUND:
-            return np.frompyfunc(pow, 3, 1)(x, E, self.P)
         return self._normal(self._pow(self._in(x), E))
 
     def _in(self, x: np.ndarray) -> np.ndarray:
@@ -611,7 +613,9 @@ class Lanes:
 
     def _pow(self, x: np.ndarray, E: np.ndarray) -> np.ndarray:
         """The lazy x^E lane by lane, over two-bit windows of E with x^0..x^3
-        from a table (a lane with E < 4 reads x itself)."""
+        from a table (a lane with E < 4 reads x itself); Python ints by pow."""
+        if self._top >= _QUOTIENT_PRIME_BOUND:
+            return np.frompyfunc(pow, 3, 1)(x, E, self.P)
         x2 = self._mul(x, x)
         powers = np.stack((np.ones_like(x), x, x2, self._mul(x2, x)), axis=-1).ravel()
         rows = np.arange(0, powers.size, 4).reshape(x.shape)
@@ -633,7 +637,7 @@ class Lanes:
         the lane's p, found by reciprocity, only where x is a square and
         T != 1 (so p = 1 mod 4).  Every product stays lazy until R returns."""
         P = self.P
-        S = np.frexp((P - 1) & (1 - P))[1] - 1  # the exponent of 2 in p - 1
+        S = np.frexp(((P - 1) & (1 - P)).astype(np.float64))[1] - 1  # 2^S, the power of 2 in p - 1, is exact
         x = self._in(x)
         y = self._pow(x, (P - 1) >> S + 1)
         R = self._mul(y, x)
@@ -656,7 +660,7 @@ class Lanes:
                         break
                     residue = np.zeros(z, bool)
                     residue[np.arange(z) ** 2 % z] = True
-                    Z[(Z == 0) & ~residue[lanes.P % z]] = z  # (z/p) = (p/z), by reciprocity
+                    Z[(Z == 0) & ~residue[(lanes.P % z).astype(int)]] = z  # (z/p) = (p/z), by reciprocity
                 c = lanes._pow(Z.astype(T.dtype), lanes.P - 1 >> M)  # z < sqrt(p) + 1 < p
             b, e = c, M - i - 1
             for j in range(int(e.max(initial=0))):
@@ -699,33 +703,20 @@ def residual_index(g: int, p: int, pm1: Factorization | None = None) -> int:
 
 
 def is_primitive_root(g: int, p: int) -> bool:
-    """True iff g generates the multiplicative group mod the prime p.
-
-    For odd prime p this is exactly lucas_certifies: g^((p-1)/q) != 1 for
-    every prime q | p-1, with -1 at q = 2. For p = 2 every odd g qualifies.
-    """
-    _require_unit(g, p)
-    return p == 2 or lucas_certifies(g, p, factor(p - 1))
-
-
-def lucas_certifies(g: int, p: int, pm1: Factorization) -> bool:
-    """True when g proves p prime by the converse of Fermat's theorem in
-    D. H. Lehmer's form (1927): with pm1 the factorization of p - 1,
-    g^((p-1)/2) = -1 and g^((p-1)/q) != 1 (mod p) for every odd prime q | p-1.
-    g is then a primitive root mod p.  False proves nothing about p."""
-    if p < 3 or p % 2 == 0:
-        return False
-    r = g % p
-    if pow(r, p >> 1, p) != p - 1:  # -1, not merely != 1: that gives g^(p-1) = 1
-        return False
-    return all(pow(r, (p - 1) // q, p) != 1 for q in pm1.prime_factors()[1:])
+    """True iff g generates the multiplicative group mod the prime p (for
+    p = 2, every odd g)."""
+    return residual_index(g, p) == 1
 
 
 def _lucas_batch(g: int, ps: list[int], pm1s: list) -> list[bool]:
-    """lucas_certifies(g, p, pm1) for each p of ps with its pm1 from pm1s
-    (False where pm1 is an exception), in one Lanes.pow over the pairs
-    (p, (p-1)/q), q | p - 1: the first pair of each p, q = 2, must give -1,
-    and the others anything but 1."""
+    """For each p of ps with its pm1 from pm1s, True when g proves p prime by
+    the converse of Fermat's theorem in D. H. Lehmer's form (1927): with pm1
+    the factorization of p - 1, g^((p-1)/2) = -1 and g^((p-1)/q) != 1 (mod p)
+    for every odd prime q | p-1; g is then a primitive root mod p.  False
+    proves nothing about p, and is given where p is even or pm1 an
+    exception.  One Lanes.pow runs over the pairs (p, (p-1)/q), q | p - 1:
+    the first pair of each p, q = 2, must give -1, and the others anything
+    but 1."""
     out, at, starts, P, E = [False] * len(ps), [], [], [], []
     for i, (p, pm1) in enumerate(zip(ps, pm1s)):
         if not isinstance(pm1, Exception) and p > 2 and p % 2:
@@ -735,7 +726,7 @@ def _lucas_batch(g: int, ps: list[int], pm1s: list) -> list[bool]:
             E += [(p - 1) // q for q in pm1.prime_factors()]
     if P:
         lanes = Lanes(np.array(P, object))
-        V = lanes.pow(np.array([g % p for p in P], lanes.P.dtype), np.array(E, lanes.P.dtype))
+        V = lanes.pow(lanes.lift(g), np.array(E, lanes.P.dtype))
         passed = V != 1
         passed[starts] = V[starts] == lanes.minus_one[starts]  # -1, not merely != 1: that gives g^(p-1) = 1
         for i, certified in zip(at, np.logical_and.reduceat(passed, starts).tolist()):

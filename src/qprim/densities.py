@@ -15,11 +15,11 @@ truncation could never reach 1e-9 at s = 1 for |D| ~ 1e5.
 
 The character layer is numpy over chunks: odd primes from
 arith.prime_chunks, the package's one sieve, and residues in _CHUNK
-entries.  `_legendre` applies Euler's criterion on arith.Lanes, exact in
-float64 below 2^26 and int64 below 2^31 (no cutoff may reach it), where a
-factor reads it; `_kronecker_chunk` evaluates chi_D from the components
-of D, prime discriminants, as charsums.FundamentalDiscriminant splits it
-(its odd primes and its 2-part); `_euler_product` folds each chunk's factors in.
+entries.  `_legendre` applies Euler's criterion on arith.Lanes, exact at
+every odd prime, where a factor reads it; `_kronecker_chunk` evaluates chi_D
+from the components of D, prime discriminants, as
+charsums.FundamentalDiscriminant splits it (its odd primes and its 2-part);
+`_euler_product` folds each chunk's factors in.
 Each factor is computed by the same IEEE operations as the scalar formula
 and multiplied in with math.prod in the same order, and the L-value sums
 are exact (math.fsum), so every value is bit-identical to a plain loop over
@@ -38,7 +38,7 @@ from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
-from .arith import _INT64_PRIME_BOUND, Lanes, euler_phi, factor, is_prime, kronecker, prime_chunks, residues
+from .arith import Lanes, euler_phi, factor, is_prime, kronecker, prime_chunks, residues
 from .charsums import TWO_PART_CHARACTERS, FundamentalDiscriminant, _require_odd_prime
 from .poly import PolyZ, is_perfect_square, roots_mod
 
@@ -138,8 +138,7 @@ _CHUNK = 8192
 
 def _legendre(a: int, P: np.ndarray) -> np.ndarray:
     """(a/p) for each odd prime p of the ascending int64 array P, as int8:
-    Euler's criterion a^((p-1)/2) mod p by arith.Lanes, whose lift takes
-    p below 2^31."""
+    Euler's criterion a^((p-1)/2) mod p by arith.Lanes."""
     lanes = Lanes(P)
     r = lanes.pow(lanes.lift(a), P >> 1)
     return (r == 1).astype(np.int8) - (r == lanes.minus_one).astype(np.int8)
@@ -314,7 +313,7 @@ def _root_counts(poly: PolyZ, P: np.ndarray, t: int, scalar: np.ndarray) -> np.n
 
 
 def _require_cutoff(cutoff: int) -> None:
-    if not 2 <= cutoff < _INT64_PRIME_BOUND:
+    if not 2 <= cutoff < 2**31:  # this module's own input gate, not a bound of Lanes
         raise ValueError(f"cutoff must be at least 2 and below 2^31, got {cutoff}")
 
 

@@ -8,11 +8,11 @@ which of the two classes spells f.  Every question "for which s is f(s) = t
 q, else a scan of values_mod, the one numpy enumeration of f(0..m-1) mod m,
 which also backs the residue counts and the mod-8 profile.  roots_table
 answers it for a whole chunk of primes at once, the value sieve's roots: for
-degree 1 and 2 one pass over arith.Lanes, whose residues in [0, q) it reads
-as they are, equal to roots_mod prime by prime, which it calls at q = 2 and
-where q divides the leading coefficient.  `densities` counts roots over
-chunks of primes by the same Lanes kernel; both are property-tested against
-roots_mod.
+degree 1 and 2 one pass over arith.Lanes at any odd q, whose residues in
+[0, q) it reads as they are, equal to roots_mod prime by prime, which it
+calls at q = 2, where q divides the leading coefficient and for degree 3 and
+up.  `densities` counts roots over chunks of primes by the same Lanes
+kernel; both are property-tested against roots_mod.
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .arith import _INT64_PRIME_BOUND, Lanes, residues, sqrt_mod
+from .arith import Lanes, sqrt_mod
 
 
 @dataclass(frozen=True, eq=False)
@@ -159,24 +159,23 @@ def roots_mod(f: PolyZ, q: int, t: int = 0) -> tuple[int, ...]:
 def roots_table(f: PolyZ, P: np.ndarray, t: int = 0) -> tuple[np.ndarray, np.ndarray]:
     """(Q, R), int64: roots_mod(f, q, t) for each prime q of the ascending
     int64 array P, concatenated, each root r beside its q in Q.  For degree 1
-    and 2, the odd q below 2^31 that do not divide the leading coefficient
-    are one pass over arith.Lanes: -c/b, or (-b +- s)/(2a) with s a square
-    root of the discriminant; roots_mod takes the other q."""
+    and 2, the odd q that do not divide the leading coefficient are one pass
+    over arith.Lanes: -c/b, or (-b +- s)/(2a) with s a square root of the
+    discriminant; roots_mod takes the other q."""
     c, b, a = (f.coeffs + (0, 0))[:3]
     c -= t
-    fast = np.zeros(len(P), bool)
-    if f.degree() in (1, 2) and len(P) and P[-1] < _INT64_PRIME_BOUND:
-        fast = (P != 2) & (residues(f.leading(), P) != 0)
-    lanes = Lanes(P[fast])
+    lanes = Lanes(P)
+    fast = (P != 2) & (lanes.lift(f.leading()) != 0) & (f.degree() in (1, 2))
+    lanes = lanes.take(fast)
     Pf = lanes.P
     if f.degree() == 1:
-        r1 = r2 = lanes.lift(-c) * lanes.pow(lanes.lift(b), Pf - 2) % Pf
+        r1 = r2 = lanes.mul(lanes.lift(-c), lanes.pow(lanes.lift(b), Pf - 2))
         count = np.ones(len(Pf), np.int64)
     else:  # degree 2, or no lane at all
         disc = lanes.lift(b * b - 4 * a * c)
         s, square = lanes.sqrt(disc)  # s = 0 where q | disc
         inv, nb = lanes.pow(lanes.lift(2 * a), Pf - 2), lanes.lift(-b)
-        r1, r2 = (nb + s) % Pf * inv % Pf, (nb - s) % Pf * inv % Pf
+        r1, r2 = lanes.mul((nb + s) % Pf, inv), lanes.mul((nb - s) % Pf, inv)
         count = np.where(square, 2, disc == 0)  # q | disc: one double root
     slow = [roots_mod(f, q, t) for q in P[~fast].tolist()]
     counts = np.zeros(len(P), np.int64)

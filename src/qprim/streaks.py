@@ -398,7 +398,7 @@ def base_streaks(
             break
         P, E = zip(*pairs)
         lanes = arith.Lanes(np.array(P, object))
-        G, E = np.array([g_base % p for p in P], lanes.P.dtype), np.array(E, lanes.P.dtype)
+        G, E = lanes.lift(g_base), np.array(E, lanes.P.dtype)
         Z = np.where(E > 0, lanes.pow(G, (lanes.P - 1 - E) >> 1), 0)  # e(q-1)/2 = (p-1-e)/2; e = 0: fails no k
         V = np.empty((len(ks), len(pairs)), lanes.P.dtype)
         V[: ends[0]] = lanes.pow(np.array(ks[: ends[0]], lanes.P.dtype)[:, None] % lanes.P, E)

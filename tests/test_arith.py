@@ -389,17 +389,16 @@ def test_factor_many_batch_splits_base2_pseudoprime_cofactors(monkeypatch):
 def test_lucas_certifies_proves_primes_and_no_base_of_3511_squared():
     # 3511^2 = 12327121 is a strong pseudoprime to base 2 (3511 is a
     # Wieferich prime).  Testing the q = 2 power only for != 1 would let
-    # 390 of these bases "prove" it prime, the first being g = 3.
+    # 390 of these bases "prove" it prime, the first being g = 3.  On primes
+    # _lucas_batch certifies exactly the primitive roots; never p = 2.
+    sympy = pytest.importorskip("sympy")
     n = 3511**2
     assert arith.is_strong_probable_prime(n) and not is_prime(n)
-    pm1 = factor(n - 1)
-    assert [g for g in range(2, 400) if arith.lucas_certifies(g, n, pm1)] == []
-    for p in (5, 7, 1838843753, 18465947):
-        pm1 = factor(p - 1)
-        bases = [g for g in range(-60, 60) if g % p]
-        roots = [g for g in bases if is_primitive_root(g, p)]
-        assert [g for g in bases if arith.lucas_certifies(g, p, pm1)] == roots
-    assert not arith.lucas_certifies(3, 2, factor(1))
+    ps = [n, 2, 5, 7, 1838843753, 18465947]
+    pm1s = arith.factor_many([p - 1 for p in ps])
+    for g in range(-60, 400):
+        want = [p > 2 and g % p != 0 and sympy.n_order(g % p, p) == p - 1 for p in ps[1:]]
+        assert arith._lucas_batch(g, ps, pm1s) == [False] + want, g
 
 
 def test_factor_divisors():

@@ -613,11 +613,19 @@ def test_kronecker_chunk_matches_kronecker():
 
 
 def test_legendre_matches_kronecker_and_guards_int64():
-    P = np.array(odd_primes(5000), dtype=np.int64)
-    for a in (-163, 0, 1, -1, 2**150 + 12345, -(3**90), 4 * 10**40 + 7):
-        assert _legendre(a, P).tolist() == [kronecker(a, int(q)) for q in P], a
-    with pytest.raises(ValueError, match="2\\^31"):
-        _legendre(3, np.array([2**31 + 11], dtype=np.int64))
+    # the odd primes to 5000, then literal primes on either side of 2^31
+    # (2^31 + 11 among them), 2^32 and 2^50, and just below 2^63: int64
+    # lanes to 2^50, Python ints from there
+    chunks = [
+        odd_primes(5000),
+        [2147483587, 2147483647, 2147483659, 2147483713],
+        [4076863489, 4294967291, 4294967311],
+        [1072023837081601, 1125899906842597, 1125899906842679],
+        [7097673012735901697, 9223372036854775549, 9223372036854775783],
+    ]
+    for P in chunks:
+        for a in (-163, 0, 1, -1, 2**150 + 12345, -(3**90), 4 * 10**40 + 7, P[-1], -P[-1] - 2, P[0] * P[-1] + 5):
+            assert_legendre_is_kronecker(a, P)
 
 
 def assert_legendre_is_kronecker(a, P):

@@ -103,6 +103,7 @@ MUTANTS = [
         "passed[starts] = V[starts] == lanes.minus_one[starts]",
         "passed[starts] = V[starts] != 1",
         [
+            "tests/test_arith.py::test_lucas_certifies_proves_primes_and_no_base_of_3511_squared",
             "tests/test_streaks.py::test_lucas_group_holding_3511_squared_agrees_batched_and_scalar",
             "tests/test_streaks.py::test_walks_skip_a_base2_pseudoprime_with_no_small_factor",
             *walk_cases("f28--26-5-61-200", "f29-56-383-385-125"),
@@ -144,13 +145,35 @@ MUTANTS = [
         "_FLOAT_PRIME_BOUND = 2**28",
         ["tests/test_search.py::test_lanes_are_exact_at_their_bounds[below2^28]"],
     ),
-    (  # the int64 lanes' bound raised from 2^31 to 2^32: roots_table's int64 products overflow
-        "arith.py",
-        "_INT64_PRIME_BOUND = 2**31",
-        "_INT64_PRIME_BOUND = 2**32",
+    (  # roots_table's root products taken raw in int64, not by Lanes.mul: past 2^31.5 they overflow
+        "poly.py",
+        "r1, r2 = lanes.mul((nb + s) % Pf, inv), lanes.mul((nb - s) % Pf, inv)",
+        "r1, r2 = (nb + s) % Pf * inv % Pf, (nb - s) % Pf * inv % Pf",
         [
             "tests/test_poly.py::test_roots_table_near_2_32_equals_roots_mod",
-            "tests/test_densities.py::test_legendre_matches_kronecker_and_guards_int64",
+            "tests/test_poly.py::test_roots_table_at_literal_primes_equals_roots_mod[2^32]",
+        ],
+    ),
+    (  # sqrt reading 2^S, the power of 2 in p - 1, without its float64 cast: frexp refuses Python-int lanes
+        "arith.py",
+        "np.frexp(((P - 1) & (1 - P)).astype(np.float64))",
+        "np.frexp((P - 1) & (1 - P))",
+        [
+            "tests/test_poly.py::test_roots_table_at_literal_primes_equals_roots_mod[2^50]",
+            "tests/test_poly.py::test_roots_table_at_literal_primes_equals_roots_mod[2^63]",
+            "tests/test_search.py::test_lanes_are_exact_at_their_bounds[above2^50]",
+        ],
+    ),
+    (  # Lanes' powers on Python-int lanes by the int64 windows, not pow: Python-int exponents cannot index the table
+        "arith.py",
+        "        if self._top >= _QUOTIENT_PRIME_BOUND:\n            return np.frompyfunc(pow, 3, 1)(x, E, self.P)\n",
+        "",
+        [
+            "tests/test_poly.py::test_roots_table_at_literal_primes_equals_roots_mod[2^50]",
+            "tests/test_poly.py::test_roots_table_at_literal_primes_equals_roots_mod[2^63]",
+            "tests/test_search.py::test_lanes_are_exact_at_their_bounds[above2^50]",
+            "tests/test_search.py::test_base_streaks_element_types_at_a_literal_2_50",
+            "tests/test_arith.py::test_strong_batch_matches_sympy_isprime",
         ],
     ),
     (  # Lanes' way of computing picked by the last p, not the largest: a falling group runs in int64 past 2^50,
@@ -179,15 +202,6 @@ MUTANTS = [
         "i < n and k % p == 0",
         "i < n",
         walk_cases("f5--18-2-69-121", "f7-12-1751-1753-216", "f10-45-366-368-23", "f13-12-2-46-37"),
-    ),
-    (  # Lucas's q = 2 test taking g^((p-1)/2) = 1 for -1, in lucas_certifies (the walks use _lucas_batch)
-        "arith.py",
-        "if pow(r, p >> 1, p) != p - 1:",
-        "if pow(r, p >> 1, p) == 1:",
-        [
-            "tests/test_arith.py::test_lucas_certifies_proves_primes_and_no_base_of_3511_squared",
-            "tests/test_streaks.py::test_lucas_group_holding_3511_squared_agrees_batched_and_scalar",
-        ],
     ),
     (  # the walk yielding a candidate that neither Lucas nor is_prime proved
         "streaks.py",
@@ -219,8 +233,8 @@ MUTANTS = [
     ),
     (  # the root table's quadratic formula at a q dividing the leading coefficient
         "poly.py",
-        "fast = (P != 2) & (residues(f.leading(), P) != 0)",
-        "fast = P != 2",
+        "fast = (P != 2) & (lanes.lift(f.leading()) != 0) & (f.degree() in (1, 2))",
+        "fast = (P != 2) & (f.degree() in (1, 2))",
         [
             "tests/test_poly.py::test_roots_table_equals_roots_mod_prime_by_prime",
             "tests/test_streaks.py::test_pr_stats_lehmer",
@@ -441,6 +455,32 @@ MUTANTS = [
             "tests/test_imports.py::test_unnamed_public_guard_sees_each_form",
             "tests/test_imports.py::test_every_public_definition_is_named_read_or_exported",
         ],
+    ),
+    (  # the BLAS guard blind to @: a matrix product would run serial, unseen
+        "test_imports.py",
+        "        if isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ast.MatMult):\n"
+        '            found.append(f"line {node.lineno}: @")\n'
+        "        elif isinstance(node, ast.Attribute)",
+        "        if isinstance(node, ast.Attribute)",
+        ["tests/test_imports.py::test_blas_guard_sees_each_form"],
+    ),
+    (  # the class-route guard reading isinstance alone: issubclass(type(f), QuadraticPoly) passes
+        "test_imports.py",
+        '("isinstance", "issubclass")',
+        '("isinstance",)',
+        ["tests/test_imports.py::test_class_route_guard_sees_each_form"],
+    ),
+    (  # the lazy-import guard blind to relative imports: from .arith import ... in a function passes
+        "test_imports.py",
+        '(child.level or (child.module or "").startswith("qprim"))',
+        '(child.module or "").startswith("qprim")',
+        ["tests/test_imports.py::test_lazy_import_guard_sees_each_form"],
+    ),
+    (  # the unread-import guard not reading __all__: a name imported only to re-export reads as unread
+        "test_imports.py",
+        "read.update(element.value for element in node.value.elts)",
+        "pass",
+        ["tests/test_imports.py::test_unread_import_guard_sees_each_form"],
     ),
     (  # pr_density reading only the primes where f = 1 has a root: X^3 - X + 3's fixed divisor 3 hides
         "densities.py",

@@ -172,8 +172,9 @@ def assert_table_is_roots_mod(f, P, t):
 
 
 def test_roots_table_near_2_32_equals_roots_mod():
-    # literal primes just below 2^32, not read from arith's int64 bound:
-    # int64 lanes there would overflow their products
+    # literal primes just below 2^32, where residues run in int64: a root's
+    # product (-b +- s) / (2a) taken raw as int64 overflows past 2^31.5, so
+    # it is Lanes.mul's
     rng = random.Random(31)
     P = [4294967231, 4294967279, 4294967291]
     for _ in range(40):
@@ -181,6 +182,31 @@ def test_roots_table_near_2_32_equals_roots_mod():
         for t in (0, 1):
             assert_table_is_roots_mod(f, P, t)
     assert_table_is_roots_mod(PolyZ((3, 7)), P, 0)
+
+
+# literal primes on either side of 2^31, 2^32 and 2^50, and just below 2^63,
+# each chunk ascending, with a prime p of a high power of 2 in p - 1 (the
+# deepest Tonelli-Shanks rounds) below the others
+LITERAL_PRIMES = {
+    "2^31": [2147483587, 2147483629, 2147483647, 2147483659, 2147483693, 2147483713],
+    "2^32": [4076863489, 4294967231, 4294967279, 4294967291, 4294967311, 4294967357, 4294967371],  # 2^24 | 4076863488
+    "2^50": [1072023837081601, 1125899906842573, 1125899906842589, 1125899906842597, 1125899906842679,
+             1125899906842723, 1125899906842769],  # 2^40 | 1072023837081600
+    "2^63": [7097673012735901697, 9223372036854775549, 9223372036854775643, 9223372036854775783],  # 2^55 | ...696
+}
+
+
+@pytest.mark.parametrize("P", LITERAL_PRIMES.values(), ids=LITERAL_PRIMES)
+def test_roots_table_at_literal_primes_equals_roots_mod(P):
+    # int64 lanes to 2^50, Python ints from there; degree 1 and 2, a double
+    # root where q | disc, a q dividing the leading coefficient, t = 0 and 1
+    rng = random.Random(P[0])
+    polys = [QuadraticPoly(1, 1, 41), QuadraticPoly(326, 0, 3), QuadraticPoly(1, -10, 25), PolyZ((3, 7))]
+    polys += [PolyZ((-P[0], 0, 1)), PolyZ((5, 3, P[1])), PolyZ((rng.getrandbits(80), -rng.getrandbits(80)))]
+    polys += [PolyZ((rng.getrandbits(80), -rng.getrandbits(80), rng.getrandbits(40) + 1)) for _ in range(12)]
+    for f in polys:
+        for t in (0, 1):
+            assert_table_is_roots_mod(f, P, t)
 
 
 def test_roots_table_equals_roots_mod_prime_by_prime():

@@ -659,3 +659,13 @@ def test_lanes_are_exact_at_their_bounds(ps):
         x = lanes.pow(x, np.array(E, lanes.P.dtype))
         want = [pow(w, e, p) for w, e, p in zip(want, E, ps * 2)]
         assert x.tolist() == want
+
+    # lift of integers of any size and sign, then square roots on the lanes
+    # of cols: the nonzero squares are marked, and there R^2 = x
+    lanes = Lanes(np.array([p for p, _ in cols], object))
+    for a in (0, 1, -1, max(ps), -max(ps) - 1, 2**200 + 7, -(3**150), rng.getrandbits(100)):
+        assert lanes.lift(a).tolist() == [a % p for p, _ in cols]
+    R, square = lanes.sqrt(np.array([x for _, x in cols], lanes.P.dtype))
+    assert square.tolist() == [x != 0 and pow(x, p >> 1, p) == 1 for p, x in cols]
+    roots = [(r * r % p, x) for r, (p, x), sq in zip(R.tolist(), cols, square) if sq]
+    assert roots and all(r2 == x for r2, x in roots)

@@ -550,9 +550,11 @@ def test_walks_skip_a_base2_pseudoprime_with_no_small_factor():
 
 def test_lucas_group_holding_3511_squared_agrees_batched_and_scalar(monkeypatch):
     # f(1) = 3511^2 sits in the walk's first group of 64 candidates: the
-    # group's one Lanes pass certifies it for no base, as lucas_certifies
-    # does prime by prime, and the walk's rows are the same whether
-    # factor_many tests its cofactors in one pass (threshold 1) or one by one
+    # group's one Lanes pass certifies it for no base and, of the primes,
+    # those the base generates (sympy.n_order), and the walk's rows are the
+    # same whether factor_many tests its cofactors in one pass (threshold 1)
+    # or one by one
+    sympy = pytest.importorskip("sympy")
     from qprim import arith
     from qprim.streaks import _residual_indices
 
@@ -563,7 +565,7 @@ def test_lucas_group_holding_3511_squared_agrees_batched_and_scalar(monkeypatch)
     pm1s = arith.factor_many([p - 1 for p in ps])
     for g in (3, 5, 6, 7, 10, 11, -3, 326):
         certified = arith._lucas_batch(g, ps, pm1s)
-        assert certified == [arith.lucas_certifies(g, p, pm1) for p, pm1 in zip(ps, pm1s)]
+        assert certified == [sympy.isprime(p) and g % p != 0 and sympy.n_order(g % p, p) == p - 1 for p in ps]
         assert not certified[ps.index(3511**2)] and any(certified)
     rows = {}
     for threshold in (1, 10**9):
