@@ -30,6 +30,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cache
+from itertools import chain
 from typing import Iterator
 
 import numpy as np
@@ -655,7 +656,8 @@ class Lanes:
                 square[todo[keep]] = True
                 lanes, todo, T, M, i, R_todo = lanes.take(keep), todo[keep], T[keep], M[keep], i[keep], R_todo[keep]
                 Z = np.where(lanes.P % 8 == 5, 2, 0)  # here p = 1 mod 4: (2/p) = -1 iff p = 5 mod 8
-                for z in iter_primes(3, math.isqrt(int(P.max())) + 1 if len(todo) else 0):
+                top = math.isqrt(int(P.max())) + 1 if len(todo) else 0  # z < sqrt(p) + 1: past 1e5 only if needed
+                for z in chain(iter_primes(3, min(top, _TRIAL_LIMIT)), iter_primes(_TRIAL_LIMIT + 1, top)):
                     if Z.all():
                         break
                     residue = np.zeros(z, bool)

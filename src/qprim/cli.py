@@ -63,13 +63,7 @@ from .densities import (
 )
 from .poly import QuadraticPoly, parse_poly
 from .search import SearchConfig, candidate_poly, sweep
-from .streaks import (
-    empirical_max_streak,
-    pr_stats,
-    prime_count,
-    streak,
-    verify_primitive_root_prefix,
-)
+from .streaks import empirical_max_streak, pr_stats, prime_count, streak
 
 LONG_RUN_NCAP = 1_000_000
 LONG_RUN_KMAX = 2_000
@@ -420,9 +414,10 @@ def _handle_verify(args) -> dict:
         raise ValueError(f"preset {preset.name!r} only counts primes; --n-cap applies to streak presets")
     checks: list[dict] = []
     if preset.g is not None:
-        if args.long_run or preset.default_prefix is None:
-            n_cap = preset.long_run_n_cap if args.n_cap is None else args.n_cap
-            res = streak(preset.poly, preset.g, n_cap)
+        n_cap = preset.long_run_n_cap if args.n_cap is None else args.n_cap
+        prefix = None if args.long_run else preset.default_prefix
+        res = streak(preset.poly, preset.g, n_cap, prefix=prefix)
+        if prefix is None:
             checks.append(
                 {
                     "check": "streak",
@@ -434,10 +429,10 @@ def _handle_verify(args) -> dict:
                     and res.failing_prime == preset.expected_failing_prime,
                 }
             )
+        elif res.failing_prime is None and res.count < prefix:  # before a failure, count skips p | g
+            raise RuntimeError(f"only {res.count} usable primes found up to n_cap={n_cap}")
         else:
-            prefix = preset.default_prefix
-            cap = {} if args.n_cap is None else {"n_cap": args.n_cap}  # else the walk's own cap
-            ok = verify_primitive_root_prefix(preset.poly, preset.g, prefix, **cap)
+            ok = res.count >= prefix
             checks.append({"check": "prefix", "prefix": prefix, "expected_count": preset.expected_count, "ok": ok})
     for x, expected in preset.pi_checks:
         count = prime_count(preset.poly, x)

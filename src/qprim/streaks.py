@@ -15,8 +15,9 @@ decides them, and _blocks yields each block's rows lazily: the block is the
 walk's unit.  prime_count sieves to the full limit and counts with the same
 rule, but counts the survivors past _direct_upto unevaluated in a block
 whose last value is at most depth^2.  The stream keeps only its roots table
-between walks; streak, verify_primitive_root_prefix and pr_stats read the
-residual index of g at each prime from one walk.
+between walks; streak (which stops early at a prefix of primes, for the
+prefix check of verify) and pr_stats read the residual index of g at each
+prime from one walk.
 
 That walk, _residual_indices, is the only reader of the stream's base-2
 candidates: it takes the larger survivors on the base-2 strong test alone,
@@ -61,10 +62,10 @@ class StreakResult:
     """Outcome of walking the prime values of f in order of n, testing g.
 
     count is the number of distinct primes in the successful prefix.  When
-    the scan exhausts n_cap without a failure, the failure fields are None
-    and count is only a lower bound.  primes_seen counts every distinct prime
-    value examined (successes, divisors of g that were skipped, and the
-    failing prime, if any).
+    the scan exhausts n_cap, or stops at streak's prefix, without a failure,
+    the failure fields are None and count is only a lower bound.  primes_seen
+    counts every distinct prime value examined (successes, divisors of g
+    that were skipped, and the failing prime, if any).
     """
 
     poly: PolyZ
@@ -235,41 +236,30 @@ def _residual_indices(
 
 
 def streak(
-    f: PolyZ, g: int, n_cap: int, stream: PrimeValueStream | None = None
+    f: PolyZ, g: int, n_cap: int, stream: PrimeValueStream | None = None, *, prefix: int | None = None
 ) -> StreakResult:
     """Walk the distinct primes f(n), n = 0..n_cap in order, skipping primes
     dividing g, and count how many consecutive ones have g as a primitive
-    root before the first failure.  A stream passed in lends its sieve roots;
-    it must be f's own (ValueError otherwise)."""
+    root before the first failure.  Given a prefix (>= 1, else ValueError),
+    the walk stops right after the prefix-th such prime, with count equal to
+    prefix and no failure: a lower bound, as at n_cap.  A stream passed in
+    lends its sieve roots; it must be f's own (ValueError otherwise)."""
+    walk = _residual_indices(f, g, n_cap, stream)
+    if prefix is not None and prefix < 1:
+        raise ValueError("prefix must be >= 1")
     count = primes_seen = 0
     failure, n_scanned = (None, None, None), n_cap + 1
-    for n, p, _, index in _residual_indices(f, g, n_cap, stream):
+    for n, p, _, index in walk:
         primes_seen += 1
         if index == 1:
             count += 1
+            if count == prefix:
+                n_scanned = n + 1
+                break
         elif index is not None:
             failure, n_scanned = (n, p, index), n + 1
             break
     return StreakResult(f, g, count, *failure, n_scanned, primes_seen)
-
-
-def verify_primitive_root_prefix(f: PolyZ, g: int, prefix: int, n_cap: int = 10_000_000) -> bool:
-    """True iff the first `prefix` distinct primes f(n) (those not dividing g)
-    all have g as a primitive root.  Stops as soon as the answer is known;
-    raises RuntimeError if fewer than `prefix` primes exist up to n_cap."""
-    walk = _residual_indices(f, g, n_cap)
-    if prefix < 1:
-        raise ValueError("prefix must be >= 1")
-    checked = 0
-    for *_, index in walk:
-        if index is None:
-            continue
-        if index > 1:
-            return False
-        checked += 1
-        if checked >= prefix:
-            return True
-    raise RuntimeError(f"only {checked} usable primes found up to n_cap={n_cap}")
 
 
 def prime_count(f: PolyZ, x: int) -> int:

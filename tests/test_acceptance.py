@@ -49,7 +49,6 @@ from qprim.streaks import (
     empirical_max_streak,
     prime_count,
     streak,
-    verify_primitive_root_prefix,
 )
 
 LEHMER = QuadraticPoly(326, 0, 3)
@@ -234,8 +233,8 @@ def test_criterion_08_empirical_max_350():
 
 def test_criterion_09_record_prefixes():
     start = time.perf_counter()
-    ok1 = verify_primitive_root_prefix(EXAMPLE1, 170363492, 500, 100_000)
-    ok2 = verify_primitive_root_prefix(EXAMPLE3_F2, 17431902, 200, 100_000)
+    ok1 = streak(EXAMPLE1, 170363492, 100_000, prefix=500).count == 500
+    ok2 = streak(EXAMPLE3_F2, 17431902, 100_000, prefix=200).count == 200
     elapsed = time.perf_counter() - start
     _report(9, ok1 and ok2, f"example1 first 500 ok={ok1}, f2 first 200 ok={ok2}, "
                             f"t={elapsed:.1f}s (full records are long-run only)")

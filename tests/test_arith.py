@@ -6,11 +6,14 @@ from itertools import islice
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qprim import arith
 from qprim.arith import (
     DETERMINISTIC_PRIMALITY_LIMIT,
     FactorizationError,
+    Lanes,
     euler_phi,
     factor,
     is_prime,
@@ -578,3 +581,56 @@ def test_factor_many_proves_no_factor_below_the_square_of_its_trial_bound(monkey
     assert len(tested) == 20 + 12 + 20 + 4
     assert min(tested) >= 2000**2
     assert all(n >= 10**10 for n in tested if any(v % n == 0 for v in values[-4:]))
+
+
+# literal primes either side of Lanes' ways of computing (float64 below 2^26,
+# int64 below 2^50, Python ints from there), of 2^31 and of 2^61, and below
+# 2^63: first the nearest primes, then the nearest with p = 1 mod 8, where
+# sqrt searches for an odd non-residue
+LANES_PRIMES = [
+    *(67108859, 67108879, 2147483647, 2147483659, 1125899906842597, 1125899906842679),
+    *(2305843009213693951, 2305843009213693967, 9223372036854775783),
+    *(67108777, 67108913, 2147483497, 2147483713, 1125899906842553, 1125899906842769),
+    *(2305843009213693921, 2305843009213694009, 9223372036854775433),
+]
+
+
+@st.composite
+def lanes_cases(draw):
+    """Lanes of 1 to 4 of LANES_PRIMES (the largest anywhere), two residues
+    per lane, from the edges 0, 1, p - 1, p - 2 or anywhere in [0, p), an
+    exponent per lane below 2^63, and an integer to lift of up to 200 bits."""
+    ps = draw(st.lists(st.sampled_from(LANES_PRIMES), min_size=1, max_size=4))
+
+    def residues():
+        return [draw(st.sampled_from([0, 1, p - 1, p - 2]) | st.integers(0, p - 1)) for p in ps]
+
+    es = [draw(st.integers(0, 2**63 - 1)) for _ in ps]
+    return ps, residues(), residues(), es, draw(st.integers(-(2**63), 2**63) | st.integers(-(2**200), 2**200))
+
+
+@settings(derandomize=True, deadline=None, max_examples=200, database=None)
+@given(lanes_cases())
+def test_lanes_match_python_ints(case):
+    ps, xs, ys, es, a = case
+    lanes = Lanes(np.array(ps, object))
+    X, Y = np.array(xs, lanes.P.dtype), np.array(ys, lanes.P.dtype)
+    assert lanes.lift(a).tolist() == [a % p for p in ps]
+    assert lanes.mul(X, Y).tolist() == [x * y % p for x, y, p in zip(xs, ys, ps)]
+    assert lanes.pow(X, np.array(es, lanes.P.dtype)).tolist() == [pow(x, e, p) for x, e, p in zip(xs, es, ps)]
+    R, square = lanes.sqrt(X)
+    euler = [x != 0 and pow(x, (p - 1) // 2, p) == 1 for x, p in zip(xs, ps)]  # Euler's criterion
+    assert square.tolist() == euler
+    assert all(r * r % p == x for r, x, p, sq in zip(R.tolist(), xs, ps, euler) if sq)
+
+
+def test_lanes_sqrt_finds_its_non_residues_in_the_least_prime_table(monkeypatch):
+    # two lanes near 2^63 with p = 1 mod 8, whose least non-residues are 3
+    # and 5: the search reads the 1e5 table, not the primes up to sqrt(p)
+    monkeypatch.setattr(arith, "_prime_cache", np.zeros(0, np.int64))
+    monkeypatch.setattr(arith, "_prime_cache_limit", 0)
+    ps = [9223372036854775433, 9223372036854775417]
+    xs = [pow(12345, 2, ps[0]), pow(2**40 + 7, 2, ps[1])]
+    R, square = Lanes(np.array(ps, object)).sqrt(np.array(xs, object))
+    assert arith._prime_cache_limit <= 10**5
+    assert square.all() and [r * r % p for r, p in zip(R.tolist(), ps)] == xs

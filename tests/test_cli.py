@@ -565,6 +565,15 @@ def test_verify_streak_failure_exits_1_and_echoes_its_options(capsys, n_cap, cou
     assert doc["inputs"]["n_cap"] == n_cap
 
 
+def test_verify_prefix_short_of_its_primes_exits_1(capsys):
+    # example1's walk to n = 10 ends with no failure and fewer than its 500
+    # primes: neither a pass nor a failure, so an error
+    code, out, err = run_cli(capsys, "verify", "--preset", "example1", "--n-cap", "10")
+    assert code == 1
+    assert out == ""
+    assert "usable primes" in err and "n_cap=10" in err
+
+
 @pytest.mark.parametrize("preset", ["euler41", "beeger27941"])
 def test_verify_n_cap_on_a_count_preset_exits_1(capsys, preset):
     for n_cap in ("5", "0"):

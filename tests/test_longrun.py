@@ -5,12 +5,13 @@ Enable with QPRIM_LONG_RUN=1, e.g.
     QPRIM_LONG_RUN=1 pytest tests/test_longrun.py -v -s
 """
 
+import json
 import os
 import random
 
 import pytest
 
-from qprim.cli import preset_registry
+from qprim.cli import _D_A, _D_B, main, preset_registry
 from qprim.poly import QuadraticPoly
 from qprim.streaks import _residual_indices, empirical_max_streak, pr_stats, streak
 
@@ -64,3 +65,28 @@ def test_record_streak_primes_against_sympy(preset_name):
     for p in random.Random(2004).sample(proven, 200):
         assert sympy.isprime(p), p
         assert sympy.n_order(preset.g % p, p) == p - 1, p
+
+
+@pytest.mark.parametrize(
+    "preset_name, family, g_base, k, k_hi",
+    [
+        ("example1", (_D_A, 252017, 2, -1, 8393), 252017, 26, 40),
+        ("example2", (_D_A, 230849, 6, -1, 728069), 230849, 17, 20),
+        ("example2-g24", (_D_A, 230849, 6, -1, 56943), 6, 2, 4),
+        ("example3", (_D_B, 54151, 4, 1, 0), 54151, 662, 700),
+        ("example3-f1", (_D_B, 54151, 4, 1, 599206), 202, 19, 30),
+        ("example3-f2", (_D_B, 54151, 0, 1, 1484224), 6702, 51, 60),
+    ],
+)
+def test_search_rediscovers_each_record(capsys, preset_name, family, g_base, k, k_hi):
+    # each record's g is k^2 g_base: a k-sweep of its family from k = 1, at
+    # the preset's own n_cap, finds it as the certified best
+    preset = preset_registry()[preset_name]
+    flags = [f"--{name}={value}" for name, value in zip(("d", "d1", "alpha", "sign", "shift"), family)]
+    argv = ["search", *flags, "--g-base", str(g_base), "--k-hi", str(k_hi), "--n-cap", str(preset.long_run_n_cap)]
+    assert main([*argv, "--format", "json"]) == 0
+    best = json.loads(capsys.readouterr().out)["outputs"]
+    assert best["poly"] == str(preset.poly)
+    assert (best["best_k"], best["best_g"]) == (k, k * k * g_base) and best["best_g"] == preset.g
+    assert (best["best_c"], best["failing_prime"]) == (preset.expected_count, preset.expected_failing_prime)
+    assert best["certified"] is True

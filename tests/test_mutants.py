@@ -186,8 +186,27 @@ MUTANTS = [
             "tests/test_search.py::test_lanes_are_exact_at_their_bounds[above2^50]",
             "tests/test_search.py::test_base_streaks_equals_per_base_streak[f9-326-1-60-60]",
             "tests/test_search.py::test_base_streaks_equals_per_base_streak[f11-3-1-60-60]",
+            "tests/test_search.py::test_base_streaks_equals_per_base_streak[f12-3-1099511627776-1099511627836-60]",
             "tests/test_search.py::test_base_streaks_covers_both_element_types",
         ],
+    ),
+    (  # streak stops one prime past its prefix: the walk reads, and tests, further than the prefix check needs
+        "streaks.py",
+        "if count == prefix:",
+        "if count > prefix:",
+        [
+            "tests/test_streaks.py::test_verify_prefix",
+            "tests/test_streaks.py::test_walk_that_stops_inside_a_group_tests_no_further",
+            "tests/test_streaks.py::test_tiny_rho_budget_raises_only_where_the_walk_reaches_that_prime",
+        ],
+    ),
+    (  # verify's prefix check without its too-few-primes raise: a walk cut short by n_cap reads as a failure
+        "cli.py",
+        """        elif res.failing_prime is None and res.count < prefix:  # before a failure, count skips p | g
+            raise RuntimeError(f"only {res.count} usable primes found up to n_cap={n_cap}")
+""",
+        "",
+        ["tests/test_cli.py::test_verify_prefix_short_of_its_primes_exits_1"],
     ),
     (  # z = g_base^e in place of g_base^(e(q-1)/2)
         "streaks.py",

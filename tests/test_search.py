@@ -427,10 +427,14 @@ DIVING = QuadraticPoly(2**18, -(2**25), 2**30 + 7)
         (LEHMER, 326, 1, 200, 30),  # most streaks unfinished at n_cap
         (RECORD_G24, 3, 1, 25, 1000),  # Python-int groups alone
         (CROSSING, 326, 10**6, 10**6 + 60, 1300),  # int64 groups, then Python-int ones
+        # every k fails at f(10), where the index of 3 is even: only k^(p-1) = 1
+        # is tested, and for k <= 60 int64 gets it right even past 2^50
         (FALLING, 3, 1, 60, 60),
         (FALLING, 326, 1, 60, 60),
         (CROSSING_2_50, 326, 10**6, 10**6 + 60, 1300),
         (DIVING, 3, 1, 60, 60),
+        # k near 2^40 at that prime: the powers of k are large, and int64 past 2^50 gets them wrong
+        (FALLING, 3, 2**40, 2**40 + 60, 60),
     ],
 )
 def test_base_streaks_equals_per_base_streak(f, g_base, k_lo, k_hi, n_cap):

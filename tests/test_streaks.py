@@ -14,7 +14,6 @@ from qprim.streaks import (
     pr_stats,
     prime_count,
     streak,
-    verify_primitive_root_prefix,
 )
 
 L = QuadraticPoly(326, 0, 3)
@@ -175,11 +174,19 @@ def test_empirical_max_streak_cap_guard():
 
 
 def test_verify_prefix():
-    assert verify_primitive_root_prefix(L, 326, 206, 4000)
-    assert not verify_primitive_root_prefix(L, 326, 207, 4000)
-    with pytest.raises(RuntimeError):
-        # no failure below n = 1000, but nowhere near 10000 primes either
-        verify_primitive_root_prefix(L, 326, 10_000, 1000)
+    # the walk stops right after the 206th prime with 326 as a primitive
+    # root, at that prime's n: one n less counts 205 of them
+    res = streak(L, 326, 4000, prefix=206)
+    assert (res.count, res.n_at_failure, res.failing_prime, res.residual_index_at_failure) == (206, None, None, None)
+    assert streak(L, 326, res.n_scanned - 1) == streak(L, 326, 4000, prefix=206)
+    assert streak(L, 326, res.n_scanned - 2).count == 205
+    # the failure comes before a 207th: it ends the walk as it ends the streak
+    assert streak(L, 326, 4000, prefix=207) == streak(L, 326, 4000)
+    # no failure below n = 1000, but nowhere near 10000 primes either: a lower bound
+    res = streak(L, 326, 1000, prefix=10_000)
+    assert res.count < 10_000 and res.failing_prime is None and res.n_scanned == 1001
+    with pytest.raises(ValueError, match="prefix must be >= 1"):
+        streak(L, 326, 1000, prefix=0)
 
 
 def test_verify_prefix_skips_a_prime_dividing_g():
@@ -194,8 +201,8 @@ def test_verify_prefix_skips_a_prime_dividing_g():
     assert L.eval(0) == 3 and g % 3 == 0
     for prefix in range(1, 8):
         want = all(sympy.n_order(g, p) == p - 1 for p in primes[:prefix])
-        assert verify_primitive_root_prefix(L, g, prefix, 200) == want, prefix
-    assert verify_primitive_root_prefix(L, g, 4, 200) and not verify_primitive_root_prefix(L, g, 5, 200)
+        assert (streak(L, g, 200, prefix=prefix).count == prefix) == want, prefix
+    assert streak(L, g, 200, prefix=4).count == 4 and streak(L, g, 200, prefix=5).count < 5
 
 
 def test_walks_refuse_another_polynomials_stream():
@@ -498,7 +505,8 @@ def test_walk_that_stops_inside_a_group_tests_no_further(monkeypatch):
     strong = arith.is_strong_probable_prime
     monkeypatch.setattr(arith, "is_strong_probable_prime", lambda v: tested.append(v) or strong(v))
     preset = preset_registry()["example2"]
-    assert verify_primitive_root_prefix(preset.poly, preset.g, 20)
+    res = streak(preset.poly, preset.g, preset.long_run_n_cap, prefix=20)
+    assert (res.count, res.failing_prime) == (20, None)
     assert len(tested) == 165
 
 
@@ -589,9 +597,9 @@ def test_tiny_rho_budget_raises_only_where_the_walk_reaches_that_prime(monkeypat
     monkeypatch.setattr(arith, "_RHO_BUDGET", 1)
     first = next(j for j, p in enumerate(primes) if needs_rho(p))
     assert 0 < first < 64  # inside the walk's first group of candidates
-    assert verify_primitive_root_prefix(L, 326, first)
+    assert streak(L, 326, 4000, prefix=first).count == first
     with pytest.raises(arith.FactorizationError):
-        verify_primitive_root_prefix(L, 326, first + 1)
+        streak(L, 326, 4000, prefix=first + 1)
 
 
 def test_prime_count_matches_brute_at_block_edges():
