@@ -77,9 +77,7 @@ _prime_cache_limit = 0
 
 def _sieve(limit: int) -> np.ndarray:
     """All primes <= limit, ascending, int64 (an odd-only sieve: entry i
-    stands for 2i + 1, and entry 0, for 1, becomes 2)."""
-    if limit < 2:
-        return np.zeros(0, dtype=np.int64)
+    stands for 2i + 1, and entry 0, for 1, becomes 2).  limit >= 2."""
     odd = np.ones((limit + 1) // 2, dtype=bool)
     for i in range(1, (math.isqrt(limit) + 1) // 2):
         if odd[i]:

@@ -4,8 +4,11 @@ Covers the truncated products that predict streak behaviour (the quality
 density and its simplified form; Lehmer's corrected and uncorrected
 products are those two at 326X^2 + 3), the classical constants
 (totient-ratio mean, Hardy-Littlewood constants, Bateman-Horn products of
-degree at most 2, where irreducibility is checked), Dirichlet L-values at
-s = 1, 2, and the expected-maximum model of s geometric streaks.
+degree at most 2), Dirichlet L-values at s = 1, 2, and the expected-maximum
+model of s geometric streaks.  Every product of a polynomial first asks
+poly.inadmissible, the one rule for a polynomial that can represent
+infinitely many primes, and raises ValueError with its reason, so no
+product runs for a polynomial whose density means nothing.
 
 L-values are evaluated through character-weighted Hurwitz-zeta sums: digamma
 for s = 1 (the pole cancels against a non-principal character) and trigamma
@@ -40,7 +43,7 @@ import numpy as np
 
 from .arith import Lanes, euler_phi, factor, is_prime, kronecker, prime_chunks, residues
 from .charsums import TWO_PART_CHARACTERS, FundamentalDiscriminant, _require_odd_prime
-from .poly import PolyZ, is_perfect_square, roots_mod
+from .poly import PolyZ, inadmissible, roots_mod
 
 _EXTENSION = 1_000_000  # accelerated pr_density's last prime for degree <= 2
 _LEHMER_DISC = -163  # Lehmer's products run over the primes split here
@@ -296,7 +299,7 @@ def residue_counts_mod_prime(f: PolyZ, q: int) -> tuple[int, int]:
 
 def _scalar_primes(poly: PolyZ, P: np.ndarray) -> np.ndarray:
     """Mask of the primes of the chunk P that divide the leading coefficient
-    (all for degree > 2): only there can f have q roots, a fixed divisor."""
+    (all for degree > 2): there the count is not 1 + (disc/q)."""
     return (residues(poly.leading(), P) == 0) | (poly.degree() > 2)
 
 
@@ -317,19 +320,6 @@ def _require_cutoff(cutoff: int) -> None:
         raise ValueError(f"cutoff must be at least 2 and below 2^31, got {cutoff}")
 
 
-def _require_irreducible_if_quadratic(poly: PolyZ) -> None:
-    if poly.degree() == 2:
-        c, b, a = poly.coeffs
-        if is_perfect_square(b * b - 4 * a * c):
-            raise ValueError("reducible quadratic: discriminant is a perfect square")
-
-
-def _require_no_fixed_divisor(P: np.ndarray, n_roots: np.ndarray) -> None:
-    fixed = P[n_roots == P]
-    if len(fixed):
-        raise ValueError(f"degenerate polynomial: every value is divisible by {fixed[0]}")
-
-
 def pr_density(f: PolyZ, cutoff: int = 10_000, accelerate: bool = True) -> DensityReport:
     """Truncated product over odd primes q of
     (1 - #{f=1 mod q} / (q * (q - #{f=0 mod q}))): the heuristic density with
@@ -340,30 +330,22 @@ def pr_density(f: PolyZ, cutoff: int = 10_000, accelerate: bool = True) -> Densi
     2/(L ln L) at the prime bound L, is an estimate, not a proven bound: the
     generic factor is 1 - (1 + chi)/q^2 in the mean.
 
-    Raises ValueError for a quadratic with a square discriminant (reducible:
-    its values are products), when every value is even, and when some odd
-    prime divides every value (the product collapses to 0): such an f
-    represents at most finitely many primes.
+    Raises ValueError, before any product runs, for an f that
+    poly.inadmissible refuses: such an f represents at most finitely many
+    primes.  Above degree 2 irreducibility is not checked.
     """
     _require_cutoff(cutoff)
-    deg = f.degree()
-    if deg < 1:
-        raise ValueError("density needs a non-constant polynomial")
-    _require_irreducible_if_quadratic(f)
-    if f.eval(0) % 2 == 0 and f.eval(1) % 2 == 0:
-        raise ValueError("degenerate polynomial: every value is even")
-    limit = cutoff
-    if accelerate:
-        limit = max(cutoff, _EXTENSION if deg <= 2 else 20_000)
+    if why := inadmissible(f):
+        raise ValueError(why)
+    limit = max(cutoff, _EXTENSION if f.degree() <= 2 else 20_000) if accelerate else cutoff
 
     def local(P: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        # a factor with n_ones = 0 is exactly 1.0; fixed divisors hide at scalar primes
+        # a factor with n_ones = 0 is exactly 1.0; no q divides every value, so q - n_roots > 0
         scalar = _scalar_primes(f, P)
         n_ones = _root_counts(f, P, 1, scalar)
-        read = (n_ones != 0) | scalar
+        read = n_ones != 0
         Q = P[read]
         n_roots = _root_counts(f, Q, 0, scalar[read])
-        _require_no_fixed_divisor(Q, n_roots)
         return P, 1.0 - _ratio(n_ones[read], Q * (Q - n_roots))
 
     value, last = _euler_product(limit, local)
@@ -385,7 +367,8 @@ def pr_density_simple(A: int, B: int, cutoff: int = 1_000_000) -> DensityReport:
     _require_cutoff(cutoff)
     if A <= 0:
         raise ValueError("leading coefficient must be positive")
-    _require_irreducible_if_quadratic(PolyZ((B, 0, A)))
+    if why := inadmissible(PolyZ((B, 0, A))):
+        raise ValueError(why)
     value = 1.0
     for q, _ in factor(math.gcd(A, B - 1)).factors:
         if q > 2:
@@ -445,30 +428,21 @@ def bateman_horn_constant(f: PolyZ, cutoff: int = 100_000) -> DensityReport:
     """prod_{p <= cutoff} (1 - N_p(f)/p) / (1 - 1/p), the density constant of
     the prime-counting heuristic for f of degree 1 or 2.
 
-    Quadratic irreducibility is checked via the discriminant; above degree 2
-    it could not be, so such f raise ValueError.  tail_bound is an estimate,
-    not a proven bound: the random-sign model 3 * value / sqrt(cutoff ln
-    cutoff), the generic factor being 1 - chi(p)/(p-1) with a conditionally
-    convergent sum.
+    Raises ValueError, before any product runs, for an f that
+    poly.inadmissible refuses, and above degree 2, where irreducibility is
+    not checked.  tail_bound is an estimate, not a proven bound: the
+    random-sign model 3 * value / sqrt(cutoff ln cutoff), the generic factor
+    being 1 - chi(p)/(p-1) with a conditionally convergent sum.
     """
-    deg = f.degree()
-    if deg > 2:
+    if f.degree() > 2:
         raise ValueError("density --bateman-horn needs degree <= 2: irreducibility is not checked above")
     _require_cutoff(cutoff)
-    if deg < 1:
-        raise ValueError("constant polynomials are not supported")
-    _require_irreducible_if_quadratic(f)
-    content = math.gcd(*f.coeffs)
-    if content != 1:
-        raise ValueError("polynomial must have content 1")
-    n_two = len(roots_mod(f, 2))
-    if n_two == 2:
-        raise ValueError("degenerate polynomial: every value divisible by 2")
-    value = (1.0 - n_two / 2) / (1.0 - 1.0 / 2)
+    if why := inadmissible(f):
+        raise ValueError(why)
+    value = (1.0 - len(roots_mod(f, 2)) / 2) / (1.0 - 1.0 / 2)
 
     def local(P: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         n_roots = _root_counts(f, P, 0, _scalar_primes(f, P))
-        _require_no_fixed_divisor(P, n_roots)
         return P, (1.0 - n_roots / P) / (1.0 - 1.0 / P)
 
     value, last = _euler_product(cutoff, local, value)

@@ -107,22 +107,31 @@ def is_perfect_square(n: int) -> bool:
     return r * r == n
 
 
+def inadmissible(f: PolyZ) -> str | None:
+    """Why f represents at most finitely many primes, or None (Bunyakovsky's
+    conditions, the hypothesis of Bateman and Horn, Math. Comp. 16, 1962):
+    f is constant, a quadratic with a square discriminant, or a prime
+    divides every value.  Such a prime divides the content or is at most
+    deg f: mod a larger q not dividing the content, f has at most deg f < q
+    roots.  The scan reaches a composite q after its prime factors.  Above
+    degree 2 irreducibility is not decided."""
+    deg = f.degree()
+    if deg < 1:
+        return "constant polynomial"
+    if deg == 2 and is_perfect_square(f.coeffs[1] ** 2 - 4 * f.coeffs[2] * f.coeffs[0]):
+        return "reducible quadratic: discriminant is a perfect square"
+    if (content := math.gcd(*f.coeffs)) > 1:
+        return f"every value is divisible by {content}"
+    for q in range(2, deg + 1):
+        if not values_mod(f, q).any():
+            return f"every value is divisible by {q}"
+    return None
+
+
 def in_conjecture_f_family(f: PolyZ) -> bool:
     """Membership in the Hardy-Littlewood Conjecture-F family of quadratics:
-    a > 0, gcd(a,b,c) = 1, discriminant not a square, a+b and c not both even.
-    """
-    if f.degree() != 2:
-        return False
-    c, b, a = f.coeffs
-    if a <= 0:
-        return False
-    if math.gcd(math.gcd(a, b), c) != 1:
-        return False
-    if is_perfect_square(b * b - 4 * a * c):
-        return False
-    if (a + b) % 2 == 0 and c % 2 == 0:
-        return False
-    return True
+    degree 2, a > 0, and admissible (see inadmissible)."""
+    return f.degree() == 2 and f.leading() > 0 and inadmissible(f) is None
 
 
 def values_mod(f: PolyZ, m: int) -> np.ndarray:
@@ -218,6 +227,4 @@ def parse_poly(text: str) -> PolyZ:
         if a <= 0:
             raise ValueError("quadratic form a,b,c requires a > 0")
         return QuadraticPoly(a=a, b=b, c=c)
-    if not values:
-        raise ValueError("empty polynomial")
     return PolyZ(tuple(values))

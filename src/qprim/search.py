@@ -71,9 +71,9 @@ class SearchConfig:
             raise ValueError("sign must be +1 or -1")
         if self.r1 <= 0 or self.r2 <= 0 or not is_perfect_square(self.r1 * self.r2):
             raise ValueError("r1*r2 must be a positive perfect square")
-        if self.k_lo < 1 or self.k_hi < self.k_lo:
-            raise ValueError("need 1 <= k_lo <= k_hi")
-        _check_k_range(self.k_lo, self.k_hi)  # base_streaks' bound, before sweep opens its checkpoint
+        if self.k_hi < self.k_lo:
+            raise ValueError("need k_lo <= k_hi")
+        _check_k_range(self.k_lo, self.k_hi)  # base_streaks' bounds (k_lo >= 1 too), before sweep opens its checkpoint
         if self.n_cap < 0:
             raise ValueError("n_cap must be >= 0")
 

@@ -304,10 +304,18 @@ def test_missing_argument_combinations(capsys):
 
 
 def test_density_rejects_even_valued_and_reducible(capsys):
-    for poly, why in (("2,2,2", "even"), ("1,0,0", "reducible")):
+    even = "every value is divisible by 2"
+    for poly, why in (("2,2,2", even), ("1,0,0", "reducible"), ("2,0,4", even)):
         code, _, err = run_cli(capsys, "density", "--poly", poly)
         assert code == 1, poly
         assert why in err, poly
+
+
+@pytest.mark.parametrize("pair, divisor", [("2,4", 2), ("3,3", 3)])
+def test_density_simple_refuses_a_fixed_divisor(capsys, pair, divisor):
+    code, out, err = run_cli(capsys, "density", "--simple", pair)
+    assert (code, out) == (1, "")
+    assert f"every value is divisible by {divisor}" in err
 
 
 @pytest.mark.parametrize("cutoff", ["0", "1"])

@@ -732,7 +732,7 @@ def test_pr_density_bit_identical_to_scalar_loop():
 def test_split_products_bit_identical_to_scalar_loop():
     assert lehmer_naive_density().value == lehmer_scalar(-163)
     assert lehmer_corrected_density().value == lehmer_scalar(-163, twist=-978)
-    for A, B in ((10, 7), (326, 3), (2 * 3 * 7 * 999983, 22)):
+    for A, B in ((10, 7), (326, 3), (3 * 7 * 999983, 22)):  # 999983 | A, gcd(A, B - 1) = 21
         assert pr_density_simple(A, B).value == pr_density_simple_scalar(A, B), (A, B)
 
 
@@ -743,9 +743,9 @@ def test_totient_ratio_constant_bit_identical_to_scalar_loop():
 
 
 def test_pr_density_rejects_even_and_reducible():
-    with pytest.raises(ValueError, match="even"):
+    with pytest.raises(ValueError, match="every value is divisible by 2"):
         pr_density(QuadraticPoly(2, 2, 2))
-    with pytest.raises(ValueError, match="even"):
+    with pytest.raises(ValueError, match="every value is divisible by 2"):
         pr_density(QuadraticPoly(1, 1, 2))  # X^2 + X + 2: irreducible, always even
     with pytest.raises(ValueError, match="reducible"):
         pr_density(QuadraticPoly(1, 0, 0))
@@ -772,6 +772,20 @@ def test_fixed_divisor_without_content_raises():
     assert math.gcd(*f.coeffs) == 1 and all(f.eval(n) % 3 == 0 for n in range(30))
     with pytest.raises(ValueError, match="divisible by 3"):
         pr_density(f)
+
+
+@pytest.mark.parametrize("kwargs", [{}, {"accelerate": False, "cutoff": 10_000}], ids=["accelerated", "direct"])
+def test_pr_density_refuses_a_fixed_divisor_past_its_primes(kwargs):
+    # 1000003 divides every value and lies past the last prime either product reads
+    with pytest.raises(ValueError, match="every value is divisible by 1000003"):
+        pr_density(QuadraticPoly(1000003, 1000003, 41 * 1000003), **kwargs)
+
+
+def test_bateman_horn_refuses_a_constant_and_an_even_valued_f():
+    with pytest.raises(ValueError, match="constant polynomial"):
+        bateman_horn_constant(PolyZ((7,)))
+    with pytest.raises(ValueError, match="every value is divisible by 2"):
+        bateman_horn_constant(QuadraticPoly(1, 1, 2))  # X^2 + X + 2: content 1, always even
 
 
 def test_recurrence_on_mixed_steps_matches_scalar():

@@ -501,11 +501,45 @@ MUTANTS = [
         "pass",
         ["tests/test_imports.py::test_unread_import_guard_sees_each_form"],
     ),
-    (  # pr_density reading only the primes where f = 1 has a root: X^3 - X + 3's fixed divisor 3 hides
-        "densities.py",
-        "read = (n_ones != 0) | scalar",
-        "read = n_ones != 0",
-        ["tests/test_densities.py::test_fixed_divisor_without_content_raises"],
+    (  # the admissibility rule without its content test: 1000003 (X^2 + X + 41) gets a density
+        "poly.py",
+        "if (content := math.gcd(*f.coeffs)) > 1:",
+        "if False:",
+        [
+            "tests/test_cli.py::test_density_simple_refuses_a_fixed_divisor[3,3-3]",
+            "tests/test_densities.py::test_pr_density_degenerate",
+            "tests/test_densities.py::test_pr_density_refuses_a_fixed_divisor_past_its_primes[accelerated]",
+            "tests/test_densities.py::test_pr_density_refuses_a_fixed_divisor_past_its_primes[direct]",
+            "tests/test_poly.py::test_family_equals_its_five_conditions_on_seeded_quadratics",
+            "tests/test_poly.py::test_inadmissible_names_each_reason",
+        ],
+    ),
+    (  # the admissibility rule without its scan of q <= deg f: X^3 - X + 3's fixed divisor 3 hides
+        "poly.py",
+        "for q in range(2, deg + 1):",
+        "for q in ():",
+        [
+            "tests/test_densities.py::test_pr_density_rejects_even_and_reducible",
+            "tests/test_densities.py::test_fixed_divisor_without_content_raises",
+            "tests/test_densities.py::test_bateman_horn_refuses_a_constant_and_an_even_valued_f",
+            "tests/test_poly.py::test_family_membership",
+            "tests/test_poly.py::test_family_equals_its_five_conditions_on_seeded_quadratics",
+            "tests/test_poly.py::test_inadmissible_names_each_reason",
+        ],
+    ),
+    (  # the admissibility rule without its square-discriminant test: X^2 and (X - 2)(X + 2) get densities
+        "poly.py",
+        "if deg == 2 and is_perfect_square",
+        "if False and is_perfect_square",
+        [
+            "tests/test_cli.py::test_density_rejects_even_valued_and_reducible",
+            "tests/test_densities.py::test_bateman_horn",
+            "tests/test_densities.py::test_pr_density_rejects_even_and_reducible",
+            "tests/test_densities.py::test_pr_density_simple_refuses_reducible",
+            "tests/test_poly.py::test_family_membership",
+            "tests/test_poly.py::test_family_equals_its_five_conditions_on_seeded_quadratics",
+            "tests/test_poly.py::test_inadmissible_names_each_reason",
+        ],
     ),
 ]
 

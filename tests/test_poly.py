@@ -16,6 +16,7 @@ from qprim.poly import (
     PolyZ,
     QuadraticPoly,
     in_conjecture_f_family,
+    inadmissible,
     mod8_profile,
     parse_poly,
     roots_mod,
@@ -70,6 +71,36 @@ def test_family_membership():
     assert not in_conjecture_f_family(QuadraticPoly(1, 2, 1))  # square disc
     assert in_conjecture_f_family(QuadraticPoly(1, 1, 41))
     assert not in_conjecture_f_family(PolyZ((1, 1, 1, 1)))  # not quadratic
+    assert not in_conjecture_f_family(QuadraticPoly(1, 1, 2))  # content 1, every value even
+
+
+def test_family_equals_its_five_conditions_on_seeded_quadratics():
+    # a > 0, content 1, discriminant not a square, a + b and c not both even
+    rng = random.Random(42)
+    for _ in range(20_000):
+        a, b, c = (rng.randint(-30, 30) for _ in range(3))
+        want = a > 0 and math.gcd(a, b, c) == 1 and not _is_square(b * b - 4 * a * c) and ((a + b) % 2 or c % 2)
+        assert in_conjecture_f_family(PolyZ((c, b, a))) == bool(want), (a, b, c)
+
+
+def _is_square(n):
+    return n >= 0 and math.isqrt(n) ** 2 == n
+
+
+def test_inadmissible_names_each_reason():
+    for f, why in (
+        (PolyZ((5,)), "constant polynomial"),
+        (PolyZ((0,)), "constant polynomial"),
+        (QuadraticPoly(3, 0, -12), "reducible quadratic"),  # 3(X - 2)(X + 2): square before content
+        (QuadraticPoly(1000003, 1000003, 41 * 1000003), "every value is divisible by 1000003"),
+        (PolyZ((4, 6)), "every value is divisible by 2"),  # linear: only the content can fix a divisor
+        (QuadraticPoly(1, 1, 2), "every value is divisible by 2"),
+        (PolyZ((3, -1, 0, 1)), "every value is divisible by 3"),  # X^3 - X + 3
+        (PolyZ((0, 2, 3, 1)), "every value is divisible by 2"),  # X(X + 1)(X + 2), 2 before 3
+    ):
+        assert why in inadmissible(f), f
+    for f in (QuadraticPoly(1, 1, 41), PolyZ((1, 2)), PolyZ((1, 1, 0, 0, 1)), QuadraticPoly(326, 0, 3)):
+        assert inadmissible(f) is None, f
 
 
 def test_count_roots_examples():
@@ -337,6 +368,8 @@ def test_parse_poly():
         parse_poly("0,0,0")  # a = 0 quadratic
     with pytest.raises(ValueError):
         parse_poly("1,x,3")
+    with pytest.raises(ValueError, match="polynomial coefficients must be integers: ''"):
+        parse_poly("")
 
 
 def _seeded_quadratics(seed, n):
