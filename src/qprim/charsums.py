@@ -22,6 +22,7 @@ from .arith import Factorization, _strip, factor, is_prime, kronecker, iter_prim
 from .poly import (
     PolyZ,
     in_conjecture_f_family,
+    inadmissible,
     is_perfect_square,
     mod8_profile,
     roots_mod,
@@ -183,9 +184,10 @@ def admissible_discriminants(f: PolyZ, bound: int) -> list[FundamentalDiscrimina
     of that product are scanned.  A divisor up to `bound` has no prime factor
     above `bound`, so only the bound-smooth part of 24*a*d is factored (by
     trial division, which stops once the product is used up): the rest of
-    it, however large, never needs a primality test."""
+    it, however large, never needs a primality test.  A quadratic that
+    poly.inadmissible refuses gets its reason; other degrees get none."""
     if not in_conjecture_f_family(f):
-        raise ValueError("polynomial is outside the quadratic search family")
+        raise ValueError(f.degree() == 2 and inadmissible(f) or "polynomial is outside the quadratic search family")
     if bound < 1:
         raise ValueError("bound must be >= 1")
     a, _, d = _quadratic(f)

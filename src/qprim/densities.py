@@ -5,10 +5,10 @@ density and its simplified form; Lehmer's corrected and uncorrected
 products are those two at 326X^2 + 3), the classical constants
 (totient-ratio mean, Hardy-Littlewood constants, Bateman-Horn products of
 degree at most 2), Dirichlet L-values at s = 1, 2, and the expected-maximum
-model of s geometric streaks.  Every product of a polynomial first asks
-poly.inadmissible, the one rule for a polynomial that can represent
-infinitely many primes, and raises ValueError with its reason, so no
-product runs for a polynomial whose density means nothing.
+model of s geometric streaks.  Every density of a polynomial first passes
+one gate: the cutoff, then poly.inadmissible (Bunyakovsky's conditions),
+then degree <= 2, where that rule decides irreducibility.  It raises
+ValueError with its reason, so no product runs for a meaningless density.
 
 L-values are evaluated through character-weighted Hurwitz-zeta sums: digamma
 for s = 1 (the pole cancels against a non-principal character) and trigamma
@@ -45,7 +45,7 @@ from .arith import Lanes, euler_phi, factor, is_prime, kronecker, prime_chunks, 
 from .charsums import TWO_PART_CHARACTERS, FundamentalDiscriminant, _require_odd_prime
 from .poly import PolyZ, inadmissible, roots_mod
 
-_EXTENSION = 1_000_000  # accelerated pr_density's last prime for degree <= 2
+_EXTENSION = 1_000_000  # accelerated pr_density's last prime
 _LEHMER_DISC = -163  # Lehmer's products run over the primes split here
 _LEHMER_CUTOFF = 1_000_000
 
@@ -193,20 +193,20 @@ def _euler_product(
     limit: int,
     local_factor: Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]],
     value: float = 1.0,
-) -> tuple[float, int | None]:
+) -> tuple[float, int]:
     """Fold the local factors of the odd primes <= limit into value.
 
     local_factor maps an ascending chunk of odd primes to (kept, factors):
     the primes the product covers and their float64 local factors, less any
     factor of exactly 1.0 (x * 1.0 = x).  math.prod multiplies each chunk in
     left to right, as the scalar loop `value *= factor` does, so the result
-    is bit-identical to it.  Returns the product and the largest kept prime
-    (None if none was kept).  Every caller passes its cutoff as limit, and
-    one below 2 is an error.
+    is bit-identical to it.  Returns the product and the largest kept prime,
+    2 if none was kept.  Every caller passes its cutoff as limit, and one
+    below 2 is an error.
     """
     if limit < 2:
         raise ValueError("cutoff must be at least 2")
-    last = None
+    last = 2
     for P in prime_chunks(3, limit):
         kept, factors = local_factor(P)
         if len(kept):
@@ -297,15 +297,10 @@ def residue_counts_mod_prime(f: PolyZ, q: int) -> tuple[int, int]:
     return len(roots_mod(f, q)), len(roots_mod(f, q, 1))
 
 
-def _scalar_primes(poly: PolyZ, P: np.ndarray) -> np.ndarray:
-    """Mask of the primes of the chunk P that divide the leading coefficient
-    (all for degree > 2): there the count is not 1 + (disc/q)."""
-    return (residues(poly.leading(), P) == 0) | (poly.degree() > 2)
-
-
 def _root_counts(poly: PolyZ, P: np.ndarray, t: int, scalar: np.ndarray) -> np.ndarray:
-    """#{s mod q : f(s) = t} for each odd prime q of the chunk P, as int64: 1,
-    or 1 + (disc(f - t)/q) for degree 2; poly.roots_mod where `scalar` is set."""
+    """#{s mod q : f(s) = t} for each odd prime q of the chunk P, as int64, for
+    f of degree 1 or 2: 1, or 1 + (disc(f - t)/q) for degree 2; poly.roots_mod
+    where `scalar` is set, at the q dividing the leading coefficient."""
     counts = np.ones(len(P), dtype=np.int64)
     if poly.degree() == 2:
         c, b, a = poly.coeffs
@@ -315,9 +310,15 @@ def _root_counts(poly: PolyZ, P: np.ndarray, t: int, scalar: np.ndarray) -> np.n
     return counts
 
 
-def _require_cutoff(cutoff: int) -> None:
+def _require_admissible(f: PolyZ, cutoff: int, flag: str) -> None:
+    """The one gate of a density of f: the cutoff, inadmissible's reason, then
+    degree <= 2, in this order; flag names the caller's `density` option."""
     if not 2 <= cutoff < 2**31:  # this module's own input gate, not a bound of Lanes
         raise ValueError(f"cutoff must be at least 2 and below 2^31, got {cutoff}")
+    if why := inadmissible(f):
+        raise ValueError(why)
+    if f.degree() > 2:
+        raise ValueError(f"density {flag} needs degree <= 2: irreducibility is not checked above")
 
 
 def pr_density(f: PolyZ, cutoff: int = 10_000, accelerate: bool = True) -> DensityReport:
@@ -325,23 +326,20 @@ def pr_density(f: PolyZ, cutoff: int = 10_000, accelerate: bool = True) -> Densi
     (1 - #{f=1 mod q} / (q * (q - #{f=0 mod q}))): the heuristic density with
     which an admissible base is a primitive root modulo primes f(n).
 
-    Direct mode stops at `cutoff`; accelerated mode goes on to _EXTENSION
-    (20000 for degree > 2, whose counts need enumeration).  tail_bound,
-    2/(L ln L) at the prime bound L, is an estimate, not a proven bound: the
-    generic factor is 1 - (1 + chi)/q^2 in the mean.
+    Direct mode stops at `cutoff`; accelerated mode goes on to _EXTENSION.
+    tail_bound, 2/(L ln L) at the prime bound L, is an estimate, not a
+    proven bound: the generic factor is 1 - (1 + chi)/q^2 in the mean.
 
     Raises ValueError, before any product runs, for an f that
-    poly.inadmissible refuses: such an f represents at most finitely many
-    primes.  Above degree 2 irreducibility is not checked.
+    poly.inadmissible refuses, as such an f represents at most finitely many
+    primes, and above degree 2, where irreducibility is not checked.
     """
-    _require_cutoff(cutoff)
-    if why := inadmissible(f):
-        raise ValueError(why)
-    limit = max(cutoff, _EXTENSION if f.degree() <= 2 else 20_000) if accelerate else cutoff
+    _require_admissible(f, cutoff, "--poly")
+    limit = max(cutoff, _EXTENSION) if accelerate else cutoff
 
     def local(P: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         # a factor with n_ones = 0 is exactly 1.0; no q divides every value, so q - n_roots > 0
-        scalar = _scalar_primes(f, P)
+        scalar = residues(f.leading(), P) == 0
         n_ones = _root_counts(f, P, 1, scalar)
         read = n_ones != 0
         Q = P[read]
@@ -352,7 +350,7 @@ def pr_density(f: PolyZ, cutoff: int = 10_000, accelerate: bool = True) -> Densi
     tail = 2.0 / (limit * math.log(limit))
     return DensityReport(
         value=value,
-        cutoff=last or 3,
+        cutoff=last,
         tail_bound=tail,
         method="accelerated" if accelerate else "direct",
     )
@@ -364,11 +362,7 @@ def pr_density_simple(A: int, B: int, cutoff: int = 1_000_000) -> DensityReport:
         prod_{q | gcd(A, B-1), q > 2}(1 - 1/q)
       * prod_{q odd, q not | A}(1 - (1 + (-A(B-1)/q)) / q^2).
     """
-    _require_cutoff(cutoff)
-    if A <= 0:
-        raise ValueError("leading coefficient must be positive")
-    if why := inadmissible(PolyZ((B, 0, A))):
-        raise ValueError(why)
+    _require_admissible(PolyZ((B, 0, A)), cutoff, "--simple")
     value = 1.0
     for q, _ in factor(math.gcd(A, B - 1)).factors:
         if q > 2:
@@ -381,7 +375,7 @@ def pr_density_simple(A: int, B: int, cutoff: int = 1_000_000) -> DensityReport:
 
     value, last = _euler_product(cutoff, local, value)
     tail = 2.0 / (cutoff * math.log(cutoff))
-    return DensityReport(value=value, cutoff=last or 3, tail_bound=tail, method="direct")
+    return DensityReport(value=value, cutoff=last, tail_bound=tail, method="direct")
 
 
 def _lehmer_report(rep: DensityReport) -> DensityReport:
@@ -412,7 +406,7 @@ def totient_ratio_constant(cutoff: int = 10_000_000) -> DensityReport:
 
     value, last = _euler_product(cutoff, local, 2.0)  # 2.0: the factor of q = 2
     tail = 1.3 * value / (cutoff * math.log(max(cutoff, 3)))
-    return DensityReport(value=value, cutoff=last or 2, tail_bound=tail, method="direct")
+    return DensityReport(value=value, cutoff=last, tail_bound=tail, method="direct")
 
 
 def totient_ratio_product(primes: Sequence[int]) -> float:
@@ -429,25 +423,22 @@ def bateman_horn_constant(f: PolyZ, cutoff: int = 100_000) -> DensityReport:
     the prime-counting heuristic for f of degree 1 or 2.
 
     Raises ValueError, before any product runs, for an f that
-    poly.inadmissible refuses, and above degree 2, where irreducibility is
-    not checked.  tail_bound is an estimate, not a proven bound: the
-    random-sign model 3 * value / sqrt(cutoff ln cutoff), the generic factor
-    being 1 - chi(p)/(p-1) with a conditionally convergent sum.
+    poly.inadmissible refuses (so its leading coefficient is positive, as
+    Bateman and Horn ask) and above degree 2, where irreducibility is not
+    checked.  tail_bound is an estimate, not a proven bound: the random-sign
+    model 3 * value / sqrt(cutoff ln cutoff), the generic factor being
+    1 - chi(p)/(p-1) with a conditionally convergent sum.
     """
-    if f.degree() > 2:
-        raise ValueError("density --bateman-horn needs degree <= 2: irreducibility is not checked above")
-    _require_cutoff(cutoff)
-    if why := inadmissible(f):
-        raise ValueError(why)
+    _require_admissible(f, cutoff, "--bateman-horn")
     value = (1.0 - len(roots_mod(f, 2)) / 2) / (1.0 - 1.0 / 2)
 
     def local(P: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        n_roots = _root_counts(f, P, 0, _scalar_primes(f, P))
+        n_roots = _root_counts(f, P, 0, residues(f.leading(), P) == 0)
         return P, (1.0 - n_roots / P) / (1.0 - 1.0 / P)
 
     value, last = _euler_product(cutoff, local, value)
     tail = 3.0 * value / math.sqrt(cutoff * math.log(cutoff))
-    return DensityReport(value=value, cutoff=last or 2, tail_bound=tail, method="direct")
+    return DensityReport(value=value, cutoff=last, tail_bound=tail, method="direct")
 
 
 # ---------------------------------------------------------------------------
@@ -520,6 +511,8 @@ def simulate_max_streak(p1: float, s: int, trials: int, seed: int) -> tuple[floa
     the generator hands out the same doubles in the same order either way."""
     if trials < 100:
         raise ValueError("need at least 100 trials")
+    if seed < 0:
+        raise ValueError(f"seed must be >= 0 (--seed), got {seed}")
     _require_model(p1, s)
     rng = np.random.default_rng(seed)
     lp = math.log(p1)

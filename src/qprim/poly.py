@@ -108,16 +108,19 @@ def is_perfect_square(n: int) -> bool:
 
 
 def inadmissible(f: PolyZ) -> str | None:
-    """Why f represents at most finitely many primes, or None (Bunyakovsky's
-    conditions, the hypothesis of Bateman and Horn, Math. Comp. 16, 1962):
-    f is constant, a quadratic with a square discriminant, or a prime
-    divides every value.  Such a prime divides the content or is at most
-    deg f: mod a larger q not dividing the content, f has at most deg f < q
-    roots.  The scan reaches a composite q after its prime factors.  Above
-    degree 2 irreducibility is not decided."""
+    """Why f fails Bunyakovsky's conditions, the hypothesis of Bateman and
+    Horn (Math. Comp. 16, 1962), or None: f must have a positive leading
+    coefficient, be irreducible and have no fixed prime divisor.  So f is
+    refused if constant, of negative leading coefficient, a quadratic with a
+    square discriminant, or if a prime divides every value.  Such a prime
+    divides the content or is at most deg f: mod a larger q not dividing the
+    content, f has at most deg f < q roots.  The scan reaches a composite q
+    after its prime factors.  Above degree 2 irreducibility is not decided."""
     deg = f.degree()
     if deg < 1:
         return "constant polynomial"
+    if f.leading() < 0:
+        return "negative leading coefficient"
     if deg == 2 and is_perfect_square(f.coeffs[1] ** 2 - 4 * f.coeffs[2] * f.coeffs[0]):
         return "reducible quadratic: discriminant is a perfect square"
     if (content := math.gcd(*f.coeffs)) > 1:
@@ -130,8 +133,8 @@ def inadmissible(f: PolyZ) -> str | None:
 
 def in_conjecture_f_family(f: PolyZ) -> bool:
     """Membership in the Hardy-Littlewood Conjecture-F family of quadratics:
-    degree 2, a > 0, and admissible (see inadmissible)."""
-    return f.degree() == 2 and f.leading() > 0 and inadmissible(f) is None
+    degree 2 and admissible (see inadmissible, which asks a > 0)."""
+    return f.degree() == 2 and inadmissible(f) is None
 
 
 def values_mod(f: PolyZ, m: int) -> np.ndarray:

@@ -305,10 +305,38 @@ def test_missing_argument_combinations(capsys):
 
 def test_density_rejects_even_valued_and_reducible(capsys):
     even = "every value is divisible by 2"
-    for poly, why in (("2,2,2", even), ("1,0,0", "reducible"), ("2,0,4", even)):
+    cases = [("2,2,2", even), ("1,0,0", "reducible"), ("2,0,4", even)]
+    cases += [("0,0,0,1", "density --poly needs degree <= 2"), ("7,-2", "negative leading coefficient")]  # X^3, 7 - 2X
+    for poly, why in cases:
         code, _, err = run_cli(capsys, "density", "--poly", poly)
         assert code == 1, poly
         assert why in err, poly
+
+
+@pytest.mark.parametrize(
+    "argv, why",
+    [
+        (["density", "--bateman-horn", "7,-2"], "negative leading coefficient"),  # 7 - 2X
+        (["density", "--simple", "-3,7"], "negative leading coefficient"),
+        (["tau", "--poly", "2,2,2", "--admissible"], "every value is divisible by 2"),
+        (["tau", "--poly", "1,0,0", "--admissible"], "reducible quadratic"),
+    ],
+    ids=["bateman-horn-sign", "simple-sign", "tau-content", "tau-square"],
+)
+def test_admissibility_refusals_name_the_rules_reason(capsys, argv, why):
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out) == (1, "")
+    assert why in err
+
+
+def test_mstat_refuses_a_negative_seed(capsys):
+    # numpy's own refusal, "expected non-negative integer", named no option
+    argv = ["mstat", "--p1", "0.9", "--s", "10", "--simulate", "--trials", "100", "--seed"]
+    code, out, err = run_cli(capsys, *argv, "-1")
+    assert (code, out) == (1, "")
+    assert "seed must be >= 0 (--seed), got -1" in err
+    code, _, _ = run_cli(capsys, *argv, "0")
+    assert code == 0
 
 
 @pytest.mark.parametrize("pair, divisor", [("2,4", 2), ("3,3", 3)])

@@ -372,6 +372,10 @@ def test_pr_density_degenerate():
         pr_density(QuadraticPoly(3, 3, 3))  # content 3
     with pytest.raises(ValueError):
         pr_density(PolyZ((5,)))  # constant
+    with pytest.raises(ValueError, match="negative leading coefficient"):
+        pr_density(PolyZ((7, -2)))  # 7 - 2X: finitely many positive values
+    with pytest.raises(ValueError, match="density --poly needs degree <= 2"):
+        pr_density(PolyZ((0, 0, 0, 1)))  # X^3: the rule decides no irreducibility above degree 2
 
 
 def test_pr_density_below_one_for_random_family():
@@ -442,6 +446,8 @@ def test_bateman_horn():
         bateman_horn_constant(QuadraticPoly(1, 2, 1))  # reducible
     with pytest.raises(ValueError, match="needs degree <= 2"):
         bateman_horn_constant(PolyZ((1, 0, 0, 1)))  # irreducibility is not checked above degree 2
+    with pytest.raises(ValueError, match="negative leading coefficient"):
+        bateman_horn_constant(PolyZ((7, -2)))  # 7 - 2X once gave 2.0
 
 
 def test_bateman_horn_consistent_with_hl_constant():
@@ -660,16 +666,17 @@ def test_legendre_below_1e6_for_large_discriminants():
 
 
 def test_tiny_cutoffs_bit_identical_to_scalar_loop():
-    # cutoffs 3..7 fold in chunks whose largest prime is below 8
+    # cutoffs 3..7 fold in chunks whose largest prime is below 8; cutoff 2 reads no odd prime
     euler, lehmer = QuadraticPoly(1, 1, 41), QuadraticPoly(326, 0, 3)
     for cutoff in range(2, 41):
+        last = max(odd_primes(cutoff), default=2)
         for f in (euler, lehmer):
-            want = pr_density_scalar(f, cutoff)
-            assert pr_density(f, cutoff, accelerate=False).value == want, (f, cutoff)
-        want = pr_density_simple_scalar(326, 3, cutoff)
-        assert pr_density_simple(326, 3, cutoff).value == want, cutoff
-        want = bateman_horn_scalar(euler, cutoff)
-        assert bateman_horn_constant(euler, cutoff).value == want, cutoff
+            rep = pr_density(f, cutoff, accelerate=False)
+            assert (rep.value, rep.cutoff) == (pr_density_scalar(f, cutoff), last), (f, cutoff)
+        rep = pr_density_simple(326, 3, cutoff)
+        assert (rep.value, rep.cutoff) == (pr_density_simple_scalar(326, 3, cutoff), last), cutoff
+        rep = bateman_horn_constant(euler, cutoff)
+        assert (rep.value, rep.cutoff) == (bateman_horn_scalar(euler, cutoff), last), cutoff
 
 
 def test_legendre_products_refuse_a_cutoff_of_2_31_before_reading_a_prime(monkeypatch):

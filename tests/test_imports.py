@@ -9,7 +9,9 @@ arith.Lanes is the one numpy modular kernel, and no module but arith knows
 how its residues are held.  Every public function or class
 is named elsewhere in the package, read by perfbench or listed in
 qprim.__all__, and every defaulted parameter of one is set by some call in
-the package or perfbench, but those listed with their reasons."""
+the package or perfbench, but those listed with their reasons.  Every
+third-party module a test file imports outside a function is a dependency
+of the package or in its `test` extra."""
 
 import ast
 import json
@@ -384,3 +386,40 @@ def test_every_default_is_set_by_a_caller():
     modules = {p.name: p.read_text() for p in (SRC / "qprim").glob("*.py")}
     perfbench = [p.read_text() for p in (SRC.parent / "perfbench").glob("*.py")]
     assert sorted(unset_defaults(modules, [*modules.values(), *perfbench])) == sorted(UNSET_DEFAULTS)
+
+
+def third_party_imports(source: str) -> set[str]:
+    """The top-level names of the modules that source imports outside any
+    function or class body, less the standard library, qprim and relative
+    imports.  pytest.importorskip is a call, not an import: its modules never
+    show."""
+    found = set()
+
+    def visit(node: ast.AST) -> None:
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.Import):
+                found.update(alias.name.split(".")[0] for alias in child.names)
+            elif isinstance(child, ast.ImportFrom) and not child.level:
+                found.add(child.module.split(".")[0])
+            elif not isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                visit(child)
+
+    visit(ast.parse(source))
+    return found - set(sys.stdlib_module_names) - {"qprim"}
+
+
+def test_third_party_guard_sees_each_form():
+    source = "import os, numpy as np\nimport hypothesis.strategies as st\nfrom sympy.ntheory import n_order\n"
+    source += "from . import helpers\nimport qprim.cli\ntry:\n    import mpmath\nexcept ImportError:\n    pass\n"
+    source += "def f():\n    import scipy\nclass C:\n    import numba\ngmpy2 = pytest.importorskip('gmpy2')\n"
+    assert third_party_imports(source) == {"numpy", "hypothesis", "sympy", "mpmath"}
+
+
+def test_every_third_party_test_import_is_installed_by_the_test_extra():
+    # `pip install -e .[test]` must install all that the test modules need to be collected
+    tomllib = pytest.importorskip("tomllib")  # Python 3.11 and later
+    project = tomllib.loads((SRC.parent / "pyproject.toml").read_text())["project"]
+    requirements = project["dependencies"] + project["optional-dependencies"]["test"]
+    installed = {re.match(r"[\w.-]+", r).group().lower().replace("-", "_") for r in requirements}
+    imported = set().union(*(third_party_imports(p.read_text()) for p in (SRC.parent / "tests").glob("*.py")))
+    assert sorted(imported - installed) == []

@@ -541,6 +541,41 @@ MUTANTS = [
             "tests/test_poly.py::test_inadmissible_names_each_reason",
         ],
     ),
+    (  # the admissibility rule without its sign test: 7 - 2X and -3X^2 + 7 get densities
+        "poly.py",
+        "if f.leading() < 0:",
+        "if False:",
+        [
+            "tests/test_cli.py::test_admissibility_refusals_name_the_rules_reason[bateman-horn-sign]",
+            "tests/test_cli.py::test_admissibility_refusals_name_the_rules_reason[simple-sign]",
+            "tests/test_cli.py::test_density_rejects_even_valued_and_reducible",
+            "tests/test_densities.py::test_bateman_horn",
+            "tests/test_densities.py::test_pr_density_degenerate",
+            "tests/test_densities.py::test_pr_density_simple_values",
+            "tests/test_poly.py::test_family_equals_its_five_conditions_on_seeded_quadratics",
+            "tests/test_poly.py::test_inadmissible_names_each_reason",
+        ],
+    ),
+    (  # the density gate without its degree test: X^3 and X^3 + 1 get densities
+        "densities.py",
+        "if f.degree() > 2:",
+        "if False:",
+        [
+            "tests/test_cli.py::test_bateman_horn_cli_refuses_degree_above_two",
+            "tests/test_cli.py::test_density_rejects_even_valued_and_reducible",
+            "tests/test_densities.py::test_bateman_horn",
+            "tests/test_densities.py::test_pr_density_degenerate",
+        ],
+    ),
+    (  # admissible_discriminants hiding the rule's reason behind "outside the quadratic search family"
+        "charsums.py",
+        "f.degree() == 2 and inadmissible(f) or ",
+        "",
+        [
+            "tests/test_cli.py::test_admissibility_refusals_name_the_rules_reason[tau-content]",
+            "tests/test_cli.py::test_admissibility_refusals_name_the_rules_reason[tau-square]",
+        ],
+    ),
 ]
 
 

@@ -91,6 +91,8 @@ def test_inadmissible_names_each_reason():
     for f, why in (
         (PolyZ((5,)), "constant polynomial"),
         (PolyZ((0,)), "constant polynomial"),
+        (PolyZ((7, -2)), "negative leading coefficient"),  # 7 - 2X
+        (PolyZ((-4, 0, -1)), "negative leading coefficient"),  # -(X^2 + 4): every value negative
         (QuadraticPoly(3, 0, -12), "reducible quadratic"),  # 3(X - 2)(X + 2): square before content
         (QuadraticPoly(1000003, 1000003, 41 * 1000003), "every value is divisible by 1000003"),
         (PolyZ((4, 6)), "every value is divisible by 2"),  # linear: only the content can fix a divisor
