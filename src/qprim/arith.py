@@ -228,21 +228,6 @@ class Factorization:
     def is_squarefree(self) -> bool:
         return all(e == 1 for _, e in self.factors)
 
-    def divisors(self, limit: int | None = None) -> list[int]:
-        """All positive divisors, optionally only those <= limit. Sorted."""
-        divs = [1]
-        for p, e in self.factors:
-            block = []
-            for d in divs:
-                v = d
-                for _ in range(e):
-                    v *= p
-                    if limit is not None and v > limit:
-                        break
-                    block.append(v)
-            divs.extend(block)
-        return sorted(divs)
-
 
 def _pack(lanes: list, ys: list[int], found: list) -> list[list]:
     """The rho lanes at their values ys, in order, in products [lanes, n, y]

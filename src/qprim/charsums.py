@@ -4,7 +4,9 @@ exact inert-prime proportion of primes represented by a polynomial.
 FundamentalDiscriminant is the package's one split of a discriminant into
 prime discriminants and a 2-part, and TWO_PART_CHARACTERS the one table of
 the 2-part's character mod 8: inert_proportion, densities' chi_D tables and
-criteria.extended_chebyshev (by fundamental_discriminant of a base) read it.
+criteria.extended_chebyshev (by fundamental_discriminant of a base) read it,
+and admissible_discriminants builds its candidates from both.  Both refuse an
+f that poly.inadmissible refuses, with its reason.
 _require_odd_prime is the package's one odd-prime check.  Off degree 2 the
 local average enumerates f mod p, so it refuses p above 2^20.
 
@@ -18,7 +20,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .arith import Factorization, _strip, factor, is_prime, kronecker, iter_primes
+from .arith import factor, is_prime, kronecker, iter_primes
 from .poly import (
     PolyZ,
     in_conjecture_f_family,
@@ -165,8 +167,11 @@ def inert_proportion(f: PolyZ, D: FundamentalDiscriminant | int) -> Fraction:
     profile alpha_1, alpha_3, alpha_5, alpha_7.
 
     f of degree 2 uses the closed-form local averages; any other degree falls
-    back to enumeration at each odd prime dividing D.
+    back to enumeration at each odd prime dividing D.  An f that
+    poly.inadmissible refuses gets its reason before any average.
     """
+    if why := inadmissible(f):
+        raise ValueError(why)
     D = FundamentalDiscriminant.from_integer(D)
     if not D.odd_primes:
         raise ValueError(f"discriminant {D.D} has no odd prime divisor")
@@ -180,31 +185,29 @@ def inert_proportion(f: PolyZ, D: FundamentalDiscriminant | int) -> Fraction:
 
 def admissible_discriminants(f: PolyZ, bound: int) -> list[FundamentalDiscriminant]:
     """All fundamental discriminants D with |D| <= bound and inert proportion
-    exactly 1 for f.  Complete: such D must divide 24*a*d, so only divisors
-    of that product are scanned.  A divisor up to `bound` has no prime factor
-    above `bound`, so only the bound-smooth part of 24*a*d is factored (by
-    trial division, which stops once the product is used up): the rest of
-    it, however large, never needs a primality test.  A quadratic that
+    exactly 1 for f, sorted by D.  Complete: such D divides 24*a*d, so each
+    candidate is built as a product of prime discriminants p* for odd primes
+    p | 3*a*d, with p <= |D| <= bound, times a 2-part (8 | 24).  Trial division
+    by the primes up to `bound` stops once 3*a*|d| is used up; the rest of it,
+    however large, never needs a primality test.  A quadratic that
     poly.inadmissible refuses gets its reason; other degrees get none."""
     if not in_conjecture_f_family(f):
         raise ValueError(f.degree() == 2 and inadmissible(f) or "polynomial is outside the quadratic search family")
     if bound < 1:
         raise ValueError("bound must be >= 1")
+    if bound > 10**10:
+        raise ValueError(f"bound must be <= 1e10 (--bound), got {bound}")
     a, _, d = _quadratic(f)
-    base = rest = 24 * a * abs(d)
-    smooth: dict[int, int] = {}  # ascending p, as Factorization needs
-    for p in iter_primes(2, bound):
+    rest = 3 * a * abs(d)
+    rest >>= (rest & -rest).bit_length() - 1  # its odd part
+    products = [(1, ())]  # (D, its odd primes) for the products of prime discriminants with |D| <= bound
+    for p in iter_primes(3, bound):
         if rest == 1:
             break
         if rest % p == 0:
-            rest = _strip(rest, p, smooth)
-    out = []
-    for t in Factorization(base // rest, tuple(smooth.items())).divisors(limit=bound):
-        for D in (t, -t):
-            try:
-                fd = FundamentalDiscriminant.from_integer(D)
-            except ValueError:
-                continue
-            if fd.odd_primes and inert_proportion(f, fd) == 1:
-                out.append(fd)
-    return sorted(out, key=lambda fd: fd.D)
+            while rest % p == 0:
+                rest //= p
+            star = p if p % 4 == 1 else -p
+            products += [(D * star, odd + (p,)) for D, odd in products if abs(D) * p <= bound]
+    candidates = [FundamentalDiscriminant(D * two, odd) for D, odd in products[1:] for two in (1, *TWO_PART_CHARACTERS)]
+    return sorted((fd for fd in candidates if abs(fd.D) <= bound and inert_proportion(f, fd) == 1), key=lambda fd: fd.D)

@@ -404,11 +404,6 @@ def test_lucas_certifies_proves_primes_and_no_base_of_3511_squared():
         assert arith._lucas_batch(g, ps, pm1s) == [False] + want, g
 
 
-def test_factor_divisors():
-    assert factor(12).divisors() == [1, 2, 3, 4, 6, 12]
-    assert factor(12).divisors(limit=4) == [1, 2, 3, 4]
-
-
 def test_multiplicative_order():
     assert multiplicative_order(10, 7) == 6  # decimal period of 1/7
     assert multiplicative_order(1, 13) == 1

@@ -21,6 +21,7 @@ from qprim.charsums import (
     local_char_average,
 )
 from qprim.poly import PolyZ, QuadraticPoly, in_conjecture_f_family
+from qprim.search import SearchConfig, candidate_poly
 from qprim.streaks import PrimeValueStream
 
 ODD_PRIMES_199 = [p for p in primes_up_to(199) if p > 2]
@@ -330,7 +331,9 @@ def test_admissible_discriminants():
     for bound in (0, -5):  # no discriminant has |D| < 1: refused, not an empty list
         with pytest.raises(ValueError, match="bound must be >= 1"):
             admissible_discriminants(L, bound)
-    # trial division stops once 24*a*|d| is used up, so a large bound stays cheap
+    with pytest.raises(ValueError, match=r"bound must be <= 1e10 \(--bound\)"):  # before any scan
+        admissible_discriminants(L, 10**10 + 1)
+    # trial division stops once 3*a*|d| is used up, so a large bound stays cheap
     assert [fd.D for fd in admissible_discriminants(L, 10**7)] == [-163, -3, 24, 1304]
 
 
@@ -345,26 +348,44 @@ def test_admissible_discriminants_reads_the_mod8_profile_once_per_f():
         assert (info.misses, info.hits > 0) == (1, True), f
 
 
+def several_small_odd_primes(f):
+    """3*a*|d| has three odd prime factors below 40, so products of prime
+    discriminants cross a bound of a few hundred."""
+    return sum(1 for p in factor(3 * f.a * abs(f.d)).prime_factors() if 2 < p < 40) >= 3
+
+
 @pytest.mark.parametrize(
-    "d, d1, alpha, sign",
+    "f, bound",
     [
         # 24*a*|disc| has a cofactor beyond the primality range: these raised
         # before only the 2000-smooth part was factored
-        (4472988326827347533, 252017, 4, 1),
-        (9828323860172600203, 181498473900253, 4, -1),
+        pytest.param(
+            candidate_poly(SearchConfig(d=4472988326827347533, d1=252017, alpha=4, sign=1, shift=0)),
+            2000,
+            id="4472988326827347533-252017-4-1",
+        ),
+        pytest.param(
+            candidate_poly(SearchConfig(d=9828323860172600203, d1=181498473900253, alpha=4, sign=-1, shift=0)),
+            2000,
+            id="9828323860172600203-181498473900253-4--1",
+        ),
+    ]
+    + [
+        pytest.param(f, 300, id=f"{f.a},{f.b},{f.c}")
+        for f in [f for f in random_quadratics(45, 400) if in_conjecture_f_family(f) and several_small_odd_primes(f)][:5]
     ],
 )
-def test_admissible_discriminants_against_brute_force(d, d1, alpha, sign):
-    from qprim.search import SearchConfig, candidate_poly
-
-    f = candidate_poly(SearchConfig(d=d, d1=d1, alpha=alpha, sign=sign, shift=0))
+def test_admissible_discriminants_against_brute_force(f, bound):
     brute = []
-    for t in range(1, 2001):
+    for t in range(1, bound + 1):
         for D in (t, -t):
             if (fd := fundamental(D)) and fd.odd_primes and inert_proportion(f, fd) == 1:
-                brute.append(D)
-    assert [fd.D for fd in admissible_discriminants(f, 2000)] == sorted(brute)
+                brute.append(fd)
+    brute.sort(key=lambda fd: fd.D)
     assert brute
+    # at the bound, at each admissible |D| and just below it: odd_primes included
+    for b in sorted({bound} | {abs(fd.D) for fd in brute} | {abs(fd.D) - 1 for fd in brute}):
+        assert admissible_discriminants(f, b) == [fd for fd in brute if abs(fd.D) <= b], b
 
 
 def test_prop5_bounds_and_divisibility():
@@ -431,8 +452,10 @@ SPELLING_DISCS = (-3, -4, 5, -7, 8, -8, 12, -15, -20, 21, 24, -163, 1304)
 
 def test_spelling_never_changes_an_answer():
     # every value of 5X^2 + 5 is divisible by 5, and of 3X^2 + 3X + 3 by 3: the
-    # closed form answers both, whichever class spells them
-    assert inert_proportion(PolyZ((5, 0, 5)), 5) == Fraction(1, 2)
+    # inert proportion refuses the first and the closed form averages the
+    # second, whichever class spells them
+    with pytest.raises(ValueError, match="every value is divisible by 5"):
+        inert_proportion(PolyZ((5, 0, 5)), 5)
     assert char_average(PolyZ((3, 3, 3)), 3) == 0
     rng = random.Random(2025)
     seeded = [(rng.randint(1, 60), rng.randint(-60, 60), rng.randint(-60, 60)) for _ in range(24)]

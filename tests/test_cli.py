@@ -320,8 +320,11 @@ def test_density_rejects_even_valued_and_reducible(capsys):
         (["density", "--simple", "-3,7"], "negative leading coefficient"),
         (["tau", "--poly", "2,2,2", "--admissible"], "every value is divisible by 2"),
         (["tau", "--poly", "1,0,0", "--admissible"], "reducible quadratic"),
+        (["tau", "--poly", "2,2,2", "--disc", "-3"], "every value is divisible by 2"),
+        (["tau", "--poly", "1,0,0", "--disc", "5"], "reducible quadratic"),
+        (["tau", "--poly", "7,-2", "--disc", "5"], "negative leading coefficient"),  # 7 - 2X
     ],
-    ids=["bateman-horn-sign", "simple-sign", "tau-content", "tau-square"],
+    ids=["bateman-horn-sign", "simple-sign", "tau-content", "tau-square", "disc-content", "disc-square", "disc-sign"],
 )
 def test_admissibility_refusals_name_the_rules_reason(capsys, argv, why):
     code, out, err = run_cli(capsys, *argv)
@@ -513,6 +516,7 @@ PAST_A_BOUND = [
     (["lvalue", "--s", "1", "--disc", str(2**53 + 1)], "--disc"),  # past |D| = 1e7 without --long-run
     (SEARCH + ["--alpha", str(2**64), "--k-hi", "2"], "--alpha"),
     (SEARCH + ["--alpha", "100000", "--k-hi", "2"], "--alpha"),
+    (["tau", "--poly", "326,0,3", "--admissible", "--bound", str(10**11)], "--bound"),  # the prime listing's own limit
 ]
 
 REFUSALS = """

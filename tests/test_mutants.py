@@ -354,11 +354,52 @@ MUTANTS = [
         "fact.prime_factors() if p > 3)",
         [
             "tests/test_charsums.py::test_two_part_splits_every_fundamental_discriminant_to_5000",
-            "tests/test_charsums.py::test_admissible_discriminants",
             "tests/test_charsums.py::test_inert_proportion_exact_values",
             "tests/test_densities.py::test_kronecker_chunk_matches_kronecker",
             "tests/test_densities.py::test_dirichlet_l_closed_form_oracles",
+        ],
+    ),
+    (  # the search's prime discriminant p* taken as p: -163 and -3 read as 163 and 3
+        "charsums.py",
+        "star = p if p % 4 == 1 else -p",
+        "star = p",
+        [
+            "tests/test_charsums.py::test_admissible_discriminants",
+            "tests/test_charsums.py::test_admissible_discriminants_against_brute_force[4472988326827347533-252017-4-1]",
+            "tests/test_charsums.py::test_admissible_discriminants_against_brute_force[18,-7,2]",
+            "tests/test_search.py::test_admissible_bases_lehmer",
             "tests/test_cli_golden.py::test_cli_output_matches_golden[text-tau --poly 326,0,3 --admissible]",
+        ],
+    ),
+    (  # the search without the 2-part -8: 24 and 1304 drop out of Lehmer's list
+        "charsums.py",
+        "for two in (1, *TWO_PART_CHARACTERS)",
+        "for two in (1, -4, 8)",
+        [
+            "tests/test_charsums.py::test_admissible_discriminants",
+            "tests/test_charsums.py::test_admissible_discriminants_against_brute_force[4472988326827347533-252017-4-1]",
+            "tests/test_charsums.py::test_admissible_discriminants_against_brute_force[9828323860172600203-181498473900253-4--1]",
+            "tests/test_cli_golden.py::test_cli_output_matches_golden[text-tau --poly 326,0,3 --admissible]",
+        ],
+    ),
+    (  # the inert proportion without the admissibility gate: tau --disc prints a value for 2X^2 + 2X + 2, X^2, 7 - 2X
+        "charsums.py",
+        "    if why := inadmissible(f):\n        raise ValueError(why)\n",
+        "",
+        [
+            "tests/test_charsums.py::test_spelling_never_changes_an_answer",
+            "tests/test_cli.py::test_admissibility_refusals_name_the_rules_reason[disc-content]",
+            "tests/test_cli.py::test_admissibility_refusals_name_the_rules_reason[disc-sign]",
+            "tests/test_cli.py::test_admissibility_refusals_name_the_rules_reason[disc-square]",
+        ],
+    ),
+    (  # the search without its --bound ceiling: the prime listing's message, naming no option
+        "charsums.py",
+        "if bound > 10**10:",
+        "if False:",
+        [
+            "tests/test_charsums.py::test_admissible_discriminants",
+            "tests/test_cli.py::test_inputs_past_a_bound_exit_1_naming_their_option",
         ],
     ),
     (  # chi_8 and chi_-8 swapped: every D with 2-part +-8 reads the other character
